@@ -40,11 +40,11 @@ def march_single_ray(
     """March one ray; returns (sum_i, tau, status, exit_pos)."""
     dx = fields.dx
     anchor = fields.anchor
-    ox, oy, oz = (float(v) for v in origin)
+    o = [float(v) for v in origin]
     d = [float(v) for v in direction]
 
     cell = [0, 0, 0]
-    for k, p in enumerate((ox, oy, oz)):
+    for k, p in enumerate(o):
         q = p
         if from_handoff:
             q = p + 1e-9 * dx[k] * d[k]
@@ -53,15 +53,14 @@ def march_single_ray(
     step = [0, 0, 0]
     tmax = [math.inf] * 3
     tdelta = [math.inf] * 3
-    pos = (ox, oy, oz)
     for k in range(3):
         if d[k] > 0:
             step[k] = 1
-            tmax[k] = (anchor[k] + (cell[k] + 1) * dx[k] - pos[k]) / d[k]
+            tmax[k] = (anchor[k] + (cell[k] + 1) * dx[k] - o[k]) / d[k]
             tdelta[k] = dx[k] / d[k]
         elif d[k] < 0:
             step[k] = -1
-            tmax[k] = (anchor[k] + cell[k] * dx[k] - pos[k]) / d[k]
+            tmax[k] = (anchor[k] + cell[k] * dx[k] - o[k]) / d[k]
             tdelta[k] = -dx[k] / d[k]
 
     tau = float(tau0)
@@ -98,7 +97,7 @@ def march_single_ray(
         tmax[ax] += tdelta[ax]
 
         if roi is not None and not roi.contains_point(cell):
-            exit_pos = (ox + tcur * d[0], oy + tcur * d[1], oz + tcur * d[2])
+            exit_pos = (o[0] + tcur * d[0], o[1] + tcur * d[1], o[2] + tcur * d[2])
             return sum_i, tau, int(RayStatus.LEFT_ROI), exit_pos
 
         i, j, k = cell[0] - lo[0], cell[1] - lo[1], cell[2] - lo[2]
@@ -107,6 +106,9 @@ def march_single_ray(
             sum_i += wall_emis * st4[i, j, k] * inv_pi * math.exp(-tau)
             if reflections and (1.0 - wall_emis) > threshold:
                 tau += -math.log(1.0 - wall_emis)
+                # mirror the origin with the direction, so that
+                # o + t * d stays the ray's position after the bounce
+                o[ax] += 2.0 * tcur * d[ax]
                 d[ax] = -d[ax]
                 step[ax] = -step[ax]
                 cell[ax] += step[ax]

@@ -1,6 +1,6 @@
 """Batched 3-D DDA ray marching — the RMCRT device kernel's core.
 
-This is the vectorized (SoA, mask-compacted) equivalent of the CUDA
+This is the vectorized equivalent of the CUDA
 ``updateSumI`` kernel in Uintah's GPU RMCRT (paper Section III): a
 whole batch of rays advances cell-by-cell through a level's property
 arrays using the Amanatides-Woo traversal, accumulating the incoming
@@ -14,10 +14,33 @@ the attenuated wall emission, optionally reflecting), drops below the
 transmissivity threshold, or — in multi-level mode — leaves the fine
 region of interest and is parked for hand-off to a coarser level.
 
-The batch layout is exactly what a GPU wants (one ray per lane, masked
-divergence handled by compacting the active set), which is why this
-module doubles as the "GPU kernel" of the reproduction: NumPy's
-vector unit plays the role of the K20X's SIMT lanes.
+The batch layout is exactly what a GPU wants, which is why this module
+doubles as the "GPU kernel" of the reproduction, NumPy's vector unit
+playing the role of the K20X's SIMT lanes:
+
+* **dense structure-of-arrays by axis.** State exists only for live
+  lanes, as contiguous rows — ``tau, sum_i, tcur, trans`` and
+  ``tmax``/``tdelta`` per axis as floats; the batch row, the flat cell
+  index and the flat index step per axis as ints — so every step is a
+  handful of whole-row ufuncs and no index gather into ray state.
+* **flat cell index.** The cell is one offset into the raveled property
+  arrays, and one gather of a per-call int8 *cell class* (the status a
+  ray ends with on entering the cell: wall, or outside the ROI) replaces
+  the cell-type lookup and the six ROI compares.
+* **mask-multiply advance.** The crossed axis is picked by comparisons
+  (first minimum, as ``argmin`` and the scalar oracle pick it) and
+  advanced by ``t_a += is_a * tdelta_a``: adding an exact 0 leaves the
+  other axes' bits alone.
+* **one exp per step.** ``trans = exp(-tau)`` is carried from step to
+  step and recomputed only for lanes that just reflected.
+* **live-lane compaction.** Finished lanes are scattered to the batch
+  and the survivors physically compacted — the stream-compaction idiom
+  for masked divergence.
+
+Each call publishes ``dda.calls / dda.steps / dda.ray_steps /
+dda.lanes_launched`` (label ``handoff``) to the metrics registry; the
+active-lane fraction, the SIMT-divergence analogue, is
+``ray_steps / (steps * lanes_launched)``.
 """
 
 from __future__ import annotations
@@ -31,7 +54,10 @@ import numpy as np
 from repro.grid.box import Box
 from repro.grid.celltype import CellType
 from repro.core.fields import LevelFields
+from repro.perf import get_metrics
 from repro.util.errors import ReproError
+
+_INV_PI = 1.0 / np.pi
 
 
 class RayStatus(IntEnum):
@@ -39,6 +65,9 @@ class RayStatus(IntEnum):
     WALL_HIT = 1     #: absorbed at a wall/intrusion surface
     EXTINCT = 2      #: transmissivity fell below threshold
     LEFT_ROI = 3     #: exited the region of interest (multi-level hand-off)
+
+
+_ALIVE, _WALL_HIT, _EXTINCT, _LEFT_ROI = (int(s) for s in RayStatus)
 
 
 @dataclass
@@ -84,6 +113,46 @@ class RayBatch:
         return np.nonzero(self.status == RayStatus.LEFT_ROI)[0]
 
 
+def _launch_state(fields, batch, launch, origins, from_handoff):
+    """Amanatides-Woo set-up of the rays ``launch``, packed by axis.
+
+    Returns the float rows ``tau, sum_i, tcur, trans, tmax x/y/z, tdelta
+    x/y/z`` and the int rows ``lane`` (batch row), ``flat`` (cell offset
+    into the raveled ring-box arrays), ``fstep x/y/z`` (offset step per
+    axis crossing). Everything of shape (n, 3) dies with this frame: the
+    march's memory high-water mark is the packed state.
+    """
+    n = launch.size
+    start_pos = origins[launch]
+    dirs = batch.directions[launch]
+    cell = fields.position_to_cell(start_pos, nudge_dir=dirs if from_handoff else None)
+    extent, lo = fields.ring_box.extent, fields.ring_lo
+    strides = (extent[1] * extent[2], extent[2], 1)
+    fstate = np.empty((10, n))
+    istate = np.empty((5, n), dtype=np.int64)
+    tau, sum_i, tcur, trans = fstate[:4]
+    lane, flat = istate[:2]
+    lane[:] = launch
+    tau[:] = batch.tau[launch]
+    sum_i[:] = batch.sum_i[launch]
+    tcur[:] = 0.0
+    np.exp(-tau, out=trans)
+    flat[:] = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(3):
+            d, c = dirs[:, a], cell[:, a]
+            moving = d != 0.0
+            step = np.sign(d).astype(np.int64)
+            next_bound = fields.anchor[a] + (c + (step > 0)) * fields.dx[a]
+            fstate[4 + a] = np.where(moving, (next_bound - start_pos[:, a]) / d, np.inf)
+            # 0, not inf, on an axis the ray never crosses: the advance
+            # multiplies by the axis mask, and False * inf is NaN
+            fstate[7 + a] = np.where(moving, fields.dx[a] / np.abs(d), 0.0)
+            istate[2 + a] = step * strides[a]
+            flat += (c - lo[a]) * strides[a]
+    return fstate, istate
+
+
 def march(
     fields: LevelFields,
     batch: RayBatch,
@@ -105,7 +174,10 @@ def march(
     positions (nudged along the direction so positions exactly on a
     coarse face land downstream).
 
-    Returns ``batch`` (mutated in place) for chaining.
+    Returns ``batch`` (mutated in place) for chaining. With ``roi`` and
+    ``reflections`` together ``batch.directions`` is replaced by a copy
+    holding every ray's heading after its last reflection, so a parked
+    ray continues the right way on the coarser level.
     """
     ring = fields.ring_box
     if roi is not None and not ring.contains_box(roi):
@@ -113,128 +185,144 @@ def march(
 
     if from_handoff:
         launch = np.nonzero(batch.status == RayStatus.LEFT_ROI)[0]
-        start_pos = batch.exit_pos[launch]
+        origins = batch.exit_pos
     else:
         launch = np.nonzero(batch.status == RayStatus.ALIVE)[0]
-        start_pos = batch.origins[launch]
-    if launch.size == 0:
+        origins = batch.origins
+    n = launch.size
+    if n == 0:
         return batch
-    batch.status[launch] = RayStatus.ALIVE
+    mirror = roi is not None and reflections
+    if mirror:
+        # a reflection mirrors the origin and flips the direction of a
+        # ray that may park later: work on copies, not the caller's arrays
+        origins = origins.copy()
+        batch.directions = batch.directions.copy()
+    directions = batch.directions
 
-    dirs = batch.directions[launch]
-    dx = np.asarray(fields.dx)
-    anchor = np.asarray(fields.anchor)
+    fstate, istate = _launch_state(fields, batch, launch, origins, from_handoff)
+    tau, sum_i, tcur, trans, t0, t1, t2, d0, d1, d2 = fstate
+    lane, flat, s0, s1, s2 = istate
+    extent = ring.extent
 
-    cell = fields.position_to_cell(start_pos, nudge_dir=dirs if from_handoff else None)
-    step = np.sign(dirs).astype(np.int64)
-    with np.errstate(divide="ignore"):
-        tdelta = np.where(dirs != 0.0, dx / np.abs(dirs), np.inf)
-        next_bound = anchor + (cell + (step > 0)) * dx
-        tmax = np.where(dirs != 0.0, (next_bound - start_pos) / dirs, np.inf)
-    tcur = np.zeros(launch.size)
+    abskg = fields.abskg.reshape(-1)
+    emis = (fields.sigma_t4 * _INV_PI).reshape(-1)
+    # the status a ray ends with on entering each cell (ALIVE: marches on);
+    # outside the ROI wins over wall
+    wall = fields.cell_type != CellType.FLOW
+    cell_class = wall.astype(np.int8)  # True is WALL_HIT
+    if roi is not None:
+        outside = np.ones(extent, dtype=bool)
+        outside[roi.slices(origin=ring.lo)] = False
+        cell_class[outside] = _LEFT_ROI
+    cell_class = cell_class.reshape(-1)
 
-    # local (compacting) working copies; scattered back on termination
-    tau = batch.tau[launch].copy()
-    sum_i = batch.sum_i[launch].copy()
     log_threshold = -np.log(threshold)
-
     if max_steps is None:
-        e = ring.extent
-        max_steps = 16 * (e[0] + e[1] + e[2] + 3)
+        max_steps = 16 * (extent[0] + extent[1] + extent[2] + 3)
 
-    rows = np.arange(launch.size)  # stable identity for scatter-back
-    abskg, st4, ctype = fields.abskg, fields.sigma_t4, fields.cell_type
-    inv_pi = 1.0 / np.pi
+    def retire(state: np.ndarray):
+        """Scatter the lanes ``state`` finishes to the batch; returns the
+        survivors' state, physically compacted."""
+        done = np.nonzero(state)[0]
+        status = state[done]
+        out = lane[done]
+        batch.status[out] = status
+        batch.tau[out] = tau[done]
+        batch.sum_i[out] = sum_i[done]
+        if roi is not None:
+            parked = done[status == _LEFT_ROI]
+            out = lane[parked]
+            batch.exit_pos[out] = origins[out] + tcur[parked, None] * directions[out]
+        keep = np.nonzero(state == _ALIVE)[0]
+        return fstate.take(keep, axis=1), istate.take(keep, axis=1)
 
     # a ray may launch already inside a wall cell (e.g. parked exactly on
     # the domain face and handed to a coarser level): it has reached the
     # wall — absorb it before the march
-    sx, sy, sz = fields.offsets(cell)
-    at_wall = ctype[sx, sy, sz] != CellType.FLOW
-    if np.any(at_wall):
-        w = rows[at_wall]
-        sum_i[w] += abskg[sx[w], sy[w], sz[w]] * st4[sx[w], sy[w], sz[w]] * inv_pi * np.exp(-tau[w])
-        batch.status[launch[w]] = RayStatus.WALL_HIT
+    state = wall.reshape(-1).take(flat).view(np.int8)
+    if state.any():
+        w = np.nonzero(state)[0]
+        f = flat[w]
+        sum_i[w] += abskg[f] * fields.sigma_t4.reshape(-1)[f] * _INV_PI * trans[w]
+        fstate, istate = retire(state)
 
-    active = rows[batch.status[launch] == RayStatus.ALIVE]
+    steps = ray_steps = 0
+    while istate.shape[1] and steps < max_steps:
+        tau, sum_i, tcur, trans, t0, t1, t2, d0, d1, d2 = fstate
+        lane, flat, s0, s1, s2 = istate
+        steps += 1
+        ray_steps += lane.size
 
-    for _ in range(max_steps):
-        if active.size == 0:
-            break
-        a = active
-        ax = np.argmin(tmax[a], axis=1)
-        t_next = tmax[a, ax]
-        seg = t_next - tcur[a]
+        # the crossed axis: first minimum of (t0, t1, t2), as argmin picks it
+        is0 = (t0 <= t1) & (t0 <= t2)
+        is1 = (t1 <= t2) & ~is0
+        is2 = ~(is0 | is1)
+        t_next = np.minimum(np.minimum(t0, t1), t2)
 
-        ox, oy, oz = fields.offsets(cell[a])
-        kap = abskg[ox, oy, oz]
-        emis = st4[ox, oy, oz] * inv_pi
-        tau_old = tau[a]
-        tau_new = tau_old + kap * seg
-        sum_i[a] += emis * (np.exp(-tau_old) - np.exp(-tau_new))
-        tau[a] = tau_new
-        tcur[a] = t_next
+        # sum_i += Ib * (exp(-tau_in) - exp(-tau_out)), exp(-tau_in) carried
+        tau += abskg.take(flat) * (t_next - tcur)
+        trans_out = np.exp(-tau)
+        sum_i += emis.take(flat) * (trans - trans_out)
+        trans[:] = trans_out
+        tcur[:] = t_next
 
-        cell[a, ax] += step[a, ax]
-        tmax[a, ax] += tdelta[a, ax]
+        # mask-multiply advance: adding an exact 0 leaves the other axes alone
+        t0 += is0 * d0
+        t1 += is1 * d1
+        t2 += is2 * d2
+        flat += is0 * s0
+        flat += is1 * s1
+        flat += is2 * s2
 
-        ncell = cell[a]
-        if roi is not None:
-            inside = np.all((ncell >= roi.lo) & (ncell < roi.hi), axis=1)
-            left = a[~inside]
-            if left.size:
-                batch.status[launch[left]] = RayStatus.LEFT_ROI
-                batch.exit_pos[launch[left]] = (
-                    start_pos[left] + tcur[left, None] * dirs[left]
-                )
-            a = a[inside]
-            if a.size == 0:
-                active = a
-                continue
-
-        nx, ny, nz = fields.offsets(cell[a])
-        ct = ctype[nx, ny, nz]
-        hit = ct != CellType.FLOW
-        if np.any(hit):
-            h = a[hit]
-            wall_emis = abskg[nx[hit], ny[hit], nz[hit]]
-            wall_emit = st4[nx[hit], ny[hit], nz[hit]] * inv_pi
-            sum_i[h] += wall_emis * wall_emit * np.exp(-tau[h])
+        state = cell_class.take(flat)
+        if state.any():
+            hit = np.nonzero(state == _WALL_HIT)[0]
+            f = flat[hit]
+            wall_emis = abskg[f]
+            sum_i[hit] += wall_emis * emis[f] * trans[hit]
             if reflections:
                 rho = 1.0 - wall_emis
-                reflect = rho > threshold
-                absorbed = h[~reflect]
-                batch.status[launch[absorbed]] = RayStatus.WALL_HIT
-                r = h[reflect]
-                if r.size:
-                    # a specular reflection is the flip of the direction
-                    # component on the hit axis plus a grey attenuation:
-                    # future contributions carry an extra factor rho,
-                    # i.e. tau increases by -ln(rho)
-                    tau[r] += -np.log(rho[reflect])
-                    hit_idx = np.nonzero(hit)[0][reflect]  # positions within a
-                    axes = ax[hit_idx]
-                    dirs[r, axes] = -dirs[r, axes]
-                    step[r, axes] = -step[r, axes]
-                    cell[r, axes] += step[r, axes]  # back into the flow cell
-                    tmax[r, axes] = tcur[r] + tdelta[r, axes]
-            else:
-                batch.status[launch[h]] = RayStatus.WALL_HIT
+                bounce = rho > threshold
+                r = hit[bounce]
+                # a specular reflection is the flip of the direction
+                # component on the hit axis plus a grey attenuation:
+                # future contributions carry an extra factor rho,
+                # i.e. tau increases by -ln(rho)
+                state[r] = _ALIVE
+                tau[r] += -np.log(rho[bounce])
+                trans[r] = np.exp(-tau[r])
+                ax = is1[r] + 2 * is2[r]
+                tmax, tdelta, fstep = fstate[4:7], fstate[7:10], istate[2:5]
+                back = -fstep[ax, r]
+                fstep[ax, r] = back
+                flat[r] += back  # back into the flow cell
+                tmax[ax, r] = tcur[r] + tdelta[ax, r]
+                if mirror:
+                    # mirror the origin too, so that origin + t * direction
+                    # stays the ray's position after the bounce
+                    out = lane[r]
+                    d_old = directions[out, ax]
+                    origins[out, ax] += 2.0 * tcur[r] * d_old
+                    directions[out, ax] = -d_old
 
         # threshold extinction: exp(-tau) < threshold
-        dead = a[(tau[a] > log_threshold) & (batch.status[launch[a]] == RayStatus.ALIVE)]
-        if dead.size:
-            batch.status[launch[dead]] = RayStatus.EXTINCT
+        dead = tau > log_threshold
+        if dead.any():
+            state[dead & (state == _ALIVE)] = _EXTINCT
+        if state.any():
+            fstate, istate = retire(state)
 
-        active = rows[batch.status[launch] == RayStatus.ALIVE]
-    else:
-        still = int((batch.status[launch] == RayStatus.ALIVE).sum())
-        if still:
-            raise ReproError(
-                f"{still} rays still alive after {max_steps} DDA steps — "
-                f"grid/threshold configuration cannot terminate them"
-            )
-
-    batch.tau[launch] = tau
-    batch.sum_i[launch] = sum_i
+    # kernel counters: active-lane fraction is ray_steps / (steps * lanes)
+    metrics, handoff = get_metrics(), "1" if from_handoff else "0"
+    metrics.counter("dda.calls", handoff=handoff).inc()
+    metrics.counter("dda.steps", handoff=handoff).inc(steps)
+    metrics.counter("dda.ray_steps", handoff=handoff).inc(ray_steps)
+    metrics.counter("dda.lanes_launched", handoff=handoff).inc(n)
+    still = istate.shape[1]
+    if still:
+        raise ReproError(
+            f"{still} rays still alive after {max_steps} DDA steps — "
+            f"grid/threshold configuration cannot terminate them"
+        )
     return batch

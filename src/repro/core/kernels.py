@@ -13,10 +13,12 @@ its working set fits the K20X's 6 GB (paper Section III.C).
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.grid.box import Box
+from repro.grid.celltype import CellType
 from repro.core.dda import RayBatch, march
 from repro.core.fields import LevelFields
 from repro.core.rays import generate_patch_rays
@@ -27,107 +29,54 @@ DEFAULT_CHUNK_RAYS = 1 << 17
 
 
 def divq_from_sums(
-    fields: LevelFields, box: Box, sum_i_mean: np.ndarray
+    fields: LevelFields, box: Box, sum_i_mean: np.ndarray, emission_scale: float = 1.0
 ) -> np.ndarray:
     """Reduce per-cell mean incoming intensity to del.q over ``box``.
 
-    Solid cells (intrusions — boiler tubes and the like) are not part
-    of the participating medium: their del.q is zeroed, as in Uintah.
+    ``emission_scale`` multiplies the cell's own emission: 1 for a gray
+    solve, the Planck-mean kappa scale for a spectral one (whose
+    ``sum_i_mean`` already carries the per-ray band weights). Solid
+    cells (intrusions — boiler tubes and the like) are not part of the
+    participating medium: their del.q is zeroed, as in Uintah.
     """
-    from repro.grid.celltype import CellType
-
     sl = box.slices(origin=fields.ring_lo)
     kappa = fields.abskg[sl]
     st4 = fields.sigma_t4[sl]
     mean = sum_i_mean.reshape(box.extent)
-    divq = 4.0 * np.pi * kappa * (st4 / np.pi - mean)
+    divq = 4.0 * np.pi * kappa * ((st4 * emission_scale) / np.pi - mean)
     solid = fields.cell_type[sl] != CellType.FLOW
     if solid.any():
         divq = np.where(solid, 0.0, divq)
     return divq
 
 
-def trace_patch_single_level(
-    fields: LevelFields,
-    box: Box,
-    rays_per_cell: int,
-    rng: np.random.Generator,
+def march_chunked(
+    level_fields: Sequence[LevelFields],
+    origins: np.ndarray,
+    directions: np.ndarray,
+    roi: Optional[Box] = None,
     threshold: float = 1e-4,
     reflections: bool = False,
-    centered_origins: bool = False,
     chunk_rays: int = DEFAULT_CHUNK_RAYS,
 ) -> np.ndarray:
-    """del.q over ``box`` tracing every ray on one level.
-
-    ``box`` must lie inside the level interior. Rays are generated from
-    ``rng`` in cell order, chunked along whole-cell boundaries so the
-    per-cell mean is exact regardless of chunk size.
-    """
-    if not fields.interior.contains_box(box):
-        raise ReproError(f"patch box {box} outside level interior {fields.interior}")
-    if rays_per_cell < 1:
-        raise ReproError(f"rays_per_cell must be >= 1, got {rays_per_cell}")
-
-    _, origins, directions = generate_patch_rays(
-        fields, box, rays_per_cell, rng, centered_origins=centered_origins
-    )
-    total = origins.shape[0]
-    cells_per_chunk = max(1, chunk_rays // rays_per_cell)
-    stride = cells_per_chunk * rays_per_cell
-
-    sums = np.empty(box.volume)
-    for start in range(0, total, stride):
-        end = min(start + stride, total)
-        batch = RayBatch.fresh(origins[start:end], directions[start:end])
-        march(batch=batch, fields=fields, threshold=threshold, reflections=reflections)
-        per_cell = batch.sum_i.reshape(-1, rays_per_cell).mean(axis=1)
-        sums[start // rays_per_cell: end // rays_per_cell] = per_cell
-
-    return divq_from_sums(fields, box, sums)
-
-
-def trace_patch_multi_level(
-    level_fields: list,
-    box: Box,
-    roi: Box,
-    rays_per_cell: int,
-    rng: np.random.Generator,
-    threshold: float = 1e-4,
-    reflections: bool = False,
-    centered_origins: bool = False,
-    chunk_rays: int = DEFAULT_CHUNK_RAYS,
-) -> np.ndarray:
-    """del.q over a fine patch using the data-onion hierarchy.
+    """sum_i of every ray, marched at most ``chunk_rays`` per launch.
 
     ``level_fields`` is ordered coarsest-first (matching grid levels);
-    rays start on the finest level restricted to ``roi`` (the fine data
-    this patch task owns: patch + halo, plus any adjacent wall ring) and
-    cascade to successively coarser levels when they leave it. On
-    levels below the finest, rays march over the *whole* level — every
-    coarse level spans the domain by construction (Section III.C).
+    rays start on the finest level restricted to ``roi`` and cascade to
+    successively coarser levels when they leave it. On levels below the
+    finest, rays march over the *whole* level — every coarse level spans
+    the domain by construction (Section III.C). One level and no ``roi``
+    is the single-level trace. Rays are independent, so the chunk size
+    changes memory use and nothing else.
     """
-    if len(level_fields) < 1:
-        raise ReproError("need at least one level")
-    fine = level_fields[-1]
-    if not fine.interior.contains_box(box):
-        raise ReproError(f"patch box {box} outside fine interior {fine.interior}")
-    if not fine.ring_box.contains_box(roi) or not roi.contains_box(box):
-        raise ReproError(f"roi {roi} must satisfy box <= roi <= fine ring box")
-
-    _, origins, directions = generate_patch_rays(
-        fine, box, rays_per_cell, rng, centered_origins=centered_origins
-    )
-    total = origins.shape[0]
-    cells_per_chunk = max(1, chunk_rays // rays_per_cell)
-    stride = cells_per_chunk * rays_per_cell
-
-    sums = np.empty(box.volume)
-    for start in range(0, total, stride):
-        end = min(start + stride, total)
-        batch = RayBatch.fresh(origins[start:end], directions[start:end])
+    sum_i = np.empty(origins.shape[0])
+    stride = max(1, chunk_rays)
+    for start in range(0, sum_i.size, stride):
+        chunk = slice(start, start + stride)
+        batch = RayBatch.fresh(origins[chunk], directions[chunk])
         march(
             batch=batch,
-            fields=fine,
+            fields=level_fields[-1],
             roi=roi,
             threshold=threshold,
             reflections=reflections,
@@ -148,10 +97,73 @@ def trace_patch_multi_level(
                 "rays left the coarsest level's ROI — the coarsest level "
                 "must span the whole domain"
             )
-        per_cell = batch.sum_i.reshape(-1, rays_per_cell).mean(axis=1)
-        sums[start // rays_per_cell: end // rays_per_cell] = per_cell
+        sum_i[chunk] = batch.sum_i
+    return sum_i
 
-    return divq_from_sums(fine, box, sums)
+
+def trace_patch_single_level(
+    fields: LevelFields,
+    box: Box,
+    rays_per_cell: int,
+    rng: np.random.Generator,
+    threshold: float = 1e-4,
+    reflections: bool = False,
+    centered_origins: bool = False,
+    chunk_rays: int = DEFAULT_CHUNK_RAYS,
+) -> np.ndarray:
+    """del.q over ``box`` tracing every ray on one level.
+
+    ``box`` must lie inside the level interior. Rays are generated from
+    ``rng`` in cell order.
+    """
+    if not fields.interior.contains_box(box):
+        raise ReproError(f"patch box {box} outside level interior {fields.interior}")
+    if rays_per_cell < 1:
+        raise ReproError(f"rays_per_cell must be >= 1, got {rays_per_cell}")
+
+    _, origins, directions = generate_patch_rays(
+        fields, box, rays_per_cell, rng, centered_origins=centered_origins
+    )
+    sum_i = march_chunked(
+        [fields], origins, directions,
+        threshold=threshold, reflections=reflections, chunk_rays=chunk_rays,
+    )
+    return divq_from_sums(fields, box, sum_i.reshape(-1, rays_per_cell).mean(axis=1))
+
+
+def trace_patch_multi_level(
+    level_fields: list,
+    box: Box,
+    roi: Box,
+    rays_per_cell: int,
+    rng: np.random.Generator,
+    threshold: float = 1e-4,
+    reflections: bool = False,
+    centered_origins: bool = False,
+    chunk_rays: int = DEFAULT_CHUNK_RAYS,
+) -> np.ndarray:
+    """del.q over a fine patch using the data-onion hierarchy.
+
+    ``level_fields`` is ordered coarsest-first; ``roi`` is the fine data
+    this patch task owns: patch + halo, plus any adjacent wall ring (see
+    :func:`march_chunked` for the cascade).
+    """
+    if len(level_fields) < 1:
+        raise ReproError("need at least one level")
+    fine = level_fields[-1]
+    if not fine.interior.contains_box(box):
+        raise ReproError(f"patch box {box} outside fine interior {fine.interior}")
+    if not fine.ring_box.contains_box(roi) or not roi.contains_box(box):
+        raise ReproError(f"roi {roi} must satisfy box <= roi <= fine ring box")
+
+    _, origins, directions = generate_patch_rays(
+        fine, box, rays_per_cell, rng, centered_origins=centered_origins
+    )
+    sum_i = march_chunked(
+        level_fields, origins, directions,
+        roi=roi, threshold=threshold, reflections=reflections, chunk_rays=chunk_rays,
+    )
+    return divq_from_sums(fine, box, sum_i.reshape(-1, rays_per_cell).mean(axis=1))
 
 
 def patch_roi(fine_interior: Box, patch_box: Box, halo: int) -> Box:

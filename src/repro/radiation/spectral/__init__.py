@@ -39,7 +39,6 @@ from repro.radiation.spectral.tracer import (
     SpectralResult,
     SpectralTracer,
     band_level_fields,
-    spectral_divq_from_sums,
 )
 from repro.radiation.spectral.viewfactor import (
     EnclosureResult,
@@ -75,7 +74,6 @@ __all__ = [
     "SpectralResult",
     "SpectralTracer",
     "band_level_fields",
-    "spectral_divq_from_sums",
     # scenarios + enclosure
     "SCENARIOS",
     "SpectralCase",

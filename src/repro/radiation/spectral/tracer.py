@@ -34,12 +34,10 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.cpu_kernel import march_single_ray
-from repro.core.dda import RayBatch, march
 from repro.core.fields import LevelFields
-from repro.core.kernels import DEFAULT_CHUNK_RAYS
+from repro.core.kernels import divq_from_sums, march_chunked
 from repro.core.rays import generate_patch_rays
 from repro.core.single_level import RMCRTResult, _whole_domain_patch
-from repro.grid.box import Box
 from repro.grid.celltype import CellType
 from repro.grid.grid import Grid
 from repro.perf import get_metrics, get_tracer
@@ -90,27 +88,6 @@ def band_level_fields(
         sigma_t4=props.sigma_t4,
         cell_type=props.cell_type,
     )
-
-
-def spectral_divq_from_sums(
-    fields: LevelFields, box: Box, weighted_mean: np.ndarray, planck_mean_scale: float
-) -> np.ndarray:
-    """Reduce band-weighted mean incoming intensity to del.q.
-
-    The spectral analogue of :func:`repro.core.kernels.divq_from_sums`:
-    emission carries the Planck-mean kappa scale, absorption the
-    per-ray band weights already folded into ``weighted_mean``. Solid
-    cells are zeroed exactly as in the gray reduction.
-    """
-    sl = box.slices(origin=fields.ring_lo)
-    kappa = fields.abskg[sl]
-    st4 = fields.sigma_t4[sl]
-    mean = weighted_mean.reshape(box.extent)
-    divq = 4.0 * np.pi * kappa * ((st4 * planck_mean_scale) / np.pi - mean)
-    solid = fields.cell_type[sl] != CellType.FLOW
-    if solid.any():
-        divq = np.where(solid, 0.0, divq)
-    return divq
 
 
 class SpectralTracer:
@@ -213,8 +190,8 @@ class SpectralTracer:
 
         weighted = sum_i * self.model.kappa_scales[bands]
         mean = weighted.reshape(-1, self.rays_per_cell).mean(axis=1)
-        pdivq = spectral_divq_from_sums(
-            fields, patch.box, mean, self.model.planck_mean_scale
+        pdivq = divq_from_sums(
+            fields, patch.box, mean, emission_scale=self.model.planck_mean_scale
         )
         return pdivq, counts
 
@@ -223,14 +200,9 @@ class SpectralTracer:
         DDA kernel (chunked so device memory stays bounded)."""
         for b in range(self.model.nbands):
             idx = np.nonzero(bands == b)[0]
-            if idx.size == 0:
-                continue
-            lf = band_fields[b]
-            for start in range(0, idx.size, DEFAULT_CHUNK_RAYS):
-                chunk = idx[start:start + DEFAULT_CHUNK_RAYS]
-                batch = RayBatch.fresh(origins[chunk], directions[chunk])
-                march(batch=batch, fields=lf, threshold=self.threshold)
-                sum_i[chunk] = batch.sum_i
+            sum_i[idx] = march_chunked(
+                [band_fields[b]], origins[idx], directions[idx], threshold=self.threshold
+            )
 
     def _march_scalar(self, band_fields, origins, directions, bands, sum_i):
         """The per-ray reference loop: one ray at a time through its

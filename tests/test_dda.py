@@ -53,6 +53,29 @@ def center_origin(fields, n):
     return np.tile(np.asarray(fields.cell_center(np.array([n // 2] * 3))), (1, 1))
 
 
+def assert_matches_scalar(fields, origins, dirs, atol=1e-15, **kw):
+    """march == march_single_ray, ray for ray: status, sum_i, tau, exit_pos."""
+    batch = RayBatch.fresh(origins.copy(), dirs.copy())
+    march(fields=fields, batch=batch, **kw)
+    for r in range(batch.n):
+        s, tau, status, exit_pos = march_single_ray(fields, origins[r], dirs[r], **kw)
+        assert batch.status[r] == status, r
+        assert abs(batch.sum_i[r] - s) <= atol, r
+        assert np.isclose(batch.tau[r], tau, rtol=1e-13, atol=0.0), r
+        if status == RayStatus.LEFT_ROI:
+            np.testing.assert_allclose(batch.exit_pos[r], exit_pos, rtol=0, atol=1e-12)
+    return batch
+
+
+def tie_directions():
+    """Every direction with components in {-1, 0, 1} (normalised): each
+    step of a ray from a cell centre ties two or three axes, or crosses
+    one axis with the others at inf."""
+    grid = np.array(np.meshgrid(*[(-1.0, 0.0, 1.0)] * 3)).reshape(3, -1).T
+    grid = grid[np.abs(grid).sum(axis=1) > 0]
+    return grid / np.linalg.norm(grid, axis=1, keepdims=True)
+
+
 class TestAnalyticSingleRay:
     def test_axis_ray_homogeneous_medium(self):
         """A +x axis ray from the domain centre: sumI has a closed form.
@@ -156,16 +179,8 @@ class TestDifferential:
         cells = rng.integers(3, 5, size=(32, 3))
         origins = np.asarray(fields.cell_center(cells))
         dirs = isotropic_directions(rng, 32)
-        batch = RayBatch.fresh(origins, dirs)
-        march(fields=fields, batch=batch, roi=roi)
-        for r in range(32):
-            s, tau, status, exit_pos = march_single_ray(
-                fields, origins[r], dirs[r], roi=roi
-            )
-            assert batch.status[r] == status
-            assert np.isclose(batch.sum_i[r], s, atol=1e-15)
-            if status == RayStatus.LEFT_ROI:
-                assert np.allclose(batch.exit_pos[r], exit_pos, atol=1e-12)
+        batch = assert_matches_scalar(fields, origins, dirs, roi=roi)
+        assert (batch.status == RayStatus.LEFT_ROI).any()
 
 
 class TestROI:
@@ -287,3 +302,205 @@ class TestBatchMechanics:
         march(fields=fields, batch=batch)
         assert (batch.sum_i >= 0).all()
         assert (batch.sum_i <= 1 / np.pi + 1e-12).all()
+
+
+class TestLayoutEdges:
+    """What the SoA-by-axis layout makes delicate: exact ties between
+    axes, axes a ray never crosses (tdelta stored as 0), launches that
+    begin in a wall, and the cell-class encoding of ROI and wall."""
+
+    @pytest.mark.parametrize("reflections", [False, True])
+    def test_tie_heavy_launch(self, reflections):
+        rng = np.random.default_rng(29)
+        kf = rng.random((8, 8, 8)) * 3
+        fields = make_fields(8, kappa_field=kf, wall_emis=0.6)
+        dirs = tie_directions()
+        cells = rng.integers(0, 8, size=(dirs.shape[0], 3))
+        origins = np.asarray(fields.cell_center(cells))
+        assert_matches_scalar(fields, origins, dirs, reflections=reflections)
+
+    @pytest.mark.parametrize("reflections", [False, True])
+    def test_axis_aligned_rays_in_a_generic_batch(self, reflections):
+        rng = np.random.default_rng(31)
+        fields = make_fields(6, kappa=0.7, wall_emis=0.4)
+        axis = np.vstack([np.eye(3), -np.eye(3)])
+        dirs = np.vstack([isotropic_directions(rng, 26), axis])[rng.permutation(32)]
+        origins = (rng.integers(0, 6, size=(32, 3)) + rng.random((32, 3))) / 6
+        batch = assert_matches_scalar(fields, origins, dirs, reflections=reflections)
+        assert np.isfinite(batch.sum_i).all() and np.isfinite(batch.tau).all()
+
+    def test_handoff_launch_inside_a_wall_cell(self):
+        """Rays parked exactly on the domain face, heading out, land in
+        the wall ring on re-launch and are absorbed before the march."""
+        fields = make_fields(4, kappa=1.0, st4=1.0, wall_t4=3.0, wall_emis=0.8)
+        exit_pos = np.array([[1.0, 0.4, 0.6], [0.3, 0.0, 0.6], [0.55, 0.4, 0.6]])
+        dirs = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.6, 0.0, 0.8]])
+        tau0 = np.array([0.5, 1.5, 0.25])
+        batch = RayBatch.fresh(np.zeros((3, 3)), dirs)
+        batch.status[:] = RayStatus.LEFT_ROI
+        batch.exit_pos[:] = exit_pos
+        batch.tau[:] = tau0
+        batch.sum_i[:] = 0.1
+        march(fields=fields, batch=batch, from_handoff=True)
+        for r in range(3):
+            s, tau, status, _ = march_single_ray(
+                fields, exit_pos[r], dirs[r], tau0=tau0[r], sum_i0=0.1, from_handoff=True
+            )
+            assert batch.status[r] == status == RayStatus.WALL_HIT
+            assert abs(batch.sum_i[r] - s) <= 1e-15
+            assert np.isclose(batch.tau[r], tau, rtol=1e-13, atol=0.0)
+        # the two absorbed at launch kept their optical depth
+        np.testing.assert_array_equal(batch.tau[:2], tau0[:2])
+        np.testing.assert_allclose(
+            batch.sum_i[:2], 0.1 + 0.8 * 3.0 / np.pi * np.exp(-tau0[:2]), rtol=1e-15
+        )
+
+    @pytest.mark.parametrize("reflections", [False, True])
+    def test_roi_face_on_the_wall_ring(self, reflections):
+        """An ROI that keeps the wall ring on its low faces: rays end at
+        the wall there and park on the open faces."""
+        fields = make_fields(8, kappa=0.8, wall_emis=0.5)
+        roi = Box((-1, -1, -1), (4, 4, 4))
+        rng = np.random.default_rng(37)
+        origins = (rng.integers(0, 4, size=(96, 3)) + rng.random((96, 3))) / 8
+        dirs = isotropic_directions(rng, 96)
+        batch = assert_matches_scalar(
+            fields, origins, dirs, roi=roi, reflections=reflections
+        )
+        ends = set(np.unique(batch.status))
+        assert int(RayStatus.LEFT_ROI) in ends
+        assert reflections or int(RayStatus.WALL_HIT) in ends
+
+    @given(
+        st.integers(4, 10), st.integers(0, 10 ** 6), st.booleans(), st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_matches_scalar(self, n, seed, intrusions, use_roi, reflections):
+        rng = np.random.default_rng(seed)
+        box = Box.cube(n)
+        cell_type = np.zeros(box.extent, dtype=np.int8)
+        abskg = rng.random(box.extent) * 4
+        if intrusions:
+            solid = rng.random(box.extent) < 0.08
+            cell_type[solid] = CellType.INTRUSION
+            abskg[solid] = 0.2 + 0.8 * rng.random(int(solid.sum()))
+        props = RadiativeProperties.from_fields(
+            box, abskg=abskg, sigma_t4=rng.random(box.extent),
+            wall_temperature=60.0, wall_emissivity=0.3 + 0.7 * rng.random(),
+            cell_type=cell_type,
+        )
+        fields = LevelFields(
+            abskg=props.abskg, sigma_t4=props.sigma_t4, cell_type=props.cell_type,
+            interior=box, dx=(1.0 / n,) * 3, anchor=(0.0, 0.0, 0.0),
+        )
+        roi = None
+        if use_roi:
+            lo = rng.integers(-1, n, size=3)
+            hi = rng.integers(lo + 1, n + 2)  # anywhere up to the ring's far face
+            roi = Box(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
+        launch_box = box if roi is None else roi.intersect(box)
+        cells = np.argwhere(cell_type == CellType.FLOW)
+        cells = cells[np.all((cells >= launch_box.lo) & (cells < launch_box.hi), axis=1)]
+        if cells.shape[0] == 0:
+            return
+        cells = cells[rng.integers(0, cells.shape[0], size=24)]
+        origins = (cells + rng.random((24, 3))) / n
+        dirs = isotropic_directions(rng, 24)
+        assert_matches_scalar(fields, origins, dirs, roi=roi, reflections=reflections)
+
+
+class TestReflectionsAcrossTheROI:
+    """A ray that reflects inside the ROI and then leaves it: its exit
+    position and its heading both carry the reflection."""
+
+    def test_handoff_continuation_equals_uninterrupted(self):
+        fields = make_fields(8, kappa=0.4, wall_emis=0.3)
+        roi = Box((-1, -1, -1), (5, 9, 9))  # wall ring on five faces, open at x = 5
+        rng = np.random.default_rng(41)
+        origins = (rng.integers(0, 4, size=(64, 3)) + rng.random((64, 3))) / 8
+        dirs = isotropic_directions(rng, 64)
+
+        uninterrupted = RayBatch.fresh(origins.copy(), dirs.copy())
+        march(fields=fields, batch=uninterrupted, reflections=True)
+
+        two_phase = RayBatch.fresh(origins, dirs.copy())
+        march(fields=fields, batch=two_phase, roi=roi, reflections=True)
+        parked = two_phase.parked()
+        bounced = parked[(two_phase.directions[parked] != dirs[parked]).any(axis=1)]
+        assert bounced.size > 0  # the case under test occurs
+        # parked on the open face, inside the domain on the other axes
+        np.testing.assert_allclose(two_phase.exit_pos[parked, 0], 5 / 8, atol=1e-12)
+        assert (np.abs(two_phase.exit_pos[parked, 1:] - 0.5) <= 0.5 + 1e-12).all()
+        np.testing.assert_array_equal(two_phase.origins, origins)  # caller's arrays untouched
+        march(fields=fields, batch=two_phase, from_handoff=True, reflections=True)
+
+        np.testing.assert_allclose(two_phase.sum_i, uninterrupted.sum_i, atol=1e-9)
+        np.testing.assert_allclose(two_phase.tau, uninterrupted.tau, rtol=1e-9)
+        np.testing.assert_array_equal(two_phase.status, uninterrupted.status)
+
+    def test_two_level_reflective_solve(self):
+        """Regression: this solve raised IndexError (the coarse re-launch
+        started outside the ring); it must also agree with the
+        single-level reflective solve within the Monte Carlo band."""
+        from repro.core import MultiLevelRMCRT, SingleLevelRMCRT
+        from repro.radiation import BurnsChristonBenchmark
+
+        bench = BurnsChristonBenchmark(16)
+        grid = bench.two_level_grid(refinement_ratio=2, fine_patch_size=8)
+        level = grid.finest_level
+        props = RadiativeProperties.from_fields(
+            level.domain_box, abskg=bench.abskg_field(level),
+            sigma_t4=np.ones(level.domain_box.extent), wall_emissivity=0.5,
+        )
+        crashed = MultiLevelRMCRT(rays_per_cell=3, halo=2, seed=3, reflections=True)
+        assert np.isfinite(crashed.solve(grid, props).divq).all()
+
+        rays = 16
+        multi = MultiLevelRMCRT(rays_per_cell=rays, halo=2, seed=3, reflections=True)
+        single = SingleLevelRMCRT(rays_per_cell=rays, seed=4, reflections=True)
+        x, multi_line = bench.centerline(multi.solve(grid, props).divq)
+        _, single_line = bench.centerline(
+            single.solve(bench.single_level_grid(), props).divq
+        )
+        # per-ray intensity lies in [0, 1/pi]: sigma(del.q) <= 2 kappa / sqrt(N)
+        # with N = 4 cells x rays; the two solves are independent
+        kappa = bench.c * (1.0 - 2.0 * np.abs(x - 0.5)) + bench.k0
+        band = 3.0 * np.sqrt(2.0) * 2.0 * kappa / np.sqrt(4.0 * rays)
+        assert (np.abs(multi_line - single_line) <= band).all()
+
+
+class TestKernelCounters:
+    def test_exact_counts(self):
+        from repro.perf import MetricsRegistry, set_metrics
+
+        fields = make_fields(4, kappa=0.0)  # vacuum: every ray reaches the wall
+        names = ("calls", "steps", "ray_steps", "lanes_launched")
+
+        def launch(x_cells, **kw):
+            cells = np.array([[x, 1, 1] for x in x_cells])
+            batch = RayBatch.fresh(
+                np.asarray(fields.cell_center(cells)), np.tile([-1.0, 0.0, 0.0], (len(x_cells), 1))
+            )
+            return march(fields=fields, batch=batch, **kw)
+
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            # -x rays from x-cells 0, 1 and 3 enter the wall on their 1st,
+            # 2nd and 4th step: 4 steps with 3, 2, 1, 1 lanes live
+            launch([0, 1, 3])
+            counts = {n: registry.value(f"dda.{n}", handoff="0") for n in names}
+            assert counts == {"calls": 1, "steps": 4, "ray_steps": 7, "lanes_launched": 3}
+            # ROI x >= 2: the rays from x-cells 2 and 3 park on their 1st and
+            # 2nd step, then both take 2 more steps on re-launch
+            batch = launch([2, 3], roi=Box((2, 0, 0), (4, 4, 4)))
+            assert (batch.status == RayStatus.LEFT_ROI).all()
+            march(fields=fields, batch=batch, from_handoff=True)
+            assert (batch.status == RayStatus.WALL_HIT).all()
+        finally:
+            set_metrics(previous)
+        counts = {n: registry.value(f"dda.{n}", handoff="0") for n in names}
+        assert counts == {"calls": 2, "steps": 6, "ray_steps": 10, "lanes_launched": 5}
+        counts = {n: registry.value(f"dda.{n}", handoff="1") for n in names}
+        assert counts == {"calls": 1, "steps": 2, "ray_steps": 4, "lanes_launched": 2}

@@ -17,8 +17,9 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.grid.box import Box
-from repro.core.dda import RayBatch, march
 from repro.core.fields import LevelFields
+from repro.core.kernels import march_chunked
+from repro.core.rays import region_cells
 from repro.util.errors import ReproError
 
 #: (axis, side) for the six walls; side 0 = low face, 1 = high face
@@ -93,31 +94,10 @@ class VirtualRadiometer:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(axis, side))
         )
-        dx = np.asarray(fields.dx)
-        anchor = np.asarray(fields.anchor)
-
-        # ray origins: jittered over each face, exactly on the wall plane
-        from repro.core.rays import region_cells
-
-        cells = region_cells(slab)
-        m = cells.shape[0]
-        n = m * self.rays_per_face
-        rep = np.repeat(cells.astype(np.float64), self.rays_per_face, axis=0)
-        jitter = rng.random((n, 3))
-        pos = anchor + (rep + jitter) * dx
-        # clamp the wall axis onto the face plane, nudged one ulp inward
-        plane = anchor[axis] + (slab.lo[axis] + (0.0 if side == 0 else 1.0)) * dx[axis]
-        inward = 1.0 if side == 0 else -1.0
-        pos[:, axis] = plane + inward * 1e-9 * dx[axis]
-
-        dirs = cosine_hemisphere_directions(rng, n, axis, side)
-        batch = RayBatch.fresh(pos, dirs)
-        march(batch=batch, fields=fields, threshold=self.threshold)
-        per_face = batch.sum_i.reshape(m, self.rays_per_face).mean(axis=1)
-        flux = np.pi * per_face
-
-        shape = [e for d, e in enumerate(slab.extent) if d != axis]
-        return flux.reshape(shape)
+        return incident_flux_multilevel(
+            [fields], axis, side, slab, self.rays_per_face, rng,
+            threshold=self.threshold,
+        )
 
     def all_walls(self, fields: LevelFields) -> dict:
         """Incident flux arrays for all six walls, keyed by (axis, side)."""
@@ -144,8 +124,6 @@ def incident_flux_multilevel(
     sampled. Returns the incident flux per face, shaped like the slab
     with the wall axis squeezed out.
     """
-    from repro.core.rays import region_cells
-
     fine = level_fields[-1]
     if (axis, side) not in WALLS:
         raise ReproError(f"invalid wall ({axis}, {side})")
@@ -154,26 +132,20 @@ def incident_flux_multilevel(
 
     dx = np.asarray(fine.dx)
     anchor = np.asarray(fine.anchor)
+    # ray origins: jittered over each face, exactly on the wall plane
     cells = region_cells(face_box)
     m = cells.shape[0]
     n = m * rays_per_face
     rep = np.repeat(cells.astype(np.float64), rays_per_face, axis=0)
     jitter = rng.random((n, 3))
     pos = anchor + (rep + jitter) * dx
+    # clamp the wall axis onto the face plane, nudged one ulp inward
     plane = anchor[axis] + (face_box.lo[axis] + (0.0 if side == 0 else 1.0)) * dx[axis]
     inward = 1.0 if side == 0 else -1.0
     pos[:, axis] = plane + inward * 1e-9 * dx[axis]
     dirs = cosine_hemisphere_directions(rng, n, axis, side)
 
-    batch = RayBatch.fresh(pos, dirs)
-    march(batch=batch, fields=fine, roi=roi, threshold=threshold)
-    for coarse in reversed(level_fields[:-1]):
-        if batch.parked().size == 0:
-            break
-        march(batch=batch, fields=coarse, threshold=threshold, from_handoff=True)
-    if batch.parked().size:
-        raise ReproError("radiometer rays escaped the coarsest level")
-
-    per_face = batch.sum_i.reshape(m, rays_per_face).mean(axis=1)
+    sum_i = march_chunked(level_fields, pos, dirs, roi=roi, threshold=threshold)
+    per_face = sum_i.reshape(m, rays_per_face).mean(axis=1)
     shape = [e for d, e in enumerate(face_box.extent) if d != axis]
     return (np.pi * per_face).reshape(shape)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.machine.network import GEMINI, NetworkModel
-from repro.runtime.taskgraph import CompiledGraph, DetailedTask
+from repro.runtime.taskgraph import CompiledGraph, DetailedTask, ReadyTracker
 from repro.util.errors import SchedulerError
 
 TaskCost = Callable[[DetailedTask], float]
@@ -198,40 +198,28 @@ class TaskGraphTraceSimulator:
 
     def simulate(self, graph: CompiledGraph, task_cost: TaskCost) -> TraceReport:
         by_id = {t.dtask_id: t for t in graph.detailed_tasks}
-        remaining_deps = {t.dtask_id: len(t.internal_deps) for t in graph.detailed_tasks}
-        remaining_msgs = {t.dtask_id: len(t.pending_msgs) for t in graph.detailed_tasks}
-        #: latest enabling time seen so far per task
-        enable_time = {t.dtask_id: 0.0 for t in graph.detailed_tasks}
-
+        tracker = ReadyTracker(graph.detailed_tasks)
+        #: latest enabling event (dependency end, message arrival) per task
+        enable_time = {tid: 0.0 for tid in by_id}
         outgoing: Dict[int, List] = {}
         for msg in graph.messages:
             outgoing.setdefault(msg.src_dtask_id, []).append(msg)
-        # level-broadcast dedup: several tasks can pend on one msg id
-        waiting_on_msg: Dict[int, List[int]] = {}
-        for t in graph.detailed_tasks:
-            for mid in t.pending_msgs:
-                waiting_on_msg.setdefault(mid, []).append(t.dtask_id)
 
-        rank_free: Dict[int, float] = {}
+        rank_free = {t.rank: 0.0 for t in graph.detailed_tasks}
         ready_heap: List[Tuple[float, int]] = []  # (ready_time, dtask_id)
-        for t in graph.detailed_tasks:
-            rank_free.setdefault(t.rank, 0.0)
-            if remaining_deps[t.dtask_id] == 0 and remaining_msgs[t.dtask_id] == 0:
-                heapq.heappush(ready_heap, (0.0, t.dtask_id))
-
         traces: List[TaskTrace] = []
         flows: List[MsgFlow] = []
         ranks = {r: RankTimeline(rank=r) for r in rank_free}
-        done = 0
-        total = len(by_id)
         msg_count = 0
         msg_bytes = 0
 
-        def enable(tid: int, when: float) -> None:
-            enable_time[tid] = max(enable_time[tid], when)
-            if remaining_deps[tid] == 0 and remaining_msgs[tid] == 0:
+        def enable(waiters, when: float, released) -> None:
+            for tid in waiters:
+                enable_time[tid] = max(enable_time[tid], when)
+            for tid in released:
                 heapq.heappush(ready_heap, (enable_time[tid], tid))
 
+        enable((), 0.0, tracker.start())
         while ready_heap:
             ready, tid = heapq.heappop(ready_heap)
             dt = by_id[tid]
@@ -248,19 +236,15 @@ class TaskGraphTraceSimulator:
             traces.append(
                 TaskTrace(tid, dt.task.name, dt.rank, ready, start, end)
             )
-            done += 1
 
-            for dep in dt.dependents:
-                if dep in remaining_deps:
-                    remaining_deps[dep] -= 1
-                    enable(dep, end)
+            enable(dt.dependents, end, tracker.task_done(tid))
             for msg in outgoing.get(tid, ()):
                 arrival = end + self.network.ptp_time(msg.nbytes)
                 msg_count += 1
                 msg_bytes += msg.nbytes
-                for k, waiter in enumerate(waiting_on_msg.get(msg.msg_id, ())):
-                    remaining_msgs[waiter] -= 1
-                    enable(waiter, arrival)
+                waiters = tracker.waiters(msg.msg_id)
+                enable(waiters, arrival, tracker.message_arrived(msg.msg_id))
+                for k, waiter in enumerate(waiters):
                     flows.append(
                         MsgFlow(
                             flow_id=f"{msg.msg_id}.{k}",
@@ -275,9 +259,9 @@ class TaskGraphTraceSimulator:
                         )
                     )
 
-        if done != total:
+        if tracker.remaining:
             raise SchedulerError(
-                f"trace simulation stalled: {total - done} tasks never ready "
+                f"trace simulation stalled: {tracker.remaining} tasks never ready "
                 f"(cyclic or unsatisfied message dependencies)"
             )
         makespan = max((t.end for t in traces), default=0.0)

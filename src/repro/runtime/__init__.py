@@ -4,7 +4,13 @@ distributed / GPU schedulers."""
 
 from repro.runtime.mpi import ANY_SOURCE, ANY_TAG, Communicator, SimMPI
 from repro.runtime.task import Computes, Requires, Task, TaskContext
-from repro.runtime.taskgraph import CompiledGraph, DetailedTask, GhostMessage, TaskGraph
+from repro.runtime.taskgraph import (
+    CompiledGraph,
+    DetailedTask,
+    GhostMessage,
+    ReadyTracker,
+    TaskGraph,
+)
 from repro.runtime.scheduler import (
     DistributedScheduler,
     RankStats,
@@ -31,6 +37,7 @@ __all__ = [
     "CompiledGraph",
     "DetailedTask",
     "GhostMessage",
+    "ReadyTracker",
     "TaskGraph",
     "DistributedScheduler",
     "RankStats",

@@ -13,9 +13,10 @@ on the Titan machine model.)
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from functools import partial
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from repro.dw.datawarehouse import DataWarehouse
 from repro.dw.gpudw import GPUDataWarehouse
 from repro.dw.label import VarKind, VarLabel
 from repro.dw.variables import CCVariable
-from repro.perf.metrics import MetricsRegistry, get_metrics
-from repro.perf.tracer import SpanTracer, get_tracer
+from repro.perf.metrics import MetricsRegistry
+from repro.perf.tracer import SpanTracer
+from repro.runtime.scheduler import RankLoop, SerialScheduler, observers, pick_fifo, run_task
 from repro.runtime.task import TaskContext
 from repro.runtime.taskgraph import CompiledGraph, DetailedTask
 from repro.util.errors import DataWarehouseError, SchedulerError
@@ -58,7 +60,7 @@ class GPUSchedulerStats:
     per_stream_tasks: Dict[int, int] = field(default_factory=dict)
 
 
-class GPUScheduler:
+class GPUScheduler(SerialScheduler):
     """Single-device executor with staged H2D / exec / D2H queues.
 
     ``max_in_flight`` bounds how many patch tasks may be resident on the
@@ -66,6 +68,8 @@ class GPUScheduler:
     hides copy latency, at the price of memory). Host tasks in the same
     graph run inline on the CPU path.
     """
+
+    name = "gpu"
 
     def __init__(
         self,
@@ -77,18 +81,15 @@ class GPUScheduler:
     ) -> None:
         if num_streams < 1 or max_in_flight < 1:
             raise SchedulerError("num_streams and max_in_flight must be >= 1")
+        super().__init__(tracer, metrics)
         self.gpu = gpu if gpu is not None else GPUDataWarehouse()
         self.num_streams = int(num_streams)
         self.max_in_flight = int(max_in_flight)
         self.stats = GPUSchedulerStats()
-        self.tracer = tracer
-        self.metrics = metrics
 
     def publish_metrics(self, registry: Optional[MetricsRegistry] = None) -> None:
         """Snapshot the pipeline counters into a metrics registry."""
-        registry = registry if registry is not None else (
-            self.metrics if self.metrics is not None else get_metrics()
-        )
+        registry = registry if registry is not None else observers(None, self.metrics)[1]
         registry.gauge("gpu.tasks_executed").set(self.stats.tasks_executed)
         registry.gauge("gpu.h2d_bytes").set(self.stats.h2d_bytes)
         registry.gauge("gpu.d2h_bytes").set(self.stats.d2h_bytes)
@@ -97,75 +98,11 @@ class GPUScheduler:
         for stream, count in self.stats.per_stream_tasks.items():
             registry.gauge("gpu.stream_tasks", stream=stream).set(count)
 
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        graph: CompiledGraph,
-        old_dw: Optional[DataWarehouse] = None,
-        new_dw: Optional[DataWarehouse] = None,
-    ) -> DataWarehouse:
-        if graph.num_ranks != 1 or graph.messages:
-            raise SchedulerError("GPUScheduler runs single-rank graphs")
-        dw = new_dw if new_dw is not None else DataWarehouse()
-        tracer = self.tracer if self.tracer is not None else get_tracer()
+    _publish = publish_metrics
 
-        order = graph.topological_order()
-        pending = deque(order)
-        in_flight: deque = deque()  # device tasks staged but not executed
-        next_stream = 0
+    def _loop(self, graph, old_dw, new_dw, tracer) -> RankLoop:
+        return device_loop(graph, lambda dt: self, old_dw, new_dw, tracer)
 
-        while pending or in_flight:
-            # fill the device pipeline (H2D stage)
-            while (
-                pending
-                and pending[0].task.device
-                and len(in_flight) < self.max_in_flight
-            ):
-                dt = pending[0]
-                try:
-                    with tracer.span(
-                        f"h2d:{dt.task.name}", cat="gpu.h2d",
-                        patch=dt.patch.patch_id,
-                    ):
-                        self._stage_h2d(dt, graph, old_dw, dw)
-                except DataWarehouseError:
-                    if not in_flight:
-                        raise  # nothing to evict: genuinely over capacity
-                    break  # backpressure: run something first
-                pending.popleft()
-                in_flight.append((dt, next_stream))
-                next_stream = (next_stream + 1) % self.num_streams
-                self.stats.peak_resident_tasks = max(
-                    self.stats.peak_resident_tasks, len(in_flight)
-                )
-
-            if in_flight:
-                dt, stream = in_flight.popleft()
-                with tracer.span(
-                    dt.task.name, cat="gpu.task",
-                    patch=dt.patch.patch_id, stream=stream,
-                ):
-                    self._execute_device(dt, stream, graph, old_dw, dw)
-                continue
-
-            if pending:
-                dt = pending.popleft()
-                if dt.task.device:
-                    raise SchedulerError(
-                        f"device task {dt.task.name} could not be staged"
-                    )
-                ctx = TaskContext(
-                    dt.task, dt.patch, graph.grid.level(dt.level_index), old_dw, dw
-                )
-                with tracer.span(
-                    dt.task.name, cat="task", patch=dt.patch.patch_id
-                ):
-                    dt.task.callback(ctx)
-                self.stats.tasks_executed += 1
-        self.publish_metrics()
-        return dw
-
-    # ------------------------------------------------------------------
     def _stage_h2d(
         self,
         dt: DetailedTask,
@@ -174,7 +111,6 @@ class GPUScheduler:
         new_dw: DataWarehouse,
     ) -> None:
         level = graph.grid.level(dt.level_index)
-        before = self.gpu.stats.h2d_bytes
         for req in dt.task.requires:
             src = old_dw if req.dw == "old" else new_dw
             if src is None:
@@ -196,7 +132,6 @@ class GPUScheduler:
                     req.label, dt.patch.patch_id, CCVariable(region, arr)
                 )
         self.stats.h2d_bytes = self.gpu.stats.h2d_bytes
-        _ = before
 
     def _execute_device(
         self,
@@ -205,18 +140,12 @@ class GPUScheduler:
         graph: CompiledGraph,
         old_dw: Optional[DataWarehouse],
         new_dw: DataWarehouse,
+        tracer: SpanTracer,
     ) -> None:
-        ctx = GPUTaskContext(
-            dt.task,
-            dt.patch,
-            graph.grid.level(dt.level_index),
-            old_dw,
-            new_dw,
-            gpu=self.gpu,
-            dtask_id=dt.dtask_id,
-            stream_id=stream,
+        context = partial(
+            GPUTaskContext, gpu=self.gpu, dtask_id=dt.dtask_id, stream_id=stream
         )
-        dt.task.callback(ctx)
+        run_task(dt, graph, old_dw, new_dw, tracer, context, cat="gpu.task", stream=stream)
         self.stats.tasks_executed += 1
         self.stats.per_stream_tasks[stream] = self.stats.per_stream_tasks.get(stream, 0) + 1
 
@@ -237,3 +166,56 @@ class GPUScheduler:
                 except DataWarehouseError:
                     pass  # shared with another task instance; already gone
         self.gpu.release_task(dt.dtask_id)
+
+
+def device_loop(
+    graph: CompiledGraph,
+    engine_of: Callable[[DetailedTask], Optional[GPUScheduler]],
+    old_dw: Optional[DataWarehouse],
+    new_dw: DataWarehouse,
+    tracer: SpanTracer,
+) -> RankLoop:
+    """The rank loop with an H2D stage queue in front of execution.
+
+    ``engine_of(dt)`` names the device pipeline that stages, runs and
+    accounts for a task (``None``: a host task on no device's account).
+    Only *ready* device tasks are staged, oldest first — a consumer's
+    ghost region is never uploaded before its producers ran — and a
+    device holds at most its ``max_in_flight`` staged tasks.
+    """
+    in_flight: deque = deque()  # device tasks staged but not yet run, oldest first
+    next_stream: Dict[GPUScheduler, int] = defaultdict(int)
+
+    def pick(ready):
+        while ready and ready[0].task.device:
+            dt, engine = ready[0], engine_of(ready[0])
+            resident = sum(engine_of(t) is engine for t in in_flight)
+            if resident >= engine.max_in_flight:
+                break
+            try:
+                with tracer.span(
+                    f"h2d:{dt.task.name}", cat="gpu.h2d", patch=dt.patch.patch_id
+                ):
+                    engine._stage_h2d(dt, graph, old_dw, new_dw)
+            except DataWarehouseError:
+                if not resident:
+                    raise  # nothing to evict: genuinely over capacity
+                break  # backpressure: run something first
+            in_flight.append(ready.popleft())
+            engine.stats.peak_resident_tasks = max(
+                engine.stats.peak_resident_tasks, resident + 1
+            )
+        return in_flight.popleft() if in_flight else pick_fifo(ready)
+
+    def launch(dt):
+        engine = engine_of(dt)
+        if dt.task.device:
+            stream = next_stream[engine]  # round-robin, in launch order
+            next_stream[engine] = (stream + 1) % engine.num_streams
+            engine._execute_device(dt, stream, graph, old_dw, new_dw, tracer)
+        else:
+            run_task(dt, graph, old_dw, new_dw, tracer)
+            if engine is not None:
+                engine.stats.tasks_executed += 1
+
+    return RankLoop(graph.detailed_tasks, launch, pick)

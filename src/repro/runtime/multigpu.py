@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.dw.datawarehouse import DataWarehouse
 from repro.dw.gpudw import GPUDataWarehouse
-from repro.runtime.gpu_scheduler import GPUScheduler
-from repro.runtime.taskgraph import CompiledGraph, DetailedTask
+from repro.runtime.gpu_scheduler import GPUScheduler, device_loop
+from repro.runtime.scheduler import RankLoop, SerialScheduler
+from repro.runtime.taskgraph import CompiledGraph
 from repro.util.errors import SchedulerError
 
 
-class MultiGPUScheduler:
+class MultiGPUScheduler(SerialScheduler):
     """Execute one rank's graph across several on-node devices.
 
     Device tasks are partitioned across GPUs patch-wise (balanced by
@@ -31,6 +31,8 @@ class MultiGPUScheduler:
     in-flight bounds, stream assignment, and level-DB sharing all apply
     per device.
     """
+
+    name = "multigpu"
 
     def __init__(
         self,
@@ -47,6 +49,7 @@ class MultiGPUScheduler:
             if num_gpus < 1:
                 raise SchedulerError("num_gpus must be >= 1")
             self.gpus = [GPUDataWarehouse(device_id=i) for i in range(num_gpus)]
+        super().__init__()
         self.engines = [
             GPUScheduler(gpu=g, num_streams=num_streams, max_in_flight=max_in_flight)
             for g in self.gpus
@@ -72,33 +75,15 @@ class MultiGPUScheduler:
             load[dev] += patch.num_cells
         return assignment
 
-    def execute(
-        self,
-        graph: CompiledGraph,
-        old_dw: Optional[DataWarehouse] = None,
-        new_dw: Optional[DataWarehouse] = None,
-    ) -> DataWarehouse:
-        if graph.num_ranks != 1 or graph.messages:
-            raise SchedulerError("MultiGPUScheduler runs single-rank graphs")
-        dw = new_dw if new_dw is not None else DataWarehouse()
+    def _loop(self, graph, old_dw, new_dw, tracer) -> RankLoop:
         self.device_assignment = self._assign_devices(graph)
 
-        # walk the graph in dependency order; stage/execute each device
-        # task on its assigned engine, host tasks inline
-        for dt in graph.topological_order():
+        def engine_of(dt):
             if dt.task.device:
-                dev = self.device_assignment[dt.patch.patch_id]
-                engine = self.engines[dev]
-                engine._stage_h2d(dt, graph, old_dw, dw)
-                engine._execute_device(dt, dev_stream(dt, engine), graph, old_dw, dw)
-            else:
-                from repro.runtime.task import TaskContext
+                return self.engines[self.device_assignment[dt.patch.patch_id]]
+            return None  # host tasks run once, on no device's account
 
-                ctx = TaskContext(
-                    dt.task, dt.patch, graph.grid.level(dt.level_index), old_dw, dw
-                )
-                dt.task.callback(ctx)
-        return dw
+        return device_loop(graph, engine_of, old_dw, new_dw, tracer)
 
     def stats_summary(self) -> List[Dict[str, int]]:
         """Per-device upload/residency accounting."""
@@ -112,7 +97,3 @@ class MultiGPUScheduler:
             }
             for g, e in zip(self.gpus, self.engines)
         ]
-
-
-def dev_stream(dt: DetailedTask, engine: GPUScheduler) -> int:
-    return dt.dtask_id % engine.num_streams

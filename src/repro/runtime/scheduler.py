@@ -1,18 +1,29 @@
-"""Execution engines for compiled task graphs.
+"""Execution engines for compiled task graphs: one loop, five policies.
 
-Three schedulers mirror Uintah's evolution (paper Sections II and IV):
+Uintah runs one scheduler per rank: worker threads pull ready tasks
+from shared queues and progress MPI through the request pool (paper
+Sections II and IV). That is written once here —
+:class:`~repro.runtime.taskgraph.ReadyTracker` says *when* a task may
+run, :func:`run_task` is *how* one runs, :class:`RankLoop` is one rank's
+workers pulling from the tracker-fed ready queue — and each scheduler
+decides only how many ranks and workers there are, which ready task
+goes next, and where it runs:
 
-* :class:`SerialScheduler` — topological-order reference execution.
-* :class:`ThreadedScheduler` — a pool of worker threads pulling ready
-  tasks from a shared queue (the nodal shared-memory model), with
-  optional randomized pull order to shake out order dependencies the
-  way Uintah's out-of-order execution does.
-* :class:`DistributedScheduler` — one thread per simulated MPI rank;
-  every cross-rank dependency becomes an isend/irecv pair over
-  :class:`~repro.runtime.mpi.SimMPI`, with receives managed by one of
-  the Section IV request pools (wait-free by default).
+* :class:`SerialScheduler` — one rank, the caller's thread, FIFO: the
+  reference, in :meth:`CompiledGraph.topological_order` order.
+* :class:`ThreadedScheduler` — one rank, N workers; optionally a random
+  pick among the ready tasks, to shake out order dependencies the way
+  Uintah's out-of-order execution does.
+* :class:`DistributedScheduler` — R rank threads of one worker, linked
+  by :class:`~repro.runtime.mpi.SimMPI`: cross-rank dependencies are
+  isend/irecv pairs, the receives managed by one of the Section IV
+  request pools (wait-free by default).
+* :class:`~repro.runtime.gpu_scheduler.GPUScheduler` — one rank, one
+  worker, an H2D stage queue in front of execution for device tasks;
+  :class:`~repro.runtime.multigpu.MultiGPUScheduler` is the same policy
+  choosing among N devices.
 
-All three produce identical DataWarehouse contents for the same graph —
+All five produce identical DataWarehouse contents for the same graph —
 the invariant the integration tests enforce.
 """
 
@@ -23,7 +34,8 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,24 +53,149 @@ from repro.perf.rankstats import (
 )
 from repro.perf.tracer import SpanTracer, get_tracer
 from repro.perf.tsdb import get_collector
-from repro.runtime.mpi import SimMPI
+from repro.runtime.mpi import Communicator, SimMPI
 from repro.runtime.task import TaskContext
-from repro.runtime.taskgraph import CompiledGraph, DetailedTask
+from repro.runtime.taskgraph import CompiledGraph, DetailedTask, ReadyTracker
 from repro.util.errors import SchedulerError
 from repro.util.timing import TimerRegistry
 
 
-def _sample_collector() -> None:
-    """Snapshot the default metrics registry into the process tsdb
-    collector (when one is installed) after a graph execution — the
-    per-execute cadence point shared by all three schedulers."""
+def observers(
+    tracer: Optional[SpanTracer], metrics: Optional[MetricsRegistry]
+) -> Tuple[SpanTracer, MetricsRegistry]:
+    """A scheduler's own tracer/metrics, else the process defaults."""
+    return (
+        tracer if tracer is not None else get_tracer(),
+        metrics if metrics is not None else get_metrics(),
+    )
+
+
+def run_task(
+    dt: DetailedTask,
+    graph: CompiledGraph,
+    old_dw: Optional[DataWarehouse],
+    new_dw: DataWarehouse,
+    tracer: SpanTracer,
+    context: Callable[..., TaskContext] = TaskContext,
+    cat: str = "task",
+    **span_args,
+) -> float:
+    """The task lifecycle, in one place: build the checked context, open
+    the span (always carrying ``patch`` and ``level``), call back, and
+    return the duration in seconds."""
+    level = graph.grid.level(dt.level_index)
+    ctx = context(dt.task, dt.patch, level, old_dw, new_dw, rank=dt.rank)
+    t0 = time.perf_counter()
+    with tracer.span(
+        dt.task.name, cat=cat,
+        patch=dt.patch.patch_id, level=dt.level_index, **span_args,
+    ):
+        dt.task.callback(ctx)
+    return time.perf_counter() - t0
+
+
+def publish_execution(
+    scheduler: str, graph: CompiledGraph, metrics: MetricsRegistry, seconds: float
+) -> None:
+    """The instrumentation seam every scheduler ends ``execute`` with:
+    the ``scheduler.*`` series, then one sample of the default registry
+    into the process tsdb collector (when one is installed)."""
+    executed = metrics.counter("scheduler.tasks_executed", scheduler=scheduler)
+    executed.inc(len(graph.detailed_tasks))
+    metrics.gauge("scheduler.taskexec_seconds", scheduler=scheduler).set(seconds)
     collector = get_collector()
     if collector is not None:
         collector.maybe_sample()
 
 
+def pick_fifo(ready: Deque[DetailedTask]) -> Optional[DetailedTask]:
+    """The default pick: the ready task that has waited longest."""
+    return ready.popleft() if ready else None
+
+
+class RankLoop:
+    """One rank's share of a compiled graph, run to completion.
+
+    The policy is ``launch(dt)``, which runs one task through
+    :func:`run_task`, and ``pick(ready)``, which takes the next one out
+    of the ready queue. With a ``link`` the rank has a communicator:
+    each pass progresses its request pool, and an idle worker yields
+    and polls again rather than wait for a finishing task's signal.
+    """
+
+    def __init__(
+        self,
+        tasks: Sequence[DetailedTask],
+        launch: Callable[[DetailedTask], None],
+        pick: Callable[[Deque[DetailedTask]], Optional[DetailedTask]] = pick_fifo,
+        link: Optional["RankLink"] = None,
+    ) -> None:
+        self._by_id = {t.dtask_id: t for t in tasks}
+        self._tracker = ReadyTracker(tasks)
+        self._ready = deque(self._by_id[tid] for tid in self._tracker.start())
+        self._launch = launch
+        self._pick = pick
+        self._link = link
+        self._errors: List[BaseException] = []
+        self._cv = threading.Condition(threading.Lock())
+
+    def _release(self, tids: List[int]) -> None:
+        self._ready.extend(self._by_id[tid] for tid in tids)
+
+    def run(self, workers: int = 1) -> None:
+        """Work the rank on ``workers`` threads, the caller's own among them."""
+        helpers = [threading.Thread(target=self._work) for _ in range(workers - 1)]
+        for t in helpers:
+            t.start()
+        self._work()
+        for t in helpers:
+            t.join()
+        if self._errors:
+            raise self._errors[0]
+
+    def _work(self) -> None:
+        link = self._link
+        idle_spins = 0
+        try:
+            while True:
+                with self._cv:
+                    if self._errors or not self._tracker.remaining:
+                        return
+                    if link is not None:
+                        for msg_id in link.progress():
+                            self._release(self._tracker.message_arrived(msg_id))
+                    dt = self._pick(self._ready)
+                    if dt is None and link is None:
+                        self._cv.wait(0.05)
+                if dt is not None:
+                    idle_spins = 0
+                    self._launch(dt)
+                    with self._cv:
+                        self._release(self._tracker.task_done(dt.dtask_id))
+                        self._cv.notify_all()
+                elif link is not None:
+                    idle_spins += 1
+                    link.stats.idle_spins += 1
+                    if idle_spins > 2_000_000:
+                        raise SchedulerError(
+                            f"rank {link.rank} deadlocked: "
+                            f"{self._tracker.remaining} tasks stuck"
+                        )
+                    time.sleep(0)
+        except BaseException as exc:  # repro: allow(overbroad-except) — re-raised on the caller's thread
+            with self._cv:
+                self._errors.append(exc)
+                self._cv.notify_all()
+
+
 class SerialScheduler:
-    """Reference executor: one rank, dependency order."""
+    """Reference executor: one rank, one worker, dependency order.
+
+    Also the shell the other single-rank policies share (shape check,
+    timed :class:`RankLoop`, publishing); they override :meth:`_loop`."""
+
+    name = "serial"
+    workers = 1
 
     def __init__(
         self,
@@ -69,6 +206,16 @@ class SerialScheduler:
         self.tracer = tracer
         self.metrics = metrics
 
+    def _loop(self, graph, old_dw, new_dw, tracer) -> RankLoop:
+        """This execution's loop; by default every task on the host, FIFO."""
+        return RankLoop(
+            graph.detailed_tasks,
+            lambda dt: run_task(dt, graph, old_dw, new_dw, tracer),
+        )
+
+    def _publish(self, metrics: MetricsRegistry) -> None:
+        """Policy-specific series, published before the shared ones."""
+
     def execute(
         self,
         graph: CompiledGraph,
@@ -77,34 +224,22 @@ class SerialScheduler:
     ) -> DataWarehouse:
         if graph.num_ranks != 1 or graph.messages:
             raise SchedulerError(
-                "SerialScheduler runs single-rank graphs (compile with "
-                "num_ranks=1 and no assignment)"
+                f"{type(self).__name__} runs single-rank graphs (compile "
+                f"with num_ranks=1 and no assignment)"
             )
-        tracer = self.tracer if self.tracer is not None else get_tracer()
-        metrics = self.metrics if self.metrics is not None else get_metrics()
+        tracer, metrics = observers(self.tracer, self.metrics)
         dw = new_dw if new_dw is not None else DataWarehouse()
-        executed = 0
         with self.timers("taskexec"):
-            for dt in graph.topological_order():
-                ctx = TaskContext(
-                    dt.task, dt.patch, graph.grid.level(dt.level_index), old_dw, dw
-                )
-                with tracer.span(
-                    dt.task.name, cat="task",
-                    patch=dt.patch.patch_id, level=dt.level_index,
-                ):
-                    dt.task.callback(ctx)
-                executed += 1
-        metrics.counter("scheduler.tasks_executed", scheduler="serial").inc(executed)
-        metrics.gauge("scheduler.taskexec_seconds", scheduler="serial").set(
-            self.timers("taskexec").elapsed
-        )
-        _sample_collector()
+            self._loop(graph, old_dw, dw, tracer).run(self.workers)
+        self._publish(metrics)
+        publish_execution(self.name, graph, metrics, self.timers("taskexec").elapsed)
         return dw
 
 
-class ThreadedScheduler:
+class ThreadedScheduler(SerialScheduler):
     """Shared-memory multi-threaded executor (one node, many cores)."""
+
+    name = "threaded"
 
     def __init__(
         self,
@@ -116,96 +251,27 @@ class ThreadedScheduler:
     ) -> None:
         if num_threads < 1:
             raise SchedulerError("num_threads must be >= 1")
-        self.num_threads = int(num_threads)
+        super().__init__(tracer, metrics)
+        self.num_threads = self.workers = int(num_threads)
         self.shuffle = bool(shuffle)
         self.seed = int(seed)
-        self.timers = TimerRegistry()
-        self.tracer = tracer
-        self.metrics = metrics
 
-    def execute(
-        self,
-        graph: CompiledGraph,
-        old_dw: Optional[DataWarehouse] = None,
-        new_dw: Optional[DataWarehouse] = None,
-    ) -> DataWarehouse:
-        if graph.num_ranks != 1 or graph.messages:
-            raise SchedulerError("ThreadedScheduler runs single-rank graphs")
-        tracer = self.tracer if self.tracer is not None else get_tracer()
-        metrics = self.metrics if self.metrics is not None else get_metrics()
-        dw = new_dw if new_dw is not None else DataWarehouse()
-        by_id = {t.dtask_id: t for t in graph.detailed_tasks}
-        indeg = {t.dtask_id: len(t.internal_deps) for t in graph.detailed_tasks}
-        lock = threading.Lock()
-        ready: List[int] = [tid for tid, d in indeg.items() if d == 0]
+    def _loop(self, graph, old_dw, new_dw, tracer) -> RankLoop:
         rng = random.Random(self.seed)
-        remaining = len(by_id)
-        errors: List[BaseException] = []
-        done_cv = threading.Condition(lock)
 
-        def pull() -> Optional[DetailedTask]:
-            with lock:
-                while True:
-                    if errors or not remaining_holder[0]:
-                        return None
-                    if ready:
-                        idx = rng.randrange(len(ready)) if self.shuffle else 0
-                        return by_id[ready.pop(idx)]
-                    done_cv.wait(0.05)
+        def pick_shuffled(ready):
+            if not ready:
+                return None
+            idx = rng.randrange(len(ready))
+            dt = ready[idx]
+            del ready[idx]
+            return dt
 
-        remaining_holder = [remaining]
-
-        def finish(dt: DetailedTask) -> None:
-            with lock:
-                remaining_holder[0] -= 1
-                for dep in dt.dependents:
-                    if dep in indeg:
-                        indeg[dep] -= 1
-                        if indeg[dep] == 0:
-                            ready.append(dep)
-                done_cv.notify_all()
-
-        def worker() -> None:
-            while True:
-                dt = pull()
-                if dt is None:
-                    return
-                try:
-                    ctx = TaskContext(
-                        dt.task, dt.patch, graph.grid.level(dt.level_index), old_dw, dw
-                    )
-                    with tracer.span(
-                        dt.task.name, cat="task",
-                        patch=dt.patch.patch_id, level=dt.level_index,
-                    ):
-                        dt.task.callback(ctx)
-                except BaseException as exc:  # repro: allow(overbroad-except) — re-raised on the caller's thread
-                    with lock:
-                        errors.append(exc)
-                        done_cv.notify_all()
-                    return
-                finish(dt)
-
-        with self.timers("taskexec"):
-            threads = [threading.Thread(target=worker) for _ in range(self.num_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        if errors:
-            raise errors[0]
-        if remaining_holder[0] != 0:
-            raise SchedulerError(
-                f"{remaining_holder[0]} tasks never became ready (deadlock)"
-            )
-        metrics.counter("scheduler.tasks_executed", scheduler="threaded").inc(
-            len(by_id)
+        return RankLoop(
+            graph.detailed_tasks,
+            lambda dt: run_task(dt, graph, old_dw, new_dw, tracer),
+            pick_shuffled if self.shuffle else pick_fifo,
         )
-        metrics.gauge("scheduler.taskexec_seconds", scheduler="threaded").set(
-            self.timers("taskexec").elapsed
-        )
-        _sample_collector()
-        return dw
 
 
 @dataclass
@@ -234,6 +300,112 @@ class RankStats:
         from dataclasses import asdict
 
         return asdict(self)
+
+
+@dataclass
+class RankLink:
+    """One rank's end of the fabric: its receives posted into a request
+    pool, the sends its finished tasks owe, and the accounting of both
+    into the rank's :class:`RankStats`."""
+
+    graph: CompiledGraph
+    comm: Communicator
+    pool_kind: str
+    old_dw: Optional[DataWarehouse]
+    new_dw: DataWarehouse
+    tracer: SpanTracer
+    stats: RankStats
+
+    def __post_init__(self) -> None:
+        # imported here: repro.comm builds on repro.runtime.mpi, so a
+        # module-level import would be circular
+        from repro.comm.driver import make_pool
+        from repro.comm.request import CommNode
+
+        self.rank = self.stats.rank
+        self.pool = make_pool(self.pool_kind)
+        self._arrived: List[int] = []
+        self._task_hist = Histogram("scheduler.rank.task_seconds", ())
+        self._recorder = get_flight_recorder()
+        self._outgoing: Dict[int, List] = {}
+        for msg in self.graph.messages_from(self.rank):
+            self._outgoing.setdefault(msg.src_dtask_id, []).append(msg)
+        for msg in self.graph.messages_to(self.rank):
+            req = self.comm.irecv(source=msg.src_rank, tag=msg.msg_id)
+            on_finish = partial(self._unpack, msg, req)
+            self.pool.insert(CommNode(req, nbytes=msg.nbytes, on_finish=on_finish))
+
+    def _unpack(self, msg, req, data) -> None:
+        # the recv span is attributed to the *sender's* causal chain:
+        # its trace_id comes off the delivered message (req.ctx), not
+        # this rank's ambient context
+        args = {"msg_id": msg.msg_id, "src": msg.src_rank, "dst": self.rank}
+        sender_ctx = req.ctx
+        if sender_ctx is not None:
+            args["trace_id"] = sender_ctx.trace_id
+            args["parent_span_id"] = sender_ctx.span_id
+        with self.tracer.span("comm.recv", cat="comm", **args):
+            self.tracer.flow_finish(msg.msg_id, **args)
+            if msg.label.kind is VarKind.PER_LEVEL:
+                self.new_dw.put_level(msg.label, msg.level_index, data)
+            else:
+                self.new_dw.add_foreign(
+                    msg.label, msg.src_patch_id, CCVariable(msg.region, data)
+                )
+            self._arrived.append(msg.msg_id)
+
+    def progress(self) -> List[int]:
+        """Process completed receives; the message ids that arrived."""
+        t0 = time.perf_counter()
+        self.pool.process_ready()
+        self.stats.local_comm_time += time.perf_counter() - t0
+        arrived, self._arrived = self._arrived, []
+        return arrived
+
+    def launch(self, dt: DetailedTask) -> None:
+        """Run one task and ship every message its results satisfy."""
+        stats, tracer, rank = self.stats, self.tracer, self.rank
+        # one causal chain per task execution: the task span, every
+        # send it triggers, and (via the fabric) the matching recv
+        # spans on other ranks all share this trace_id
+        task_trace = tracectx.child_or_new()
+        with tracectx.use(task_trace):
+            task_dur = run_task(dt, self.graph, self.old_dw, self.new_dw, tracer, rank=rank)
+            stats.task_exec_time += task_dur
+            self._task_hist.observe(task_dur)
+            stats.tasks_executed += 1
+            # always-on black box: one atomic deque append per task
+            self._recorder.record(
+                "task", dt.task.name, rank=rank,
+                patch=dt.patch.patch_id, dur_s=round(task_dur, 6),
+                trace_id=task_trace.trace_id,
+            )
+            t0 = time.perf_counter()
+            for msg in self._outgoing.get(dt.dtask_id, ()):
+                if msg.label.kind is VarKind.PER_LEVEL:
+                    data = self.new_dw.get_level(msg.label, msg.level_index)
+                else:
+                    data = self.new_dw.get(msg.label, dt.patch.patch_id).view(msg.region).copy()
+                with tracer.span(
+                    "comm.send", cat="comm",
+                    msg_id=msg.msg_id, src=rank, dst=msg.dst_rank,
+                ):
+                    tracer.flow_start(
+                        msg.msg_id, msg_id=msg.msg_id, src=rank, dst=msg.dst_rank
+                    )
+                    self.comm.isend(data, dest=msg.dst_rank, tag=msg.msg_id)
+                stats.messages_sent += 1
+                stats.bytes_sent += msg.nbytes
+            stats.local_comm_time += time.perf_counter() - t0
+
+    def close(self, metrics: MetricsRegistry) -> None:
+        """Task-duration quantiles into the stats; the pool's counters out."""
+        hist = self._task_hist
+        if hist.count:
+            self.stats.task_time_p50 = hist.quantile(0.50) or 0.0
+            self.stats.task_time_p95 = hist.quantile(0.95) or 0.0
+            self.stats.task_time_p99 = hist.quantile(0.99) or 0.0
+        self.pool.publish_metrics(metrics, pool=self.pool_kind, rank=self.rank)
 
 
 class DistributedScheduler:
@@ -279,31 +451,33 @@ class DistributedScheduler:
                 f"graph compiled for {graph.num_ranks} ranks, scheduler has "
                 f"{self.num_ranks}"
             )
-        fabric = SimMPI(
+        tracer, metrics = observers(self.tracer, self.metrics)
+        fabric = self.fabric = SimMPI(
             self.num_ranks,
             delivery_jitter=self.delivery_jitter,
             jitter_seed=self.jitter_seed,
         )
-        self.fabric = fabric
         self.rank_stats = {r: RankStats(rank=r) for r in range(self.num_ranks)}
         rank_dws = {r: DataWarehouse() for r in range(self.num_ranks)}
         errors: List[BaseException] = []
         err_lock = threading.Lock()
 
-        outgoing_by_dtask: Dict[int, List] = {}
-        for msg in graph.messages:
-            outgoing_by_dtask.setdefault(msg.src_dtask_id, []).append(msg)
-
-        def rank_loop(rank: int) -> None:
+        def run_rank(rank: int) -> None:
             try:
-                self._run_rank(rank, graph, fabric, rank_dws[rank], old_dw, outgoing_by_dtask)
+                tracer.register_thread(tid=rank, name=f"rank {rank}")
+                link = RankLink(
+                    graph, fabric.comm(rank), self.pool_kind, old_dw,
+                    rank_dws[rank], tracer, self.rank_stats[rank],
+                )
+                RankLoop(graph.tasks_on_rank(rank), link.launch, link=link).run()
+                link.close(metrics)
             except BaseException as exc:  # repro: allow(overbroad-except) — re-raised on the caller's thread
                 with err_lock:
                     errors.append(exc)
 
         with self.timers("execute"):
             threads = [
-                threading.Thread(target=rank_loop, args=(r,), name=f"rank-{r}")
+                threading.Thread(target=run_rank, args=(r,), name=f"rank-{r}")
                 for r in range(self.num_ranks)
             ]
             for t in threads:
@@ -313,13 +487,12 @@ class DistributedScheduler:
         fabric.shutdown()
         if errors:
             raise errors[0]
-        metrics = self.metrics if self.metrics is not None else get_metrics()
         publish_rank_stats(
             metrics, self.rank_stats, prefix="scheduler.rank",
             scheduler="distributed",
         )
         fabric.stats.publish_metrics(metrics)
-        _sample_collector()
+        publish_execution("distributed", graph, metrics, self.timers("execute").elapsed)
         return rank_dws
 
     def runtime_stats(self) -> Dict[str, StatSummary]:
@@ -331,147 +504,6 @@ class DistributedScheduler:
         return format_rank_stats(
             self.runtime_stats(), title="Distributed runtime stats"
         )
-
-    def _run_rank(
-        self,
-        rank: int,
-        graph: CompiledGraph,
-        fabric: SimMPI,
-        new_dw: DataWarehouse,
-        old_dw: Optional[DataWarehouse],
-        outgoing_by_dtask: Dict[int, List],
-    ) -> None:
-        # imported here: repro.comm builds on repro.runtime.mpi, so a
-        # module-level import would be circular
-        from repro.comm.driver import make_pool
-        from repro.comm.request import CommNode
-
-        tracer = self.tracer if self.tracer is not None else get_tracer()
-        metrics = self.metrics if self.metrics is not None else get_metrics()
-        tracer.register_thread(tid=rank, name=f"rank {rank}")
-        comm = fabric.comm(rank)
-        local = graph.tasks_on_rank(rank)
-        indeg = {t.dtask_id: len(t.internal_deps) for t in local}
-        pending = {t.dtask_id: set(t.pending_msgs) for t in local}
-        by_id = {t.dtask_id: t for t in local}
-        waiting_on_msg: Dict[int, List[int]] = {}
-        for t in local:
-            for mid in t.pending_msgs:
-                waiting_on_msg.setdefault(mid, []).append(t.dtask_id)
-
-        pool = make_pool(self.pool_kind)
-        newly_satisfied: List[int] = []
-
-        def stage(msg, req):
-            def callback(data):
-                # the recv span is attributed to the *sender's* causal
-                # chain: its trace_id comes off the delivered message
-                # (req.ctx), not this rank's ambient context
-                args = {"msg_id": msg.msg_id, "src": msg.src_rank, "dst": rank}
-                sender_ctx = req.ctx
-                if sender_ctx is not None:
-                    args["trace_id"] = sender_ctx.trace_id
-                    args["parent_span_id"] = sender_ctx.span_id
-                with tracer.span("comm.recv", cat="comm", **args):
-                    tracer.flow_finish(msg.msg_id, **args)
-                    if msg.label.kind is VarKind.PER_LEVEL:
-                        new_dw.put_level(msg.label, msg.level_index, data)
-                    else:
-                        new_dw.add_foreign(
-                            msg.label, msg.src_patch_id, CCVariable(msg.region, data)
-                        )
-                    newly_satisfied.append(msg.msg_id)
-            return callback
-
-        for msg in graph.messages_to(rank):
-            req = comm.irecv(source=msg.src_rank, tag=msg.msg_id)
-            pool.insert(CommNode(req, nbytes=msg.nbytes, on_finish=stage(msg, req)))
-
-        ready = deque(
-            t.dtask_id for t in local if indeg[t.dtask_id] == 0 and not pending[t.dtask_id]
-        )
-        completed = 0
-        total = len(local)
-        idle_spins = 0
-        stats = self.rank_stats[rank]
-        task_hist = Histogram("scheduler.rank.task_seconds", ())
-        recorder = get_flight_recorder()
-        while completed < total:
-            t0 = time.perf_counter()
-            pool.process_ready()
-            stats.local_comm_time += time.perf_counter() - t0
-            while newly_satisfied:
-                mid = newly_satisfied.pop()
-                for tid in waiting_on_msg.get(mid, ()):
-                    pend = pending[tid]
-                    pend.discard(mid)
-                    if not pend and indeg[tid] == 0:
-                        ready.append(tid)
-            if not ready:
-                idle_spins += 1
-                stats.idle_spins += 1
-                if idle_spins > 2_000_000:
-                    raise SchedulerError(
-                        f"rank {rank} deadlocked: {total - completed} tasks stuck"
-                    )
-                time.sleep(0)
-                continue
-            idle_spins = 0
-            dt = by_id[ready.popleft()]
-            ctx = TaskContext(
-                dt.task, dt.patch, graph.grid.level(dt.level_index), old_dw, new_dw, rank=rank
-            )
-            # one causal chain per task execution: the task span, every
-            # send it triggers, and (via the fabric) the matching recv
-            # spans on other ranks all share this trace_id
-            task_trace = tracectx.child_or_new()
-            t0 = time.perf_counter()
-            with tracectx.use(task_trace):
-                with tracer.span(
-                    dt.task.name, cat="task",
-                    patch=dt.patch.patch_id, level=dt.level_index, rank=rank,
-                ):
-                    dt.task.callback(ctx)
-                task_dur = time.perf_counter() - t0
-                stats.task_exec_time += task_dur
-                task_hist.observe(task_dur)
-                stats.tasks_executed += 1
-                completed += 1
-                # always-on black box: one atomic deque append per task
-                recorder.record(
-                    "task", dt.task.name, rank=rank,
-                    patch=dt.patch.patch_id, dur_s=round(task_dur, 6),
-                    trace_id=task_trace.trace_id,
-                )
-                # ship every outgoing message this task's results satisfy
-                t0 = time.perf_counter()
-                for msg in outgoing_by_dtask.get(dt.dtask_id, ()):
-                    if msg.label.kind is VarKind.PER_LEVEL:
-                        data = new_dw.get_level(msg.label, msg.level_index)
-                    else:
-                        data = new_dw.get(msg.label, dt.patch.patch_id).view(msg.region).copy()
-                    with tracer.span(
-                        "comm.send", cat="comm",
-                        msg_id=msg.msg_id, src=rank, dst=msg.dst_rank,
-                    ):
-                        tracer.flow_start(
-                            msg.msg_id, msg_id=msg.msg_id, src=rank, dst=msg.dst_rank
-                        )
-                        comm.isend(data, dest=msg.dst_rank, tag=msg.msg_id)
-                    stats.messages_sent += 1
-                    stats.bytes_sent += msg.nbytes
-                stats.local_comm_time += time.perf_counter() - t0
-            # local dependents
-            for dep in dt.dependents:
-                if dep in indeg:
-                    indeg[dep] -= 1
-                    if indeg[dep] == 0 and not pending[dep]:
-                        ready.append(dep)
-        if task_hist.count:
-            stats.task_time_p50 = task_hist.quantile(0.50) or 0.0
-            stats.task_time_p95 = task_hist.quantile(0.95) or 0.0
-            stats.task_time_p99 = task_hist.quantile(0.99) or 0.0
-        pool.publish_metrics(metrics, pool=self.pool_kind, rank=rank)
 
 
 def gather_cc(

@@ -19,8 +19,9 @@ the same object.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.grid.box import Box
 from repro.grid.grid import Grid
@@ -118,25 +119,73 @@ class CompiledGraph:
         }
 
     def topological_order(self) -> List[DetailedTask]:
-        """Kahn's algorithm over internal edges; raises on cycles."""
-        indeg = {t.dtask_id: len(t.internal_deps) for t in self.detailed_tasks}
+        """Kahn's algorithm over internal edges (messages count as arrived);
+        raises on cycles."""
+        tracker = ReadyTracker(self.detailed_tasks)
+        released = tracker.start()
+        for msg in self.messages:
+            released += tracker.message_arrived(msg.msg_id)
         by_id = {t.dtask_id: t for t in self.detailed_tasks}
-        ready = [tid for tid, d in sorted(indeg.items()) if d == 0]
+        ready = deque(sorted(released))
         order: List[DetailedTask] = []
         while ready:
-            tid = ready.pop(0)
-            t = by_id[tid]
-            order.append(t)
-            for dep in sorted(t.dependents):
-                indeg[dep] -= 1
-                if indeg[dep] == 0:
-                    ready.append(dep)
-        if len(order) != len(self.detailed_tasks):
+            tid = ready.popleft()
+            order.append(by_id[tid])
+            ready.extend(tracker.task_done(tid))
+        if tracker.remaining:
             raise SchedulerError(
                 f"task graph has a cycle: only {len(order)} of "
                 f"{len(self.detailed_tasks)} tasks orderable"
             )
         return order
+
+
+class ReadyTracker:
+    """The readiness rule, in one place: a task may run once its
+    internal dependencies are done and its pending messages have arrived.
+
+    Built over any set of detailed tasks closed under internal edges —
+    one rank's share or a whole graph. :meth:`start`, :meth:`task_done`
+    and :meth:`message_arrived` return the task ids they release, in
+    Kahn order (ascending id); a task is released exactly once. One
+    message id may release several tasks (the per-rank level broadcast).
+    Not thread-safe: the caller serialises.
+    """
+
+    def __init__(self, tasks: Iterable[DetailedTask]) -> None:
+        self._dependents: Dict[int, List[int]] = {}
+        self._blockers: Dict[int, int] = {}
+        self._waiters: Dict[int, List[int]] = {}
+        for t in tasks:
+            self._dependents[t.dtask_id] = sorted(t.dependents)
+            self._blockers[t.dtask_id] = len(t.internal_deps) + len(t.pending_msgs)
+            for mid in t.pending_msgs:
+                self._waiters.setdefault(mid, []).append(t.dtask_id)
+        #: tasks not yet reported done
+        self.remaining = len(self._blockers)
+
+    def _unblock(self, tids: Iterable[int]) -> List[int]:
+        released = []
+        for tid in tids:
+            self._blockers[tid] -= 1
+            if self._blockers[tid] == 0:
+                released.append(tid)
+        return released
+
+    def start(self) -> List[int]:
+        """The tasks that wait on nothing."""
+        return [tid for tid, n in self._blockers.items() if n == 0]
+
+    def task_done(self, tid: int) -> List[int]:
+        self.remaining -= 1
+        return self._unblock(self._dependents[tid])
+
+    def message_arrived(self, msg_id: int) -> List[int]:
+        return self._unblock(self.waiters(msg_id))
+
+    def waiters(self, msg_id: int) -> List[int]:
+        """The tasks pending on ``msg_id``, in task order."""
+        return self._waiters.get(msg_id, [])
 
 
 class TaskGraph:

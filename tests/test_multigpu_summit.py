@@ -64,6 +64,32 @@ class TestMultiGPU:
         with pytest.raises(SchedulerError):
             MultiGPUScheduler(gpus=[])
 
+    def test_task_spans_and_scheduler_series(self):
+        """The shared instrumentation seam: one task span per detailed
+        task, each carrying patch and level, and the scheduler.* series
+        every engine publishes."""
+        from repro.perf.metrics import MetricsRegistry, set_metrics
+        from repro.perf.tracer import SpanTracer, set_tracer
+
+        grid, drm = build_pipeline()
+        graph = drm.build_graph()
+        tracer, registry = SpanTracer(enabled=True), MetricsRegistry()
+        old_tracer, old_registry = set_tracer(tracer), set_metrics(registry)
+        try:
+            MultiGPUScheduler(num_gpus=2).execute(graph)
+        finally:
+            set_tracer(old_tracer)
+            set_metrics(old_registry)
+        spans = [e for e in tracer.events() if e.get("cat") in ("task", "gpu.task")]
+        assert sorted(e["name"] for e in spans) == sorted(
+            t.task.name for t in graph.detailed_tasks
+        )
+        assert all({"patch", "level"} <= set(e["args"]) for e in spans)
+        assert registry.value(
+            "scheduler.tasks_executed", scheduler="multigpu"
+        ) == len(graph.detailed_tasks)
+        assert registry.value("scheduler.taskexec_seconds", scheduler="multigpu") > 0
+
     def test_more_gpus_than_patches(self):
         grid, drm = build_pipeline()  # 8 patches
         sched = MultiGPUScheduler(num_gpus=16)

@@ -60,10 +60,14 @@ def _finding(rule: str, message: str, severity: str = "error") -> CheckFinding:
     )
 
 
-def _entry_producers(entries) -> Tuple[Dict[str, List[int]], Dict[Tuple[str, int], List[int]]]:
-    """(CC producers by label name, PER_LEVEL producers by (name, level))
-    as entry indices."""
-    cc: Dict[str, List[int]] = {}
+def _entry_producers(
+    entries,
+) -> Tuple[Dict[Tuple[str, int], List[int]], Dict[Tuple[str, int], List[int]]]:
+    """(CC producers, PER_LEVEL producers), both by (name, level), as
+    entry indices. A CC variable is produced for the level its task runs
+    on: ghosts are gathered from the consumer's own level, as in
+    :meth:`~repro.runtime.taskgraph.TaskGraph.compile`."""
+    cc: Dict[Tuple[str, int], List[int]] = {}
     per_level: Dict[Tuple[str, int], List[int]] = {}
     for idx, (task, level_index, _per_level_task) in enumerate(entries):
         for comp in task.computes:
@@ -71,7 +75,7 @@ def _entry_producers(entries) -> Tuple[Dict[str, List[int]], Dict[Tuple[str, int
                 lvl = comp.level_index if comp.level_index is not None else level_index
                 per_level.setdefault((comp.label.name, lvl), []).append(idx)
             elif comp.label.kind is VarKind.CELL_CENTERED:
-                cc.setdefault(comp.label.name, []).append(idx)
+                cc.setdefault((comp.label.name, level_index), []).append(idx)
     return cc, per_level
 
 
@@ -83,7 +87,7 @@ def _dataflow_reachable(entries, cc, per_level) -> Dict[int, Set[int]]:
             if req.dw != "new":
                 continue
             if req.label.kind is VarKind.CELL_CENTERED:
-                producers = cc.get(req.label.name, [])
+                producers = cc.get((req.label.name, level_index), [])
             else:
                 producers = per_level.get((req.label.name, req.level_index), [])
             for p in producers:
@@ -118,11 +122,12 @@ def validate_taskgraph(tg) -> List[CheckFinding]:
             if req.dw != "new":
                 continue  # old-DW data is last timestep's, already present
             if req.label.kind is VarKind.CELL_CENTERED:
-                if req.label.name not in cc:
+                if (req.label.name, level_index) not in cc:
                     findings.append(_finding(
                         "graph-dangling-consumer",
                         f"task {task.name!r} requires CC variable "
-                        f"{req.label.name!r} (new DW) that no task computes",
+                        f"{req.label.name!r} (new DW) that no task computes "
+                        f"on level {level_index}",
                     ))
             elif req.label.kind is VarKind.PER_LEVEL:
                 key = (req.label.name, req.level_index)
@@ -135,12 +140,7 @@ def validate_taskgraph(tg) -> List[CheckFinding]:
 
     # write-write pairs with no ordering edge --------------------------
     reach = _dataflow_reachable(entries, cc, per_level)
-    cc_by_level: Dict[Tuple[str, int], List[int]] = {}
-    for idx, (task, level_index, _pl) in enumerate(entries):
-        for comp in task.computes:
-            if comp.label.kind is VarKind.CELL_CENTERED:
-                cc_by_level.setdefault((comp.label.name, level_index), []).append(idx)
-    for (name, lvl), writers in sorted(cc_by_level.items()):
+    for (name, lvl), writers in sorted(cc.items()):
         for i in range(len(writers)):
             for j in range(i + 1, len(writers)):
                 a, b = writers[i], writers[j]

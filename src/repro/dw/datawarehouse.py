@@ -40,6 +40,10 @@ class DWStats:
     gets: int = 0
     foreign_adds: int = 0
     region_assemblies: int = 0
+    #: local variables and foreign pieces :meth:`DataWarehouse.get_region`
+    #: examined, and how many of them it pasted into a region
+    pieces_tested: int = 0
+    pieces_pasted: int = 0
     level_puts: int = 0
     level_gets: int = 0
     reduction_puts: int = 0
@@ -108,32 +112,46 @@ class DataWarehouse:
     ) -> np.ndarray:
         """Assemble ``region`` from local patches + foreign pieces.
 
-        Every cell of ``region`` intersecting the level's domain must be
-        covered unless ``default`` is given (used for regions poking
-        into the wall ring, which no patch owns).
+        Only the level's patches that meet ``region`` are consulted:
+        each contributes its local variable or, when it is remote, the
+        foreign pieces staged under its ``(label, patch)`` key. Every
+        cell of ``region`` must be covered unless ``default`` is given,
+        which then fills exactly the cells no piece covered (the wall
+        ring, which no patch owns). Coverage is tracked beside the data,
+        so NaN *values* are data like any other.
         """
-        self.stats.region_assemblies += 1
-        out = np.full(region.extent, np.nan)
-        covered = 0
+        stats = self.stats
+        stats.region_assemblies += 1
+        out = np.empty(region.extent)
+        covered = np.zeros(region.extent, dtype=bool)
         for patch in level.patches_intersecting(region):
-            if not self.exists(label, patch.patch_id):
-                continue
-            var = self.get(label, patch.patch_id)
-            overlap = var.box.intersect(region)
-            if overlap.empty:
-                continue
-            out[overlap.slices(origin=region.lo)] = var.view(overlap)
-            covered += overlap.volume
-        for (name, _pid), pieces in self._foreign.items():
-            if name != label.name:
-                continue
+            key = (label.name, patch.patch_id)
+            local = self._cc.get(key)
+            if local is not None:
+                stats.gets += 1
+                pieces = (local,)
+            else:
+                pieces = self._foreign.get(key, ())
+            # a remote patch holds one piece per local consumer, and they
+            # overlap; the piece sent for this region covers the patch's
+            # whole share of it, so look for one that does before
+            # pasting them all
+            share = patch.box.intersect(region)
+            for var in pieces:
+                stats.pieces_tested += 1
+                if var.box.contains_box(share):
+                    pieces = (var,)
+                    break
             for var in pieces:
                 overlap = var.box.intersect(region)
                 if overlap.empty:
                     continue
-                out[overlap.slices(origin=region.lo)] = var.view(overlap)
-        missing = np.isnan(out)
-        if missing.any():
+                stats.pieces_pasted += 1
+                dest = overlap.slices(origin=region.lo)
+                out[dest] = var.view(overlap)
+                covered[dest] = True
+        if not covered.all():
+            missing = ~covered
             if default is None:
                 raise DataWarehouseError(
                     f"{label.name}: {int(missing.sum())} of {region.volume} cells "

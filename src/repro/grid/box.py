@@ -22,6 +22,14 @@ IntVec = Tuple[int, int, int]
 
 def ivec(value: Sequence[int]) -> IntVec:
     """Coerce a length-3 sequence to an integer tuple."""
+    if (
+        type(value) is tuple
+        and len(value) == 3
+        and type(value[0]) is int
+        and type(value[1]) is int
+        and type(value[2]) is int
+    ):
+        return value  # already one: a box's own corner, usually
     t = tuple(int(v) for v in value)
     if len(t) != 3:
         raise GridError(f"expected a length-3 index vector, got {value!r}")
@@ -58,6 +66,17 @@ def ceil_div(a: IntVec, b: IntVec) -> IntVec:
     return (-((-a[0]) // b[0]), -((-a[1]) // b[1]), -((-a[2]) // b[2]))
 
 
+def _box(lo: IntVec, hi: IntVec) -> "Box":
+    """Trusted constructor: ``lo`` and ``hi`` are already integer
+    3-tuples (arithmetic on validated boxes), so the coercion in
+    ``Box.__post_init__`` is skipped. The result equals, and hashes as,
+    ``Box(lo, hi)``."""
+    box = object.__new__(Box)
+    object.__setattr__(box, "lo", lo)
+    object.__setattr__(box, "hi", hi)
+    return box
+
+
 @dataclass(frozen=True)
 class Box:
     """Half-open integer region ``[lo, hi)``.
@@ -80,7 +99,7 @@ class Box:
     @staticmethod
     def from_extent(lo: Sequence[int], extent: Sequence[int]) -> "Box":
         lo_v = ivec(lo)
-        return Box(lo_v, ivec_add(lo_v, ivec(extent)))
+        return _box(lo_v, ivec_add(lo_v, ivec(extent)))
 
     @staticmethod
     def cube(n: int, lo: Sequence[int] = (0, 0, 0)) -> "Box":
@@ -110,7 +129,8 @@ class Box:
 
     @property
     def empty(self) -> bool:
-        return self.volume == 0
+        lo, hi = self.lo, self.hi
+        return hi[0] <= lo[0] or hi[1] <= lo[1] or hi[2] <= lo[2]
 
     def contains_point(self, p: Sequence[int]) -> bool:
         q = ivec(p)
@@ -119,26 +139,43 @@ class Box:
     def contains_box(self, other: "Box") -> bool:
         if other.empty:
             return True
-        return all(
-            self.lo[d] <= other.lo[d] and other.hi[d] <= self.hi[d]
-            for d in range(3)
+        (a0, a1, a2), (b0, b1, b2) = self.lo, self.hi
+        (c0, c1, c2), (d0, d1, d2) = other.lo, other.hi
+        return (
+            a0 <= c0 and d0 <= b0
+            and a1 <= c1 and d1 <= b1
+            and a2 <= c2 and d2 <= b2
         )
 
     def intersects(self, other: "Box") -> bool:
-        return not self.intersect(other).empty
+        """True when the two boxes share a cell (so neither is empty)."""
+        (a0, a1, a2), (b0, b1, b2) = self.lo, self.hi
+        (c0, c1, c2), (d0, d1, d2) = other.lo, other.hi
+        return (
+            a0 < d0 and c0 < b0 and a0 < b0 and c0 < d0
+            and a1 < d1 and c1 < b1 and a1 < b1 and c1 < d1
+            and a2 < d2 and c2 < b2 and a2 < b2 and c2 < d2
+        )
 
     # ------------------------------------------------------------------
     # region algebra
     # ------------------------------------------------------------------
     def intersect(self, other: "Box") -> "Box":
-        return Box(ivec_max(self.lo, other.lo), ivec_min(self.hi, other.hi))
+        # max of the lows, min of the highs, spelled out: this is the
+        # innermost call of every ghost gather and graph compile
+        (a0, a1, a2), (b0, b1, b2) = self.lo, self.hi
+        (c0, c1, c2), (d0, d1, d2) = other.lo, other.hi
+        return _box(
+            (a0 if a0 > c0 else c0, a1 if a1 > c1 else c1, a2 if a2 > c2 else c2),
+            (b0 if b0 < d0 else d0, b1 if b1 < d1 else d1, b2 if b2 < d2 else d2),
+        )
 
     def bounding_union(self, other: "Box") -> "Box":
         if self.empty:
             return other
         if other.empty:
             return self
-        return Box(ivec_min(self.lo, other.lo), ivec_max(self.hi, other.hi))
+        return _box(ivec_min(self.lo, other.lo), ivec_max(self.hi, other.hi))
 
     def subtract(self, other: "Box") -> List["Box"]:
         """``self \\ other`` as a list of disjoint boxes.
@@ -155,13 +192,13 @@ class Box:
             if lo[d] < inter.lo[d]:
                 piece_hi = hi.copy()
                 piece_hi[d] = inter.lo[d]
-                pieces.append(Box(tuple(lo), tuple(piece_hi)))
+                pieces.append(_box(tuple(lo), tuple(piece_hi)))
                 lo = lo.copy()
                 lo[d] = inter.lo[d]
             if inter.hi[d] < hi[d]:
                 piece_lo = lo.copy()
                 piece_lo[d] = inter.hi[d]
-                pieces.append(Box(tuple(piece_lo), tuple(hi)))
+                pieces.append(_box(tuple(piece_lo), tuple(hi)))
                 hi = hi.copy()
                 hi[d] = inter.hi[d]
         return [p for p in pieces if not p.empty]
@@ -169,11 +206,11 @@ class Box:
     def grow(self, n) -> "Box":
         """Expand (or shrink, for negative ``n``) by ``n`` cells per side."""
         g = ivec(n) if not isinstance(n, int) else (n, n, n)
-        return Box(ivec_sub(self.lo, g), ivec_add(self.hi, g))
+        return _box(ivec_sub(self.lo, g), ivec_add(self.hi, g))
 
     def shift(self, offset: Sequence[int]) -> "Box":
         o = ivec(offset)
-        return Box(ivec_add(self.lo, o), ivec_add(self.hi, o))
+        return _box(ivec_add(self.lo, o), ivec_add(self.hi, o))
 
     def coarsen(self, ratio) -> "Box":
         """Map to the coarser index space covering the same physical
@@ -184,15 +221,15 @@ class Box:
         if any(c <= 0 for c in r):
             raise GridError(f"refinement ratio must be positive, got {r}")
         if self.empty:
-            return Box(floor_div(self.lo, r), floor_div(self.lo, r))
-        return Box(floor_div(self.lo, r), ceil_div(self.hi, r))
+            return _box(floor_div(self.lo, r), floor_div(self.lo, r))
+        return _box(floor_div(self.lo, r), ceil_div(self.hi, r))
 
     def refine(self, ratio) -> "Box":
         """Map to the finer index space covering the same physical region."""
         r = ivec(ratio) if not isinstance(ratio, int) else (ratio, ratio, ratio)
         if any(c <= 0 for c in r):
             raise GridError(f"refinement ratio must be positive, got {r}")
-        return Box(ivec_mul(self.lo, r), ivec_mul(self.hi, r))
+        return _box(ivec_mul(self.lo, r), ivec_mul(self.hi, r))
 
     # ------------------------------------------------------------------
     # numpy interop

@@ -13,6 +13,7 @@ switch to coarse data once it leaves the fine region of interest.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +23,69 @@ from repro.grid.patch import Patch
 from repro.util.errors import GridError
 
 FloatVec = Tuple[float, float, float]
+
+
+class _PatchIndex:
+    """Uniform bin lattice over a patch list, for overlap queries.
+
+    Bins start at the median patch extent per axis, anchored at the
+    patches' lower corner: on a regular tiling each patch is its own
+    bin, and a ghost-grown region meets at most 27 of them. Every patch
+    is listed, by position in the patch list, in each bin it touches, so
+    any tiling is answered correctly. When a few patches dwarf the
+    median, the bins are doubled until the listing is linear in the patch
+    count again; such a tiling only makes some bins longer.
+    """
+
+    def __init__(self, patches: Sequence[Patch]) -> None:
+        self._patches = patches
+        self._bins: Dict[IntVec, List[int]] = {}
+        boxes = [(pos, p.box) for pos, p in enumerate(patches) if not p.box.empty]
+        if not boxes:
+            return
+        axes = range(3)
+        self._origin = [min(b.lo[d] for _, b in boxes) for d in axes]
+        top = [max(b.hi[d] for _, b in boxes) - 1 for d in axes]
+        self._size = [
+            sorted(b.extent[d] for _, b in boxes)[len(boxes) // 2] for d in axes
+        ]
+        while True:
+            # lattice coordinate of the last bin on each axis
+            self._last = [(top[d] - self._origin[d]) // self._size[d] for d in axes]
+            listed = sum(
+                len(x) * len(y) * len(z)
+                for x, y, z in (self._bin_ranges(b) for _, b in boxes)
+            )
+            if listed <= 8 * len(boxes):
+                break
+            self._size = [2 * s for s in self._size]
+        for pos, box in boxes:
+            for key in product(*self._bin_ranges(box)):
+                self._bins.setdefault(key, []).append(pos)
+
+    def _bin_ranges(self, box: Box) -> List[range]:
+        """Per axis, the lattice coordinates of the bins ``box`` (not
+        empty) touches, clipped to the lattice: a region far larger than
+        the level costs no more than the level."""
+        return [
+            range(max(0, (lo - o) // s), min(last, (hi - 1 - o) // s) + 1)
+            for lo, hi, o, s, last in zip(
+                box.lo, box.hi, self._origin, self._size, self._last
+            )
+        ]
+
+    def intersecting(self, region: Box) -> List[Patch]:
+        """The patches overlapping ``region``, in patch-list order."""
+        if region.empty or not self._bins:
+            return []
+        bins, patches = self._bins, self._patches
+        found = set()
+        for key in product(*self._bin_ranges(region)):
+            found.update(bins.get(key, ()))
+        return [
+            patches[pos] for pos in sorted(found)
+            if patches[pos].box.intersects(region)
+        ]
 
 
 class Level:
@@ -47,6 +111,8 @@ class Level:
         self.refinement_ratio: IntVec = ivec(refinement_ratio)
         self.patches: List[Patch] = []
         self._patch_by_id: Dict[int, Patch] = {}
+        #: built by the first :meth:`patches_intersecting` after a change
+        self._patch_index: Optional[_PatchIndex] = None
 
     # ------------------------------------------------------------------
     # patches
@@ -70,6 +136,7 @@ class Level:
         guarantee disjointness by construction."""
         self.patches.append(patch)
         self._patch_by_id[patch.patch_id] = patch
+        self._patch_index = None
 
     def patch(self, patch_id: int) -> Patch:
         try:
@@ -90,7 +157,10 @@ class Level:
         return sum(p.num_cells for p in self.patches) == self.domain_box.volume
 
     def patches_intersecting(self, region: Box) -> List[Patch]:
-        return [p for p in self.patches if p.box.intersects(region)]
+        """Patches overlapping ``region``, in :attr:`patches` order."""
+        if self._patch_index is None:
+            self._patch_index = _PatchIndex(self.patches)
+        return self._patch_index.intersecting(region)
 
     def containing_patch(self, cell: Sequence[int]) -> Optional[Patch]:
         for p in self.patches:

@@ -229,8 +229,8 @@ class TaskGraph:
         assignment = dict(assignment or {})
 
         detailed: List[DetailedTask] = []
-        # producers of CC labels: name -> list of (dtask, patch)
-        cc_producers: Dict[str, List[DetailedTask]] = {}
+        # producers of CC labels: (name, level, patch id) -> dtasks
+        cc_producers: Dict[Tuple[str, int, int], List[DetailedTask]] = {}
         # producers of level labels: (name, level) -> dtask
         level_producers: Dict[Tuple[str, int], DetailedTask] = {}
 
@@ -274,7 +274,8 @@ class TaskGraph:
                             )
                         level_producers[key] = dt
                     elif comp.label.kind is VarKind.CELL_CENTERED:
-                        cc_producers.setdefault(comp.label.name, []).append(dt)
+                        key = (comp.label.name, level_index, patch.patch_id)
+                        cc_producers.setdefault(key, []).append(dt)
 
         messages: List[GhostMessage] = []
         # one broadcast message per (label, level, dst rank) no matter how
@@ -314,14 +315,24 @@ class TaskGraph:
                 if req.dw != "new":
                     continue  # old-DW data is last timestep's, already local
                 if req.label.kind is VarKind.CELL_CENTERED:
+                    # ghosts come from the consumer's own level: only the
+                    # patches meeting its grown box can hold a producer
                     region = dt.patch.box.grow(req.num_ghost)
-                    for producer in cc_producers.get(req.label.name, ()):
-                        overlap = producer.patch.box.intersect(region)
-                        if overlap.empty:
-                            continue
+                    level = self.grid.level(dt.level_index)
+                    producers = [
+                        producer
+                        for patch in level.patches_intersecting(region)
+                        for producer in cc_producers.get(
+                            (req.label.name, dt.level_index, patch.patch_id), ()
+                        )
+                    ]
+                    # message ids follow task order, whatever the patch order
+                    producers.sort(key=lambda p: p.dtask_id)
+                    for producer in producers:
                         if producer.rank == dt.rank:
                             add_edge(producer, dt)
                         else:
+                            overlap = producer.patch.box.intersect(region)
                             add_message(req.label, producer, dt, overlap, dt.level_index)
                 elif req.label.kind is VarKind.PER_LEVEL:
                     key = (req.label.name, req.level_index)

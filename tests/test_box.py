@@ -1,5 +1,7 @@
 """Unit + property tests for integer box region algebra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,3 +205,84 @@ class TestUnionVolume:
         a = Box((0, 0, 0), (2, 1, 1))
         b = Box((1, 0, 0), (3, 1, 1))
         assert union_volume([a, b]) == 3
+
+
+def raw_boxes(span=5):
+    """Any pair of corners through the public constructor, inverted and
+    empty boxes included."""
+    corner = st.tuples(*[st.integers(-span, span)] * 3)
+    return st.builds(Box, corner, corner)
+
+
+def assert_same_as_public(box):
+    """A box built by the algebra is indistinguishable from one built by
+    the coercing constructor: plain-int corners, equal, same hash,
+    frozen."""
+    assert type(box.lo) is tuple and type(box.hi) is tuple
+    assert all(type(v) is int for v in box.lo + box.hi)
+    public = Box(list(box.lo), np.array(box.hi))
+    assert box == public and public == box
+    assert hash(box) == hash(public)
+    assert len({box, public}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        box.lo = (0, 0, 0)
+
+
+class TestCellSetModel:
+    """The algebra against brute force: a box is the set of its cells."""
+
+    @given(raw_boxes(), raw_boxes())
+    @settings(max_examples=300)
+    def test_pairwise_algebra(self, a, b):
+        cells_a, cells_b = set(a.cells()), set(b.cells())
+        inter = a.intersect(b)
+        assert set(inter.cells()) == cells_a & cells_b
+        assert a.intersects(b) == bool(cells_a & cells_b)
+        assert a.intersects(b) == (not inter.empty)
+        assert a.empty == (not cells_a)
+        assert a.volume == len(cells_a)
+        assert a.contains_box(b) == (cells_b <= cells_a)
+        union = a.bounding_union(b)
+        assert cells_a | cells_b <= set(union.cells())
+        for built in (inter, union, *a.subtract(b)):
+            assert_same_as_public(built)
+
+    @given(raw_boxes(), st.integers(0, 2), st.tuples(*[st.integers(-3, 3)] * 3))
+    @settings(max_examples=200)
+    def test_grow_shift_slices(self, a, g, offset):
+        cells = set(a.cells())
+        reach = range(-g, g + 1)
+        grown = a.grow(g)
+        if not a.empty:
+            assert set(grown.cells()) == {
+                (i + di, j + dj, k + dk)
+                for i, j, k in cells
+                for di in reach for dj in reach for dk in reach
+            }
+            assert set(grown.grow(-g).cells()) == cells
+        shifted = a.shift(offset)
+        assert set(shifted.cells()) == {
+            (i + offset[0], j + offset[1], k + offset[2]) for i, j, k in cells
+        }
+        # slices address exactly the box's cells inside a covering array
+        outer = grown.grow(1)
+        arr = np.zeros(outer.extent, dtype=bool)
+        arr[a.slices(origin=outer.lo)] = True
+        marked = {
+            (int(i) + outer.lo[0], int(j) + outer.lo[1], int(k) + outer.lo[2])
+            for i, j, k in zip(*np.nonzero(arr))
+        }
+        assert marked == cells
+        assert a.slices(origin=list(outer.lo)) == a.slices(origin=outer.lo)
+        for built in (grown, shifted, a.grow((g, 0, 1)), a.coarsen(2), a.refine(2)):
+            assert_same_as_public(built)
+
+    def test_public_constructor_still_coerces(self):
+        b = Box([0, 1, 2], np.array([3, 4, 5], dtype=np.int32))
+        assert b.lo == (0, 1, 2) and b.hi == (3, 4, 5)
+        assert all(type(v) is int for v in b.lo + b.hi)
+        odd = Box((False, True, 2), (3.0, 4, 5))
+        assert odd == b and hash(odd) == hash(b)
+        assert all(type(v) is int for v in odd.lo + odd.hi)
+        with pytest.raises(GridError):
+            Box((0, 0, 0, 0), (1, 1, 1))

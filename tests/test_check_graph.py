@@ -9,7 +9,7 @@ import pytest
 from repro.check import validate_compiled, validate_taskgraph
 from repro.check.cli import broken_taskgraph, demo_taskgraph
 from repro.dw.label import cc
-from repro.grid import Box, Grid, decompose_level
+from repro.grid import Box, Grid, build_two_level_grid, decompose_level
 from repro.grid.loadbalance import LoadBalancer
 from repro.runtime.task import Computes, Requires, Task
 from repro.runtime.taskgraph import TaskGraph
@@ -63,6 +63,22 @@ class TestBrokenGraph:
             0,
         )
         assert "graph-dangling-consumer" in rules(validate_taskgraph(tg))
+
+    def test_producer_on_another_level_is_dangling(self):
+        """Ghosts are gathered on the consumer's own level, so a CC
+        variable computed only on another level feeds nothing."""
+        tg = TaskGraph(build_two_level_grid(16, 2, fine_patch_size=8, coarse_patch_size=4))
+        phi = cc("phi")
+        tg.add_task(Task("init0", noop, computes=[Computes(phi)]), 0)
+        tg.add_task(
+            Task("use1", noop, requires=[Requires(phi)], computes=[Computes(cc("out"))]),
+            1,
+        )
+        findings = validate_taskgraph(tg)
+        assert rules(findings) == ["graph-dangling-consumer"]
+        assert "on level 1" in findings[0].message
+        tg.add_task(Task("init1", noop, computes=[Computes(phi)]), 1)
+        assert validate_taskgraph(tg) == []
 
     def test_old_dw_requires_need_no_producer(self):
         _, tg = small_graph()

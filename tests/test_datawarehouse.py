@@ -16,6 +16,7 @@ from repro.dw import (
     per_level,
     reduction,
 )
+from repro.perf.metrics import MetricsRegistry
 from repro.util.errors import DataWarehouseError
 
 
@@ -144,6 +145,97 @@ class TestHostDW:
         out = self.dw.get_region(self.phi, self.level, region)
         assert out[0, 0, 0] == 1.0
         assert out[1, 0, 0] == 9.0
+
+    def put_all(self, label, fill=1.0):
+        for p in self.patches:
+            self.dw.put(label, p.patch_id, CCVariable(p.box, np.full(p.box.extent, fill)))
+
+    def patch_at(self, lo):
+        return next(p for p in self.patches if p.box.lo == lo)
+
+    def test_nan_values_are_data_not_holes(self):
+        """Coverage is tracked beside the data: a NaN a task computed is
+        returned as it is, neither reported missing nor overwritten by
+        ``default`` (which the GPU staging path passes as 0.0)."""
+        self.put_all(self.phi)
+        self.dw.get(self.phi, self.patch_at((4, 4, 4)).patch_id).data[1, 2, 3] = np.nan
+        out = self.dw.get_region(self.phi, self.level, Box.cube(8))
+        assert np.isnan(out[5, 6, 7]) and np.isnan(out).sum() == 1
+        ring = self.dw.get_region(self.phi, self.level, Box.cube(8).grow(1), default=0.0)
+        assert np.isnan(ring[6, 7, 8]) and np.isnan(ring).sum() == 1
+        assert ring[0, 0, 0] == 0.0 and (ring == 0.0).sum() == 10 ** 3 - 8 ** 3
+
+    def test_overlapping_foreign_pieces_cover_together(self):
+        """Two consumers on a rank each get their own piece of a remote
+        patch; the pieces overlap and a third region may need both."""
+        near, far = self.patch_at((0, 0, 0)), self.patch_at((4, 0, 0))
+        self.dw.put(self.phi, near.patch_id, CCVariable(near.box, np.ones((4, 4, 4))))
+        for box in (Box((4, 0, 0), (6, 3, 4)), Box((4, 2, 0), (6, 4, 4))):
+            self.dw.add_foreign(self.phi, far.patch_id, CCVariable(box, np.full(box.extent, 9.0)))
+        region = Box((2, 0, 0), (6, 4, 4))
+        out = self.dw.get_region(self.phi, self.level, region)
+        assert (out[:2] == 1.0).all() and (out[2:] == 9.0).all()
+        with pytest.raises(DataWarehouseError, match=r"phi: 16 of 80 cells"):
+            self.dw.get_region(self.phi, self.level, Box((2, 0, 0), (7, 4, 4)))
+
+    def test_piece_counters_are_exact(self):
+        """``pieces_tested``: variables and pieces examined;
+        ``pieces_pasted``: those copied into the region."""
+        near, far = self.patch_at((0, 0, 0)), self.patch_at((4, 0, 0))
+        self.dw.put(self.phi, near.patch_id, CCVariable(near.box))
+        for box in (
+            Box((4, 0, 0), (5, 2, 4)),      # too small for the region below
+            Box((4, 0, 0), (6, 4, 4)),      # covers the remote patch's share
+            Box((4, 0, 0), (8, 4, 4)),      # never reached
+        ):
+            self.dw.add_foreign(self.phi, far.patch_id, CCVariable(box))
+        stats = self.dw.stats
+        self.dw.get_region(self.phi, self.level, Box((3, 0, 0), (6, 4, 4)))
+        assert (stats.pieces_tested, stats.pieces_pasted) == (1 + 2, 1 + 1)
+        # no single piece holds x = 7..8 of the far patch except the
+        # third, found last: three more tests, one paste (plus the local)
+        self.dw.get_region(self.phi, self.level, Box((3, 0, 0), (8, 4, 4)))
+        assert (stats.pieces_tested, stats.pieces_pasted) == (3 + 1 + 3, 2 + 1 + 1)
+        # nothing covers the far patch's share alone: every overlapping
+        # piece is pasted, the hole is filled by the default
+        lone = DataWarehouse()
+        lone.add_foreign(self.phi, far.patch_id, CCVariable(Box((4, 0, 0), (5, 2, 4))))
+        lone.add_foreign(self.phi, far.patch_id, CCVariable(Box((4, 2, 0), (5, 4, 4))))
+        lone.add_foreign(self.phi, far.patch_id, CCVariable(Box((7, 0, 0), (8, 4, 4))))
+        out = lone.get_region(self.phi, self.level, Box((4, 0, 0), (6, 4, 4)), default=-1.0)
+        assert (lone.stats.pieces_tested, lone.stats.pieces_pasted) == (3, 2)
+        assert (out[0] == 0.0).all() and (out[1] == -1.0).all()
+
+        registry = MetricsRegistry()
+        self.dw.publish_metrics(registry, rank=0)
+        assert registry.value("dw.pieces_tested", rank=0) == 7
+        assert registry.value("dw.pieces_pasted", rank=0) == 4
+        assert registry.value("dw.region_assemblies", rank=0) == 2
+
+    def test_gather_cost_ignores_unrelated_labels_and_patches(self):
+        """The scaling guard, as a count: what a gather examines depends
+        on the patches its region meets, not on what else is stored."""
+        near, far = self.patch_at((0, 0, 0)), self.patch_at((4, 0, 0))
+        region = Box((2, 0, 0), (6, 4, 4))
+
+        def gather_cost():
+            before = self.dw.stats.pieces_tested
+            self.dw.get_region(self.phi, self.level, region)
+            return self.dw.stats.pieces_tested - before
+
+        self.dw.put(self.phi, near.patch_id, CCVariable(near.box))
+        self.dw.add_foreign(self.phi, far.patch_id, CCVariable(Box((4, 0, 0), (6, 4, 4))))
+        assert gather_cost() == 2
+        for name in ("psi", "chi", "abskg"):
+            self.put_all(cc(name))
+            for p in self.patches:
+                for _ in range(25):
+                    self.dw.add_foreign(cc(name), p.patch_id, CCVariable(p.box))
+        for p in self.patches:      # phi pieces of patches the region misses
+            if not p.box.intersects(region):
+                for _ in range(25):
+                    self.dw.add_foreign(self.phi, p.patch_id, CCVariable(p.box))
+        assert gather_cost() == 2
 
     def test_level_vars(self):
         lbl = per_level("coarse_abskg")

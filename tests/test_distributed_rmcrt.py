@@ -9,7 +9,8 @@ invisible to the physics.
 import numpy as np
 import pytest
 
-from repro.dw import GPUDataWarehouse
+from repro.dw import GPUDataWarehouse, VarKind
+from repro.grid import LoadBalancer
 from repro.radiation import BurnsChristonBenchmark
 from repro.core import (
     DIVQ,
@@ -17,6 +18,8 @@ from repro.core import (
     MultiLevelRMCRT,
     benchmark_property_init,
 )
+from repro.core.distributed import ABSKG, CELL_TYPE, SIGMA_T4
+from repro.runtime import DistributedScheduler, gather_cc
 from repro.util.errors import ReproError
 
 
@@ -124,3 +127,44 @@ class TestValidation:
         # 3 coarse property arrays broadcast to every rank except the
         # coarsen task's own
         assert len(level_msgs) == 3 * 3
+
+
+class TestGhostGather:
+    @pytest.mark.parametrize("num_ranks", [1, 2, 4])
+    def test_every_gather_equals_the_global_field(self, num_ranks):
+        """After a run each rank's warehouse holds its own patches plus
+        the foreign pieces it was sent; every region a trace or coarsen
+        task gathers from it, for every label, must be that window of
+        the global field (NaN where the window leaves the domain)."""
+        bench = BurnsChristonBenchmark(resolution=24)
+        grid = bench.two_level_grid(refinement_ratio=4, fine_patch_size=8)
+        drm = DistributedRMCRT(
+            grid, benchmark_property_init(bench), rays_per_cell=1, halo=2, seed=1
+        )
+        fine = grid.finest_level
+        domain = fine.domain_box
+        graph = drm.build_graph(
+            assignment=LoadBalancer(num_ranks).assign(fine.patches), num_ranks=num_ranks
+        )
+        rank_dws = DistributedScheduler(num_ranks).execute(graph)
+        fields = {
+            label.name: gather_cc(graph, rank_dws, label, fine.index)
+            for label in (ABSKG, SIGMA_T4, CELL_TYPE)
+        }
+        gathers = 0
+        for dt in graph.detailed_tasks:
+            for req in dt.task.requires:
+                if req.label.kind is not VarKind.CELL_CENTERED:
+                    continue
+                region = dt.patch.box.grow(req.num_ghost)
+                inside = region.intersect(domain)
+                expected = np.full(region.extent, np.nan)
+                expected[inside.slices(origin=region.lo)] = fields[req.label.name][
+                    inside.slices(origin=domain.lo)
+                ]
+                got = rank_dws[dt.rank].get_region(
+                    req.label, fine, region, default=np.nan
+                )
+                np.testing.assert_array_equal(got, expected)
+                gathers += 1
+        assert gathers == (27 + 1) * 3      # 27 traces and the coarsen

@@ -1,13 +1,18 @@
 """Tests for Patch, Level, Grid, and decomposition."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.grid import (
     Box,
     Grid,
     Level,
     Patch,
+    TiledRegridder,
     build_single_level_grid,
     build_two_level_grid,
     decompose_level,
@@ -197,3 +202,117 @@ class TestGrid:
         ids = [p.patch_id for p in grid.all_patches()]
         assert len(ids) == len(set(ids))
         assert grid.total_patches == 8 + 1
+
+
+def linear_scan(level, region):
+    """What ``patches_intersecting`` must return: every overlapping
+    patch, in ``level.patches`` order."""
+    return [p for p in level.patches if p.box.intersects(region)]
+
+
+def split_tiling(domain, rng, max_pieces):
+    """An irregular disjoint tiling: split a random piece along a random
+    axis at a random cut until there are ``max_pieces`` (or no room)."""
+    pieces = [domain]
+    for _ in range(4 * max_pieces):
+        if len(pieces) >= max_pieces:
+            break
+        box = pieces.pop(rng.randrange(len(pieces)))
+        axis = rng.randrange(3)
+        if box.extent[axis] < 2:
+            pieces.append(box)
+            continue
+        cut = rng.randrange(box.lo[axis] + 1, box.hi[axis])
+        lo_hi, hi_lo = list(box.hi), list(box.lo)
+        lo_hi[axis] = hi_lo[axis] = cut
+        pieces += [Box(box.lo, lo_hi), Box(hi_lo, box.hi)]
+    return pieces
+
+
+def query_regions(level, rng, count=12):
+    """Ghost-grown patches, random boxes, and the awkward cases."""
+    domain = level.domain_box
+    regions = [p.box.grow(rng.randrange(0, 4)) for p in level.patches]
+    for _ in range(count):
+        lo = [rng.randrange(domain.lo[d] - 3, domain.hi[d] + 3) for d in range(3)]
+        regions.append(Box.from_extent(lo, [rng.randrange(0, 9) for _ in range(3)]))
+    regions += [
+        domain,
+        domain.grow(10 ** 9),                   # far larger than the level
+        Box.cube(4, lo=(10 ** 6, 0, 0)),        # far outside it
+        Box(domain.hi, domain.lo),              # inverted, so empty
+    ]
+    return regions
+
+
+class TestPatchIndex:
+    @given(st.integers(0, 10 ** 6), st.integers(1, 40), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_linear_scan_on_random_tilings(self, seed, max_pieces, holes):
+        rng = random.Random(seed)
+        domain = Box.from_extent(
+            [rng.randrange(-4, 5) for _ in range(3)],
+            [rng.randrange(1, 25) for _ in range(3)],
+        )
+        boxes = split_tiling(domain, rng, max_pieces)
+        if holes:
+            boxes = boxes[::2]
+        rng.shuffle(boxes)                      # patch order != spatial order
+        level = Level(0, domain, (1.0,) * 3)
+        for pid, box in enumerate(boxes[: len(boxes) // 2 + 1]):
+            level.add_patch(Patch(100 + pid, 0, box))
+        for region in query_regions(level, rng):
+            assert level.patches_intersecting(region) == linear_scan(level, region)
+        # patches registered after the index exists must show up in it
+        for pid, box in enumerate(boxes[len(boxes) // 2 + 1:]):
+            level._register_patch(Patch(500 + pid, 0, box))
+            assert level.patches_intersecting(box) == linear_scan(level, box)
+        for region in query_regions(level, rng):
+            assert level.patches_intersecting(region) == linear_scan(level, region)
+
+    def test_one_giant_patch_among_small_ones(self):
+        """A patch far above the median must not blow the lattice up."""
+        level = Level(0, Box.cube(4096), (1.0,) * 3)
+        small = [Box.cube(2, lo=(2 * i, 0, 0)) for i in range(9)]
+        for pid, box in enumerate(small + [Box((0, 2, 0), (4096, 4096, 4096))]):
+            level.add_patch(Patch(pid, 0, box))
+        rng = random.Random(7)
+        for region in query_regions(level, rng) + [Box.cube(3, lo=(1, 1, 0))]:
+            assert level.patches_intersecting(region) == linear_scan(level, region)
+        assert sum(map(len, level._patch_index._bins.values())) <= 8 * 10
+
+    def test_regular_tiling_tests_only_the_neighbours(self, monkeypatch):
+        lvl = Level(0, Box.cube(64), (1.0,) * 3)
+        decompose_level(lvl, (8, 8, 8))            # 512 patches
+        centre = next(p for p in lvl.patches if p.box.lo == (24, 24, 24))
+        lvl.patches_intersecting(centre.box)       # build the index
+        tests = []
+        real = Box.intersects
+        monkeypatch.setattr(
+            Box, "intersects", lambda a, b: tests.append(1) or real(a, b)
+        )
+        assert len(lvl.patches_intersecting(centre.box.grow(2))) == 27
+        assert len(tests) == 27
+        del tests[:]
+        assert lvl.patches_intersecting(centre.box) == [centre]
+        assert len(tests) == 1
+
+    def test_regridded_levels(self):
+        """The tests/test_regrid.py grids: sparse tiles registered
+        through the trusted path, ids offset past the coarse level's."""
+        coarse = Grid()
+        decompose_level(coarse.add_level(Box.cube(16), (1 / 16,) * 3), (8, 8, 8))
+        two_flags = np.zeros((16, 16, 16), dtype=bool)
+        two_flags[2, 3, 4] = two_flags[12, 12, 12] = True
+        blob = np.zeros((16, 16, 16), dtype=bool)
+        blob[3:11, 5:9, 2:14] = True
+        rng = random.Random(3)
+        for flags, size, ratio in ((two_flags, 8, 4), (blob, 8, 2), (blob, 4, 4)):
+            new_grid, patches = TiledRegridder(size, ratio).regrid(
+                coarse, flags, patch_id_offset=8
+            )
+            fine = new_grid.finest_level
+            assert fine.patches == patches and not fine.is_fully_tiled()
+            for level in new_grid.levels:
+                for region in query_regions(level, rng):
+                    assert level.patches_intersecting(region) == linear_scan(level, region)

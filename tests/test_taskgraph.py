@@ -3,9 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.grid import Box, Grid, decompose_level
+from repro.core import DistributedRMCRT
+from repro.grid import (
+    Box,
+    Grid,
+    Level,
+    LoadBalancer,
+    build_two_level_grid,
+    decompose_level,
+)
 from repro.dw import DataWarehouse, cc, per_level, reduction
-from repro.runtime import Computes, Requires, Task, TaskContext, TaskGraph
+from repro.runtime import (
+    Computes,
+    DistributedScheduler,
+    Requires,
+    Task,
+    TaskContext,
+    TaskGraph,
+    gather_cc,
+)
 from repro.util.errors import SchedulerError
 
 
@@ -263,3 +279,92 @@ class TestTaskContext:
         ctx = TaskContext(task, patch, grid.level(0), None, dw)
         ctx.compute_reduction(lbl, 3.0)
         assert dw.get_reduction(lbl).value == 3.0
+
+
+class TestProducerLookup:
+    """Producers of a ghosted requirement are found through the patch
+    index of the consumer's own level."""
+
+    def test_ghosts_never_cross_levels(self):
+        """A label computed on two levels: a fine consumer depends on
+        the fine producers only. Box overlap across index spaces is
+        meaningless, and the stray messages it produced carried coarse
+        data into fine gathers."""
+        grid = build_two_level_grid(16, 2, fine_patch_size=8, coarse_patch_size=4)
+
+        def init(value):
+            return lambda ctx: ctx.compute(PHI, np.full(ctx.patch.box.extent, value))
+
+        def smooth(ctx):
+            ghost = ctx.require(PHI, default=np.nan)
+            ctx.compute(PSI, np.full(ctx.patch.box.extent, np.nanmin(ghost)))
+
+        tg = TaskGraph(grid)
+        tg.add_task(Task("init0", init(0.0), computes=[Computes(PHI)]), 0)
+        tg.add_task(Task("init1", init(1.0), computes=[Computes(PHI)]), 1)
+        tg.add_task(
+            Task("smooth", smooth, requires=[Requires(PHI, num_ghost=1)],
+                 computes=[Computes(PSI)]),
+            1,
+        )
+        graph = tg.compile()
+        by_id = {t.dtask_id: t for t in graph.detailed_tasks}
+        for t in graph.detailed_tasks:
+            if t.task.name == "smooth":
+                assert {by_id[d].task.name for d in t.internal_deps} == {"init1"}
+                assert len(t.internal_deps) == 8    # 2x2x2: all are neighbours
+
+        assign = {p.patch_id: p.patch_id % 3 for p in grid.all_patches()}
+        graph = tg.compile(assignment=assign, num_ranks=3)
+        assert graph.messages
+        for m in graph.messages:
+            assert by_id[m.src_dtask_id].level_index == m.level_index == 1
+            assert grid.level(1).patch(m.src_patch_id).box.contains_box(m.region)
+        rank_dws = DistributedScheduler(3).execute(graph)
+        assert (gather_cc(graph, rank_dws, PSI, 1) == 1.0).all()
+
+    def test_overlap_tests_bounded_by_neighbour_count(self, monkeypatch):
+        """The scaling guard, as a count: on the 512-patch, 4-rank RMCRT
+        graph each (consumer, requirement) tests the <= 27 patches around
+        it, not all 512 producers of the label."""
+        grid = build_two_level_grid(64, 4, fine_patch_size=8)
+        fine = grid.finest_level
+        assert fine.num_patches == 512
+        tg = DistributedRMCRT(grid, lambda level, box: {}, halo=2).build_taskgraph()
+
+        box_tests = [0]
+        queries = []        # (region, box tests inside the query, patches found)
+
+        def counted(method):
+            def wrapper(a, b):
+                box_tests[0] += 1
+                return method(a, b)
+            return wrapper
+
+        real_query = Level.patches_intersecting
+
+        def query(level, region):
+            before = box_tests[0]
+            found = real_query(level, region)
+            queries.append((region, box_tests[0] - before, len(found)))
+            return found
+
+        monkeypatch.setattr(Box, "intersects", counted(Box.intersects))
+        monkeypatch.setattr(Box, "intersect", counted(Box.intersect))
+        monkeypatch.setattr(Level, "patches_intersecting", query)
+        graph = tg.compile(
+            assignment=LoadBalancer(4).assign(fine.patches), num_ranks=4, validate=False
+        )
+        assert (len(graph.detailed_tasks), len(graph.messages)) == (1025, 6705)
+        # one lookup per (consumer, ghosted requirement): 512 traces and
+        # the level-wide coarsen, three labels each
+        assert len(queries) == (512 + 1) * 3
+        for region, tests, found in queries:
+            if region == fine.domain_box:       # coarsen reads every patch
+                assert tests == found == 512
+            else:
+                assert found <= tests <= 27
+        # beyond the lookups, at most one overlap per producer found
+        lookups = sum(tests for _, tests, _ in queries)
+        assert box_tests[0] - lookups <= sum(found for _, _, found in queries)
+        assert box_tests[0] <= 2 * (27 * 512 * 3 + 512 * 3)

@@ -67,7 +67,7 @@ def march_single_ray(
     sum_i = float(sum_i0)
     tcur = 0.0
     log_threshold = -math.log(threshold)
-    lo = fields.ring_lo
+    lo = fields.box.lo
     abskg, st4, ctype = fields.abskg, fields.sigma_t4, fields.cell_type
     inv_pi = 1.0 / math.pi
 

@@ -27,6 +27,11 @@ playing the role of the K20X's SIMT lanes:
   arrays, and one gather of a per-call int8 *cell class* (the status a
   ray ends with on entering the cell: wall, or outside the ROI) replaces
   the cell-type lookup and the six ROI compares.
+* **stacked windows.** One launch serves several patch tasks: their
+  fine windows' raveled arrays are laid end to end, a lane's flat index
+  starts at its window's base and steps by its window's strides (the
+  step is a per-lane row already), so lanes of different patches share
+  each step's fixed cost and never each other's data.
 * **mask-multiply advance.** The crossed axis is picked by comparisons
   (first minimum, as ``argmin`` and the scalar oracle pick it) and
   advanced by ``t_a += is_a * tdelta_a``: adding an exact 0 leaves the
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -113,21 +118,70 @@ class RayBatch:
         return np.nonzero(self.status == RayStatus.LEFT_ROI)[0]
 
 
-def _launch_state(fields, batch, launch, origins, from_handoff):
+def _stacked(parts):
+    """The windows' raveled arrays laid end to end (one window: itself)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _check_windows(windows, rois, window_of) -> None:
+    """Every lane must stay inside its own window: a ray ends in the wall
+    ring or, with an ROI, at most one cell outside it."""
+    first = windows[0]
+    if len(rois) != len(windows):
+        raise ReproError(f"{len(windows)} windows but {len(rois)} rois")
+    if len(windows) > 1 and window_of is None:
+        raise ReproError("a launch over several windows needs window_of")
+    for w, roi in zip(windows, rois):
+        ring = w.ring_box
+        if (w.dx, w.anchor) != (first.dx, first.anchor):
+            raise ReproError("the windows of one launch must be of one level")
+        if roi is not None and not ring.contains_box(roi):
+            raise ReproError(f"roi {roi} escapes level ring box {ring}")
+        if w.window is not None and (
+            roi is None or not w.window.contains_box(roi.grow(1).intersect(ring))
+        ):
+            raise ReproError(
+                f"window {w.window} must hold its roi and the cells around it, got roi {roi}"
+            )
+
+
+def _cell_class(wall: np.ndarray, box: Box, roi: Optional[Box]) -> np.ndarray:
+    """The status a ray ends with on entering each cell of one window
+    (ALIVE: marches on); outside the ROI wins over wall."""
+    if roi is None:
+        return wall.astype(np.int8)  # True is WALL_HIT
+    cell_class = np.full(wall.shape, _LEFT_ROI, dtype=np.int8)
+    inside = roi.slices(origin=box.lo)
+    cell_class[inside] = wall[inside]
+    return cell_class
+
+
+def _launch_state(windows, window_of, batch, launch, origins, from_handoff):
     """Amanatides-Woo set-up of the rays ``launch``, packed by axis.
 
     Returns the float rows ``tau, sum_i, tcur, trans, tmax x/y/z, tdelta
     x/y/z`` and the int rows ``lane`` (batch row), ``flat`` (cell offset
-    into the raveled ring-box arrays), ``fstep x/y/z`` (offset step per
-    axis crossing). Everything of shape (n, 3) dies with this frame: the
-    march's memory high-water mark is the packed state.
+    into the stacked raveled arrays: the lane's window base plus its
+    offset in that window), ``fstep x/y/z`` (offset step per axis
+    crossing, by the lane's window's strides). Everything of shape
+    (n, 3) dies with this frame: the march's memory high-water mark is
+    the packed state.
     """
     n = launch.size
     start_pos = origins[launch]
     dirs = batch.directions[launch]
-    cell = fields.position_to_cell(start_pos, nudge_dir=dirs if from_handoff else None)
-    extent, lo = fields.ring_box.extent, fields.ring_lo
-    strides = (extent[1] * extent[2], extent[2], 1)
+    level = windows[0]  # anchor and spacing are the level's, shared by every window
+    cell = level.position_to_cell(start_pos, nudge_dir=dirs if from_handoff else None)
+    # per window: array origin x/y/z, strides x/y/z, base offset in the stack
+    geometry, offset = [], 0
+    for w in windows:
+        extent = w.box.extent
+        geometry.append((*w.box.lo, extent[1] * extent[2], extent[2], 1, offset))
+        offset += w.box.volume
+    geometry = np.array(geometry, dtype=np.int64).T
+    # scalars for a lone window, per-lane rows for a fused launch
+    geometry = geometry[:, 0] if len(windows) == 1 else geometry[:, window_of[launch]]
+    lo, strides, base = geometry[:3], geometry[3:6], geometry[6]
     fstate = np.empty((10, n))
     istate = np.empty((5, n), dtype=np.int64)
     tau, sum_i, tcur, trans = fstate[:4]
@@ -137,30 +191,31 @@ def _launch_state(fields, batch, launch, origins, from_handoff):
     sum_i[:] = batch.sum_i[launch]
     tcur[:] = 0.0
     np.exp(-tau, out=trans)
-    flat[:] = 0
+    flat[:] = base
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(3):
             d, c = dirs[:, a], cell[:, a]
             moving = d != 0.0
             step = np.sign(d).astype(np.int64)
-            next_bound = fields.anchor[a] + (c + (step > 0)) * fields.dx[a]
+            next_bound = level.anchor[a] + (c + (step > 0)) * level.dx[a]
             fstate[4 + a] = np.where(moving, (next_bound - start_pos[:, a]) / d, np.inf)
             # 0, not inf, on an axis the ray never crosses: the advance
             # multiplies by the axis mask, and False * inf is NaN
-            fstate[7 + a] = np.where(moving, fields.dx[a] / np.abs(d), 0.0)
+            fstate[7 + a] = np.where(moving, level.dx[a] / np.abs(d), 0.0)
             istate[2 + a] = step * strides[a]
             flat += (c - lo[a]) * strides[a]
     return fstate, istate
 
 
 def march(
-    fields: LevelFields,
+    fields: Union[LevelFields, Sequence[LevelFields]],
     batch: RayBatch,
-    roi: Optional[Box] = None,
+    roi: Union[None, Box, Sequence[Box]] = None,
     threshold: float = 1e-4,
     reflections: bool = False,
     max_steps: Optional[int] = None,
     from_handoff: bool = False,
+    window_of: Optional[np.ndarray] = None,
 ) -> RayBatch:
     """March every ALIVE/LEFT_ROI ray of ``batch`` through ``fields``.
 
@@ -169,6 +224,15 @@ def march(
     with status LEFT_ROI and a recorded exit position. Without ``roi``
     rays always terminate inside the wall ring, which encloses the
     domain by construction.
+
+    One launch can serve several patch tasks: ``fields`` is then a
+    sequence of K windows of one level, ``roi`` the matching sequence of
+    boxes and ``window_of[r]`` the window ray ``r`` marches in. Each lane
+    reads its own window's data under its own ROI — the windows' raveled
+    arrays are laid end to end and a lane's flat index starts at its
+    window's base and steps by its window's strides — so the result is
+    bit-identical to K separate marches. A lone ``LevelFields`` is the
+    K = 1 case of the same loop.
 
     ``from_handoff`` re-launches previously parked rays from their exit
     positions (nudged along the direction so positions exactly on a
@@ -179,9 +243,10 @@ def march(
     holding every ray's heading after its last reflection, so a parked
     ray continues the right way on the coarser level.
     """
-    ring = fields.ring_box
-    if roi is not None and not ring.contains_box(roi):
-        raise ReproError(f"roi {roi} escapes level ring box {ring}")
+    windows = [fields] if isinstance(fields, LevelFields) else list(fields)
+    rois = [roi] * len(windows) if roi is None or isinstance(roi, Box) else list(roi)
+    _check_windows(windows, rois, window_of)
+    parking = any(r is not None for r in rois)
 
     if from_handoff:
         launch = np.nonzero(batch.status == RayStatus.LEFT_ROI)[0]
@@ -192,7 +257,7 @@ def march(
     n = launch.size
     if n == 0:
         return batch
-    mirror = roi is not None and reflections
+    mirror = parking and reflections
     if mirror:
         # a reflection mirrors the origin and flips the direction of a
         # ray that may park later: work on copies, not the caller's arrays
@@ -200,26 +265,20 @@ def march(
         batch.directions = batch.directions.copy()
     directions = batch.directions
 
-    fstate, istate = _launch_state(fields, batch, launch, origins, from_handoff)
+    fstate, istate = _launch_state(windows, window_of, batch, launch, origins, from_handoff)
     tau, sum_i, tcur, trans, t0, t1, t2, d0, d1, d2 = fstate
     lane, flat, s0, s1, s2 = istate
-    extent = ring.extent
 
-    abskg = fields.abskg.reshape(-1)
-    emis = (fields.sigma_t4 * _INV_PI).reshape(-1)
-    # the status a ray ends with on entering each cell (ALIVE: marches on);
-    # outside the ROI wins over wall
-    wall = fields.cell_type != CellType.FLOW
-    cell_class = wall.astype(np.int8)  # True is WALL_HIT
-    if roi is not None:
-        outside = np.ones(extent, dtype=bool)
-        outside[roi.slices(origin=ring.lo)] = False
-        cell_class[outside] = _LEFT_ROI
-    cell_class = cell_class.reshape(-1)
+    abskg = _stacked([w.abskg.reshape(-1) for w in windows])
+    emis = _stacked([(w.sigma_t4 * _INV_PI).reshape(-1) for w in windows])
+    walls = [w.cell_type != CellType.FLOW for w in windows]
+    cell_class = _stacked(
+        [_cell_class(wall, w.box, r).reshape(-1) for wall, w, r in zip(walls, windows, rois)]
+    )
 
     log_threshold = -np.log(threshold)
     if max_steps is None:
-        max_steps = 16 * (extent[0] + extent[1] + extent[2] + 3)
+        max_steps = 16 * (max(sum(w.box.extent) for w in windows) + 3)
 
     def retire(state: np.ndarray):
         """Scatter the lanes ``state`` finishes to the batch; returns the
@@ -230,7 +289,7 @@ def march(
         batch.status[out] = status
         batch.tau[out] = tau[done]
         batch.sum_i[out] = sum_i[done]
-        if roi is not None:
+        if parking:
             parked = done[status == _LEFT_ROI]
             out = lane[parked]
             batch.exit_pos[out] = origins[out] + tcur[parked, None] * directions[out]
@@ -240,11 +299,12 @@ def march(
     # a ray may launch already inside a wall cell (e.g. parked exactly on
     # the domain face and handed to a coarser level): it has reached the
     # wall — absorb it before the march
-    state = wall.reshape(-1).take(flat).view(np.int8)
+    state = _stacked([wall.reshape(-1) for wall in walls]).take(flat).view(np.int8)
     if state.any():
-        w = np.nonzero(state)[0]
-        f = flat[w]
-        sum_i[w] += abskg[f] * fields.sigma_t4.reshape(-1)[f] * _INV_PI * trans[w]
+        at_wall = np.nonzero(state)[0]
+        f = flat[at_wall]
+        sigma_t4 = _stacked([w.sigma_t4.reshape(-1) for w in windows])
+        sum_i[at_wall] += abskg[f] * sigma_t4[f] * _INV_PI * trans[at_wall]
         fstate, istate = retire(state)
 
     steps = ray_steps = 0

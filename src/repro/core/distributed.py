@@ -14,11 +14,20 @@ solve but three task types compiled into the per-timestep graph —
    the patch's rays over fine data restricted to the patch ROI plus the
    shared coarse levels, computing del.q.
 
-Faithfulness guard: the trace task materializes fine-level data ONLY
-inside its declared ROI (everything else is NaN), so any kernel read
-outside the data the task graph actually communicated poisons the
-result instead of silently using data a real distributed run would not
-have.
+A rank's ready trace tasks run as one launch: the task declares its
+share of a launch (its rays over ``FUSED_LAUNCH_RAYS``), the rank loop
+hands the callback every ready instance that fits, and their rays march
+together (:func:`~repro.core.kernels.trace_patch_multi_level`) — the
+paper's many patch tasks sharing one device and one resident coarse
+level.
+
+Faithfulness guard: each trace task's fine data is a *window* of the
+fine level — its ROI and the cells around it — holding ONLY what the
+task graph communicated to it (everything else is NaN), so a kernel
+read outside that data poisons the patch's result instead of silently
+using data a real distributed run would not have. The guard is per
+window: in a fused launch each lane reads its own task's window, and
+the error names the patch whose window was over-read.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from repro.grid.refinement import coarsen_average, coarsen_max
 from repro.dw.label import cc, per_level
 from repro.radiation.constants import SIGMA_SB
 from repro.core.fields import LevelFields
-from repro.core.kernels import patch_roi, trace_patch_multi_level
+from repro.core.kernels import FUSED_LAUNCH_RAYS, patch_roi, trace_patch_multi_level
 from repro.core.single_level import RMCRTResult
 from repro.runtime.scheduler import (
     DistributedScheduler,
@@ -138,14 +147,15 @@ class DistributedRMCRT:
             ctx.compute_level(labels["sigma_t4"], st4)
             ctx.compute_level(labels["cell_type"], ct)
 
-    def _wall_ring_fields(self, level: Level) -> LevelFields:
-        """Level-shaped arrays pre-filled with the wall ring; interior NaN."""
+    def _wall_ring_fields(self, level: Level, window: Optional[Box] = None) -> LevelFields:
+        """Arrays over ``window`` of the level (default: its whole ring
+        box) pre-filled with the wall ring; interior NaN."""
         interior = level.domain_box
-        ring = interior.grow(1)
-        abskg = np.full(ring.extent, self.wall_emissivity)
-        st4 = np.full(ring.extent, SIGMA_SB * self.wall_temperature ** 4)
-        ct = np.full(ring.extent, CellType.WALL, dtype=np.int8)
-        inner = interior.slices(origin=ring.lo)
+        box = window if window is not None else interior.grow(1)
+        abskg = np.full(box.extent, self.wall_emissivity)
+        st4 = np.full(box.extent, SIGMA_SB * self.wall_temperature ** 4)
+        ct = np.full(box.extent, CellType.WALL, dtype=np.int8)
+        inner = interior.intersect(box).slices(origin=box.lo)
         abskg[inner] = np.nan
         st4[inner] = np.nan
         ct[inner] = CellType.FLOW
@@ -156,63 +166,63 @@ class DistributedRMCRT:
             interior=interior,
             dx=level.dx,
             anchor=level.anchor,
+            window=window,
         )
 
-    def _build_fields(self, ctx):
-        """Assemble the per-task level fields (fine ROI + coarse levels)
-        from the DataWarehouse — shared by the trace and boundary-flux
-        callbacks. Returns (all_fields coarsest-first, roi)."""
-        fine_level = self.grid.finest_level
-        interior = fine_level.domain_box
-        roi = patch_roi(interior, ctx.patch.box, self.halo)
-
-        fine = self._wall_ring_fields(fine_level)
-        data_region = ctx.patch.box.grow(self.halo).intersect(interior)
-        sl = data_region.slices(origin=fine.ring_lo)
-        ghost_region = ctx.patch.box.grow(self.halo)
-
-        def paste(arr_name, label):
-            ghost = ctx.require(label, default=np.nan)
-            piece = ghost[data_region.slices(origin=ghost_region.lo)]
-            getattr(fine, arr_name)[sl] = piece
-
-        paste("abskg", ABSKG)
-        paste("sigma_t4", SIGMA_T4)
-        ct_ghost = ctx.require(CELL_TYPE, default=float(CellType.WALL))
-        fine.cell_type[sl] = ct_ghost[
-            data_region.slices(origin=ghost_region.lo)
-        ].astype(np.int8)
-
-        all_fields: List[LevelFields] = []
-        for idx in range(self.grid.num_levels - 1):
+    def _coarse_fields(self, ctx) -> List[LevelFields]:
+        """The coarse levels from the DataWarehouse, coarsest-first —
+        shared by every task of a launch."""
+        coarse_fields = []
+        for idx, labels in self._coarse_labels.items():
             level = self.grid.level(idx)
-            labels = self._coarse_labels[idx]
             coarse = self._wall_ring_fields(level)
-            inner = level.domain_box.slices(origin=coarse.ring_lo)
+            inner = level.domain_box.slices(origin=coarse.box.lo)
             coarse.abskg[inner] = ctx.require_level(labels["abskg"])
             coarse.sigma_t4[inner] = ctx.require_level(labels["sigma_t4"])
             coarse.cell_type[inner] = ctx.require_level(labels["cell_type"]).astype(np.int8)
-            all_fields.append(coarse)
-        all_fields.append(fine)
-        return all_fields, roi
+            coarse_fields.append(coarse)
+        return coarse_fields
 
-    def _trace_cb(self, ctx) -> None:
-        all_fields, roi = self._build_fields(ctx)
-        rng = spawn_stream(self.seed, 0, ctx.patch.patch_id)
-        divq = trace_patch_multi_level(
-            all_fields,
-            ctx.patch.box,
-            roi,
+    def _fine_window(self, ctx):
+        """A task's fine data as a window of the fine level, assembled
+        from the DataWarehouse: the ROI and the cells around it (a ray
+        parks one cell outside), holding what the task was sent and NaN
+        where it was sent nothing. Returns (window, roi)."""
+        fine_level = self.grid.finest_level
+        interior = fine_level.domain_box
+        roi = patch_roi(interior, ctx.patch.box, self.halo)
+        fine = self._wall_ring_fields(fine_level, roi.grow(1).intersect(interior.grow(1)))
+        ghost_region = ctx.patch.box.grow(self.halo)
+        data_region = ghost_region.intersect(interior)
+        sl = data_region.slices(origin=fine.box.lo)
+        sent = data_region.slices(origin=ghost_region.lo)
+        fine.abskg[sl] = ctx.require(ABSKG, default=np.nan)[sent]
+        fine.sigma_t4[sl] = ctx.require(SIGMA_T4, default=np.nan)[sent]
+        ct_ghost = ctx.require(CELL_TYPE, default=float(CellType.WALL))
+        fine.cell_type[sl] = ct_ghost[sent].astype(np.int8)
+        return fine, roi
+
+    def _trace_cb(self, ctxs) -> None:
+        """One launch for the patches of ``ctxs``: a window each, the
+        coarse levels assembled once."""
+        patches = []
+        for ctx in ctxs:
+            window, roi = self._fine_window(ctx)
+            rng = spawn_stream(self.seed, 0, ctx.patch.patch_id)
+            patches.append((window, ctx.patch.box, roi, rng))
+        divqs = trace_patch_multi_level(
+            self._coarse_fields(ctxs[0]),
+            patches,
             self.rays_per_cell,
-            rng,
             threshold=self.threshold,
         )
-        if np.isnan(divq).any():
-            raise ReproError(
-                f"trace on patch {ctx.patch.patch_id} read cells outside its "
-                f"ROI (NaN poisoning fired) — halo/ROI declaration is wrong"
-            )
-        ctx.compute(DIVQ, divq)
+        for ctx, divq in zip(ctxs, divqs):
+            if np.isnan(divq).any():
+                raise ReproError(
+                    f"trace on patch {ctx.patch.patch_id} read cells outside its "
+                    f"ROI (NaN poisoning fired) — halo/ROI declaration is wrong"
+                )
+            ctx.compute(DIVQ, divq)
 
     def _bflux_cb(self, ctx) -> None:
         """Incident radiative flux in the patch's wall-adjacent cells —
@@ -220,7 +230,8 @@ class DistributedRMCRT:
         computed with multi-level radiometer rays."""
         from repro.core.boundary_flux import WALLS, incident_flux_multilevel
 
-        all_fields, roi = self._build_fields(ctx)
+        window, roi = self._fine_window(ctx)
+        all_fields = [*self._coarse_fields(ctx), window]
         interior = self.grid.finest_level.domain_box
         flux = np.zeros(ctx.patch.box.extent)
         for axis, side in WALLS:
@@ -302,6 +313,9 @@ class DistributedRMCRT:
                 requires=trace_requires,
                 computes=[Computes(DIVQ)],
                 device=self.device,
+                launch_share=lambda patch: (
+                    patch.num_cells * self.rays_per_cell / FUSED_LAUNCH_RAYS
+                ),
             ),
             fine_idx,
         )

@@ -2,16 +2,18 @@
 
 A :class:`LevelFields` is the device-side view of one mesh level:
 the three radiative-property arrays (with their one-cell wall ring)
-plus the geometric metadata (spacing, anchor, ring origin) the DDA
+plus the geometric metadata (spacing, anchor, array origin) the DDA
 needs to convert between physical positions and array offsets. This is
 exactly what the GPU DataWarehouse's level database stores once per
 level and shares across all patch tasks on a GPU (paper Section III.C).
+A patch task's fine data is a *window*: the same bundle with arrays
+cropped to the cells the task holds, cell indices still the level's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +25,11 @@ from repro.util.errors import GridError
 
 @dataclass
 class LevelFields:
-    """Marching view of one level's radiative properties."""
+    """Marching view of one level's radiative properties.
+
+    The arrays cover :attr:`box`: the level's whole ring box, or the
+    ``window`` of it they were cropped to.
+    """
 
     abskg: np.ndarray
     sigma_t4: np.ndarray
@@ -31,13 +37,16 @@ class LevelFields:
     interior: Box
     dx: Tuple[float, float, float]
     anchor: Tuple[float, float, float]
+    window: Optional[Box] = None
 
     def __post_init__(self) -> None:
-        expected = self.interior.grow(1).extent
+        if self.window is not None and not self.ring_box.contains_box(self.window):
+            raise GridError(f"window {self.window} escapes level ring box {self.ring_box}")
+        expected = self.box.extent
         for name in ("abskg", "sigma_t4", "cell_type"):
             if tuple(getattr(self, name).shape) != expected:
                 raise GridError(
-                    f"{name} shape {getattr(self, name).shape} != ring extent {expected}"
+                    f"{name} shape {getattr(self, name).shape} != box extent {expected}"
                 )
         self.dx = tuple(float(v) for v in self.dx)
         self.anchor = tuple(float(v) for v in self.anchor)
@@ -47,8 +56,9 @@ class LevelFields:
         return self.interior.grow(1)
 
     @property
-    def ring_lo(self):
-        return self.ring_box.lo
+    def box(self) -> Box:
+        """The cells the arrays cover; array offset = cell index - ``box.lo``."""
+        return self.window if self.window is not None else self.ring_box
 
     @staticmethod
     def from_properties(level: Level, props: RadiativeProperties) -> "LevelFields":
@@ -86,8 +96,8 @@ class LevelFields:
         return np.asarray(self.anchor) + (np.asarray(cell, dtype=np.float64) + 0.5) * np.asarray(self.dx)
 
     def offsets(self, cell: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array offsets for cell indices (caller guarantees in-ring)."""
-        lo = self.ring_lo
+        """Array offsets for cell indices (caller guarantees in-box)."""
+        lo = self.box.lo
         c = np.asarray(cell)
         return c[..., 0] - lo[0], c[..., 1] - lo[1], c[..., 2] - lo[2]
 

@@ -13,7 +13,7 @@ its working set fits the K20X's 6 GB (paper Section III.C).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +27,14 @@ from repro.util.errors import ReproError
 #: default rays per kernel launch chunk
 DEFAULT_CHUNK_RAYS = 1 << 17
 
+#: rays a fused launch aims for: ready patch tasks of one rank march
+#: together until their rays reach this. A DDA step costs a fixed ~35 us
+#: of NumPy calls however few lanes it carries, so tiny patches starve
+#: the kernel (the paper's contribution v); by ~2048 lanes that cost is
+#: under a third of a step, and wider launches buy little time for
+#: resident memory that grows with the width (EXPERIMENTS E21).
+FUSED_LAUNCH_RAYS = 1 << 11
+
 
 def divq_from_sums(
     fields: LevelFields, box: Box, sum_i_mean: np.ndarray, emission_scale: float = 1.0
@@ -39,7 +47,7 @@ def divq_from_sums(
     cells (intrusions — boiler tubes and the like) are not part of the
     participating medium: their del.q is zeroed, as in Uintah.
     """
-    sl = box.slices(origin=fields.ring_lo)
+    sl = box.slices(origin=fields.box.lo)
     kappa = fields.abskg[sl]
     st4 = fields.sigma_t4[sl]
     mean = sum_i_mean.reshape(box.extent)
@@ -51,13 +59,14 @@ def divq_from_sums(
 
 
 def march_chunked(
-    level_fields: Sequence[LevelFields],
+    level_fields: Sequence[Union[LevelFields, Sequence[LevelFields]]],
     origins: np.ndarray,
     directions: np.ndarray,
-    roi: Optional[Box] = None,
+    roi: Union[None, Box, Sequence[Box]] = None,
     threshold: float = 1e-4,
     reflections: bool = False,
     chunk_rays: int = DEFAULT_CHUNK_RAYS,
+    window_of: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """sum_i of every ray, marched at most ``chunk_rays`` per launch.
 
@@ -66,8 +75,10 @@ def march_chunked(
     successively coarser levels when they leave it. On levels below the
     finest, rays march over the *whole* level — every coarse level spans
     the domain by construction (Section III.C). One level and no ``roi``
-    is the single-level trace. Rays are independent, so the chunk size
-    changes memory use and nothing else.
+    is the single-level trace. The finest entry may be a sequence of
+    windows with ``roi`` their boxes and ``window_of`` each ray's window
+    (see :func:`~repro.core.dda.march`). Rays are independent, so the
+    chunk size changes memory use and nothing else.
     """
     sum_i = np.empty(origins.shape[0])
     stride = max(1, chunk_rays)
@@ -80,6 +91,7 @@ def march_chunked(
             roi=roi,
             threshold=threshold,
             reflections=reflections,
+            window_of=None if window_of is None else window_of[chunk],
         )
         # cascade: any parked ray continues on the next coarser level
         for coarse in reversed(level_fields[:-1]):
@@ -132,38 +144,57 @@ def trace_patch_single_level(
 
 
 def trace_patch_multi_level(
-    level_fields: list,
-    box: Box,
-    roi: Box,
+    coarse_fields: Sequence[LevelFields],
+    patches: Sequence[Tuple[LevelFields, Box, Box, np.random.Generator]],
     rays_per_cell: int,
-    rng: np.random.Generator,
     threshold: float = 1e-4,
     reflections: bool = False,
     centered_origins: bool = False,
     chunk_rays: int = DEFAULT_CHUNK_RAYS,
-) -> np.ndarray:
-    """del.q over a fine patch using the data-onion hierarchy.
+) -> List[np.ndarray]:
+    """del.q over fine patches using the data-onion hierarchy, the rays
+    of all of them in one launch.
 
-    ``level_fields`` is ordered coarsest-first; ``roi`` is the fine data
-    this patch task owns: patch + halo, plus any adjacent wall ring (see
-    :func:`march_chunked` for the cascade).
+    ``coarse_fields`` is ordered coarsest-first and shared. Each patch
+    is ``(fine, box, roi, rng)``: ``fine`` holds the fine data of the
+    task (the whole level or a window of it); ``roi`` is the fine data
+    the task owns: patch + halo, plus any adjacent wall ring (see
+    :func:`march_chunked` for the cascade); its rays are drawn from its
+    own ``rng``, so a patch's del.q does not depend on what it is
+    launched with. Returns one del.q per patch, in order.
     """
-    if len(level_fields) < 1:
-        raise ReproError("need at least one level")
-    fine = level_fields[-1]
-    if not fine.interior.contains_box(box):
-        raise ReproError(f"patch box {box} outside fine interior {fine.interior}")
-    if not fine.ring_box.contains_box(roi) or not roi.contains_box(box):
-        raise ReproError(f"roi {roi} must satisfy box <= roi <= fine ring box")
+    for fine, box, roi, _ in patches:
+        if not fine.interior.contains_box(box):
+            raise ReproError(f"patch box {box} outside fine interior {fine.interior}")
+        if not fine.ring_box.contains_box(roi) or not roi.contains_box(box):
+            raise ReproError(f"roi {roi} must satisfy box <= roi <= fine ring box")
 
-    _, origins, directions = generate_patch_rays(
-        fine, box, rays_per_cell, rng, centered_origins=centered_origins
+    drawn = (
+        generate_patch_rays(fine, box, rays_per_cell, rng, centered_origins=centered_origins)[1:]
+        for fine, box, _, rng in patches
     )
+    counts = [box.volume * rays_per_cell for _, box, _, _ in patches]
+    if len(patches) == 1:
+        ((origins, directions),) = drawn  # a lone patch's arrays as drawn: no copy
+    else:
+        # into one preallocated pair, one patch's arrays alive at a time:
+        # concatenating K live pairs costs more resident memory
+        origins = np.empty((sum(counts), 3))
+        directions = np.empty_like(origins)
+        end = 0
+        for n, (patch_origins, patch_directions) in zip(counts, drawn):
+            origins[end:end + n], directions[end:end + n] = patch_origins, patch_directions
+            end += n
     sum_i = march_chunked(
-        level_fields, origins, directions,
-        roi=roi, threshold=threshold, reflections=reflections, chunk_rays=chunk_rays,
+        [*coarse_fields, [fine for fine, _, _, _ in patches]], origins, directions,
+        roi=[roi for _, _, roi, _ in patches],
+        threshold=threshold, reflections=reflections, chunk_rays=chunk_rays,
+        window_of=np.repeat(np.arange(len(patches)), counts) if len(patches) > 1 else None,
     )
-    return divq_from_sums(fine, box, sum_i.reshape(-1, rays_per_cell).mean(axis=1))
+    return [
+        divq_from_sums(fine, box, sums.reshape(-1, rays_per_cell).mean(axis=1))
+        for (fine, box, _, _), sums in zip(patches, np.split(sum_i, np.cumsum(counts)[:-1]))
+    ]
 
 
 def patch_roi(fine_interior: Box, patch_box: Box, halo: int) -> Box:

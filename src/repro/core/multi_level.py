@@ -82,7 +82,7 @@ class MultiLevelRMCRT:
             for i in range(grid.num_levels)
         ]
         fine_level = grid.finest_level
-        fine_fields = all_fields[-1]
+        *coarse_fields, fine_fields = all_fields
 
         streams = RandomStreams(self.seed)
         timers = TimerRegistry()
@@ -94,12 +94,12 @@ class MultiLevelRMCRT:
                 rng = streams.for_patch(patch.patch_id)
                 roi = patch_roi(fine_level.domain_box, patch.box, self.halo)
                 with timers("kernel"):
-                    pdivq = trace_patch_multi_level(
-                        all_fields,
-                        patch.box,
-                        roi,
+                    # one patch per launch: the patches share one full-level
+                    # fine array, and stacking copies of it is the wrong trade
+                    (pdivq,) = trace_patch_multi_level(
+                        coarse_fields,
+                        [(fine_fields, patch.box, roi, rng)],
                         self.rays_per_cell,
-                        rng,
                         threshold=self.threshold,
                         reflections=self.reflections,
                         centered_origins=self.centered_origins,

@@ -145,7 +145,7 @@ class GPUScheduler(SerialScheduler):
         context = partial(
             GPUTaskContext, gpu=self.gpu, dtask_id=dt.dtask_id, stream_id=stream
         )
-        run_task(dt, graph, old_dw, new_dw, tracer, context, cat="gpu.task", stream=stream)
+        run_task([dt], graph, old_dw, new_dw, tracer, context, cat="gpu.task", stream=stream)
         self.stats.tasks_executed += 1
         self.stats.per_stream_tasks[stream] = self.stats.per_stream_tasks.get(stream, 0) + 1
 
@@ -207,15 +207,16 @@ def device_loop(
             )
         return in_flight.popleft() if in_flight else pick_fifo(ready)
 
-    def launch(dt):
+    def launch(dts):
+        (dt,) = dts  # staged and launched one task at a time: fuse=False
         engine = engine_of(dt)
         if dt.task.device:
             stream = next_stream[engine]  # round-robin, in launch order
             next_stream[engine] = (stream + 1) % engine.num_streams
             engine._execute_device(dt, stream, graph, old_dw, new_dw, tracer)
         else:
-            run_task(dt, graph, old_dw, new_dw, tracer)
+            run_task(dts, graph, old_dw, new_dw, tracer)
             if engine is not None:
                 engine.stats.tasks_executed += 1
 
-    return RankLoop(graph.detailed_tasks, launch, pick)
+    return RankLoop(graph.detailed_tasks, launch, pick, fuse=False)

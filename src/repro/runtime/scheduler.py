@@ -71,7 +71,7 @@ def observers(
 
 
 def run_task(
-    dt: DetailedTask,
+    dts: Sequence[DetailedTask],
     graph: CompiledGraph,
     old_dw: Optional[DataWarehouse],
     new_dw: DataWarehouse,
@@ -80,17 +80,25 @@ def run_task(
     cat: str = "task",
     **span_args,
 ) -> float:
-    """The task lifecycle, in one place: build the checked context, open
-    the span (always carrying ``patch`` and ``level``), call back, and
-    return the duration in seconds."""
-    level = graph.grid.level(dt.level_index)
-    ctx = context(dt.task, dt.patch, level, old_dw, new_dw, rank=dt.rank)
+    """The task lifecycle, in one place: build the checked contexts of
+    ``dts`` — one launch: instances of one task, several only where it
+    declares a ``launch_share`` — open the span (always carrying
+    ``patch`` and ``level``; ``fused`` and ``patches`` for a task that
+    shares launches), call back once, and return the duration in
+    seconds."""
+    first = dts[0]
+    task = first.task
+    shares_launches = task.launch_share is not None
+    level = graph.grid.level(first.level_index)
+    ctxs = [context(task, dt.patch, level, old_dw, new_dw, rank=dt.rank) for dt in dts]
+    if shares_launches:
+        span_args.update(fused=len(dts), patches=[dt.patch.patch_id for dt in dts])
     t0 = time.perf_counter()
     with tracer.span(
-        dt.task.name, cat=cat,
-        patch=dt.patch.patch_id, level=dt.level_index, **span_args,
+        task.name, cat=cat,
+        patch=first.patch.patch_id, level=first.level_index, **span_args,
     ):
-        dt.task.callback(ctx)
+        task.callback(ctxs if shares_launches else ctxs[0])
     return time.perf_counter() - t0
 
 
@@ -116,19 +124,24 @@ def pick_fifo(ready: Deque[DetailedTask]) -> Optional[DetailedTask]:
 class RankLoop:
     """One rank's share of a compiled graph, run to completion.
 
-    The policy is ``launch(dt)``, which runs one task through
-    :func:`run_task`, and ``pick(ready)``, which takes the next one out
-    of the ready queue. With a ``link`` the rank has a communicator:
-    each pass progresses its request pool, and an idle worker yields
-    and polls again rather than wait for a finishing task's signal.
+    The policy is ``launch(dts)``, which runs one launch through
+    :func:`run_task`, and ``pick(ready)``, which takes the next task out
+    of the ready queue. With ``fuse``, a picked task that declares a
+    ``launch_share`` takes the other ready instances of its task along,
+    oldest first, until their shares fill one launch — never the whole
+    queue, so other workers still find work. With a ``link`` the rank
+    has a communicator: each pass progresses its request pool, and an
+    idle worker yields and polls again rather than wait for a finishing
+    task's signal.
     """
 
     def __init__(
         self,
         tasks: Sequence[DetailedTask],
-        launch: Callable[[DetailedTask], None],
+        launch: Callable[[List[DetailedTask]], None],
         pick: Callable[[Deque[DetailedTask]], Optional[DetailedTask]] = pick_fifo,
         link: Optional["RankLink"] = None,
+        fuse: bool = True,
     ) -> None:
         self._by_id = {t.dtask_id: t for t in tasks}
         self._tracker = ReadyTracker(tasks)
@@ -136,11 +149,27 @@ class RankLoop:
         self._launch = launch
         self._pick = pick
         self._link = link
+        self._fuse = fuse
         self._errors: List[BaseException] = []
         self._cv = threading.Condition(threading.Lock())
 
     def _release(self, tids: List[int]) -> None:
         self._ready.extend(self._by_id[tid] for tid in tids)
+
+    def _launch_of(self, dt: DetailedTask) -> List[DetailedTask]:
+        """``dt`` and the ready tasks that share its launch."""
+        dts, share_of = [dt], dt.task.launch_share
+        if share_of is None or not self._fuse:
+            return dts
+        share = share_of(dt.patch)
+        for other in list(self._ready):
+            if share >= 1.0 - 1e-9:  # six sixths are a full launch
+                break
+            if other.task is dt.task:
+                self._ready.remove(other)
+                dts.append(other)
+                share += share_of(other.patch)
+        return dts
 
     def run(self, workers: int = 1) -> None:
         """Work the rank on ``workers`` threads, the caller's own among them."""
@@ -167,11 +196,13 @@ class RankLoop:
                     dt = self._pick(self._ready)
                     if dt is None and link is None:
                         self._cv.wait(0.05)
-                if dt is not None:
+                    dts = self._launch_of(dt) if dt is not None else ()
+                if dts:
                     idle_spins = 0
-                    self._launch(dt)
+                    self._launch(dts)
                     with self._cv:
-                        self._release(self._tracker.task_done(dt.dtask_id))
+                        for dt in dts:
+                            self._release(self._tracker.task_done(dt.dtask_id))
                         self._cv.notify_all()
                 elif link is not None:
                     idle_spins += 1
@@ -210,7 +241,7 @@ class SerialScheduler:
         """This execution's loop; by default every task on the host, FIFO."""
         return RankLoop(
             graph.detailed_tasks,
-            lambda dt: run_task(dt, graph, old_dw, new_dw, tracer),
+            lambda dts: run_task(dts, graph, old_dw, new_dw, tracer),
         )
 
     def _publish(self, metrics: MetricsRegistry) -> None:
@@ -269,7 +300,7 @@ class ThreadedScheduler(SerialScheduler):
 
         return RankLoop(
             graph.detailed_tasks,
-            lambda dt: run_task(dt, graph, old_dw, new_dw, tracer),
+            lambda dts: run_task(dts, graph, old_dw, new_dw, tracer),
             pick_shuffled if self.shuffle else pick_fifo,
         )
 
@@ -362,40 +393,45 @@ class RankLink:
         arrived, self._arrived = self._arrived, []
         return arrived
 
-    def launch(self, dt: DetailedTask) -> None:
-        """Run one task and ship every message its results satisfy."""
+    def launch(self, dts: Sequence[DetailedTask]) -> None:
+        """Run one launch and ship every message its results satisfy.
+        The accounting stays per task: a launch of n is n tasks, each
+        of a n-th of its duration."""
         stats, tracer, rank = self.stats, self.tracer, self.rank
-        # one causal chain per task execution: the task span, every
-        # send it triggers, and (via the fabric) the matching recv
-        # spans on other ranks all share this trace_id
+        # one causal chain per launch: the task span, every send it
+        # triggers, and (via the fabric) the matching recv spans on
+        # other ranks all share this trace_id
         task_trace = tracectx.child_or_new()
         with tracectx.use(task_trace):
-            task_dur = run_task(dt, self.graph, self.old_dw, self.new_dw, tracer, rank=rank)
-            stats.task_exec_time += task_dur
-            self._task_hist.observe(task_dur)
-            stats.tasks_executed += 1
-            # always-on black box: one atomic deque append per task
-            self._recorder.record(
-                "task", dt.task.name, rank=rank,
-                patch=dt.patch.patch_id, dur_s=round(task_dur, 6),
-                trace_id=task_trace.trace_id,
-            )
+            launch_dur = run_task(dts, self.graph, self.old_dw, self.new_dw, tracer, rank=rank)
+            stats.task_exec_time += launch_dur
+            task_dur = launch_dur / len(dts)
+            for dt in dts:
+                self._task_hist.observe(task_dur)
+                stats.tasks_executed += 1
+                # always-on black box: one atomic deque append per task
+                self._recorder.record(
+                    "task", dt.task.name, rank=rank,
+                    patch=dt.patch.patch_id, dur_s=round(task_dur, 6),
+                    trace_id=task_trace.trace_id,
+                )
             t0 = time.perf_counter()
-            for msg in self._outgoing.get(dt.dtask_id, ()):
-                if msg.label.kind is VarKind.PER_LEVEL:
-                    data = self.new_dw.get_level(msg.label, msg.level_index)
-                else:
-                    data = self.new_dw.get(msg.label, dt.patch.patch_id).view(msg.region).copy()
-                with tracer.span(
-                    "comm.send", cat="comm",
-                    msg_id=msg.msg_id, src=rank, dst=msg.dst_rank,
-                ):
-                    tracer.flow_start(
-                        msg.msg_id, msg_id=msg.msg_id, src=rank, dst=msg.dst_rank
-                    )
-                    self.comm.isend(data, dest=msg.dst_rank, tag=msg.msg_id)
-                stats.messages_sent += 1
-                stats.bytes_sent += msg.nbytes
+            for dt in dts:
+                for msg in self._outgoing.get(dt.dtask_id, ()):
+                    if msg.label.kind is VarKind.PER_LEVEL:
+                        data = self.new_dw.get_level(msg.label, msg.level_index)
+                    else:
+                        data = self.new_dw.get(msg.label, dt.patch.patch_id).view(msg.region).copy()
+                    with tracer.span(
+                        "comm.send", cat="comm",
+                        msg_id=msg.msg_id, src=rank, dst=msg.dst_rank,
+                    ):
+                        tracer.flow_start(
+                            msg.msg_id, msg_id=msg.msg_id, src=rank, dst=msg.dst_rank
+                        )
+                        self.comm.isend(data, dest=msg.dst_rank, tag=msg.msg_id)
+                    stats.messages_sent += 1
+                    stats.bytes_sent += msg.nbytes
             stats.local_comm_time += time.perf_counter() - t0
 
     def close(self, metrics: MetricsRegistry) -> None:

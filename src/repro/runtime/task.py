@@ -49,15 +49,22 @@ class Task:
 
     ``callback(ctx)`` receives a :class:`TaskContext`; device tasks
     (``device=True``) are routed to the GPU scheduler's stage queues.
+
+    A task whose instances can share a launch declares ``launch_share``:
+    the fraction of one full launch its instance on a patch fills. Its
+    callback then takes a *sequence* of contexts — the ready instances a
+    rank runs together, until their shares add up to a launch — and
+    must leave each patch's results as if it had run alone.
     """
 
     def __init__(
         self,
         name: str,
-        callback: Callable[["TaskContext"], None],
+        callback: Callable[..., None],
         requires: Sequence[Requires] = (),
         computes: Sequence[Computes] = (),
         device: bool = False,
+        launch_share: Optional[Callable[[Patch], float]] = None,
     ) -> None:
         if not name:
             raise SchedulerError("task name must be non-empty")
@@ -66,6 +73,7 @@ class Task:
         self.requires = list(requires)
         self.computes = list(computes)
         self.device = bool(device)
+        self.launch_share = launch_share
         computed = [c.label.name for c in self.computes]
         if len(set(computed)) != len(computed):
             raise SchedulerError(f"task {name} computes a label twice")

@@ -410,6 +410,138 @@ class TestLayoutEdges:
         assert_matches_scalar(fields, origins, dirs, roi=roi, reflections=reflections)
 
 
+def crop(fields, window, scale=1.0):
+    """``fields`` cropped to ``window``, its medium scaled: a window
+    holds its own task's data, which no other window's lanes may read."""
+    sl = window.slices(origin=fields.box.lo)
+    return LevelFields(
+        abskg=np.where(fields.cell_type[sl] == CellType.FLOW, scale, 1.0) * fields.abskg[sl],
+        sigma_t4=fields.sigma_t4[sl].copy(), cell_type=fields.cell_type[sl].copy(),
+        interior=fields.interior, dx=fields.dx, anchor=fields.anchor, window=window,
+    )
+
+
+RESULT_ROWS = ("sum_i", "tau", "status", "exit_pos", "directions")
+
+
+class TestFusedLaunch:
+    """One march over K windows is K separate marches, bit for bit."""
+
+    @given(
+        st.integers(1, 5), st.integers(0, 10 ** 6), st.booleans(), st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_equals_separate_marches(self, k, seed, intrusions, reflections, split):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 10))
+        box = Box.cube(n)
+        cell_type = np.zeros(box.extent, dtype=np.int8)
+        abskg = rng.random(box.extent) * 4
+        if intrusions:
+            solid = rng.random(box.extent) < 0.08
+            cell_type[solid] = CellType.INTRUSION
+            abskg[solid] = 0.2 + 0.8 * rng.random(int(solid.sum()))
+        props = RadiativeProperties.from_fields(
+            box, abskg=abskg, sigma_t4=rng.random(box.extent),
+            wall_temperature=60.0, wall_emissivity=0.3 + 0.7 * rng.random(),
+            cell_type=cell_type,
+        )
+        level = LevelFields(
+            abskg=props.abskg, sigma_t4=props.sigma_t4, cell_type=props.cell_type,
+            interior=box, dx=(1.0 / n,) * 3, anchor=(0.0, 0.0, 0.0),
+        )
+        ring = level.ring_box
+        windows, rois, origins, dirs = [], [], [], []
+        for w in range(k):
+            lo = rng.integers(-1, n, size=3)
+            hi = rng.integers(lo + 1, n + 2)  # anywhere up to the ring's far face
+            roi = Box(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
+            cells = np.argwhere(cell_type == CellType.FLOW)
+            cells = cells[np.all((cells >= roi.lo) & (cells < roi.hi), axis=1)]
+            if cells.shape[0] == 0:
+                continue
+            # the tightest window, or (every third) a roomier one
+            window = roi.grow(1 if w % 3 else 2).intersect(ring)
+            windows.append(crop(level, window, scale=1.0 + 0.25 * w))
+            rois.append(roi)
+            count = int(rng.integers(1, 30))
+            cells = cells[rng.integers(0, cells.shape[0], size=count)]
+            origins.append((cells + rng.random((count, 3))) / n)
+            dirs.append(isotropic_directions(rng, count))
+        if not windows:
+            return
+        separate = [
+            march(fields=w, batch=RayBatch.fresh(o, d.copy()), roi=r, reflections=reflections)
+            for w, r, o, d in zip(windows, rois, origins, dirs)
+        ]
+        expected = {
+            row: np.concatenate([getattr(b, row) for b in separate]) for row in RESULT_ROWS
+        }
+        window_of = np.repeat(np.arange(len(windows)), [o.shape[0] for o in origins])
+        origins, dirs = np.concatenate(origins), np.concatenate(dirs)
+        # one launch, or two with the chunk boundary inside a window
+        total = window_of.size
+        cuts = [0, total // 2, total] if split and total > 1 else [0, total]
+        chunks = [
+            march(
+                fields=windows, batch=RayBatch.fresh(origins[a:b], dirs[a:b].copy()),
+                roi=rois, reflections=reflections, window_of=window_of[a:b],
+            )
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        for row in RESULT_ROWS:
+            fused = np.concatenate([getattr(b, row) for b in chunks])
+            np.testing.assert_array_equal(fused, expected[row], err_msg=row)
+
+    @pytest.mark.parametrize("small_first", [True, False])
+    def test_max_steps_defaults_from_the_largest_window(self, small_first):
+        """A ray that bounces ~35 times across a 12-cell vacuum needs more
+        steps than a 3^3 window's default allows, fewer than the level's."""
+        fields = make_fields(12, kappa=0.0, wall_emis=0.23)
+        small_roi = Box((0, 0, 0), (1, 1, 1))
+        small = crop(fields, small_roi.grow(1))
+        order = [0, 1] if small_first else [1, 0]
+        windows = [[small, fields][i] for i in order]
+        rois = [[small_roi, fields.ring_box][i] for i in order]
+        origins = np.asarray(fields.cell_center(np.array([[0, 0, 0], [6, 6, 6]])))
+        dirs = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        # ray 0 marches the small window, ray 1 the whole level
+        window_of = np.array([order.index(0), order.index(1)])
+        batch = RayBatch.fresh(origins, dirs)
+        march(fields=windows, batch=batch, roi=rois, reflections=True, window_of=window_of)
+        assert batch.status[0] == RayStatus.LEFT_ROI
+        lone = RayBatch.fresh(origins[1:], dirs[1:].copy())
+        march(fields=fields, batch=lone, reflections=True)
+        assert batch.status[1] == lone.status[0] == RayStatus.EXTINCT
+        assert batch.sum_i[1] == lone.sum_i[0] and batch.tau[1] == lone.tau[0]
+        with pytest.raises(ReproError, match="still alive"):
+            march(
+                fields=fields, batch=RayBatch.fresh(origins[1:], dirs[1:].copy()),
+                reflections=True, max_steps=16 * (9 + 3),
+            )
+
+    def test_misdeclared_windows_rejected(self):
+        fields = make_fields(8)
+        roi = Box((2, 2, 2), (5, 5, 5))
+        batch = RayBatch.fresh(center_origin(fields, 8), np.array([[1.0, 0.0, 0.0]]))
+        with pytest.raises(ReproError, match="cells around"):
+            march(fields=crop(fields, roi), batch=batch, roi=roi)  # no room to park
+        with pytest.raises(ReproError, match="cells around"):
+            march(fields=crop(fields, roi.grow(1)), batch=batch)  # a window needs its roi
+        two = [crop(fields, roi.grow(1)), crop(fields, roi.grow(2))]
+        with pytest.raises(ReproError, match="rois"):
+            march(fields=two, batch=batch, roi=[roi], window_of=np.zeros(1, dtype=int))
+        with pytest.raises(ReproError, match="window_of"):
+            march(fields=two, batch=batch, roi=[roi, roi])
+        other_level = make_fields(8, dx=0.5)
+        with pytest.raises(ReproError, match="one level"):
+            march(
+                fields=[two[0], crop(other_level, roi.grow(1))], batch=batch,
+                roi=[roi, roi], window_of=np.zeros(1, dtype=int),
+            )
+
+
 class TestReflectionsAcrossTheROI:
     """A ray that reflects inside the ROI and then leaves it: its exit
     position and its heading both carry the reflection."""

@@ -127,11 +127,18 @@ def run_graph(seeded_defects: bool = False) -> CheckReport:
     assignment = LoadBalancer(num_ranks).assign(fine.patches)
     compiled = tg.compile(assignment=assignment, num_ranks=num_ranks, validate=False)
     report.extend(validate_compiled(compiled), check="graph")
-    report.meta["graph"] = {
+    meta = report.meta["graph"] = {
         "fixture": "rmcrt-three-level",
+        "ranks": num_ranks,
         "detailed_tasks": len(compiled.detailed_tasks),
         "messages": len(compiled.messages),
+        "parts": sum(len(msg.parts) for msg in compiled.messages),
+        "message_bytes": compiled.total_message_bytes,
     }
+    print(
+        "{fixture} on {ranks} ranks: {detailed_tasks} detailed tasks, "
+        "{messages} messages carrying {parts} parts, {message_bytes} bytes".format(**meta)
+    )
     return report
 
 

@@ -3,8 +3,8 @@
 The schedulers trust the compiled graph blindly: a variable consumed
 with no producer surfaces as a DataWarehouse miss mid-execution, an
 unordered write-write pair surfaces as a nondeterministic
-double-compute, and a ghost message that misses its consumer's patch
-silently ships bytes nobody reads. All three are decidable from the
+double-compute, and a ghost message part that misses every consumer's
+patch silently ships bytes nobody reads. All three are decidable from the
 declarations alone, so this module decides them — standalone via
 ``python -m repro check graph``, and at every
 :meth:`~repro.runtime.taskgraph.TaskGraph.compile` (error-severity
@@ -16,8 +16,8 @@ Two entry points:
   uncompiled :class:`~repro.runtime.taskgraph.TaskGraph` (dangling
   consumers, unordered write-write pairs);
 * :func:`validate_compiled` — structural checks on a
-  :class:`~repro.runtime.taskgraph.CompiledGraph` (ghost-message
-  regions, message endpoints).
+  :class:`~repro.runtime.taskgraph.CompiledGraph` (message endpoints
+  and waiters, the region of every part).
 """
 
 from __future__ import annotations
@@ -44,11 +44,14 @@ RULES = {
     ),
     "graph-ghost-orphan": (
         "error",
-        "a ghost-exchange message with no producing or consuming task",
+        "a ghost-exchange message with no producing task, no waiter on its "
+        "destination rank or a route outside the ranks, or a pending id "
+        "that names no message",
     ),
     "graph-ghost-region": (
         "error",
-        "a ghost region not covered by any exchange message",
+        "a message part that leaves its producing patch, or that no "
+        "waiter declaring its label meets with its ghosted box",
     ),
 }
 
@@ -165,39 +168,64 @@ def validate_taskgraph(tg) -> List[CheckFinding]:
 
 
 def validate_compiled(graph) -> List[CheckFinding]:
-    """Structural validation of a CompiledGraph's messages."""
+    """Structural validation of a CompiledGraph's messages: every rule
+    is stated per message, per part and per waiter (the tasks that hold
+    the message id in ``pending_msgs``)."""
     findings: List[CheckFinding] = []
     by_id = {t.dtask_id: t for t in graph.detailed_tasks}
+    msg_ids = {msg.msg_id for msg in graph.messages}
+    waiters: Dict[int, List] = {}
+    for dt in graph.detailed_tasks:
+        for msg_id in sorted(dt.pending_msgs):
+            waiters.setdefault(msg_id, []).append(dt)
+            if msg_id not in msg_ids:
+                findings.append(_finding(
+                    "graph-ghost-orphan",
+                    f"task {dt.task.name!r} on patch {dt.patch.patch_id} waits "
+                    f"on message #{msg_id}, which does not exist",
+                ))
     for msg in graph.messages:
-        dst = by_id.get(msg.dst_dtask_id)
-        if dst is None:
-            findings.append(_finding(
-                "graph-ghost-orphan",
-                f"message #{msg.msg_id} ({msg.label.name}) targets unknown "
-                f"detailed task {msg.dst_dtask_id}",
-            ))
-            continue
+        route = f"message #{msg.msg_id} ({msg.src_rank}->{msg.dst_rank})"
         if not (0 <= msg.src_rank < graph.num_ranks
                 and 0 <= msg.dst_rank < graph.num_ranks):
             findings.append(_finding(
-                "graph-ghost-orphan",
-                f"message #{msg.msg_id} ({msg.label.name}) routes "
-                f"{msg.src_rank}->{msg.dst_rank} outside "
-                f"[0, {graph.num_ranks})",
+                "graph-ghost-orphan", f"{route} routes outside [0, {graph.num_ranks})",
             ))
-        if msg.label.kind is not VarKind.CELL_CENTERED:
-            continue  # level broadcasts carry the whole level domain
-        ghost = 0
-        for req in dst.task.requires:
-            if req.label.name == msg.label.name:
-                ghost = max(ghost, req.num_ghost)
-        wanted = dst.patch.box.grow(ghost)
-        if msg.region.intersect(wanted).empty:
+        src = by_id.get(msg.src_dtask_id)
+        if src is None:
             findings.append(_finding(
-                "graph-ghost-region",
-                f"message #{msg.msg_id} carries {msg.label.name} region "
-                f"{msg.region} that never intersects consumer task "
-                f"{dst.task.name!r} patch {dst.patch.patch_id} "
-                f"(+{ghost} ghosts)",
+                "graph-ghost-orphan",
+                f"{route} names unknown producing task {msg.src_dtask_id}",
             ))
+            continue
+        waiting = [dt for dt in waiters.get(msg.msg_id, ()) if dt.rank == msg.dst_rank]
+        if not waiting:
+            findings.append(_finding(
+                "graph-ghost-orphan",
+                f"{route} from task {src.task.name!r} has no waiter on rank "
+                f"{msg.dst_rank}",
+            ))
+            continue
+        for label, region, _level_index in msg.parts:
+            if label.kind is not VarKind.CELL_CENTERED:
+                continue  # a level broadcast carries the whole level domain
+            if not src.patch.box.contains_box(region):
+                findings.append(_finding(
+                    "graph-ghost-region",
+                    f"{route} carries {label.name} region {region} outside its "
+                    f"producing patch {src.patch.patch_id} {src.patch.box}",
+                ))
+            # only a waiter that declares the label can read the part
+            if not any(
+                region.intersects(dt.patch.box.grow(req.num_ghost))
+                for dt in waiting
+                for req in dt.task.requires
+                if req.dw == "new" and req.label.name == label.name
+            ):
+                findings.append(_finding(
+                    "graph-ghost-region",
+                    f"{route} carries {label.name} region {region} that no "
+                    f"waiter on rank {msg.dst_rank} declaring {label.name} "
+                    f"meets with its ghosted patch",
+                ))
     return findings

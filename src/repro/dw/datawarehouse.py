@@ -132,10 +132,9 @@ class DataWarehouse:
                 pieces = (local,)
             else:
                 pieces = self._foreign.get(key, ())
-            # a remote patch holds one piece per local consumer, and they
-            # overlap; the piece sent for this region covers the patch's
-            # whole share of it, so look for one that does before
-            # pasting them all
+            # a remote patch's pieces may overlap, and one of them was
+            # sent to cover the patch's whole share of this region: look
+            # for it before pasting them all
             share = patch.box.intersect(region)
             for var in pieces:
                 stats.pieces_tested += 1

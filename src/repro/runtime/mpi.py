@@ -38,6 +38,8 @@ def _payload_nbytes(data: Any) -> int:
         return int(nbytes)
     if isinstance(data, (bytes, bytearray)):
         return len(data)
+    if isinstance(data, (list, tuple)):
+        return sum(_payload_nbytes(part) for part in data)  # a packed message
     return 64  # generic Python object envelope
 
 

@@ -377,12 +377,13 @@ class RankLink:
             args["parent_span_id"] = sender_ctx.span_id
         with self.tracer.span("comm.recv", cat="comm", **args):
             self.tracer.flow_finish(msg.msg_id, **args)
-            if msg.label.kind is VarKind.PER_LEVEL:
-                self.new_dw.put_level(msg.label, msg.level_index, data)
-            else:
-                self.new_dw.add_foreign(
-                    msg.label, msg.src_patch_id, CCVariable(msg.region, data)
-                )
+            for (label, region, level_index), piece in zip(msg.parts, data):
+                if label.kind is VarKind.PER_LEVEL:
+                    self.new_dw.put_level(label, level_index, piece)
+                else:
+                    self.new_dw.add_foreign(
+                        label, msg.src_patch_id, CCVariable(region, piece)
+                    )
             self._arrived.append(msg.msg_id)
 
     def progress(self) -> List[int]:
@@ -418,10 +419,13 @@ class RankLink:
             t0 = time.perf_counter()
             for dt in dts:
                 for msg in self._outgoing.get(dt.dtask_id, ()):
-                    if msg.label.kind is VarKind.PER_LEVEL:
-                        data = self.new_dw.get_level(msg.label, msg.level_index)
-                    else:
-                        data = self.new_dw.get(msg.label, dt.patch.patch_id).view(msg.region).copy()
+                    # one payload per message: its parts' arrays, in part order
+                    data = [
+                        self.new_dw.get_level(label, level_index)
+                        if label.kind is VarKind.PER_LEVEL
+                        else self.new_dw.get(label, dt.patch.patch_id).view(region).copy()
+                        for label, region, level_index in msg.parts
+                    ]
                     with tracer.span(
                         "comm.send", cat="comm",
                         msg_id=msg.msg_id, src=rank, dst=msg.dst_rank,

@@ -6,11 +6,16 @@ message from the declared requires/computes (paper Section II). This
 module reproduces that: given tasks, a grid, and a patch->rank
 assignment, :meth:`TaskGraph.compile` emits
 
-* detailed tasks with same-graph ordering edges,
-* ghost messages: (src rank, dst rank, label, region) pairs for every
-  remotely-owned piece of a required region, and
-* level-variable broadcast messages for PER_LEVEL requirements (the
-  coarse radiation properties every rank needs).
+* detailed tasks with same-graph ordering edges, and
+* ghost messages, one per (producing detailed task, destination rank):
+  everything that task's results owe that rank, as ``(label, region,
+  level)`` parts — the distinct maximal overlaps of the producing patch
+  with the ghosted boxes of the rank's consumers for a CC label, the
+  level domain for a PER_LEVEL one (the coarse radiation properties
+  every rank needs). Every consumer on the rank that reads any part
+  waits on the one message; a message leaves when its producer
+  finishes, so batching stops at the task and never waits for a rank's
+  last producer.
 
 The compiled graph is execution-engine agnostic: the serial, threaded,
 and distributed schedulers in :mod:`repro.runtime.scheduler` all run
@@ -51,23 +56,45 @@ class DetailedTask:
         return f"DT#{self.dtask_id}({self.task.name}@p{self.patch.patch_id}, r{self.rank})"
 
 
+#: one piece of a message: ``(label, region, level_index)`` — cells of
+#: the producing patch for a CC label, the level domain for a PER_LEVEL one
+MessagePart = Tuple[VarLabel, Box, int]
+
+
 @dataclass(frozen=True)
 class GhostMessage:
-    """One point-to-point transfer derived from the declarations."""
+    """Everything one detailed task's results owe one other rank, derived
+    from the declarations. Who waits on it is recorded once, in the
+    consumers' ``pending_msgs``."""
 
     msg_id: int
-    label: VarLabel
     src_rank: int
     dst_rank: int
-    src_patch_id: int          #: producing patch (or -1 for level vars)
-    dst_dtask_id: int          #: consuming detailed task
-    region: Box                #: cells carried (level domain for level vars)
-    level_index: int
-    src_dtask_id: int = -1     #: producing detailed task
+    src_dtask_id: int          #: producing detailed task
+    src_patch_id: int          #: its patch (negative: a level task's pseudo-patch)
+    parts: Tuple[MessagePart, ...]  #: in task-then-requirement order
 
     @property
     def nbytes(self) -> int:
-        return self.region.volume * 8
+        return 8 * sum(region.volume for _, region, _ in self.parts)
+
+
+def _maximal(parts: Iterable[MessagePart]) -> Tuple[MessagePart, ...]:
+    """``parts`` (distinct) without those another part of the same label
+    contains, order kept: nothing is grown to a bounding box, so the
+    bytes a message carries can only fall."""
+    parts = tuple(parts)
+    by_label: Dict[Tuple[str, int], List[Box]] = {}
+    for label, region, level_index in parts:
+        by_label.setdefault((label.name, level_index), []).append(region)
+    return tuple(
+        (label, region, level_index)
+        for label, region, level_index in parts
+        if not any(
+            other is not region and other.contains_box(region)
+            for other in by_label[(label.name, level_index)]
+        )
+    )
 
 
 @dataclass
@@ -94,9 +121,12 @@ class CompiledGraph:
     def message_batches(self) -> Dict[Tuple[int, int], List[GhostMessage]]:
         """Messages grouped by (src rank, dst rank).
 
-        Uintah coalesces all of a rank-pair's dependencies into one MPI
-        message per pair per phase; the batch count is therefore the
-        actual wire-message count the cost model prices.
+        A message already holds everything one task owes one rank; a
+        batch is the rank pair's group of those task-to-rank messages,
+        what Uintah would pack into one MPI message per pair per phase
+        and what the dessim cost model prices. The runtime sends the
+        messages, not the batches: a batch would wait for the rank's
+        last producer.
         """
         out: Dict[Tuple[int, int], List[GhostMessage]] = {}
         for m in self.messages:
@@ -148,7 +178,7 @@ class ReadyTracker:
     one rank's share or a whole graph. :meth:`start`, :meth:`task_done`
     and :meth:`message_arrived` return the task ids they release, in
     Kahn order (ascending id); a task is released exactly once. One
-    message id may release several tasks (the per-rank level broadcast).
+    message id releases every task on its rank that reads a part of it.
     Not thread-safe: the caller serialises.
     """
 
@@ -277,38 +307,30 @@ class TaskGraph:
                         key = (comp.label.name, level_index, patch.patch_id)
                         cc_producers.setdefault(key, []).append(dt)
 
-        messages: List[GhostMessage] = []
-        # one broadcast message per (label, level, dst rank) no matter how
-        # many consumer tasks that rank hosts — the level-DB insight applied
-        # to the wire: coarse properties cross the network once per node
-        level_msg_cache: Dict[Tuple[str, int, int], GhostMessage] = {}
-
         def add_edge(producer: DetailedTask, consumer: DetailedTask) -> None:
             if producer.dtask_id == consumer.dtask_id:
                 return
             consumer.internal_deps.add(producer.dtask_id)
             producer.dependents.add(consumer.dtask_id)
 
-        def add_message(
-            label: VarLabel,
+        # one message per (producing task, destination rank): its id and
+        # its parts, an ordered set until every consumer has been walked
+        outbox: Dict[Tuple[int, int], Tuple[int, Dict[MessagePart, None]]] = {}
+
+        def add_part(
             producer: DetailedTask,
             consumer: DetailedTask,
+            label: VarLabel,
             region: Box,
             level_index: int,
         ) -> None:
-            msg = GhostMessage(
-                msg_id=len(messages),
-                label=label,
-                src_rank=producer.rank,
-                dst_rank=consumer.rank,
-                src_patch_id=producer.patch.patch_id,
-                dst_dtask_id=consumer.dtask_id,
-                region=region,
-                level_index=level_index,
-                src_dtask_id=producer.dtask_id,
-            )
-            messages.append(msg)
-            consumer.pending_msgs.add(msg.msg_id)
+            key = (producer.dtask_id, consumer.rank)
+            entry = outbox.get(key)
+            if entry is None:
+                entry = outbox[key] = (len(outbox), {})
+            msg_id, parts = entry
+            parts[(label, region, level_index)] = None
+            consumer.pending_msgs.add(msg_id)
 
         for dt in detailed:
             for req in dt.task.requires:
@@ -333,7 +355,7 @@ class TaskGraph:
                             add_edge(producer, dt)
                         else:
                             overlap = producer.patch.box.intersect(region)
-                            add_message(req.label, producer, dt, overlap, dt.level_index)
+                            add_part(producer, dt, req.label, overlap, dt.level_index)
                 elif req.label.kind is VarKind.PER_LEVEL:
                     key = (req.label.name, req.level_index)
                     producer = level_producers.get(key)
@@ -345,19 +367,20 @@ class TaskGraph:
                     if producer.rank == dt.rank:
                         add_edge(producer, dt)
                     else:
-                        cache_key = (req.label.name, req.level_index, dt.rank)
-                        cached = level_msg_cache.get(cache_key)
-                        if cached is not None:
-                            dt.pending_msgs.add(cached.msg_id)
-                        else:
-                            add_message(
-                                req.label,
-                                producer,
-                                dt,
-                                self.grid.level(req.level_index).domain_box,
-                                req.level_index,
-                            )
-                            level_msg_cache[cache_key] = messages[-1]
+                        domain = self.grid.level(req.level_index).domain_box
+                        add_part(producer, dt, req.label, domain, req.level_index)
+
+        messages = [
+            GhostMessage(
+                msg_id=msg_id,
+                src_rank=detailed[src].rank,
+                dst_rank=dst_rank,
+                src_dtask_id=src,
+                src_patch_id=detailed[src].patch.patch_id,
+                parts=_maximal(parts),
+            )
+            for (src, dst_rank), (msg_id, parts) in outbox.items()
+        ]
 
         graph = CompiledGraph(
             detailed_tasks=detailed,

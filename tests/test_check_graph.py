@@ -124,10 +124,18 @@ class TestCompiledGraphChecks:
         assert validate_compiled(graph) == []
 
     def test_orphan_message_flagged(self):
+        """Nobody on the destination rank waits on the message."""
         graph = self.compiled()
-        bad = dataclasses.replace(graph.messages[0], dst_dtask_id=9999)
-        graph.messages[0] = bad
-        assert "graph-ghost-orphan" in rules(validate_compiled(graph))
+        for dt in graph.detailed_tasks:
+            dt.pending_msgs.discard(graph.messages[0].msg_id)
+        assert rules(validate_compiled(graph)) == ["graph-ghost-orphan"]
+
+    def test_pending_id_without_message_flagged(self):
+        graph = self.compiled()
+        gone = graph.messages.pop()
+        found = validate_compiled(graph)
+        assert rules(found) == ["graph-ghost-orphan"] * len(found)
+        assert all(f"#{gone.msg_id}" in f.message for f in found)
 
     def test_out_of_range_rank_flagged(self):
         graph = self.compiled()
@@ -136,12 +144,43 @@ class TestCompiledGraphChecks:
         found = rules(validate_compiled(graph))
         assert "graph-ghost-orphan" in found
 
+    @staticmethod
+    def replace_part(graph, label=None, region=None):
+        """Seed a defect into the first part of the first message."""
+        msg = graph.messages[0]
+        old_label, old_region, level_index = msg.parts[0]
+        part = (label or old_label, region or old_region, level_index)
+        graph.messages[0] = dataclasses.replace(msg, parts=(part,) + msg.parts[1:])
+
     def test_disjoint_region_flagged(self):
+        """Outside the producing patch, and met by no waiter."""
         graph = self.compiled()
-        far = Box((100, 100, 100), (102, 102, 102))
-        bad = dataclasses.replace(graph.messages[0], region=far)
-        graph.messages[0] = bad
-        assert "graph-ghost-region" in rules(validate_compiled(graph))
+        self.replace_part(graph, region=Box((100, 100, 100), (102, 102, 102)))
+        assert rules(validate_compiled(graph)) == ["graph-ghost-region"] * 2
+
+    def test_region_beyond_the_producing_patch_flagged(self):
+        """The waiters meet it, but the producer does not own all of it."""
+        graph = self.compiled()
+        self.replace_part(graph, region=graph.grid.level(0).domain_box)
+        assert rules(validate_compiled(graph)) == ["graph-ghost-region"]
+
+    def test_undeclared_label_flagged(self):
+        """A part whose label no waiter declares is read by nobody, even
+        when a waiter's box meets it — a level task's pseudo-patch spans
+        the domain and meets every region."""
+        _, tg = small_graph()
+        phi = cc("phi")
+        tg.add_task(Task("produce", noop, computes=[Computes(phi)]), 0)
+        tg.add_level_task(
+            Task("reduce", noop, requires=[Requires(phi)], computes=[Computes(cc("sum"))]), 0
+        )
+        assignment = LoadBalancer(2).assign(tg.grid.finest_level.patches)
+        graph = tg.compile(assignment=assignment, num_ranks=2)
+        assert graph.messages and validate_compiled(graph) == []
+        self.replace_part(graph, label=cc("never_declared"))
+        found = validate_compiled(graph)
+        assert rules(found) == ["graph-ghost-region"]
+        assert "never_declared" in found[0].message
 
 
 class TestThreeLevelRMCRTGraphClean:

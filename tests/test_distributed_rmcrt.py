@@ -123,10 +123,19 @@ class TestValidation:
 
         assignment = LoadBalancer(4).assign(grid.finest_level.patches)
         graph = drm.build_graph(assignment=assignment, num_ranks=4)
-        level_msgs = [m for m in graph.messages if m.label.name.endswith("_L0")]
-        # 3 coarse property arrays broadcast to every rank except the
-        # coarsen task's own
-        assert len(level_msgs) == 3 * 3
+        # the coarsen task owes every rank except its own one message: the
+        # 3 coarse property arrays, whole
+        level_msgs = [m for m in graph.messages if m.src_patch_id < 0]
+        assert sorted(m.dst_rank for m in level_msgs) == [1, 2, 3]
+        coarse = grid.level(0).domain_box
+        for m in level_msgs:
+            assert [(label.name[-3:], region, lvl) for label, region, lvl in m.parts] == [
+                ("_L0", coarse, 0)
+            ] * 3
+        # and nothing else carries a level variable
+        assert sum(
+            label.name.endswith("_L0") for m in graph.messages for label, _, _ in m.parts
+        ) == 3 * 3
 
 
 class TestGhostGather:

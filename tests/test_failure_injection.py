@@ -133,7 +133,8 @@ class TestSchedulerUnderJitter:
         np.testing.assert_array_equal(psi, expected)
 
     def test_rmcrt_pipeline_correct_under_jitter(self):
-        """The full radiation pipeline survives adversarial delivery:
+        """The full radiation pipeline survives adversarial delivery of
+        its packed messages, at 2 / 3 / 4 ranks through both pools:
         bit-identical divq."""
         bench = BurnsChristonBenchmark(resolution=16)
         grid = bench.two_level_grid(refinement_ratio=4, fine_patch_size=8)
@@ -141,13 +142,17 @@ class TestSchedulerUnderJitter:
             grid, benchmark_property_init(bench), rays_per_cell=4, halo=2, seed=6
         )
         reference = drm.solve("serial")
+        from repro.core.distributed import DIVQ
         from repro.grid import LoadBalancer
 
-        assignment = LoadBalancer(4).assign(grid.finest_level.patches)
-        graph = drm.build_graph(assignment=assignment, num_ranks=4)
-        sched = DistributedScheduler(4, delivery_jitter=2e-3, jitter_seed=9)
-        rank_dws = sched.execute(graph)
-        from repro.core.distributed import DIVQ
-
-        divq = gather_cc(graph, rank_dws, DIVQ, 1)
-        np.testing.assert_array_equal(divq, reference.divq)
+        for num_ranks in (2, 3, 4):
+            assignment = LoadBalancer(num_ranks).assign(grid.finest_level.patches)
+            graph = drm.build_graph(assignment=assignment, num_ranks=num_ranks)
+            for pool_kind in ("waitfree", "locked"):
+                sched = DistributedScheduler(
+                    num_ranks, pool_kind=pool_kind, delivery_jitter=2e-3, jitter_seed=9
+                )
+                divq = gather_cc(graph, sched.execute(graph), DIVQ, 1)
+                np.testing.assert_array_equal(
+                    divq, reference.divq, err_msg=f"{num_ranks} ranks, {pool_kind}"
+                )

@@ -101,8 +101,11 @@ class TestGroupingIsInvisible:
         assert_same_contents(contents(drm, graph, {0: dw}), reference)
 
     @pytest.mark.parametrize("num_ranks, pool_kind, jitter", [
-        (ranks, pool, 0.0) for ranks in (1, 2, 4, 8) for pool in ("waitfree", "locked")
-    ] + [(2, "waitfree", 2e-4), (4, "locked", 2e-4)])
+        (ranks, pool, jitter)
+        for ranks, jitter in [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0), (8, 0.0),
+                              (2, 2e-4), (3, 2e-4), (4, 2e-4)]
+        for pool in ("waitfree", "locked")
+    ])
     def test_distributed(self, scene, num_ranks, pool_kind, jitter):
         drm, _, reference = scene
         assignment = LoadBalancer(num_ranks).assign(drm.grid.finest_level.patches)

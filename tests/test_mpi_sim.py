@@ -45,6 +45,15 @@ class TestBasics:
         assert req.nbytes == 800
         assert fabric.stats.bytes == 800
 
+    def test_packed_payload_priced_as_the_sum_of_its_parts(self):
+        """A multi-part message is its arrays, not a 64-byte envelope."""
+        fabric = SimMPI(2)
+        parts = [np.zeros(100), np.zeros((2, 3, 4)), b"12345"]
+        fabric.comm(0).isend(parts, dest=1, tag=0)
+        req = fabric.comm(1).irecv(source=0, tag=0)
+        assert req.nbytes == fabric.stats.bytes == 800 + 192 + 5
+        assert req.data is parts
+
     def test_self_send(self):
         fabric = SimMPI(1)
         c = fabric.comm(0)

@@ -191,6 +191,21 @@ class TestReadyTracker:
             assert all(not graph.detailed_tasks[w].internal_deps for w in waiters)
             assert tracker.message_arrived(msg_id) == waiters
 
+        # a ghost message is the same record: what one init owes the other
+        # rank, waited on by that rank's four smooth tasks, which all go
+        # at once when the last of the rank's four messages is in
+        graph = build_two_rank_stencil()
+        tracker = ReadyTracker(graph.detailed_tasks)
+        for tid in tracker.start():
+            assert tracker.task_done(tid) == []
+        released = []
+        for msg in graph.messages:
+            waiters = tracker.waiters(msg.msg_id)
+            assert len(waiters) == 4
+            assert {graph.detailed_tasks[w].rank for w in waiters} == {msg.dst_rank}
+            released.append(tracker.message_arrived(msg.msg_id))
+        assert released == [[], [], [], [8, 10, 12, 14], [], [], [], [9, 11, 13, 15]]
+
     def test_pending_message_holds_a_task_whose_deps_are_done(self):
         graph = build_two_rank_stencil()
         tracker = ReadyTracker(graph.detailed_tasks)

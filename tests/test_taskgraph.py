@@ -1,5 +1,7 @@
 """Tests for task declarations and task-graph compilation."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.grid import (
     build_two_level_grid,
     decompose_level,
 )
-from repro.dw import DataWarehouse, cc, per_level, reduction
+from repro.dw import DataWarehouse, VarKind, cc, per_level, reduction
 from repro.runtime import (
     Computes,
     DistributedScheduler,
@@ -23,6 +25,7 @@ from repro.runtime import (
     gather_cc,
 )
 from repro.util.errors import SchedulerError
+from tests.test_three_level import three_level_grid
 
 
 def make_grid(n=8, patch=4):
@@ -178,7 +181,7 @@ class TestDistributedCompile:
         assert graph.messages
         for m in graph.messages:
             assert m.src_rank != m.dst_rank
-            assert not m.region.empty
+            assert m.parts and not any(region.empty for _, region, _ in m.parts)
 
     def test_message_volume_shrinks_with_locality(self):
         """An SFC-style assignment (contiguous halves) moves fewer ghost
@@ -219,8 +222,13 @@ class TestDistributedCompile:
         assign = {p.patch_id: p.patch_id % 4 for p in grid.level(0).patches}
         # the pseudo-patch of the level task defaults to rank 0
         graph = tg.compile(assignment=assign, num_ranks=4)
-        level_msgs = [m for m in graph.messages if m.label.name == "coarse_phi"]
-        assert len(level_msgs) == 3  # ranks 1..3; rank 0 has it locally
+        # ranks 1..3; rank 0 has it locally
+        assert [(m.dst_rank, m.parts) for m in graph.messages] == [
+            (rank, ((COARSE, grid.level(0).domain_box, 0),)) for rank in (1, 2, 3)
+        ]
+        for rank in (1, 2, 3):
+            waiting = [t for t in graph.tasks_on_rank(rank) if t.pending_msgs]
+            assert len(waiting) == 16 and all(t.pending_msgs == {rank - 1} for t in waiting)
 
     def test_bad_rank_assignment(self):
         grid = make_grid()
@@ -318,8 +326,10 @@ class TestProducerLookup:
         graph = tg.compile(assignment=assign, num_ranks=3)
         assert graph.messages
         for m in graph.messages:
-            assert by_id[m.src_dtask_id].level_index == m.level_index == 1
-            assert grid.level(1).patch(m.src_patch_id).box.contains_box(m.region)
+            assert by_id[m.src_dtask_id].level_index == 1
+            for _, region, level_index in m.parts:
+                assert level_index == 1
+                assert grid.level(1).patch(m.src_patch_id).box.contains_box(region)
         rank_dws = DistributedScheduler(3).execute(graph)
         assert (gather_cc(graph, rank_dws, PSI, 1) == 1.0).all()
 
@@ -355,7 +365,7 @@ class TestProducerLookup:
         graph = tg.compile(
             assignment=LoadBalancer(4).assign(fine.patches), num_ranks=4, validate=False
         )
-        assert (len(graph.detailed_tasks), len(graph.messages)) == (1025, 6705)
+        assert (len(graph.detailed_tasks), len(graph.messages)) == (1025, 603)
         # one lookup per (consumer, ghosted requirement): 512 traces and
         # the level-wide coarsen, three labels each
         assert len(queries) == (512 + 1) * 3
@@ -368,3 +378,81 @@ class TestProducerLookup:
         lookups = sum(tests for _, tests, _ in queries)
         assert box_tests[0] - lookups <= sum(found for _, _, found in queries)
         assert box_tests[0] <= 2 * (27 * 512 * 3 + 512 * 3)
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+@pytest.mark.parametrize("halo", [1, 2, 4])
+@pytest.mark.parametrize("num_ranks", [2, 3, 4])
+class TestMessageCoverage:
+    """One message per (producing task, destination rank), and what it
+    carries is proved at compile time from the geometry alone: random
+    assignments, halos up to the patch size, two and three levels."""
+
+    @pytest.fixture
+    def graphs(self, levels, halo, num_ranks):
+        if levels == 2:
+            grid = build_two_level_grid(12, 2, fine_patch_size=4)
+        else:
+            grid = three_level_grid(fine=12, patch=4)
+        tg = DistributedRMCRT(grid, lambda level, box: {}, halo=halo).build_taskgraph()
+        fine = grid.finest_level
+        compiled = []
+        for seed in (0, 1):
+            rng = random.Random(seed)
+            assignment = {p.patch_id: rng.randrange(num_ranks) for p in fine.patches}
+            # the level task's pseudo-patch: the coarsen task moves about too
+            assignment[-(1000 + fine.num_patches)] = rng.randrange(num_ranks)
+            compiled.append(tg.compile(assignment=assignment, num_ranks=num_ranks))
+        return compiled
+
+    def test_one_message_of_maximal_parts_per_producer_and_rank(self, graphs):
+        for graph in graphs:
+            routes = [(m.src_dtask_id, m.dst_rank) for m in graph.messages]
+            assert len(set(routes)) == len(routes)
+            for m in graph.messages:
+                src = graph.detailed_tasks[m.src_dtask_id]
+                assert graph.messages[m.msg_id] is m
+                assert (m.src_rank, m.src_patch_id) == (src.rank, src.patch.patch_id)
+                assert m.src_rank != m.dst_rank
+                for label, region, level_index in m.parts:
+                    if label.kind is VarKind.CELL_CENTERED:
+                        assert src.patch.box.contains_box(region)
+                    else:
+                        assert region == graph.grid.level(level_index).domain_box
+                    assert not any(
+                        other != region and other.contains_box(region)
+                        for name, other, _ in m.parts if name == label
+                    )
+
+    def test_parts_cover_what_every_consumer_reads(self, graphs):
+        for graph in graphs:
+            tasks = graph.detailed_tasks
+            per_consumer_bytes = 0
+            for dt in tasks:
+                level = graph.grid.level(dt.level_index)
+                sent = [part for mid in dt.pending_msgs for part in graph.messages[mid].parts]
+                local = [tasks[dep] for dep in dt.internal_deps]
+                for req in dt.task.requires:
+                    computed_here = [
+                        t for t in local if any(c.label == req.label for c in t.task.computes)
+                    ]
+                    if req.label.kind is not VarKind.CELL_CENTERED:
+                        domain = graph.grid.level(req.level_index).domain_box
+                        assert bool(computed_here) != ((req.label, domain, req.level_index) in sent)
+                        continue
+                    want = dt.patch.box.grow(req.num_ghost).intersect(level.domain_box)
+                    covered = np.zeros(want.extent, dtype=bool)
+                    pieces = [t.patch.box for t in computed_here] + [
+                        region for label, region, _ in sent if label == req.label
+                    ]
+                    for piece in pieces:
+                        covered[piece.intersect(want).slices(origin=want.lo)] = True
+                    assert covered.all(), (dt, req.label.name)
+                    # what one message per (producer, consumer, label) carried
+                    per_consumer_bytes += 8 * sum(
+                        patch.box.intersect(want).volume
+                        for patch in level.patches_intersecting(want)
+                        if graph.assignment[patch.patch_id] != dt.rank
+                    )
+            level_bytes = sum(m.nbytes for m in graph.messages if m.src_patch_id < 0)
+            assert graph.total_message_bytes <= per_consumer_bytes + level_bytes

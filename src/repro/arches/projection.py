@@ -12,8 +12,6 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.arches.operators import divergence, gradient
 from repro.util.errors import ReproError
@@ -22,6 +20,10 @@ from repro.util.errors import ReproError
 @lru_cache(maxsize=8)
 def _periodic_laplacian(shape: Tuple[int, int, int], dx: Tuple[float, float, float]):
     """Assemble the periodic 7-point Laplacian (cached per shape)."""
+    # scipy loads on first use: ``import repro`` reaches this module, and
+    # no radiation solve, server or worker process ever projects
+    import scipy.sparse as sp
+
     nx, ny, nz = shape
     n = nx * ny * nz
 
@@ -74,6 +76,8 @@ class PressureProjection:
 
         def count(_):
             iters[0] += 1
+
+        import scipy.sparse.linalg as spla  # on first use, as above
 
         p_flat, info = spla.cg(
             a, rhs, rtol=self.rtol, maxiter=self.maxiter, callback=count

@@ -372,22 +372,25 @@ def instrument_comm_pool(pool, detector: RaceDetector):
 
 
 def instrument_datawarehouse(dw, detector: RaceDetector):
-    """Monitor per-(label, patch) puts and region reads."""
+    """Monitor per-(label, patch) puts and region reads. Every region
+    read assembles in ``get_regions`` (``get_region`` is its one-label
+    call), so that is the one read entry point to watch."""
     detector.pin(dw)
     orig_put = dw.put
-    orig_get_region = dw.get_region
+    orig_get_regions = dw.get_regions
 
     def put(label, patch_id, var):
         detector.on_write(f"dw:{label.name}@p{patch_id}")
         return orig_put(label, patch_id, var)
 
-    def get_region(label, level, region, default=None):
+    def get_regions(labels, level, region, defaults=None):
         for patch in level.patches_intersecting(region):
-            detector.on_read(f"dw:{label.name}@p{patch.patch_id}")
-        return orig_get_region(label, level, region, default=default)
+            for label in labels:
+                detector.on_read(f"dw:{label.name}@p{patch.patch_id}")
+        return orig_get_regions(labels, level, region, defaults)
 
     dw.put = put
-    dw.get_region = get_region
+    dw.get_regions = get_regions
     return dw
 
 

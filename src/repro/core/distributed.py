@@ -15,11 +15,12 @@ solve but three task types compiled into the per-timestep graph —
    shared coarse levels, computing del.q.
 
 A rank's ready trace tasks run as one launch: the task declares its
-share of a launch (its rays over ``FUSED_LAUNCH_RAYS``), the rank loop
-hands the callback every ready instance that fits, and their rays march
-together (:func:`~repro.core.kernels.trace_patch_multi_level`) — the
-paper's many patch tasks sharing one device and one resident coarse
-level.
+share of a launch (its rays over :data:`~repro.core.kernels.LAUNCH_RAYS`),
+the rank loop hands the callback every ready instance that fits, and
+their rays march together
+(:func:`~repro.core.kernels.trace_patch_multi_level`, which cuts a patch
+wider than the launch to it) — the paper's many patch tasks sharing one
+device and one resident coarse level.
 
 Faithfulness guard: each trace task's fine data is a *window* of the
 fine level — its ROI and the cells around it — holding ONLY what the
@@ -45,7 +46,7 @@ from repro.grid.refinement import coarsen_average, coarsen_max
 from repro.dw.label import cc, per_level
 from repro.radiation.constants import SIGMA_SB
 from repro.core.fields import LevelFields
-from repro.core.kernels import FUSED_LAUNCH_RAYS, patch_roi, trace_patch_multi_level
+from repro.core.kernels import LAUNCH_RAYS, patch_roi, trace_patch_multi_level
 from repro.core.single_level import RMCRTResult
 from repro.runtime.scheduler import (
     DistributedScheduler,
@@ -133,9 +134,7 @@ class DistributedRMCRT:
         ctx.compute(CELL_TYPE, fields["cell_type"].astype(np.float64))
 
     def _coarsen_cb(self, ctx) -> None:
-        abskg = ctx.require(ABSKG)
-        st4 = ctx.require(SIGMA_T4)
-        ct = ctx.require(CELL_TYPE)
+        abskg, st4, ct = ctx.require_many([ABSKG, SIGMA_T4, CELL_TYPE])
         fine_idx = self.grid.num_levels - 1
         for idx in range(fine_idx - 1, -1, -1):
             ratio = self.grid.level(idx + 1).refinement_ratio[0]
@@ -196,10 +195,12 @@ class DistributedRMCRT:
         data_region = ghost_region.intersect(interior)
         sl = data_region.slices(origin=fine.box.lo)
         sent = data_region.slices(origin=ghost_region.lo)
-        fine.abskg[sl] = ctx.require(ABSKG, default=np.nan)[sent]
-        fine.sigma_t4[sl] = ctx.require(SIGMA_T4, default=np.nan)[sent]
-        ct_ghost = ctx.require(CELL_TYPE, default=float(CellType.WALL))
-        fine.cell_type[sl] = ct_ghost[sent].astype(np.int8)
+        abskg, st4, ct = ctx.require_many(
+            [ABSKG, SIGMA_T4, CELL_TYPE], defaults=[np.nan, np.nan, float(CellType.WALL)]
+        )
+        fine.abskg[sl] = abskg[sent]
+        fine.sigma_t4[sl] = st4[sent]
+        fine.cell_type[sl] = ct[sent].astype(np.int8)
         return fine, roi
 
     def _trace_cb(self, ctxs) -> None:
@@ -314,7 +315,7 @@ class DistributedRMCRT:
                 computes=[Computes(DIVQ)],
                 device=self.device,
                 launch_share=lambda patch: (
-                    patch.num_cells * self.rays_per_cell / FUSED_LAUNCH_RAYS
+                    patch.num_cells * self.rays_per_cell / LAUNCH_RAYS
                 ),
             ),
             fine_idx,

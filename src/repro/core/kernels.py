@@ -6,9 +6,11 @@ to the divergence of the heat flux,
 
     del.q[c] = 4 pi kappa[c] (sigma_t4[c] / pi - mean_r sumI_r(c)).
 
-Ray batches are chunked so device "global memory" stays bounded no
-matter the patch size — the Python analogue of sizing a CUDA launch so
-its working set fits the K20X's 6 GB (paper Section III.C).
+Every launch has one width, :data:`LAUNCH_RAYS`: patch tasks smaller
+than it march together until they fill it, a patch larger than it is cut
+to it — the Python analogue of sizing a CUDA launch so that it keeps the
+device busy and its working set still fits the K20X's 6 GB (paper
+Section III.C, contributions ii and v).
 """
 
 from __future__ import annotations
@@ -24,16 +26,14 @@ from repro.core.fields import LevelFields
 from repro.core.rays import generate_patch_rays
 from repro.util.errors import ReproError
 
-#: default rays per kernel launch chunk
-DEFAULT_CHUNK_RAYS = 1 << 17
-
-#: rays a fused launch aims for: ready patch tasks of one rank march
-#: together until their rays reach this. A DDA step costs a fixed ~35 us
-#: of NumPy calls however few lanes it carries, so tiny patches starve
-#: the kernel (the paper's contribution v); by ~2048 lanes that cost is
-#: under a third of a step, and wider launches buy little time for
-#: resident memory that grows with the width (EXPERIMENTS E21).
-FUSED_LAUNCH_RAYS = 1 << 11
+#: rays per kernel launch, the one width. A DDA step costs a fixed ~35 us
+#: of NumPy calls however few lanes it carries, so a rank's ready patch
+#: tasks march together until their rays reach this (tiny patches starve
+#: the kernel: the paper's contribution v); a lane in flight holds ~560
+#: bytes, so a launch above it is cut to it and launch memory stays
+#: ~20 MB whatever the patch size. 32768 is the fastest width for a large
+#: launch and a quarter of the memory of 131072 (EXPERIMENTS E23).
+LAUNCH_RAYS = 1 << 15
 
 
 def divq_from_sums(
@@ -65,7 +65,7 @@ def march_chunked(
     roi: Union[None, Box, Sequence[Box]] = None,
     threshold: float = 1e-4,
     reflections: bool = False,
-    chunk_rays: int = DEFAULT_CHUNK_RAYS,
+    chunk_rays: int = LAUNCH_RAYS,
     window_of: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """sum_i of every ray, marched at most ``chunk_rays`` per launch.
@@ -121,7 +121,7 @@ def trace_patch_single_level(
     threshold: float = 1e-4,
     reflections: bool = False,
     centered_origins: bool = False,
-    chunk_rays: int = DEFAULT_CHUNK_RAYS,
+    chunk_rays: int = LAUNCH_RAYS,
 ) -> np.ndarray:
     """del.q over ``box`` tracing every ray on one level.
 
@@ -150,10 +150,11 @@ def trace_patch_multi_level(
     threshold: float = 1e-4,
     reflections: bool = False,
     centered_origins: bool = False,
-    chunk_rays: int = DEFAULT_CHUNK_RAYS,
+    chunk_rays: int = LAUNCH_RAYS,
 ) -> List[np.ndarray]:
     """del.q over fine patches using the data-onion hierarchy, the rays
-    of all of them in one launch.
+    of all of them marched together (one launch when the caller kept
+    them within the width; cut to ``chunk_rays`` otherwise).
 
     ``coarse_fields`` is ordered coarsest-first and shared. Each patch
     is ``(fine, box, roi, rng)``: ``fine`` holds the fine data of the

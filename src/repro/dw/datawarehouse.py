@@ -19,7 +19,7 @@ Two warehouse generations (old/new) flow through a timestep, swapped by
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class DWStats:
     gets: int = 0
     foreign_adds: int = 0
     region_assemblies: int = 0
-    #: local variables and foreign pieces :meth:`DataWarehouse.get_region`
+    #: local variables and foreign pieces :meth:`DataWarehouse.get_regions`
     #: examined, and how many of them it pasted into a region
     pieces_tested: int = 0
     pieces_pasted: int = 0
@@ -50,6 +50,16 @@ class DWStats:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _placement(box: Box, share: Box, region: Box) -> tuple:
+    """Where a piece over ``box`` lands in ``region``: (it holds
+    ``share`` whole, slices into the region's array, slices into the
+    piece's); the slices ``None`` when it misses the region."""
+    overlap = box.intersect(region)
+    if overlap.empty:
+        return box.contains_box(share), None, None
+    return box.contains_box(share), overlap.slices(region.lo), overlap.slices(box.lo)
 
 
 class DataWarehouse:
@@ -110,54 +120,79 @@ class DataWarehouse:
         region: Box,
         default: Optional[float] = None,
     ) -> np.ndarray:
-        """Assemble ``region`` from local patches + foreign pieces.
+        """Assemble ``region`` of one label: :meth:`get_regions`' one-label call."""
+        return self.get_regions((label,), level, region, (default,))[0]
+
+    def get_regions(
+        self,
+        labels: Sequence[VarLabel],
+        level: Level,
+        region: Box,
+        defaults: Optional[Sequence[Optional[float]]] = None,
+    ) -> List[np.ndarray]:
+        """Assemble ``region`` of every label from local patches + foreign
+        pieces, in one walk: one array per label, in order.
 
         Only the level's patches that meet ``region`` are consulted:
         each contributes its local variable or, when it is remote, the
-        foreign pieces staged under its ``(label, patch)`` key. Every
-        cell of ``region`` must be covered unless ``default`` is given,
-        which then fills exactly the cells no piece covered (the wall
-        ring, which no patch owns). Coverage is tracked beside the data,
-        so NaN *values* are data like any other.
+        foreign pieces staged under its ``(label, patch)`` key. Where a
+        piece lands is a matter of its box alone, so it is worked out
+        once per distinct box of a patch and shared by every label with
+        a piece of that box (a patch's local variables; the parts of one
+        packed message) — within this call only, nothing is kept. Every
+        cell of ``region`` must be covered unless the label's entry of
+        ``defaults`` is given, which then fills exactly the cells no
+        piece covered (the wall ring, which no patch owns). Coverage is
+        tracked beside the data, so NaN *values* are data like any other.
         """
         stats = self.stats
-        stats.region_assemblies += 1
-        out = np.empty(region.extent)
-        covered = np.zeros(region.extent, dtype=bool)
+        stats.region_assemblies += len(labels)
+        if defaults is None:
+            defaults = (None,) * len(labels)
+        extent = region.extent
+        outs = [np.empty(extent) for _ in labels]
+        covereds = [np.zeros(extent, dtype=bool) for _ in labels]
         for patch in level.patches_intersecting(region):
-            key = (label.name, patch.patch_id)
-            local = self._cc.get(key)
-            if local is not None:
-                stats.gets += 1
-                pieces = (local,)
-            else:
-                pieces = self._foreign.get(key, ())
-            # a remote patch's pieces may overlap, and one of them was
-            # sent to cover the patch's whole share of this region: look
-            # for it before pasting them all
             share = patch.box.intersect(region)
-            for var in pieces:
-                stats.pieces_tested += 1
-                if var.box.contains_box(share):
-                    pieces = (var,)
-                    break
-            for var in pieces:
-                overlap = var.box.intersect(region)
-                if overlap.empty:
-                    continue
-                stats.pieces_pasted += 1
-                dest = overlap.slices(origin=region.lo)
-                out[dest] = var.view(overlap)
-                covered[dest] = True
-        if not covered.all():
-            missing = ~covered
-            if default is None:
-                raise DataWarehouseError(
-                    f"{label.name}: {int(missing.sum())} of {region.volume} cells "
-                    f"of {region} are not covered by local or foreign data"
-                )
-            out[missing] = default
-        return out
+            placements: Dict[Box, tuple] = {}
+            for label, out, covered in zip(labels, outs, covereds):
+                key = (label.name, patch.patch_id)
+                local = self._cc.get(key)
+                if local is not None:
+                    stats.gets += 1
+                    pieces = (local,)
+                else:
+                    pieces = self._foreign.get(key, ())
+                # a remote patch's pieces may overlap, and one of them was
+                # sent to cover the patch's whole share of this region:
+                # look for it before pasting them all
+                placed = []
+                for var in pieces:
+                    stats.pieces_tested += 1
+                    box = var.box
+                    placement = placements.get(box)
+                    if placement is None:
+                        placement = placements[box] = _placement(box, share, region)
+                    if placement[0]:
+                        placed = [(var, placement)]
+                        break
+                    placed.append((var, placement))
+                for var, (_, dest, src) in placed:
+                    if dest is None:
+                        continue
+                    stats.pieces_pasted += 1
+                    out[dest] = var.data[src]
+                    covered[dest] = True
+        for label, out, covered, default in zip(labels, outs, covereds, defaults):
+            if not covered.all():
+                missing = ~covered
+                if default is None:
+                    raise DataWarehouseError(
+                        f"{label.name}: {int(missing.sum())} of {region.volume} cells "
+                        f"of {region} are not covered by local or foreign data"
+                    )
+                out[missing] = default
+        return outs
 
     # ------------------------------------------------------------------
     # per-level variables

@@ -128,11 +128,12 @@ class RankLoop:
     :func:`run_task`, and ``pick(ready)``, which takes the next task out
     of the ready queue. With ``fuse``, a picked task that declares a
     ``launch_share`` takes the other ready instances of its task along,
-    oldest first, until their shares fill one launch — never the whole
-    queue, so other workers still find work. With a ``link`` the rank
-    has a communicator: each pass progresses its request pool, and an
-    idle worker yields and polls again rather than wait for a finishing
-    task's signal.
+    oldest first, while they still fit one launch — on one worker every
+    ready instance that fits, on N at most an N-th of the rank's
+    instances of the task, never the whole queue, so other workers still
+    find work. With a ``link`` the rank has a communicator: each pass
+    progresses its request pool, and an idle worker yields and polls
+    again rather than wait for a finishing task's signal.
     """
 
     def __init__(
@@ -156,33 +157,38 @@ class RankLoop:
     def _release(self, tids: List[int]) -> None:
         self._ready.extend(self._by_id[tid] for tid in tids)
 
-    def _launch_of(self, dt: DetailedTask) -> List[DetailedTask]:
+    def _launch_of(self, dt: DetailedTask, workers: int) -> List[DetailedTask]:
         """``dt`` and the ready tasks that share its launch."""
         dts, share_of = [dt], dt.task.launch_share
         if share_of is None or not self._fuse:
             return dts
+        instances = sum(t.task is dt.task for t in self._by_id.values())
+        limit = -(-instances // workers)  # this worker's N-th of the rank's, rounded up
         share = share_of(dt.patch)
         for other in list(self._ready):
-            if share >= 1.0 - 1e-9:  # six sixths are a full launch
+            if other.task is not dt.task:
+                continue
+            share += share_of(other.patch)
+            if len(dts) == limit or share > 1.0 + 1e-9:  # six sixths fit, seven do not
                 break
-            if other.task is dt.task:
-                self._ready.remove(other)
-                dts.append(other)
-                share += share_of(other.patch)
+            self._ready.remove(other)
+            dts.append(other)
         return dts
 
     def run(self, workers: int = 1) -> None:
         """Work the rank on ``workers`` threads, the caller's own among them."""
-        helpers = [threading.Thread(target=self._work) for _ in range(workers - 1)]
+        helpers = [
+            threading.Thread(target=self._work, args=(workers,)) for _ in range(workers - 1)
+        ]
         for t in helpers:
             t.start()
-        self._work()
+        self._work(workers)
         for t in helpers:
             t.join()
         if self._errors:
             raise self._errors[0]
 
-    def _work(self) -> None:
+    def _work(self, workers: int) -> None:
         link = self._link
         idle_spins = 0
         try:
@@ -196,7 +202,7 @@ class RankLoop:
                     dt = self._pick(self._ready)
                     if dt is None and link is None:
                         self._cv.wait(0.05)
-                    dts = self._launch_of(dt) if dt is not None else ()
+                    dts = self._launch_of(dt, workers) if dt is not None else ()
                 if dts:
                     idle_spins = 0
                     self._launch(dts)

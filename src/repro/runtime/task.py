@@ -10,7 +10,7 @@ DataWarehouse through a :class:`TaskContext`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -53,8 +53,8 @@ class Task:
     A task whose instances can share a launch declares ``launch_share``:
     the fraction of one full launch its instance on a patch fills. Its
     callback then takes a *sequence* of contexts — the ready instances a
-    rank runs together, until their shares add up to a launch — and
-    must leave each patch's results as if it had run alone.
+    rank runs together, as many as fit one launch — and must leave each
+    patch's results as if it had run alone.
     """
 
     def __init__(
@@ -139,6 +139,23 @@ class TaskContext:
             )
         region = self.patch.box.grow(ghost)
         return self._dw(decl.dw).get_region(label, self.level, region, default=default)
+
+    def require_many(
+        self, labels: Sequence[VarLabel], defaults: Optional[Sequence[Optional[float]]] = None
+    ) -> List[np.ndarray]:
+        """:meth:`require` for several labels declared with one ghost
+        width on one DW, gathered in one walk of it
+        (:meth:`DataWarehouse.get_regions`): one array per label, in
+        order."""
+        decls = [self._declared_requires(label) for label in labels]
+        if len({(decl.dw, decl.num_ghost) for decl in decls}) != 1:
+            raise SchedulerError(
+                f"task {self.task.name} reads {[label.name for label in labels]} "
+                f"together, but declared them with different ghost widths or DWs: "
+                f"{[(decl.dw, decl.num_ghost) for decl in decls]}"
+            )
+        region = self.patch.box.grow(decls[0].num_ghost)
+        return self._dw(decls[0].dw).get_regions(labels, self.level, region, defaults)
 
     def require_level(self, label: VarLabel) -> np.ndarray:
         decl = self._declared_requires(label)

@@ -1,5 +1,9 @@
 """Tests for the ARCHES-lite CFD substrate and the coupled driver."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -152,6 +156,28 @@ class TestProjection:
             PressureProjection((1, 1, 1)).project(
                 np.zeros((4, 4, 4)), np.zeros((4, 4, 4)), np.zeros((5, 4, 4))
             )
+
+
+    def test_scipy_loads_on_the_first_projection_not_at_import(self):
+        """``import repro`` reaches this module in every solver, server
+        and worker process; scipy.sparse (28 MB resident) is for the one
+        caller that projects."""
+        prog = (
+            "import sys, numpy as np, repro\n"
+            "assert 'scipy' not in sys.modules, 'import repro loaded scipy'\n"
+            "from repro.arches import PressureProjection\n"
+            "PressureProjection((1.0, 1.0, 1.0)).project(*np.zeros((3, 4, 4, 4)))\n"
+            "assert 'scipy.sparse.linalg' in sys.modules\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH", "")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", prog], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSmagorinsky:

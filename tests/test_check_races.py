@@ -160,6 +160,34 @@ class TestSchedulerAndService:
         assert det.race_count == 1
         assert "dw:phi@p0" in det.distinct_locations()
 
+    @pytest.mark.parametrize("read", ["get_regions", "get_region"])
+    def test_datawarehouse_shim_flags_put_racing_a_region_read(self, read):
+        """Every region read assembles in ``get_regions``: a ``put`` with
+        no ordering against a gather of the same patch is flagged for
+        every label gathered, whichever entry point the reader used."""
+        from repro.dw import CCVariable, DataWarehouse, cc
+        from repro.grid import Box, Level, decompose_level
+
+        level = Level(0, Box.cube(8), dx=(1 / 8,) * 3)
+        patch = decompose_level(level, (4, 4, 4))[0]
+        det = RaceDetector()
+        dw = instrument_datawarehouse(DataWarehouse(), det)
+        labels = [cc("phi"), cc("psi")]
+
+        def put():
+            for label in labels:
+                dw.put(label, patch.patch_id, CCVariable(patch.box))
+
+        def gather():   # a default per label: the read may come first
+            if read == "get_regions":
+                dw.get_regions(labels, level, patch.box, [0.0, 0.0])
+            else:
+                for label in labels:
+                    dw.get_region(label, level, patch.box, default=0.0)
+
+        run_pair(put, gather)
+        assert det.distinct_locations() == {"dw:phi@p0", "dw:psi@p0"}
+
     def test_worker_pool_shim_is_clean(self):
         """Batches hand off dispatcher -> shard through the tracked
         queues; the channel happens-before keeps the verdict clean."""

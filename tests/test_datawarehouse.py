@@ -237,6 +237,56 @@ class TestHostDW:
                     self.dw.add_foreign(self.phi, p.patch_id, CCVariable(p.box))
         assert gather_cost() == 2
 
+    def test_get_regions_is_get_region_label_by_label(self):
+        """One walk for several labels: the same arrays, counters and
+        errors as a ``get_region`` per label —
+        with NaN values as data, a default per label, overlapping
+        foreign pieces, and labels whose pieces of one patch have
+        *different* boxes (so no placement may leak between them)."""
+        near, far = self.patch_at((0, 0, 0)), self.patch_at((4, 0, 0))
+        psi, chi = cc("psi"), cc("chi")
+        rng = np.random.default_rng(0)
+
+        def filled(box):
+            return CCVariable(box, rng.random(box.extent))
+
+        for label in (self.phi, psi, chi):      # local: one box for every label
+            self.dw.put(label, near.patch_id, filled(near.box))
+        self.dw.get(psi, near.patch_id).data[3, 1, 2] = np.nan
+        whole = Box((4, 0, 0), (6, 4, 4))
+        low, high = Box((4, 0, 0), (6, 3, 4)), Box((4, 2, 0), (6, 4, 4))
+        for label, boxes in ((self.phi, [low, high]), (psi, [low, whole]), (chi, [high])):
+            for box in boxes:
+                self.dw.add_foreign(label, far.patch_id, filled(box))
+        labels, defaults = [self.phi, psi, chi], [None, -1.0, -2.0]
+
+        def spent(gather):
+            before = self.dw.stats.as_dict()
+            arrays = gather()
+            return arrays, {k: v - before[k] for k, v in self.dw.stats.as_dict().items()}
+
+        for region in (Box((2, 0, 0), (6, 4, 4)), Box((3, 1, 1), (5, 3, 3))):
+            one_by_one, cost = spent(lambda: [
+                self.dw.get_region(label, self.level, region, default=default)
+                for label, default in zip(labels, defaults)
+            ])
+            together, cost_together = spent(
+                lambda: self.dw.get_regions(labels, self.level, region, defaults)
+            )
+            assert cost_together == cost
+            for got, expected in zip(together, one_by_one):
+                np.testing.assert_array_equal(got, expected)
+        _, psi_out, chi_out = self.dw.get_regions(
+            labels, self.level, Box((2, 0, 0), (6, 4, 4)), defaults
+        )
+        assert np.isnan(psi_out).sum() == 1 and not (psi_out == -1.0).any()
+        # chi's one piece leaves the far patch's y < 2 to its default;
+        # phi's and psi's pieces of that patch never land in chi
+        assert (chi_out[2:, :2] == -2.0).all() and (chi_out == -2.0).sum() == 2 * 2 * 4
+        # a hole is reported for the label it is in, the one without a default
+        with pytest.raises(DataWarehouseError, match=r"^phi: \d+ of 216 cells"):
+            self.dw.get_regions(labels, self.level, near.box.grow(1), defaults)
+
     def test_level_vars(self):
         lbl = per_level("coarse_abskg")
         arr = np.ones((4, 4, 4))

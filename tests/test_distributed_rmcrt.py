@@ -162,9 +162,9 @@ class TestGhostGather:
         }
         gathers = 0
         for dt in graph.detailed_tasks:
-            for req in dt.task.requires:
-                if req.label.kind is not VarKind.CELL_CENTERED:
-                    continue
+            reqs = [r for r in dt.task.requires if r.label.kind is VarKind.CELL_CENTERED]
+            singles = []
+            for req in reqs:
                 region = dt.patch.box.grow(req.num_ghost)
                 inside = region.intersect(domain)
                 expected = np.full(region.extent, np.nan)
@@ -175,5 +175,14 @@ class TestGhostGather:
                     req.label, fine, region, default=np.nan
                 )
                 np.testing.assert_array_equal(got, expected)
+                singles.append(got)
                 gathers += 1
+            if reqs:
+                # the task's own read: its labels in one walk, array for array
+                assert len({req.num_ghost for req in reqs}) == 1
+                together = rank_dws[dt.rank].get_regions(
+                    [req.label for req in reqs], fine, region, [np.nan] * len(reqs)
+                )
+                for got, single in zip(together, singles):
+                    np.testing.assert_array_equal(got, single)
         assert gathers == (27 + 1) * 3      # 27 traces and the coarsen

@@ -3,7 +3,7 @@ stacked-window launch.
 
 What must hold: grouping is invisible (every scheduler leaves the
 DataWarehouse contents of the serial reference), fusion actually
-happens on a thin scene and respects the launch-width target, the
+happens on a thin scene and never exceeds the launch width, the
 faithfulness guard fires per window and names the offending patch, and
 the runtime's accounting stays per task.
 """
@@ -14,7 +14,7 @@ import pytest
 from repro.core import DistributedRMCRT, benchmark_property_init
 from repro.core import distributed
 from repro.core.distributed import ABSKG, CELL_TYPE, DIVQ, SIGMA_T4, WALL_FLUX
-from repro.core.kernels import FUSED_LAUNCH_RAYS
+from repro.core.kernels import LAUNCH_RAYS
 from repro.grid import LoadBalancer
 from repro.perf import MetricsRegistry, SpanTracer, set_metrics
 from repro.perf.flightrec import FlightRecorder, set_flight_recorder
@@ -30,20 +30,26 @@ from repro.runtime import (
     ThreadedScheduler,
     gather_cc,
 )
+from repro.runtime.scheduler import RankLoop
 from repro.util.errors import ReproError
 from tests.test_schedulers import PHI, make_grid
 from tests.test_three_level import three_level_grid
 
 RAYS_PER_CELL = 2
-PATCH_RAYS = 4 ** 3 * RAYS_PER_CELL      # 27 patches of 4^3: 16 of them fill a launch
+PATCH_RAYS = 4 ** 3 * RAYS_PER_CELL      # 27 patches of 4^3: all of them fit one launch
+#: on the same patches the width binds: five are just over a launch, four fit
+BINDING_RAYS_PER_CELL = LAUNCH_RAYS // (5 * 4 ** 3) + 1
+BINDING_PATCH_RAYS = 4 ** 3 * BINDING_RAYS_PER_CELL
+#: eight patches of 8^3, every one a launch of its own
+ALONE = dict(resolution=16, patch=8, rays_per_cell=LAUNCH_RAYS // 8 ** 3)
 
 
-def thin_pipeline(levels=2, rays_per_cell=RAYS_PER_CELL, resolution=12, **kw):
+def thin_pipeline(levels=2, rays_per_cell=RAYS_PER_CELL, resolution=12, patch=4, **kw):
     bench = BurnsChristonBenchmark(resolution=resolution)
     if levels == 2:
-        grid = bench.two_level_grid(refinement_ratio=2, fine_patch_size=4)
+        grid = bench.two_level_grid(refinement_ratio=2, fine_patch_size=patch)
     else:
-        grid = three_level_grid(fine=resolution, patch=4)
+        grid = three_level_grid(fine=resolution, patch=patch)
     return DistributedRMCRT(
         grid, benchmark_property_init(bench), rays_per_cell=rays_per_cell,
         halo=1, seed=11, device=True, **kw,
@@ -137,19 +143,26 @@ def traced(execute):
 
 class TestFusionHappens:
     def test_serial_launches_fill_the_target_and_no_more(self):
-        drm = thin_pipeline()
+        drm = thin_pipeline(rays_per_cell=BINDING_RAYS_PER_CELL)
         graph = drm.build_graph()
         registry, spans = traced(lambda tracer: SerialScheduler(tracer=tracer).execute(graph))
         launches = [s["args"]["fused"] for s in spans]
-        assert sum(launches) == 27
-        assert launches == [FUSED_LAUNCH_RAYS // PATCH_RAYS, 27 - FUSED_LAUNCH_RAYS // PATCH_RAYS]
-        assert registry.value("dda.calls", handoff="0") == len(launches) < 27
-        assert registry.value("dda.lanes_launched", handoff="0") == 27 * PATCH_RAYS
+        # a fifth patch would overshoot the width: it waits for the next launch
+        assert 4 * BINDING_PATCH_RAYS <= LAUNCH_RAYS < 5 * BINDING_PATCH_RAYS
+        assert launches == [4] * 6 + [3]
+        assert registry.value("dda.calls", handoff="0") == len(launches)
+        assert registry.value("dda.lanes_launched", handoff="0") == 27 * BINDING_PATCH_RAYS
         assert sorted(p for s in spans for p in s["args"]["patches"]) == list(range(27))
+
+    def test_one_worker_launches_everything_ready_below_the_width(self):
+        graph = thin_pipeline().build_graph()
+        registry, spans = traced(lambda tracer: SerialScheduler(tracer=tracer).execute(graph))
+        assert [s["args"]["fused"] for s in spans] == [27]
+        assert registry.value("dda.calls", handoff="0") == 1
 
     @pytest.mark.parametrize("num_ranks", [2, 4])
     def test_distributed_ranks_fuse_within_the_target(self, num_ranks):
-        drm = thin_pipeline()
+        drm = thin_pipeline(rays_per_cell=BINDING_RAYS_PER_CELL)
         assignment = LoadBalancer(num_ranks).assign(drm.grid.finest_level.patches)
         graph = drm.build_graph(assignment=assignment, num_ranks=num_ranks)
         registry, spans = traced(
@@ -157,15 +170,13 @@ class TestFusionHappens:
         )
         assert registry.value("dda.calls", handoff="0") == len(spans) < 27
         for span in spans:
-            # a launch stops at the first task that reaches the target
-            assert (span["args"]["fused"] - 1) * PATCH_RAYS < FUSED_LAUNCH_RAYS
+            assert span["args"]["fused"] * BINDING_PATCH_RAYS <= LAUNCH_RAYS
             assert {assignment[p] for p in span["args"]["patches"]} == {span["args"]["rank"]}
 
     def test_a_patch_that_fills_a_launch_runs_alone(self):
-        drm = thin_pipeline(rays_per_cell=FUSED_LAUNCH_RAYS // 4 ** 3)
-        graph = drm.build_graph()
+        graph = thin_pipeline(**ALONE).build_graph()
         _, spans = traced(lambda tracer: SerialScheduler(tracer=tracer).execute(graph))
-        assert [s["args"]["fused"] for s in spans] == [1] * 27
+        assert [s["args"]["fused"] for s in spans] == [1] * 8
 
     def test_device_schedulers_launch_one_task_at_a_time(self):
         graph = thin_pipeline().build_graph()
@@ -176,9 +187,11 @@ class TestFusionHappens:
 class TestLaunchShareDeclaration:
     """The runtime side on its own: any task may declare a launch share."""
 
-    def test_sixths_fill_a_launch_at_six(self):
-        grid = make_grid(n=12, patch=4)         # 27 patches
-        launches = []
+    @staticmethod
+    def fill_graph(share, launches):
+        """27 patches, one ``fill`` task each, declaring ``share``; the
+        callback appends each launch's patch ids to ``launches``."""
+        grid = make_grid(n=12, patch=4)
 
         def fill_cb(ctxs):
             launches.append([ctx.patch.patch_id for ctx in ctxs])
@@ -187,13 +200,34 @@ class TestLaunchShareDeclaration:
 
         tg = TaskGraph(grid)
         tg.add_task(
-            Task("fill", fill_cb, computes=[Computes(PHI)], launch_share=lambda patch: 1 / 6), 0
+            Task("fill", fill_cb, computes=[Computes(PHI)], launch_share=lambda patch: share), 0
         )
-        dw = SerialScheduler().execute(tg.compile())
+        return grid, tg.compile()
+
+    def test_sixths_fill_a_launch_at_six(self):
+        launches = []
+        grid, graph = self.fill_graph(1 / 6, launches)
+        dw = SerialScheduler().execute(graph)
         assert [len(ids) for ids in launches] == [6, 6, 6, 6, 3]    # six sixths are full
         assert [p for ids in launches for p in ids] == list(range(27))
         for patch in grid.level(0).patches:
             assert (dw.get(PHI, patch.patch_id).view(patch.box) == patch.patch_id).all()
+
+    def test_an_instance_that_would_overshoot_waits(self):
+        launches = []
+        _, graph = self.fill_graph(0.6, launches)
+        SerialScheduler().execute(graph)
+        assert [len(ids) for ids in launches] == [1] * 27     # 0.6 + 0.6 is not a launch
+
+    def test_a_worker_takes_its_share_of_the_rank_at_most(self):
+        """Everything fits one launch, but with four workers a launch
+        takes a quarter of the rank's instances, rounded up, so the
+        other workers still find work."""
+        _, graph = self.fill_graph(1 / 64, [])
+        loop = RankLoop(graph.detailed_tasks, launch=None)
+        assert len(loop._ready) == 27
+        assert len(loop._launch_of(loop._ready.popleft(), workers=4)) == 7      # ceil(27 / 4)
+        assert len(loop._launch_of(loop._ready.popleft(), workers=1)) == 20     # the rest
 
 
 class TestGuardFiresPerWindow:
@@ -201,15 +235,15 @@ class TestGuardFiresPerWindow:
     cells it was sent nothing for: the NaN poisoning must fire and name
     that patch, wherever it sits in a launch."""
 
-    @pytest.mark.parametrize("rays_per_cell", [
-        pytest.param(FUSED_LAUNCH_RAYS // 4 ** 3, id="alone"),     # every patch fills a launch
-        pytest.param(RAYS_PER_CELL, id="mid-launch"),              # up to 16 patches per launch
+    @pytest.mark.parametrize("scene", [
+        pytest.param(ALONE, id="alone"),        # every patch fills a launch
+        pytest.param({}, id="mid-launch"),      # every ready patch in one launch
     ])
     @pytest.mark.parametrize("scheduler", ["serial", "distributed"])
-    def test_wide_roi_names_its_patch(self, monkeypatch, rays_per_cell, scheduler):
-        drm = thin_pipeline(rays_per_cell=rays_per_cell)
+    def test_wide_roi_names_its_patch(self, monkeypatch, scene, scheduler):
+        drm = thin_pipeline(**scene)
         # fused, patch 5 is neither first nor last of its launch: serial
-        # launches patches 0-15 together, rank 1 of two starts at patch 2
+        # launches patches 0-26 together, rank 1 of two starts at patch 2
         offender = drm.grid.finest_level.patches[5]
         real_roi = distributed.patch_roi
 

@@ -16,6 +16,8 @@ from repro.core import (
     march_single_ray,
 )
 from repro.core.dda import RayStatus
+from repro.core.kernels import LAUNCH_RAYS
+from repro.perf import MetricsRegistry, set_metrics
 from repro.radiation import RadiativeProperties
 
 
@@ -125,8 +127,14 @@ class TestMonotonicity:
 
 
 class TestChunkInvariance:
-    @pytest.mark.parametrize("chunk", [7, 64, 100000])
-    def test_chunk_size_does_not_change_divq(self, chunk):
+    @pytest.mark.parametrize("chunk, rays_per_cell", [
+        pytest.param(7, 8, id="7"),
+        pytest.param(64, 8, id="64"),
+        pytest.param(100000, 8, id="100000"),
+        # the default: a patch one cell's rays wider than the launch width is cut in two
+        pytest.param(None, LAUNCH_RAYS // 4 ** 3 + 1, id="width"),
+    ])
+    def test_chunk_size_does_not_change_divq(self, chunk, rays_per_cell):
         """The kernel chunking is pure mechanics: any chunk size yields
         the identical answer for the same rays."""
         from repro.core import trace_patch_single_level
@@ -138,12 +146,44 @@ class TestChunkInvariance:
         fields = LevelFields.from_properties(grid.finest_level, props)
         box = Box.cube(4, lo=(2, 2, 2))
         base = trace_patch_single_level(
-            fields, box, 8, np.random.default_rng(5), chunk_rays=1 << 17
+            fields, box, rays_per_cell, np.random.default_rng(5), chunk_rays=1 << 17
         )
-        other = trace_patch_single_level(
-            fields, box, 8, np.random.default_rng(5), chunk_rays=chunk
-        )
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            other = trace_patch_single_level(
+                fields, box, rays_per_cell, np.random.default_rng(5),
+                **({} if chunk is None else {"chunk_rays": chunk}),
+            )
+        finally:
+            set_metrics(previous)
         np.testing.assert_array_equal(base, other)
+        launches = -(-4 ** 3 * rays_per_cell // (chunk or LAUNCH_RAYS))
+        assert registry.value("dda.calls", handoff="0") == launches
+
+    def test_launch_memory_does_not_grow_with_the_patch(self):
+        """A patch four launches wide is marched a launch at a time: its
+        solve may hold more than a one-launch patch's (the rays are all
+        drawn first) but nowhere near four times as much."""
+        import tracemalloc
+
+        from repro.core import SingleLevelRMCRT
+        from repro.radiation import BurnsChristonBenchmark
+
+        bench = BurnsChristonBenchmark(resolution=32)
+        grid = bench.single_level_grid()
+        props = bench.properties_for_level(grid.finest_level)
+
+        def solve_peak(rays_per_cell):
+            assert 32 ** 3 * rays_per_cell % LAUNCH_RAYS == 0
+            tracemalloc.start()
+            try:
+                SingleLevelRMCRT(rays_per_cell=rays_per_cell, seed=3).solve(grid, props)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert solve_peak(4) <= 1.5 * solve_peak(1)
 
 
 class TestEnergyBounds:

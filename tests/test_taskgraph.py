@@ -14,7 +14,7 @@ from repro.grid import (
     build_two_level_grid,
     decompose_level,
 )
-from repro.dw import DataWarehouse, VarKind, cc, per_level, reduction
+from repro.dw import CCVariable, DataWarehouse, VarKind, cc, per_level, reduction
 from repro.runtime import (
     Computes,
     DistributedScheduler,
@@ -261,6 +261,28 @@ class TestTaskContext:
         ctx = TaskContext(task, patch, grid.level(0), None, DataWarehouse())
         with pytest.raises(SchedulerError):
             ctx.require(PHI, num_ghost=2)
+
+    def test_require_many_checks_every_label_and_wants_one_region(self):
+        grid = make_grid()
+        level = grid.level(0)
+        patch = level.patches[0]
+        psi, chi = cc("psi"), cc("chi")
+        task = Task("t", noop, requires=[
+            Requires(PHI, num_ghost=1), Requires(psi, num_ghost=1), Requires(chi, num_ghost=2),
+        ])
+        dw = DataWarehouse()
+        for p in level.patches:
+            for label in (PHI, psi, chi):
+                data = np.full(p.box.extent, p.patch_id + 0.5)
+                dw.put(label, p.patch_id, CCVariable(p.box, data))
+        ctx = TaskContext(task, patch, level, None, dw)
+        phi_arr, psi_arr = ctx.require_many([PHI, psi], defaults=[-1.0, -2.0])
+        np.testing.assert_array_equal(phi_arr, ctx.require(PHI, default=-1.0))
+        np.testing.assert_array_equal(psi_arr, ctx.require(psi, default=-2.0))
+        with pytest.raises(SchedulerError, match="different ghost widths"):
+            ctx.require_many([PHI, chi])
+        with pytest.raises(SchedulerError, match="undeclared label rho"):
+            ctx.require_many([PHI, cc("rho")])
 
     def test_wrong_shape_compute_rejected(self):
         grid = make_grid()

@@ -9,9 +9,10 @@ fabric knows about a shard it learns from that directory:
   (the zero-loss window the supervisor re-homes after a kill);
 * ``outbox/``  — finished results awaiting the router's forwarding;
 * ``journal/`` — the service's write-ahead journal (accepted solves);
-* ``status.json`` — SLO snapshot + heartbeat, republished every serve
-  pass; its ``heartbeat_t`` going stale is how death is detected even
-  when the process object is not ours to poll.
+* ``status.json`` — SLO snapshot + heartbeat, republished when what
+  it reports changes and at least every 0.5 s; its ``heartbeat_t``
+  going stale is how death is detected even when the process object
+  is not ours to poll.
 
 :class:`ShardHandle` wraps both halves — the directory protocol and an
 optional owned subprocess — so the supervisor treats spawned and

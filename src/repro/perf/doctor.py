@@ -651,13 +651,14 @@ def _serve_and_submit(spool: Path, specs, tsdb_interval: float,
                       extra: Sequence[str] = (),
                       prefix: str = "doctor",
                       timeout_s: float = 180.0) -> None:
-    """One serve subprocess fed one request at a time (so every
-    request is a distinct serve pass and the tsdb cadence sees each),
-    waiting for each result before sending the next. ``prefix`` must
+    """One serve subprocess fed one request at a time, waiting for
+    each result before sending the next and sending no faster than the
+    tsdb cadence (so every request is a distinct serve pass and lands
+    in a sample of its own, however fast the spool answers). ``prefix`` must
     be unique per serve phase sharing a spool — a reused ticket name
     would match the previous phase's stale outbox result and the
     pacing (and its telemetry) would collapse."""
-    from repro.service.spool import read_result_meta, write_request
+    from repro.service.spool import wait_result, write_request
     from repro.ups import spec_to_ups
 
     inbox, outbox = spool / "inbox", spool / "outbox"
@@ -673,17 +674,18 @@ def _serve_and_submit(spool: Path, specs, tsdb_interval: float,
     try:
         for i, spec in enumerate(specs):
             ticket = f"{prefix}-{i:03d}"
+            sent = time.monotonic()
             write_request(inbox, ticket, spec_to_ups(spec))
-            while read_result_meta(outbox, ticket) is None:
-                if time.monotonic() > deadline:
-                    raise PerfError(
-                        f"doctor drill: no result for {ticket} within "
-                        f"{timeout_s}s")
+            if wait_result(outbox, ticket, deadline,
+                           alive=lambda: proc.poll() is None) is None:
                 if proc.poll() is not None:
                     raise PerfError(
                         f"doctor drill: serve exited early (rc "
                         f"{proc.returncode}); see {spool}/serve_drill.log")
-                time.sleep(0.01)
+                raise PerfError(
+                    f"doctor drill: no result for {ticket} within "
+                    f"{timeout_s}s")
+            time.sleep(max(0.0, sent + tsdb_interval - time.monotonic()))
         if proc.wait(timeout=60.0) != 0:
             raise PerfError(
                 f"doctor drill: serve failed (rc {proc.returncode})")

@@ -22,6 +22,13 @@ directory (see :mod:`repro.service.spool`), so a request is solved by
 exactly one shard no matter how many poll the inbox. The claimed file
 survives until the result is published, which is what lets the fabric
 supervisor re-home a killed shard's accepted work with zero loss.
+
+Neither side sleeps a fixed interval. ``submit`` waits for its sidecar
+and ``serve`` for its next request by :func:`repro.service.spool.poll_delay`
+(a tenth of the time already waited, 0.5–50 ms); a finished solve sets
+the serve loop's wake event, so its result is published when it is
+delivered, not at the next poll; and ``status.json`` is rewritten when
+what it reports changes, or every ``_STATUS_EVERY_S`` for the heartbeat.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 import uuid
 from pathlib import Path
@@ -51,14 +59,20 @@ from repro.service.service import RadiationService, ServiceClient, ServiceConfig
 from repro.service.spool import (
     claim_request,
     extract_ctx,
-    read_result_meta,
+    poll_delay,
     release_claims,
+    wait_result,
     write_request,
     write_result,
 )
 from repro.ups import parse_ups
 from repro.util.atomic import atomic_savez, atomic_write_text
 from repro.util.errors import ReproError, ServiceError
+
+#: status.json is republished at least this often while nothing it
+#: reports changes — the heartbeat the fabric (death at 5 s) and the
+#: supervisor (10 s) read staleness from
+_STATUS_EVERY_S = 0.5
 
 
 def _service_args(parser: argparse.ArgumentParser) -> None:
@@ -174,7 +188,9 @@ def cmd_submit(argv) -> int:
         "--out", default=None, help="directory for per-request divq .npz files"
     )
     parser.add_argument(
-        "--timeout", type=float, default=300.0, help="per-request wait (seconds)"
+        "--timeout", type=float, default=300.0,
+        help="seconds to wait: for each request in-process, for the "
+        "whole list (one deadline) through --spool",
     )
     _service_args(parser)
     args = parser.parse_args(argv)
@@ -242,13 +258,10 @@ def _submit_spool(args, names) -> int:
     deadline = time.monotonic() + args.timeout
     failures = 0
     for name, ticket in tickets:
-        meta = read_result_meta(outbox, ticket)
-        while meta is None:
-            if time.monotonic() > deadline:
-                print(f"error: no result for {name} ({ticket})", file=sys.stderr)
-                return 1
-            time.sleep(0.05)
-            meta = read_result_meta(outbox, ticket)
+        meta = wait_result(outbox, ticket, deadline)
+        if meta is None:
+            print(f"error: no result for {name} ({ticket})", file=sys.stderr)
+            return 1
         if meta.get("error"):
             print(f"{name:<28} FAILED: {meta['error']}")
             failures += 1
@@ -273,7 +286,7 @@ def cmd_serve(argv) -> int:
     parser.add_argument("--spool", required=True, help="spool directory")
     parser.add_argument(
         "--idle-timeout", type=float, default=10.0,
-        help="exit after this many seconds with no new requests",
+        help="exit after this many seconds with nothing claimed or settled",
     )
     parser.add_argument(
         "--max-requests", type=int, default=None,
@@ -323,7 +336,11 @@ def cmd_serve(argv) -> int:
 
     served = 0
     outstanding = []  # (ticket, handle, claimed_path)
-    last_request = time.monotonic()
+    passes = metrics.counter("service.spool.passes")
+    # set by whichever handle completes, on whichever worker, so the
+    # loop publishes a result when it is delivered; cleared before each
+    # pass re-reads every handle, so no completion is lost between
+    wake = threading.Event()
     print(f"serving from {spool} as {args.shard_id} "
           f"(idle timeout {args.idle_timeout}s)")
     fault_hook = None
@@ -373,8 +390,13 @@ def cmd_serve(argv) -> int:
             for handle in recovered["handles"]:
                 handle.result(timeout=args.idle_timeout + 300.0)
         stopping = False
+        published = (None, 0.0)  # (what status.json last reported, when)
+        # the last claim or settle: every wait of this loop, and its
+        # idle timeout, is measured from here
+        last_work = time.monotonic()
         while True:
-            claimed = 0
+            passes.inc()
+            worked = False
             stopping = stopping or stop_file.exists()
             budget_left = not stopping and (
                 args.max_requests is None or served < args.max_requests
@@ -403,19 +425,20 @@ def cmd_serve(argv) -> int:
                         write_result(outbox, ticket, error=str(exc))
                         _settle_claim(claimed_path)
                         print(f"{ticket}: rejected ({exc})")
+                        worked = True
                         continue
+                    handle.add_done_callback(wake.set)
                     outstanding.append((ticket, handle, claimed_path))
-                    claimed += 1
+                    worked = True
                     served += 1
                     if args.max_requests is not None and served >= args.max_requests:
                         break
-            if claimed:
-                last_request = time.monotonic()
             still_waiting = []
             for ticket, handle, claimed_path in outstanding:
                 if not handle.done():
                     still_waiting.append((ticket, handle, claimed_path))
                     continue
+                worked = True
                 try:
                     result = handle.result(timeout=0)
                 except ServiceError as exc:
@@ -427,28 +450,38 @@ def cmd_serve(argv) -> int:
                 _settle_claim(claimed_path)
                 print(_result_line(ticket, result))
             outstanding = still_waiting
+            now = time.monotonic()
+            if worked:
+                last_work = now
             done_budget = args.max_requests is not None and served >= args.max_requests
-            # live status snapshot: the SLO document plus shard
-            # identity and a heartbeat timestamp, atomically
-            # republished every pass — the fabric supervisor reads
-            # heartbeat staleness from here to detect shard death
             if collector is not None:
                 record = collector.maybe_sample(
                     served=served, outstanding=len(outstanding)
                 )
                 if record is not None:
                     bank.observe(record)
-            _publish_status(
-                spool, svc, args.shard_id, served, len(outstanding),
-                inbox, claim_dir, bank=bank,
+            # live status snapshot: the SLO document plus shard
+            # identity and a heartbeat timestamp, atomically
+            # republished when what it reports changes (a detection
+            # leaves only by ageing out, which the cadence catches) and
+            # every _STATUS_EVERY_S otherwise — the fabric supervisor
+            # reads heartbeat staleness from here to detect shard death
+            reported = (
+                served, len(outstanding), stopping,
+                bank.emitted if bank is not None else 0,
             )
+            if reported != published[0] or now - published[1] >= _STATUS_EVERY_S:
+                _publish_status(
+                    spool, svc, args.shard_id, served, len(outstanding),
+                    inbox, claim_dir, bank=bank,
+                )
+                published = (reported, now)
             if not outstanding and (
-                stopping
-                or done_budget
-                or time.monotonic() - last_request > args.idle_timeout
+                stopping or done_budget or now - last_work > args.idle_timeout
             ):
                 break
-            time.sleep(0.05)
+            wake.wait(poll_delay(time.monotonic() - last_work))
+            wake.clear()
         if collector is not None:
             record = collector.sample(served=served, outstanding=len(outstanding))
             bank.observe(record)
@@ -652,3 +685,4 @@ def _publish_status(
         "stats": svc.stats(),
     }
     atomic_write_text(spool / "status.json", json.dumps(doc, indent=2) + "\n")
+    svc.metrics.counter("service.spool.status_published").inc()

@@ -6,7 +6,8 @@ the spec fingerprint (:func:`repro.ups.spec_fingerprint`); a
 physics output (``divq``, rays traced) and the serving metadata (cache
 hit, batch size, retry count, latency). :class:`SolveHandle` is the
 future the service hands out at submission — callers block on
-:meth:`SolveHandle.result`.
+:meth:`SolveHandle.result`, or ask to be told
+(:meth:`SolveHandle.add_done_callback`) when one of many completes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -98,6 +99,8 @@ class SolveHandle:
     def __init__(self, request: SolveRequest) -> None:
         self.request = request
         self._done = threading.Event()
+        self._lock = threading.Lock()
+        self._callbacks: List[Callable[[], None]] = []
         self._result: Optional[SolveResult] = None
         self._error: Optional[ServiceError] = None
 
@@ -105,14 +108,29 @@ class SolveHandle:
         return self._done.is_set()
 
     def set_result(self, result: SolveResult) -> None:
-        if not self._done.is_set():
-            self._result = result
-            self._done.set()
+        self._complete(result, None)
 
     def set_error(self, error: ServiceError) -> None:
-        if not self._done.is_set():
-            self._error = error
+        self._complete(None, error)
+
+    def _complete(self, result, error) -> None:
+        with self._lock:
+            if self._done.is_set():
+                return
+            self._result, self._error = result, error
             self._done.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            fn()
+
+    def add_done_callback(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` once, from the completing thread, when the
+        handle completes — at once if it already has."""
+        with self._lock:
+            if not self._done.is_set():
+                self._callbacks.append(fn)
+                return
+        fn()
 
     def result(self, timeout: Optional[float] = None) -> SolveResult:
         """Block until completion; raises the failure if there was one."""

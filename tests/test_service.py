@@ -8,6 +8,7 @@ as :class:`ServiceError`, never as hangs or wrong answers.
 """
 
 import json
+import math
 import threading
 import time
 
@@ -35,6 +36,14 @@ def registry():
     previous = set_metrics(fresh)
     yield fresh
     set_metrics(previous)
+
+
+def counters_of(metrics_path) -> dict:
+    """Counter totals by name from a ``--metrics`` file."""
+    totals = {}
+    for c in json.loads(metrics_path.read_text())["counters"]:
+        totals[c["name"]] = totals.get(c["name"], 0) + c["value"]
+    return totals
 
 
 def small_spec(seed=1, rays=3) -> ProblemSpec:
@@ -314,33 +323,43 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "cache-hit" in out
-        metrics = json.loads(metrics_path.read_text())
-        hits = sum(
-            c["value"] for c in metrics["counters"]
-            if c["name"] == "service.cache.hits"
-        )
-        assert hits >= 1
+        assert counters_of(metrics_path)["service.cache.hits"] >= 1
         reference = run_ups(parse_ups(UPS_TEXT))
         for npz in sorted(out_dir.glob("*.npz")):
             with np.load(npz) as arrays:
                 np.testing.assert_array_equal(arrays["divq"], reference.divq)
 
-    def test_spool_serve_submit_roundtrip(self, tmp_path):
+    def test_spool_serve_submit_roundtrip(self, tmp_path, monkeypatch):
+        from repro.service import cli
         from repro.service.cli import cmd_serve, cmd_submit
 
         ups = tmp_path / "small.ups"
         ups.write_text(UPS_TEXT)
         spool = tmp_path / "spool"
+        metrics_path = tmp_path / "serve_metrics.json"
         serve_rc = {}
+        # (served, outstanding, sidecars in the outbox) at every publish
+        publishes = []
+        publish_status = cli._publish_status
+
+        def recording_publish(spool_dir, svc, shard_id, served, outstanding,
+                              *args, **kwargs):
+            sidecars = len(list((spool_dir / "outbox").glob("*.json")))
+            publishes.append((served, outstanding, sidecars))
+            return publish_status(spool_dir, svc, shard_id, served,
+                                  outstanding, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_publish_status", recording_publish)
 
         def serve():
             serve_rc["rc"] = cmd_serve(
                 [
-                    "--spool", str(spool),
+                    "--spool", str(spool), "--metrics", str(metrics_path),
                     "--max-requests", "2", "--idle-timeout", "60",
                 ]
             )
 
+        t0 = time.monotonic()
         server = threading.Thread(target=serve, daemon=True)
         server.start()
         rc = cmd_submit(
@@ -348,6 +367,7 @@ class TestCLI:
         )
         assert rc == 0
         server.join(timeout=60)
+        wall = time.monotonic() - t0
         assert not server.is_alive() and serve_rc["rc"] == 0
         results = sorted((spool / "outbox").glob("*.npz"))
         assert len(results) == 2
@@ -355,6 +375,150 @@ class TestCLI:
         for npz in results:
             with np.load(npz) as arrays:
                 np.testing.assert_array_equal(arrays["divq"], reference.divq)
+        # status is published on change or on the 0.5 s cadence, not
+        # every pass: a claim and a settle per request, the first
+        # publish, the exit publish, and the heartbeats in between
+        counters = counters_of(metrics_path)
+        assert counters["service.spool.status_published"] == len(publishes)
+        assert len(publishes) <= 2 * 2 + 2 + math.ceil(wall / 0.5)
+        assert counters["service.spool.passes"] >= 2
+        # a result is in the outbox before any status reports it settled
+        for served, outstanding, sidecars in publishes:
+            assert sidecars >= served - outstanding
+        assert publishes[-1][:2] == (2, 0)
+        final = json.loads((spool / "status.json").read_text())
+        assert final["shard"]["exited"] and final["shard"]["served"] == 2
+
+    def test_rejected_request_is_answered_once_and_settled(self, tmp_path):
+        from repro.service.cli import cmd_serve
+        from repro.service.spool import wait_result, write_request
+
+        spool = tmp_path / "spool"
+        metrics_path = tmp_path / "serve_metrics.json"
+        write_request(spool / "inbox", "bad", "<Uintah_specification><Grid>")
+        serve_rc = {}
+
+        def serve():
+            serve_rc["rc"] = cmd_serve(
+                ["--spool", str(spool), "--metrics", str(metrics_path),
+                 "--idle-timeout", "60", "--tsdb-interval", "0"]
+            )
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        meta = wait_result(
+            spool / "outbox", "bad", time.monotonic() + 60, alive=server.is_alive
+        )
+        (spool / "serve.stop").write_text("stop\n")
+        server.join(timeout=60)
+        assert not server.is_alive() and serve_rc["rc"] == 0
+        assert meta is not None and meta["error"]
+        assert list((spool / "outbox").glob("*")) == [spool / "outbox" / "bad.json"]
+        assert list((spool / "claimed" / "shard0").glob("*")) == []
+        assert list((spool / "inbox").glob("*")) == []
+        assert counters_of(metrics_path)["service.spool.claimed"] == 1
+        final = json.loads((spool / "status.json").read_text())
+        assert final["shard"]["served"] == 0 and final["shard"]["exited"]
+
+
+class TestSpoolWait:
+    """The spool's one wait rule and the two things that use it,
+    pinned without a clock."""
+
+    def test_poll_delay_bounds_and_monotonicity(self):
+        from repro.service.spool import poll_delay
+
+        assert poll_delay(0.0) == 0.0005
+        assert poll_delay(0.5) == 0.05 and poll_delay(3600.0) == 0.05
+        waited = [i * 1e-3 for i in range(0, 700)]
+        delays = [poll_delay(w) for w in waited]
+        assert delays == sorted(delays)
+        assert all(0.0005 <= d <= 0.05 for d in delays)
+        # past the floor a wait is never more than a tenth of the wait so far
+        assert all(d <= 0.1 * w + 1e-15 for w, d in zip(waited, delays) if w >= 0.005)
+
+    def test_poll_delay_schedule_reaches_the_cap_in_59_wakeups(self):
+        from repro.service.spool import poll_delay
+
+        waited, wakeups = 0.0, 0
+        while poll_delay(waited) < 0.05:
+            waited += poll_delay(waited)
+            wakeups += 1
+        assert wakeups == 59
+        assert waited == pytest.approx(0.5336, abs=5e-4)
+
+    @pytest.mark.parametrize("complete", ["result", "error"])
+    def test_done_callback_fires_exactly_once(self, complete):
+        from repro.service.schema import SolveHandle, SolveRequest
+
+        handle = SolveHandle(SolveRequest(spec=tiny_spec()))
+        fired = []
+        handle.add_done_callback(lambda: fired.append("early"))
+        assert fired == []
+        if complete == "result":
+            handle.set_result("a result")
+        else:
+            handle.set_error(ServiceError("failed"))
+        assert fired == ["early"]
+        # a late completion is dropped and wakes nobody again
+        handle.set_result("late")
+        handle.set_error(ServiceError("later"))
+        assert fired == ["early"]
+        # registered after completion: called at once, once
+        handle.add_done_callback(lambda: fired.append("late"))
+        assert fired == ["early", "late"]
+        if complete == "result":
+            assert handle.result(timeout=0) == "a result"
+        else:
+            with pytest.raises(ServiceError, match="failed"):
+                handle.result(timeout=0)
+
+    def test_wait_result_reads_before_it_sleeps(self, tmp_path, monkeypatch):
+        from repro.service import spool
+
+        def no_sleep(seconds):
+            raise AssertionError("slept with the result already published")
+
+        monkeypatch.setattr(spool.time, "sleep", no_sleep)
+        spool.write_result(tmp_path, "t1", error="boom")
+        assert spool.wait_result(tmp_path, "t1", time.monotonic() + 60) == {
+            "error": "boom"
+        }
+        # a dead server, or a deadline already past, ends the wait unslept
+        assert spool.wait_result(
+            tmp_path, "t2", time.monotonic() + 60, alive=lambda: False
+        ) is None
+        assert spool.wait_result(tmp_path, "t2", time.monotonic() - 1) is None
+
+    def test_wait_result_sleeps_by_the_rule(self, tmp_path, monkeypatch):
+        from repro.service import spool
+
+        class FakeClock:
+            """monotonic() advances only by what sleep() is asked for;
+            the result is published once 40 ms have been slept."""
+
+            def __init__(self):
+                self.now, self.slept = 100.0, []
+
+            def monotonic(self):
+                return self.now
+
+            def sleep(self, seconds):
+                self.slept.append(seconds)
+                self.now += seconds
+                if self.now - 100.0 >= 0.04:
+                    spool.write_result(tmp_path, "t1", error="late")
+
+        clock = FakeClock()
+        monkeypatch.setattr(spool, "time", clock)
+        assert spool.wait_result(tmp_path, "t1", 160.0) == {"error": "late"}
+        waited, expected = 0.0, []
+        while waited < 0.04:
+            expected.append(spool.poll_delay(waited))
+            waited += expected[-1]
+        assert clock.slept == pytest.approx(expected)
+        # the read lands within a tenth of the wait after the result
+        assert waited <= 0.04 * 1.1 + 1e-12
 
 
 class TestJournal:

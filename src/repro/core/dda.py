@@ -18,11 +18,11 @@ The batch layout is exactly what a GPU wants, which is why this module
 doubles as the "GPU kernel" of the reproduction, NumPy's vector unit
 playing the role of the K20X's SIMT lanes:
 
-* **dense structure-of-arrays by axis.** State exists only for live
-  lanes, as contiguous rows — ``tau, sum_i, tcur, trans`` and
-  ``tmax``/``tdelta`` per axis as floats; the batch row, the flat cell
-  index and the flat index step per axis as ints — so every step is a
-  handful of whole-row ufuncs and no index gather into ray state.
+* **dense structure-of-arrays by axis.** State is contiguous rows —
+  ``tau, sum_i, tcur, trans`` and ``tmax``/``tdelta`` per axis as
+  floats; the batch row, the flat cell index and the flat index step per
+  axis as ints — so every step is a handful of whole-row ufuncs and no
+  index gather into ray state.
 * **flat cell index.** The cell is one offset into the raveled property
   arrays, and one gather of a per-call int8 *cell class* (the status a
   ray ends with on entering the cell: wall, or outside the ROI) replaces
@@ -38,12 +38,19 @@ playing the role of the K20X's SIMT lanes:
   other axes' bits alone.
 * **one exp per step.** ``trans = exp(-tau)`` is carried from step to
   step and recomputed only for lanes that just reflected.
-* **live-lane compaction.** Finished lanes are scattered to the batch
-  and the survivors physically compacted — the stream-compaction idiom
-  for masked divergence.
+* **park, then half-compact.** A finished lane is scattered to the
+  batch and its row *parked*: pointed at a sink cell laid after the
+  stacked windows (no absorption, no emission, class ALIVE) with a zero
+  index step and zero optical depth, so it marches in place adding
+  exactly zero and never ends again — the masked-lane idiom for SIMT
+  divergence. The rows are physically compacted only once half of them
+  are parked, so a launch copies at most about twice its lanes instead
+  of one row per ray-step. A parked lane's exit time is kept and its
+  exit position computed once, at the end of the launch.
 
 Each call publishes ``dda.calls / dda.steps / dda.ray_steps /
-dda.lanes_launched`` (label ``handoff``) to the metrics registry; the
+dda.lanes_launched / dda.compactions`` (label ``handoff``) to the
+metrics registry; ``ray_steps`` counts live lanes, not rows. The
 active-lane fraction, the SIMT-divergence analogue, is
 ``ray_steps / (steps * lanes_launched)``.
 """
@@ -118,9 +125,10 @@ class RayBatch:
         return np.nonzero(self.status == RayStatus.LEFT_ROI)[0]
 
 
-def _stacked(parts):
-    """The windows' raveled arrays laid end to end (one window: itself)."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _stacked(parts, sink):
+    """The windows' raveled arrays laid end to end, then the sink cell's
+    value ``sink``."""
+    return np.concatenate([*parts, np.array([sink], dtype=parts[0].dtype)])
 
 
 def _check_windows(windows, rois, window_of) -> None:
@@ -165,11 +173,12 @@ def _launch_state(windows, window_of, batch, launch, origins, from_handoff):
     offset in that window), ``fstep x/y/z`` (offset step per axis
     crossing, by the lane's window's strides). Everything of shape
     (n, 3) dies with this frame: the march's memory high-water mark is
-    the packed state.
+    the packed state. A launch of the whole batch reads it in place.
     """
     n = launch.size
-    start_pos = origins[launch]
-    dirs = batch.directions[launch]
+    rows = slice(None) if n == batch.n else launch
+    start_pos = origins[rows]
+    dirs = batch.directions[rows]
     level = windows[0]  # anchor and spacing are the level's, shared by every window
     cell = level.position_to_cell(start_pos, nudge_dir=dirs if from_handoff else None)
     # per window: array origin x/y/z, strides x/y/z, base offset in the stack
@@ -180,15 +189,15 @@ def _launch_state(windows, window_of, batch, launch, origins, from_handoff):
         offset += w.box.volume
     geometry = np.array(geometry, dtype=np.int64).T
     # scalars for a lone window, per-lane rows for a fused launch
-    geometry = geometry[:, 0] if len(windows) == 1 else geometry[:, window_of[launch]]
+    geometry = geometry[:, 0] if len(windows) == 1 else geometry[:, window_of[rows]]
     lo, strides, base = geometry[:3], geometry[3:6], geometry[6]
     fstate = np.empty((10, n))
     istate = np.empty((5, n), dtype=np.int64)
     tau, sum_i, tcur, trans = fstate[:4]
     lane, flat = istate[:2]
     lane[:] = launch
-    tau[:] = batch.tau[launch]
-    sum_i[:] = batch.sum_i[launch]
+    tau[:] = batch.tau[rows]
+    sum_i[:] = batch.sum_i[rows]
     tcur[:] = 0.0
     np.exp(-tau, out=trans)
     flat[:] = base
@@ -246,6 +255,9 @@ def march(
     windows = [fields] if isinstance(fields, LevelFields) else list(fields)
     rois = [roi] * len(windows) if roi is None or isinstance(roi, Box) else list(roi)
     _check_windows(windows, rois, window_of)
+    if not 0.0 <= threshold <= 1.0:
+        # a parked row's optical depth is 0: it must never read as extinct
+        raise ReproError(f"transmissivity threshold {threshold} must lie in [0, 1]")
     parking = any(r is not None for r in rois)
 
     if from_handoff:
@@ -269,50 +281,61 @@ def march(
     tau, sum_i, tcur, trans, t0, t1, t2, d0, d1, d2 = fstate
     lane, flat, s0, s1, s2 = istate
 
-    abskg = _stacked([w.abskg.reshape(-1) for w in windows])
-    emis = _stacked([(w.sigma_t4 * _INV_PI).reshape(-1) for w in windows])
+    # the sink cell, after the stacked windows: a parked row marches in
+    # place there adding exactly zero, and never ends again
+    abskg = _stacked([w.abskg.reshape(-1) for w in windows], 0.0)
+    emis = _stacked([(w.sigma_t4 * _INV_PI).reshape(-1) for w in windows], 0.0)
     walls = [w.cell_type != CellType.FLOW for w in windows]
     cell_class = _stacked(
-        [_cell_class(wall, w.box, r).reshape(-1) for wall, w, r in zip(walls, windows, rois)]
+        [_cell_class(wall, w.box, r).reshape(-1) for wall, w, r in zip(walls, windows, rois)],
+        _ALIVE,
     )
+    sink = cell_class.size - 1
 
     log_threshold = -np.log(threshold)
     if max_steps is None:
         max_steps = 16 * (max(sum(w.box.extent) for w in windows) + 3)
+    t_exit = np.empty(batch.n) if parking else None
 
-    def retire(state: np.ndarray):
-        """Scatter the lanes ``state`` finishes to the batch; returns the
-        survivors' state, physically compacted."""
+    def retire(state: np.ndarray) -> int:
+        """Scatter the lanes ``state`` finishes to the batch and park
+        their rows on the sink; returns how many finished."""
         done = np.nonzero(state)[0]
-        status = state[done]
         out = lane[done]
-        batch.status[out] = status
+        batch.status[out] = state[done]
         batch.tau[out] = tau[done]
         batch.sum_i[out] = sum_i[done]
         if parking:
-            parked = done[status == _LEFT_ROI]
-            out = lane[parked]
-            batch.exit_pos[out] = origins[out] + tcur[parked, None] * directions[out]
-        keep = np.nonzero(state == _ALIVE)[0]
-        return fstate.take(keep, axis=1), istate.take(keep, axis=1)
+            t_exit[out] = tcur[done]
+        flat[done] = sink
+        istate[2:, done] = 0  # no index step: the row stays on the sink
+        tau[done] = 0.0  # never crosses the threshold
+        return done.size
 
+    live = rows = n
     # a ray may launch already inside a wall cell (e.g. parked exactly on
     # the domain face and handed to a coarser level): it has reached the
     # wall — absorb it before the march
-    state = _stacked([wall.reshape(-1) for wall in walls]).take(flat).view(np.int8)
+    state = _stacked([wall.reshape(-1) for wall in walls], False).take(flat).view(np.int8)
     if state.any():
         at_wall = np.nonzero(state)[0]
         f = flat[at_wall]
-        sigma_t4 = _stacked([w.sigma_t4.reshape(-1) for w in windows])
+        sigma_t4 = _stacked([w.sigma_t4.reshape(-1) for w in windows], 0.0)
         sum_i[at_wall] += abskg[f] * sigma_t4[f] * _INV_PI * trans[at_wall]
-        fstate, istate = retire(state)
+        live -= retire(state)
 
-    steps = ray_steps = 0
-    while istate.shape[1] and steps < max_steps:
+    steps = ray_steps = compactions = 0
+    while live and steps < max_steps:
+        if 2 * live <= rows:
+            # half the rows are parked: drop them
+            keep = np.nonzero(istate[1] != sink)[0]
+            fstate, istate = fstate.take(keep, axis=1), istate.take(keep, axis=1)
+            rows = live
+            compactions += 1
         tau, sum_i, tcur, trans, t0, t1, t2, d0, d1, d2 = fstate
         lane, flat, s0, s1, s2 = istate
         steps += 1
-        ray_steps += lane.size
+        ray_steps += live
 
         # the crossed axis: first minimum of (t0, t1, t2), as argmin picks it
         is0 = (t0 <= t1) & (t0 <= t2)
@@ -371,7 +394,13 @@ def march(
         if dead.any():
             state[dead & (state == _ALIVE)] = _EXTINCT
         if state.any():
-            fstate, istate = retire(state)
+            live -= retire(state)
+
+    if parking:
+        # a parked lane never reflects again: its origin and direction
+        # rows are final, so its exit position is taken once, here
+        parked = launch[batch.status[launch] == _LEFT_ROI]
+        batch.exit_pos[parked] = origins[parked] + t_exit[parked, None] * directions[parked]
 
     # kernel counters: active-lane fraction is ray_steps / (steps * lanes)
     metrics, handoff = get_metrics(), "1" if from_handoff else "0"
@@ -379,10 +408,10 @@ def march(
     metrics.counter("dda.steps", handoff=handoff).inc(steps)
     metrics.counter("dda.ray_steps", handoff=handoff).inc(ray_steps)
     metrics.counter("dda.lanes_launched", handoff=handoff).inc(n)
-    still = istate.shape[1]
-    if still:
+    metrics.counter("dda.compactions", handoff=handoff).inc(compactions)
+    if live:
         raise ReproError(
-            f"{still} rays still alive after {max_steps} DDA steps — "
+            f"{live} rays still alive after {max_steps} DDA steps — "
             f"grid/threshold configuration cannot terminate them"
         )
     return batch

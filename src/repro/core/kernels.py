@@ -26,13 +26,14 @@ from repro.core.fields import LevelFields
 from repro.core.rays import generate_patch_rays
 from repro.util.errors import ReproError
 
-#: rays per kernel launch, the one width. A DDA step costs a fixed ~35 us
-#: of NumPy calls however few lanes it carries, so a rank's ready patch
-#: tasks march together until their rays reach this (tiny patches starve
-#: the kernel: the paper's contribution v); a lane in flight holds ~560
-#: bytes, so a launch above it is cut to it and launch memory stays
-#: ~20 MB whatever the patch size. 32768 is the fastest width for a large
-#: launch and a quarter of the memory of 131072 (EXPERIMENTS E23).
+#: rays per kernel launch, the one width. A DDA step costs a fixed ~25 us
+#: of NumPy calls however few lanes it carries (and ~45 ns a lane), so a
+#: rank's ready patch tasks march together until their rays reach this
+#: (tiny patches starve the kernel: the paper's contribution v); a lane in
+#: flight holds ~460 bytes, so a launch above it is cut to it and launch
+#: memory stays ~16 MB whatever the patch size. 32768 is the fastest width
+#: for a large launch, at two thirds of the memory of 65536 (EXPERIMENTS
+#: E23; re-measured on the parking kernel in E25).
 LAUNCH_RAYS = 1 << 15
 
 

@@ -20,6 +20,7 @@ from repro.core import (
     march_single_ray,
     trace_rays_scalar,
 )
+from repro.perf import MetricsRegistry, set_metrics
 from repro.radiation import RadiativeProperties
 from repro.util.errors import ReproError
 
@@ -604,10 +605,8 @@ class TestReflectionsAcrossTheROI:
 
 class TestKernelCounters:
     def test_exact_counts(self):
-        from repro.perf import MetricsRegistry, set_metrics
-
         fields = make_fields(4, kappa=0.0)  # vacuum: every ray reaches the wall
-        names = ("calls", "steps", "ray_steps", "lanes_launched")
+        names = ("calls", "steps", "ray_steps", "lanes_launched", "compactions")
 
         def launch(x_cells, **kw):
             cells = np.array([[x, 1, 1] for x in x_cells])
@@ -620,12 +619,17 @@ class TestKernelCounters:
         previous = set_metrics(registry)
         try:
             # -x rays from x-cells 0, 1 and 3 enter the wall on their 1st,
-            # 2nd and 4th step: 4 steps with 3, 2, 1, 1 lanes live
+            # 2nd and 4th step: 4 steps with 3, 2, 1, 1 lanes live; the
+            # 1st lane's row is parked through step 2 and dropped with the
+            # 2nd's before step 3, when 1 of 3 rows is live
             launch([0, 1, 3])
             counts = {n: registry.value(f"dda.{n}", handoff="0") for n in names}
-            assert counts == {"calls": 1, "steps": 4, "ray_steps": 7, "lanes_launched": 3}
+            assert counts == {
+                "calls": 1, "steps": 4, "ray_steps": 7, "lanes_launched": 3, "compactions": 1,
+            }
             # ROI x >= 2: the rays from x-cells 2 and 3 park on their 1st and
-            # 2nd step, then both take 2 more steps on re-launch
+            # 2nd step (the 1st row dropped before step 2: 1 of 2 rows live),
+            # then both take 2 more steps on re-launch
             batch = launch([2, 3], roi=Box((2, 0, 0), (4, 4, 4)))
             assert (batch.status == RayStatus.LEFT_ROI).all()
             march(fields=fields, batch=batch, from_handoff=True)
@@ -633,6 +637,167 @@ class TestKernelCounters:
         finally:
             set_metrics(previous)
         counts = {n: registry.value(f"dda.{n}", handoff="0") for n in names}
-        assert counts == {"calls": 2, "steps": 6, "ray_steps": 10, "lanes_launched": 5}
+        assert counts == {
+            "calls": 2, "steps": 6, "ray_steps": 10, "lanes_launched": 5, "compactions": 2,
+        }
         counts = {n: registry.value(f"dda.{n}", handoff="1") for n in names}
-        assert counts == {"calls": 1, "steps": 2, "ray_steps": 4, "lanes_launched": 2}
+        assert counts == {
+            "calls": 1, "steps": 2, "ray_steps": 4, "lanes_launched": 2, "compactions": 0,
+        }
+
+
+def counted_march(**kw):
+    """``march(**kw)`` under a fresh registry; the launch's dda.* counters."""
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    try:
+        march(**kw)
+    finally:
+        set_metrics(previous)
+    handoff = "1" if kw.get("from_handoff") else "0"
+    names = ("steps", "ray_steps", "lanes_launched", "compactions")
+    return {n: int(registry.value(f"dda.{n}", handoff=handoff)) for n in names}
+
+
+def park_schedule(lifetimes):
+    """The compaction rule replayed on the lanes' lifetimes (steps each
+    marches live; 0 if absorbed at launch): the launch's compactions,
+    and the most steps a parked row marched before a compaction dropped it."""
+    kept = np.ones(lifetimes.size, dtype=bool)
+    step = compactions = carried = 0
+    while (lifetimes > step).any():
+        step += 1
+        live = lifetimes >= step
+        if 2 * np.count_nonzero(live) <= np.count_nonzero(kept):
+            dropped = kept & ~live
+            carried = max(carried, int((step - 1 - lifetimes[dropped]).max()))
+            kept &= live
+            compactions += 1
+    return compactions, carried
+
+
+class TestParking:
+    """A finished lane's row stays in the launch, parked on the sink cell,
+    until half the rows are parked. Each case is built so that a parked
+    row marches at least two steps before a compaction drops it; the
+    counters must match the rule replayed on the lanes' lone lifetimes,
+    and the answers the oracle's."""
+
+    def check(self, launch, n):
+        """``launch(rows)`` gives march's arguments for those lanes alone."""
+        lifetimes = np.array([counted_march(**launch([r]))["steps"] for r in range(n)])
+        kw = launch(np.arange(n))
+        counts = counted_march(**kw)
+        compactions, carried = park_schedule(lifetimes)
+        assert carried >= 2
+        assert counts == {
+            "steps": lifetimes.max(), "ray_steps": lifetimes.sum(),
+            "lanes_launched": n, "compactions": compactions,
+        }
+        return kw["batch"]
+
+    def test_mirror_path_matches_scalar(self):
+        """ROI + reflections: rays that bounce, then park."""
+        fields = make_fields(8, kappa=0.4, wall_emis=0.3)
+        roi = Box((-1, -1, -1), (5, 9, 9))  # wall ring on five faces, open at x = 5
+        rng = np.random.default_rng(43)
+        origins = (rng.integers(0, 4, size=(48, 3)) + rng.random((48, 3))) / 8
+        dirs = isotropic_directions(rng, 48)
+        kw = dict(roi=roi, reflections=True)
+        batch = self.check(
+            lambda rows: dict(
+                fields=fields, batch=RayBatch.fresh(origins[rows], dirs[rows].copy()), **kw
+            ),
+            48,
+        )
+        parked = batch.parked()
+        assert (batch.directions[parked] != dirs[parked]).any()  # bounced, then parked
+        assert_matches_scalar(fields, origins, dirs, **kw)  # the same 48-lane launch
+
+    @staticmethod
+    def handoff(fields, exit_pos, dirs, tau0):
+        def launch(rows):
+            batch = RayBatch.fresh(np.zeros((len(rows), 3)), dirs[rows])
+            batch.status[:] = RayStatus.LEFT_ROI
+            batch.exit_pos[:] = exit_pos[rows]
+            batch.tau[:] = tau0[rows]
+            batch.sum_i[:] = 0.1
+            return dict(fields=fields, batch=batch, from_handoff=True, reflections=True)
+
+        return launch
+
+    def assert_handoff_matches_scalar(self, fields, batch, exit_pos, dirs, tau0):
+        for r in range(batch.n):
+            s, tau, status, _ = march_single_ray(
+                fields, exit_pos[r], dirs[r], tau0=tau0[r], sum_i0=0.1,
+                from_handoff=True, reflections=True,
+            )
+            assert batch.status[r] == status, r
+            assert abs(batch.sum_i[r] - s) <= 1e-15, r
+            assert np.isclose(batch.tau[r], tau, rtol=1e-13, atol=0.0), r
+
+    def test_handoff_launch(self):
+        """Parked rays re-launched from their exit positions."""
+        fields = make_fields(8, kappa=0.5, wall_emis=0.6)
+        rng = np.random.default_rng(47)
+        exit_pos = rng.random((40, 3))
+        dirs = isotropic_directions(rng, 40)
+        tau0 = rng.random(40)
+        launch = self.handoff(fields, exit_pos, dirs, tau0)
+        batch = self.check(launch, 40)
+        self.assert_handoff_matches_scalar(fields, batch, exit_pos, dirs, tau0)
+
+    def test_lane_absorbed_at_launch(self):
+        """Lanes parked on the domain face, heading out, are absorbed and
+        parked before the first step; the rest bounce on past them for
+        long enough that any optical depth on the sink would extinguish
+        a parked row a second time."""
+        fields = make_fields(6, kappa=0.05, st4=1.0, wall_t4=3.0, wall_emis=0.3)
+        rng = np.random.default_rng(53)
+        inside = (rng.integers(1, 5, size=(10, 3)) + rng.random((10, 3))) / 6
+        on_face = np.array([[1.0, 0.4, 0.6], [0.3, 0.0, 0.6], [0.5, 0.5, 0.0]])
+        out = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.6, -0.8]])
+        exit_pos = np.vstack([on_face, inside])
+        dirs = np.vstack([out, isotropic_directions(rng, 10)])
+        tau0 = rng.random(13)
+        launch = self.handoff(fields, exit_pos, dirs, tau0)
+        batch = self.check(launch, 13)
+        self.assert_handoff_matches_scalar(fields, batch, exit_pos, dirs, tau0)
+        np.testing.assert_array_equal(batch.tau[:3], tau0[:3])  # kept their optical depth
+
+    def test_threshold_above_one_rejected(self):
+        """Every row would read as extinct, a parked one (tau = 0) too."""
+        fields = make_fields(4)
+        batch = RayBatch.fresh(center_origin(fields, 4), np.array([[1.0, 0.0, 0.0]]))
+        with pytest.raises(ReproError, match="threshold"):
+            march(fields=fields, batch=batch, threshold=1.5)
+
+    def test_fused_launch_equals_separate_marches(self):
+        """K windows in one launch: a lane parked in one window marches
+        on the sink while the others' lanes still step."""
+        level = make_fields(9, kappa=0.7, wall_emis=0.5)
+        rng = np.random.default_rng(59)
+        rois = [Box((0, 0, 0), (3, 9, 9)), Box((2, 2, 2), (7, 7, 7)), Box((-1, -1, -1), (10, 4, 10))]
+        windows = [crop(level, roi.grow(1).intersect(level.ring_box), 1.0 + 0.5 * w)
+                   for w, roi in enumerate(rois)]
+        origins, dirs, window_of = [], [], []
+        for w, roi in enumerate(rois):
+            inner = roi.intersect(level.interior)
+            cells = rng.integers(inner.lo, inner.hi, size=(12, 3))
+            origins.append((cells + rng.random((12, 3))) / 9)
+            dirs.append(isotropic_directions(rng, 12))
+            window_of += [w] * 12
+        origins, dirs, window_of = np.vstack(origins), np.vstack(dirs), np.array(window_of)
+        batch = self.check(
+            lambda rows: dict(
+                fields=windows, batch=RayBatch.fresh(origins[rows], dirs[rows].copy()),
+                roi=rois, reflections=True, window_of=window_of[rows],
+            ),
+            36,
+        )
+        for w, roi in enumerate(rois):
+            lanes = window_of == w
+            alone = RayBatch.fresh(origins[lanes], dirs[lanes].copy())
+            march(fields=windows[w], batch=alone, roi=roi, reflections=True)
+            for row in RESULT_ROWS:
+                np.testing.assert_array_equal(getattr(batch, row)[lanes], getattr(alone, row))

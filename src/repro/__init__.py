@@ -15,176 +15,72 @@ Quickstart::
     result = RMCRTSolver(rays_per_cell=25).solve_benchmark(resolution=41)
     print(result.divq.mean())
 
+Every package imports lazily: ``import repro`` loads this module alone,
+and a public name loads its defining module on first use (PEP 562,
+through :func:`lazy_exports`), so a process pays only for what it runs.
+
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
+import importlib
+import sys
+
 __version__ = "1.0.0"
 
-# grid substrate
-from repro.grid import (
-    Box,
-    CellType,
-    Grid,
-    Level,
-    LoadBalancer,
-    Patch,
-    build_single_level_grid,
-    build_two_level_grid,
-    decompose_level,
-)
 
-# radiation physics
-from repro.radiation import (
-    BurnsChristonBenchmark,
-    DiscreteOrdinates,
-    RadiativeProperties,
-    SpectralBand,
-    SpectralRMCRT,
-    product_quadrature,
-    sn_level_symmetric,
-)
+def lazy_exports(package, table):
+    """The PEP 562 ``__getattr__``, ``__dir__`` and ``__all__`` of a lazy
+    package.
 
-# the paper's core contribution
-from repro.core import (
-    DistributedRMCRT,
-    LevelFields,
-    MultiLevelRMCRT,
-    RMCRTResult,
-    RMCRTSolver,
-    SingleLevelRMCRT,
-    VirtualRadiometer,
-    benchmark_property_init,
-)
+    ``table`` maps a module (relative to ``package`` when it starts with
+    ".") to the public names it defines; ``"name as alias"`` exports
+    ``name`` as ``alias``. A name is imported on first access and then
+    cached in the package's globals, so later lookups are plain ones.
+    It lives here, not in a submodule, because every package of the
+    tree already has this module loaded as its root.
+    """
+    where = {}
+    for module, names in table.items():
+        for entry in names:
+            name, _, alias = entry.partition(" as ")
+            where[alias or name] = (module, name)
+    namespace = sys.modules[package].__dict__
 
-# runtime
-from repro.runtime import (
-    Computes,
-    DistributedScheduler,
-    GPUScheduler,
-    MultiGPUScheduler,
-    Requires,
-    SerialScheduler,
-    SimMPI,
-    SimulationController,
-    Task,
-    TaskGraph,
-    ThreadedScheduler,
-)
+    def __getattr__(attr):
+        if attr not in where:
+            raise AttributeError(f"module {package!r} has no attribute {attr!r}")
+        module, name = where[attr]
+        value = namespace[attr] = getattr(importlib.import_module(module, package), name)
+        return value
 
-# DataWarehouse
-from repro.dw import (
-    CCVariable,
-    DataArchive,
-    DataWarehouse,
-    GPUDataWarehouse,
-    VarLabel,
-)
+    def __dir__():
+        return sorted(set(namespace) | set(where))
 
-# Section IV infrastructure
-from repro.comm import LockedVectorCommPool, WaitFreeCommPool
-from repro.memory import ArenaAllocator, SimulatedHeap, SizeClassPool
+    return __getattr__, __dir__, list(where)
 
-# machine + cluster simulation
-from repro.machine import GPUModel, NetworkModel, TitanSpec, TITAN
-from repro.dessim import (
-    ClusterSimulator,
-    LARGE,
-    MEDIUM,
-    RMCRTProblem,
-    SimOptions,
-    StrongScalingStudy,
-)
 
-# ARCHES-lite
-from repro.arches import BoilerScenario, CoupledSimulation, EnergyEquation
-
-# solve-as-a-service layer
-from repro.service import (
-    RadiationService,
-    ServiceClient,
-    ServiceConfig,
-    SolveRequest,
-    SolveResult,
-)
-from repro.ups import parse_ups, run_ups, scene_fingerprint, spec_fingerprint
-
-__all__ = [
-    "__version__",
-    # grid
-    "Box",
-    "CellType",
-    "Grid",
-    "Level",
-    "LoadBalancer",
-    "Patch",
-    "build_single_level_grid",
-    "build_two_level_grid",
-    "decompose_level",
-    # radiation
-    "BurnsChristonBenchmark",
-    "DiscreteOrdinates",
-    "RadiativeProperties",
-    "SpectralBand",
-    "SpectralRMCRT",
-    "product_quadrature",
-    "sn_level_symmetric",
-    # core
-    "DistributedRMCRT",
-    "LevelFields",
-    "MultiLevelRMCRT",
-    "RMCRTResult",
-    "RMCRTSolver",
-    "SingleLevelRMCRT",
-    "VirtualRadiometer",
-    "benchmark_property_init",
-    # runtime
-    "Computes",
-    "DistributedScheduler",
-    "GPUScheduler",
-    "MultiGPUScheduler",
-    "Requires",
-    "SerialScheduler",
-    "SimMPI",
-    "SimulationController",
-    "Task",
-    "TaskGraph",
-    "ThreadedScheduler",
-    # dw
-    "CCVariable",
-    "DataArchive",
-    "DataWarehouse",
-    "GPUDataWarehouse",
-    "VarLabel",
-    # infrastructure
-    "LockedVectorCommPool",
-    "WaitFreeCommPool",
-    "ArenaAllocator",
-    "SimulatedHeap",
-    "SizeClassPool",
-    # machine / dessim
-    "GPUModel",
-    "NetworkModel",
-    "TitanSpec",
-    "TITAN",
-    "ClusterSimulator",
-    "LARGE",
-    "MEDIUM",
-    "RMCRTProblem",
-    "SimOptions",
-    "StrongScalingStudy",
-    # arches
-    "BoilerScenario",
-    "CoupledSimulation",
-    "EnergyEquation",
-    # service layer
-    "RadiationService",
-    "ServiceClient",
-    "ServiceConfig",
-    "SolveRequest",
-    "SolveResult",
-    "parse_ups",
-    "run_ups",
-    "scene_fingerprint",
-    "spec_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".grid": ["Box", "CellType", "Grid", "Level", "LoadBalancer", "Patch",
+              "build_single_level_grid", "build_two_level_grid", "decompose_level"],
+    ".radiation": ["BurnsChristonBenchmark", "DiscreteOrdinates", "RadiativeProperties",
+                   "SpectralBand", "SpectralRMCRT", "product_quadrature",
+                   "sn_level_symmetric"],
+    ".core": ["DistributedRMCRT", "LevelFields", "MultiLevelRMCRT", "RMCRTResult",
+              "RMCRTSolver", "SingleLevelRMCRT", "VirtualRadiometer",
+              "benchmark_property_init"],
+    ".runtime": ["Computes", "DistributedScheduler", "GPUScheduler", "MultiGPUScheduler",
+                 "Requires", "SerialScheduler", "SimMPI", "SimulationController", "Task",
+                 "TaskGraph", "ThreadedScheduler"],
+    ".dw": ["CCVariable", "DataArchive", "DataWarehouse", "GPUDataWarehouse", "VarLabel"],
+    ".comm": ["LockedVectorCommPool", "WaitFreeCommPool"],
+    ".memory": ["ArenaAllocator", "SimulatedHeap", "SizeClassPool"],
+    ".machine": ["GPUModel", "NetworkModel", "TitanSpec", "TITAN"],
+    ".dessim": ["ClusterSimulator", "LARGE", "MEDIUM", "RMCRTProblem", "SimOptions",
+                "StrongScalingStudy"],
+    ".arches": ["BoilerScenario", "CoupledSimulation", "EnergyEquation"],
+    ".service": ["RadiationService", "ServiceClient", "ServiceConfig", "SolveRequest",
+                 "SolveResult"],
+    ".ups": ["parse_ups", "run_ups", "scene_fingerprint", "spec_fingerprint"],
+})
+__all__.insert(0, "__version__")

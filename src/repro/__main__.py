@@ -57,6 +57,7 @@ the top hypothesis to name each one. See :mod:`repro.perf.doctor`.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 from repro.util.errors import ReproError
@@ -106,115 +107,28 @@ def _run_ups(argv) -> int:
     return 0
 
 
-def _run_profile(argv) -> int:
-    from repro.perf.profile import format_summary, run_profile
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro profile",
-        description="Run an instrumented RMCRT simulation and write "
-        "trace.json + metrics.json.",
-    )
-    parser.add_argument("--steps", type=int, default=2, help="timesteps to run")
-    parser.add_argument(
-        "--resolution", type=int, default=12, help="fine-level cells per edge"
-    )
-    parser.add_argument(
-        "--rays-per-cell", type=int, default=4, help="rays per cell"
-    )
-    parser.add_argument(
-        "--ranks", type=int, default=2, help="simulated MPI ranks"
-    )
-    parser.add_argument(
-        "--pool",
-        choices=("waitfree", "locked", "locked-racy"),
-        default="waitfree",
-        help="communication request pool variant",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--trace", default="trace.json", help="Chrome trace output path"
-    )
-    parser.add_argument(
-        "--metrics", default="metrics.json", help="metrics snapshot output path"
-    )
-    parser.add_argument(
-        "--merge",
-        action="store_true",
-        help="write per-rank trace files and stitch them into one "
-        "cross-rank trace with send/recv flow arrows",
-    )
-    parser.add_argument(
-        "--rank-trace-dir",
-        default=None,
-        help="directory for the per-rank trace files (default: next to "
-        "the --trace output)",
-    )
-    args = parser.parse_args(argv)
-
-    try:
-        summary = run_profile(
-            steps=args.steps,
-            resolution=args.resolution,
-            rays_per_cell=args.rays_per_cell,
-            num_ranks=args.ranks,
-            pool_kind=args.pool,
-            seed=args.seed,
-            trace_path=args.trace,
-            metrics_path=args.metrics,
-            merge=args.merge,
-            rank_trace_dir=args.rank_trace_dir,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(format_summary(summary))
-    return 0
+#: sub-command -> (module, function taking the remaining argv); a
+#: command's module is imported only when that command runs
+COMMANDS = {
+    "profile": ("repro.perf.profile", "cmd_profile"),
+    "serve": ("repro.service.cli", "cmd_serve"),
+    "submit": ("repro.service.cli", "cmd_submit"),
+    "status": ("repro.service.cli", "cmd_status"),
+    "analyze": ("repro.perf.analyze", "cmd_analyze"),
+    "perfgate": ("repro.perf.baseline", "main"),
+    "check": ("repro.check.cli", "run_check"),
+    "resilience": ("repro.resilience.cli", "run_resilience"),
+    "fabric": ("repro.fabric.cli", "cmd_fabric"),
+    "spectral": ("repro.radiation.spectral.cli", "cmd_spectral"),
+    "doctor": ("repro.perf.doctor", "cmd_doctor"),
+}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "profile":
-        return _run_profile(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.service.cli import cmd_serve
-
-        return cmd_serve(argv[1:])
-    if argv and argv[0] == "submit":
-        from repro.service.cli import cmd_submit
-
-        return cmd_submit(argv[1:])
-    if argv and argv[0] == "status":
-        from repro.service.cli import cmd_status
-
-        return cmd_status(argv[1:])
-    if argv and argv[0] == "analyze":
-        from repro.perf.analyze import cmd_analyze
-
-        return cmd_analyze(argv[1:])
-    if argv and argv[0] == "perfgate":
-        from repro.perf.baseline import main as perfgate_main
-
-        return perfgate_main(argv[1:])
-    if argv and argv[0] == "check":
-        from repro.check.cli import run_check
-
-        return run_check(argv[1:])
-    if argv and argv[0] == "resilience":
-        from repro.resilience.cli import run_resilience
-
-        return run_resilience(argv[1:])
-    if argv and argv[0] == "fabric":
-        from repro.fabric.cli import cmd_fabric
-
-        return cmd_fabric(argv[1:])
-    if argv and argv[0] == "spectral":
-        from repro.radiation.spectral.cli import cmd_spectral
-
-        return cmd_spectral(argv[1:])
-    if argv and argv[0] == "doctor":
-        from repro.perf.doctor import cmd_doctor
-
-        return cmd_doctor(argv[1:])
+    if argv and argv[0] in COMMANDS:
+        module, function = COMMANDS[argv[0]]
+        return getattr(importlib.import_module(module), function)(argv[1:])
     return _run_ups(argv)
 
 

@@ -3,40 +3,16 @@
 stand-in), Smagorinsky closure, the energy equation, and the coupled
 boiler driver."""
 
-from repro.arches.integrators import advance, get_integrator, ssp_rk1, ssp_rk2, ssp_rk3
-from repro.arches.operators import (
-    divergence,
-    gradient,
-    laplacian,
-    pad_field,
-    strain_rate_magnitude,
-    upwind_advection,
-)
-from repro.arches.projection import PressureProjection
-from repro.arches.turbulence import SmagorinskyModel
-from repro.arches.energy import EnergyEquation
-from repro.arches.momentum import MomentumSolver, taylor_green
-from repro.arches.boiler import BoilerScenario
-from repro.arches.coupled import CoupledResult, CoupledSimulation
+from repro import lazy_exports
 
-__all__ = [
-    "MomentumSolver",
-    "taylor_green",
-    "advance",
-    "get_integrator",
-    "ssp_rk1",
-    "ssp_rk2",
-    "ssp_rk3",
-    "divergence",
-    "gradient",
-    "laplacian",
-    "pad_field",
-    "strain_rate_magnitude",
-    "upwind_advection",
-    "PressureProjection",
-    "SmagorinskyModel",
-    "EnergyEquation",
-    "BoilerScenario",
-    "CoupledResult",
-    "CoupledSimulation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".integrators": ["advance", "get_integrator", "ssp_rk1", "ssp_rk2", "ssp_rk3"],
+    ".operators": ["divergence", "gradient", "laplacian", "pad_field",
+                   "strain_rate_magnitude", "upwind_advection"],
+    ".projection": ["PressureProjection"],
+    ".turbulence": ["SmagorinskyModel"],
+    ".energy": ["EnergyEquation"],
+    ".momentum": ["MomentumSolver", "taylor_green"],
+    ".boiler": ["BoilerScenario"],
+    ".coupled": ["CoupledResult", "CoupledSimulation"],
+})

@@ -16,6 +16,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.grid.box import Box
+from repro.grid.celltype import CellType
 from repro.grid.grid import Grid, build_two_level_grid
 from repro.grid.level import Level
 from repro.radiation.constants import SIGMA_SB
@@ -103,8 +105,6 @@ class BoilerScenario:
         """Index-space boxes of the tube bank on a level."""
         if not self.tube_bank:
             return []
-        from repro.grid.box import Box
-
         n = level.domain_box.extent[0]
         width = max(1, n // 16)
         z_lo, z_hi = int(0.70 * n), min(n, int(0.70 * n) + max(2, n // 4))
@@ -120,9 +120,6 @@ class BoilerScenario:
         return tubes
 
     def _apply_tubes(self, props: RadiativeProperties, level: Level) -> None:
-        from repro.grid.celltype import CellType
-        from repro.radiation.constants import SIGMA_SB
-
         tube_st4 = SIGMA_SB * self.tube_temperature ** 4
         for region in self.tube_regions(level):
             if region.empty:

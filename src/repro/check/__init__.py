@@ -18,56 +18,18 @@ Six analyzers, one finding format, one CLI (``python -m repro check``):
 ``repro check --list-rules`` enumerates every rule across all six.
 """
 
-from repro.check.findings import CheckFinding, CheckReport
-from repro.check.fs import (
-    check_paths as fs_check_paths,
-    check_source as fs_check_source,
-    run_fs_fixture,
-)
-from repro.check.graph import validate_compiled, validate_taskgraph
-from repro.check.leaks import CheckedAllocator, run_leak_fixture
-from repro.check.lint import lint_paths, lint_source
-from repro.check.protocol import (
-    ProtocolResult,
-    SpoolModel,
-    check_model,
-    run_protocol_fixture,
-    verify_protocol,
-)
-from repro.check.races import (
-    RaceDetector,
-    TrackedLock,
-    TrackedQueue,
-    drive_pool_contended,
-    instrument_comm_pool,
-    instrument_datawarehouse,
-    instrument_worker_pool,
-    patch_locks,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CheckFinding",
-    "CheckReport",
-    "CheckedAllocator",
-    "ProtocolResult",
-    "RaceDetector",
-    "SpoolModel",
-    "TrackedLock",
-    "TrackedQueue",
-    "check_model",
-    "drive_pool_contended",
-    "fs_check_paths",
-    "fs_check_source",
-    "instrument_comm_pool",
-    "instrument_datawarehouse",
-    "instrument_worker_pool",
-    "lint_paths",
-    "lint_source",
-    "patch_locks",
-    "run_fs_fixture",
-    "run_leak_fixture",
-    "run_protocol_fixture",
-    "validate_compiled",
-    "validate_taskgraph",
-    "verify_protocol",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".findings": ["CheckFinding", "CheckReport"],
+    ".fs": ["check_paths as fs_check_paths", "check_source as fs_check_source",
+            "run_fs_fixture"],
+    ".graph": ["validate_compiled", "validate_taskgraph"],
+    ".leaks": ["CheckedAllocator", "run_leak_fixture"],
+    ".lint": ["lint_paths", "lint_source"],
+    ".protocol": ["ProtocolResult", "SpoolModel", "check_model",
+                  "run_protocol_fixture", "verify_protocol"],
+    ".races": ["RaceDetector", "TrackedLock", "TrackedQueue", "drive_pool_contended",
+               "instrument_comm_pool", "instrument_datawarehouse",
+               "instrument_worker_pool", "patch_locks"],
+})

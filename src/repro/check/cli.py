@@ -15,7 +15,8 @@ CI gate (exit 1 on any non-suppressed finding):
   every transition
 
 ``--seeded-defects`` switches every analyzer onto its seeded-defect
-fixture (the legacy racy pool, a deliberately broken task graph, the
+fixture (an upward import for the layer rule, the legacy racy pool, a
+deliberately broken task graph, the
 double-free/use-after-retire/leak scenarios, non-atomic/misordered
 filesystem publication, the early-settle / journal-before-claim /
 copy-claim protocol variants) — the self-test that the detectors
@@ -99,9 +100,15 @@ def broken_taskgraph():
 # ----------------------------------------------------------------------
 # per-analyzer runs
 # ----------------------------------------------------------------------
-def run_lint(paths=None) -> CheckReport:
-    from repro.check.lint import lint_paths
+def run_lint(paths=None, seeded_defects: bool = False) -> CheckReport:
+    from repro.check.lint import lint_paths, run_lint_fixture
 
+    if seeded_defects:
+        findings, suppressed = run_lint_fixture()
+        report = CheckReport(suppressed=suppressed)
+        report.extend(findings, check="lint")
+        report.meta["lint"] = {"fixture": "layer-violation"}
+        return report
     targets = list(paths) if paths else [str(REPO_ROOT / "src" / "repro")]
     findings, suppressed, scanned = lint_paths(targets, root=REPO_ROOT)
     report = CheckReport(suppressed=suppressed)
@@ -238,7 +245,7 @@ def run_protocol(seeded_defects: bool = False) -> CheckReport:
 
 
 CHECKS = {
-    "lint": lambda ns: run_lint(ns.paths),
+    "lint": lambda ns: run_lint(ns.paths, ns.seeded_defects),
     "graph": lambda ns: run_graph(ns.seeded_defects),
     "races": lambda ns: run_races(ns.seeded_defects),
     "leaks": lambda ns: run_leaks(ns.seeded_defects),

@@ -24,6 +24,9 @@ mutable-default     error     ``def f(x=[])`` and friends
 unlabeled-metric    warning   ``counter()/gauge()/histogram()`` with no label
                               kwargs in multi-instance components (comm, memory,
                               dw)
+layer-violation     error     an import that points up :data:`LAYERS`: at module
+                              level always, in a function unless it carries
+                              ``# repro: allow(layer-violation) <reason>``
 ==================  ========  ====================================================
 
 Deliberate violations carry an inline ``# repro: allow(<rule>)``.
@@ -32,8 +35,9 @@ Deliberate violations carry an inline ``# repro: allow(<rule>)``.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.check.findings import (
     CheckFinding,
@@ -73,11 +77,47 @@ RULES = {
         "counter()/gauge()/histogram() with no label kwargs in a "
         "multi-instance component",
     ),
+    "layer-violation": (
+        "error",
+        "import pointing up the layer order (module level: always; in a "
+        "function: unless allowed with a reason)",
+    ),
     "syntax-error": (
         "error",
         "source file does not parse",
     ),
 }
+
+#: the layer order, bottom to top, over module prefixes relative to
+#: ``repro`` — the one written copy. A module-level import may point
+#: down or sideways, never up. A module's layer is its longest matching
+#: prefix's; a package named as a whole sits at the highest layer of
+#: its modules, since its ``__init__`` re-exports them.
+LAYERS = (
+    ("util",),
+    # the instruments every layer publishes into
+    ("perf.metrics", "perf.tracer", "perf.tracectx", "perf.flightrec", "perf.tsdb",
+     "perf.rankstats", "perf.slo", "perf.detect"),
+    ("grid", "machine", "memory", "runtime.mpi"),
+    ("comm", "dw", "radiation", "resilience.state"),
+    ("runtime",),
+    ("core",),
+    ("radiation.spectral",),
+    ("ups", "arches", "dessim", "report"),
+    ("resilience", "service"),
+    ("fabric",),
+    # the analysis tools (analyze, doctor, profile, harness, baseline,
+    # merge), the checkers and the command line
+    ("perf", "check", "__main__"),
+)
+_LAYER = {prefix: i for i, layer in enumerate(LAYERS) for prefix in layer}
+
+#: what the root ``repro`` module defines itself (the rest of its names
+#: are re-exports from every layer)
+ROOT_NAMES = ("lazy_exports", "__version__")
+
+#: the allow that admits a function-local upward import: it names a reason
+LAYER_ALLOW_RE = re.compile(r"#\s*repro:\s*allow\([^)]*layer-violation[^)]*\)\s*\S")
 
 #: module-level functions on ``random`` that mutate the hidden global state
 GLOBAL_RANDOM_FNS = {
@@ -128,6 +168,27 @@ def _attr_chain(node: ast.AST) -> Optional[Tuple[str, ...]]:
     return None
 
 
+def layer_of(module: str) -> Optional[int]:
+    """Layer of ``module`` (dotted, relative to ``repro``; "" is the
+    root), or None for a module outside the table."""
+    under = [i for p, i in _LAYER.items() if p.startswith(module + ".") or not module]
+    parts = module.split(".")
+    for n in range(len(parts), 0, -1):
+        if ".".join(parts[:n]) in _LAYER:
+            return max([_LAYER[".".join(parts[:n])]] + under)
+    return max(under, default=None)
+
+
+def module_of(path: str) -> str:
+    """``core/dda.py`` or ``src/repro/core/dda.py`` -> ``core.dda``."""
+    parts = list(Path(path).with_suffix("").parts)
+    if "repro" in parts:
+        parts = parts[len(parts) - parts[::-1].index("repro"):]
+    if parts and parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
 def _is_mutable_literal(node: ast.AST) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set)):
         return True
@@ -140,7 +201,8 @@ def _is_mutable_literal(node: ast.AST) -> bool:
 
 class _RuleVisitor(ast.NodeVisitor):
     def __init__(self, path: str, scope_parts: Set[str],
-                 blocking_in_scope: Optional[bool] = None) -> None:
+                 blocking_in_scope: Optional[bool] = None,
+                 lines: Sequence[str] = ()) -> None:
         self.path = path
         self.scope = scope_parts
         if blocking_in_scope is None:
@@ -148,6 +210,12 @@ class _RuleVisitor(ast.NodeVisitor):
                 scope_parts.intersection(BLOCKING_SCOPE))
         self.blocking_in_scope = blocking_in_scope
         self.findings: List[CheckFinding] = []
+        self.lines = lines
+        #: function-local upward imports allowed with a reason
+        self.allowed = 0
+        self.module = module_of(path)
+        self.layer = layer_of(self.module)
+        self.depth = 0  #: enclosing function definitions
 
     def _add(self, rule: str, severity: str, message: str, node: ast.AST) -> None:
         self.findings.append(
@@ -160,6 +228,55 @@ class _RuleVisitor(ast.NodeVisitor):
                 check="lint",
             )
         )
+
+    # -- layer-violation ------------------------------------------------
+    def _imported(self, node) -> List[str]:
+        """The modules an import loads, relative to ``repro``."""
+        if isinstance(node, ast.Import):
+            return [a.name[6:] for a in node.names if a.name.startswith("repro.")]
+        base = node.module or ""
+        if node.level:  # relative to this module's package
+            package = self.module.split(".")[: None if self.path.endswith("__init__.py") else -1]
+            base = ".".join(package[: len(package) - node.level + 1] + [base]).strip(".")
+        elif base == "repro" or base.startswith("repro."):
+            base = base[6:]
+        else:
+            return []
+        out = []
+        for alias in node.names:
+            sub = f"{base}.{alias.name}".lstrip(".")
+            if sub in _LAYER or any(p.startswith(sub + ".") for p in _LAYER):
+                out.append(sub)
+            elif base or alias.name not in ROOT_NAMES:
+                out.append(base)
+        return out
+
+    def _check_layers(self, node) -> None:
+        if self.layer is None:
+            return
+        for target in dict.fromkeys(self._imported(node)):
+            up = layer_of(target)
+            if up is None or up <= self.layer:
+                continue
+            if self.depth and LAYER_ALLOW_RE.search(self.lines[node.lineno - 1]):
+                self.allowed += 1
+                continue
+            where = "function-local" if self.depth else "module-level"
+            fix = ("mark it '# repro: allow(layer-violation) <reason>'" if self.depth
+                   else "move it into the function that needs it")
+            self._add(
+                "layer-violation", "error",
+                f"{where} import of repro.{target} (layer {up}) from "
+                f"repro.{self.module or '__init__'} (layer {self.layer}) points up "
+                f"the layer order; {fix}",
+                node,
+            )
+
+    def visit_Import(self, node: ast.Import) -> None:
+        self._check_layers(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self._check_layers(node)
 
     # -- unseeded-rng ---------------------------------------------------
     def _check_rng(self, node: ast.Call) -> None:
@@ -298,11 +415,11 @@ class _RuleVisitor(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_defaults(node)
+        self.depth += 1
         self.generic_visit(node)
+        self.depth -= 1
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
+    visit_AsyncFunctionDef = visit_FunctionDef
 
 
 def lint_source(
@@ -326,17 +443,36 @@ def lint_source(
     blocking_in_scope = bool(
         scope_parts.intersection(BLOCKING_SCOPE)
     ) or any(norm.endswith(f) for f in BLOCKING_SCOPE_FILES)
-    visitor = _RuleVisitor(norm, scope_parts, blocking_in_scope)
+    visitor = _RuleVisitor(norm, scope_parts, blocking_in_scope,
+                           source.splitlines())
     visitor.visit(tree)
     suppressions = parse_suppressions(source)
     kept: List[CheckFinding] = []
-    suppressed = 0
+    suppressed = visitor.allowed
     for f in visitor.findings:
-        if is_suppressed(f, suppressions):
+        # a layer-violation is allowed only by the visitor, with a reason
+        if f.rule != "layer-violation" and is_suppressed(f, suppressions):
             suppressed += 1
         else:
             kept.append(f)
     return kept, suppressed
+
+
+#: the seeded-defect fixture, linted as a ``core/`` file: the module-level
+#: upward import must be caught, the allowed function-local one not
+SEEDED_LAYER_FIXTURE = (
+    "from repro.service import RadiationService\n"
+    "\n"
+    "\n"
+    "def serve():\n"
+    "    from repro.service import ServiceClient  # repro: allow(layer-violation) seeded\n"
+    "    return RadiationService, ServiceClient\n"
+)
+
+
+def run_lint_fixture() -> Tuple[List[CheckFinding], int]:
+    """Lint :data:`SEEDED_LAYER_FIXTURE`: one finding, one suppressed."""
+    return lint_source(SEEDED_LAYER_FIXTURE, "<seeded>/repro/core/layers.py")
 
 
 def iter_python_files(paths: Iterable[str]) -> List[Path]:

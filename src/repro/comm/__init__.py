@@ -2,26 +2,13 @@
 the legacy mutex-protected vector (with its historical race available
 for demonstration) and the wait-free slot pool that replaced it."""
 
-from repro.comm.request import BufferLedger, CommNode
-from repro.comm.stats import PoolStats
-from repro.comm.pool_locked import LockedVectorCommPool
-from repro.comm.pool_waitfree import ProtectedIterator, WaitFreeCommPool
-from repro.comm.driver import (
-    WorkloadResult,
-    drain_before_snapshot,
-    make_pool,
-    run_comm_workload,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BufferLedger",
-    "CommNode",
-    "PoolStats",
-    "LockedVectorCommPool",
-    "WaitFreeCommPool",
-    "ProtectedIterator",
-    "WorkloadResult",
-    "drain_before_snapshot",
-    "make_pool",
-    "run_comm_workload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".request": ["BufferLedger", "CommNode"],
+    ".stats": ["PoolStats"],
+    ".pool_locked": ["LockedVectorCommPool"],
+    ".pool_waitfree": ["ProtectedIterator", "WaitFreeCommPool"],
+    ".driver": ["WorkloadResult", "drain_before_snapshot", "make_pool",
+                "run_comm_workload"],
+})

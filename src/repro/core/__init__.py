@@ -1,67 +1,21 @@
 """The paper's primary contribution: single- and multi-level RMCRT
 solvers and their batched ray-marching kernels."""
 
-from repro.core.fields import LevelFields
-from repro.core.rays import (
-    isotropic_directions,
-    cell_ray_origins,
-    region_cells,
-    generate_patch_rays,
-)
-from repro.core.dda import RayBatch, RayStatus, march
-from repro.core.cpu_kernel import march_single_ray, trace_rays_scalar
-from repro.core.kernels import (
-    trace_patch_single_level,
-    trace_patch_multi_level,
-    divq_from_sums,
-    patch_roi,
-)
-from repro.core.single_level import SingleLevelRMCRT, RMCRTResult
-from repro.core.multi_level import MultiLevelRMCRT, project_to_coarser_levels
-from repro.core.boundary_flux import (
-    VirtualRadiometer,
-    cosine_hemisphere_directions,
-    incident_flux_multilevel,
-    WALLS,
-)
-from repro.core.solver import RMCRTSolver
-from repro.core.distributed import (
-    DistributedRMCRT,
-    benchmark_property_init,
-    ABSKG,
-    SIGMA_T4,
-    CELL_TYPE,
-    DIVQ,
-    WALL_FLUX,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DistributedRMCRT",
-    "benchmark_property_init",
-    "ABSKG",
-    "SIGMA_T4",
-    "CELL_TYPE",
-    "DIVQ",
-    "LevelFields",
-    "isotropic_directions",
-    "cell_ray_origins",
-    "region_cells",
-    "generate_patch_rays",
-    "RayBatch",
-    "RayStatus",
-    "march",
-    "march_single_ray",
-    "trace_rays_scalar",
-    "trace_patch_single_level",
-    "trace_patch_multi_level",
-    "divq_from_sums",
-    "patch_roi",
-    "SingleLevelRMCRT",
-    "RMCRTResult",
-    "MultiLevelRMCRT",
-    "project_to_coarser_levels",
-    "VirtualRadiometer",
-    "cosine_hemisphere_directions",
-    "WALLS",
-    "RMCRTSolver",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".fields": ["LevelFields"],
+    ".rays": ["isotropic_directions", "cell_ray_origins", "region_cells",
+              "generate_patch_rays"],
+    ".dda": ["RayBatch", "RayStatus", "march"],
+    ".cpu_kernel": ["march_single_ray", "trace_rays_scalar"],
+    ".kernels": ["trace_patch_single_level", "trace_patch_multi_level",
+                 "divq_from_sums", "patch_roi"],
+    ".single_level": ["SingleLevelRMCRT", "RMCRTResult"],
+    ".multi_level": ["MultiLevelRMCRT", "project_to_coarser_levels"],
+    ".boundary_flux": ["VirtualRadiometer", "cosine_hemisphere_directions",
+                       "incident_flux_multilevel", "WALLS"],
+    ".solver": ["RMCRTSolver"],
+    ".distributed": ["DistributedRMCRT", "benchmark_property_init", "ABSKG",
+                     "SIGMA_T4", "CELL_TYPE", "DIVQ", "WALL_FLUX"],
+})

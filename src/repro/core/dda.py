@@ -66,7 +66,7 @@ import numpy as np
 from repro.grid.box import Box
 from repro.grid.celltype import CellType
 from repro.core.fields import LevelFields
-from repro.perf import get_metrics
+from repro.perf.metrics import get_metrics
 from repro.util.errors import ReproError
 
 _INV_PI = 1.0 / np.pi

@@ -17,6 +17,7 @@ from typing import Dict
 import numpy as np
 
 from repro.grid.grid import Grid
+from repro.grid.patch import Patch
 from repro.core.fields import LevelFields
 from repro.core.kernels import trace_patch_single_level
 from repro.core.cpu_kernel import trace_rays_scalar
@@ -114,6 +115,4 @@ class SingleLevelRMCRT:
 
 
 def _whole_domain_patch(level):
-    from repro.grid.patch import Patch
-
     return Patch(patch_id=0, level_index=level.index, box=level.domain_box)

@@ -1,61 +1,16 @@
 """Discrete-event Titan cluster simulator and the RMCRT cost model —
 the machinery that regenerates the paper's Table I and Figures 1-3."""
 
-from repro.dessim.engine import EventSimulator, SlotResource
-from repro.dessim.costmodel import (
-    BYTES_PER_VAR,
-    NUM_PROPERTY_VARS,
-    CommStats,
-    LARGE,
-    MEDIUM,
-    PoolTimingModel,
-    RMCRTProblem,
-    RayWorkModel,
-    multi_level_comm_per_rank,
-    single_level_comm_per_rank,
-)
-from repro.dessim.cluster import (
-    CampaignEvent,
-    CampaignReport,
-    ClusterSimulator,
-    ScalingSeries,
-    SimOptions,
-    StrongScalingStudy,
-    TimestepBreakdown,
-    simulate_campaign,
-)
-from repro.dessim.tracesim import (
-    MsgFlow,
-    TaskGraphTraceSimulator,
-    TaskTrace,
-    TraceReport,
-    rmcrt_task_cost,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "EventSimulator",
-    "SlotResource",
-    "BYTES_PER_VAR",
-    "NUM_PROPERTY_VARS",
-    "CommStats",
-    "LARGE",
-    "MEDIUM",
-    "PoolTimingModel",
-    "RMCRTProblem",
-    "RayWorkModel",
-    "multi_level_comm_per_rank",
-    "single_level_comm_per_rank",
-    "CampaignEvent",
-    "CampaignReport",
-    "ClusterSimulator",
-    "ScalingSeries",
-    "SimOptions",
-    "StrongScalingStudy",
-    "TimestepBreakdown",
-    "simulate_campaign",
-    "MsgFlow",
-    "TaskGraphTraceSimulator",
-    "TaskTrace",
-    "TraceReport",
-    "rmcrt_task_cost",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".engine": ["EventSimulator", "SlotResource"],
+    ".costmodel": ["BYTES_PER_VAR", "NUM_PROPERTY_VARS", "CommStats", "LARGE",
+                   "MEDIUM", "PoolTimingModel", "RMCRTProblem", "RayWorkModel",
+                   "multi_level_comm_per_rank", "single_level_comm_per_rank"],
+    ".cluster": ["CampaignEvent", "CampaignReport", "ClusterSimulator",
+                 "ScalingSeries", "SimOptions", "StrongScalingStudy",
+                 "TimestepBreakdown", "simulate_campaign"],
+    ".tracesim": ["MsgFlow", "TaskGraphTraceSimulator", "TaskTrace", "TraceReport",
+                  "rmcrt_task_cost"],
+})

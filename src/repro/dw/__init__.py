@@ -2,24 +2,12 @@
 host on-demand warehouse, and the GPU warehouse with its per-level
 database (paper contribution ii)."""
 
-from repro.dw.label import VarKind, VarLabel, cc, per_level, reduction
-from repro.dw.variables import CCVariable, ReductionVariable
-from repro.dw.datawarehouse import DataWarehouse, DataWarehouseManager
-from repro.dw.gpudw import GPUDataWarehouse, PCIeStats, DEFAULT_CAPACITY_BYTES
-from repro.dw.archive import DataArchive
+from repro import lazy_exports
 
-__all__ = [
-    "DataArchive",
-    "VarKind",
-    "VarLabel",
-    "cc",
-    "per_level",
-    "reduction",
-    "CCVariable",
-    "ReductionVariable",
-    "DataWarehouse",
-    "DataWarehouseManager",
-    "GPUDataWarehouse",
-    "PCIeStats",
-    "DEFAULT_CAPACITY_BYTES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".label": ["VarKind", "VarLabel", "cc", "per_level", "reduction"],
+    ".variables": ["CCVariable", "ReductionVariable"],
+    ".datawarehouse": ["DataWarehouse", "DataWarehouseManager"],
+    ".gpudw": ["GPUDataWarehouse", "PCIeStats", "DEFAULT_CAPACITY_BYTES"],
+    ".archive": ["DataArchive"],
+})

@@ -24,32 +24,14 @@ service (the ROADMAP's "millions of users" direction):
   [up|route|status|down|drill]``.
 """
 
-from repro.fabric.autoscaler import Autoscaler, AutoscalePolicy
-from repro.fabric.fabric import (
-    Fabric,
-    FabricConfig,
-    aggregate_status,
-    format_fleet,
-    run_drill,
-)
-from repro.fabric.hashring import rendezvous_rank, rendezvous_shard
-from repro.fabric.router import Router
-from repro.fabric.shard import ShardHandle, ShardPaths
-from repro.fabric.supervisor import Fleet, FleetSupervisor
+from repro import lazy_exports
 
-__all__ = [
-    "Autoscaler",
-    "AutoscalePolicy",
-    "Fabric",
-    "FabricConfig",
-    "Fleet",
-    "FleetSupervisor",
-    "Router",
-    "ShardHandle",
-    "ShardPaths",
-    "aggregate_status",
-    "format_fleet",
-    "rendezvous_rank",
-    "rendezvous_shard",
-    "run_drill",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".autoscaler": ["Autoscaler", "AutoscalePolicy"],
+    ".fabric": ["Fabric", "FabricConfig", "aggregate_status", "format_fleet",
+                "run_drill"],
+    ".hashring": ["rendezvous_rank", "rendezvous_shard"],
+    ".router": ["Router"],
+    ".shard": ["ShardHandle", "ShardPaths"],
+    ".supervisor": ["Fleet", "FleetSupervisor"],
+})

@@ -257,7 +257,7 @@ class Fabric:
             shard_worsts.append(detections["worst"])
         incident = None
         if shard_worsts or self.supervisor.recoveries:
-            from repro.perf.doctor import summarize_live
+            from repro.perf.doctor import summarize_live  # repro: allow(layer-violation) only an unhealthy fleet
 
             incident = summarize_live(
                 self.detect_bank.active(now),

@@ -30,7 +30,7 @@ from repro.fabric.hashring import rendezvous_shard
 from repro.perf import tracectx
 from repro.perf.metrics import get_metrics
 from repro.perf.tracer import get_tracer
-from repro.service.spool import extract_ctx, move_requests, write_result
+from repro.service.spool import extract_ctx, forward_results, move_requests, write_result
 from repro.ups import parse_ups, scene_fingerprint
 from repro.util.errors import ReproError
 
@@ -148,8 +148,6 @@ class Router:
     def collect_once(self) -> int:
         """Relay finished results from every shard outbox to the front
         outbox (payload before sidecar, so completion never lies)."""
-        from repro.service.spool import forward_results
-
         forwarded = 0
         for shard in self.fleet.shards.values():
             forwarded += forward_results(shard.paths.outbox, self.outbox)

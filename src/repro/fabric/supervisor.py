@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 from repro.fabric.hashring import rendezvous_rank
 from repro.fabric.shard import ShardHandle
 from repro.perf.metrics import get_metrics
-from repro.service.spool import release_claims
+from repro.service.spool import forward_results, move_requests, release_claims
 from repro.util.errors import ReproError
 
 
@@ -228,8 +228,6 @@ class FleetSupervisor:
         respawned shard's own warm-restart sweep."""
         paths = shard.paths
         if self.front_outbox is not None:
-            from repro.service.spool import forward_results
-
             forward_results(paths.outbox, self.front_outbox)
         released = 0
         for claim_dir in paths.claim_dirs():
@@ -245,8 +243,6 @@ class FleetSupervisor:
             # survivor for this shard's keyspace
             target = rendezvous_rank(shard.shard_id, survivors)[0]
             dst = self.fleet.shards[target]
-            from repro.service.spool import move_requests
-
             moved = len(move_requests(paths.inbox, dst.paths.inbox))
             dst.paths.journal.mkdir(parents=True, exist_ok=True)
             for entry in paths.journal_entries():

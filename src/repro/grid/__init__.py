@@ -6,56 +6,20 @@ balancer — the geometric machinery beneath the RMCRT solvers and the
 task runtime.
 """
 
-from repro.grid.box import Box, ivec, union_volume
-from repro.grid.patch import Patch
-from repro.grid.level import Level
-from repro.grid.grid import Grid, build_two_level_grid, build_single_level_grid
-from repro.grid.decomposition import decompose_level, tile_box, patch_count
-from repro.grid.celltype import CellType, domain_cell_types, mark_intrusion
-from repro.grid.refinement import (
-    coarsen_average,
-    coarsen_max,
-    refine_inject,
-    project_properties,
-)
-from repro.grid.sfc import morton_encode, morton_decode, hilbert_encode, hilbert_decode, curve_order
-from repro.grid.loadbalance import (
-    LoadBalancer,
-    compact_ranks,
-    reassign_on_failure,
-    round_robin_assign,
-)
-from repro.grid.regrid import TiledRegridder, flagged_tiles, flags_from_field
+from repro import lazy_exports
 
-__all__ = [
-    "TiledRegridder",
-    "flagged_tiles",
-    "flags_from_field",
-    "Box",
-    "ivec",
-    "union_volume",
-    "Patch",
-    "Level",
-    "Grid",
-    "build_two_level_grid",
-    "build_single_level_grid",
-    "decompose_level",
-    "tile_box",
-    "patch_count",
-    "CellType",
-    "domain_cell_types",
-    "mark_intrusion",
-    "coarsen_average",
-    "coarsen_max",
-    "refine_inject",
-    "project_properties",
-    "morton_encode",
-    "morton_decode",
-    "hilbert_encode",
-    "hilbert_decode",
-    "curve_order",
-    "LoadBalancer",
-    "compact_ranks",
-    "reassign_on_failure",
-    "round_robin_assign",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".box": ["Box", "ivec", "union_volume"],
+    ".patch": ["Patch"],
+    ".level": ["Level"],
+    ".grid": ["Grid", "build_two_level_grid", "build_single_level_grid"],
+    ".decomposition": ["decompose_level", "tile_box", "patch_count"],
+    ".celltype": ["CellType", "domain_cell_types", "mark_intrusion"],
+    ".refinement": ["coarsen_average", "coarsen_max", "refine_inject",
+                    "project_properties"],
+    ".sfc": ["morton_encode", "morton_decode", "hilbert_encode", "hilbert_decode",
+             "curve_order"],
+    ".loadbalance": ["LoadBalancer", "compact_ranks", "reassign_on_failure",
+                     "round_robin_assign"],
+    ".regrid": ["TiledRegridder", "flagged_tiles", "flags_from_field"],
+})

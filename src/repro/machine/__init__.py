@@ -1,23 +1,12 @@
 """Calibrated models of the evaluation platform: Titan XK7 node specs,
 the Gemini network, and the K20X GPU."""
 
-from repro.machine.titan import TITAN, TitanSpec
-from repro.machine.network import GEMINI, NetworkModel
-from repro.machine.gpu import K20X, GPUModel
-from repro.machine.cpu import OPTERON_6274, CPUNodeModel
-from repro.machine.summit import SUMMIT, SUMMIT_NETWORK, V100, summit_simulator
+from repro import lazy_exports
 
-__all__ = [
-    "SUMMIT",
-    "SUMMIT_NETWORK",
-    "V100",
-    "summit_simulator",
-    "TITAN",
-    "TitanSpec",
-    "GEMINI",
-    "NetworkModel",
-    "K20X",
-    "GPUModel",
-    "OPTERON_6274",
-    "CPUNodeModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".titan": ["TITAN", "TitanSpec"],
+    ".network": ["GEMINI", "NetworkModel"],
+    ".gpu": ["K20X", "GPUModel"],
+    ".cpu": ["OPTERON_6274", "CPUNodeModel"],
+    ".summit": ["SUMMIT", "SUMMIT_NETWORK", "V100", "summit_simulator"],
+})

@@ -48,6 +48,6 @@ SUMMIT_NETWORK = NetworkModel(
 
 def summit_simulator():
     """A ClusterSimulator configured for Summit-projected runs."""
-    from repro.dessim.cluster import ClusterSimulator
+    from repro.dessim.cluster import ClusterSimulator  # repro: allow(layer-violation) dessim builds on machine
 
     return ClusterSimulator(spec=SUMMIT, network=SUMMIT_NETWORK, gpu=V100)

@@ -2,32 +2,13 @@
 the mmap arena, the lock-free small-object pool, allocation tracking,
 and the fragmentation workload replay."""
 
-from repro.memory.heap import SimulatedHeap, SizeClassHeap
-from repro.memory.arena import ArenaAllocator, PAGE_SIZE
-from repro.memory.pool import GlobalLockAllocator, SizeClassPool
-from repro.memory.tracker import AllocationTracker, TagSummary
-from repro.memory.workload import (
-    AllocatorStack,
-    CATEGORIES,
-    ReplayResult,
-    TraceEvent,
-    generate_trace,
-    replay_trace,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "SimulatedHeap",
-    "SizeClassHeap",
-    "ArenaAllocator",
-    "PAGE_SIZE",
-    "GlobalLockAllocator",
-    "SizeClassPool",
-    "AllocationTracker",
-    "TagSummary",
-    "AllocatorStack",
-    "CATEGORIES",
-    "ReplayResult",
-    "TraceEvent",
-    "generate_trace",
-    "replay_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".heap": ["SimulatedHeap", "SizeClassHeap"],
+    ".arena": ["ArenaAllocator", "PAGE_SIZE"],
+    ".pool": ["GlobalLockAllocator", "SizeClassPool"],
+    ".tracker": ["AllocationTracker", "TagSummary"],
+    ".workload": ["AllocatorStack", "CATEGORIES", "ReplayResult", "TraceEvent",
+                  "generate_trace", "replay_trace"],
+})

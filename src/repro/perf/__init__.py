@@ -23,74 +23,18 @@ reproduction:
   snapshot collector behind ``repro status --watch`` history.
 """
 
-from repro.perf.analyze import (
-    analyze_events,
-    analyze_trace,
-    build_span_dag,
-    critical_path,
-    format_analysis,
-)
-from repro.perf.harness import (
-    BENCH_SCHEMA_VERSION,
-    bench_artifact_path,
-    write_bench_artifact,
-)
-from repro.perf.metrics import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_metrics,
-    reset_metrics,
-    set_metrics,
-    timed,
-)
-from repro.perf.rankstats import (
-    StatSummary,
-    format_rank_stats,
-    publish_rank_stats,
-    rank_stats_as_dict,
-    reduce_rank_stats,
-)
-from repro.perf.tracer import SpanTracer, get_tracer, set_tracer
-from repro.perf.tsdb import (
-    SnapshotCollector,
-    TimeSeriesStore,
-    flatten_registry,
-    get_collector,
-    set_collector,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "SnapshotCollector",
-    "SpanTracer",
-    "StatSummary",
-    "TimeSeriesStore",
-    "analyze_events",
-    "analyze_trace",
-    "bench_artifact_path",
-    "build_span_dag",
-    "critical_path",
-    "flatten_registry",
-    "format_analysis",
-    "format_rank_stats",
-    "get_collector",
-    "get_metrics",
-    "get_tracer",
-    "publish_rank_stats",
-    "rank_stats_as_dict",
-    "reduce_rank_stats",
-    "reset_metrics",
-    "set_collector",
-    "set_metrics",
-    "set_tracer",
-    "timed",
-    "write_bench_artifact",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".analyze": ["analyze_events", "analyze_trace", "build_span_dag", "critical_path",
+                 "format_analysis"],
+    ".harness": ["BENCH_SCHEMA_VERSION", "bench_artifact_path", "write_bench_artifact"],
+    ".metrics": ["Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram",
+                 "MetricsRegistry", "get_metrics", "reset_metrics", "set_metrics",
+                 "timed"],
+    ".rankstats": ["StatSummary", "format_rank_stats", "publish_rank_stats",
+                   "rank_stats_as_dict", "reduce_rank_stats"],
+    ".tracer": ["SpanTracer", "get_tracer", "set_tracer"],
+    ".tsdb": ["SnapshotCollector", "TimeSeriesStore", "flatten_registry",
+              "get_collector", "set_collector"],
+})

@@ -18,10 +18,13 @@ the artifacts without a subprocess.
 
 from __future__ import annotations
 
+import argparse
+import sys
 from typing import Optional
 
 from repro.perf.metrics import MetricsRegistry, set_metrics
 from repro.perf.tracer import SpanTracer, set_tracer
+from repro.util.errors import ReproError
 
 #: the driver thread's timeline row — far above any rank tid
 DRIVER_TID = 1000
@@ -177,3 +180,67 @@ def format_summary(summary: dict) -> str:
     if stats:
         lines.append(format_rank_stats(stats, title="Runtime stats (last timestep)"))
     return "\n".join(lines)
+
+
+def cmd_profile(argv) -> int:
+    """``python -m repro profile``: parse the flags, run, print the summary."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro profile",
+        description="Run an instrumented RMCRT simulation and write "
+        "trace.json + metrics.json.",
+    )
+    parser.add_argument("--steps", type=int, default=2, help="timesteps to run")
+    parser.add_argument(
+        "--resolution", type=int, default=12, help="fine-level cells per edge"
+    )
+    parser.add_argument(
+        "--rays-per-cell", type=int, default=4, help="rays per cell"
+    )
+    parser.add_argument(
+        "--ranks", type=int, default=2, help="simulated MPI ranks"
+    )
+    parser.add_argument(
+        "--pool",
+        choices=("waitfree", "locked", "locked-racy"),
+        default="waitfree",
+        help="communication request pool variant",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--trace", default="trace.json", help="Chrome trace output path"
+    )
+    parser.add_argument(
+        "--metrics", default="metrics.json", help="metrics snapshot output path"
+    )
+    parser.add_argument(
+        "--merge",
+        action="store_true",
+        help="write per-rank trace files and stitch them into one "
+        "cross-rank trace with send/recv flow arrows",
+    )
+    parser.add_argument(
+        "--rank-trace-dir",
+        default=None,
+        help="directory for the per-rank trace files (default: next to "
+        "the --trace output)",
+    )
+    args = parser.parse_args(argv)
+
+    try:
+        summary = run_profile(
+            steps=args.steps,
+            resolution=args.resolution,
+            rays_per_cell=args.rays_per_cell,
+            num_ranks=args.ranks,
+            pool_kind=args.pool,
+            seed=args.seed,
+            trace_path=args.trace,
+            metrics_path=args.metrics,
+            merge=args.merge,
+            rank_trace_dir=args.rank_trace_dir,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(format_summary(summary))
+    return 0

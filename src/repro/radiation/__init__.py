@@ -1,66 +1,18 @@
 """Radiation physics: property fields, the Burns & Christon benchmark,
 angular quadrature, and the discrete-ordinates baseline solver."""
 
-from repro.radiation.constants import SIGMA_SB, T_UNIT_EMISSION
-from repro.radiation.properties import RadiativeProperties
-from repro.radiation.benchmark import (
-    BurnsChristonBenchmark,
-    burns_christon_abskg,
-    MEDIUM_PROBLEM,
-    LARGE_PROBLEM,
-)
-from repro.radiation.quadrature import Quadrature, sn_level_symmetric, product_quadrature
-from repro.radiation.dom import DiscreteOrdinates, dom_reference_divq
-from repro.radiation.analysis import (
-    ConvergenceStudy,
-    max_error,
-    monte_carlo_convergence,
-    relative_l2_error,
-    rms_error,
-    symmetry_deviation,
-)
-from repro.radiation.spectral import (
-    COMBUSTION_3_BAND,
-    GREY,
-    EnclosureScenario,
-    PlanckTable,
-    SpectralBand,
-    SpectralModel,
-    SpectralRMCRT,
-    SpectralTracer,
-    TabulatedEmissivity,
-    band_properties,
-    validate_bands,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ConvergenceStudy",
-    "max_error",
-    "monte_carlo_convergence",
-    "relative_l2_error",
-    "rms_error",
-    "symmetry_deviation",
-    "COMBUSTION_3_BAND",
-    "GREY",
-    "EnclosureScenario",
-    "PlanckTable",
-    "SpectralBand",
-    "SpectralModel",
-    "SpectralRMCRT",
-    "SpectralTracer",
-    "TabulatedEmissivity",
-    "band_properties",
-    "validate_bands",
-    "SIGMA_SB",
-    "T_UNIT_EMISSION",
-    "RadiativeProperties",
-    "BurnsChristonBenchmark",
-    "burns_christon_abskg",
-    "MEDIUM_PROBLEM",
-    "LARGE_PROBLEM",
-    "Quadrature",
-    "sn_level_symmetric",
-    "product_quadrature",
-    "DiscreteOrdinates",
-    "dom_reference_divq",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".constants": ["SIGMA_SB", "T_UNIT_EMISSION"],
+    ".properties": ["RadiativeProperties"],
+    ".benchmark": ["BurnsChristonBenchmark", "burns_christon_abskg", "MEDIUM_PROBLEM",
+                   "LARGE_PROBLEM"],
+    ".quadrature": ["Quadrature", "sn_level_symmetric", "product_quadrature"],
+    ".dom": ["DiscreteOrdinates", "dom_reference_divq"],
+    ".analysis": ["ConvergenceStudy", "max_error", "monte_carlo_convergence",
+                  "relative_l2_error", "rms_error", "symmetry_deviation"],
+    ".spectral": ["COMBUSTION_3_BAND", "GREY", "EnclosureScenario", "PlanckTable",
+                  "SpectralBand", "SpectralModel", "SpectralRMCRT", "SpectralTracer",
+                  "TabulatedEmissivity", "band_properties", "validate_bands"],
+})

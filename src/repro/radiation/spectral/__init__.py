@@ -12,76 +12,19 @@ Two tiers of spectral fidelity share this package:
   (:mod:`.scenario`).
 """
 
-from repro.radiation.spectral.bands import (
-    COMBUSTION_3_BAND,
-    GREY,
-    SpectralBand,
-    SpectralRMCRT,
-    band_properties,
-    validate_bands,
-)
-from repro.radiation.spectral.emissivity import (
-    MATERIALS,
-    TabulatedEmissivity,
-    named_emissivity,
-)
-from repro.radiation.spectral.model import SpectralModel, kappa_scales_power_law
-from repro.radiation.spectral.planck import (
-    C2_UM_K,
-    PlanckTable,
-    default_band_edges,
-    fraction_inverse,
-    planck_fraction,
-)
-from repro.radiation.spectral.scenario import SCENARIOS, SpectralCase, get_scenario
-from repro.radiation.spectral.tracer import (
-    SPECTRAL_STREAM,
-    SpectralResult,
-    SpectralTracer,
-    band_level_fields,
-)
-from repro.radiation.spectral.viewfactor import (
-    EnclosureResult,
-    EnclosureScenario,
-    enforce_constraints,
-    parallel_plates_view_factor,
-    radiosity_solve,
-    view_factor_matrix,
-)
+from repro import lazy_exports
 
-__all__ = [
-    # WSGG band loop (legacy API)
-    "COMBUSTION_3_BAND",
-    "GREY",
-    "SpectralBand",
-    "SpectralRMCRT",
-    "band_properties",
-    "validate_bands",
-    # Planck sampling
-    "C2_UM_K",
-    "PlanckTable",
-    "default_band_edges",
-    "fraction_inverse",
-    "planck_fraction",
-    # emissivity
-    "MATERIALS",
-    "TabulatedEmissivity",
-    "named_emissivity",
-    # model + tracer
-    "SpectralModel",
-    "kappa_scales_power_law",
-    "SPECTRAL_STREAM",
-    "SpectralResult",
-    "SpectralTracer",
-    "band_level_fields",
-    # scenarios + enclosure
-    "SCENARIOS",
-    "SpectralCase",
-    "get_scenario",
-    "EnclosureResult",
-    "EnclosureScenario",
-    "enforce_constraints",
-    "parallel_plates_view_factor",
-    "radiosity_solve",
-    "view_factor_matrix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bands": ["COMBUSTION_3_BAND", "GREY", "SpectralBand", "SpectralRMCRT",
+               "band_properties", "validate_bands"],
+    ".emissivity": ["MATERIALS", "TabulatedEmissivity", "named_emissivity"],
+    ".model": ["SpectralModel", "kappa_scales_power_law"],
+    ".planck": ["C2_UM_K", "PlanckTable", "default_band_edges", "fraction_inverse",
+                "planck_fraction"],
+    ".scenario": ["SCENARIOS", "SpectralCase", "get_scenario"],
+    ".tracer": ["SPECTRAL_STREAM", "SpectralResult", "SpectralTracer",
+                "band_level_fields"],
+    ".viewfactor": ["EnclosureResult", "EnclosureScenario", "enforce_constraints",
+                    "parallel_plates_view_factor", "radiosity_solve",
+                    "view_factor_matrix"],
+})

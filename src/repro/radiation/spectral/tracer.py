@@ -40,7 +40,8 @@ from repro.core.rays import generate_patch_rays
 from repro.core.single_level import RMCRTResult, _whole_domain_patch
 from repro.grid.celltype import CellType
 from repro.grid.grid import Grid
-from repro.perf import get_metrics, get_tracer
+from repro.perf.metrics import get_metrics
+from repro.perf.tracer import get_tracer
 from repro.radiation.constants import SIGMA_SB
 from repro.radiation.properties import RadiativeProperties
 from repro.radiation.spectral.model import SpectralModel

@@ -34,7 +34,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.perf import get_metrics, get_tracer
+from repro.perf.metrics import get_metrics
+from repro.perf.tracer import get_tracer
 from repro.radiation.constants import SIGMA_SB
 from repro.radiation.spectral.model import SpectralModel
 from repro.radiation.spectral.planck import planck_fraction

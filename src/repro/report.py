@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import sys
 
-from repro.dessim import (
+from repro.dessim.cluster import ClusterSimulator, SimOptions, StrongScalingStudy
+from repro.dessim.costmodel import (
     LARGE,
     MEDIUM,
-    ClusterSimulator,
-    SimOptions,
-    StrongScalingStudy,
     multi_level_comm_per_rank,
     single_level_comm_per_rank,
 )

@@ -22,38 +22,14 @@ layer:
   [checkpoint|restore|drill]``.
 """
 
-from repro.resilience.state import (
-    CCEntry,
-    LevelEntry,
-    SimulationState,
-    capture_state,
-    grid_layout,
-    verify_layout,
-)
-from repro.resilience.checkpoint import Checkpointer
-from repro.resilience.faultplan import FaultEvent, FaultPlan
-from repro.resilience.orchestrator import (
-    DrillReport,
-    RadiationCampaign,
-    RecoveryEvent,
-    RecoveryOrchestrator,
-)
-from repro.util.errors import InjectedFault, ResilienceError
+from repro import lazy_exports
 
-__all__ = [
-    "CCEntry",
-    "Checkpointer",
-    "DrillReport",
-    "FaultEvent",
-    "FaultPlan",
-    "InjectedFault",
-    "LevelEntry",
-    "RadiationCampaign",
-    "RecoveryEvent",
-    "RecoveryOrchestrator",
-    "ResilienceError",
-    "SimulationState",
-    "capture_state",
-    "grid_layout",
-    "verify_layout",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".state": ["CCEntry", "LevelEntry", "SimulationState", "capture_state",
+               "grid_layout", "verify_layout"],
+    ".checkpoint": ["Checkpointer"],
+    ".faultplan": ["FaultEvent", "FaultPlan"],
+    ".orchestrator": ["DrillReport", "RadiationCampaign", "RecoveryEvent",
+                      "RecoveryOrchestrator"],
+    "repro.util.errors": ["InjectedFault", "ResilienceError"],
+})

@@ -21,6 +21,7 @@ from repro.dw.datawarehouse import DataWarehouse, DataWarehouseManager
 from repro.perf.flightrec import get_flight_recorder
 from repro.perf.tracer import SpanTracer, get_tracer
 from repro.perf.tsdb import get_collector
+from repro.resilience.state import capture_state, verify_layout
 from repro.runtime.scheduler import SerialScheduler
 from repro.runtime.taskgraph import CompiledGraph
 from repro.util.errors import SchedulerError
@@ -189,9 +190,6 @@ class SimulationController:
         """
         if self.checkpointer is None:
             raise SchedulerError("no checkpointer attached to this controller")
-        # imported lazily: repro.resilience imports the runtime package
-        from repro.resilience.state import capture_state
-
         state = capture_state(
             self.dw_manager.new_dw,
             step=self.step,
@@ -218,8 +216,6 @@ class SimulationController:
         generation and attached RNG streams are rewound, so the next
         :meth:`advance` continues bit-identically.
         """
-        from repro.resilience.state import verify_layout
-
         if step is not None:
             state = checkpointer.load(step)
             found_step = step

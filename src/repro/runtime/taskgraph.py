@@ -395,7 +395,7 @@ class TaskGraph:
         return graph
 
     def _validate_declarations(self) -> None:
-        from repro.check.graph import validate_taskgraph
+        from repro.check.graph import validate_taskgraph  # repro: allow(layer-violation) validate=True only
 
         errors = [f for f in validate_taskgraph(self) if f.severity == "error"]
         if errors:
@@ -406,7 +406,7 @@ class TaskGraph:
 
     @staticmethod
     def _validate_structure(graph: CompiledGraph) -> None:
-        from repro.check.graph import validate_compiled
+        from repro.check.graph import validate_compiled  # repro: allow(layer-violation) validate=True only
 
         errors = [f for f in validate_compiled(graph) if f.severity == "error"]
         if errors:

@@ -25,33 +25,15 @@ per process invocation.
   ``submit`` commands.
 """
 
-from repro.service.batcher import Batch, MicroBatcher
-from repro.service.cache import ResultCache
-from repro.service.journal import RequestJournal
-from repro.service.queue import SubmissionQueue
-from repro.service.schema import (
-    CachedSolve,
-    PendingSolve,
-    SolveHandle,
-    SolveRequest,
-    SolveResult,
-)
-from repro.service.service import RadiationService, ServiceClient, ServiceConfig
-from repro.service.workers import WorkerPool
+from repro import lazy_exports
 
-__all__ = [
-    "Batch",
-    "CachedSolve",
-    "MicroBatcher",
-    "PendingSolve",
-    "RadiationService",
-    "RequestJournal",
-    "ResultCache",
-    "ServiceClient",
-    "ServiceConfig",
-    "SolveHandle",
-    "SolveRequest",
-    "SolveResult",
-    "SubmissionQueue",
-    "WorkerPool",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".batcher": ["Batch", "MicroBatcher"],
+    ".cache": ["ResultCache"],
+    ".journal": ["RequestJournal"],
+    ".queue": ["SubmissionQueue"],
+    ".schema": ["CachedSolve", "PendingSolve", "SolveHandle", "SolveRequest",
+                "SolveResult"],
+    ".service": ["RadiationService", "ServiceClient", "ServiceConfig"],
+    ".workers": ["WorkerPool"],
+})

@@ -48,6 +48,7 @@ import numpy as np
 from repro.perf import tracectx
 from repro.perf.detect import default_bank
 from repro.perf.metrics import MetricsRegistry, set_metrics
+from repro.perf.slo import format_status
 from repro.perf.tracer import SpanTracer, set_tracer
 from repro.perf.tsdb import (
     SnapshotCollector,
@@ -504,8 +505,6 @@ def cmd_serve(argv) -> int:
 # ----------------------------------------------------------------------
 def cmd_status(argv) -> int:
     """Render the SLO dashboard from a published status.json."""
-    from repro.perf.slo import format_status
-
     parser = argparse.ArgumentParser(
         prog="python -m repro status",
         description="Show service SLO status (latency quantiles, error "
@@ -628,7 +627,7 @@ def _status_fabric(args) -> int:
     """Fleet-wide dashboard: aggregate every shard's status.json under
     a fabric root. Exit 3 when the worst shard is degraded (or dead),
     mirroring the single-spool contract."""
-    from repro.fabric.fabric import aggregate_status, format_fleet
+    from repro.fabric.fabric import aggregate_status, format_fleet  # repro: allow(layer-violation) status --fabric only
 
     refreshes = 0
     while True:

@@ -34,7 +34,7 @@ from repro.perf.metrics import MetricsRegistry, get_metrics
 from repro.perf.tracer import SpanTracer, get_tracer
 from repro.service.batcher import Batch
 from repro.service.schema import CachedSolve, PendingSolve
-from repro.ups import PreparedScene, ProblemSpec, prepare_scene, run_prepared
+from repro.ups import PreparedScene, ProblemSpec, prepare_scene, run_prepared, run_ups
 from repro.util.errors import ServiceError
 
 BACKENDS = ("thread", "process")
@@ -44,8 +44,6 @@ def _solve_in_process(spec: ProblemSpec):
     """Process-backend entry point: run one solve, return a slim,
     picklable payload (the full result's TimerRegistry travels fine,
     but the child only needs to ship what the cache keeps)."""
-    from repro.ups import run_ups
-
     result = run_ups(spec)
     return result.divq, result.rays_traced, result.timers("rmcrt_solve").elapsed
 

@@ -5,47 +5,14 @@ import from here, but :mod:`repro.util` imports nothing from the rest
 of the library.
 """
 
-from repro.util.timing import Timer, TimerRegistry, format_seconds
-from repro.util.rng import RandomStreams, spawn_stream
-from repro.util.atomic import (
-    FS_EFFECTS,
-    atomic_save_array,
-    atomic_savez,
-    atomic_write_bytes,
-    atomic_write_text,
-    register_fs_effect,
-)
-from repro.util.errors import (
-    ReproError,
-    GridError,
-    SchedulerError,
-    DataWarehouseError,
-    AllocationError,
-    CommError,
-    PerfError,
-    ResilienceError,
-    InjectedFault,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Timer",
-    "TimerRegistry",
-    "format_seconds",
-    "RandomStreams",
-    "spawn_stream",
-    "FS_EFFECTS",
-    "atomic_save_array",
-    "atomic_savez",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "register_fs_effect",
-    "ReproError",
-    "GridError",
-    "SchedulerError",
-    "DataWarehouseError",
-    "AllocationError",
-    "CommError",
-    "PerfError",
-    "ResilienceError",
-    "InjectedFault",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".timing": ["Timer", "TimerRegistry", "format_seconds"],
+    ".rng": ["RandomStreams", "spawn_stream"],
+    ".atomic": ["FS_EFFECTS", "atomic_save_array", "atomic_savez",
+                "atomic_write_bytes", "atomic_write_text", "register_fs_effect"],
+    ".errors": ["ReproError", "GridError", "SchedulerError", "DataWarehouseError",
+                "AllocationError", "CommError", "PerfError", "ResilienceError",
+                "InjectedFault"],
+})

@@ -149,6 +149,58 @@ class TestLintRules:
         assert rules(findings) == ["syntax-error"]
 
 
+class TestLayerRule:
+    """``layer-violation``: imports point down or sideways the layer
+    order; up only from inside a function, allowed with a reason."""
+
+    def test_downward_import_clean(self):
+        src = "from repro.grid.box import Box\nfrom repro.perf.metrics import get_metrics\n"
+        assert lint_source(src, "src/repro/core/a.py") == ([], 0)
+
+    def test_sideways_import_clean(self):
+        src = "from repro.core.fields import LevelFields\n"
+        assert lint_source(src, "src/repro/core/a.py") == ([], 0)
+        # radiation.spectral sits over core; its tracer imports the kernels
+        src = "from repro.core.kernels import march\n"
+        assert lint_source(src, "src/repro/radiation/spectral/a.py") == ([], 0)
+
+    def test_module_level_upward_import(self):
+        src = "from repro.service import RadiationService\n"
+        findings, _ = lint_source(src, "src/repro/core/a.py")
+        assert rules(findings) == ["layer-violation"]
+        assert "module-level" in findings[0].message
+        # a package named as a whole sits at its highest layer: perf's
+        # __init__ re-exports the analysis tools
+        findings, _ = lint_source("from repro.perf import get_metrics\n", "core/a.py")
+        assert rules(findings) == ["layer-violation"]
+        findings, _ = lint_source("from ..service import schema\n", "src/repro/core/a.py")
+        assert rules(findings) == ["layer-violation"]
+        # an allow does not admit a module-level upward import
+        src = "from repro.service import X  # repro: allow(layer-violation) no\n"
+        findings, suppressed = lint_source(src, "core/a.py")
+        assert rules(findings) == ["layer-violation"] and suppressed == 0
+
+    def test_function_local_upward_import_without_allow(self):
+        src = ("def f():\n"
+               "    from repro.fabric.fabric import run_drill\n"
+               "    from repro.service import X  # repro: allow(layer-violation)\n")
+        findings, suppressed = lint_source(src, "src/repro/runtime/a.py")
+        assert rules(findings) == ["layer-violation"] * 2, "an allow needs a reason"
+        assert suppressed == 0
+
+    def test_function_local_upward_import_allowed(self):
+        src = ("def f():\n"
+               "    from repro.check.graph import validate_compiled  "
+               "# repro: allow(layer-violation) on demand\n")
+        assert lint_source(src, "src/repro/runtime/a.py") == ([], 1)
+
+    def test_seeded_defect_caught(self, capsys):
+        assert run_check(["lint", "--seeded-defects"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[layer-violation]") == 1
+        assert "layers.py:1:" in out and "1 suppressed" in out
+
+
 class TestLintTree:
     def test_src_tree_is_clean(self):
         """The satellite guarantee: every real finding in src/ is fixed
@@ -197,6 +249,7 @@ class TestListRules:
             assert f"== {check} ==" in out
         assert "fs-non-atomic-publish" in out
         assert "protocol-lost-request" in out
+        assert "layer-violation" in out
 
     def test_json_catalog(self, tmp_path, capsys):
         out = tmp_path / "rules.json"

@@ -30,7 +30,14 @@ from repro.fabric.hashring import rendezvous_shard
 from repro.perf import tracectx
 from repro.perf.metrics import get_metrics
 from repro.perf.tracer import get_tracer
-from repro.service.spool import extract_ctx, forward_results, move_requests, write_result
+from repro.service.spool import (
+    extract_ctx,
+    forward_results,
+    inbox_bell,
+    move_requests,
+    ring,
+    write_result,
+)
 from repro.ups import parse_ups, scene_fingerprint
 from repro.util.errors import ReproError
 
@@ -95,6 +102,7 @@ class Router:
                 path.rename(shard.paths.inbox / path.name)
             except OSError:
                 continue
+            ring(inbox_bell(shard.paths.inbox))
             moved += 1
             metrics.counter("fabric.routed", shard=shard_id).inc()
             with tracectx.use(ctx):

@@ -23,12 +23,16 @@ exactly one shard no matter how many poll the inbox. The claimed file
 survives until the result is published, which is what lets the fabric
 supervisor re-home a killed shard's accepted work with zero loss.
 
-Neither side sleeps a fixed interval. ``submit`` waits for its sidecar
-and ``serve`` for its next request by :func:`repro.service.spool.poll_delay`
-(a tenth of the time already waited, 0.5–50 ms); a finished solve sets
-the serve loop's wake event, so its result is published when it is
-delivered, not at the next poll; and ``status.json`` is rewritten when
-what it reports changes, or every ``_STATUS_EVERY_S`` for the heartbeat.
+Neither side sleeps: each blocks on a :class:`repro.service.spool.Bell`
+for at most :func:`repro.service.spool.poll_delay` (a tenth of the time
+already waited, 0.5–50 ms). ``submit`` holds its ticket's bell, which
+the server's published result rings. ``serve`` holds ``<spool>/inbox.bell``,
+which every request written into the inbox rings, and so does every
+finished solve (its done-callback), so a request is claimed and a result
+published when they happen, not at the next poll. ``status.json`` is
+rewritten when what it reports changes, or every ``_STATUS_EVERY_S`` for
+the heartbeat. A spool path that cannot be made a spool is an
+``error:`` and exit 1.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import argparse
 import json
 import os
 import sys
-import threading
 import time
 import uuid
 from pathlib import Path
@@ -58,8 +61,10 @@ from repro.perf.tsdb import (
 )
 from repro.service.service import RadiationService, ServiceClient, ServiceConfig
 from repro.service.spool import (
+    Bell,
     claim_request,
     extract_ctx,
+    inbox_bell,
     poll_delay,
     release_claims,
     wait_result,
@@ -242,24 +247,28 @@ def cmd_submit(argv) -> int:
 def _submit_spool(args, names) -> int:
     spool = Path(args.spool)
     inbox, outbox = spool / "inbox", spool / "outbox"
-    inbox.mkdir(parents=True, exist_ok=True)
-    outbox.mkdir(parents=True, exist_ok=True)
     tickets = []
-    for i, path in enumerate(names):
-        try:
+    try:
+        inbox.mkdir(parents=True, exist_ok=True)
+        outbox.mkdir(parents=True, exist_ok=True)
+        for i, path in enumerate(names):
             text = path.read_text()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        ticket = f"{i:03d}-{path.stem}-{uuid.uuid4().hex[:8]}"
-        # the request carries the submitter's trace context in-band, so
-        # router, shard, and worker spans all join this client's trace
-        write_request(inbox, ticket, text, ctx=tracectx.child_or_new())
-        tickets.append((path.name, ticket))
+            ticket = f"{i:03d}-{path.stem}-{uuid.uuid4().hex[:8]}"
+            # the request carries the submitter's trace context in-band, so
+            # router, shard, and worker spans all join this client's trace
+            write_request(inbox, ticket, text, ctx=tracectx.child_or_new())
+            tickets.append((path.name, ticket))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     deadline = time.monotonic() + args.timeout
     failures = 0
     for name, ticket in tickets:
-        meta = wait_result(outbox, ticket, deadline)
+        try:
+            meta = wait_result(outbox, ticket, deadline)
+        except OSError as exc:  # no bell can be made in the outbox
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         if meta is None:
             print(f"error: no result for {name} ({ticket})", file=sys.stderr)
             return 1
@@ -329,19 +338,23 @@ def cmd_serve(argv) -> int:
     spool = Path(args.spool)
     inbox, outbox = spool / "inbox", spool / "outbox"
     claim_dir = spool / "claimed" / args.shard_id
-    inbox.mkdir(parents=True, exist_ok=True)
-    outbox.mkdir(parents=True, exist_ok=True)
-    claim_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        for directory in (inbox, outbox, claim_dir):
+            directory.mkdir(parents=True, exist_ok=True)
+        # rung by every request written into the inbox and by every
+        # finished solve; a ring during a pass stays in the pipe, so the
+        # next wait returns at once and no wake-up is lost
+        bell = Bell(inbox_bell(inbox))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     stop_file = Path(args.stop_file) if args.stop_file else spool / "serve.stop"
     metrics, tracer = _install_observability(args)
 
     served = 0
     outstanding = []  # (ticket, handle, claimed_path)
     passes = metrics.counter("service.spool.passes")
-    # set by whichever handle completes, on whichever worker, so the
-    # loop publishes a result when it is delivered; cleared before each
-    # pass re-reads every handle, so no completion is lost between
-    wake = threading.Event()
+    rung = metrics.counter("service.spool.rung")
     print(f"serving from {spool} as {args.shard_id} "
           f"(idle timeout {args.idle_timeout}s)")
     fault_hook = None
@@ -352,7 +365,7 @@ def cmd_serve(argv) -> int:
         print(f"fault injection: +{args.inject_slowdown}s per solve "
               f"after {args.inject_slowdown_after} warmup solve(s)")
     config = _build_config(args, fault_hook=fault_hook)
-    with RadiationService(config, metrics=metrics, tracer=tracer) as svc:
+    with bell, RadiationService(config, metrics=metrics, tracer=tracer) as svc:
         client = ServiceClient(svc)
         # metrics history: one collector sampling the registry plus the
         # SLO snapshot into spool/tsdb on a cadence; samples accumulate
@@ -428,7 +441,7 @@ def cmd_serve(argv) -> int:
                         print(f"{ticket}: rejected ({exc})")
                         worked = True
                         continue
-                    handle.add_done_callback(wake.set)
+                    handle.add_done_callback(bell.ring)
                     outstanding.append((ticket, handle, claimed_path))
                     worked = True
                     served += 1
@@ -481,8 +494,8 @@ def cmd_serve(argv) -> int:
                 stopping or done_budget or now - last_work > args.idle_timeout
             ):
                 break
-            wake.wait(poll_delay(time.monotonic() - last_work))
-            wake.clear()
+            if bell.wait(poll_delay(time.monotonic() - last_work)):
+                rung.inc()
         if collector is not None:
             record = collector.sample(served=served, outstanding=len(outstanding))
             bank.observe(record)

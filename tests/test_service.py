@@ -9,6 +9,7 @@ as :class:`ServiceError`, never as hangs or wrong answers.
 
 import json
 import math
+import os
 import threading
 import time
 
@@ -340,28 +341,38 @@ class TestCLI:
         serve_rc = {}
         # (served, outstanding, sidecars in the outbox) at every publish
         publishes = []
+        first_pass_done = threading.Event()
         publish_status = cli._publish_status
 
         def recording_publish(spool_dir, svc, shard_id, served, outstanding,
                               *args, **kwargs):
             sidecars = len(list((spool_dir / "outbox").glob("*.json")))
             publishes.append((served, outstanding, sidecars))
-            return publish_status(spool_dir, svc, shard_id, served,
-                                  outstanding, *args, **kwargs)
+            publish_status(spool_dir, svc, shard_id, served,
+                           outstanding, *args, **kwargs)
+            first_pass_done.set()
 
         monkeypatch.setattr(cli, "_publish_status", recording_publish)
 
         def serve():
+            # the solve is held 0.1 s so that its done-callback's ring
+            # cannot share one wait with the requests' rings, even when
+            # the submitting thread is starved of the GIL between its
+            # rename and its ring
             serve_rc["rc"] = cmd_serve(
                 [
                     "--spool", str(spool), "--metrics", str(metrics_path),
                     "--max-requests", "2", "--idle-timeout", "60",
+                    "--inject-slowdown", "0.1",
                 ]
             )
 
         t0 = time.monotonic()
         server = threading.Thread(target=serve, daemon=True)
         server.start()
+        # submitted once the server waits on its bell: the requests ring
+        # it, and the solve rings it again
+        assert first_pass_done.wait(60)
         rc = cmd_submit(
             ["--spool", str(spool), str(ups), str(ups), "--timeout", "60"]
         )
@@ -382,6 +393,7 @@ class TestCLI:
         assert counters["service.spool.status_published"] == len(publishes)
         assert len(publishes) <= 2 * 2 + 2 + math.ceil(wall / 0.5)
         assert counters["service.spool.passes"] >= 2
+        assert counters["service.spool.rung"] >= 2
         # a result is in the outbox before any status reports it settled
         for served, outstanding, sidecars in publishes:
             assert sidecars >= served - outstanding
@@ -420,10 +432,80 @@ class TestCLI:
         final = json.loads((spool / "status.json").read_text())
         assert final["shard"]["served"] == 0 and final["shard"]["exited"]
 
+    def test_request_without_a_ring_is_served_by_the_poll(self, tmp_path, monkeypatch):
+        from repro.service import cli
+        from repro.service.spool import wait_result
+        from repro.util.atomic import atomic_write_text
+
+        spool = tmp_path / "spool"
+        metrics_path = tmp_path / "serve_metrics.json"
+        first_pass_done = threading.Event()
+        publish_status = cli._publish_status
+
+        def signalling_publish(*args, **kwargs):
+            publish_status(*args, **kwargs)
+            first_pass_done.set()
+
+        monkeypatch.setattr(cli, "_publish_status", signalling_publish)
+        serve_rc = {}
+
+        def serve():
+            serve_rc["rc"] = cli.cmd_serve(
+                ["--spool", str(spool), "--metrics", str(metrics_path),
+                 "--idle-timeout", "60", "--tsdb-interval", "0"]
+            )
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        assert first_pass_done.wait(60)
+        # renamed into the inbox after the first pass's glob, with no
+        # ring; a rejected request settles in the pass and wakes nobody
+        t0 = time.monotonic()
+        atomic_write_text(spool / "inbox" / "quiet.ups", "<Uintah_specification><Grid>")
+        meta = wait_result(
+            spool / "outbox", "quiet", t0 + 60, alive=server.is_alive
+        )
+        waited = time.monotonic() - t0
+        (spool / "serve.stop").write_text("stop\n")
+        server.join(timeout=60)
+        assert not server.is_alive() and serve_rc["rc"] == 0
+        assert meta is not None and meta["error"]
+        # a poll is at most 50 ms; the idle timeout it would otherwise
+        # wait out is 60 s
+        assert waited < 5.0
+        counters = counters_of(metrics_path)
+        assert counters["service.spool.claimed"] == 1
+        assert counters["service.spool.rung"] == 0
+
+    @pytest.mark.parametrize("cause", ["file", "unwritable"])
+    @pytest.mark.parametrize("command", ["serve", "submit"])
+    def test_unusable_spool_is_a_typed_error(self, tmp_path, capsys, command, cause):
+        from repro.__main__ import main
+
+        spool = tmp_path / "spool"
+        if cause == "file":
+            spool.write_text("not a directory\n")
+        else:
+            spool.mkdir(mode=0o500)
+            try:
+                (spool / "probe").mkdir()
+            except PermissionError:
+                pass
+            else:
+                pytest.skip("this process writes through directory permissions")
+        ups = tmp_path / "small.ups"
+        ups.write_text(UPS_TEXT)
+        argv = {
+            "serve": ["serve", "--spool", str(spool), "--idle-timeout", "0"],
+            "submit": ["submit", "--spool", str(spool), str(ups), "--timeout", "1"],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSpoolWait:
-    """The spool's one wait rule and the two things that use it,
-    pinned without a clock."""
+    """The spool's one wait rule, the bell that cuts a wait short, and
+    the two things that wait, pinned without a clock."""
 
     def test_poll_delay_bounds_and_monotonicity(self):
         from repro.service.spool import poll_delay
@@ -476,26 +558,29 @@ class TestSpoolWait:
     def test_wait_result_reads_before_it_sleeps(self, tmp_path, monkeypatch):
         from repro.service import spool
 
-        def no_sleep(seconds):
-            raise AssertionError("slept with the result already published")
+        def no_wait(bell, timeout):
+            raise AssertionError("waited with the result already published")
 
-        monkeypatch.setattr(spool.time, "sleep", no_sleep)
+        monkeypatch.setattr(spool.Bell, "wait", no_wait)
         spool.write_result(tmp_path, "t1", error="boom")
         assert spool.wait_result(tmp_path, "t1", time.monotonic() + 60) == {
             "error": "boom"
         }
+        assert list(tmp_path.glob("*.bell")) == []
         # a dead server, or a deadline already past, ends the wait unslept
         assert spool.wait_result(
             tmp_path, "t2", time.monotonic() + 60, alive=lambda: False
         ) is None
+        assert list(tmp_path.glob("*.bell")) == []
         assert spool.wait_result(tmp_path, "t2", time.monotonic() - 1) is None
+        assert list(tmp_path.glob("*.bell")) == []
 
     def test_wait_result_sleeps_by_the_rule(self, tmp_path, monkeypatch):
         from repro.service import spool
 
         class FakeClock:
-            """monotonic() advances only by what sleep() is asked for;
-            the result is published once 40 ms have been slept."""
+            """monotonic() advances only by what the bell's wait is asked
+            for; the result is published once 40 ms have been waited."""
 
             def __init__(self):
                 self.now, self.slept = 100.0, []
@@ -503,15 +588,18 @@ class TestSpoolWait:
             def monotonic(self):
                 return self.now
 
-            def sleep(self, seconds):
+            def wait(self, seconds):  # stands in for Bell.wait
                 self.slept.append(seconds)
                 self.now += seconds
                 if self.now - 100.0 >= 0.04:
                     spool.write_result(tmp_path, "t1", error="late")
+                return False
 
         clock = FakeClock()
         monkeypatch.setattr(spool, "time", clock)
+        monkeypatch.setattr(spool.Bell, "wait", clock.wait)
         assert spool.wait_result(tmp_path, "t1", 160.0) == {"error": "late"}
+        assert list(tmp_path.glob("*.bell")) == []
         waited, expected = 0.0, []
         while waited < 0.04:
             expected.append(spool.poll_delay(waited))
@@ -519,6 +607,74 @@ class TestSpoolWait:
         assert clock.slept == pytest.approx(expected)
         # the read lands within a tenth of the wait after the result
         assert waited <= 0.04 * 1.1 + 1e-12
+
+    def test_unrung_bell_is_not_ready(self, tmp_path):
+        from repro.service.spool import Bell
+
+        with Bell(tmp_path / "b.bell") as bell:
+            assert not bell.wait(0)
+            # a ringer that opened and closed its end leaves no EOF behind
+            os.close(os.open(bell.path, os.O_WRONLY | os.O_NONBLOCK))
+            assert not bell.wait(0)
+
+    def test_a_ring_wakes_once_and_drains(self, tmp_path):
+        from repro.service.spool import Bell, ring
+
+        with Bell(tmp_path / "b.bell") as bell:
+            ring(bell.path)
+            ring(bell.path)
+            bell.ring()
+            assert bell.wait(60)
+            assert not bell.wait(0)
+            # a full pipe is already rung: more rings neither block nor
+            # fail, and one wait drains them all
+            for _ in range(1 << 17):
+                bell.ring()
+            ring(bell.path)
+            assert bell.wait(60)
+            assert not bell.wait(0)
+
+    def test_wait_result_wakes_on_the_ring(self, tmp_path, monkeypatch):
+        from repro.service import spool
+
+        monkeypatch.setattr(spool, "poll_delay", lambda waited: 60.0)
+        waiting = threading.Event()
+        bell_wait = spool.Bell.wait
+
+        def signalling_wait(bell, timeout):
+            waiting.set()
+            return bell_wait(bell, timeout)
+
+        monkeypatch.setattr(spool.Bell, "wait", signalling_wait)
+
+        def publish():
+            assert waiting.wait(60)
+            spool.write_result(tmp_path, "t1", error="rung")
+
+        publisher = threading.Thread(target=publish, daemon=True)
+        publisher.start()
+        t0 = time.monotonic()
+        assert spool.wait_result(tmp_path, "t1", t0 + 120) == {"error": "rung"}
+        assert time.monotonic() - t0 < 30  # the ring, not the 60 s poll
+        publisher.join(timeout=60)
+        assert not publisher.is_alive()
+        assert list(tmp_path.glob("*.bell")) == []
+
+    def test_ring_without_a_holder_is_silent(self, tmp_path):
+        from repro.service import spool
+
+        spool.ring(tmp_path / "missing.bell")
+        os.mkfifo(tmp_path / "unheld.bell")
+        spool.ring(tmp_path / "unheld.bell")
+        plain = tmp_path / "plain.bell"
+        plain.write_text("x")
+        spool.ring(plain)
+        assert plain.read_text() == "x"
+        # a client that left without removing its bell: the result still
+        # publishes, and nothing blocks on the orphaned pipe
+        spool.Bell(tmp_path / "gone.bell").close()
+        spool.write_result(tmp_path, "gone", error="late")
+        assert spool.read_result_meta(tmp_path, "gone") == {"error": "late"}
 
 
 class TestJournal:

@@ -19,10 +19,15 @@ doubles as the "GPU kernel" of the reproduction, NumPy's vector unit
 playing the role of the K20X's SIMT lanes:
 
 * **dense structure-of-arrays by axis.** State is contiguous rows —
-  ``tau, sum_i, tcur, trans`` and ``tmax``/``tdelta`` per axis as
-  floats; the batch row, the flat cell index and the flat index step per
-  axis as ints — so every step is a handful of whole-row ufuncs and no
-  index gather into ray state.
+  ``-tau, sum_i, tcur, trans``, a spare ``tcur, trans`` pair and
+  ``tmax``/``tdelta`` per axis as floats; the batch row, the flat cell
+  index and the flat index step per axis as ints — so every step is a
+  handful of whole-row ufuncs and no index gather into ray state. The
+  set-up is by axis too: a launch reads the starts and the directions
+  once each into ``(3, n)`` rows and computes the start cell, ``tmax``,
+  ``tdelta`` and the index steps one contiguous row at a time (an
+  ``(n, 3)`` array broadcast against a 3-vector runs NumPy's inner loop
+  three elements at a time); the exit positions are taken the same way.
 * **flat cell index.** The cell is one offset into the raveled property
   arrays, and one gather of a per-call int8 *cell class* (the status a
   ray ends with on entering the cell: wall, or outside the ROI) replaces
@@ -32,12 +37,24 @@ playing the role of the K20X's SIMT lanes:
   starts at its window's base and steps by its window's strides (the
   step is a per-lane row already), so lanes of different patches share
   each step's fixed cost and never each other's data.
-* **mask-multiply advance.** The crossed axis is picked by comparisons
-  (first minimum, as ``argmin`` and the scalar oracle pick it) and
-  advanced by ``t_a += is_a * tdelta_a``: adding an exact 0 leaves the
-  other axes' bits alone.
-* **one exp per step.** ``trans = exp(-tau)`` is carried from step to
-  step and recomputed only for lanes that just reflected.
+* **mask-multiply advance.** The crossed axis is read off the two
+  minima the step takes anyway — ``t01 = min(t0, t1)``, ``t_next =
+  min(t01, t2)``; ``is0 = t0 == t_next``, ``is2 = t2 < t01``, ``is1`` is
+  neither: the first minimum, as ``argmin`` and the scalar oracle pick
+  it — and advanced by ``t_a += is_a * tdelta_a``: adding an exact 0
+  leaves the other axes' bits alone.
+* **one exp per step, of the carried -tau.** The state holds the negated
+  optical depth, so ``trans = exp(-tau)`` reads it directly; extinction
+  is ``-tau < log(threshold)`` and a reflection adds ``log(rho)``. Every
+  bit is the same as carrying ``tau``: IEEE negation is exact and
+  round-to-nearest is symmetric in sign. ``trans`` is carried from step
+  to step and recomputed only for lanes that just reflected; the step
+  writes the new ``tcur`` and ``trans`` into the spare rows, and the two
+  pairs then swap roles instead of being copied.
+* **one event pass.** A step takes ``ended = class != ALIVE`` and its
+  ``flatnonzero`` once, picks the wall hits out of that list, and
+  rebuilds it only when a lane bounces back to life or dies of
+  extinction.
 * **park, then half-compact.** A finished lane is scattered to the
   batch and its row *parked*: pointed at a sink cell laid after the
   stacked windows (no absorption, no emission, class ALIVE) with a zero
@@ -49,10 +66,11 @@ playing the role of the K20X's SIMT lanes:
   exit position computed once, at the end of the launch.
 
 Each call publishes ``dda.calls / dda.steps / dda.ray_steps /
-dda.lanes_launched / dda.compactions`` (label ``handoff``) to the
-metrics registry; ``ray_steps`` counts live lanes, not rows. The
+dda.lanes_launched / dda.compactions / dda.rows_stepped`` (label
+``handoff``) to the metrics registry; ``ray_steps`` counts live lanes,
+``rows_stepped`` the rows the steps carried, live or parked. The
 active-lane fraction, the SIMT-divergence analogue, is
-``ray_steps / (steps * lanes_launched)``.
+``ray_steps / rows_stepped``.
 """
 
 from __future__ import annotations
@@ -165,22 +183,34 @@ def _cell_class(wall: np.ndarray, box: Box, roi: Optional[Box]) -> np.ndarray:
 
 
 def _launch_state(windows, window_of, batch, launch, origins, from_handoff):
-    """Amanatides-Woo set-up of the rays ``launch``, packed by axis.
+    """Amanatides-Woo set-up of the rays ``launch``, one axis a row.
 
-    Returns the float rows ``tau, sum_i, tcur, trans, tmax x/y/z, tdelta
-    x/y/z`` and the int rows ``lane`` (batch row), ``flat`` (cell offset
+    Returns the float rows ``-tau, sum_i, tcur, trans``, two spare rows
+    the step writes the next ``tcur, trans`` into, ``tmax x/y/z, tdelta
+    x/y/z``, and the int rows ``lane`` (batch row), ``flat`` (cell offset
     into the stacked raveled arrays: the lane's window base plus its
     offset in that window), ``fstep x/y/z`` (offset step per axis
-    crossing, by the lane's window's strides). Everything of shape
-    (n, 3) dies with this frame: the march's memory high-water mark is
-    the packed state. A launch of the whole batch reads it in place.
+    crossing, by the lane's window's strides). The starts and the
+    directions are read once each into ``(3, n)`` rows, so every product
+    runs over one contiguous row; they die with this frame, and the
+    march's memory high-water mark is the packed state. A launch of the
+    whole batch reads it without an index.
     """
     n = launch.size
-    rows = slice(None) if n == batch.n else launch
-    start_pos = origins[rows]
-    dirs = batch.directions[rows]
+    whole = n == batch.n
+    rows = slice(None) if whole else launch
+    # the state before the scratch: the scratch then frees to the top of
+    # the heap, not to a hole under the state, and the heap is not given
+    # back to the system and faulted in again on every launch (E28)
+    fstate = np.empty((12, n))
+    istate = np.empty((5, n), dtype=np.int64)
+
+    def by_axis(a):
+        return a.T.copy() if whole else a.T.take(launch, axis=1)
+
+    start, dirs = by_axis(origins), by_axis(batch.directions)
     level = windows[0]  # anchor and spacing are the level's, shared by every window
-    cell = level.position_to_cell(start_pos, nudge_dir=dirs if from_handoff else None)
+    cell = level.position_to_cell(start, nudge_dir=dirs if from_handoff else None)
     # per window: array origin x/y/z, strides x/y/z, base offset in the stack
     geometry, offset = [], 0
     for w in windows:
@@ -191,28 +221,28 @@ def _launch_state(windows, window_of, batch, launch, origins, from_handoff):
     # scalars for a lone window, per-lane rows for a fused launch
     geometry = geometry[:, 0] if len(windows) == 1 else geometry[:, window_of[rows]]
     lo, strides, base = geometry[:3], geometry[3:6], geometry[6]
-    fstate = np.empty((10, n))
-    istate = np.empty((5, n), dtype=np.int64)
-    tau, sum_i, tcur, trans = fstate[:4]
-    lane, flat = istate[:2]
+    ntau, sum_i, tcur, trans = fstate[:4]
+    tmax, tdelta = fstate[6:9], fstate[9:]
+    lane, flat, fstep = istate[0], istate[1], istate[2:]
     lane[:] = launch
-    tau[:] = batch.tau[rows]
+    np.negative(batch.tau[rows], out=ntau)
     sum_i[:] = batch.sum_i[rows]
     tcur[:] = 0.0
-    np.exp(-tau, out=trans)
+    np.exp(ntau, out=trans)
     flat[:] = base
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(3):
-            d, c = dirs[:, a], cell[:, a]
-            moving = d != 0.0
-            step = np.sign(d).astype(np.int64)
-            next_bound = level.anchor[a] + (c + (step > 0)) * level.dx[a]
-            fstate[4 + a] = np.where(moving, (next_bound - start_pos[:, a]) / d, np.inf)
-            # 0, not inf, on an axis the ray never crosses: the advance
-            # multiplies by the axis mask, and False * inf is NaN
-            fstate[7 + a] = np.where(moving, level.dx[a] / np.abs(d), 0.0)
-            istate[2 + a] = step * strides[a]
-            flat += (c - lo[a]) * strides[a]
+            d, c, dx = dirs[a], cell[a], level.dx[a]
+            np.divide(level.anchor[a] + (c + (d > 0.0)) * dx - start[a], d, out=tmax[a])
+            np.divide(dx, np.abs(d), out=tdelta[a])
+            # an axis the ray never crosses (d is 0.0 or -0.0): tmax inf,
+            # and tdelta 0, not inf: the advance multiplies by the axis
+            # mask, and False * inf is NaN
+            still = np.flatnonzero(d == 0.0)
+            tmax[a, still] = np.inf
+            tdelta[a, still] = 0.0
+            fstep[a] = np.sign(d) * strides[a]
+            flat += (c.astype(np.int64) - lo[a]) * strides[a]
     return fstate, istate
 
 
@@ -278,8 +308,6 @@ def march(
     directions = batch.directions
 
     fstate, istate = _launch_state(windows, window_of, batch, launch, origins, from_handoff)
-    tau, sum_i, tcur, trans, t0, t1, t2, d0, d1, d2 = fstate
-    lane, flat, s0, s1, s2 = istate
 
     # the sink cell, after the stacked windows: a parked row marches in
     # place there adding exactly zero, and never ends again
@@ -291,64 +319,77 @@ def march(
         _ALIVE,
     )
     sink = cell_class.size - 1
+    park = np.array([[sink], [0], [0], [0]])  # istate[1:] of a parked row: no index step
 
-    log_threshold = -np.log(threshold)
+    # extinct once exp(-tau) < threshold, i.e. -tau < log(threshold)
+    log_threshold = np.log(threshold)
     if max_steps is None:
         max_steps = 16 * (max(sum(w.box.extent) for w in windows) + 3)
     t_exit = np.empty(batch.n) if parking else None
 
-    def retire(state: np.ndarray) -> int:
-        """Scatter the lanes ``state`` finishes to the batch and park
-        their rows on the sink; returns how many finished."""
-        done = np.nonzero(state)[0]
+    def retire(done: np.ndarray, status) -> int:
+        """Scatter the lanes of rows ``done``, finished with ``status``,
+        to the batch and park their rows on the sink; returns how many."""
         out = lane[done]
-        batch.status[out] = state[done]
-        batch.tau[out] = tau[done]
+        batch.status[out] = status
+        batch.tau[out] = -ntau[done]
         batch.sum_i[out] = sum_i[done]
         if parking:
             t_exit[out] = tcur[done]
-        flat[done] = sink
-        istate[2:, done] = 0  # no index step: the row stays on the sink
-        tau[done] = 0.0  # never crosses the threshold
+        istate[1:, done] = park
+        ntau[done] = 0.0  # never crosses the threshold
         return done.size
 
+    def bind():
+        """The named rows of the packed state; the (tcur, trans) pair the
+        last step wrote starts at row ``cur``, the spare pair at ``6 - cur``."""
+        return (
+            *fstate[:2], *fstate[cur:cur + 2], *fstate[6 - cur:8 - cur], *fstate[6:], *istate,
+            fstate[6:9].reshape(-1), fstate[9:].reshape(-1), istate[2:].reshape(-1),
+        )
+
+    cur = 2
+    (ntau, sum_i, tcur, trans, t_next, trans_next, t0, t1, t2, d0, d1, d2,
+     lane, flat, s0, s1, s2, tmax, tdelta, fstep) = bind()
     live = rows = n
     # a ray may launch already inside a wall cell (e.g. parked exactly on
     # the domain face and handed to a coarser level): it has reached the
     # wall — absorb it before the march
-    state = _stacked([wall.reshape(-1) for wall in walls], False).take(flat).view(np.int8)
-    if state.any():
-        at_wall = np.nonzero(state)[0]
+    at_wall = np.flatnonzero(_stacked([wall.reshape(-1) for wall in walls], False).take(flat))
+    if at_wall.size:
         f = flat[at_wall]
         sigma_t4 = _stacked([w.sigma_t4.reshape(-1) for w in windows], 0.0)
         sum_i[at_wall] += abskg[f] * sigma_t4[f] * _INV_PI * trans[at_wall]
-        live -= retire(state)
+        live -= retire(at_wall, _WALL_HIT)
 
-    steps = ray_steps = compactions = 0
+    steps = ray_steps = rows_stepped = compactions = 0
     while live and steps < max_steps:
         if 2 * live <= rows:
             # half the rows are parked: drop them
-            keep = np.nonzero(istate[1] != sink)[0]
+            keep = np.flatnonzero(flat != sink)
             fstate, istate = fstate.take(keep, axis=1), istate.take(keep, axis=1)
             rows = live
             compactions += 1
-        tau, sum_i, tcur, trans, t0, t1, t2, d0, d1, d2 = fstate
-        lane, flat, s0, s1, s2 = istate
+            (ntau, sum_i, tcur, trans, t_next, trans_next, t0, t1, t2, d0, d1, d2,
+             lane, flat, s0, s1, s2, tmax, tdelta, fstep) = bind()
         steps += 1
         ray_steps += live
+        rows_stepped += rows
 
         # the crossed axis: first minimum of (t0, t1, t2), as argmin picks it
-        is0 = (t0 <= t1) & (t0 <= t2)
-        is1 = (t1 <= t2) & ~is0
-        is2 = ~(is0 | is1)
-        t_next = np.minimum(np.minimum(t0, t1), t2)
+        t01 = np.minimum(t0, t1)
+        np.minimum(t01, t2, out=t_next)
+        is0 = t0 == t_next
+        is2 = t2 < t01
+        is1 = is0 | is2
+        np.logical_not(is1, out=is1)
 
-        # sum_i += Ib * (exp(-tau_in) - exp(-tau_out)), exp(-tau_in) carried
-        tau += abskg.take(flat) * (t_next - tcur)
-        trans_out = np.exp(-tau)
-        sum_i += emis.take(flat) * (trans - trans_out)
-        trans[:] = trans_out
-        tcur[:] = t_next
+        # sum_i += Ib * (exp(-tau_in) - exp(-tau_out)), exp(-tau_in) carried;
+        # the spare rows take the step's tcur and trans, then swap roles
+        ntau -= abskg.take(flat) * (t_next - tcur)
+        np.exp(ntau, out=trans_next)
+        sum_i += emis.take(flat) * (trans - trans_next)
+        tcur, t_next, trans, trans_next, cur = t_next, tcur, trans_next, trans, 6 - cur
 
         # mask-multiply advance: adding an exact 0 leaves the other axes alone
         t0 += is0 * d0
@@ -358,9 +399,13 @@ def march(
         flat += is1 * s1
         flat += is2 * s2
 
+        # one event pass: the rows that ended; the list is rebuilt only
+        # when a lane bounces back to life or dies of extinction
         state = cell_class.take(flat)
-        if state.any():
-            hit = np.nonzero(state == _WALL_HIT)[0]
+        ended = state != _ALIVE
+        done = np.flatnonzero(ended)
+        hit = done[state[done] == _WALL_HIT] if done.size else done
+        if hit.size:
             f = flat[hit]
             wall_emis = abskg[f]
             sum_i[hit] += wall_emis * emis[f] * trans[hit]
@@ -371,16 +416,18 @@ def march(
                 # a specular reflection is the flip of the direction
                 # component on the hit axis plus a grey attenuation:
                 # future contributions carry an extra factor rho,
-                # i.e. tau increases by -ln(rho)
-                state[r] = _ALIVE
-                tau[r] += -np.log(rho[bounce])
-                trans[r] = np.exp(-tau[r])
+                # i.e. -tau gains ln(rho)
+                ended[r] = False
+                if r.size:
+                    done = None
+                ntau[r] += np.log(rho[bounce])
+                trans[r] = np.exp(ntau[r])
                 ax = is1[r] + 2 * is2[r]
-                tmax, tdelta, fstep = fstate[4:7], fstate[7:10], istate[2:5]
-                back = -fstep[ax, r]
-                fstep[ax, r] = back
+                at = ax * rows + r  # (ax, r) in a raveled (3, rows) block
+                back = -fstep[at]
+                fstep[at] = back
                 flat[r] += back  # back into the flow cell
-                tmax[ax, r] = tcur[r] + tdelta[ax, r]
+                tmax[at] = tcur[r] + tdelta[at]
                 if mirror:
                     # mirror the origin too, so that origin + t * direction
                     # stays the ray's position after the bounce
@@ -389,26 +436,35 @@ def march(
                     origins[out, ax] += 2.0 * tcur[r] * d_old
                     directions[out, ax] = -d_old
 
-        # threshold extinction: exp(-tau) < threshold
-        dead = tau > log_threshold
+        dead = ntau < log_threshold
         if dead.any():
-            state[dead & (state == _ALIVE)] = _EXTINCT
-        if state.any():
-            live -= retire(state)
+            dying = np.flatnonzero(dead)
+            dying = dying[~ended[dying]]
+            if dying.size:
+                state[dying] = _EXTINCT
+                ended[dying] = True
+                done = None
+        if done is None:
+            done = np.flatnonzero(ended)
+        if done.size:
+            live -= retire(done, state[done])
 
     if parking:
         # a parked lane never reflects again: its origin and direction
         # rows are final, so its exit position is taken once, here
         parked = launch[batch.status[launch] == _LEFT_ROI]
-        batch.exit_pos[parked] = origins[parked] + t_exit[parked, None] * directions[parked]
+        exit_pos = origins.T.take(parked, axis=1)
+        exit_pos += t_exit[parked] * directions.T.take(parked, axis=1)
+        batch.exit_pos.T[:, parked] = exit_pos
 
-    # kernel counters: active-lane fraction is ray_steps / (steps * lanes)
+    # kernel counters: active-lane fraction is ray_steps / rows_stepped
     metrics, handoff = get_metrics(), "1" if from_handoff else "0"
     metrics.counter("dda.calls", handoff=handoff).inc()
     metrics.counter("dda.steps", handoff=handoff).inc(steps)
     metrics.counter("dda.ray_steps", handoff=handoff).inc(ray_steps)
     metrics.counter("dda.lanes_launched", handoff=handoff).inc(n)
     metrics.counter("dda.compactions", handoff=handoff).inc(compactions)
+    metrics.counter("dda.rows_stepped", handoff=handoff).inc(rows_stepped)
     if live:
         raise ReproError(
             f"{live} rays still alive after {max_steps} DDA steps — "

@@ -76,30 +76,30 @@ class LevelFields:
         )
 
     # ------------------------------------------------------------------
-    # coordinate transforms (vectorized over (n, 3) arrays)
+    # coordinate transforms
     # ------------------------------------------------------------------
     def position_to_cell(self, pos: np.ndarray, nudge_dir: np.ndarray = None) -> np.ndarray:
-        """Cell indices containing physical positions.
+        """Cells containing physical positions, one axis a row.
 
-        ``nudge_dir``, when given, bumps positions a relative 1e-9 of a
+        ``pos`` is ``(3, n)``: row ``a`` holds the positions' ``a``
+        coordinates. Returns ``(3, n)`` float rows of whole cell indices
+        (the floor, kept as a float so the DDA set-up takes the next face
+        from it without a round trip through ints). ``nudge_dir``, when
+        given (``(3, n)`` as well), bumps positions a relative 1e-9 of a
         cell along the ray so a position lying exactly on a cell face
         lands in the *downstream* cell — required at level-handoff where
         fine-patch boundaries coincide with coarse faces.
         """
-        dx = np.asarray(self.dx)
-        p = np.asarray(pos, dtype=np.float64)
-        if nudge_dir is not None:
-            p = p + 1e-9 * dx * np.asarray(nudge_dir)
-        return np.floor((p - np.asarray(self.anchor)) / dx).astype(np.int64)
+        cell = np.empty(np.shape(pos))
+        for a in range(3):
+            p = pos[a]
+            if nudge_dir is not None:
+                p = p + 1e-9 * self.dx[a] * nudge_dir[a]
+            np.floor((p - self.anchor[a]) / self.dx[a], out=cell[a])
+        return cell
 
     def cell_center(self, cell: np.ndarray) -> np.ndarray:
         return np.asarray(self.anchor) + (np.asarray(cell, dtype=np.float64) + 0.5) * np.asarray(self.dx)
-
-    def offsets(self, cell: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array offsets for cell indices (caller guarantees in-box)."""
-        lo = self.box.lo
-        c = np.asarray(cell)
-        return c[..., 0] - lo[0], c[..., 1] - lo[1], c[..., 2] - lo[2]
 
     @property
     def nbytes(self) -> int:

@@ -26,14 +26,15 @@ from repro.core.fields import LevelFields
 from repro.core.rays import generate_patch_rays
 from repro.util.errors import ReproError
 
-#: rays per kernel launch, the one width. A DDA step costs a fixed ~25 us
-#: of NumPy calls however few lanes it carries (and ~45 ns a lane), so a
+#: rays per kernel launch, the one width. A DDA step costs a fixed ~23 us
+#: of NumPy calls however few lanes it carries (and ~48 ns a lane), so a
 #: rank's ready patch tasks march together until their rays reach this
 #: (tiny patches starve the kernel: the paper's contribution v); a lane in
-#: flight holds ~460 bytes, so a launch above it is cut to it and launch
-#: memory stays ~16 MB whatever the patch size. 32768 is the fastest width
-#: for a large launch, at two thirds of the memory of 65536 (EXPERIMENTS
-#: E23; re-measured on the parking kernel in E25).
+#: flight holds ~475 bytes (12 float and 5 int state rows, 136 of them),
+#: so a launch above it is cut to it and launch memory stays ~16 MB
+#: whatever the patch size. 32768 is the fastest width for a large
+#: launch, at two thirds of the memory of 65536 (EXPERIMENTS E23;
+#: re-measured on the parking kernel in E25 and the lean step in E28).
 LAUNCH_RAYS = 1 << 15
 
 

@@ -42,18 +42,20 @@ def cell_ray_origins(
     """Origins for ``rays_per_cell`` rays in each of ``cells`` (m, 3).
 
     Returns ``(m * rays_per_cell, 3)`` positions, grouped by cell
-    (all rays of cell 0 first). Jittered origins never sit exactly on a
-    face: uniform in the open cell.
+    (all rays of cell 0 first). The jitter is drawn in [0, 1), so a
+    jittered origin may sit on its cell's low face: uniform in the
+    half-open cell, not the open one. The jitter is one ``(n, 3)`` draw;
+    the origins are computed from it one axis at a time.
     """
-    dx = np.asarray(fields.dx)
-    anchor = np.asarray(fields.anchor)
     cells = np.asarray(cells, dtype=np.float64)
-    base = anchor + cells * dx  # low corner of each cell
-    rep = np.repeat(base, rays_per_cell, axis=0)
-    if centered:
-        return rep + 0.5 * dx
-    jitter = rng.random((rep.shape[0], 3))
-    return rep + jitter * dx
+    n = cells.shape[0] * rays_per_cell
+    jitter = None if centered else rng.random((n, 3))
+    origins = np.empty((n, 3))
+    for a in range(3):
+        dx = fields.dx[a]
+        low = np.repeat(fields.anchor[a] + cells[:, a] * dx, rays_per_cell)  # the cells' low faces
+        origins[:, a] = low + (0.5 * dx if centered else jitter[:, a] * dx)
+    return origins
 
 
 def region_cells(box: Box) -> np.ndarray:

@@ -20,6 +20,7 @@ from repro.core import (
     march_single_ray,
     trace_rays_scalar,
 )
+from repro.core.dda import _launch_state
 from repro.perf import MetricsRegistry, set_metrics
 from repro.radiation import RadiativeProperties
 from repro.util.errors import ReproError
@@ -330,6 +331,52 @@ class TestLayoutEdges:
         batch = assert_matches_scalar(fields, origins, dirs, reflections=reflections)
         assert np.isfinite(batch.sum_i).all() and np.isfinite(batch.tau).all()
 
+    @pytest.mark.parametrize("reflections", [False, True])
+    @pytest.mark.parametrize("from_handoff", [False, True])
+    def test_still_axes(self, from_handoff, reflections):
+        """Directions with exact 0.0 and -0.0 components: the set-up gives
+        a still axis tmax inf, tdelta 0 and no index step (its rows are
+        computed for every lane, then patched), and every lane matches the
+        oracle, fresh or handed off, some starting on a cell face."""
+        rng = np.random.default_rng(61)
+        fields = make_fields(6, kappa=0.9, wall_emis=0.4)
+        n = 48
+        dirs = isotropic_directions(rng, n)
+        for r in range(n):  # one or two still axes a ray, half of them -0.0
+            dirs[r, rng.choice(3, size=1 + r % 2, replace=False)] = (0.0, -0.0)[r // 2 % 2]
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        zero = dirs == 0.0
+        assert np.signbit(dirs[zero]).any() and not np.signbit(dirs[zero]).all()
+        starts = (rng.integers(0, 6, size=(n, 3)) + rng.random((n, 3))) / 6
+        starts[::3, 0] = 3 / 6  # on a face
+        tau0 = rng.random(n)
+        batch = RayBatch.fresh(np.zeros((n, 3)) if from_handoff else starts.copy(), dirs.copy())
+        if from_handoff:
+            batch.status[:] = RayStatus.LEFT_ROI
+            batch.exit_pos[:] = starts
+            batch.tau[:] = tau0
+            batch.sum_i[:] = 0.1
+
+        fstate, istate = _launch_state(
+            [fields], None, batch, np.arange(n), batch.exit_pos if from_handoff else starts,
+            from_handoff,
+        )
+        tmax, tdelta, fstep = fstate[6:9], fstate[9:12], istate[2:5]
+        still = zero.T
+        assert (tmax[still] == np.inf).all() and (tdelta[still] == 0.0).all()
+        assert (fstep[still] == 0).all()
+        assert np.isfinite(tmax[~still]).all() and (tdelta[~still] > 0.0).all()
+
+        march(fields=fields, batch=batch, reflections=reflections, from_handoff=from_handoff)
+        for r in range(n):
+            s, tau, status, _ = march_single_ray(
+                fields, starts[r], dirs[r], reflections=reflections, from_handoff=from_handoff,
+                **(dict(tau0=tau0[r], sum_i0=0.1) if from_handoff else {}),
+            )
+            assert batch.status[r] == status, r
+            assert abs(batch.sum_i[r] - s) <= 1e-15, r
+            assert np.isclose(batch.tau[r], tau, rtol=1e-13, atol=0.0), r
+
     def test_handoff_launch_inside_a_wall_cell(self):
         """Rays parked exactly on the domain face, heading out, land in
         the wall ring on re-launch and are absorbed before the march."""
@@ -606,7 +653,7 @@ class TestReflectionsAcrossTheROI:
 class TestKernelCounters:
     def test_exact_counts(self):
         fields = make_fields(4, kappa=0.0)  # vacuum: every ray reaches the wall
-        names = ("calls", "steps", "ray_steps", "lanes_launched", "compactions")
+        names = ("calls", "steps", "ray_steps", "lanes_launched", "compactions", "rows_stepped")
 
         def launch(x_cells, **kw):
             cells = np.array([[x, 1, 1] for x in x_cells])
@@ -621,15 +668,16 @@ class TestKernelCounters:
             # -x rays from x-cells 0, 1 and 3 enter the wall on their 1st,
             # 2nd and 4th step: 4 steps with 3, 2, 1, 1 lanes live; the
             # 1st lane's row is parked through step 2 and dropped with the
-            # 2nd's before step 3, when 1 of 3 rows is live
+            # 2nd's before step 3, when 1 of 3 rows is live: 3, 3, 1, 1 rows
             launch([0, 1, 3])
             counts = {n: registry.value(f"dda.{n}", handoff="0") for n in names}
             assert counts == {
                 "calls": 1, "steps": 4, "ray_steps": 7, "lanes_launched": 3, "compactions": 1,
+                "rows_stepped": 8,
             }
             # ROI x >= 2: the rays from x-cells 2 and 3 park on their 1st and
-            # 2nd step (the 1st row dropped before step 2: 1 of 2 rows live),
-            # then both take 2 more steps on re-launch
+            # 2nd step (the 1st row dropped before step 2: 1 of 2 rows live,
+            # 2 + 1 rows), then both take 2 more steps on re-launch
             batch = launch([2, 3], roi=Box((2, 0, 0), (4, 4, 4)))
             assert (batch.status == RayStatus.LEFT_ROI).all()
             march(fields=fields, batch=batch, from_handoff=True)
@@ -639,10 +687,12 @@ class TestKernelCounters:
         counts = {n: registry.value(f"dda.{n}", handoff="0") for n in names}
         assert counts == {
             "calls": 2, "steps": 6, "ray_steps": 10, "lanes_launched": 5, "compactions": 2,
+            "rows_stepped": 11,
         }
         counts = {n: registry.value(f"dda.{n}", handoff="1") for n in names}
         assert counts == {
             "calls": 1, "steps": 2, "ray_steps": 4, "lanes_launched": 2, "compactions": 0,
+            "rows_stepped": 4,
         }
 
 
@@ -655,16 +705,17 @@ def counted_march(**kw):
     finally:
         set_metrics(previous)
     handoff = "1" if kw.get("from_handoff") else "0"
-    names = ("steps", "ray_steps", "lanes_launched", "compactions")
+    names = ("steps", "ray_steps", "lanes_launched", "compactions", "rows_stepped")
     return {n: int(registry.value(f"dda.{n}", handoff=handoff)) for n in names}
 
 
 def park_schedule(lifetimes):
     """The compaction rule replayed on the lanes' lifetimes (steps each
     marches live; 0 if absorbed at launch): the launch's compactions,
-    and the most steps a parked row marched before a compaction dropped it."""
+    the most steps a parked row marched before a compaction dropped it,
+    and the rows the steps carried."""
     kept = np.ones(lifetimes.size, dtype=bool)
-    step = compactions = carried = 0
+    step = compactions = carried = rows = 0
     while (lifetimes > step).any():
         step += 1
         live = lifetimes >= step
@@ -673,7 +724,8 @@ def park_schedule(lifetimes):
             carried = max(carried, int((step - 1 - lifetimes[dropped]).max()))
             kept &= live
             compactions += 1
-    return compactions, carried
+        rows += np.count_nonzero(kept)
+    return compactions, carried, rows
 
 
 class TestParking:
@@ -688,11 +740,11 @@ class TestParking:
         lifetimes = np.array([counted_march(**launch([r]))["steps"] for r in range(n)])
         kw = launch(np.arange(n))
         counts = counted_march(**kw)
-        compactions, carried = park_schedule(lifetimes)
+        compactions, carried, rows = park_schedule(lifetimes)
         assert carried >= 2
         assert counts == {
             "steps": lifetimes.max(), "ray_steps": lifetimes.sum(),
-            "lanes_launched": n, "compactions": compactions,
+            "lanes_launched": n, "compactions": compactions, "rows_stepped": rows,
         }
         return kw["batch"]
 

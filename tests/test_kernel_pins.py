@@ -66,6 +66,21 @@ def longmarch_reflect(seed):
     return SingleLevelRMCRT(rays_per_cell=3, reflections=True, seed=seed).solve(grid, props).divq
 
 
+#: scene -> seed -> {handoff label: dda.rows_stepped}, the rows each step
+#: carried, live or parked; ray_steps / rows_stepped is the active-lane
+#: fraction
+ROWS_STEPPED = {
+    "onion_fat": {
+        5: {"0": 2_535_588, "1": 275_880},
+        123456: {"0": 2_536_536, "1": 275_180},
+    },
+    "longmarch_reflect": {
+        5: {"0": 2_243_263, "1": 0},
+        123456: {"0": 2_241_691, "1": 0},
+    },
+}
+
+
 SOLVES = {"onion_fat": onion_fat, "longmarch_reflect": longmarch_reflect}
 
 
@@ -84,3 +99,5 @@ def test_divq_and_kernel_counters_are_pinned(scene, seed):
     for handoff, expected in counts.items():
         got = tuple(int(registry.value(f"dda.{n}", handoff=handoff)) for n in COUNTERS)
         assert got == expected, handoff
+        rows = int(registry.value("dda.rows_stepped", handoff=handoff))
+        assert rows == ROWS_STEPPED[scene][seed][handoff], handoff

@@ -89,11 +89,13 @@ class TestLevelFieldsValidation:
         grid = bench.single_level_grid()
         props = bench.properties_for_level(grid.finest_level)
         fields = LevelFields.from_properties(grid.finest_level, props)
-        # a point exactly on a face lands downstream with the nudge
-        pos = np.array([[0.5, 0.3, 0.3]])
-        plus = fields.position_to_cell(pos, nudge_dir=np.array([[1.0, 0, 0]]))
-        minus = fields.position_to_cell(pos, nudge_dir=np.array([[-1.0, 0, 0]]))
+        # a point exactly on a face lands downstream with the nudge; one
+        # axis a row, the DDA set-up's layout
+        pos = np.array([[0.5], [0.3], [0.3]])
+        plus = fields.position_to_cell(pos, nudge_dir=np.array([[1.0], [0], [0]]))
+        minus = fields.position_to_cell(pos, nudge_dir=np.array([[-1.0], [0], [0]]))
         assert plus[0, 0] == 4 and minus[0, 0] == 3
+        np.testing.assert_array_equal(fields.position_to_cell(pos)[:, 0], [4, 2, 2])
 
 
 class TestWorkloadResult:

@@ -1,5 +1,7 @@
 """Tests for ray generation: isotropy, origins, reproducibility."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,41 @@ class TestRegionCells:
         )
         assert cells.shape == (8, 3)
         assert o.shape == d.shape == (40, 3)
+
+
+#: centered_origins -> (origins sha256, directions sha256) of the draw below
+RAY_DRAW_PINS = {
+    False: (
+        "5b9a95d5a4b553e11bf48e011813db5eb75b90e85b48c38f0d4e913093038db3",
+        "3e839cd72ab81d27eada71c1980fe4119db76a1a09efa874a6343ed7a52fbb33",
+    ),
+    True: (
+        "80454d4e55477e4c131a2f5ecb275f1d2e79e30ae8e172c3f0942fa2d0793605",
+        "05ecfd3c3626aa8758374a601c96f92c93533ddb818e5e4afced7dcb48ddbf81",
+    ),
+}
+
+
+@pytest.mark.parametrize("centered", [False, True])
+def test_ray_draw_is_pinned(centered):
+    """The rays of a patch, byte for byte: every solver's answer hangs on
+    this draw, so a rewrite of how origins or directions are computed
+    must reproduce it exactly (anisotropic spacing, an offset anchor)."""
+    box = Box.cube(6)
+    props = RadiativeProperties.from_fields(
+        box, abskg=np.ones(box.extent), sigma_t4=np.ones(box.extent)
+    )
+    fields = LevelFields(
+        abskg=props.abskg, sigma_t4=props.sigma_t4, cell_type=props.cell_type,
+        interior=box, dx=(0.1, 0.125, 0.2), anchor=(-0.3, 0.0, 0.25),
+    )
+    _, o, d = generate_patch_rays(
+        fields, Box((1, 0, 2), (5, 3, 6)), 3, np.random.default_rng(2024),
+        centered_origins=centered,
+    )
+    assert o.shape == d.shape == (144, 3)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (o, d))
+    assert digests == RAY_DRAW_PINS[centered]
 
 
 class TestCosineHemisphere:

@@ -373,24 +373,25 @@ def instrument_comm_pool(pool, detector: RaceDetector):
 
 def instrument_datawarehouse(dw, detector: RaceDetector):
     """Monitor per-(label, patch) puts and region reads. Every region
-    read assembles in ``get_regions`` (``get_region`` is its one-label
-    call), so that is the one read entry point to watch."""
+    read is one walk, ``get_regions_into`` (``get_regions`` and
+    ``get_region`` allocate and call it; a trace task's window pastes
+    through it directly), so that is the one read entry point to watch."""
     detector.pin(dw)
     orig_put = dw.put
-    orig_get_regions = dw.get_regions
+    orig_get_regions_into = dw.get_regions_into
 
     def put(label, patch_id, var):
         detector.on_write(f"dw:{label.name}@p{patch_id}")
         return orig_put(label, patch_id, var)
 
-    def get_regions(labels, level, region, defaults=None):
+    def get_regions_into(labels, level, region, outs, defaults=None):
         for patch in level.patches_intersecting(region):
             for label in labels:
                 detector.on_read(f"dw:{label.name}@p{patch.patch_id}")
-        return orig_get_regions(labels, level, region, defaults)
+        return orig_get_regions_into(labels, level, region, outs, defaults)
 
     dw.put = put
-    dw.get_regions = get_regions
+    dw.get_regions_into = get_regions_into
     return dw
 
 

@@ -186,21 +186,19 @@ class DistributedRMCRT:
         """A task's fine data as a window of the fine level, assembled
         from the DataWarehouse: the ROI and the cells around it (a ray
         parks one cell outside), holding what the task was sent and NaN
-        where it was sent nothing. Returns (window, roi)."""
+        where it was sent nothing. The ghost gather pastes straight into
+        the window's views over ``ghost ∩ interior``. Returns (window, roi)."""
         fine_level = self.grid.finest_level
         interior = fine_level.domain_box
         roi = patch_roi(interior, ctx.patch.box, self.halo)
         fine = self._wall_ring_fields(fine_level, roi.grow(1).intersect(interior.grow(1)))
-        ghost_region = ctx.patch.box.grow(self.halo)
-        data_region = ghost_region.intersect(interior)
+        data_region = ctx.patch.box.grow(self.halo).intersect(interior)
         sl = data_region.slices(origin=fine.box.lo)
-        sent = data_region.slices(origin=ghost_region.lo)
-        abskg, st4, ct = ctx.require_many(
-            [ABSKG, SIGMA_T4, CELL_TYPE], defaults=[np.nan, np.nan, float(CellType.WALL)]
+        ctx.require_many(
+            [ABSKG, SIGMA_T4, CELL_TYPE],
+            defaults=[np.nan, np.nan, float(CellType.WALL)],
+            into=(data_region, [fine.abskg[sl], fine.sigma_t4[sl], fine.cell_type[sl]]),
         )
-        fine.abskg[sl] = abskg[sent]
-        fine.sigma_t4[sl] = st4[sent]
-        fine.cell_type[sl] = ct[sent].astype(np.int8)
         return fine, roi
 
     def _trace_cb(self, ctxs) -> None:

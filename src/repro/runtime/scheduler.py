@@ -559,13 +559,23 @@ def gather_cc(
     level_index: int,
 ) -> np.ndarray:
     """Assemble one CC label's global field from the per-rank DWs
-    (verification helper: distributed result == serial result)."""
+    (verification helper: distributed result == serial result).
+
+    A level's patches are disjoint and inside its domain, so they tile
+    it exactly when their volumes add up to the domain's: holes are
+    found by that count, and NaN *values* are returned as data."""
     level = graph.grid.level(level_index)
-    out = np.full(level.domain_box.extent, np.nan)
+    domain = level.domain_box
+    out = np.empty(domain.extent)
+    pasted = 0
     for patch in level.patches:
         rank = graph.assignment.get(patch.patch_id, 0)
         var = rank_dws[rank].get(label, patch.patch_id)
-        out[patch.box.slices(origin=level.domain_box.lo)] = var.view(patch.box)
-    if np.isnan(out).any():
-        raise SchedulerError(f"gather of {label.name} left holes")
+        out[patch.box.slices(origin=domain.lo)] = var.view(patch.box)
+        pasted += patch.box.volume
+    if pasted != domain.volume:
+        raise SchedulerError(
+            f"gather of {label.name} left holes: its patches cover {pasted} "
+            f"of the {domain.volume} cells of {domain}"
+        )
     return out

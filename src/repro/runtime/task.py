@@ -10,10 +10,11 @@ DataWarehouse through a :class:`TaskContext`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.grid.box import Box
 from repro.grid.level import Level
 from repro.grid.patch import Patch
 from repro.dw.datawarehouse import DataWarehouse
@@ -141,12 +142,22 @@ class TaskContext:
         return self._dw(decl.dw).get_region(label, self.level, region, default=default)
 
     def require_many(
-        self, labels: Sequence[VarLabel], defaults: Optional[Sequence[Optional[float]]] = None
+        self,
+        labels: Sequence[VarLabel],
+        defaults: Optional[Sequence[Optional[float]]] = None,
+        into: Optional[Tuple[Box, Sequence[np.ndarray]]] = None,
     ) -> List[np.ndarray]:
         """:meth:`require` for several labels declared with one ghost
         width on one DW, gathered in one walk of it
-        (:meth:`DataWarehouse.get_regions`): one array per label, in
-        order."""
+        (:meth:`DataWarehouse.get_regions_into`): one array per label,
+        in order, with coverage counted by volume (``defaults`` fill
+        exactly the cells nothing covered).
+
+        By default the arrays are new and span the patch grown by the
+        declared ghosts. ``into=(region, arrays)`` pastes instead into
+        the caller's arrays — views into a task's launch window, say —
+        over ``region``, which must lie inside that grown box; the
+        arrays are returned."""
         decls = [self._declared_requires(label) for label in labels]
         if len({(decl.dw, decl.num_ghost) for decl in decls}) != 1:
             raise SchedulerError(
@@ -154,8 +165,19 @@ class TaskContext:
                 f"together, but declared them with different ghost widths or DWs: "
                 f"{[(decl.dw, decl.num_ghost) for decl in decls]}"
             )
-        region = self.patch.box.grow(decls[0].num_ghost)
-        return self._dw(decls[0].dw).get_regions(labels, self.level, region, defaults)
+        ghosted = self.patch.box.grow(decls[0].num_ghost)
+        dw = self._dw(decls[0].dw)
+        if into is None:
+            return dw.get_regions(labels, self.level, ghosted, defaults)
+        region, outs = into
+        if not ghosted.contains_box(region):
+            raise SchedulerError(
+                f"task {self.task.name} reads {region} of "
+                f"{[label.name for label in labels]}, outside its declared "
+                f"{decls[0].num_ghost}-ghost box {ghosted}"
+            )
+        dw.get_regions_into(labels, self.level, region, outs, defaults)
+        return list(outs)
 
     def require_level(self, label: VarLabel) -> np.ndarray:
         decl = self._declared_requires(label)

@@ -160,19 +160,34 @@ class TestSchedulerAndService:
         assert det.race_count == 1
         assert "dw:phi@p0" in det.distinct_locations()
 
-    @pytest.mark.parametrize("read", ["get_regions", "get_region"])
+    @pytest.mark.parametrize("read", ["get_regions", "get_region", "trace_window"])
     def test_datawarehouse_shim_flags_put_racing_a_region_read(self, read):
-        """Every region read assembles in ``get_regions``: a ``put`` with
-        no ordering against a gather of the same patch is flagged for
-        every label gathered, whichever entry point the reader used."""
+        """Every region read is one walk, ``get_regions_into``: a ``put``
+        with no ordering against a gather of the same patch is flagged
+        for every label gathered, whichever entry point the reader used —
+        a trace task's launch window, which the walk pastes into in
+        place, included."""
+        from repro.core import DistributedRMCRT
+        from repro.core.distributed import ABSKG, CELL_TYPE, SIGMA_T4
         from repro.dw import CCVariable, DataWarehouse, cc
-        from repro.grid import Box, Level, decompose_level
+        from repro.grid import Box, Level, build_two_level_grid, decompose_level
+        from repro.runtime import Requires, Task, TaskContext
 
-        level = Level(0, Box.cube(8), dx=(1 / 8,) * 3)
-        patch = decompose_level(level, (4, 4, 4))[0]
         det = RaceDetector()
         dw = instrument_datawarehouse(DataWarehouse(), det)
-        labels = [cc("phi"), cc("psi")]
+        if read == "trace_window":
+            grid = build_two_level_grid(8, 2, fine_patch_size=4)
+            level = grid.finest_level
+            patch = level.patches[0]
+            labels = [ABSKG, SIGMA_T4, CELL_TYPE]
+            drm = DistributedRMCRT(grid, lambda level, box: {}, halo=1)
+            trace = Task("rmcrt.trace", lambda ctx: None,
+                         requires=[Requires(label, num_ghost=1) for label in labels])
+            ctx = TaskContext(trace, patch, level, None, dw)
+        else:
+            level = Level(0, Box.cube(8), dx=(1 / 8,) * 3)
+            patch = decompose_level(level, (4, 4, 4))[0]
+            labels = [cc("phi"), cc("psi")]
 
         def put():
             for label in labels:
@@ -181,12 +196,16 @@ class TestSchedulerAndService:
         def gather():   # a default per label: the read may come first
             if read == "get_regions":
                 dw.get_regions(labels, level, patch.box, [0.0, 0.0])
-            else:
+            elif read == "get_region":
                 for label in labels:
                     dw.get_region(label, level, patch.box, default=0.0)
+            else:
+                drm._fine_window(ctx)
 
         run_pair(put, gather)
-        assert det.distinct_locations() == {"dw:phi@p0", "dw:psi@p0"}
+        assert det.distinct_locations() == {
+            f"dw:{label.name}@p{patch.patch_id}" for label in labels
+        }
 
     def test_worker_pool_shim_is_clean(self):
         """Batches hand off dispatcher -> shard through the tracked

@@ -287,6 +287,37 @@ class TestHostDW:
         with pytest.raises(DataWarehouseError, match=r"^phi: \d+ of 216 cells"):
             self.dw.get_regions(labels, self.level, near.box.grow(1), defaults)
 
+    def test_get_regions_into_pastes_into_the_callers_views(self):
+        """The walk writes the region's cells of the arrays it is handed
+        — views into larger ones, an int8 one cast on the way in — and
+        no cell outside; the same values as a fresh ``get_regions``."""
+        self.put_all(self.phi, 3.0)
+        psi = cc("psi")
+        self.put_all(psi, 1.0)
+        region = Box((2, 2, 2), (6, 6, 6)).grow(1)          # holes: none
+        big = np.full((8, 8, 8), -7.0)
+        small = np.full((8, 8, 8), -1, dtype=np.int8)
+        sl = region.slices(origin=(0, 0, 0))
+        self.dw.get_regions_into([self.phi, psi], self.level, region, [big[sl], small[sl]])
+        fresh = self.dw.get_regions([self.phi, psi], self.level, region)
+        np.testing.assert_array_equal(big[sl], fresh[0])
+        np.testing.assert_array_equal(small[sl], fresh[1].astype(np.int8))
+        assert (big == -7.0).sum() == (small == -1).sum() == 8 ** 3 - 6 ** 3
+        with pytest.raises(DataWarehouseError, match="need as many arrays of shape"):
+            self.dw.get_regions_into([self.phi], self.level, region, [big])
+
+    def test_coverage_counts_a_piece_past_its_own_share(self):
+        """Coverage is counted per patch share; a piece reaching into
+        another patch's share falls short of the count, and the exact
+        mask then finds the region covered after all — no hole, no
+        default written."""
+        far = self.patch_at((4, 0, 0))
+        self.dw.add_foreign(self.phi, far.patch_id, CCVariable(
+            Box((3, 0, 0), (6, 4, 4)), np.full((3, 4, 4), 9.0)))
+        region = Box((3, 0, 0), (6, 4, 4))
+        out = self.dw.get_region(self.phi, self.level, region, default=-1.0)
+        assert (out == 9.0).all()
+
     def test_level_vars(self):
         lbl = per_level("coarse_abskg")
         arr = np.ones((4, 4, 4))

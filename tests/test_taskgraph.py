@@ -11,6 +11,7 @@ from repro.grid import (
     Grid,
     Level,
     LoadBalancer,
+    Patch,
     build_two_level_grid,
     decompose_level,
 )
@@ -19,6 +20,7 @@ from repro.runtime import (
     Computes,
     DistributedScheduler,
     Requires,
+    SerialScheduler,
     Task,
     TaskContext,
     TaskGraph,
@@ -283,6 +285,16 @@ class TestTaskContext:
             ctx.require_many([PHI, chi])
         with pytest.raises(SchedulerError, match="undeclared label rho"):
             ctx.require_many([PHI, cc("rho")])
+        # into the caller's arrays, over a part of the declared ghost box
+        inner = patch.box.grow(1).intersect(level.domain_box)
+        window = np.full((2, *patch.box.grow(1).extent), np.inf)
+        views = [window[i][inner.slices(origin=patch.box.grow(1).lo)] for i in range(2)]
+        assert ctx.require_many([PHI, psi], into=(inner, views)) == views
+        np.testing.assert_array_equal(views[0], phi_arr[1:, 1:, 1:])
+        np.testing.assert_array_equal(views[1], psi_arr[1:, 1:, 1:])
+        assert np.isinf(window).sum() == 2 * (6 ** 3 - 5 ** 3)
+        with pytest.raises(SchedulerError, match="outside its declared 1-ghost box"):
+            ctx.require_many([PHI, psi], into=(patch.box.grow(2), views))
 
     def test_wrong_shape_compute_rejected(self):
         grid = make_grid()
@@ -357,8 +369,9 @@ class TestProducerLookup:
 
     def test_overlap_tests_bounded_by_neighbour_count(self, monkeypatch):
         """The scaling guard, as a count: on the 512-patch, 4-rank RMCRT
-        graph each (consumer, requirement) tests the <= 27 patches around
-        it, not all 512 producers of the label."""
+        graph each (consumer, ghost width) tests the <= 27 patches around
+        it, not all 512 producers of the label — once, whatever the
+        number of labels read with that width."""
         grid = build_two_level_grid(64, 4, fine_patch_size=8)
         fine = grid.finest_level
         assert fine.num_patches == 512
@@ -388,9 +401,9 @@ class TestProducerLookup:
             assignment=LoadBalancer(4).assign(fine.patches), num_ranks=4, validate=False
         )
         assert (len(graph.detailed_tasks), len(graph.messages)) == (1025, 603)
-        # one lookup per (consumer, ghosted requirement): 512 traces and
-        # the level-wide coarsen, three labels each
-        assert len(queries) == (512 + 1) * 3
+        # one lookup per (consumer, ghost width): 512 traces and the
+        # level-wide coarsen, each reading its three labels with one width
+        assert len(queries) == 512 + 1
         for region, tests, found in queries:
             if region == fine.domain_box:       # coarsen reads every patch
                 assert tests == found == 512
@@ -400,6 +413,42 @@ class TestProducerLookup:
         lookups = sum(tests for _, tests, _ in queries)
         assert box_tests[0] - lookups <= sum(found for _, _, found in queries)
         assert box_tests[0] <= 2 * (27 * 512 * 3 + 512 * 3)
+
+
+class TestGatherCC:
+    """``gather_cc`` finds holes by the cells its patches cover, never
+    by looking for NaN in the values."""
+
+    @staticmethod
+    def gather(grid, fill):
+        tg = TaskGraph(grid)
+        tg.add_task(
+            Task("init", lambda ctx: ctx.compute(PHI, fill(ctx.patch)),
+                 computes=[Computes(PHI)]),
+            0,
+        )
+        graph = tg.compile()
+        return gather_cc(graph, {0: SerialScheduler().execute(graph)}, PHI, 0)
+
+    def test_nan_values_are_data(self):
+        grid = make_grid()
+
+        def fill(patch):
+            values = np.full(patch.box.extent, float(patch.patch_id))
+            values[0, 0, 0] = np.nan
+            return values
+
+        out = self.gather(grid, fill)
+        assert np.isnan(out).sum() == len(grid.level(0).patches)
+        assert np.isnan(out[0, 0, 0]) and np.isnan(out[4, 4, 4])
+        assert out[1, 1, 1] == 0.0
+
+    def test_a_hole_raises_naming_the_label(self):
+        grid = Grid()
+        level = grid.add_level(Box.cube(8), (1.0 / 8,) * 3)
+        level.add_patch(Patch(0, 0, Box.cube(4)))      # 448 of 512 cells owned by none
+        with pytest.raises(SchedulerError, match="gather of phi left holes"):
+            self.gather(grid, lambda patch: np.zeros(patch.box.extent))
 
 
 @pytest.mark.parametrize("levels", [2, 3])

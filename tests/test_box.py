@@ -239,6 +239,9 @@ class TestCellSetModel:
         assert set(inter.cells()) == cells_a & cells_b
         assert a.intersects(b) == bool(cells_a & cells_b)
         assert a.intersects(b) == (not inter.empty)
+        # the gather's paste step: the intersection's slices in each frame
+        where = a.overlap_slices(b)
+        assert where == (None if inter.empty else (inter.slices(b.lo), inter.slices(a.lo)))
         assert a.empty == (not cells_a)
         assert a.volume == len(cells_a)
         assert a.contains_box(b) == (cells_b <= cells_a)

@@ -10,7 +10,10 @@ Burns & Christon patches of growing size:
 The paper's Section V premise — larger patches provide more work per
 kernel launch and better throughput — shows up here as cells*rays/s
 rising with patch size for the batch kernel while the scalar path
-stays flat.
+stays flat. One more row defends the fused small-patch launch: the 27
+patches of 8^3 at one ray a cell that ``pipeline_thin`` traces, drawn,
+marched and reduced as one ``trace_patch_multi_level`` launch on their
+own windows — that workload's kernel without the runtime around it.
 
 Results land in ``BENCH_kernel_patchsize.json`` (one row per
 kernel/patch sweep point), so cross-PR comparisons are a JSON diff.
@@ -19,7 +22,13 @@ kernel/patch sweep point), so cross-PR comparisons are a JSON diff.
 import numpy as np
 import pytest
 
-from repro.core import LevelFields, trace_patch_single_level
+from repro.core import (
+    LevelFields,
+    patch_roi,
+    project_to_coarser_levels,
+    trace_patch_multi_level,
+    trace_patch_single_level,
+)
 from repro.core.cpu_kernel import trace_rays_scalar
 from repro.core.rays import generate_patch_rays
 from repro.grid import Box
@@ -38,7 +47,8 @@ def artifact_rows():
     write_bench_artifact(
         "kernel_patchsize",
         params={"rays_per_cell": RAYS, "resolution": 24,
-                "batch_patches": [4, 8, 16, 24], "scalar_patches": [4, 8]},
+                "batch_patches": [4, 8, 16, 24], "scalar_patches": [4, 8],
+                "fused": {"patches": 27, "patch": 8, "rays_per_cell": 1, "halo": 2}},
         rows=rows,
     )
 
@@ -77,7 +87,7 @@ def test_scalar_kernel_throughput(benchmark, artifact_rows, patch):
     fields = make_fields(24)
     box = Box.cube(patch)
     rng = np.random.default_rng(0)
-    _, origins, dirs = generate_patch_rays(fields, box, RAYS, rng)
+    origins, dirs = generate_patch_rays(fields, [box], RAYS, [rng])
 
     def run():
         return trace_rays_scalar(fields, origins, dirs)
@@ -93,6 +103,48 @@ def test_scalar_kernel_throughput(benchmark, artifact_rows, patch):
     })
 
 
+def test_fused_small_patch_launch(benchmark, artifact_rows):
+    """27 patches of 8^3, one ray a cell, halo 2, under a ratio-4 coarse
+    level: one launch over the patches' own windows, as a rank runs
+    them in ``pipeline_thin``."""
+    bench = BurnsChristonBenchmark(resolution=24)
+    grid = bench.two_level_grid(refinement_ratio=4, fine_patch_size=8)
+    level = grid.finest_level
+    bundles = project_to_coarser_levels(grid, bench.properties_for_level(level))
+    *coarse, fine = [
+        LevelFields.from_properties(grid.level(i), props) for i, props in enumerate(bundles)
+    ]
+    windows = []
+    for patch in level.patches:
+        roi = patch_roi(level.domain_box, patch.box, 2)
+        window = roi.grow(1).intersect(fine.ring_box)
+        sl = window.slices(origin=fine.box.lo)
+        arrays = [np.ascontiguousarray(a[sl]) for a in (fine.abskg, fine.sigma_t4, fine.cell_type)]
+        windows.append((
+            LevelFields(*arrays, interior=fine.interior, dx=fine.dx, anchor=fine.anchor,
+                        window=window),
+            patch.box, roi, patch.patch_id,
+        ))
+    assert len(windows) == 27
+
+    def run():
+        return trace_patch_multi_level(
+            coarse, [(w, box, roi, np.random.default_rng(pid)) for w, box, roi, pid in windows], 1
+        )
+
+    benchmark.pedantic(run, rounds=5, iterations=1)
+    cell_rays = 27 * 8 ** 3
+    rate = cell_rays / benchmark.stats.stats.mean
+    print(f"\nfused launch, 27 x 8^3 x 1 ray: {rate:,.0f} cell-rays/s")
+    artifact_rows.append({
+        "kernel": "fused_multi_level",
+        "patch": 8,
+        "patches": 27,
+        "cell_rays_per_s": rate,
+        "mean_s": benchmark.stats.stats.mean,
+    })
+
+
 def test_batch_beats_scalar(benchmark, artifact_rows):
     """The device-style kernel's throughput advantage (the reason the
     GPU port exists) — measured, must be at least ~5x here."""
@@ -101,7 +153,7 @@ def test_batch_beats_scalar(benchmark, artifact_rows):
     fields = make_fields(16)
     box = Box.cube(8)
     rng = np.random.default_rng(1)
-    _, origins, dirs = generate_patch_rays(fields, box, RAYS, rng)
+    origins, dirs = generate_patch_rays(fields, [box], RAYS, [rng])
 
     def compare():
         t0 = time.perf_counter()

@@ -49,15 +49,22 @@ class WorkloadResult:
         )
 
 
-def make_pool(kind: str, ledger: BufferLedger = None, unpack_delay: float = 1e-5) -> Pool:
+def make_pool(
+    kind: str,
+    ledger: BufferLedger = None,
+    unpack_delay: float = 1e-5,
+    capacity: int = 256,
+) -> Pool:
     """'waitfree', 'locked' (safe), or 'legacy-racy'.
 
     ``unpack_delay`` (legacy-racy only) is the modelled buffer-unpack
-    window; see :class:`LockedVectorCommPool`.
+    window; see :class:`LockedVectorCommPool`. ``capacity`` (waitfree
+    only) sizes the slot array a priori, as Uintah does; the locked
+    vector grows as it goes and has no slots to size.
     """
     ledger = ledger if ledger is not None else BufferLedger()
     if kind == "waitfree":
-        return WaitFreeCommPool(ledger=ledger)
+        return WaitFreeCommPool(capacity=capacity, ledger=ledger)
     if kind == "locked":
         return LockedVectorCommPool(mode="safe", ledger=ledger)
     if kind == "legacy-racy":

@@ -24,10 +24,18 @@ playing the role of the K20X's SIMT lanes:
   index and the flat index step per axis as ints — so every step is a
   handful of whole-row ufuncs and no index gather into ray state. The
   set-up is by axis too: a launch reads the starts and the directions
-  once each into ``(3, n)`` rows and computes the start cell, ``tmax``,
-  ``tdelta`` and the index steps one contiguous row at a time (an
-  ``(n, 3)`` array broadcast against a 3-vector runs NumPy's inner loop
-  three elements at a time); the exit positions are taken the same way.
+  as ``(3, n)`` rows (the launch draw's own, without a copy) and
+  computes the start cell, ``tmax``, ``tdelta`` and the index steps one
+  contiguous row at a time (an ``(n, 3)`` array broadcast against a
+  3-vector runs NumPy's inner loop three elements at a time); the exit
+  positions are taken the same way.
+* **per-launch scratch.** Beside the state, a launch allocates a float
+  work row and five int8 flag rows once; every temporary of a
+  step (the gathers, the crossed-axis masks, the advance products, the
+  ended and extinct masks) and of the set-up is written into them with
+  ``out=``, so a step allocates nothing a lane and the launch's memory
+  high-water mark is its state and scratch (held twice, briefly, at a
+  compaction, which takes the live lanes into fresh blocks).
 * **flat cell index.** The cell is one offset into the raveled property
   arrays, and one gather of a per-call int8 *cell class* (the status a
   ray ends with on entering the cell: wall, or outside the ROI) replaces
@@ -52,18 +60,19 @@ playing the role of the K20X's SIMT lanes:
   writes the new ``tcur`` and ``trans`` into the spare rows, and the two
   pairs then swap roles instead of being copied.
 * **one event pass.** A step takes ``ended = class != ALIVE`` and its
-  ``flatnonzero`` once, picks the wall hits out of that list, and
+  ``nonzero`` once, picks the wall hits out of that list, and
   rebuilds it only when a lane bounces back to life or dies of
   extinction.
 * **park, then half-compact.** A finished lane is scattered to the
   batch and its row *parked*: pointed at a sink cell laid after the
   stacked windows (no absorption, no emission, class ALIVE) with a zero
-  index step and zero optical depth, so it marches in place adding
-  exactly zero and never ends again — the masked-lane idiom for SIMT
-  divergence. The rows are physically compacted only once half of them
-  are parked, so a launch copies at most about twice its lanes instead
-  of one row per ray-step. A parked lane's exit time is kept and its
-  exit position computed once, at the end of the launch.
+  index step and zero optical depth (one row write each), so it marches
+  in place adding exactly zero and never ends again — the masked-lane
+  idiom for SIMT divergence. The rows are physically compacted only
+  once half of them are parked, so a launch copies at most about twice
+  its lanes instead of one row per ray-step. A parked lane's exit time
+  is kept and its exit position computed once, at the end of the
+  launch.
 
 Each call publishes ``dda.calls / dda.steps / dda.ray_steps /
 dda.lanes_launched / dda.compactions / dda.rows_stepped`` (label
@@ -118,8 +127,9 @@ class RayBatch:
 
     @staticmethod
     def fresh(origins: np.ndarray, directions: np.ndarray) -> "RayBatch":
-        origins = np.ascontiguousarray(origins, dtype=np.float64)
-        directions = np.ascontiguousarray(directions, dtype=np.float64)
+        # no copy: the launch draw's by-axis rows reach the set-up as drawn
+        origins = np.asarray(origins, dtype=np.float64)
+        directions = np.asarray(directions, dtype=np.float64)
         if origins.shape != directions.shape or origins.ndim != 2 or origins.shape[1] != 3:
             raise ReproError(
                 f"origins {origins.shape} / directions {directions.shape} must be (n, 3)"
@@ -182,68 +192,93 @@ def _cell_class(wall: np.ndarray, box: Box, roi: Optional[Box]) -> np.ndarray:
     return cell_class
 
 
+def _launch_rows(n):
+    """The state and scratch rows of ``n`` lanes, in two blocks: the 12
+    float state rows and the float work row; the 5 int state rows and a
+    row whose bytes hold the 5 int8 flag rows. A compaction takes the live
+    lanes into two fresh blocks. Where a launch's blocks land decides
+    whether glibc trims the heap and every launch faults it back in; this
+    layout is the one of those sized that never lost (E28, E30)."""
+    fblock, iblock = np.empty((13, n)), np.empty((6, n), dtype=np.int64)
+    return fblock[:12], iblock[:5], fblock[12], iblock[5].view(np.int8).reshape(8, n)[:5]
+
+
 def _launch_state(windows, window_of, batch, launch, origins, from_handoff):
-    """Amanatides-Woo set-up of the rays ``launch``, one axis a row.
+    """Amanatides-Woo set-up of the rays ``launch`` (batch rows, or
+    ``slice(None)`` for the whole batch), one axis a row.
 
     Returns the float rows ``-tau, sum_i, tcur, trans``, two spare rows
     the step writes the next ``tcur, trans`` into, ``tmax x/y/z, tdelta
-    x/y/z``, and the int rows ``lane`` (batch row), ``flat`` (cell offset
+    x/y/z``; the int rows ``lane`` (batch row), ``flat`` (cell offset
     into the stacked raveled arrays: the lane's window base plus its
     offset in that window), ``fstep x/y/z`` (offset step per axis
-    crossing, by the lane's window's strides). The starts and the
-    directions are read once each into ``(3, n)`` rows, so every product
-    runs over one contiguous row; they die with this frame, and the
-    march's memory high-water mark is the packed state. A launch of the
-    whole batch reads it without an index.
+    crossing, by the lane's window's strides); and the launch's scratch:
+    a float work row and five int8 flag rows, which every step (and this
+    set-up) writes its temporaries into. The starts and the
+    directions are read as ``(3, n)`` rows, so every product runs over
+    one contiguous row; a launch of the whole batch reads them, and the
+    batch's other rows, without an index or a copy when they are by-axis
+    already (as the launch draw makes them). The start cells are taken
+    into the ``tmax`` rows, so the set-up's high-water mark is the state
+    and its scratch.
     """
-    n = launch.size
-    whole = n == batch.n
-    rows = slice(None) if whole else launch
-    # the state before the scratch: the scratch then frees to the top of
-    # the heap, not to a hole under the state, and the heap is not given
-    # back to the system and faulted in again on every launch (E28)
-    fstate = np.empty((12, n))
-    istate = np.empty((5, n), dtype=np.int64)
+    whole = isinstance(launch, slice)
+    n = batch.n if whole else launch.size
+    fstate, istate, work, flags = _launch_rows(n)
 
     def by_axis(a):
-        return a.T.copy() if whole else a.T.take(launch, axis=1)
+        return np.ascontiguousarray(a.T) if whole else a.T.take(launch, axis=1)
 
     start, dirs = by_axis(origins), by_axis(batch.directions)
     level = windows[0]  # anchor and spacing are the level's, shared by every window
-    cell = level.position_to_cell(start, nudge_dir=dirs if from_handoff else None)
-    # per window: array origin x/y/z, strides x/y/z, base offset in the stack
-    geometry, offset = [], 0
+    # per window: strides x/y/z, and the flat offset of cell (0, 0, 0)
+    # (the window's base in the stack less its array origin's offset)
+    geometry, base = [], 0
     for w in windows:
         extent = w.box.extent
-        geometry.append((*w.box.lo, extent[1] * extent[2], extent[2], 1, offset))
-        offset += w.box.volume
+        strides = (extent[1] * extent[2], extent[2], 1)
+        geometry.append((*strides, base - int(np.dot(w.box.lo, strides))))
+        base += w.box.volume
     geometry = np.array(geometry, dtype=np.int64).T
     # scalars for a lone window, per-lane rows for a fused launch
-    geometry = geometry[:, 0] if len(windows) == 1 else geometry[:, window_of[rows]]
-    lo, strides, base = geometry[:3], geometry[3:6], geometry[6]
+    geometry = geometry[:, 0] if len(windows) == 1 else geometry[:, window_of[launch]]
+    strides = geometry[:3]
     ntau, sum_i, tcur, trans = fstate[:4]
     tmax, tdelta = fstate[6:9], fstate[9:]
     lane, flat, fstep = istate[0], istate[1], istate[2:]
-    lane[:] = launch
-    np.negative(batch.tau[rows], out=ntau)
-    sum_i[:] = batch.sum_i[rows]
+    sign, offset = work, work.view(np.int64)  # never live at once
+    flag = flags[0].view(np.bool_)
+    lane[:] = np.arange(n) if whole else launch
+    np.negative(batch.tau[launch], out=ntau)
+    sum_i[:] = batch.sum_i[launch]
     tcur[:] = 0.0
     np.exp(ntau, out=trans)
-    flat[:] = base
+    flat[:] = geometry[3]
+    level.position_to_cell(start, nudge_dir=dirs if from_handoff else None, out=tmax)
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(3):
-            d, c, dx = dirs[a], cell[a], level.dx[a]
-            np.divide(level.anchor[a] + (c + (d > 0.0)) * dx - start[a], d, out=tmax[a])
-            np.divide(dx, np.abs(d), out=tdelta[a])
+            d, t, dx = dirs[a], tmax[a], level.dx[a]
+            # t holds the start cell: its offset first, then the next face
+            np.multiply(t, strides[a], out=offset, casting="unsafe")
+            flat += offset
+            np.greater(d, 0.0, out=flag)
+            t += flag
+            t *= dx
+            t += level.anchor[a]
+            t -= start[a]
+            t /= d
+            np.abs(d, out=tdelta[a])
+            np.divide(dx, tdelta[a], out=tdelta[a])
             # an axis the ray never crosses (d is 0.0 or -0.0): tmax inf,
             # and tdelta 0, not inf: the advance multiplies by the axis
             # mask, and False * inf is NaN
-            still = np.flatnonzero(d == 0.0)
+            np.equal(d, 0.0, out=flag)
+            still = flag.nonzero()[0]
             tmax[a, still] = np.inf
             tdelta[a, still] = 0.0
-            fstep[a] = np.sign(d) * strides[a]
-            flat += (c.astype(np.int64) - lo[a]) * strides[a]
-    return fstate, istate
+            np.sign(d, out=sign)
+            np.multiply(sign, strides[a], out=fstep[a], casting="unsafe")
+    return fstate, istate, work, flags
 
 
 def march(
@@ -291,23 +326,29 @@ def march(
     parking = any(r is not None for r in rois)
 
     if from_handoff:
-        launch = np.nonzero(batch.status == RayStatus.LEFT_ROI)[0]
+        launching = batch.status == RayStatus.LEFT_ROI
         origins = batch.exit_pos
     else:
-        launch = np.nonzero(batch.status == RayStatus.ALIVE)[0]
+        launching = batch.status == RayStatus.ALIVE
         origins = batch.origins
-    n = launch.size
+    n = int(np.count_nonzero(launching))
     if n == 0:
         return batch
+    # a launch of the whole batch is its rows in order: no index is kept
+    whole = n == batch.n
+    launch = slice(None) if whole else launching.nonzero()[0]
+    del launching
     mirror = parking and reflections
     if mirror:
         # a reflection mirrors the origin and flips the direction of a
         # ray that may park later: work on copies, not the caller's arrays
-        origins = origins.copy()
-        batch.directions = batch.directions.copy()
+        origins = origins.copy(order="K")
+        batch.directions = batch.directions.copy(order="K")
     directions = batch.directions
 
-    fstate, istate = _launch_state(windows, window_of, batch, launch, origins, from_handoff)
+    fstate, istate, work, flags = _launch_state(
+        windows, window_of, batch, launch, origins, from_handoff
+    )
 
     # the sink cell, after the stacked windows: a parked row marches in
     # place there adding exactly zero, and never ends again
@@ -319,7 +360,6 @@ def march(
         _ALIVE,
     )
     sink = cell_class.size - 1
-    park = np.array([[sink], [0], [0], [0]])  # istate[1:] of a parked row: no index step
 
     # extinct once exp(-tau) < threshold, i.e. -tau < log(threshold)
     log_threshold = np.log(threshold)
@@ -336,8 +376,13 @@ def march(
         batch.sum_i[out] = sum_i[done]
         if parking:
             t_exit[out] = tcur[done]
-        istate[1:, done] = park
-        ntau[done] = 0.0  # never crosses the threshold
+        # the sink, no index step, and an optical depth that never
+        # crosses the threshold; one row at a time, not one 2-D write
+        flat[done] = sink
+        s0[done] = 0
+        s1[done] = 0
+        s2[done] = 0
+        ntau[done] = 0.0
         return done.size
 
     def bind():
@@ -348,62 +393,95 @@ def march(
             fstate[6:9].reshape(-1), fstate[9:].reshape(-1), istate[2:].reshape(-1),
         )
 
+    def bind_scratch():
+        """The scratch rows cut to the rows in flight: the float work row
+        (read as int64 too), the crossed-axis masks, the ended mask and
+        the int8 cell class of each row."""
+        tmp = work[:rows]
+        is0, is1, is2, ended = flags[:4, :rows].view(np.bool_)
+        return tmp, tmp.view(np.int64), is0, is1, is2, ended, flags[4, :rows]
+
     cur = 2
+    live = rows = n
     (ntau, sum_i, tcur, trans, t_next, trans_next, t0, t1, t2, d0, d1, d2,
      lane, flat, s0, s1, s2, tmax, tdelta, fstep) = bind()
-    live = rows = n
+    tmp, itmp, is0, is1, is2, ended, state = bind_scratch()
     # a ray may launch already inside a wall cell (e.g. parked exactly on
     # the domain face and handed to a coarser level): it has reached the
     # wall — absorb it before the march
-    at_wall = np.flatnonzero(_stacked([wall.reshape(-1) for wall in walls], False).take(flat))
+    _stacked([wall.reshape(-1) for wall in walls], False).take(flat, out=ended, mode="clip")
+    at_wall = ended.nonzero()[0]
     if at_wall.size:
         f = flat[at_wall]
         sigma_t4 = _stacked([w.sigma_t4.reshape(-1) for w in windows], 0.0)
         sum_i[at_wall] += abskg[f] * sigma_t4[f] * _INV_PI * trans[at_wall]
         live -= retire(at_wall, _WALL_HIT)
 
+    # every temporary of a step goes into the scratch rows: a gather or a
+    # ufunc with out=, and `take` with mode="clip" (every index is in
+    # range, and the default mode would buffer the out row)
     steps = ray_steps = rows_stepped = compactions = 0
     while live and steps < max_steps:
         if 2 * live <= rows:
             # half the rows are parked: drop them
-            keep = np.flatnonzero(flat != sink)
-            fstate, istate = fstate.take(keep, axis=1), istate.take(keep, axis=1)
+            np.not_equal(flat, sink, out=ended)
+            keep = ended.nonzero()[0]
+            kept_f, kept_i, work, flags = _launch_rows(live)
+            fstate.take(keep, axis=1, out=kept_f, mode="clip")
+            istate.take(keep, axis=1, out=kept_i, mode="clip")
+            fstate, istate = kept_f, kept_i
             rows = live
             compactions += 1
             (ntau, sum_i, tcur, trans, t_next, trans_next, t0, t1, t2, d0, d1, d2,
              lane, flat, s0, s1, s2, tmax, tdelta, fstep) = bind()
+            tmp, itmp, is0, is1, is2, ended, state = bind_scratch()
         steps += 1
         ray_steps += live
         rows_stepped += rows
 
-        # the crossed axis: first minimum of (t0, t1, t2), as argmin picks it
-        t01 = np.minimum(t0, t1)
-        np.minimum(t01, t2, out=t_next)
-        is0 = t0 == t_next
-        is2 = t2 < t01
-        is1 = is0 | is2
+        # the crossed axis: first minimum of (t0, t1, t2), as argmin picks
+        # it; tmp holds t01 = min(t0, t1)
+        np.minimum(t0, t1, out=tmp)
+        np.minimum(tmp, t2, out=t_next)
+        np.equal(t0, t_next, out=is0)
+        np.less(t2, tmp, out=is2)
+        np.logical_or(is0, is2, out=is1)
         np.logical_not(is1, out=is1)
 
         # sum_i += Ib * (exp(-tau_in) - exp(-tau_out)), exp(-tau_in) carried;
-        # the spare rows take the step's tcur and trans, then swap roles
-        ntau -= abskg.take(flat) * (t_next - tcur)
+        # the spare rows take the step's tcur and trans, then swap roles.
+        # Until they are written, trans_next holds the segment length and
+        # the old trans row its drop: both are spare by then
+        np.subtract(t_next, tcur, out=trans_next)
+        abskg.take(flat, out=tmp, mode="clip")
+        tmp *= trans_next
+        ntau -= tmp
         np.exp(ntau, out=trans_next)
-        sum_i += emis.take(flat) * (trans - trans_next)
+        np.subtract(trans, trans_next, out=trans)
+        emis.take(flat, out=tmp, mode="clip")
+        trans *= tmp
+        sum_i += trans
         tcur, t_next, trans, trans_next, cur = t_next, tcur, trans_next, trans, 6 - cur
 
         # mask-multiply advance: adding an exact 0 leaves the other axes alone
-        t0 += is0 * d0
-        t1 += is1 * d1
-        t2 += is2 * d2
-        flat += is0 * s0
-        flat += is1 * s1
-        flat += is2 * s2
+        np.multiply(is0, d0, out=tmp)
+        t0 += tmp
+        np.multiply(is1, d1, out=tmp)
+        t1 += tmp
+        np.multiply(is2, d2, out=tmp)
+        t2 += tmp
+        np.multiply(is0, s0, out=itmp)
+        flat += itmp
+        np.multiply(is1, s1, out=itmp)
+        flat += itmp
+        np.multiply(is2, s2, out=itmp)
+        flat += itmp
 
         # one event pass: the rows that ended; the list is rebuilt only
         # when a lane bounces back to life or dies of extinction
-        state = cell_class.take(flat)
-        ended = state != _ALIVE
-        done = np.flatnonzero(ended)
+        cell_class.take(flat, out=state, mode="clip")
+        np.not_equal(state, _ALIVE, out=ended)
+        done = ended.nonzero()[0]
         hit = done[state[done] == _WALL_HIT] if done.size else done
         if hit.size:
             f = flat[hit]
@@ -436,23 +514,26 @@ def march(
                     origins[out, ax] += 2.0 * tcur[r] * d_old
                     directions[out, ax] = -d_old
 
-        dead = ntau < log_threshold
+        dead = is0  # is0's row is free once the advance is done
+        np.less(ntau, log_threshold, out=dead)
         if dead.any():
-            dying = np.flatnonzero(dead)
+            dying = dead.nonzero()[0]
             dying = dying[~ended[dying]]
             if dying.size:
                 state[dying] = _EXTINCT
                 ended[dying] = True
                 done = None
         if done is None:
-            done = np.flatnonzero(ended)
+            done = ended.nonzero()[0]
         if done.size:
             live -= retire(done, state[done])
 
     if parking:
         # a parked lane never reflects again: its origin and direction
         # rows are final, so its exit position is taken once, here
-        parked = launch[batch.status[launch] == _LEFT_ROI]
+        parked = (batch.status[launch] == _LEFT_ROI).nonzero()[0]
+        if not whole:
+            parked = launch[parked]
         exit_pos = origins.T.take(parked, axis=1)
         exit_pos += t_exit[parked] * directions.T.take(parked, axis=1)
         batch.exit_pos.T[:, parked] = exit_pos

@@ -78,24 +78,32 @@ class LevelFields:
     # ------------------------------------------------------------------
     # coordinate transforms
     # ------------------------------------------------------------------
-    def position_to_cell(self, pos: np.ndarray, nudge_dir: np.ndarray = None) -> np.ndarray:
+    def position_to_cell(
+        self, pos: np.ndarray, nudge_dir: np.ndarray = None, out: np.ndarray = None
+    ) -> np.ndarray:
         """Cells containing physical positions, one axis a row.
 
         ``pos`` is ``(3, n)``: row ``a`` holds the positions' ``a``
         coordinates. Returns ``(3, n)`` float rows of whole cell indices
         (the floor, kept as a float so the DDA set-up takes the next face
-        from it without a round trip through ints). ``nudge_dir``, when
+        from it without a round trip through ints), written into ``out``
+        when given, with no temporaries. ``nudge_dir``, when
         given (``(3, n)`` as well), bumps positions a relative 1e-9 of a
         cell along the ray so a position lying exactly on a cell face
         lands in the *downstream* cell — required at level-handoff where
         fine-patch boundaries coincide with coarse faces.
         """
-        cell = np.empty(np.shape(pos))
+        cell = np.empty(np.shape(pos)) if out is None else out
         for a in range(3):
-            p = pos[a]
-            if nudge_dir is not None:
-                p = p + 1e-9 * self.dx[a] * nudge_dir[a]
-            np.floor((p - self.anchor[a]) / self.dx[a], out=cell[a])
+            c = cell[a]
+            if nudge_dir is None:
+                np.subtract(pos[a], self.anchor[a], out=c)
+            else:
+                np.multiply(nudge_dir[a], 1e-9 * self.dx[a], out=c)
+                c += pos[a]
+                c -= self.anchor[a]
+            c /= self.dx[a]
+            np.floor(c, out=c)
         return cell
 
     def cell_center(self, cell: np.ndarray) -> np.ndarray:

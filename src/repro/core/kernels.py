@@ -26,15 +26,17 @@ from repro.core.fields import LevelFields
 from repro.core.rays import generate_patch_rays
 from repro.util.errors import ReproError
 
-#: rays per kernel launch, the one width. A DDA step costs a fixed ~23 us
-#: of NumPy calls however few lanes it carries (and ~48 ns a lane), so a
-#: rank's ready patch tasks march together until their rays reach this
-#: (tiny patches starve the kernel: the paper's contribution v); a lane in
-#: flight holds ~475 bytes (12 float and 5 int state rows, 136 of them),
-#: so a launch above it is cut to it and launch memory stays ~16 MB
-#: whatever the patch size. 32768 is the fastest width for a large
-#: launch, at two thirds of the memory of 65536 (EXPERIMENTS E23;
-#: re-measured on the parking kernel in E25 and the lean step in E28).
+#: rays per kernel launch, the one width. A DDA step costs a fixed ~30-40
+#: us of NumPy calls however few lanes it carries (and ~21-24 ns a row,
+#: with nothing allocated a step), so a rank's ready patch tasks march
+#: together until their rays reach this (tiny patches starve the kernel:
+#: the paper's contribution v); a lane in flight holds ~476 bytes, 152 of
+#: them the launch's state (12 float and 5 int rows) and scratch (a float
+#: row and 5 int8 rows), so a launch above it is cut to it and launch memory
+#: stays ~16 MB whatever the patch size. 32768 is the fastest width for a
+#: large launch, at two thirds of the memory of 65536 (EXPERIMENTS E23;
+#: re-measured on the parking kernel in E25, the lean step in E28 and the
+#: allocation-free step in E30).
 LAUNCH_RAYS = 1 << 15
 
 
@@ -135,8 +137,8 @@ def trace_patch_single_level(
     if rays_per_cell < 1:
         raise ReproError(f"rays_per_cell must be >= 1, got {rays_per_cell}")
 
-    _, origins, directions = generate_patch_rays(
-        fields, box, rays_per_cell, rng, centered_origins=centered_origins
+    origins, directions = generate_patch_rays(
+        fields, [box], rays_per_cell, [rng], centered_origins=centered_origins
     )
     sum_i = march_chunked(
         [fields], origins, directions,
@@ -172,31 +174,27 @@ def trace_patch_multi_level(
         if not fine.ring_box.contains_box(roi) or not roi.contains_box(box):
             raise ReproError(f"roi {roi} must satisfy box <= roi <= fine ring box")
 
-    drawn = (
-        generate_patch_rays(fine, box, rays_per_cell, rng, centered_origins=centered_origins)[1:]
-        for fine, box, _, rng in patches
+    # one draw and one per-cell mean for the launch: each patch still
+    # draws from its own stream, so its rays and its del.q do not depend
+    # on what it is launched with
+    origins, directions = generate_patch_rays(
+        patches[0][0], [box for _, box, _, _ in patches], rays_per_cell,
+        [rng for _, _, _, rng in patches], centered_origins=centered_origins,
     )
-    counts = [box.volume * rays_per_cell for _, box, _, _ in patches]
-    if len(patches) == 1:
-        ((origins, directions),) = drawn  # a lone patch's arrays as drawn: no copy
-    else:
-        # into one preallocated pair, one patch's arrays alive at a time:
-        # concatenating K live pairs costs more resident memory
-        origins = np.empty((sum(counts), 3))
-        directions = np.empty_like(origins)
-        end = 0
-        for n, (patch_origins, patch_directions) in zip(counts, drawn):
-            origins[end:end + n], directions[end:end + n] = patch_origins, patch_directions
-            end += n
+    volumes = [box.volume for _, box, _, _ in patches]
     sum_i = march_chunked(
         [*coarse_fields, [fine for fine, _, _, _ in patches]], origins, directions,
         roi=[roi for _, _, roi, _ in patches],
         threshold=threshold, reflections=reflections, chunk_rays=chunk_rays,
-        window_of=np.repeat(np.arange(len(patches)), counts) if len(patches) > 1 else None,
+        window_of=(
+            np.repeat(np.arange(len(patches)), np.multiply(volumes, rays_per_cell))
+            if len(patches) > 1 else None
+        ),
     )
+    means = sum_i.reshape(-1, rays_per_cell).mean(axis=1)
     return [
-        divq_from_sums(fine, box, sums.reshape(-1, rays_per_cell).mean(axis=1))
-        for (fine, box, _, _), sums in zip(patches, np.split(sum_i, np.cumsum(counts)[:-1]))
+        divq_from_sums(fine, box, mean)
+        for (fine, box, _, _), mean in zip(patches, np.split(means, np.cumsum(volumes)[:-1]))
     ]
 
 

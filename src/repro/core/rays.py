@@ -6,11 +6,18 @@ isotropically over the full sphere and origins are either the cell
 centre ("CCRays" in Uintah) or jittered uniformly within the cell.
 Streams are keyed per patch (see :mod:`repro.util.rng`) so results are
 independent of domain decomposition and execution order.
+
+A kernel launch draws the rays of all its patches in one call
+(:func:`generate_patch_rays`): each patch still draws from its own
+stream, but every transform from uniform draws to positions and unit
+vectors runs once over the launch, into the by-axis ``(3, n)`` rows the
+DDA set-up reads. One patch is the K = 1 case of the same call.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from itertools import groupby
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,18 +25,56 @@ from repro.grid.box import Box
 from repro.core.fields import LevelFields
 
 
-def isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` unit vectors uniform on the sphere.
+def _orient(rows: np.ndarray) -> np.ndarray:
+    """Unit vectors uniform on the sphere, in place in ``(3, n)`` rows.
 
-    Sampled as cos(theta) ~ U(-1, 1), phi ~ U(0, 2*pi) — the exact
-    scheme Uintah's findRayDirection uses.
+    On entry row 2 holds the U[0, 1) draws for cos(theta) and row 0 those
+    for phi; on exit the rows hold (sin cos phi, sin sin phi, cos theta):
+    cos(theta) ~ U(-1, 1), phi ~ U(0, 2*pi), the exact scheme Uintah's
+    findRayDirection uses.
     """
-    cos_theta = 1.0 - 2.0 * rng.random(n)
-    phi = 2.0 * np.pi * rng.random(n)
-    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - cos_theta ** 2))
-    return np.column_stack(
-        (sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta)
-    )
+    cos_theta, phi = rows[2], rows[0]
+    cos_theta *= 2.0
+    np.subtract(1.0, cos_theta, out=cos_theta)
+    phi *= 2.0 * np.pi
+    sin_theta = np.square(cos_theta)
+    np.subtract(1.0, sin_theta, out=sin_theta)
+    np.maximum(sin_theta, 0.0, out=sin_theta)
+    np.sqrt(sin_theta, out=sin_theta)
+    np.sin(phi, out=rows[1])
+    np.cos(phi, out=phi)
+    rows[:2] *= sin_theta
+    return rows
+
+
+def _origins(
+    fields: LevelFields, cells: np.ndarray, rays_per_cell: int, jitter: Optional[np.ndarray]
+) -> np.ndarray:
+    """``(3, m * rays_per_cell)`` origins, grouped by cell, of the ``(3, m)``
+    float cell rows ``cells`` (overwritten with the cells' low faces).
+
+    ``jitter`` is the ``(n, 3)`` U[0, 1) draw, or None for cell centres.
+    The low faces are taken once a cell and repeated for its rays.
+    """
+    dx = np.array(fields.dx)[:, None]
+    cells *= dx
+    cells += np.array(fields.anchor)[:, None]  # the cells' low faces
+    if jitter is None:
+        cells += 0.5 * dx
+    origins = np.repeat(cells, rays_per_cell, axis=1) if rays_per_cell > 1 else cells
+    if jitter is not None:
+        for a in range(3):
+            origins[a] += jitter[:, a] * fields.dx[a]
+    return origins
+
+
+def isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` unit vectors uniform on the sphere, as ``(n, 3)``: the
+    transposed view of by-axis rows. cos(theta) is drawn before phi."""
+    rows = np.empty((3, n))
+    rng.random(out=rows[2])
+    rng.random(out=rows[0])
+    return _orient(rows).T
 
 
 def cell_ray_origins(
@@ -44,18 +89,12 @@ def cell_ray_origins(
     Returns ``(m * rays_per_cell, 3)`` positions, grouped by cell
     (all rays of cell 0 first). The jitter is drawn in [0, 1), so a
     jittered origin may sit on its cell's low face: uniform in the
-    half-open cell, not the open one. The jitter is one ``(n, 3)`` draw;
-    the origins are computed from it one axis at a time.
+    half-open cell, not the open one. The jitter is one ``(n, 3)`` draw.
     """
-    cells = np.asarray(cells, dtype=np.float64)
-    n = cells.shape[0] * rays_per_cell
+    rows = np.array(cells, dtype=np.float64).T.copy()
+    n = rows.shape[1] * rays_per_cell
     jitter = None if centered else rng.random((n, 3))
-    origins = np.empty((n, 3))
-    for a in range(3):
-        dx = fields.dx[a]
-        low = np.repeat(fields.anchor[a] + cells[:, a] * dx, rays_per_cell)  # the cells' low faces
-        origins[:, a] = low + (0.5 * dx if centered else jitter[:, a] * dx)
-    return origins
+    return _origins(fields, rows, rays_per_cell, jitter).T
 
 
 def region_cells(box: Box) -> np.ndarray:
@@ -73,20 +112,48 @@ def region_cells(box: Box) -> np.ndarray:
     return np.column_stack((gx.ravel(), gy.ravel(), gz.ravel()))
 
 
+def _cell_rows(boxes: Sequence[Box]) -> np.ndarray:
+    """``(3, m)`` float cell indices of every box, box after box, each in
+    the order of :func:`region_cells`; one add per run of equal extents."""
+    rows = np.empty((3, sum(box.volume for box in boxes)))
+    end = 0
+    for extent, run in groupby(boxes, key=lambda box: box.extent):
+        lo = np.array([box.lo for box in run], dtype=np.float64).T[:, :, None]
+        volume = int(np.prod(extent))
+        block = rows[:, end:end + lo.shape[1] * volume].reshape(3, lo.shape[1], volume)
+        np.add(np.indices(extent, dtype=np.float64).reshape(3, 1, volume), lo, out=block)
+        end += block.shape[1] * volume
+    return rows
+
+
 def generate_patch_rays(
     fields: LevelFields,
-    box: Box,
+    boxes: Sequence[Box],
     rays_per_cell: int,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     centered_origins: bool = False,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cells, origins, directions) for every cell of ``box``.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(origins, directions) for every cell of every box of one launch.
 
-    ``origins``/``directions`` have ``box.volume * rays_per_cell`` rows
-    grouped by cell. Direction sampling happens *after* origin sampling
-    from the same stream, mirroring Uintah's per-ray draw order.
+    ``boxes`` are cells of ``fields``' level (its spacing and anchor);
+    box ``k`` draws from ``rngs[k]``: the ``(n, 3)`` jitter (unless
+    ``centered_origins``), then cos(theta), then phi — Uintah's per-ray
+    draw order, and exactly 5n doubles (2n centred) of each stream. The
+    transforms then run once over the launch. Both arrays have
+    ``sum(volume) * rays_per_cell`` rows, box after box, grouped by cell;
+    each is the ``(n, 3)`` transposed view of ``(3, n)`` by-axis rows.
     """
-    cells = region_cells(box)
-    origins = cell_ray_origins(fields, cells, rays_per_cell, rng, centered=centered_origins)
-    directions = isotropic_directions(rng, origins.shape[0])
-    return cells, origins, directions
+    counts = [box.volume * rays_per_cell for box in boxes]
+    n = sum(counts)
+    jitter = None if centered_origins else np.empty((n, 3))
+    directions = np.empty((3, n))
+    end = 0
+    for count, rng in zip(counts, rngs):
+        rays = slice(end, end + count)
+        if jitter is not None:
+            rng.random(out=jitter[rays])
+        rng.random(out=directions[2, rays])
+        rng.random(out=directions[0, rays])
+        end += count
+    origins = _origins(fields, _cell_rows(boxes), rays_per_cell, jitter)
+    return origins.T, _orient(directions).T

@@ -102,8 +102,8 @@ class SingleLevelRMCRT:
         return RMCRTResult(divq=divq, rays_traced=rays, timers=timers)
 
     def _scalar_patch(self, fields: LevelFields, box, rng) -> np.ndarray:
-        _, origins, directions = generate_patch_rays(
-            fields, box, self.rays_per_cell, rng,
+        origins, directions = generate_patch_rays(
+            fields, [box], self.rays_per_cell, [rng],
             centered_origins=self.centered_origins,
         )
         sums = trace_rays_scalar(

@@ -172,8 +172,8 @@ class SpectralTracer:
     ):
         ray_rng = streams.for_patch(patch.patch_id)
         band_rng = streams.named(SPECTRAL_STREAM, patch.patch_id)
-        _, origins, directions = generate_patch_rays(
-            fields, patch.box, self.rays_per_cell, ray_rng,
+        origins, directions = generate_patch_rays(
+            fields, [patch.box], self.rays_per_cell, [ray_rng],
             centered_origins=self.centered_origins,
         )
         n = origins.shape[0]

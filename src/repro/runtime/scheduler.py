@@ -360,14 +360,18 @@ class RankLink:
         from repro.comm.request import CommNode
 
         self.rank = self.stats.rank
-        self.pool = make_pool(self.pool_kind)
+        receives = self.graph.messages_to(self.rank)
+        # sized before the fact to the receives it will hold, so a scan
+        # walks only them and the pool never grows (the paper's a-priori
+        # sizing)
+        self.pool = make_pool(self.pool_kind, capacity=max(1, len(receives)))
         self._arrived: List[int] = []
         self._task_hist = Histogram("scheduler.rank.task_seconds", ())
         self._recorder = get_flight_recorder()
         self._outgoing: Dict[int, List] = {}
         for msg in self.graph.messages_from(self.rank):
             self._outgoing.setdefault(msg.src_dtask_id, []).append(msg)
-        for msg in self.graph.messages_to(self.rank):
+        for msg in receives:
             req = self.comm.irecv(source=msg.src_rank, tag=msg.msg_id)
             on_finish = partial(self._unpack, msg, req)
             self.pool.insert(CommNode(req, nbytes=msg.nbytes, on_finish=on_finish))

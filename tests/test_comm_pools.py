@@ -275,3 +275,36 @@ class TestWorkloads:
     def test_workload_validation(self):
         with pytest.raises(CommError):
             run_comm_workload(make_pool("waitfree"), num_threads=0)
+
+
+def test_rank_pool_is_sized_to_its_posted_receives(monkeypatch):
+    """A rank's wait-free pool is sized before the fact (as Uintah sizes
+    it) to the receives the rank posts, and never grows."""
+    from repro.core import DistributedRMCRT, benchmark_property_init
+    from repro.grid import LoadBalancer
+    from repro.radiation import BurnsChristonBenchmark
+    from repro.runtime import DistributedScheduler
+    from repro.runtime.scheduler import RankLink
+
+    links = []
+    post_init = RankLink.__post_init__
+
+    def recorded(link):
+        post_init(link)
+        links.append(link)
+
+    monkeypatch.setattr(RankLink, "__post_init__", recorded)
+    bench = BurnsChristonBenchmark(resolution=24)
+    grid = bench.two_level_grid(refinement_ratio=4, fine_patch_size=8)
+    drm = DistributedRMCRT(grid, benchmark_property_init(bench), rays_per_cell=1, halo=2)
+    graph = drm.build_graph(
+        assignment=LoadBalancer(2).assign(grid.finest_level.patches), num_ranks=2
+    )
+    DistributedScheduler(2).execute(graph)
+    assert sorted(link.rank for link in links) == [0, 1]
+    for link in links:
+        receives = len(graph.messages_to(link.rank))
+        assert receives > 0
+        assert link.pool.capacity == receives
+        assert link.pool.stats.grows == 0
+        assert link.pool.stats.retired == receives

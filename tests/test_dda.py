@@ -357,7 +357,7 @@ class TestLayoutEdges:
             batch.tau[:] = tau0
             batch.sum_i[:] = 0.1
 
-        fstate, istate = _launch_state(
+        fstate, istate, _, _ = _launch_state(
             [fields], None, batch, np.arange(n), batch.exit_pos if from_handoff else starts,
             from_handoff,
         )
@@ -853,3 +853,49 @@ class TestParking:
             march(fields=windows[w], batch=alone, roi=roi, reflections=True)
             for row in RESULT_ROWS:
                 np.testing.assert_array_equal(getattr(batch, row)[lanes], getattr(alone, row))
+
+
+class TestStepScratch:
+    """A step allocates nothing a lane: every temporary goes into scratch
+    rows allocated once a launch, beside the state."""
+
+    #: march's tracemalloc high-water mark a lane on the scene below: the
+    #: state (12 float and 5 int rows, 136 B), the scratch (a float row
+    #: and an int64 row holding the 5 int8 flag rows, 16 B), and the
+    #: scene's stacked per-cell arrays and NumPy's cast buffers spread
+    #: over the lanes (~11 B)
+    PEAK_BYTES_PER_LANE = 163
+
+    def test_march_peak_per_lane_is_pinned(self):
+        """16384 lanes from the middle of a clear 16^3 level, stopped by
+        ``max_steps`` before any can reach a wall: the peak is the set-up
+        and six steps with every lane in flight and none retired. A
+        temporary row put back into the step (8 B a lane for a float or
+        int64 row, at least 4 of them above the cast buffers the step
+        already holds) moves the peak past the tolerance."""
+        import tracemalloc
+
+        from repro.core import generate_patch_rays
+
+        interior = Box.cube(16)
+        props = RadiativeProperties.from_fields(
+            interior, abskg=np.zeros(interior.extent), sigma_t4=np.ones(interior.extent)
+        )
+        fields = LevelFields(
+            abskg=props.abskg, sigma_t4=props.sigma_t4, cell_type=props.cell_type,
+            interior=interior, dx=(1 / 16,) * 3, anchor=(0.0, 0.0, 0.0),
+        )
+        origins, dirs = generate_patch_rays(
+            fields, [Box((6, 6, 6), (10, 10, 10))], 256, [np.random.default_rng(0)]
+        )
+        batch = RayBatch.fresh(origins, dirs)
+        assert batch.n == 16384
+        tracemalloc.start()
+        try:
+            with pytest.raises(ReproError, match="still alive after 6 DDA steps"):
+                march(fields=fields, batch=batch, max_steps=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_lane = peak / batch.n
+        assert abs(per_lane - self.PEAK_BYTES_PER_LANE) < 2, per_lane

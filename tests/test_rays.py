@@ -100,10 +100,7 @@ class TestRegionCells:
 
     def test_generate_patch_rays_shapes(self):
         fields = make_fields(4)
-        cells, o, d = generate_patch_rays(
-            fields, Box.cube(2), 5, np.random.default_rng(0)
-        )
-        assert cells.shape == (8, 3)
+        o, d = generate_patch_rays(fields, [Box.cube(2)], 5, [np.random.default_rng(0)])
         assert o.shape == d.shape == (40, 3)
 
 
@@ -133,8 +130,8 @@ def test_ray_draw_is_pinned(centered):
         abskg=props.abskg, sigma_t4=props.sigma_t4, cell_type=props.cell_type,
         interior=box, dx=(0.1, 0.125, 0.2), anchor=(-0.3, 0.0, 0.25),
     )
-    _, o, d = generate_patch_rays(
-        fields, Box((1, 0, 2), (5, 3, 6)), 3, np.random.default_rng(2024),
+    o, d = generate_patch_rays(
+        fields, [Box((1, 0, 2), (5, 3, 6))], 3, [np.random.default_rng(2024)],
         centered_origins=centered,
     )
     assert o.shape == d.shape == (144, 3)

@@ -374,8 +374,11 @@ def instrument_comm_pool(pool, detector: RaceDetector):
 def instrument_datawarehouse(dw, detector: RaceDetector):
     """Monitor per-(label, patch) puts and region reads. Every region
     read is one walk, ``get_regions_into`` (``get_regions`` and
-    ``get_region`` allocate and call it; a trace task's window pastes
-    through it directly), so that is the one read entry point to watch."""
+    ``get_region`` allocate and call it; a launch reads its tasks'
+    regions through it at once), so that is the one read entry point to
+    watch. A read is recorded region by region, as if each task had
+    walked alone: a patch the launch's bounding box meets but none of
+    its regions is not read."""
     detector.pin(dw)
     orig_put = dw.put
     orig_get_regions_into = dw.get_regions_into
@@ -384,11 +387,12 @@ def instrument_datawarehouse(dw, detector: RaceDetector):
         detector.on_write(f"dw:{label.name}@p{patch_id}")
         return orig_put(label, patch_id, var)
 
-    def get_regions_into(labels, level, region, outs, defaults=None):
-        for patch in level.patches_intersecting(region):
-            for label in labels:
-                detector.on_read(f"dw:{label.name}@p{patch.patch_id}")
-        return orig_get_regions_into(labels, level, region, outs, defaults)
+    def get_regions_into(labels, level, region, outs, defaults=None, regions=None):
+        for box in regions or (region,):
+            for patch in level.patches_intersecting(box):
+                for label in labels:
+                    detector.on_read(f"dw:{label.name}@p{patch.patch_id}")
+        return orig_get_regions_into(labels, level, region, outs, defaults, regions)
 
     dw.put = put
     dw.get_regions_into = get_regions_into

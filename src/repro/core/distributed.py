@@ -55,7 +55,7 @@ from repro.runtime.scheduler import (
     gather_cc,
 )
 from repro.runtime.gpu_scheduler import GPUScheduler
-from repro.runtime.task import Computes, Requires, Task
+from repro.runtime.task import Computes, Requires, Task, TaskContext
 from repro.runtime.taskgraph import TaskGraph
 from repro.util.errors import ReproError
 from repro.util.rng import spawn_stream
@@ -182,33 +182,41 @@ class DistributedRMCRT:
             coarse_fields.append(coarse)
         return coarse_fields
 
-    def _fine_window(self, ctx):
-        """A task's fine data as a window of the fine level, assembled
-        from the DataWarehouse: the ROI and the cells around it (a ray
-        parks one cell outside), holding what the task was sent and NaN
-        where it was sent nothing. The ghost gather pastes straight into
-        the window's views over ``ghost ∩ interior``. Returns (window, roi)."""
+    def _fine_windows(self, ctxs) -> List[tuple]:
+        """Each task's fine data as a window of the fine level: the ROI
+        and the cells around it (a ray parks one cell outside), holding
+        what the task was sent and NaN where it was sent nothing. The
+        launch reads the fine level once — every patch meeting one of
+        its tasks' ``patch + halo`` regions pasted once into a block —
+        and each window copies its own region from the block, which is
+        gone before the march. Returns one (window, roi) per task."""
         fine_level = self.grid.finest_level
         interior = fine_level.domain_box
-        roi = patch_roi(interior, ctx.patch.box, self.halo)
-        fine = self._wall_ring_fields(fine_level, roi.grow(1).intersect(interior.grow(1)))
-        data_region = ctx.patch.box.grow(self.halo).intersect(interior)
-        sl = data_region.slices(origin=fine.box.lo)
-        ctx.require_many(
+        regions = [ctx.patch.box.grow(self.halo).intersect(interior) for ctx in ctxs]
+        block_box, block = TaskContext.require_launch(
+            ctxs,
             [ABSKG, SIGMA_T4, CELL_TYPE],
+            regions,
             defaults=[np.nan, np.nan, float(CellType.WALL)],
-            into=(data_region, [fine.abskg[sl], fine.sigma_t4[sl], fine.cell_type[sl]]),
         )
-        return fine, roi
+        windows = []
+        for ctx, region in zip(ctxs, regions):
+            roi = patch_roi(interior, ctx.patch.box, self.halo)
+            fine = self._wall_ring_fields(fine_level, roi.grow(1).intersect(interior.grow(1)))
+            src, dst = region.slices(block_box.lo), region.slices(fine.box.lo)
+            fine.abskg[dst] = block[0][src]
+            fine.sigma_t4[dst] = block[1][src]
+            fine.cell_type[dst] = block[2][src]
+            windows.append((fine, roi))
+        return windows
 
     def _trace_cb(self, ctxs) -> None:
         """One launch for the patches of ``ctxs``: a window each, the
-        coarse levels assembled once."""
-        patches = []
-        for ctx in ctxs:
-            window, roi = self._fine_window(ctx)
-            rng = spawn_stream(self.seed, 0, ctx.patch.patch_id)
-            patches.append((window, ctx.patch.box, roi, rng))
+        fine level read and the coarse levels assembled once."""
+        patches = [
+            (window, ctx.patch.box, roi, spawn_stream(self.seed, 0, ctx.patch.patch_id))
+            for ctx, (window, roi) in zip(ctxs, self._fine_windows(ctxs))
+        ]
         divqs = trace_patch_multi_level(
             self._coarse_fields(ctxs[0]),
             patches,
@@ -229,7 +237,7 @@ class DistributedRMCRT:
         computed with multi-level radiometer rays."""
         from repro.core.boundary_flux import WALLS, incident_flux_multilevel
 
-        window, roi = self._fine_window(ctx)
+        [(window, roi)] = self._fine_windows([ctx])
         all_fields = [*self._coarse_fields(ctx), window]
         interior = self.grid.finest_level.domain_box
         flux = np.zeros(ctx.patch.box.extent)

@@ -168,6 +168,8 @@ def trace_patch_multi_level(
     own ``rng``, so a patch's del.q does not depend on what it is
     launched with. Returns one del.q per patch, in order.
     """
+    if rays_per_cell < 1:
+        raise ReproError(f"rays_per_cell must be >= 1, got {rays_per_cell}")
     for fine, box, roi, _ in patches:
         if not fine.interior.contains_box(box):
             raise ReproError(f"patch box {box} outside fine interior {fine.interior}")

@@ -143,11 +143,12 @@ class DataWarehouse:
         level: Level,
         region: Box,
         defaults: Optional[Sequence[Optional[float]]] = None,
+        regions: Optional[Sequence[Box]] = None,
     ) -> List[np.ndarray]:
         """Assemble ``region`` of every label: one new array per label,
         in order, filled by :meth:`get_regions_into`'s one walk."""
         outs = [np.empty(region.extent) for _ in labels]
-        self.get_regions_into(labels, level, region, outs, defaults)
+        self.get_regions_into(labels, level, region, outs, defaults, regions)
         return outs
 
     def get_regions_into(
@@ -157,29 +158,35 @@ class DataWarehouse:
         region: Box,
         outs: Sequence[np.ndarray],
         defaults: Optional[Sequence[Optional[float]]] = None,
+        regions: Optional[Sequence[Box]] = None,
     ) -> None:
         """The one walk every region read makes: paste ``region`` of each
         label from local patches + foreign pieces into the caller's array
         of that label (``outs``, each of ``region.extent``; a view into a
         larger array is the point).
 
-        Only the level's patches that meet ``region`` are consulted:
-        each contributes its local variable or, when it is remote, the
-        foreign pieces staged under its ``(label, patch)`` key. Where a
-        piece lands is worked out once per distinct box of the patch and
-        shared by every label with a piece of that box (a task's puts
-        share its patch's Box; the parts of one packed message share
-        theirs) — within this call only, nothing is kept.
+        ``regions`` are the boxes inside ``region`` that are read — the
+        regions of a launch's tasks, ``region`` their bounding box; by
+        default ``region`` alone. Only the level's patches that meet one
+        of them are consulted, each once: it contributes its local
+        variable or, when it is remote, the foreign pieces staged under
+        its ``(label, patch)`` key, each pasted once over its overlap
+        with ``region``. Where a piece lands is worked out once per
+        distinct box of the patch and shared by every label with a piece
+        of that box (a task's puts share its patch's Box; the parts of
+        one packed message share theirs) — within this call only,
+        nothing is kept.
 
         Coverage is counted by volume: patches are disjoint, so the
-        cells each piece covers of its own patch's share add up, and a
-        remote patch whose several pieces overlap gets an exact mask
-        over its share alone. Only a label whose count falls short of
-        ``region`` (holes: the wall ring, which no patch owns) gets a
-        whole-region mask. Every cell must be covered unless the label's
-        entry of ``defaults`` is given, which then fills exactly the
-        cells no piece covered; cells that were covered are never
-        touched again, so NaN *values* are data like any other.
+        cells each piece covers of its own patch's share of ``region``
+        add up, and a remote patch whose several pieces overlap gets an
+        exact mask over its share alone. Only a label whose count falls
+        short of ``region`` (holes: the wall ring, which no patch owns;
+        or cells between the regions) gets a whole-region mask. Every
+        cell of ``regions`` must be covered unless the label's entry of
+        ``defaults`` is given, which then fills exactly the cells no
+        piece covered; cells that were covered are never touched again,
+        so NaN *values* are data like any other.
         """
         extent = region.extent
         if len(outs) != len(labels) or any(out.shape != extent for out in outs):
@@ -187,6 +194,14 @@ class DataWarehouse:
                 f"{len(labels)} labels over {region} need as many arrays of shape "
                 f"{extent}, got {[out.shape for out in outs]}"
             )
+        patches = level.patches_intersecting(region)
+        if regions is None:
+            regions = (region,)
+        elif any(box != region for box in regions):
+            if not all(region.contains_box(box) for box in regions):
+                raise DataWarehouseError(f"regions {list(regions)} are not inside {region}")
+            read = {p.patch_id for box in regions for p in level.patches_intersecting(box)}
+            patches = [patch for patch in patches if patch.patch_id in read]
         n = len(labels)
         counted = [0] * n
         # per label, the destination slices it pasted — read on a shortfall
@@ -194,7 +209,7 @@ class DataWarehouse:
         names = [label.name for label in labels]
         local, foreign = self._cc.get, self._foreign.get
         gets = tested = used = 0
-        for patch in level.patches_intersecting(region):
+        for patch in patches:
             pid = patch.patch_id
             share = patch.box.intersect(region)
             # keyed by id: the labels' pieces share their Box objects
@@ -206,9 +221,9 @@ class DataWarehouse:
                     pieces = (var,)
                 else:
                     pieces = foreign((name, pid), ())
-                # a remote patch's pieces may overlap, and one of them was
-                # sent to cover the patch's whole share of this region:
-                # look for it before pasting them all
+                # a remote patch's pieces may overlap, and one of them may
+                # have been sent to cover the patch's whole share of this
+                # region: look for it before pasting them all
                 placed = []
                 for var in pieces:
                     tested += 1
@@ -246,14 +261,16 @@ class DataWarehouse:
             for dest in pasted[i]:
                 covered[dest] = True
             missing = ~covered
-            if not missing.any():
-                continue    # pieces reaching past their own patch's share
-            if default is None:
-                raise DataWarehouseError(
-                    f"{names[i]}: {int(missing.sum())} of {volume} cells "
-                    f"of {region} are not covered by local or foreign data"
-                )
-            outs[i][missing] = default
+            if default is not None:
+                outs[i][missing] = default
+                continue
+            for box in regions:
+                holes = int(missing[box.slices(region.lo)].sum())
+                if holes:
+                    raise DataWarehouseError(
+                        f"{names[i]}: {holes} of {box.volume} cells "
+                        f"of {box} are not covered by local or foreign data"
+                    )
 
     # ------------------------------------------------------------------
     # per-level variables

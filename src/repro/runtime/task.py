@@ -10,6 +10,7 @@ DataWarehouse through a :class:`TaskContext`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -145,39 +146,65 @@ class TaskContext:
         self,
         labels: Sequence[VarLabel],
         defaults: Optional[Sequence[Optional[float]]] = None,
-        into: Optional[Tuple[Box, Sequence[np.ndarray]]] = None,
     ) -> List[np.ndarray]:
         """:meth:`require` for several labels declared with one ghost
-        width on one DW, gathered in one walk of it
-        (:meth:`DataWarehouse.get_regions_into`): one array per label,
-        in order, with coverage counted by volume (``defaults`` fill
-        exactly the cells nothing covered).
+        width on one DW: :meth:`require_launch` for this task alone over
+        its patch grown by the declared ghosts — one new array per label,
+        in order (``defaults`` fill exactly the cells nothing covered)."""
+        return TaskContext.require_launch([self], labels, defaults=defaults)[1]
 
-        By default the arrays are new and span the patch grown by the
-        declared ghosts. ``into=(region, arrays)`` pastes instead into
-        the caller's arrays — views into a task's launch window, say —
-        over ``region``, which must lie inside that grown box; the
-        arrays are returned."""
-        decls = [self._declared_requires(label) for label in labels]
-        if len({(decl.dw, decl.num_ghost) for decl in decls}) != 1:
+    @staticmethod
+    def require_launch(
+        ctxs: Sequence["TaskContext"],
+        labels: Sequence[VarLabel],
+        regions: Optional[Sequence[Box]] = None,
+        defaults: Optional[Sequence[Optional[float]]] = None,
+    ) -> Tuple[Box, List[np.ndarray]]:
+        """The reads of a launch's tasks, in one walk of their
+        DataWarehouse (:meth:`DataWarehouse.get_regions_into`).
+
+        Each task reads ``labels`` over its entry of ``regions`` (by
+        default its patch grown by the declared ghosts), which must lie
+        inside that grown box; it must have declared the labels with one
+        ghost width on one DW, and the tasks must read one warehouse and
+        one level. Returns the regions' bounding box and one new array
+        per label over it: each patch meeting a region pasted once, a
+        cell nothing covered holding its label's ``defaults`` entry, and
+        cells outside every region unspecified."""
+        if not ctxs:
+            raise SchedulerError("a launch read needs at least one task")
+        if regions is not None and len(regions) != len(ctxs):
             raise SchedulerError(
-                f"task {self.task.name} reads {[label.name for label in labels]} "
-                f"together, but declared them with different ghost widths or DWs: "
-                f"{[(decl.dw, decl.num_ghost) for decl in decls]}"
+                f"{len(ctxs)} tasks read as many regions, got {len(regions)}"
             )
-        ghosted = self.patch.box.grow(decls[0].num_ghost)
-        dw = self._dw(decls[0].dw)
-        if into is None:
-            return dw.get_regions(labels, self.level, ghosted, defaults)
-        region, outs = into
-        if not ghosted.contains_box(region):
-            raise SchedulerError(
-                f"task {self.task.name} reads {region} of "
-                f"{[label.name for label in labels]}, outside its declared "
-                f"{decls[0].num_ghost}-ghost box {ghosted}"
-            )
-        dw.get_regions_into(labels, self.level, region, outs, defaults)
-        return list(outs)
+        dw = level = None
+        boxes = []
+        for k, ctx in enumerate(ctxs):
+            decls = [ctx._declared_requires(label) for label in labels]
+            if len({(decl.dw, decl.num_ghost) for decl in decls}) != 1:
+                raise SchedulerError(
+                    f"task {ctx.task.name} reads {[label.name for label in labels]} "
+                    f"together, but declared them with different ghost widths or DWs: "
+                    f"{[(decl.dw, decl.num_ghost) for decl in decls]}"
+                )
+            ghosted = ctx.patch.box.grow(decls[0].num_ghost)
+            region = ghosted if regions is None else regions[k]
+            if not ghosted.contains_box(region):
+                raise SchedulerError(
+                    f"task {ctx.task.name} on patch {ctx.patch.patch_id} reads {region} of "
+                    f"{[label.name for label in labels]}, outside its declared "
+                    f"{decls[0].num_ghost}-ghost box {ghosted}"
+                )
+            if dw is None:
+                dw, level = ctx._dw(decls[0].dw), ctx.level
+            elif ctx._dw(decls[0].dw) is not dw or ctx.level is not level:
+                raise SchedulerError(
+                    f"task {ctx.task.name} on patch {ctx.patch.patch_id} reads another "
+                    f"DataWarehouse or level than the launch it is in"
+                )
+            boxes.append(region)
+        block = reduce(Box.bounding_union, boxes)
+        return block, dw.get_regions(labels, level, block, defaults, boxes)
 
     def require_level(self, label: VarLabel) -> np.ndarray:
         decl = self._declared_requires(label)

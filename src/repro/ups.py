@@ -373,7 +373,9 @@ def run_prepared(spec: ProblemSpec, scene: PreparedScene) -> RMCRTResult:
 
 
 def run_ups(spec: ProblemSpec) -> RMCRTResult:
-    """Build and run the specified Burns & Christon problem."""
+    """Build and run the specified Burns & Christon problem, validated
+    as :func:`parse_ups` validates a document."""
+    _validate(spec)
     return run_prepared(spec, prepare_scene(spec))
 
 

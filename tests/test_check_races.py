@@ -165,8 +165,8 @@ class TestSchedulerAndService:
         """Every region read is one walk, ``get_regions_into``: a ``put``
         with no ordering against a gather of the same patch is flagged
         for every label gathered, whichever entry point the reader used —
-        a trace task's launch window, which the walk pastes into in
-        place, included."""
+        a trace task's window, read through its launch's one walk,
+        included."""
         from repro.core import DistributedRMCRT
         from repro.core.distributed import ABSKG, CELL_TYPE, SIGMA_T4
         from repro.dw import CCVariable, DataWarehouse, cc
@@ -200,12 +200,44 @@ class TestSchedulerAndService:
                 for label in labels:
                     dw.get_region(label, level, patch.box, default=0.0)
             else:
-                drm._fine_window(ctx)
+                drm._fine_windows([ctx])
 
         run_pair(put, gather)
         assert det.distinct_locations() == {
             f"dw:{label.name}@p{patch.patch_id}" for label in labels
         }
+
+    @pytest.mark.parametrize("racing, flagged", [((4, 0, 0), True), ((8, 0, 0), False)])
+    def test_datawarehouse_shim_sees_a_launch_read_region_by_region(self, racing, flagged):
+        """A launch read walks its tasks' regions at once, pasting over
+        their bounding box, but reads only the patches a region meets:
+        a ``put`` racing it is flagged on a patch one task's region
+        meets, and not on a patch inside the bounding box that no
+        region meets."""
+        from repro.dw import CCVariable, DataWarehouse, cc
+        from repro.grid import Box, Level, decompose_level
+        from repro.runtime import Requires, Task, TaskContext
+
+        det = RaceDetector()
+        dw = instrument_datawarehouse(DataWarehouse(), det)
+        level = Level(0, Box((0, 0, 0), (20, 4, 4)), dx=(1 / 20,) * 3)
+        patches = {p.box.lo: p for p in decompose_level(level, (4, 4, 4))}
+        phi = cc("phi")
+        task = Task("t", lambda ctx: None, requires=[Requires(phi, num_ghost=1)])
+        # regions x in [0, 5) and [15, 20): their bounding box holds every patch
+        ctxs = [TaskContext(task, patches[lo], level, None, dw) for lo in [(0, 0, 0), (16, 0, 0)]]
+        target = patches[racing]
+
+        def put():
+            dw.put(phi, target.patch_id, CCVariable(target.box))
+
+        def gather():   # a default: nothing else is put, and the read may come first
+            box, _ = TaskContext.require_launch(ctxs, [phi], defaults=[0.0])
+            assert box == level.domain_box.grow(1)
+
+        run_pair(put, gather)
+        expected = {f"dw:phi@p{target.patch_id}"} if flagged else set()
+        assert det.distinct_locations() == expected
 
     def test_worker_pool_shim_is_clean(self):
         """Batches hand off dispatcher -> shard through the tracked

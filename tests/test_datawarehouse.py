@@ -306,6 +306,33 @@ class TestHostDW:
         with pytest.raises(DataWarehouseError, match="need as many arrays of shape"):
             self.dw.get_regions_into([self.phi], self.level, region, [big])
 
+    def test_regions_are_read_once_over_their_bounding_box(self):
+        """A launch's regions in one walk: only the patches meeting one
+        of them, each piece pasted once over the bounding box; each
+        region holds what a read of it alone holds; a hole between the
+        regions needs no default, a hole inside one raises naming it."""
+        near, far = self.patch_at((0, 0, 0)), self.patch_at((4, 4, 4))
+        rng = np.random.default_rng(0)
+        for p in (near, far):
+            self.dw.put(self.phi, p.patch_id, CCVariable(p.box, rng.random(p.box.extent)))
+        regions = [Box((0, 0, 0), (3, 3, 3)), Box((1, 1, 1), (4, 4, 4)), Box((5, 5, 5), (8, 8, 8))]
+        block = Box.cube(8)
+        before = self.dw.stats.as_dict()
+        [out] = self.dw.get_regions([self.phi], self.level, block, regions=regions)
+        spent = {k: v - before[k] for k, v in self.dw.stats.as_dict().items()}
+        assert (spent["region_assemblies"], spent["pieces_tested"], spent["pieces_pasted"]) == (1, 2, 2)
+        for box in regions:
+            np.testing.assert_array_equal(
+                out[box.slices()], self.dw.get_region(self.phi, self.level, box)
+            )
+        straddle = Box((3, 3, 3), (6, 6, 6))     # 1 + 8 of its 27 cells have data
+        with pytest.raises(DataWarehouseError, match=r"^phi: 18 of 27 cells of"):
+            self.dw.get_regions([self.phi], self.level, block, regions=[regions[0], straddle])
+        [filled] = self.dw.get_regions([self.phi], self.level, block, [-1.0], [straddle])
+        assert (filled == -1.0).sum() == 8 ** 3 - 2 * 4 ** 3
+        with pytest.raises(DataWarehouseError, match="not inside"):
+            self.dw.get_regions([self.phi], self.level, regions[0], regions=[straddle])
+
     def test_coverage_counts_a_piece_past_its_own_share(self):
         """Coverage is counted per patch share; a piece reaching into
         another patch's share falls short of the count, and the exact

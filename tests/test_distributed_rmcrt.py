@@ -109,6 +109,31 @@ class TestValidation:
         with pytest.raises(ReproError):
             drm.solve("quantum")
 
+    @pytest.mark.parametrize("rays", [0, -1])
+    @pytest.mark.parametrize("path", ["multi_level", "serial", "distributed", "run_ups"])
+    def test_a_non_positive_ray_count_fails_typed(self, path, rays):
+        """Not a NumPy broadcast or negative-dimension error from deep
+        inside the launch: every path names the bad count."""
+        from repro.ups import GridSpec, ProblemSpec, RMCRTSpec, SchedulerSpec, run_ups
+
+        bench = BurnsChristonBenchmark(resolution=8)
+        grid = bench.two_level_grid(refinement_ratio=2, fine_patch_size=4)
+        drm = DistributedRMCRT(grid, benchmark_property_init(bench), rays_per_cell=rays, halo=1)
+        solve = {
+            "multi_level": lambda: MultiLevelRMCRT(rays_per_cell=rays).solve(
+                grid, bench.properties_for_level(grid.finest_level)
+            ),
+            "serial": lambda: drm.solve("serial"),
+            "distributed": lambda: drm.solve("distributed", num_ranks=2),
+            "run_ups": lambda: run_ups(ProblemSpec(
+                grid=GridSpec(resolution=8, refinement_ratio=2, patch_size=4),
+                rmcrt=RMCRTSpec(n_divq_rays=rays, halo=1),
+                scheduler=SchedulerSpec(type="distributed", ranks=2),
+            )),
+        }[path]
+        with pytest.raises(ReproError, match="must be >= 1"):
+            solve()
+
     def test_graph_shape(self, setup):
         _, grid, drm, _ = setup
         graph = drm.build_graph()

@@ -96,10 +96,11 @@ def test_one_byte_count_from_graph_to_fabric(two_rank_graph, pool_kind):
     assert registry.total("comm.pool.outstanding_buffers") == 0
     assert registry.total("comm.pool.outstanding_bytes") == 0
     assert sched.fabric.quiescent()
-    # and the gather behind it: a piece per part, no piece scanned in vain
+    # and the gather behind it: one walk a launch (each rank's traces
+    # and the coarsen, three labels each), every piece pasted once
     dw = [dw.stats for dw in rank_dws.values()]
     assert sum(s.foreign_adds for s in dw) == 90 - 3    # the level parts are put_level
-    assert sum(s.region_assemblies for s in dw) == 84
-    assert sum(s.pieces_tested for s in dw) == 1152
-    assert sum(s.pieces_pasted for s in dw) == 1110
+    assert sum(s.region_assemblies for s in dw) == 9
+    assert sum(s.pieces_tested for s in dw) == 249
+    assert sum(s.pieces_pasted for s in dw) == 249
     assert max(dw.nbytes for dw in rank_dws.values()) == 390_208

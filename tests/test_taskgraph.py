@@ -285,16 +285,16 @@ class TestTaskContext:
             ctx.require_many([PHI, chi])
         with pytest.raises(SchedulerError, match="undeclared label rho"):
             ctx.require_many([PHI, cc("rho")])
-        # into the caller's arrays, over a part of the declared ghost box
+        # a launch read, over a part of the declared ghost box
         inner = patch.box.grow(1).intersect(level.domain_box)
-        window = np.full((2, *patch.box.grow(1).extent), np.inf)
-        views = [window[i][inner.slices(origin=patch.box.grow(1).lo)] for i in range(2)]
-        assert ctx.require_many([PHI, psi], into=(inner, views)) == views
-        np.testing.assert_array_equal(views[0], phi_arr[1:, 1:, 1:])
-        np.testing.assert_array_equal(views[1], psi_arr[1:, 1:, 1:])
-        assert np.isinf(window).sum() == 2 * (6 ** 3 - 5 ** 3)
+        block_box, (phi_block, psi_block) = TaskContext.require_launch(
+            [ctx], [PHI, psi], [inner]
+        )
+        assert block_box == inner
+        np.testing.assert_array_equal(phi_block, phi_arr[1:, 1:, 1:])
+        np.testing.assert_array_equal(psi_block, psi_arr[1:, 1:, 1:])
         with pytest.raises(SchedulerError, match="outside its declared 1-ghost box"):
-            ctx.require_many([PHI, psi], into=(patch.box.grow(2), views))
+            TaskContext.require_launch([ctx], [PHI, psi], [patch.box.grow(2)])
 
     def test_wrong_shape_compute_rejected(self):
         grid = make_grid()

@@ -58,7 +58,7 @@ from repro.runtime.gpu_scheduler import GPUScheduler
 from repro.runtime.task import Computes, Requires, Task, TaskContext
 from repro.runtime.taskgraph import TaskGraph
 from repro.util.errors import ReproError
-from repro.util.rng import spawn_stream
+from repro.util.rng import SPECTRAL_STREAM, spawn_stream
 from repro.util.timing import TimerRegistry
 
 ABSKG = cc("abskg")
@@ -99,6 +99,9 @@ class DistributedRMCRT:
         device: bool = False,
         compute_boundary_flux: bool = False,
         flux_rays_per_face: int = 16,
+        reflections: bool = False,
+        centered_origins: bool = False,
+        spectral=None,
     ) -> None:
         if grid.num_levels < 2:
             raise ReproError("DistributedRMCRT needs a multi-level grid")
@@ -115,6 +118,9 @@ class DistributedRMCRT:
         self.device = bool(device)
         self.compute_boundary_flux = bool(compute_boundary_flux)
         self.flux_rays_per_face = int(flux_rays_per_face)
+        self.reflections = bool(reflections)
+        self.centered_origins = bool(centered_origins)
+        self.spectral = spectral
         self._coarse_labels = {
             idx: {
                 "abskg": per_level(f"abskg_L{idx}"),
@@ -222,6 +228,12 @@ class DistributedRMCRT:
             patches,
             self.rays_per_cell,
             threshold=self.threshold,
+            reflections=self.reflections,
+            centered_origins=self.centered_origins,
+            spectral=self.spectral,
+            band_rngs=None if self.spectral is None else [
+                spawn_stream(self.seed, SPECTRAL_STREAM, ctx.patch.patch_id) for ctx in ctxs
+            ],
         )
         for ctx, divq in zip(ctxs, divqs):
             if np.isnan(divq).any():

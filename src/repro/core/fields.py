@@ -12,13 +12,15 @@ cropped to the cells the task holds, cell indices still the level's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.grid.box import Box
+from repro.grid.celltype import CellType
 from repro.grid.level import Level
+from repro.radiation.constants import SIGMA_SB
 from repro.radiation.properties import RadiativeProperties
 from repro.util.errors import GridError
 
@@ -74,6 +76,28 @@ class LevelFields:
             dx=level.dx,
             anchor=level.anchor,
         )
+
+    def band(self, model, band: int) -> "LevelFields":
+        """The fields one wavelength band of a spectral ``model`` marches
+        through: a pointwise transform, so a window's band fields are the
+        window of the level's.
+
+        Interior (FLOW) kappa scales by the band's kappa scale; surface
+        cells (wall ring and intrusions, where ``abskg`` holds emissivity)
+        multiply by the tabulated band emissivity at the local surface
+        temperature. ``sigma_t4`` is deliberately untouched: emission
+        band-weighting cancels against the Planck importance sampling.
+        """
+        abskg = self.abskg.copy()
+        flow = self.cell_type == CellType.FLOW
+        scale = float(model.kappa_scales[band])
+        if scale != 1.0:
+            abskg[flow] *= scale
+        if not model.emissivity.is_gray:
+            surf = ~flow
+            t_surf = (self.sigma_t4[surf] / SIGMA_SB) ** 0.25
+            abskg[surf] *= model.emissivity.band_values(band, t_surf)
+        return replace(self, abskg=abskg)
 
     # ------------------------------------------------------------------
     # coordinate transforms

@@ -24,6 +24,7 @@ from repro.grid.celltype import CellType
 from repro.core.dda import RayBatch, march
 from repro.core.fields import LevelFields
 from repro.core.rays import generate_patch_rays
+from repro.perf.metrics import get_metrics
 from repro.util.errors import ReproError
 
 #: rays per kernel launch, the one width. A DDA step costs a fixed ~30-40
@@ -70,7 +71,7 @@ def march_chunked(
     threshold: float = 1e-4,
     reflections: bool = False,
     chunk_rays: int = LAUNCH_RAYS,
-    window_of: Optional[np.ndarray] = None,
+    window_of: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> np.ndarray:
     """sum_i of every ray, marched at most ``chunk_rays`` per launch.
 
@@ -79,11 +80,15 @@ def march_chunked(
     successively coarser levels when they leave it. On levels below the
     finest, rays march over the *whole* level — every coarse level spans
     the domain by construction (Section III.C). One level and no ``roi``
-    is the single-level trace. The finest entry may be a sequence of
-    windows with ``roi`` their boxes and ``window_of`` each ray's window
-    (see :func:`~repro.core.dda.march`). Rays are independent, so the
-    chunk size changes memory use and nothing else.
+    is the single-level trace. An entry may be a sequence of windows of
+    its level — on the finest, with ``roi`` their boxes — and
+    ``window_of[i]`` then holds each ray's window on level ``i`` (see
+    :func:`~repro.core.dda.march`; None for a level of one window). Rays
+    are independent, so the chunk size changes memory use and nothing
+    else.
     """
+    if window_of is None:
+        window_of = [None] * len(level_fields)
     sum_i = np.empty(origins.shape[0])
     stride = max(1, chunk_rays)
     for start in range(0, sum_i.size, stride):
@@ -95,10 +100,10 @@ def march_chunked(
             roi=roi,
             threshold=threshold,
             reflections=reflections,
-            window_of=None if window_of is None else window_of[chunk],
+            window_of=None if window_of[-1] is None else window_of[-1][chunk],
         )
         # cascade: any parked ray continues on the next coarser level
-        for coarse in reversed(level_fields[:-1]):
+        for coarse, windows in zip(level_fields[-2::-1], window_of[-2::-1]):
             if batch.parked().size == 0:
                 break
             march(
@@ -107,6 +112,7 @@ def march_chunked(
                 threshold=threshold,
                 reflections=reflections,
                 from_handoff=True,
+                window_of=None if windows is None else windows[chunk],
             )
         if batch.parked().size:
             raise ReproError(
@@ -117,64 +123,85 @@ def march_chunked(
     return sum_i
 
 
+def draw_bands(model, rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
+    """The wavelength band of every ray of a launch: patch ``k``'s
+    ``counts[k]`` rays drawn from ``rngs[k]``, its named spectral stream,
+    by the Planck weights of ``model``. Publishes the launch's band
+    census as ``spectral.rays`` (label ``band``)."""
+    bands = np.concatenate([model.table.sample_bands(rng, n) for rng, n in zip(rngs, counts)])
+    metrics = get_metrics()
+    for band, n in enumerate(np.bincount(bands, minlength=model.nbands)):
+        metrics.counter("spectral.rays", band=band).inc(int(n))
+    return bands
+
+
 def trace_patch_single_level(
     fields: LevelFields,
     box: Box,
     rays_per_cell: int,
     rng: np.random.Generator,
-    threshold: float = 1e-4,
-    reflections: bool = False,
-    centered_origins: bool = False,
-    chunk_rays: int = LAUNCH_RAYS,
+    band_rng: Optional[np.random.Generator] = None,
+    **options,
 ) -> np.ndarray:
-    """del.q over ``box`` tracing every ray on one level.
-
-    ``box`` must lie inside the level interior. Rays are generated from
-    ``rng`` in cell order.
-    """
-    if not fields.interior.contains_box(box):
-        raise ReproError(f"patch box {box} outside level interior {fields.interior}")
-    if rays_per_cell < 1:
-        raise ReproError(f"rays_per_cell must be >= 1, got {rays_per_cell}")
-
-    origins, directions = generate_patch_rays(
-        fields, [box], rays_per_cell, [rng], centered_origins=centered_origins
-    )
-    sum_i = march_chunked(
-        [fields], origins, directions,
-        threshold=threshold, reflections=reflections, chunk_rays=chunk_rays,
-    )
-    return divq_from_sums(fields, box, sum_i.reshape(-1, rays_per_cell).mean(axis=1))
+    """del.q over ``box`` tracing every ray on one level: the launch of
+    one patch with no coarse levels and no ROI (see
+    :func:`trace_patch_multi_level` for ``options``)."""
+    return trace_patch_multi_level(
+        [], [(fields, box, None, rng)], rays_per_cell,
+        band_rngs=None if band_rng is None else [band_rng], **options,
+    )[0]
 
 
 def trace_patch_multi_level(
     coarse_fields: Sequence[LevelFields],
-    patches: Sequence[Tuple[LevelFields, Box, Box, np.random.Generator]],
+    patches: Sequence[Tuple[LevelFields, Box, Optional[Box], np.random.Generator]],
     rays_per_cell: int,
     threshold: float = 1e-4,
     reflections: bool = False,
     centered_origins: bool = False,
     chunk_rays: int = LAUNCH_RAYS,
+    spectral=None,
+    band_rngs: Optional[Sequence[np.random.Generator]] = None,
 ) -> List[np.ndarray]:
     """del.q over fine patches using the data-onion hierarchy, the rays
     of all of them marched together (one launch when the caller kept
     them within the width; cut to ``chunk_rays`` otherwise).
 
-    ``coarse_fields`` is ordered coarsest-first and shared. Each patch
+    ``coarse_fields`` is ordered coarsest-first and shared; with none, the
+    fine level is the only one (the single-level trace). Each patch
     is ``(fine, box, roi, rng)``: ``fine`` holds the fine data of the
     task (the whole level or a window of it); ``roi`` is the fine data
     the task owns: patch + halo, plus any adjacent wall ring (see
-    :func:`march_chunked` for the cascade); its rays are drawn from its
-    own ``rng``, so a patch's del.q does not depend on what it is
-    launched with. Returns one del.q per patch, in order.
+    :func:`march_chunked` for the cascade), or None for the whole level;
+    its rays are drawn from its own ``rng``, so a patch's del.q does not
+    depend on what it is launched with. Returns one del.q per patch, in
+    order.
+
+    With a ``spectral`` model (its band table, kappa scales and surface
+    emissivity table) every ray also draws a wavelength band from its
+    patch's entry of ``band_rngs`` and marches through its band's fields on
+    every level (:meth:`~repro.core.fields.LevelFields.band`), the bands
+    laid out as windows of the one launch. A
+    ray lands in band ``b`` with the Planck probability ``w_b`` and
+    marches against the unscaled emission (the ``w_b`` of emission and
+    the ``1/w_b`` of the estimator cancel), and its intensity is weighted
+    by the band's kappa scale at the origin cell, so
+
+        del.q[c] = 4 pi kappa[c] (pm * sigma_t4[c]/pi
+                                  - mean_r kappa_scale[b(r)] * sumI_r)
+
+    with ``pm = sum_b w_b kappa_scale[b]`` the Planck-mean scale. One
+    full-spectrum band of scale 1 is the gray trace, bit for bit.
     """
     if rays_per_cell < 1:
         raise ReproError(f"rays_per_cell must be >= 1, got {rays_per_cell}")
     for fine, box, roi, _ in patches:
         if not fine.interior.contains_box(box):
             raise ReproError(f"patch box {box} outside fine interior {fine.interior}")
-        if not fine.ring_box.contains_box(roi) or not roi.contains_box(box):
+        if roi is not None and (not fine.ring_box.contains_box(roi) or not roi.contains_box(box)):
             raise ReproError(f"roi {roi} must satisfy box <= roi <= fine ring box")
+    if spectral is not None and (band_rngs is None or len(band_rngs) != len(patches)):
+        raise ReproError("a spectral trace needs one band stream a patch")
 
     # one draw and one per-cell mean for the launch: each patch still
     # draws from its own stream, so its rays and its del.q do not depend
@@ -184,18 +211,35 @@ def trace_patch_multi_level(
         [rng for _, _, _, rng in patches], centered_origins=centered_origins,
     )
     volumes = [box.volume for _, box, _, _ in patches]
+    counts = np.multiply(volumes, rays_per_cell)
+    fines = [fine for fine, _, _, _ in patches]
+    rois = [roi for _, _, roi, _ in patches]
+    patch_of = np.repeat(np.arange(len(patches)), counts) if len(patches) > 1 else None
+    if spectral is None:
+        levels = [*coarse_fields, fines]
+        window_of = [None] * len(coarse_fields) + [patch_of]
+    else:
+        # the bands are windows of one launch: on a coarse level window b
+        # is band b of the level, on the fine level window k * nb + b is
+        # band b of patch k's window
+        nb = spectral.nbands
+        bands = draw_bands(spectral, band_rngs, counts)
+        levels = [[c.band(spectral, b) for b in range(nb)] for c in coarse_fields]
+        levels.append([f.band(spectral, b) for f in fines for b in range(nb)])
+        window_of = [bands] * len(coarse_fields)
+        window_of.append(bands if patch_of is None else patch_of * nb + bands)
+        rois = [roi for roi in rois for _ in range(nb)]
     sum_i = march_chunked(
-        [*coarse_fields, [fine for fine, _, _, _ in patches]], origins, directions,
-        roi=[roi for _, _, roi, _ in patches],
-        threshold=threshold, reflections=reflections, chunk_rays=chunk_rays,
-        window_of=(
-            np.repeat(np.arange(len(patches)), np.multiply(volumes, rays_per_cell))
-            if len(patches) > 1 else None
-        ),
+        levels, origins, directions, roi=rois, threshold=threshold,
+        reflections=reflections, chunk_rays=chunk_rays, window_of=window_of,
     )
+    emission_scale = 1.0
+    if spectral is not None:
+        sum_i *= spectral.kappa_scales[bands]
+        emission_scale = spectral.planck_mean_scale
     means = sum_i.reshape(-1, rays_per_cell).mean(axis=1)
     return [
-        divq_from_sums(fine, box, mean)
+        divq_from_sums(fine, box, mean, emission_scale)
         for (fine, box, _, _), mean in zip(patches, np.split(means, np.cumsum(volumes)[:-1]))
     ]
 

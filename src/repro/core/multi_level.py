@@ -15,16 +15,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.grid.grid import Grid
 from repro.core.fields import LevelFields
 from repro.core.kernels import patch_roi, trace_patch_multi_level
-from repro.core.single_level import RMCRTResult, _whole_domain_patch
+from repro.core.single_level import PatchSolver, RMCRTResult
 from repro.radiation.properties import RadiativeProperties
 from repro.util.errors import ReproError
-from repro.util.rng import RandomStreams
-from repro.util.timing import TimerRegistry
 
 
 def project_to_coarser_levels(
@@ -50,7 +46,7 @@ def project_to_coarser_levels(
     return bundles  # type: ignore[return-value]
 
 
-class MultiLevelRMCRT:
+class MultiLevelRMCRT(PatchSolver):
     """The 2+-level AMR RMCRT solver of Sections III.B-III.C."""
 
     def __init__(
@@ -61,15 +57,12 @@ class MultiLevelRMCRT:
         halo: int = 4,
         reflections: bool = False,
         centered_origins: bool = False,
+        spectral=None,
     ) -> None:
         if halo < 0:
             raise ReproError(f"halo must be >= 0, got {halo}")
-        self.rays_per_cell = int(rays_per_cell)
-        self.threshold = float(threshold)
-        self.seed = int(seed)
+        super().__init__(rays_per_cell, threshold, seed, reflections, centered_origins, spectral)
         self.halo = int(halo)
-        self.reflections = bool(reflections)
-        self.centered_origins = bool(centered_origins)
 
     def solve(self, grid: Grid, fine_props: RadiativeProperties) -> RMCRTResult:
         if grid.num_levels < 2:
@@ -77,33 +70,23 @@ class MultiLevelRMCRT:
                 "multi-level RMCRT needs >= 2 levels; use SingleLevelRMCRT"
             )
         bundles = project_to_coarser_levels(grid, fine_props)
-        all_fields = [
+        *coarse_fields, fine_fields = [
             LevelFields.from_properties(grid.level(i), bundles[i])
             for i in range(grid.num_levels)
         ]
         fine_level = grid.finest_level
-        *coarse_fields, fine_fields = all_fields
 
-        streams = RandomStreams(self.seed)
-        timers = TimerRegistry()
-        divq = np.empty(fine_level.domain_box.extent)
-        patches = fine_level.patches or [_whole_domain_patch(fine_level)]
-        rays = 0
-        with timers("rmcrt_solve"):
-            for patch in patches:
-                rng = streams.for_patch(patch.patch_id)
-                roi = patch_roi(fine_level.domain_box, patch.box, self.halo)
-                with timers("kernel"):
-                    # one patch per launch: the patches share one full-level
-                    # fine array, and stacking copies of it is the wrong trade
-                    (pdivq,) = trace_patch_multi_level(
-                        coarse_fields,
-                        [(fine_fields, patch.box, roi, rng)],
-                        self.rays_per_cell,
-                        threshold=self.threshold,
-                        reflections=self.reflections,
-                        centered_origins=self.centered_origins,
-                    )
-                divq[patch.box.slices(origin=fine_level.domain_box.lo)] = pdivq
-                rays += patch.box.volume * self.rays_per_cell
-        return RMCRTResult(divq=divq, rays_traced=rays, timers=timers)
+        def trace(patch, rng, band_rng):
+            # one patch per launch: the patches share one full-level
+            # fine array, and stacking copies of it is the wrong trade
+            roi = patch_roi(fine_level.domain_box, patch.box, self.halo)
+            (pdivq,) = trace_patch_multi_level(
+                coarse_fields,
+                [(fine_fields, patch.box, roi, rng)],
+                self.rays_per_cell,
+                band_rngs=None if band_rng is None else [band_rng],
+                **self.options,
+            )
+            return pdivq
+
+        return self._solve_patches(fine_level, trace)

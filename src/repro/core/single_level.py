@@ -12,20 +12,20 @@ multi-level solver is validated against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.grid.grid import Grid
+from repro.grid.level import Level
 from repro.grid.patch import Patch
 from repro.core.fields import LevelFields
-from repro.core.kernels import trace_patch_single_level
-from repro.core.cpu_kernel import trace_rays_scalar
+from repro.core.cpu_kernel import march_single_ray
+from repro.core.kernels import divq_from_sums, draw_bands, trace_patch_single_level
 from repro.core.rays import generate_patch_rays
-from repro.core.kernels import divq_from_sums
 from repro.radiation.properties import RadiativeProperties
 from repro.util.errors import ReproError
-from repro.util.rng import RandomStreams
+from repro.util.rng import SPECTRAL_STREAM, RandomStreams
 from repro.util.timing import TimerRegistry
 
 
@@ -47,11 +47,72 @@ class RMCRTResult:
         return float(self.divq.sum())
 
 
-class SingleLevelRMCRT:
+class PatchSolver:
+    """What the direct solvers share: the trace options and the loop
+    that traces the patches of the finest level one at a time.
+
+    ``spectral`` (a :class:`~repro.radiation.spectral.model.SpectralModel`)
+    turns the trace spectral: each patch then also draws its rays' bands
+    from its named ``SPECTRAL_STREAM`` stream.
+    """
+
+    def __init__(
+        self,
+        rays_per_cell: int = 25,
+        threshold: float = 1e-4,
+        seed: int = 0,
+        reflections: bool = False,
+        centered_origins: bool = False,
+        spectral=None,
+    ) -> None:
+        self.rays_per_cell = int(rays_per_cell)
+        self.threshold = float(threshold)
+        self.seed = int(seed)
+        self.reflections = bool(reflections)
+        self.centered_origins = bool(centered_origins)
+        self.spectral = spectral
+
+    @property
+    def options(self) -> dict:
+        """The trace options, as the kernels take them."""
+        return dict(
+            threshold=self.threshold,
+            reflections=self.reflections,
+            centered_origins=self.centered_origins,
+            spectral=self.spectral,
+        )
+
+    def _solve_patches(
+        self, level: Level, trace: Callable, streams: Optional[RandomStreams] = None
+    ) -> RMCRTResult:
+        """del.q over every patch of ``level`` (the whole level when it
+        is not decomposed): ``trace(patch, rng, band_rng)`` with the
+        patch's ray stream and, for a spectral solve, its band stream."""
+        if streams is None:
+            streams = RandomStreams(self.seed)
+        timers = TimerRegistry()
+        divq = np.empty(level.domain_box.extent)
+        patches = level.patches or [_whole_domain_patch(level)]
+        with timers("rmcrt_solve"):
+            for patch in patches:
+                rng = streams.for_patch(patch.patch_id)
+                band_rng = (
+                    None if self.spectral is None
+                    else streams.named(SPECTRAL_STREAM, patch.patch_id)
+                )
+                with timers("kernel"):
+                    pdivq = trace(patch, rng, band_rng)
+                divq[patch.box.slices(origin=level.domain_box.lo)] = pdivq
+        rays = sum(patch.box.volume for patch in patches) * self.rays_per_cell
+        return RMCRTResult(divq=divq, rays_traced=rays, timers=timers)
+
+
+class SingleLevelRMCRT(PatchSolver):
     """Trace every ray on one (the finest) level.
 
     ``backend='vectorized'`` runs the batch DDA kernel (the simulated
-    GPU path); ``'scalar'`` the per-ray reference loop (the CPU path).
+    GPU path); ``'scalar'`` the per-ray reference loop (the CPU path):
+    the same draws, rays and bands, marched one at a time.
     """
 
     def __init__(
@@ -62,56 +123,57 @@ class SingleLevelRMCRT:
         reflections: bool = False,
         centered_origins: bool = False,
         backend: str = "vectorized",
+        spectral=None,
     ) -> None:
         if backend not in ("vectorized", "scalar"):
             raise ReproError(f"unknown backend {backend!r}")
-        self.rays_per_cell = int(rays_per_cell)
-        self.threshold = float(threshold)
-        self.seed = int(seed)
-        self.reflections = bool(reflections)
-        self.centered_origins = bool(centered_origins)
+        super().__init__(rays_per_cell, threshold, seed, reflections, centered_origins, spectral)
         self.backend = backend
 
-    def solve(self, grid: Grid, props: RadiativeProperties) -> RMCRTResult:
+    def solve(
+        self, grid: Grid, props: RadiativeProperties, streams: Optional[RandomStreams] = None
+    ) -> RMCRTResult:
+        """del.q on the finest level. Passing an external ``streams`` lets
+        a campaign own the stream positions, which is what makes its
+        checkpoints resume bit-identically."""
         level = grid.finest_level
         fields = LevelFields.from_properties(level, props)
-        streams = RandomStreams(self.seed)
-        timers = TimerRegistry()
 
-        divq = np.empty(level.domain_box.extent)
-        patches = level.patches or [_whole_domain_patch(level)]
-        rays = 0
-        with timers("rmcrt_solve"):
-            for patch in patches:
-                rng = streams.for_patch(patch.patch_id)
-                with timers("kernel"):
-                    if self.backend == "vectorized":
-                        pdivq = trace_patch_single_level(
-                            fields,
-                            patch.box,
-                            self.rays_per_cell,
-                            rng,
-                            threshold=self.threshold,
-                            reflections=self.reflections,
-                            centered_origins=self.centered_origins,
-                        )
-                    else:
-                        pdivq = self._scalar_patch(fields, patch.box, rng)
-                divq[patch.box.slices(origin=level.domain_box.lo)] = pdivq
-                rays += patch.box.volume * self.rays_per_cell
-        return RMCRTResult(divq=divq, rays_traced=rays, timers=timers)
+        def trace(patch, rng, band_rng):
+            if self.backend == "scalar":
+                return self._scalar_patch(fields, patch.box, rng, band_rng)
+            return trace_patch_single_level(
+                fields, patch.box, self.rays_per_cell, rng, band_rng, **self.options
+            )
 
-    def _scalar_patch(self, fields: LevelFields, box, rng) -> np.ndarray:
+        return self._solve_patches(level, trace, streams)
+
+    def _scalar_patch(self, fields: LevelFields, box, rng, band_rng) -> np.ndarray:
+        """The per-ray reference loop: one ray at a time through its
+        band's fields — the differential oracle for the batch path."""
         origins, directions = generate_patch_rays(
             fields, [box], self.rays_per_cell, [rng],
             centered_origins=self.centered_origins,
         )
-        sums = trace_rays_scalar(
-            fields, origins, directions,
-            threshold=self.threshold, reflections=self.reflections,
+        model = self.spectral
+        if model is None:
+            bands = np.zeros(origins.shape[0], dtype=np.int64)
+            band_fields, scales, emission_scale = [fields], np.ones(1), 1.0
+        else:
+            bands = draw_bands(model, [band_rng], [origins.shape[0]])
+            band_fields = [fields.band(model, b) for b in range(model.nbands)]
+            scales, emission_scale = model.kappa_scales, model.planck_mean_scale
+        sums = np.array([
+            march_single_ray(
+                band_fields[b], origins[r], directions[r],
+                threshold=self.threshold, reflections=self.reflections,
+            )[0]
+            for r, b in enumerate(bands)
+        ])
+        weighted = sums * scales[bands]
+        return divq_from_sums(
+            fields, box, weighted.reshape(-1, self.rays_per_cell).mean(axis=1), emission_scale
         )
-        per_cell = sums.reshape(-1, self.rays_per_cell).mean(axis=1)
-        return divq_from_sums(fields, box, per_cell)
 
 
 def _whole_domain_patch(level):

@@ -23,7 +23,8 @@ class RMCRTSolver:
 
     Parameters mirror Uintah's RMCRT spec: ``rays_per_cell`` (nDivQRays),
     ``threshold`` (ray termination transmissivity), ``halo`` (fine-level
-    ROI margin), ``reflections`` (non-black walls), and ``seed``.
+    ROI margin), ``reflections`` (non-black walls), and ``seed``; a
+    ``spectral`` model makes either solve wavelength-sampled.
     """
 
     def __init__(
@@ -35,6 +36,7 @@ class RMCRTSolver:
         reflections: bool = False,
         centered_origins: bool = False,
         backend: str = "vectorized",
+        spectral=None,
     ) -> None:
         self.rays_per_cell = int(rays_per_cell)
         self.threshold = float(threshold)
@@ -43,31 +45,26 @@ class RMCRTSolver:
         self.reflections = bool(reflections)
         self.centered_origins = bool(centered_origins)
         self.backend = backend
+        self.spectral = spectral
 
     def solve(self, grid: Grid, props: RadiativeProperties) -> RMCRTResult:
         """Compute del.q on the finest level of ``grid``."""
+        options = dict(
+            rays_per_cell=self.rays_per_cell,
+            threshold=self.threshold,
+            seed=self.seed,
+            reflections=self.reflections,
+            centered_origins=self.centered_origins,
+            spectral=self.spectral,
+        )
         if grid.num_levels == 1:
-            inner = SingleLevelRMCRT(
-                rays_per_cell=self.rays_per_cell,
-                threshold=self.threshold,
-                seed=self.seed,
-                reflections=self.reflections,
-                centered_origins=self.centered_origins,
-                backend=self.backend,
-            )
+            inner = SingleLevelRMCRT(backend=self.backend, **options)
         else:
             if self.backend != "vectorized":
                 raise ReproError(
                     "the scalar reference backend only supports single-level grids"
                 )
-            inner = MultiLevelRMCRT(
-                rays_per_cell=self.rays_per_cell,
-                threshold=self.threshold,
-                seed=self.seed,
-                halo=self.halo,
-                reflections=self.reflections,
-                centered_origins=self.centered_origins,
-            )
+            inner = MultiLevelRMCRT(halo=self.halo, **options)
         return inner.solve(grid, props)
 
     def solve_benchmark(

@@ -13,6 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".analysis": ["ConvergenceStudy", "max_error", "monte_carlo_convergence",
                   "relative_l2_error", "rms_error", "symmetry_deviation"],
     ".spectral": ["COMBUSTION_3_BAND", "GREY", "EnclosureScenario", "PlanckTable",
-                  "SpectralBand", "SpectralModel", "SpectralRMCRT", "SpectralTracer",
-                  "TabulatedEmissivity", "band_properties", "validate_bands"],
+                  "SpectralBand", "SpectralModel", "SpectralRMCRT", "TabulatedEmissivity",
+                  "band_properties", "validate_bands"],
 })

@@ -7,7 +7,8 @@ Two tiers of spectral fidelity share this package:
   ``repro.radiation.spectral`` module;
 * the wavelength-*sampled* subsystem: Planck band sampling
   (:mod:`.planck`), tabulated surface emissivity (:mod:`.emissivity`),
-  the per-ray spectral tracers (:mod:`.tracer`), the view-factor
+  the model the RMCRT trace samples bands from (:mod:`.model`; every
+  solver takes it as its ``spectral`` option), the view-factor
   enclosure solver (:mod:`.viewfactor`), and the packaged scenarios
   (:mod:`.scenario`).
 """
@@ -22,8 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".planck": ["C2_UM_K", "PlanckTable", "default_band_edges", "fraction_inverse",
                 "planck_fraction"],
     ".scenario": ["SCENARIOS", "SpectralCase", "get_scenario"],
-    ".tracer": ["SPECTRAL_STREAM", "SpectralResult", "SpectralTracer",
-                "band_level_fields"],
     ".viewfactor": ["EnclosureResult", "EnclosureScenario", "enforce_constraints",
                     "parallel_plates_view_factor", "radiosity_solve",
                     "view_factor_matrix"],

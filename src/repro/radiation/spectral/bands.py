@@ -4,8 +4,8 @@ This is the coarse end of the spectral subsystem: the spectrum as a
 handful of grey bands with prescribed weights and kappa scales, each
 solved by re-running the grey machinery. The wavelength-*sampled*
 path (Planck-distribution band sampling per ray, tabulated surface
-emissivity) lives in :mod:`repro.radiation.spectral.tracer`; this
-module remains the cheap band-loop reference and the home of the
+emissivity) is the ``spectral`` option of the RMCRT trace itself
+(:func:`repro.core.kernels.trace_patch_multi_level`); this module remains the cheap band-loop reference and the home of the
 :class:`SpectralBand` set definitions.
 
 Section III.A: "Adding spectral frequencies to RMCRT would entail

@@ -2,9 +2,11 @@
 
 Subcommands:
 
-* ``smoke`` — the CI gate: a small spectral solve cross-checked three
+* ``smoke`` — the CI gate: a small spectral solve cross-checked four
   ways (vectorized vs scalar backend, gray-limit vs the gray solver
-  bit-for-bit, multi-band physical sanity). Exit 1 on any mismatch.
+  bit-for-bit, multi-band physical sanity, a 2-rank distributed
+  two-level solve vs the serial direct one bit-for-bit). Exit 1 on any
+  mismatch.
 * ``run <scenario>`` — solve a named volume scenario and print the
   del.q summary and band census.
 * ``enclosure`` — solve the view-factor enclosure scenario and print
@@ -21,6 +23,20 @@ import numpy as np
 from repro.util.errors import ReproError
 
 
+def _census(solve, nbands):
+    """``solve()``'s result and its band census: the rays the trace
+    drew into each band (its ``spectral.rays`` counters)."""
+    from repro.perf.metrics import MetricsRegistry, set_metrics
+
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    try:
+        result = solve()
+    finally:
+        set_metrics(previous)
+    return result, [int(registry.value("spectral.rays", band=b)) for b in range(nbands)]
+
+
 def _cmd_smoke(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro spectral smoke",
@@ -32,10 +48,12 @@ def _cmd_smoke(argv) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
+    from repro.core.distributed import DistributedRMCRT, benchmark_property_init
+    from repro.core.multi_level import MultiLevelRMCRT
     from repro.core.single_level import SingleLevelRMCRT
+    from repro.radiation.benchmark import BurnsChristonBenchmark
     from repro.radiation.spectral.model import SpectralModel
     from repro.radiation.spectral.scenario import SpectralCase
-    from repro.radiation.spectral.tracer import SpectralTracer
 
     failures = []
 
@@ -71,22 +89,39 @@ def _cmd_smoke(argv) -> int:
         wall_temperature=0.5,
         seed=args.seed,
     )
-    vec = mcase.solve(backend="vectorized")
+    vec, census = _census(lambda: mcase.solve(backend="vectorized"), args.bands)
     sca = mcase.solve(backend="scalar")
     rel = float(
         np.max(np.abs(vec.divq - sca.divq)) / max(np.max(np.abs(sca.divq)), 1e-300)
     )
     if rel <= 1e-9:
         print(f"backends: vectorized matches scalar (rel max diff {rel:.3e}, "
-              f"band census {vec.band_rays.tolist()})")
+              f"band census {census})")
     else:
         failures.append(f"vectorized vs scalar rel max diff {rel:.3e} > 1e-9")
 
     # 3. physical sanity: every band sampled, finite positive-emission field
-    if int(vec.band_rays.min()) <= 0:
-        failures.append(f"band starved of rays: census {vec.band_rays.tolist()}")
+    if min(census) <= 0:
+        failures.append(f"band starved of rays: census {census}")
     if not np.all(np.isfinite(vec.divq)):
         failures.append("non-finite del.q in spectral solve")
+
+    # 4. a two-level spectral solve is one trace on every path: 2 ranks
+    # of the task pipeline give the serial direct solver's bytes
+    bench = BurnsChristonBenchmark(resolution=2 * args.resolution)
+    grid = bench.two_level_grid(refinement_ratio=4, fine_patch_size=args.resolution)
+    options = dict(rays_per_cell=2, halo=2, seed=args.seed, spectral=mcase.model)
+    direct = MultiLevelRMCRT(**options).solve(
+        grid, bench.properties_for_level(grid.finest_level)
+    )
+    ranks = DistributedRMCRT(grid, benchmark_property_init(bench), **options).solve(
+        "distributed", num_ranks=2
+    )
+    if np.array_equal(ranks.divq, direct.divq):
+        print("two levels: 2-rank distributed bit-identical to serial direct")
+    else:
+        err = float(np.max(np.abs(ranks.divq - direct.divq)))
+        failures.append(f"2-rank distributed vs serial direct: max |diff| {err:.3e}")
 
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
@@ -110,11 +145,10 @@ def _cmd_run(argv) -> int:
     case = get_scenario(args.scenario)
     if isinstance(case, EnclosureScenario):
         return _print_enclosure(case)
-    result = case.solve(backend=args.backend)
+    result, census = _census(lambda: case.solve(backend=args.backend), case.model.nbands)
     print(f"scenario {case.name}: model {case.model.name} "
           f"({case.model.nbands} band(s))")
-    print(f"rays traced: {result.rays_traced:,}  "
-          f"band census: {result.band_rays.tolist()}")
+    print(f"rays traced: {result.rays_traced:,}  band census: {census}")
     print(f"del.q: mean {result.divq.mean():.4f}, "
           f"min {result.divq.min():.4f}, max {result.divq.max():.4f}")
     return 0

@@ -26,11 +26,11 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
+from repro.core.single_level import SingleLevelRMCRT
 from repro.grid.grid import Grid
 from repro.radiation.benchmark import BurnsChristonBenchmark
 from repro.radiation.properties import RadiativeProperties
 from repro.radiation.spectral.model import SpectralModel
-from repro.radiation.spectral.tracer import SpectralTracer
 from repro.radiation.spectral.viewfactor import EnclosureScenario
 from repro.util.errors import ReproError
 
@@ -67,13 +67,14 @@ class SpectralCase:
         )
         return grid, props
 
-    def tracer(self, backend: str = "vectorized") -> SpectralTracer:
-        return SpectralTracer(
-            self.model,
+    def tracer(self, backend: str = "vectorized") -> SingleLevelRMCRT:
+        """The gray solver, made spectral by the case's model."""
+        return SingleLevelRMCRT(
             rays_per_cell=self.rays_per_cell,
             threshold=self.threshold,
             seed=self.seed,
             backend=backend,
+            spectral=self.model,
         )
 
     def solve(self, backend: str = "vectorized"):

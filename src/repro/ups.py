@@ -30,14 +30,13 @@ where one exists)::
       <Scheduler type="distributed" ranks="8" pool="waitfree" threads="16"/>
     </Uintah_specification>
 
-The optional ``<Spectral>`` block switches the solve to the
-wavelength-sampled spectral tracer
-(:mod:`repro.radiation.spectral.tracer`): ``bands`` Planck-sampled
-wavelength bands at the given reference ``temperature`` (or explicit
-``<bandEdges>``, micrometres, ``bands + 1`` increasing values with
-``inf`` allowed), a kappa power law in wavelength, and a named surface
-emissivity table. Spectral solves are restricted to single-level grids
-on the serial scheduler — the multi-level band cascade is future work.
+The optional ``<Spectral>`` block makes the trace wavelength-sampled
+(the solvers' ``spectral`` option, a
+:class:`~repro.radiation.spectral.model.SpectralModel`): ``bands``
+Planck-sampled wavelength bands at the given reference ``temperature``
+(or explicit ``<bandEdges>``, micrometres, ``bands + 1`` increasing
+values with ``inf`` allowed), a kappa power law in wavelength, and a
+named surface emissivity table.
 
 Parsing is strict: unknown tags raise, so typos fail loudly instead of
 silently running defaults (a lesson every Uintah user learns once).
@@ -223,6 +222,8 @@ def _validate(spec: ProblemSpec) -> None:
         raise ReproError(f"levels must be 1 or 2, got {g.levels}")
     if g.resolution < 2:
         raise ReproError(f"resolution must be >= 2, got {g.resolution}")
+    if g.refinement_ratio < 1:
+        raise ReproError(f"refinement_ratio must be >= 1, got {g.refinement_ratio}")
     if r.n_divq_rays < 1:
         raise ReproError("nDivQRays must be >= 1")
     if not 0 < r.threshold < 1:
@@ -236,11 +237,6 @@ def _validate(spec: ProblemSpec) -> None:
             raise ReproError(f"{s.type} runs need <patch_size>")
         if g.levels != 2:
             raise ReproError("the RMCRT task pipeline needs a 2-level grid")
-        if r.allow_reflect or r.cc_rays:
-            raise ReproError(
-                "allowReflect/CCRays are only supported by the serial "
-                "direct solvers in this reproduction"
-            )
 
 
 def _validate_spectral(spec: ProblemSpec) -> None:
@@ -264,16 +260,9 @@ def _validate_spectral(spec: ProblemSpec) -> None:
             f"unknown <Spectral> emissivity {sp.emissivity!r}; "
             f"known: {', '.join(sorted(known))}"
         )
-    if spec.grid.levels != 1:
-        raise ReproError(
-            "spectral transport is single-level only (the multi-level "
-            "band cascade is future work); set <levels> 1 </levels>"
-        )
-    if spec.scheduler.type != "serial":
-        raise ReproError("spectral transport runs on the serial scheduler only")
     if spec.rmcrt.allow_reflect:
         raise ReproError(
-            "allowReflect is not supported by the spectral tracer "
+            "allowReflect is not supported with <Spectral> "
             "(band-resolved reflections are future work)"
         )
 
@@ -332,44 +321,26 @@ def run_prepared(spec: ProblemSpec, scene: PreparedScene) -> RMCRTResult:
     hoisted out so it can be shared across a batch.
     """
     r = spec.rmcrt
-    # three execution paths: the spectral tracer for <Spectral> specs,
-    # the 3-task pipeline for threaded/distributed/gpu runs, and the
-    # direct solvers for serial gray ones
-    if spec.spectral is not None:
-        from repro.radiation.spectral.tracer import SpectralTracer
-
-        tracer = SpectralTracer(
-            spectral_model(spec.spectral),
-            rays_per_cell=r.n_divq_rays,
-            threshold=r.threshold,
-            seed=r.random_seed,
-            centered_origins=r.cc_rays,
-        )
-        return tracer.solve(scene.grid, scene.props)
+    options = dict(
+        rays_per_cell=r.n_divq_rays,
+        halo=r.halo,
+        threshold=r.threshold,
+        seed=r.random_seed,
+        reflections=r.allow_reflect,
+        centered_origins=r.cc_rays,
+        spectral=None if spec.spectral is None else spectral_model(spec.spectral),
+    )
+    # the 3-task pipeline for threaded/distributed/gpu runs, the direct
+    # solvers for serial ones: one trace, the same bytes
     if spec.scheduler.type != "serial":
-        drm = DistributedRMCRT(
-            scene.grid,
-            benchmark_property_init(scene.bench),
-            rays_per_cell=r.n_divq_rays,
-            halo=r.halo,
-            threshold=r.threshold,
-            seed=r.random_seed,
-        )
+        drm = DistributedRMCRT(scene.grid, benchmark_property_init(scene.bench), **options)
         return drm.solve(
             spec.scheduler.type,
             num_ranks=spec.scheduler.ranks,
             num_threads=spec.scheduler.threads,
             pool_kind=spec.scheduler.pool,
         )
-    solver = RMCRTSolver(
-        rays_per_cell=r.n_divq_rays,
-        threshold=r.threshold,
-        seed=r.random_seed,
-        halo=r.halo,
-        reflections=r.allow_reflect,
-        centered_origins=r.cc_rays,
-    )
-    return solver.solve(scene.grid, scene.props)
+    return RMCRTSolver(**options).solve(scene.grid, scene.props)
 
 
 def run_ups(spec: ProblemSpec) -> RMCRTResult:
@@ -566,8 +537,8 @@ def spec_fingerprint(spec: ProblemSpec) -> str:
     Spectral specs carry a ``spectral`` key (the model digest) that
     gray specs never have — so even the gray-*limit* spectral spec,
     whose answer is bit-identical to the gray solve, addresses a
-    distinct cache entry: the estimator is different machinery and the
-    identity is an invariant we test, not an equivalence we assume.
+    distinct cache entry: the identity is an invariant we test, not an
+    equivalence we assume.
     """
     r = spec.rmcrt
     params = {

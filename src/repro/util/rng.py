@@ -33,6 +33,12 @@ from repro.util.errors import ReproError
 #: a key component: a plain integer, or a non-numeric identifier string
 KeyPart = Union[int, str]
 
+#: the named stream family a patch draws its rays' wavelength bands from,
+#: keyed ``(SPECTRAL_STREAM, patch_id)`` beside the patch's ray stream
+#: ``(0, patch_id)``: the band draws never perturb the ray sequence, so a
+#: gray-limit spectral solve is bit-identical to the gray one
+SPECTRAL_STREAM = "spectral"
+
 
 def _name_to_int(name: str) -> int:
     """Stable 62-bit integer for a stream name (process-independent)."""

@@ -11,7 +11,7 @@ import pytest
 
 from repro.dw import GPUDataWarehouse, VarKind
 from repro.grid import LoadBalancer
-from repro.radiation import BurnsChristonBenchmark
+from repro.radiation import BurnsChristonBenchmark, RadiativeProperties, SpectralModel
 from repro.core import (
     DIVQ,
     DistributedRMCRT,
@@ -34,7 +34,61 @@ def setup():
     return bench, grid, drm, reference
 
 
+#: scenes only the serial direct solvers ran before the trace took them as
+#: options: two-level spectral (its gray limit, and 3 tungsten bands on
+#: hot gray walls), reflections off walls of emissivity < 1, and
+#: cell-centred rays; each is (trace options, wall emissivity, wall T)
+ALLOWED = {
+    "spectral-gray-limit": (dict(spectral=SpectralModel.gray_limit()), 1.0, 0.0),
+    "spectral-tungsten": (
+        dict(spectral=SpectralModel.build(
+            bands=3, temperature=1200.0, kappa_exponent=0.4, emissivity="tungsten",
+        )),
+        0.6, 0.7,
+    ),
+    "reflect": (dict(reflections=True), 0.3, 0.5),
+    "cc-rays": (dict(centered_origins=True), 1.0, 0.0),
+}
+#: every execution path of the pipeline, as ``DistributedRMCRT.solve`` args
+PATHS = [
+    pytest.param(dict(scheduler=name), id=name) for name in ("serial", "threaded", "gpu")
+] + [
+    pytest.param(
+        dict(scheduler="distributed", num_ranks=ranks, pool_kind=pool),
+        id=f"distributed{ranks}-{pool}",
+    )
+    for ranks in (1, 2, 3) for pool in ("waitfree", "locked")
+]
+
+
+@pytest.fixture(scope="module", params=sorted(ALLOWED))
+def allowed(request):
+    """A newly allowed scene's pipeline and its serial direct solve."""
+    options, emissivity, temperature = ALLOWED[request.param]
+    bench = BurnsChristonBenchmark(resolution=16)
+    grid = bench.two_level_grid(refinement_ratio=4, fine_patch_size=8)
+    level = grid.finest_level
+    props = RadiativeProperties.from_fields(
+        level.domain_box, abskg=bench.abskg_field(level),
+        sigma_t4=np.ones(level.domain_box.extent),
+        wall_temperature=temperature, wall_emissivity=emissivity,
+    )
+    common = dict(rays_per_cell=2, halo=2, seed=5, **options)
+    drm = DistributedRMCRT(
+        grid, benchmark_property_init(bench), device=True,
+        wall_temperature=temperature, wall_emissivity=emissivity, **common,
+    )
+    return drm, MultiLevelRMCRT(**common).solve(grid, props).divq
+
+
 class TestEquivalence:
+    @pytest.mark.parametrize("path", PATHS)
+    def test_newly_allowed_scene_matches_direct_solver(self, allowed, path):
+        drm, direct = allowed
+        result = drm.solve(**path)
+        assert not np.isnan(result.divq).any()
+        np.testing.assert_array_equal(result.divq, direct)
+
     def test_serial_matches_direct_solver(self, setup):
         bench, grid, drm, reference = setup
         grid2 = bench.two_level_grid(refinement_ratio=4, fine_patch_size=8)

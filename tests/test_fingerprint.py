@@ -7,6 +7,7 @@ choice (which is execution strategy, not content — the pipeline is
 bit-identical to the direct solvers on every scheduler).
 """
 
+import copy
 import os
 import subprocess
 import sys
@@ -117,13 +118,23 @@ class TestSensitivity:
     def test_scheduler_choice_does_not_change_fingerprint(self):
         """Execution strategy is not content: serial, threaded, and
         distributed runs of one spec are bit-identical (pinned by
-        test_distributed_rmcrt), so they share a cache entry."""
-        serial = base_spec()
-        distributed = base_spec()
-        distributed.scheduler = SchedulerSpec(
-            type="distributed", ranks=4, pool="locked", threads=8
+        test_distributed_rmcrt), so they share a cache entry — gray,
+        two-level spectral, or with reflections and cell-centred rays."""
+        from repro.ups import run_ups
+
+        spectral = base_spec()
+        spectral.spectral = SpectralSpec(
+            bands=3, temperature=1400.0, kappa_exponent=0.8, emissivity="tungsten"
         )
-        assert spec_fingerprint(serial) == spec_fingerprint(distributed)
+        reflect_cc = base_spec()
+        reflect_cc.rmcrt.allow_reflect = reflect_cc.rmcrt.cc_rays = True
+        for serial in (base_spec(), spectral, reflect_cc):
+            distributed = copy.deepcopy(serial)
+            distributed.scheduler = SchedulerSpec(
+                type="distributed", ranks=4, pool="locked", threads=8
+            )
+            assert spec_fingerprint(serial) == spec_fingerprint(distributed)
+            assert run_ups(serial).divq.tobytes() == run_ups(distributed).divq.tobytes()
 
 
 class TestSceneKey:
@@ -151,7 +162,7 @@ class TestSceneKey:
 
 def gray_spec() -> ProblemSpec:
     """A single-level gray spec — the baseline the spectral variants
-    must separate from (spectral transport is single-level only)."""
+    must separate from."""
     spec = base_spec()
     spec.grid.levels = 1
     return spec

@@ -58,7 +58,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: what a single-level solve must not load
 NOT_ON_THE_SOLVE_PATH = (
     "service", "fabric", "dessim", "arches", "check", "resilience", "ups",
-    "runtime", "dw", "comm", "perf.analyze", "perf.doctor",
+    "runtime", "dw", "comm", "perf.analyze", "perf.doctor", "radiation.spectral",
 )
 
 

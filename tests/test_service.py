@@ -258,6 +258,18 @@ class TestProcessBackend:
         with pytest.raises(ServiceError):
             RadiationService(ServiceConfig(backend="fpga"))
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_spectral_solve_records_its_solve_time(self, backend):
+        """Every solve, gray or spectral, times itself under one name,
+        so the service never records a spectral solve as free."""
+        from repro.ups import SpectralSpec
+
+        spec = tiny_spec()
+        spec.spectral = SpectralSpec(bands=3, temperature=1400.0, kappa_exponent=0.8)
+        with ServiceClient(ServiceConfig(workers=1, backend=backend)) as client:
+            result = client.solve(spec, timeout=120)
+        assert result.solve_time_s > 0.0
+
 
 class TestLifecycle:
     def test_submit_after_stop_raises(self):
@@ -431,6 +443,44 @@ class TestCLI:
         assert counters_of(metrics_path)["service.spool.claimed"] == 1
         final = json.loads((spool / "status.json").read_text())
         assert final["shard"]["served"] == 0 and final["shard"]["exited"]
+
+    def test_a_zero_refinement_ratio_is_rejected_and_the_next_request_served(
+        self, tmp_path
+    ):
+        """A spec whose fingerprint cannot even be taken (ratio 0 divides
+        by zero building its grid) is answered with an error, and the
+        server lives on to serve the request behind it."""
+        from repro.service.cli import cmd_serve
+        from repro.service.spool import wait_result, write_request
+
+        spool = tmp_path / "spool"
+        write_request(
+            spool / "inbox", "a_bad",
+            UPS_TEXT.replace("<refinement_ratio> 2 <", "<refinement_ratio> 0 <"),
+        )
+        write_request(spool / "inbox", "b_good", UPS_TEXT)
+        serve_rc = {}
+
+        def serve():
+            serve_rc["rc"] = cmd_serve(
+                ["--spool", str(spool), "--idle-timeout", "60", "--tsdb-interval", "0"]
+            )
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        deadline = time.monotonic() + 60
+        bad = wait_result(spool / "outbox", "a_bad", deadline, alive=server.is_alive)
+        good = wait_result(spool / "outbox", "b_good", deadline, alive=server.is_alive)
+        (spool / "serve.stop").write_text("stop\n")
+        server.join(timeout=60)
+        assert not server.is_alive() and serve_rc["rc"] == 0
+        assert bad is not None and "refinement_ratio must be >= 1" in bad["error"]
+        assert good is not None and good["error"] is None
+        with np.load(spool / "outbox" / "b_good.npz") as arrays:
+            np.testing.assert_array_equal(arrays["divq"], run_ups(parse_ups(UPS_TEXT)).divq)
+        assert list((spool / "claimed" / "shard0").glob("*")) == []
+        final = json.loads((spool / "status.json").read_text())
+        assert final["shard"]["served"] == 1
 
     def test_request_without_a_ring_is_served_by_the_poll(self, tmp_path, monkeypatch):
         from repro.service import cli

@@ -14,9 +14,8 @@ import numpy as np
 from repro.dw.datawarehouse import DataWarehouse
 from repro.radiation.spectral.model import SpectralModel
 from repro.radiation.spectral.scenario import SpectralCase
-from repro.radiation.spectral.tracer import SPECTRAL_STREAM
 from repro.resilience.state import capture_state
-from repro.util.rng import RandomStreams
+from repro.util.rng import SPECTRAL_STREAM, RandomStreams
 
 SEED = 11
 STEPS = 4

@@ -1,19 +1,21 @@
-"""Cross-validation tests for the spectral RMCRT tracers.
+"""Cross-validation tests for the spectral option of the RMCRT trace.
 
-The load-bearing contracts: the spectral tracer in its gray limit is
+The load-bearing contracts: the spectral trace in its gray limit is
 bit-identical to the gray solver (same draws, same march, same
-reduction), the vectorized and scalar backends agree on genuinely
-spectral cases, and the tabulated emissivity actually changes the
-answer when walls are hot.
+reduction) on one level and on two, the vectorized and scalar backends
+agree on genuinely spectral cases, and the tabulated emissivity
+actually changes the answer when walls are hot.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.single_level import SingleLevelRMCRT
+from repro.core.multi_level import MultiLevelRMCRT
+from repro.core.single_level import RMCRTResult, SingleLevelRMCRT
+from repro.perf.metrics import MetricsRegistry, set_metrics
+from repro.radiation.benchmark import BurnsChristonBenchmark
 from repro.radiation.spectral.model import SpectralModel
 from repro.radiation.spectral.scenario import SpectralCase, get_scenario
-from repro.radiation.spectral.tracer import SpectralResult, SpectralTracer
 from repro.util.errors import ReproError
 from repro.util.rng import RandomStreams
 
@@ -44,6 +46,19 @@ def spectral_case(emissivity="tungsten", **overrides):
     return SpectralCase(**kw)
 
 
+def census_solve(case, backend="vectorized"):
+    """A case's solve and its band census: the rays the trace drew into
+    each band, read off its ``spectral.rays`` counters."""
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    try:
+        result = case.solve(backend=backend)
+    finally:
+        set_metrics(previous)
+    census = [registry.value("spectral.rays", band=b) for b in range(case.model.nbands)]
+    return result, np.array(census, dtype=np.int64)
+
+
 class TestGrayLimit:
     def test_vectorized_bit_identical_to_gray_solver(self):
         case = gray_limit_case()
@@ -64,39 +79,48 @@ class TestGrayLimit:
                                    rtol=1e-12, atol=1e-14)
 
     def test_gray_limit_single_band_census(self):
-        result = gray_limit_case().solve()
-        assert result.band_rays.shape == (1,)
-        assert result.band_rays[0] == result.rays_traced
+        result, census = census_solve(gray_limit_case())
+        assert census.shape == (1,)
+        assert census[0] == result.rays_traced
+
+    def test_two_level_gray_limit_bit_identical_to_gray_solver(self):
+        bench = BurnsChristonBenchmark(resolution=16)
+        grid = bench.two_level_grid(refinement_ratio=4, fine_patch_size=8)
+        props = bench.properties_for_level(grid.finest_level)
+        gray = MultiLevelRMCRT(rays_per_cell=RAYS, halo=2).solve(grid, props)
+        spectral = MultiLevelRMCRT(
+            rays_per_cell=RAYS, halo=2, spectral=SpectralModel.gray_limit()
+        ).solve(grid, props)
+        np.testing.assert_array_equal(spectral.divq, gray.divq)
 
 
 class TestBackendAgreement:
     def test_vectorized_matches_scalar_multiband(self):
         case = spectral_case()
-        grid, props = case.prepare()
-        vec = case.tracer(backend="vectorized").solve(grid, props)
-        ref = case.tracer(backend="scalar").solve(grid, props)
+        vec, vec_census = census_solve(case, backend="vectorized")
+        ref, ref_census = census_solve(case, backend="scalar")
         np.testing.assert_allclose(vec.divq, ref.divq, rtol=1e-12, atol=1e-14)
-        np.testing.assert_array_equal(vec.band_rays, ref.band_rays)
+        np.testing.assert_array_equal(vec_census, ref_census)
 
     def test_backends_share_band_draws(self):
         # identical band census proves both backends consumed the same
         # named spectral stream, not merely statistically similar ones
         case = spectral_case(emissivity="gray")
-        vec = case.solve(backend="vectorized")
-        ref = case.solve(backend="scalar")
-        np.testing.assert_array_equal(vec.band_rays, ref.band_rays)
+        _, vec = census_solve(case, backend="vectorized")
+        _, ref = census_solve(case, backend="scalar")
+        np.testing.assert_array_equal(vec, ref)
 
 
 class TestSpectralPhysics:
     def test_band_census_accounts_for_every_ray(self):
-        result = spectral_case().solve()
-        assert result.band_rays.sum() == result.rays_traced
-        assert np.all(result.band_rays > 0)  # 3 equal-weight bands
+        result, census = census_solve(spectral_case())
+        assert census.sum() == result.rays_traced
+        assert np.all(census > 0)  # 3 equal-weight bands
 
     def test_census_follows_planck_weights(self):
         case = spectral_case(rays_per_cell=16)
-        result = case.solve()
-        freq = result.band_rays / result.rays_traced
+        result, census = census_solve(case)
+        freq = census / result.rays_traced
         np.testing.assert_allclose(freq, case.model.table.weights, atol=0.02)
 
     def test_emissivity_table_changes_hot_wall_answer(self):
@@ -121,10 +145,10 @@ class TestSpectralPhysics:
 
     def test_result_surface(self):
         result = spectral_case().solve()
-        assert isinstance(result, SpectralResult)
+        assert isinstance(result, RMCRTResult)
         assert result.divq.shape == (RESOLUTION,) * 3
         assert np.all(np.isfinite(result.divq))
-        assert "spectral_solve" in result.timers
+        assert "rmcrt_solve" in result.timers
         assert "kernel" in result.timers
 
 
@@ -159,4 +183,4 @@ class TestScenarios:
 
     def test_unknown_backend(self):
         with pytest.raises(ReproError, match="unknown backend"):
-            SpectralTracer(SpectralModel.gray_limit(), backend="cuda")
+            SingleLevelRMCRT(spectral=SpectralModel.gray_limit(), backend="cuda")

@@ -113,6 +113,40 @@ class TestParsing:
                 "</Uintah_specification>"
             )
 
+    @pytest.mark.parametrize("ratio", [0, -2])
+    @pytest.mark.parametrize("entry", ["parse_ups", "spec_from_dict", "run_ups"])
+    def test_a_refinement_ratio_below_one_fails_typed(self, entry, ratio):
+        """Not a ZeroDivisionError from the grid build, which no caller
+        of a spec catches: every entry names the bad ratio."""
+        from repro.ups import spec_from_dict, spec_to_dict
+
+        text = FULL.replace("<refinement_ratio>4<", f"<refinement_ratio>{ratio}<")
+        spec = parse_ups(FULL)
+        spec.grid.refinement_ratio = ratio
+        check = {
+            "parse_ups": lambda: parse_ups(text),
+            "spec_from_dict": lambda: spec_from_dict(spec_to_dict(spec)),
+            "run_ups": lambda: run_ups(spec),
+        }[entry]
+        with pytest.raises(ReproError, match="refinement_ratio must be >= 1"):
+            check()
+
+    def test_spectral_reflections_and_cc_rays_run_on_every_path(self):
+        """One trace serves every scheduler and level count: only
+        band-resolved reflections are still refused."""
+        spectral = FULL.replace(
+            "</RMCRT>", "</RMCRT><Spectral><bands>3</bands></Spectral>"
+        )
+        assert parse_ups(spectral).spectral.bands == 3
+        reflect_cc = FULL.replace(
+            "<allowReflect>false", "<allowReflect>true"
+        ).replace("<CCRays>false", "<CCRays>true")
+        assert parse_ups(reflect_cc).rmcrt.cc_rays
+        with pytest.raises(ReproError, match="band-resolved reflections"):
+            parse_ups(reflect_cc.replace(
+                "</RMCRT>", "</RMCRT><Spectral><bands>3</bands></Spectral>"
+            ))
+
 
 class TestRun:
     def test_serial_single_level(self):

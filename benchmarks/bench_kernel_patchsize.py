@@ -24,6 +24,7 @@ import pytest
 
 from repro.core import (
     LevelFields,
+    TraceOptions,
     patch_roi,
     project_to_coarser_levels,
     trace_patch_multi_level,
@@ -68,7 +69,7 @@ def test_vectorized_kernel_throughput(benchmark, artifact_rows, patch):
     rng = np.random.default_rng(0)
 
     def run():
-        return trace_patch_single_level(fields, box, RAYS, rng)
+        return trace_patch_single_level(fields, box, TraceOptions(rays_per_cell=RAYS), rng)
 
     benchmark.pedantic(run, rounds=3, iterations=1)
     cell_rays = box.volume * RAYS
@@ -129,7 +130,8 @@ def test_fused_small_patch_launch(benchmark, artifact_rows):
 
     def run():
         return trace_patch_multi_level(
-            coarse, [(w, box, roi, np.random.default_rng(pid)) for w, box, roi, pid in windows], 1
+            coarse, [(w, box, roi, np.random.default_rng(pid)) for w, box, roi, pid in windows],
+            TraceOptions(rays_per_cell=1),
         )
 
     benchmark.pedantic(run, rounds=5, iterations=1)
@@ -160,7 +162,9 @@ def test_batch_beats_scalar(benchmark, artifact_rows):
         trace_rays_scalar(fields, origins, dirs)
         t_scalar = time.perf_counter() - t0
         t0 = time.perf_counter()
-        trace_patch_single_level(fields, box, RAYS, np.random.default_rng(1))
+        trace_patch_single_level(
+            fields, box, TraceOptions(rays_per_cell=RAYS), np.random.default_rng(1)
+        )
         t_batch = time.perf_counter() - t0
         return t_scalar / t_batch
 

@@ -67,7 +67,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                    "SpectralBand", "SpectralRMCRT", "product_quadrature",
                    "sn_level_symmetric"],
     ".core": ["DistributedRMCRT", "LevelFields", "MultiLevelRMCRT", "RMCRTResult",
-              "RMCRTSolver", "SingleLevelRMCRT", "VirtualRadiometer",
+              "RMCRTSolver", "SingleLevelRMCRT", "TraceOptions", "VirtualRadiometer",
               "benchmark_property_init"],
     ".runtime": ["Computes", "DistributedScheduler", "GPUScheduler", "MultiGPUScheduler",
                  "Requires", "SerialScheduler", "SimMPI", "SimulationController", "Task",

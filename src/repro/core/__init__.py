@@ -9,7 +9,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
               "generate_patch_rays"],
     ".dda": ["RayBatch", "RayStatus", "march"],
     ".cpu_kernel": ["march_single_ray", "trace_rays_scalar"],
-    ".kernels": ["trace_patch_single_level", "trace_patch_multi_level",
+    ".kernels": ["TraceOptions", "trace_patch_single_level", "trace_patch_multi_level",
                  "divq_from_sums", "patch_roi"],
     ".single_level": ["SingleLevelRMCRT", "RMCRTResult"],
     ".multi_level": ["MultiLevelRMCRT", "project_to_coarser_levels"],

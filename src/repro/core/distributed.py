@@ -46,7 +46,7 @@ from repro.grid.refinement import coarsen_average, coarsen_max
 from repro.dw.label import cc, per_level
 from repro.radiation.constants import SIGMA_SB
 from repro.core.fields import LevelFields
-from repro.core.kernels import LAUNCH_RAYS, patch_roi, trace_patch_multi_level
+from repro.core.kernels import LAUNCH_RAYS, TraceOptions, patch_roi, trace_patch_multi_level
 from repro.core.single_level import RMCRTResult
 from repro.runtime.scheduler import (
     DistributedScheduler,
@@ -84,43 +84,44 @@ def benchmark_property_init(benchmark) -> PropertyInit:
 
 
 class DistributedRMCRT:
-    """The 3-task RMCRT pipeline over any of the runtime's schedulers."""
+    """The 3-task RMCRT pipeline over any of the runtime's schedulers.
+
+    The trace keywords are :class:`~repro.core.kernels.TraceOptions`'s,
+    held as ``self.options``; the rest describe the scene (the wall
+    ring), the run (``device``) and the wall flux task.
+    """
 
     def __init__(
         self,
         grid: Grid,
         property_init: PropertyInit,
-        rays_per_cell: int = 25,
-        halo: int = 4,
-        threshold: float = 1e-4,
+        *,
         seed: int = 0,
         wall_temperature: float = 0.0,
         wall_emissivity: float = 1.0,
         device: bool = False,
         compute_boundary_flux: bool = False,
         flux_rays_per_face: int = 16,
-        reflections: bool = False,
-        centered_origins: bool = False,
-        spectral=None,
+        **options,
     ) -> None:
         if grid.num_levels < 2:
             raise ReproError("DistributedRMCRT needs a multi-level grid")
         if not grid.finest_level.patches:
             raise ReproError("the finest level must be decomposed into patches")
+        self.options = TraceOptions(**options)
+        if compute_boundary_flux and (self.options.reflections or self.options.spectral is not None):
+            # its radiometer rays are gray and see black walls
+            raise ReproError(
+                "the wall flux does not trace reflections or a spectral model yet"
+            )
         self.grid = grid
         self.property_init = property_init
-        self.rays_per_cell = int(rays_per_cell)
-        self.halo = int(halo)
-        self.threshold = float(threshold)
         self.seed = int(seed)
         self.wall_temperature = float(wall_temperature)
         self.wall_emissivity = float(wall_emissivity)
         self.device = bool(device)
         self.compute_boundary_flux = bool(compute_boundary_flux)
         self.flux_rays_per_face = int(flux_rays_per_face)
-        self.reflections = bool(reflections)
-        self.centered_origins = bool(centered_origins)
-        self.spectral = spectral
         self._coarse_labels = {
             idx: {
                 "abskg": per_level(f"abskg_L{idx}"),
@@ -198,7 +199,8 @@ class DistributedRMCRT:
         gone before the march. Returns one (window, roi) per task."""
         fine_level = self.grid.finest_level
         interior = fine_level.domain_box
-        regions = [ctx.patch.box.grow(self.halo).intersect(interior) for ctx in ctxs]
+        halo = self.options.halo
+        regions = [ctx.patch.box.grow(halo).intersect(interior) for ctx in ctxs]
         block_box, block = TaskContext.require_launch(
             ctxs,
             [ABSKG, SIGMA_T4, CELL_TYPE],
@@ -207,7 +209,7 @@ class DistributedRMCRT:
         )
         windows = []
         for ctx, region in zip(ctxs, regions):
-            roi = patch_roi(interior, ctx.patch.box, self.halo)
+            roi = patch_roi(interior, ctx.patch.box, halo)
             fine = self._wall_ring_fields(fine_level, roi.grow(1).intersect(interior.grow(1)))
             src, dst = region.slices(block_box.lo), region.slices(fine.box.lo)
             fine.abskg[dst] = block[0][src]
@@ -226,12 +228,8 @@ class DistributedRMCRT:
         divqs = trace_patch_multi_level(
             self._coarse_fields(ctxs[0]),
             patches,
-            self.rays_per_cell,
-            threshold=self.threshold,
-            reflections=self.reflections,
-            centered_origins=self.centered_origins,
-            spectral=self.spectral,
-            band_rngs=None if self.spectral is None else [
+            self.options,
+            band_rngs=None if self.options.spectral is None else [
                 spawn_stream(self.seed, SPECTRAL_STREAM, ctx.patch.patch_id) for ctx in ctxs
             ],
         )
@@ -267,7 +265,7 @@ class DistributedRMCRT:
             q = incident_flux_multilevel(
                 all_fields, axis, side, face_box,
                 self.flux_rays_per_face, rng,
-                roi=roi, threshold=self.threshold,
+                roi=roi, threshold=self.options.threshold,
             )
             if np.isnan(q).any():
                 raise ReproError(
@@ -316,10 +314,11 @@ class DistributedRMCRT:
             ),
             fine_idx,
         )
+        halo, rays_per_cell = self.options.halo, self.options.rays_per_cell
         trace_requires = [
-            Requires(ABSKG, num_ghost=self.halo),
-            Requires(SIGMA_T4, num_ghost=self.halo),
-            Requires(CELL_TYPE, num_ghost=self.halo),
+            Requires(ABSKG, num_ghost=halo),
+            Requires(SIGMA_T4, num_ghost=halo),
+            Requires(CELL_TYPE, num_ghost=halo),
         ] + [
             Requires(lbl, level_index=idx)
             for idx, labels in self._coarse_labels.items()
@@ -333,7 +332,7 @@ class DistributedRMCRT:
                 computes=[Computes(DIVQ)],
                 device=self.device,
                 launch_share=lambda patch: (
-                    patch.num_cells * self.rays_per_cell / LAUNCH_RAYS
+                    patch.num_cells * rays_per_cell / LAUNCH_RAYS
                 ),
             ),
             fine_idx,
@@ -370,7 +369,7 @@ class DistributedRMCRT:
         """
         timers = TimerRegistry()
         fine = self.grid.finest_level
-        rays = sum(p.num_cells for p in fine.patches) * self.rays_per_cell
+        rays = sum(p.num_cells for p in fine.patches) * self.options.rays_per_cell
         self.last_runtime_stats = None
         with timers("rmcrt_solve"):
             if scheduler == "serial":

@@ -15,6 +15,7 @@ Section III.C, contributions ii and v).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,6 +40,41 @@ from repro.util.errors import ReproError
 #: re-measured on the parking kernel in E25, the lean step in E28 and the
 #: allocation-free step in E30).
 LAUNCH_RAYS = 1 << 15
+
+
+@dataclass(frozen=True)
+class TraceOptions:
+    """The options of one trace, the block every solver path reads (as
+    Uintah's RMCRT spec is one block every trace task reads):
+    ``rays_per_cell`` (nDivQRays), ``threshold`` (the transmissivity a
+    ray is extinct below), ``halo`` (the fine cells a patch's ROI adds
+    around it; a single-level trace has no ROI), ``reflections`` (walls
+    of emissivity < 1 reflect), ``centered_origins`` (rays start at cell
+    centres) and ``spectral``, a
+    :class:`~repro.radiation.spectral.model.SpectralModel` that makes the
+    trace wavelength-sampled (opaque here). Each rule on them is checked
+    here, once, whichever path the options take.
+    """
+
+    rays_per_cell: int = 25
+    threshold: float = 1e-4
+    halo: int = 4
+    reflections: bool = False
+    centered_origins: bool = False
+    spectral: object = None
+
+    def __post_init__(self) -> None:
+        if self.rays_per_cell < 1:
+            raise ReproError(f"rays_per_cell must be >= 1, got {self.rays_per_cell}")
+        if not 0.0 < self.threshold < 1.0:
+            raise ReproError(f"threshold must be in (0, 1), got {self.threshold}")
+        if self.halo < 0:
+            raise ReproError(f"halo must be >= 0, got {self.halo}")
+        if self.reflections and self.spectral is not None:
+            raise ReproError(
+                "reflections are not supported with a spectral model "
+                "(band-resolved reflections are future work)"
+            )
 
 
 def divq_from_sums(
@@ -138,29 +174,25 @@ def draw_bands(model, rngs: Sequence[np.random.Generator], counts: Sequence[int]
 def trace_patch_single_level(
     fields: LevelFields,
     box: Box,
-    rays_per_cell: int,
+    options: TraceOptions,
     rng: np.random.Generator,
     band_rng: Optional[np.random.Generator] = None,
-    **options,
+    chunk_rays: int = LAUNCH_RAYS,
 ) -> np.ndarray:
     """del.q over ``box`` tracing every ray on one level: the launch of
     one patch with no coarse levels and no ROI (see
-    :func:`trace_patch_multi_level` for ``options``)."""
+    :func:`trace_patch_multi_level`)."""
     return trace_patch_multi_level(
-        [], [(fields, box, None, rng)], rays_per_cell,
-        band_rngs=None if band_rng is None else [band_rng], **options,
+        [], [(fields, box, None, rng)], options, chunk_rays,
+        band_rngs=None if band_rng is None else [band_rng],
     )[0]
 
 
 def trace_patch_multi_level(
     coarse_fields: Sequence[LevelFields],
     patches: Sequence[Tuple[LevelFields, Box, Optional[Box], np.random.Generator]],
-    rays_per_cell: int,
-    threshold: float = 1e-4,
-    reflections: bool = False,
-    centered_origins: bool = False,
+    options: TraceOptions,
     chunk_rays: int = LAUNCH_RAYS,
-    spectral=None,
     band_rngs: Optional[Sequence[np.random.Generator]] = None,
 ) -> List[np.ndarray]:
     """del.q over fine patches using the data-onion hierarchy, the rays
@@ -177,6 +209,7 @@ def trace_patch_multi_level(
     depend on what it is launched with. Returns one del.q per patch, in
     order.
 
+    ``options`` are the trace's (a ``roi`` already holds their halo).
     With a ``spectral`` model (its band table, kappa scales and surface
     emissivity table) every ray also draws a wavelength band from its
     patch's entry of ``band_rngs`` and marches through its band's fields on
@@ -193,8 +226,7 @@ def trace_patch_multi_level(
     with ``pm = sum_b w_b kappa_scale[b]`` the Planck-mean scale. One
     full-spectrum band of scale 1 is the gray trace, bit for bit.
     """
-    if rays_per_cell < 1:
-        raise ReproError(f"rays_per_cell must be >= 1, got {rays_per_cell}")
+    rays_per_cell, spectral = options.rays_per_cell, options.spectral
     for fine, box, roi, _ in patches:
         if not fine.interior.contains_box(box):
             raise ReproError(f"patch box {box} outside fine interior {fine.interior}")
@@ -208,7 +240,7 @@ def trace_patch_multi_level(
     # on what it is launched with
     origins, directions = generate_patch_rays(
         patches[0][0], [box for _, box, _, _ in patches], rays_per_cell,
-        [rng for _, _, _, rng in patches], centered_origins=centered_origins,
+        [rng for _, _, _, rng in patches], centered_origins=options.centered_origins,
     )
     volumes = [box.volume for _, box, _, _ in patches]
     counts = np.multiply(volumes, rays_per_cell)
@@ -230,8 +262,8 @@ def trace_patch_multi_level(
         window_of.append(bands if patch_of is None else patch_of * nb + bands)
         rois = [roi for roi in rois for _ in range(nb)]
     sum_i = march_chunked(
-        levels, origins, directions, roi=rois, threshold=threshold,
-        reflections=reflections, chunk_rays=chunk_rays, window_of=window_of,
+        levels, origins, directions, roi=rois, threshold=options.threshold,
+        reflections=options.reflections, chunk_rays=chunk_rays, window_of=window_of,
     )
     emission_scale = 1.0
     if spectral is not None:

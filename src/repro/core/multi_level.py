@@ -49,21 +49,6 @@ def project_to_coarser_levels(
 class MultiLevelRMCRT(PatchSolver):
     """The 2+-level AMR RMCRT solver of Sections III.B-III.C."""
 
-    def __init__(
-        self,
-        rays_per_cell: int = 25,
-        threshold: float = 1e-4,
-        seed: int = 0,
-        halo: int = 4,
-        reflections: bool = False,
-        centered_origins: bool = False,
-        spectral=None,
-    ) -> None:
-        if halo < 0:
-            raise ReproError(f"halo must be >= 0, got {halo}")
-        super().__init__(rays_per_cell, threshold, seed, reflections, centered_origins, spectral)
-        self.halo = int(halo)
-
     def solve(self, grid: Grid, fine_props: RadiativeProperties) -> RMCRTResult:
         if grid.num_levels < 2:
             raise ReproError(
@@ -79,13 +64,12 @@ class MultiLevelRMCRT(PatchSolver):
         def trace(patch, rng, band_rng):
             # one patch per launch: the patches share one full-level
             # fine array, and stacking copies of it is the wrong trade
-            roi = patch_roi(fine_level.domain_box, patch.box, self.halo)
+            roi = patch_roi(fine_level.domain_box, patch.box, self.options.halo)
             (pdivq,) = trace_patch_multi_level(
                 coarse_fields,
                 [(fine_fields, patch.box, roi, rng)],
-                self.rays_per_cell,
+                self.options,
                 band_rngs=None if band_rng is None else [band_rng],
-                **self.options,
             )
             return pdivq
 

@@ -21,7 +21,9 @@ from repro.grid.level import Level
 from repro.grid.patch import Patch
 from repro.core.fields import LevelFields
 from repro.core.cpu_kernel import march_single_ray
-from repro.core.kernels import divq_from_sums, draw_bands, trace_patch_single_level
+from repro.core.kernels import (
+    TraceOptions, divq_from_sums, draw_bands, trace_patch_single_level,
+)
 from repro.core.rays import generate_patch_rays
 from repro.radiation.properties import RadiativeProperties
 from repro.util.errors import ReproError
@@ -48,39 +50,18 @@ class RMCRTResult:
 
 
 class PatchSolver:
-    """What the direct solvers share: the trace options and the loop
-    that traces the patches of the finest level one at a time.
+    """What the direct solvers share: the trace options, the seed, and
+    the loop that traces the patches of the finest level one at a time.
 
-    ``spectral`` (a :class:`~repro.radiation.spectral.model.SpectralModel`)
-    turns the trace spectral: each patch then also draws its rays' bands
-    from its named ``SPECTRAL_STREAM`` stream.
+    The keywords are :class:`~repro.core.kernels.TraceOptions`'s, held
+    as ``self.options``. A ``spectral`` model turns the trace spectral:
+    each patch then also draws its rays' bands from its named
+    ``SPECTRAL_STREAM`` stream.
     """
 
-    def __init__(
-        self,
-        rays_per_cell: int = 25,
-        threshold: float = 1e-4,
-        seed: int = 0,
-        reflections: bool = False,
-        centered_origins: bool = False,
-        spectral=None,
-    ) -> None:
-        self.rays_per_cell = int(rays_per_cell)
-        self.threshold = float(threshold)
+    def __init__(self, *, seed: int = 0, **options) -> None:
         self.seed = int(seed)
-        self.reflections = bool(reflections)
-        self.centered_origins = bool(centered_origins)
-        self.spectral = spectral
-
-    @property
-    def options(self) -> dict:
-        """The trace options, as the kernels take them."""
-        return dict(
-            threshold=self.threshold,
-            reflections=self.reflections,
-            centered_origins=self.centered_origins,
-            spectral=self.spectral,
-        )
+        self.options = TraceOptions(**options)
 
     def _solve_patches(
         self, level: Level, trace: Callable, streams: Optional[RandomStreams] = None
@@ -97,13 +78,13 @@ class PatchSolver:
             for patch in patches:
                 rng = streams.for_patch(patch.patch_id)
                 band_rng = (
-                    None if self.spectral is None
+                    None if self.options.spectral is None
                     else streams.named(SPECTRAL_STREAM, patch.patch_id)
                 )
                 with timers("kernel"):
                     pdivq = trace(patch, rng, band_rng)
                 divq[patch.box.slices(origin=level.domain_box.lo)] = pdivq
-        rays = sum(patch.box.volume for patch in patches) * self.rays_per_cell
+        rays = sum(patch.box.volume for patch in patches) * self.options.rays_per_cell
         return RMCRTResult(divq=divq, rays_traced=rays, timers=timers)
 
 
@@ -115,19 +96,10 @@ class SingleLevelRMCRT(PatchSolver):
     the same draws, rays and bands, marched one at a time.
     """
 
-    def __init__(
-        self,
-        rays_per_cell: int = 25,
-        threshold: float = 1e-4,
-        seed: int = 0,
-        reflections: bool = False,
-        centered_origins: bool = False,
-        backend: str = "vectorized",
-        spectral=None,
-    ) -> None:
+    def __init__(self, *, seed: int = 0, backend: str = "vectorized", **options) -> None:
         if backend not in ("vectorized", "scalar"):
             raise ReproError(f"unknown backend {backend!r}")
-        super().__init__(rays_per_cell, threshold, seed, reflections, centered_origins, spectral)
+        super().__init__(seed=seed, **options)
         self.backend = backend
 
     def solve(
@@ -142,20 +114,19 @@ class SingleLevelRMCRT(PatchSolver):
         def trace(patch, rng, band_rng):
             if self.backend == "scalar":
                 return self._scalar_patch(fields, patch.box, rng, band_rng)
-            return trace_patch_single_level(
-                fields, patch.box, self.rays_per_cell, rng, band_rng, **self.options
-            )
+            return trace_patch_single_level(fields, patch.box, self.options, rng, band_rng)
 
         return self._solve_patches(level, trace, streams)
 
     def _scalar_patch(self, fields: LevelFields, box, rng, band_rng) -> np.ndarray:
         """The per-ray reference loop: one ray at a time through its
         band's fields — the differential oracle for the batch path."""
+        options = self.options
         origins, directions = generate_patch_rays(
-            fields, [box], self.rays_per_cell, [rng],
-            centered_origins=self.centered_origins,
+            fields, [box], options.rays_per_cell, [rng],
+            centered_origins=options.centered_origins,
         )
-        model = self.spectral
+        model = options.spectral
         if model is None:
             bands = np.zeros(origins.shape[0], dtype=np.int64)
             band_fields, scales, emission_scale = [fields], np.ones(1), 1.0
@@ -166,13 +137,13 @@ class SingleLevelRMCRT(PatchSolver):
         sums = np.array([
             march_single_ray(
                 band_fields[b], origins[r], directions[r],
-                threshold=self.threshold, reflections=self.reflections,
+                threshold=options.threshold, reflections=options.reflections,
             )[0]
             for r, b in enumerate(bands)
         ])
         weighted = sums * scales[bands]
         return divq_from_sums(
-            fields, box, weighted.reshape(-1, self.rays_per_cell).mean(axis=1), emission_scale
+            fields, box, weighted.reshape(-1, options.rays_per_cell).mean(axis=1), emission_scale
         )
 
 

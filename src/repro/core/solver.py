@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.grid.grid import Grid
+from repro.core.kernels import TraceOptions
 from repro.core.multi_level import MultiLevelRMCRT
 from repro.core.single_level import RMCRTResult, SingleLevelRMCRT
 from repro.radiation.benchmark import BurnsChristonBenchmark
@@ -21,50 +22,26 @@ class RMCRTSolver:
     """Dispatching solver: single-level for 1-level grids, data-onion
     multi-level otherwise.
 
-    Parameters mirror Uintah's RMCRT spec: ``rays_per_cell`` (nDivQRays),
-    ``threshold`` (ray termination transmissivity), ``halo`` (fine-level
-    ROI margin), ``reflections`` (non-black walls), and ``seed``; a
-    ``spectral`` model makes either solve wavelength-sampled.
+    The keywords are :class:`~repro.core.kernels.TraceOptions`'s, the
+    one block of Uintah's RMCRT spec, held as ``self.options``; ``seed``
+    and ``backend`` stay beside them.
     """
 
-    def __init__(
-        self,
-        rays_per_cell: int = 25,
-        threshold: float = 1e-4,
-        seed: int = 0,
-        halo: int = 4,
-        reflections: bool = False,
-        centered_origins: bool = False,
-        backend: str = "vectorized",
-        spectral=None,
-    ) -> None:
-        self.rays_per_cell = int(rays_per_cell)
-        self.threshold = float(threshold)
+    def __init__(self, *, seed: int = 0, backend: str = "vectorized", **options) -> None:
         self.seed = int(seed)
-        self.halo = int(halo)
-        self.reflections = bool(reflections)
-        self.centered_origins = bool(centered_origins)
         self.backend = backend
-        self.spectral = spectral
+        self.options = TraceOptions(**options)
 
     def solve(self, grid: Grid, props: RadiativeProperties) -> RMCRTResult:
         """Compute del.q on the finest level of ``grid``."""
-        options = dict(
-            rays_per_cell=self.rays_per_cell,
-            threshold=self.threshold,
-            seed=self.seed,
-            reflections=self.reflections,
-            centered_origins=self.centered_origins,
-            spectral=self.spectral,
-        )
         if grid.num_levels == 1:
-            inner = SingleLevelRMCRT(backend=self.backend, **options)
+            inner = SingleLevelRMCRT(seed=self.seed, backend=self.backend, **vars(self.options))
         else:
             if self.backend != "vectorized":
                 raise ReproError(
                     "the scalar reference backend only supports single-level grids"
                 )
-            inner = MultiLevelRMCRT(halo=self.halo, **options)
+            inner = MultiLevelRMCRT(seed=self.seed, **vars(self.options))
         return inner.solve(grid, props)
 
     def solve_benchmark(

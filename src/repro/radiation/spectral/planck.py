@@ -85,10 +85,9 @@ def fraction_inverse(fraction: float, temperature: float) -> float:
     lo, hi = 1e-3, 1e6 / temperature  # lambda*T from 1e-3*T to 1e6 um*K
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if planck_fraction(mid * temperature) < fraction:
-            lo = mid
-        else:
-            hi = mid
+        if mid in (lo, hi):
+            break  # adjacent doubles: every later step would repeat this one
+        lo, hi = (mid, hi) if planck_fraction(mid * temperature) < fraction else (lo, mid)
     return 0.5 * (lo + hi)
 
 

@@ -39,7 +39,16 @@ values with ``inf`` allowed), a kappa power law in wavelength, and a
 named surface emissivity table.
 
 Parsing is strict: unknown tags raise, so typos fail loudly instead of
-silently running defaults (a lesson every Uintah user learns once).
+silently running defaults (a lesson every Uintah user learns once). A
+value is converted by its tag's converter, which names the tag when it
+cannot read it. Every entry (:func:`parse_ups`, :func:`spec_from_dict`,
+:func:`run_ups`) checks the same rules before any solve, each where it
+is written once: the ``<RMCRT>`` block's trace options in
+:class:`~repro.core.kernels.TraceOptions`, which every solver builds
+from its keywords (rays >= 1, 0 < threshold < 1, halo >= 0, no
+reflections with a spectral model); the grid, the seed and the
+scheduler in :func:`_validate`; the ``<Spectral>`` block in
+:func:`_validate_spectral`, without building its model.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.distributed import DistributedRMCRT, benchmark_property_init
+from repro.core.kernels import TraceOptions
 from repro.core.single_level import RMCRTResult
 from repro.core.solver import RMCRTSolver
 from repro.grid.grid import Grid
@@ -118,42 +128,57 @@ def _text(elem: ET.Element) -> str:
     return (elem.text or "").strip()
 
 
-def _parse_bool(raw: str, tag: str) -> bool:
+def _bool(raw: str) -> bool:
+    return _BOOL[raw.lower()]
+
+
+def _band_edges(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split())
+
+
+#: what each converter reads, for the error naming a value it cannot
+_EXPECTS = {
+    int: "an integer",
+    float: "a number",
+    _bool: "true/false",
+    _band_edges: "whitespace-separated wavelengths (um, 'inf' allowed)",
+}
+
+
+def _convert(conv, raw: str, where: str):
+    """``conv(raw)``, or a ReproError naming the tag or attribute."""
     try:
-        return _BOOL[raw.lower()]
-    except KeyError:
-        raise ReproError(f"<{tag}> expects true/false, got {raw!r}") from None
+        return conv(raw)
+    except (KeyError, ValueError):
+        raise ReproError(f"{where} expects {_EXPECTS[conv]}, got {raw!r}") from None
 
 
-_GRID_TAGS = {
-    "resolution": ("resolution", int),
-    "levels": ("levels", int),
-    "refinement_ratio": ("refinement_ratio", int),
-    "patch_size": ("patch_size", int),
+#: UPS section -> (ProblemSpec attribute, {tag: (attribute, converter)})
+_SECTIONS = {
+    "Grid": ("grid", {
+        "resolution": ("resolution", int),
+        "levels": ("levels", int),
+        "refinement_ratio": ("refinement_ratio", int),
+        "patch_size": ("patch_size", int),
+    }),
+    "RMCRT": ("rmcrt", {
+        "nDivQRays": ("n_divq_rays", int),
+        "Threshold": ("threshold", float),
+        "halo": ("halo", int),
+        "allowReflect": ("allow_reflect", _bool),
+        "CCRays": ("cc_rays", _bool),
+        "randomSeed": ("random_seed", int),
+    }),
+    "Spectral": ("spectral", {
+        "bands": ("bands", int),
+        "bandEdges": ("band_edges_um", _band_edges),
+        "temperature": ("temperature", float),
+        "kappaExponent": ("kappa_exponent", float),
+        "emissivity": ("emissivity", str),
+    }),
 }
-_RMCRT_TAGS = {
-    "nDivQRays": ("n_divq_rays", int),
-    "Threshold": ("threshold", float),
-    "halo": ("halo", int),
-    "randomSeed": ("random_seed", int),
-}
-_RMCRT_BOOL_TAGS = {"allowReflect": "allow_reflect", "CCRays": "cc_rays"}
-_SPECTRAL_TAGS = {
-    "bands": ("bands", int),
-    "temperature": ("temperature", float),
-    "kappaExponent": ("kappa_exponent", float),
-    "emissivity": ("emissivity", str),
-}
-
-
-def _parse_band_edges(raw: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in raw.split())
-    except ValueError:
-        raise ReproError(
-            f"<bandEdges> expects whitespace-separated wavelengths "
-            f"(um, 'inf' allowed), got {raw!r}"
-        ) from None
+#: <Scheduler> attribute -> converter
+_SCHEDULER_ATTRS = {"type": str, "ranks": int, "pool": str, "threads": int}
 
 
 def parse_ups(source: str) -> ProblemSpec:
@@ -172,48 +197,41 @@ def parse_ups(source: str) -> ProblemSpec:
         )
     spec = ProblemSpec()
     for section in root:
-        if section.tag == "Grid":
+        if section.tag in _SECTIONS:
+            name, tags = _SECTIONS[section.tag]
+            if section.tag == "Spectral":
+                spec.spectral = SpectralSpec()
+            target = getattr(spec, name)
             for child in section:
-                if child.tag not in _GRID_TAGS:
-                    raise ReproError(f"unknown <Grid> tag <{child.tag}>")
-                attr, conv = _GRID_TAGS[child.tag]
-                setattr(spec.grid, attr, conv(_text(child)))
-        elif section.tag == "RMCRT":
-            for child in section:
-                if child.tag in _RMCRT_TAGS:
-                    attr, conv = _RMCRT_TAGS[child.tag]
-                    setattr(spec.rmcrt, attr, conv(_text(child)))
-                elif child.tag in _RMCRT_BOOL_TAGS:
-                    setattr(
-                        spec.rmcrt,
-                        _RMCRT_BOOL_TAGS[child.tag],
-                        _parse_bool(_text(child), child.tag),
-                    )
-                else:
-                    raise ReproError(f"unknown <RMCRT> tag <{child.tag}>")
-        elif section.tag == "Spectral":
-            spec.spectral = SpectralSpec()
-            for child in section:
-                if child.tag in _SPECTRAL_TAGS:
-                    attr, conv = _SPECTRAL_TAGS[child.tag]
-                    setattr(spec.spectral, attr, conv(_text(child)))
-                elif child.tag == "bandEdges":
-                    spec.spectral.band_edges_um = _parse_band_edges(_text(child))
-                else:
-                    raise ReproError(f"unknown <Spectral> tag <{child.tag}>")
+                if child.tag not in tags:
+                    raise ReproError(f"unknown <{section.tag}> tag <{child.tag}>")
+                attr, conv = tags[child.tag]
+                setattr(target, attr, _convert(conv, _text(child), f"<{child.tag}>"))
         elif section.tag == "Scheduler":
-            spec.scheduler.type = section.attrib.get("type", "serial")
-            spec.scheduler.ranks = int(section.attrib.get("ranks", "1"))
-            spec.scheduler.pool = section.attrib.get("pool", "waitfree")
-            spec.scheduler.threads = int(section.attrib.get("threads", "4"))
-            unknown = set(section.attrib) - {"type", "ranks", "pool", "threads"}
+            unknown = set(section.attrib) - set(_SCHEDULER_ATTRS)
             if unknown:
                 raise ReproError(f"unknown <Scheduler> attributes {sorted(unknown)}")
+            for attr, raw in section.attrib.items():
+                where = f"<Scheduler {attr}=...>"
+                setattr(spec.scheduler, attr, _convert(_SCHEDULER_ATTRS[attr], raw, where))
         else:
             raise ReproError(f"unknown UPS section <{section.tag}>")
 
     _validate(spec)
     return spec
+
+
+def _trace_options(spec: ProblemSpec, spectral) -> TraceOptions:
+    """The solvers' trace options for ``spec``; ``spectral`` is its model."""
+    r = spec.rmcrt
+    return TraceOptions(
+        rays_per_cell=r.n_divq_rays,
+        threshold=r.threshold,
+        halo=r.halo,
+        reflections=r.allow_reflect,
+        centered_origins=r.cc_rays,
+        spectral=spectral,
+    )
 
 
 def _validate(spec: ProblemSpec) -> None:
@@ -224,14 +242,15 @@ def _validate(spec: ProblemSpec) -> None:
         raise ReproError(f"resolution must be >= 2, got {g.resolution}")
     if g.refinement_ratio < 1:
         raise ReproError(f"refinement_ratio must be >= 1, got {g.refinement_ratio}")
-    if r.n_divq_rays < 1:
-        raise ReproError("nDivQRays must be >= 1")
-    if not 0 < r.threshold < 1:
-        raise ReproError("Threshold must be in (0, 1)")
+    if r.random_seed < 0:
+        raise ReproError(f"randomSeed must be >= 0, got {r.random_seed}")
+    # the <Spectral> block stands in for its model, which is slow to
+    # build: the trace options' rules only ask whether there is one
+    _trace_options(spec, spec.spectral)
     if s.type not in ("serial", "threaded", "distributed", "gpu"):
         raise ReproError(f"unknown scheduler type {s.type!r}")
     if spec.spectral is not None:
-        _validate_spectral(spec)
+        _validate_spectral(spec.spectral)
     if s.type != "serial":
         if g.patch_size is None:
             raise ReproError(f"{s.type} runs need <patch_size>")
@@ -239,10 +258,9 @@ def _validate(spec: ProblemSpec) -> None:
             raise ReproError("the RMCRT task pipeline needs a 2-level grid")
 
 
-def _validate_spectral(spec: ProblemSpec) -> None:
+def _validate_spectral(sp: SpectralSpec) -> None:
     from repro.radiation.spectral.emissivity import MATERIALS
 
-    sp = spec.spectral
     if sp.bands < 1:
         raise ReproError(f"<Spectral> bands must be >= 1, got {sp.bands}")
     if sp.temperature <= 0:
@@ -259,11 +277,6 @@ def _validate_spectral(spec: ProblemSpec) -> None:
         raise ReproError(
             f"unknown <Spectral> emissivity {sp.emissivity!r}; "
             f"known: {', '.join(sorted(known))}"
-        )
-    if spec.rmcrt.allow_reflect:
-        raise ReproError(
-            "allowReflect is not supported with <Spectral> "
-            "(band-resolved reflections are future work)"
         )
 
 
@@ -320,27 +333,22 @@ def run_prepared(spec: ProblemSpec, scene: PreparedScene) -> RMCRTResult:
     same grid construction and solver calls, only with the scene build
     hoisted out so it can be shared across a batch.
     """
-    r = spec.rmcrt
-    options = dict(
-        rays_per_cell=r.n_divq_rays,
-        halo=r.halo,
-        threshold=r.threshold,
-        seed=r.random_seed,
-        reflections=r.allow_reflect,
-        centered_origins=r.cc_rays,
-        spectral=None if spec.spectral is None else spectral_model(spec.spectral),
-    )
+    spectral = None if spec.spectral is None else spectral_model(spec.spectral)
+    options = vars(_trace_options(spec, spectral))
+    seed = spec.rmcrt.random_seed
     # the 3-task pipeline for threaded/distributed/gpu runs, the direct
     # solvers for serial ones: one trace, the same bytes
     if spec.scheduler.type != "serial":
-        drm = DistributedRMCRT(scene.grid, benchmark_property_init(scene.bench), **options)
+        drm = DistributedRMCRT(
+            scene.grid, benchmark_property_init(scene.bench), seed=seed, **options
+        )
         return drm.solve(
             spec.scheduler.type,
             num_ranks=spec.scheduler.ranks,
             num_threads=spec.scheduler.threads,
             pool_kind=spec.scheduler.pool,
         )
-    return RMCRTSolver(**options).solve(scene.grid, scene.props)
+    return RMCRTSolver(seed=seed, **options).solve(scene.grid, scene.props)
 
 
 def run_ups(spec: ProblemSpec) -> RMCRTResult:
@@ -481,8 +489,9 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
         )
     except (TypeError, ValueError) as exc:
         raise ReproError(f"malformed spec document: {exc}") from None
-    _validate(spec)
-    return spec
+    # through the UPS text, so every value meets the converter and the
+    # rules its tag meets in a file
+    return parse_ups(spec_to_ups(spec))
 
 
 def spec_to_ups(spec: ProblemSpec) -> str:

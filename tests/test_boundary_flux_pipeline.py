@@ -75,6 +75,24 @@ class TestPipelineBoundaryFlux:
         result = drm.solve("serial")
         assert result.wall_flux is None
 
+    @pytest.mark.parametrize("option", ["reflections", "spectral"])
+    def test_an_option_the_flux_would_ignore_is_refused(self, option):
+        """The radiometer rays are gray and see black walls: with
+        reflections or a spectral model the divq would follow the
+        option and the wall flux silently not."""
+        from repro.radiation import SpectralModel
+
+        bench = BurnsChristonBenchmark(resolution=16)
+        grid = bench.two_level_grid(refinement_ratio=4, fine_patch_size=8)
+        value = {"reflections": True, "spectral": SpectralModel.gray_limit()}[option]
+        with pytest.raises(ReproError, match="wall flux"):
+            DistributedRMCRT(
+                grid, benchmark_property_init(bench), compute_boundary_flux=True,
+                wall_emissivity=0.5, **{option: value},
+            )
+        # the same options without the flux task run
+        DistributedRMCRT(grid, benchmark_property_init(bench), **{option: value})
+
     def test_agrees_with_single_level_radiometer(self, pipeline):
         """The multi-level pipeline flux statistically matches the
         single-level VirtualRadiometer on the same physics."""

@@ -172,13 +172,18 @@ class TestValidation:
 
         bench = BurnsChristonBenchmark(resolution=8)
         grid = bench.two_level_grid(refinement_ratio=2, fine_patch_size=4)
-        drm = DistributedRMCRT(grid, benchmark_property_init(bench), rays_per_cell=rays, halo=1)
+
+        def pipeline():
+            return DistributedRMCRT(
+                grid, benchmark_property_init(bench), rays_per_cell=rays, halo=1
+            )
+
         solve = {
             "multi_level": lambda: MultiLevelRMCRT(rays_per_cell=rays).solve(
                 grid, bench.properties_for_level(grid.finest_level)
             ),
-            "serial": lambda: drm.solve("serial"),
-            "distributed": lambda: drm.solve("distributed", num_ranks=2),
+            "serial": lambda: pipeline().solve("serial"),
+            "distributed": lambda: pipeline().solve("distributed", num_ranks=2),
             "run_ups": lambda: run_ups(ProblemSpec(
                 grid=GridSpec(resolution=8, refinement_ratio=2, patch_size=4),
                 rmcrt=RMCRTSpec(n_divq_rays=rays, halo=1),

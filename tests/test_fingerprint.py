@@ -115,6 +115,36 @@ class TestSensitivity:
             base_spec()
         ), f"fingerprint ignored {name}"
 
+    def test_every_trace_option_and_the_seed_change_the_fingerprint(self):
+        """Every field of the solvers' one options block is content: a
+        field added to TraceOptions without a spec field digested here
+        fails this test, while the scheduler is not content."""
+        from dataclasses import fields
+
+        from repro.core import TraceOptions
+
+        def rmcrt(attr, value):
+            return lambda spec: setattr(spec.rmcrt, attr, value)
+
+        mutate = {
+            "rays_per_cell": rmcrt("n_divq_rays", 7),
+            "threshold": rmcrt("threshold", 2e-3),
+            "halo": rmcrt("halo", 3),
+            "reflections": rmcrt("allow_reflect", True),
+            "centered_origins": rmcrt("cc_rays", True),
+            "spectral": lambda spec: setattr(spec, "spectral", SpectralSpec()),
+            "seed": rmcrt("random_seed", 4),
+        }
+        assert set(mutate) == {f.name for f in fields(TraceOptions)} | {"seed"}
+        base = spec_fingerprint(base_spec())
+        for option, apply in mutate.items():
+            spec = base_spec()
+            apply(spec)
+            assert spec_fingerprint(spec) != base, f"fingerprint ignored {option}"
+        rescheduled = base_spec()
+        rescheduled.scheduler = SchedulerSpec(type="threaded", ranks=3, pool="locked", threads=2)
+        assert spec_fingerprint(rescheduled) == base
+
     def test_scheduler_choice_does_not_change_fingerprint(self):
         """Execution strategy is not content: serial, threaded, and
         distributed runs of one spec are bit-identical (pinned by

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid import Box
-from repro.core import LevelFields, generate_patch_rays, patch_roi, trace_patch_multi_level
+from repro.core import (
+    LevelFields, TraceOptions, generate_patch_rays, patch_roi, trace_patch_multi_level,
+)
 from repro.radiation import RadiativeProperties
 
 FINE = Box.cube(8)
@@ -85,12 +87,12 @@ def test_a_patch_draws_and_traces_the_same_alone_or_in_a_launch(
     def patch(box, s):
         return (FINE_FIELDS, box, patch_roi(FINE, box, 1), np.random.default_rng(s))
 
-    kw = dict(centered_origins=centered)
+    options = TraceOptions(rays_per_cell=rays_per_cell, centered_origins=centered)
     launched = trace_patch_multi_level(
-        [COARSE_FIELDS], [patch(b, s) for b, s in zip(patch_boxes, seeds)], rays_per_cell, **kw
+        [COARSE_FIELDS], [patch(b, s) for b, s in zip(patch_boxes, seeds)], options
     )
     for box, s, divq in zip(patch_boxes, seeds, launched):
-        (alone,) = trace_patch_multi_level([COARSE_FIELDS], [patch(box, s)], rays_per_cell, **kw)
+        (alone,) = trace_patch_multi_level([COARSE_FIELDS], [patch(box, s)], options)
         assert divq.tobytes() == alone.tobytes()
 
 

@@ -51,9 +51,9 @@ def window_alone(drm, ctx):
     """The window of one task, its region read by a walk of its own."""
     fine_level = drm.grid.finest_level
     interior = fine_level.domain_box
-    roi = patch_roi(interior, ctx.patch.box, drm.halo)
+    roi = patch_roi(interior, ctx.patch.box, drm.options.halo)
     window = drm._wall_ring_fields(fine_level, roi.grow(1).intersect(interior.grow(1)))
-    region = ctx.patch.box.grow(drm.halo).intersect(interior)
+    region = ctx.patch.box.grow(drm.options.halo).intersect(interior)
     arrays = ctx.new_dw.get_regions(LABELS, fine_level, region, DEFAULTS)
     dst = region.slices(window.box.lo)
     for field, data in zip((window.abskg, window.sigma_t4, window.cell_type), arrays):

@@ -137,7 +137,7 @@ class TestChunkInvariance:
     def test_chunk_size_does_not_change_divq(self, chunk, rays_per_cell):
         """The kernel chunking is pure mechanics: any chunk size yields
         the identical answer for the same rays."""
-        from repro.core import trace_patch_single_level
+        from repro.core import TraceOptions, trace_patch_single_level
         from repro.radiation import BurnsChristonBenchmark
 
         bench = BurnsChristonBenchmark(resolution=8)
@@ -145,14 +145,15 @@ class TestChunkInvariance:
         props = bench.properties_for_level(grid.finest_level)
         fields = LevelFields.from_properties(grid.finest_level, props)
         box = Box.cube(4, lo=(2, 2, 2))
+        options = TraceOptions(rays_per_cell=rays_per_cell)
         base = trace_patch_single_level(
-            fields, box, rays_per_cell, np.random.default_rng(5), chunk_rays=1 << 17
+            fields, box, options, np.random.default_rng(5), chunk_rays=1 << 17
         )
         registry = MetricsRegistry()
         previous = set_metrics(registry)
         try:
             other = trace_patch_single_level(
-                fields, box, rays_per_cell, np.random.default_rng(5),
+                fields, box, options, np.random.default_rng(5),
                 **({} if chunk is None else {"chunk_rays": chunk}),
             )
         finally:

@@ -444,20 +444,15 @@ class TestCLI:
         final = json.loads((spool / "status.json").read_text())
         assert final["shard"]["served"] == 0 and final["shard"]["exited"]
 
-    def test_a_zero_refinement_ratio_is_rejected_and_the_next_request_served(
-        self, tmp_path
-    ):
-        """A spec whose fingerprint cannot even be taken (ratio 0 divides
-        by zero building its grid) is answered with an error, and the
-        server lives on to serve the request behind it."""
+    @staticmethod
+    def serve_bad_then_good(tmp_path, bad_text):
+        """Serve a bad request and the good one queued behind it; returns
+        the bad one's answer once the good one has been served."""
         from repro.service.cli import cmd_serve
         from repro.service.spool import wait_result, write_request
 
         spool = tmp_path / "spool"
-        write_request(
-            spool / "inbox", "a_bad",
-            UPS_TEXT.replace("<refinement_ratio> 2 <", "<refinement_ratio> 0 <"),
-        )
+        write_request(spool / "inbox", "a_bad", bad_text)
         write_request(spool / "inbox", "b_good", UPS_TEXT)
         serve_rc = {}
 
@@ -474,13 +469,33 @@ class TestCLI:
         (spool / "serve.stop").write_text("stop\n")
         server.join(timeout=60)
         assert not server.is_alive() and serve_rc["rc"] == 0
-        assert bad is not None and "refinement_ratio must be >= 1" in bad["error"]
         assert good is not None and good["error"] is None
         with np.load(spool / "outbox" / "b_good.npz") as arrays:
             np.testing.assert_array_equal(arrays["divq"], run_ups(parse_ups(UPS_TEXT)).divq)
         assert list((spool / "claimed" / "shard0").glob("*")) == []
         final = json.loads((spool / "status.json").read_text())
         assert final["shard"]["served"] == 1
+        assert bad is not None
+        return bad
+
+    def test_a_zero_refinement_ratio_is_rejected_and_the_next_request_served(
+        self, tmp_path
+    ):
+        """A spec whose fingerprint cannot even be taken (ratio 0 divides
+        by zero building its grid) is answered with an error, and the
+        server lives on to serve the request behind it."""
+        bad = self.serve_bad_then_good(
+            tmp_path, UPS_TEXT.replace("<refinement_ratio> 2 <", "<refinement_ratio> 0 <")
+        )
+        assert "refinement_ratio must be >= 1" in bad["error"]
+
+    def test_a_non_numeric_value_is_rejected_and_the_next_request_served(self, tmp_path):
+        """A value its tag cannot convert is a typed error naming the
+        tag: the server answers it and lives on, nothing left claimed."""
+        bad = self.serve_bad_then_good(
+            tmp_path, UPS_TEXT.replace("<nDivQRays> 3 <", "<nDivQRays> three <")
+        )
+        assert bad["error"] == "<nDivQRays> expects an integer, got 'three'"
 
     def test_request_without_a_ring_is_served_by_the_poll(self, tmp_path, monkeypatch):
         from repro.service import cli

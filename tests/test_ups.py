@@ -131,6 +131,66 @@ class TestParsing:
         with pytest.raises(ReproError, match="refinement_ratio must be >= 1"):
             check()
 
+    @pytest.mark.parametrize("tag,good,bad", [
+        ("resolution", "<resolution>16<", "<resolution>sixteen<"),
+        ("nDivQRays", "<nDivQRays>8<", "<nDivQRays>three<"),
+        ("Threshold", "<Threshold>0.001<", "<Threshold>low<"),
+        ("CCRays", "<CCRays>false<", "<CCRays>maybe<"),
+        ("bands", "<bands>2<", "<bands>x<"),
+        ("bandEdges", "<bandEdges>0 2 inf<", "<bandEdges>0 two inf<"),
+        ("temperature", "<temperature>900<", "<temperature>hot<"),
+        ("Scheduler ranks", 'ranks="2"', 'ranks="two"'),
+        ("Scheduler threads", 'threads="4"', 'threads="4.5"'),
+    ])
+    def test_a_value_its_tag_cannot_convert_names_the_tag(self, tag, good, bad):
+        """A typed error, not the ValueError of int() or float(), which
+        no caller of a spec catches."""
+        text = FULL.replace(
+            "</RMCRT>",
+            "</RMCRT><Spectral><bands>2</bands><bandEdges>0 2 inf</bandEdges>"
+            "<temperature>900</temperature></Spectral>",
+        )
+        assert good in text and parse_ups(text).spectral.bands == 2
+        with pytest.raises(ReproError, match=f"^<{tag}[ >=].* expects "):
+            parse_ups(text.replace(good, bad))
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_divq_rays", "three"), ("threshold", "low"), ("cc_rays", "maybe"),
+        ("random_seed", 1.5), ("halo", None),
+    ])
+    def test_an_ill_typed_dict_field_fails_typed(self, field, value):
+        from repro.ups import spec_from_dict, spec_to_dict
+
+        doc = spec_to_dict(parse_ups(FULL))
+        doc["rmcrt"][field] = value
+        with pytest.raises(ReproError, match="expects"):
+            spec_from_dict(doc)
+
+    @pytest.mark.parametrize("tag,field,value", [
+        ("randomSeed", "random_seed", 7), ("halo", "halo", 2),
+    ])
+    @pytest.mark.parametrize("entry", ["parse_ups", "spec_from_dict", "run_ups"])
+    def test_a_negative_seed_or_halo_fails_typed_before_any_solve(
+        self, entry, tag, field, value, monkeypatch
+    ):
+        """Not an error from SeedSequence or from the scheduler at solve
+        time, which differed by path: every entry names the value."""
+        import repro.ups as ups
+
+        def no_solve(spec):
+            raise AssertionError("a refused spec reached its solve")
+
+        monkeypatch.setattr(ups, "prepare_scene", no_solve)
+        spec = parse_ups(FULL)
+        setattr(spec.rmcrt, field, -1)
+        check = {
+            "parse_ups": lambda: parse_ups(FULL.replace(f"<{tag}>{value}<", f"<{tag}>-1<")),
+            "spec_from_dict": lambda: ups.spec_from_dict(ups.spec_to_dict(spec)),
+            "run_ups": lambda: ups.run_ups(spec),
+        }[entry]
+        with pytest.raises(ReproError, match=f"^{tag} must be >= 0"):
+            check()
+
     def test_spectral_reflections_and_cc_rays_run_on_every_path(self):
         """One trace serves every scheduler and level count: only
         band-resolved reflections are still refused."""

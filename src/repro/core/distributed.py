@@ -12,7 +12,8 @@ solve but three task types compiled into the per-timestep graph —
    the level database and the per-rank broadcast dedup make affordable.
 3. ``rmcrt.trace`` (per fine patch, optionally a device task): march
    the patch's rays over fine data restricted to the patch ROI plus the
-   shared coarse levels, computing del.q.
+   shared coarse levels, computing del.q (and the wall flux, from its
+   wall faces' rays in the same launch).
 
 A rank's ready trace tasks run as one launch: the task declares its
 share of a launch (its rays over :data:`~repro.core.kernels.LAUNCH_RAYS`),
@@ -47,6 +48,7 @@ from repro.dw.label import cc, per_level
 from repro.radiation.constants import SIGMA_SB
 from repro.core.fields import LevelFields
 from repro.core.kernels import LAUNCH_RAYS, TraceOptions, patch_roi, trace_patch_multi_level
+from repro.core.rays import checked_rays_per_face, wall_faces
 from repro.core.single_level import RMCRTResult
 from repro.runtime.scheduler import (
     DistributedScheduler,
@@ -88,7 +90,7 @@ class DistributedRMCRT:
 
     The trace keywords are :class:`~repro.core.kernels.TraceOptions`'s,
     held as ``self.options``; the rest describe the scene (the wall
-    ring), the run (``device``) and the wall flux task.
+    ring), the run (``device``) and the wall flux.
     """
 
     def __init__(
@@ -109,11 +111,6 @@ class DistributedRMCRT:
         if not grid.finest_level.patches:
             raise ReproError("the finest level must be decomposed into patches")
         self.options = TraceOptions(**options)
-        if compute_boundary_flux and (self.options.reflections or self.options.spectral is not None):
-            # its radiometer rays are gray and see black walls
-            raise ReproError(
-                "the wall flux does not trace reflections or a spectral model yet"
-            )
         self.grid = grid
         self.property_init = property_init
         self.seed = int(seed)
@@ -121,7 +118,7 @@ class DistributedRMCRT:
         self.wall_emissivity = float(wall_emissivity)
         self.device = bool(device)
         self.compute_boundary_flux = bool(compute_boundary_flux)
-        self.flux_rays_per_face = int(flux_rays_per_face)
+        self.flux_rays_per_face = checked_rays_per_face(flux_rays_per_face)
         self._coarse_labels = {
             idx: {
                 "abskg": per_level(f"abskg_L{idx}"),
@@ -218,64 +215,53 @@ class DistributedRMCRT:
             windows.append((fine, roi))
         return windows
 
+    def _wall_faces(self, patch) -> list:
+        """(axis, side, slab) of each wall the patch touches, with the flux on."""
+        if not self.compute_boundary_flux:
+            return []
+        return wall_faces(self.grid.finest_level.domain_box, patch.box)
+
     def _trace_cb(self, ctxs) -> None:
         """One launch for the patches of ``ctxs``: a window each, the
-        fine level read and the coarse levels assembled once."""
+        fine level read and the coarse levels assembled once; with the
+        flux on, each patch's wall faces are a ray source too."""
         patches = [
             (window, ctx.patch.box, roi, spawn_stream(self.seed, 0, ctx.patch.patch_id))
             for ctx, (window, roi) in zip(ctxs, self._fine_windows(ctxs))
         ]
-        divqs = trace_patch_multi_level(
+        faces = [
+            [
+                (axis, side, slab, spawn_stream(self.seed, 1, ctx.patch.patch_id, 2 * axis + side))
+                for axis, side, slab in self._wall_faces(ctx.patch)
+            ]
+            for ctx in ctxs
+        ]
+        divqs, fluxes = trace_patch_multi_level(
             self._coarse_fields(ctxs[0]),
             patches,
             self.options,
             band_rngs=None if self.options.spectral is None else [
                 spawn_stream(self.seed, SPECTRAL_STREAM, ctx.patch.patch_id) for ctx in ctxs
             ],
+            faces=faces,
+            rays_per_face=self.flux_rays_per_face,
         )
-        for ctx, divq in zip(ctxs, divqs):
-            if np.isnan(divq).any():
+        for ctx, divq, patch_faces, qs in zip(ctxs, divqs, faces, fluxes):
+            results = [(DIVQ, divq)]
+            if self.compute_boundary_flux:
+                box = ctx.patch.box
+                flux = np.zeros(box.extent)
+                for (_, _, slab, _), q in zip(patch_faces, qs):
+                    # edge/corner cells accumulate contributions from each wall
+                    flux[slab.slices(origin=box.lo)] += q
+                results.append((WALL_FLUX, flux))
+            if any(np.isnan(value).any() for _, value in results):
                 raise ReproError(
                     f"trace on patch {ctx.patch.patch_id} read cells outside its "
                     f"ROI (NaN poisoning fired) — halo/ROI declaration is wrong"
                 )
-            ctx.compute(DIVQ, divq)
-
-    def _bflux_cb(self, ctx) -> None:
-        """Incident radiative flux in the patch's wall-adjacent cells —
-        the boiler designer's quantity of interest (Section III.A),
-        computed with multi-level radiometer rays."""
-        from repro.core.boundary_flux import WALLS, incident_flux_multilevel
-
-        [(window, roi)] = self._fine_windows([ctx])
-        all_fields = [*self._coarse_fields(ctx), window]
-        interior = self.grid.finest_level.domain_box
-        flux = np.zeros(ctx.patch.box.extent)
-        for axis, side in WALLS:
-            slab_lo = list(interior.lo)
-            slab_hi = list(interior.hi)
-            if side == 0:
-                slab_hi[axis] = slab_lo[axis] + 1
-            else:
-                slab_lo[axis] = slab_hi[axis] - 1
-            face_box = Box(tuple(slab_lo), tuple(slab_hi)).intersect(ctx.patch.box)
-            if face_box.empty:
-                continue  # this patch does not touch that wall
-            rng = spawn_stream(self.seed, 1, ctx.patch.patch_id, 2 * axis + side)
-            q = incident_flux_multilevel(
-                all_fields, axis, side, face_box,
-                self.flux_rays_per_face, rng,
-                roi=roi, threshold=self.options.threshold,
-            )
-            if np.isnan(q).any():
-                raise ReproError(
-                    f"boundary flux on patch {ctx.patch.patch_id} read cells "
-                    f"outside its ROI"
-                )
-            target = flux[face_box.slices(origin=ctx.patch.box.lo)]
-            # edge/corner cells accumulate contributions from each wall
-            target += np.expand_dims(q, axis)
-        ctx.compute(WALL_FLUX, flux)
+            for label, value in results:
+                ctx.compute(label, value)
 
     # ------------------------------------------------------------------
     # graph assembly + solve
@@ -315,6 +301,7 @@ class DistributedRMCRT:
             fine_idx,
         )
         halo, rays_per_cell = self.options.halo, self.options.rays_per_cell
+        rays_per_face = self.flux_rays_per_face
         trace_requires = [
             Requires(ABSKG, num_ghost=halo),
             Requires(SIGMA_T4, num_ghost=halo),
@@ -329,25 +316,17 @@ class DistributedRMCRT:
                 "rmcrt.trace",
                 self._trace_cb,
                 requires=trace_requires,
-                computes=[Computes(DIVQ)],
+                computes=[Computes(DIVQ)] + (
+                    [Computes(WALL_FLUX)] if self.compute_boundary_flux else []
+                ),
                 device=self.device,
                 launch_share=lambda patch: (
-                    patch.num_cells * rays_per_cell / LAUNCH_RAYS
-                ),
+                    patch.num_cells * rays_per_cell
+                    + sum(slab.volume for _, _, slab in self._wall_faces(patch)) * rays_per_face
+                ) / LAUNCH_RAYS,
             ),
             fine_idx,
         )
-        if self.compute_boundary_flux:
-            tg.add_task(
-                Task(
-                    "rmcrt.boundaryFlux",
-                    self._bflux_cb,
-                    requires=list(trace_requires),
-                    computes=[Computes(WALL_FLUX)],
-                    device=self.device,
-                ),
-                fine_idx,
-            )
         return tg
 
     def solve(

@@ -24,7 +24,7 @@ from repro.grid.box import Box
 from repro.grid.celltype import CellType
 from repro.core.dda import RayBatch, march
 from repro.core.fields import LevelFields
-from repro.core.rays import generate_patch_rays
+from repro.core.rays import generate_face_rays, generate_patch_rays
 from repro.perf.metrics import get_metrics
 from repro.util.errors import ReproError
 
@@ -190,11 +190,13 @@ def trace_patch_single_level(
 
 def trace_patch_multi_level(
     coarse_fields: Sequence[LevelFields],
-    patches: Sequence[Tuple[LevelFields, Box, Optional[Box], np.random.Generator]],
+    patches: Sequence[Tuple[LevelFields, Optional[Box], Optional[Box], Optional[np.random.Generator]]],
     options: TraceOptions,
     chunk_rays: int = LAUNCH_RAYS,
     band_rngs: Optional[Sequence[np.random.Generator]] = None,
-) -> List[np.ndarray]:
+    faces: Optional[Sequence[Sequence[Tuple[int, int, Box, np.random.Generator]]]] = None,
+    rays_per_face: int = 1,
+):
     """del.q over fine patches using the data-onion hierarchy, the rays
     of all of them marched together (one launch when the caller kept
     them within the width; cut to ``chunk_rays`` otherwise).
@@ -207,27 +209,38 @@ def trace_patch_multi_level(
     :func:`march_chunked` for the cascade), or None for the whole level;
     its rays are drawn from its own ``rng``, so a patch's del.q does not
     depend on what it is launched with. Returns one del.q per patch, in
-    order.
+    order (None for a ``box`` of None: no cell rays).
 
-    ``options`` are the trace's (a ``roi`` already holds their halo).
-    With a ``spectral`` model (its band table, kappa scales and surface
-    emissivity table) every ray also draws a wavelength band from its
-    patch's entry of ``band_rngs`` and marches through its band's fields on
-    every level (:meth:`~repro.core.fields.LevelFields.band`), the bands
-    laid out as windows of the one launch. A
+    ``faces[k]``, when given, are patch ``k``'s wall faces, the second ray
+    source: ``(axis, side, slab, rng)`` marches ``rays_per_face`` rays of
+    ``rng`` from the wall face of each cell of ``slab``
+    (:func:`~repro.core.rays.generate_face_rays`) in the patch's window,
+    and the return is ``(divqs, fluxes)``: ``fluxes[k]`` holds each face's
+    incident flux, pi times its rays' mean sum_I, shaped like ``slab``.
+
+    ``options`` are the trace's (a ``roi`` already holds their halo), for
+    face rays as for cell rays. With a ``spectral`` model (its band
+    table, kappa scales and surface emissivity table) every ray also
+    draws a wavelength band from its patch's entry of ``band_rngs`` (face
+    rays after cell rays) and marches through its band's fields on every
+    level (:meth:`~repro.core.fields.LevelFields.band`), the bands laid
+    out as windows of the one launch. A
     ray lands in band ``b`` with the Planck probability ``w_b`` and
     marches against the unscaled emission (the ``w_b`` of emission and
-    the ``1/w_b`` of the estimator cancel), and its intensity is weighted
-    by the band's kappa scale at the origin cell, so
+    the ``1/w_b`` of the estimator cancel), and a cell ray's intensity is
+    weighted by the band's kappa scale at the origin cell, so
 
         del.q[c] = 4 pi kappa[c] (pm * sigma_t4[c]/pi
                                   - mean_r kappa_scale[b(r)] * sumI_r)
 
-    with ``pm = sum_b w_b kappa_scale[b]`` the Planck-mean scale. One
+    with ``pm = sum_b w_b kappa_scale[b]`` the Planck-mean scale. A face
+    ray is not weighted (the wall absorbs every band): its E[sumI] =
+    sum_b w_b I_b / w_b is the total incident intensity. One
     full-spectrum band of scale 1 is the gray trace, bit for bit.
     """
     rays_per_cell, spectral = options.rays_per_cell, options.spectral
-    for fine, box, roi, _ in patches:
+    cells = [(fine, box, roi, rng) for fine, box, roi, rng in patches if box is not None]
+    for fine, box, roi, _ in cells:
         if not fine.interior.contains_box(box):
             raise ReproError(f"patch box {box} outside fine interior {fine.interior}")
         if roi is not None and (not fine.ring_box.contains_box(roi) or not roi.contains_box(box)):
@@ -239,14 +252,24 @@ def trace_patch_multi_level(
     # draws from its own stream, so its rays and its del.q do not depend
     # on what it is launched with
     origins, directions = generate_patch_rays(
-        patches[0][0], [box for _, box, _, _ in patches], rays_per_cell,
-        [rng for _, _, _, rng in patches], centered_origins=options.centered_origins,
+        patches[0][0], [box for _, box, _, _ in cells], rays_per_cell,
+        [rng for _, _, _, rng in cells], centered_origins=options.centered_origins,
     )
-    volumes = [box.volume for _, box, _, _ in patches]
-    counts = np.multiply(volumes, rays_per_cell)
+    volumes = [0 if box is None else box.volume for _, box, _, _ in patches]
+    cell_rays = origins.shape[0]
+    # each source's rays, patch by patch: the cells', then the wall faces'
+    sources = [np.multiply(volumes, rays_per_cell)]
+    all_faces = [face for patch_faces in faces or () for face in patch_faces]
+    if all_faces:
+        face_origins, face_directions = generate_face_rays(patches[0][0], all_faces, rays_per_face)
+        origins = np.concatenate((origins.T, face_origins.T), axis=1).T
+        directions = np.concatenate((directions.T, face_directions.T), axis=1).T
+        sources.append([sum(s.volume for _, _, s, _ in f) * rays_per_face for f in faces])
     fines = [fine for fine, _, _, _ in patches]
     rois = [roi for _, _, roi, _ in patches]
-    patch_of = np.repeat(np.arange(len(patches)), counts) if len(patches) > 1 else None
+    patch_of = None
+    if len(patches) > 1:
+        patch_of = np.concatenate([np.repeat(np.arange(len(patches)), n) for n in sources])
     if spectral is None:
         levels = [*coarse_fields, fines]
         window_of = [None] * len(coarse_fields) + [patch_of]
@@ -255,7 +278,7 @@ def trace_patch_multi_level(
         # is band b of the level, on the fine level window k * nb + b is
         # band b of patch k's window
         nb = spectral.nbands
-        bands = draw_bands(spectral, band_rngs, counts)
+        bands = np.concatenate([draw_bands(spectral, band_rngs, n) for n in sources])
         levels = [[c.band(spectral, b) for b in range(nb)] for c in coarse_fields]
         levels.append([f.band(spectral, b) for f in fines for b in range(nb)])
         window_of = [bands] * len(coarse_fields)
@@ -265,15 +288,21 @@ def trace_patch_multi_level(
         levels, origins, directions, roi=rois, threshold=options.threshold,
         reflections=options.reflections, chunk_rays=chunk_rays, window_of=window_of,
     )
+    cell_sum_i, face_sum_i = sum_i[:cell_rays], sum_i[cell_rays:]
     emission_scale = 1.0
     if spectral is not None:
-        sum_i *= spectral.kappa_scales[bands]
+        cell_sum_i *= spectral.kappa_scales[bands[:cell_rays]]
         emission_scale = spectral.planck_mean_scale
-    means = sum_i.reshape(-1, rays_per_cell).mean(axis=1)
-    return [
-        divq_from_sums(fine, box, mean, emission_scale)
+    means = cell_sum_i.reshape(-1, rays_per_cell).mean(axis=1)
+    divqs = [
+        None if box is None else divq_from_sums(fine, box, mean, emission_scale)
         for (fine, box, _, _), mean in zip(patches, np.split(means, np.cumsum(volumes)[:-1]))
     ]
+    if faces is None:
+        return divqs
+    per_face = iter(np.split(face_sum_i.reshape(-1, rays_per_face).mean(axis=1) * np.pi,
+                             np.cumsum([slab.volume for _, _, slab, _ in all_faces])[:-1]))
+    return divqs, [[next(per_face).reshape(slab.extent) for _, _, slab, _ in f] for f in faces]
 
 
 def patch_roi(fine_interior: Box, patch_box: Box, halo: int) -> Box:

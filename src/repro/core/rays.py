@@ -11,18 +11,23 @@ A kernel launch draws the rays of all its patches in one call
 (:func:`generate_patch_rays`): each patch still draws from its own
 stream, but every transform from uniform draws to positions and unit
 vectors runs once over the launch, into the by-axis ``(3, n)`` rows the
-DDA set-up reads. One patch is the K = 1 case of the same call.
+DDA set-up reads. One patch is the K = 1 case of the same call. Wall
+faces are the other ray source (:func:`generate_face_rays`).
 """
 
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.grid.box import Box
 from repro.core.fields import LevelFields
+from repro.util.errors import ReproError
+
+#: (axis, side) for the six walls; side 0 = low face, 1 = high face
+WALLS: List[Tuple[int, int]] = [(a, s) for a in range(3) for s in (0, 1)]
 
 
 def _orient(rows: np.ndarray) -> np.ndarray:
@@ -157,3 +162,67 @@ def generate_patch_rays(
         end += count
     origins = _origins(fields, _cell_rows(boxes), rays_per_cell, jitter)
     return origins.T, _orient(directions).T
+
+
+def cosine_hemisphere_directions(
+    rng: np.random.Generator, n: int, axis: int, side: int
+) -> np.ndarray:
+    """``n`` cosine-weighted directions about the inward wall normal.
+
+    For the low face the inward normal is +axis; for the high face it
+    is -axis. Malley's method: uniform disk lift.
+    """
+    r = np.sqrt(rng.random(n))
+    phi = 2.0 * np.pi * rng.random(n)
+    dirs = np.empty((n, 3))
+    u, v = [d for d in range(3) if d != axis]
+    dirs[:, u] = r * np.cos(phi)
+    dirs[:, v] = r * np.sin(phi)
+    w = np.sqrt(np.maximum(0.0, 1.0 - r * r))
+    dirs[:, axis] = w if side == 0 else -w
+    return dirs
+
+
+def checked_rays_per_face(rays_per_face: int) -> int:
+    """``rays_per_face`` as an int, refused below one (a face's flux is a mean)."""
+    if rays_per_face < 1:
+        raise ReproError(f"rays_per_face must be >= 1, got {rays_per_face}")
+    return int(rays_per_face)
+
+
+def wall_faces(
+    interior: Box, box: Box, walls: Sequence[Tuple[int, int]] = WALLS
+) -> List[Tuple[int, int, Box]]:
+    """``(axis, side, slab)`` for each of ``walls`` that ``box`` touches:
+    ``slab`` is the cells of ``box`` on that wall of ``interior``."""
+    faces = []
+    for axis, side in walls:
+        lo, hi = list(interior.lo), list(interior.hi)
+        lo[axis], hi[axis] = (lo[axis], lo[axis] + 1) if side == 0 else (hi[axis] - 1, hi[axis])
+        slab = Box(tuple(lo), tuple(hi)).intersect(box)
+        if not slab.empty:
+            faces.append((axis, side, slab))
+    return faces
+
+
+def generate_face_rays(
+    fields: LevelFields,
+    faces: Sequence[Tuple[int, int, Box, np.random.Generator]],
+    rays_per_face: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(origins, directions) of ``rays_per_face`` rays on the wall face of
+    every cell of every ``(axis, side, slab, rng)``, face after face,
+    grouped by cell in :func:`region_cells` order. Each face draws from
+    its ``rng`` the ``(n, 3)`` jitter (the wall axis then set on the wall
+    plane, a 1e-9 of a cell inward), then the directions."""
+    dx, anchor = np.asarray(fields.dx), np.asarray(fields.anchor)
+    origins, directions = [], []
+    for axis, side, slab, rng in faces:
+        n = slab.volume * rays_per_face
+        rep = np.repeat(region_cells(slab).astype(np.float64), rays_per_face, axis=0)
+        pos = anchor + (rep + rng.random((n, 3))) * dx
+        plane = anchor[axis] + (slab.lo[axis] + (0.0 if side == 0 else 1.0)) * dx[axis]
+        pos[:, axis] = plane + (1.0 if side == 0 else -1.0) * 1e-9 * dx[axis]
+        origins.append(pos)
+        directions.append(cosine_hemisphere_directions(rng, n, axis, side))
+    return np.concatenate(origins), np.concatenate(directions)

@@ -1,18 +1,23 @@
-"""Tests for the boundary-flux (radiometer) task in the distributed
-RMCRT pipeline — the boiler wall heat flux, computed multi-level."""
+"""Tests for the boundary flux in the distributed RMCRT pipeline — the
+boiler wall heat flux, computed multi-level from the wall-face rays of
+each trace task's launch."""
 
 import numpy as np
 import pytest
 
-from repro.grid import Box
+from repro.grid import Box, CellType
 from repro.core import (
     DistributedRMCRT,
     LevelFields,
+    TraceOptions,
     VirtualRadiometer,
     benchmark_property_init,
+    trace_patch_multi_level,
 )
-from repro.core.boundary_flux import incident_flux_multilevel
-from repro.radiation import BurnsChristonBenchmark, RadiativeProperties
+from repro.core import distributed
+from repro.core.kernels import LAUNCH_RAYS
+from repro.radiation import BurnsChristonBenchmark, RadiativeProperties, SpectralModel
+from repro.radiation.constants import SIGMA_SB
 from repro.util.errors import ReproError
 
 
@@ -61,10 +66,47 @@ class TestPipelineBoundaryFlux:
         np.testing.assert_array_equal(thr.wall_flux, serial.wall_flux)
 
     def test_graph_gains_flux_tasks(self, pipeline):
+        """The flux adds no task: every trace task (each of the 8
+        patches touches walls) computes it beside del.q."""
         _, grid, drm, _ = pipeline
         graph = drm.build_graph()
         names = [t.task.name for t in graph.detailed_tasks]
-        assert names.count("rmcrt.boundaryFlux") == 8  # every patch touches walls
+        assert "rmcrt.boundaryFlux" not in names
+        traces = [t.task for t in graph.detailed_tasks if t.task.name == "rmcrt.trace"]
+        assert len(traces) == 8
+        for task in traces:
+            assert "wall_flux" in [c.label.name for c in task.computes]
+
+    def test_face_rays_count_toward_the_launch_share(self, pipeline):
+        _, grid, drm, _ = pipeline
+        [trace] = [t.task for t in drm.build_graph().detailed_tasks
+                   if t.task.name == "rmcrt.trace" and t.patch.patch_id == 0]
+        corner = grid.finest_level.patches[0]   # three walls of 8 x 8 faces
+        rays = 8 ** 3 * 4 + 3 * 8 * 8 * 32
+        assert trace.launch_share(corner) == rays / LAUNCH_RAYS
+
+    def test_a_poisoned_flux_names_its_patch(self, monkeypatch):
+        """The NaN guard reads the flux too: a face that read cells its
+        task was not sent fails the task, with del.q clean."""
+        bench = BurnsChristonBenchmark(resolution=8)
+        drm = DistributedRMCRT(
+            bench.two_level_grid(refinement_ratio=2, fine_patch_size=4),
+            benchmark_property_init(bench), rays_per_cell=1, halo=1,
+            compute_boundary_flux=True, flux_rays_per_face=2,
+        )
+        offender = drm.grid.finest_level.patches[5]
+        real = distributed.trace_patch_multi_level
+
+        def poisoned(coarse, patches, *args, **kwargs):
+            divqs, fluxes = real(coarse, patches, *args, **kwargs)
+            for (_, box, _, _), faces in zip(patches, fluxes):
+                if box == offender.box:
+                    faces[0][...] = np.nan
+            return divqs, fluxes
+
+        monkeypatch.setattr(distributed, "trace_patch_multi_level", poisoned)
+        with pytest.raises(ReproError, match=rf"patch {offender.patch_id} read cells outside"):
+            drm.solve("serial")
 
     def test_disabled_by_default(self):
         bench = BurnsChristonBenchmark(resolution=16)
@@ -75,23 +117,15 @@ class TestPipelineBoundaryFlux:
         result = drm.solve("serial")
         assert result.wall_flux is None
 
-    @pytest.mark.parametrize("option", ["reflections", "spectral"])
-    def test_an_option_the_flux_would_ignore_is_refused(self, option):
-        """The radiometer rays are gray and see black walls: with
-        reflections or a spectral model the divq would follow the
-        option and the wall flux silently not."""
-        from repro.radiation import SpectralModel
-
-        bench = BurnsChristonBenchmark(resolution=16)
-        grid = bench.two_level_grid(refinement_ratio=4, fine_patch_size=8)
-        value = {"reflections": True, "spectral": SpectralModel.gray_limit()}[option]
-        with pytest.raises(ReproError, match="wall flux"):
+    @pytest.mark.parametrize("rays_per_face", [0, -1])
+    def test_a_face_without_rays_is_refused_when_built(self, rays_per_face):
+        bench = BurnsChristonBenchmark(resolution=8)
+        grid = bench.two_level_grid(refinement_ratio=2, fine_patch_size=4)
+        with pytest.raises(ReproError, match="rays_per_face must be >= 1"):
             DistributedRMCRT(
                 grid, benchmark_property_init(bench), compute_boundary_flux=True,
-                wall_emissivity=0.5, **{option: value},
+                flux_rays_per_face=rays_per_face,
             )
-        # the same options without the flux task run
-        DistributedRMCRT(grid, benchmark_property_init(bench), **{option: value})
 
     def test_agrees_with_single_level_radiometer(self, pipeline):
         """The multi-level pipeline flux statistically matches the
@@ -125,27 +159,54 @@ class TestMultilevelRadiometerUnit:
         )
 
     def test_single_level_list_matches_radiometer(self):
-        """With one level and no ROI the multilevel helper reduces to
+        """With one level, no ROI and no cell rays the trace reduces to
         the plain radiometer math (same estimator, same bounds)."""
         fields = self.make_fields(8, kappa=200.0)
         face = Box((0, 0, 0), (1, 8, 8))
         rng = np.random.default_rng(3)
-        q = incident_flux_multilevel([fields], 0, 0, face, 64, rng)
-        assert q.shape == (8, 8)
+        divqs, [[q]] = trace_patch_multi_level(
+            [], [(fields, None, None, None)], TraceOptions(),
+            faces=[[(0, 0, face, rng)]], rays_per_face=64,
+        )
+        assert divqs == [None]
+        assert q.shape == (1, 8, 8)
         assert np.allclose(q, 1.0, rtol=0.1)  # optically thick -> blackbody
 
-    def test_invalid_wall(self):
-        fields = self.make_fields()
-        with pytest.raises(ReproError):
-            incident_flux_multilevel(
-                [fields], 5, 0, Box((0, 0, 0), (1, 8, 8)), 4,
-                np.random.default_rng(0),
-            )
 
-    def test_empty_face_box(self):
-        fields = self.make_fields()
-        with pytest.raises(ReproError):
-            incident_flux_multilevel(
-                [fields], 0, 0, Box((0, 0, 0), (0, 8, 8)), 4,
-                np.random.default_rng(0),
-            )
+TEMPERATURE = 1000.0
+
+
+def isothermal_init(level, box):
+    """A medium at TEMPERATURE, as the walls around it."""
+    return {
+        "abskg": np.full(box.extent, 2.0),
+        "sigma_t4": np.full(box.extent, SIGMA_SB * TEMPERATURE ** 4),
+        "cell_type": np.full(box.extent, CellType.FLOW, dtype=np.int8),
+    }
+
+
+class TestIsothermalEnclosure:
+    """The closed-form referee: in an enclosure whose medium and walls
+    are at one temperature, the radiation is blackbody everywhere, so
+    the incident flux on every wall is sigma T^4 — whatever the wall
+    emissivity (what a grey wall does not emit it reflects) and however
+    the spectrum is split into bands."""
+
+    @pytest.mark.parametrize("case", [
+        dict(),
+        dict(wall_emissivity=0.5, reflections=True),
+        dict(spectral=SpectralModel.build(bands=3, temperature=TEMPERATURE, kappa_exponent=1.0)),
+    ], ids=["black", "reflecting", "spectral"])
+    def test_incident_flux_is_sigma_t4(self, case):
+        bench = BurnsChristonBenchmark(resolution=8)
+        drm = DistributedRMCRT(
+            bench.two_level_grid(refinement_ratio=2, fine_patch_size=4), isothermal_init,
+            rays_per_cell=1, halo=1, seed=2, wall_temperature=TEMPERATURE,
+            compute_boundary_flux=True, flux_rays_per_face=8, **case,
+        )
+        wf = drm.solve("serial").wall_flux / (SIGMA_SB * TEMPERATURE ** 4)
+        # one wall's faces, edges excluded: those sum two or three walls
+        for wall in [wf[0], wf[-1], wf[:, 0], wf[:, -1], wf[:, :, 0], wf[:, :, -1]]:
+            q = wall[1:-1, 1:-1]
+            error = 3.0 * q.std() / np.sqrt(q.size)
+            assert abs(q.mean() - 1.0) <= drm.options.threshold + error

@@ -18,7 +18,7 @@ from repro.core.kernels import LAUNCH_RAYS
 from repro.grid import LoadBalancer
 from repro.perf import MetricsRegistry, SpanTracer, set_metrics
 from repro.perf.flightrec import FlightRecorder, set_flight_recorder
-from repro.radiation import BurnsChristonBenchmark
+from repro.radiation import BurnsChristonBenchmark, SpectralModel
 from repro.runtime import (
     Computes,
     DistributedScheduler,
@@ -80,12 +80,17 @@ def assert_same_contents(got, reference):
         np.testing.assert_array_equal(value, reference[name], err_msg=name)
 
 
+#: eight patches, every one on a wall: each trace task also marches its
+#: wall faces' rays in its launch
+FLUX = dict(levels=2, resolution=8, compute_boundary_flux=True, flux_rays_per_face=2)
+
 SCENES = {
     "two-level": dict(levels=2),
     "three-level": dict(levels=3),
-    # eight patches, every one on a wall: twice the tasks per patch
-    "boundary-flux": dict(levels=2, resolution=8, compute_boundary_flux=True,
-                          flux_rays_per_face=2),
+    "boundary-flux": FLUX,
+    "reflecting-flux": dict(FLUX, reflections=True, wall_emissivity=0.5),
+    "spectral-flux": dict(FLUX, spectral=SpectralModel.build(
+        bands=3, temperature=1000.0, kappa_exponent=1.0)),
 }
 
 
@@ -238,6 +243,7 @@ class TestGuardFiresPerWindow:
     @pytest.mark.parametrize("scene", [
         pytest.param(ALONE, id="alone"),        # every patch fills a launch
         pytest.param({}, id="mid-launch"),      # every ready patch in one launch
+        pytest.param(FLUX, id="flux"),          # wall-face rays in the launch too
     ])
     @pytest.mark.parametrize("scheduler", ["serial", "distributed"])
     def test_wide_roi_names_its_patch(self, monkeypatch, scene, scheduler):

@@ -271,6 +271,11 @@ class TestVirtualRadiometer:
         )
         assert q.shape == (4, 4)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5])
+    def test_threshold_outside_the_open_unit_interval_is_refused(self, threshold):
+        with pytest.raises(ReproError, match=r"threshold must be in \(0, 1\)"):
+            VirtualRadiometer(threshold=threshold)
+
     def test_face_box_empty_rejected(self):
         fields = self.make_fields(8)
         with pytest.raises(ReproError):

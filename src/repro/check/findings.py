@@ -124,12 +124,6 @@ class CheckReport:
         """The CI gate: any non-suppressed finding fails the check."""
         return 1 if self.findings else 0
 
-    def by_check(self) -> Dict[str, List[CheckFinding]]:
-        out: Dict[str, List[CheckFinding]] = {}
-        for f in self.findings:
-            out.setdefault(f.check or "unknown", []).append(f)
-        return out
-
     def render_text(self) -> str:
         lines: List[str] = []
         for f in sorted(

@@ -167,6 +167,19 @@ def validate_taskgraph(tg) -> List[CheckFinding]:
     return findings
 
 
+def _meets_ghosted(region, box, ghost: int) -> bool:
+    """``region.intersects(box.grow(ghost))``, without building the grown box."""
+    (a0, a1, a2), (b0, b1, b2) = region.lo, region.hi
+    (c0, c1, c2), (d0, d1, d2) = box.lo, box.hi
+    return (max(a0, c0 - ghost) < min(b0, d0 + ghost)
+            and max(a1, c1 - ghost) < min(b1, d1 + ghost)
+            and max(a2, c2 - ghost) < min(b2, d2 + ghost))
+
+
+def _route(msg) -> str:
+    return f"message #{msg.msg_id} ({msg.src_rank}->{msg.dst_rank})"
+
+
 def validate_compiled(graph) -> List[CheckFinding]:
     """Structural validation of a CompiledGraph's messages: every rule
     is stated per message, per part and per waiter (the tasks that hold
@@ -184,47 +197,53 @@ def validate_compiled(graph) -> List[CheckFinding]:
                     f"task {dt.task.name!r} on patch {dt.patch.patch_id} waits "
                     f"on message #{msg_id}, which does not exist",
                 ))
+    ghosts = {task: {} for task in {dt.task for dt in graph.detailed_tasks}}
+    for task, widths in ghosts.items():  # label name -> the ghost widths it is read with
+        for req in task.requires:
+            if req.dw == "new":
+                widths.setdefault(req.label.name, []).append(req.num_ghost)
     for msg in graph.messages:
-        route = f"message #{msg.msg_id} ({msg.src_rank}->{msg.dst_rank})"
         if not (0 <= msg.src_rank < graph.num_ranks
                 and 0 <= msg.dst_rank < graph.num_ranks):
             findings.append(_finding(
-                "graph-ghost-orphan", f"{route} routes outside [0, {graph.num_ranks})",
+                "graph-ghost-orphan", f"{_route(msg)} routes outside [0, {graph.num_ranks})",
             ))
         src = by_id.get(msg.src_dtask_id)
         if src is None:
             findings.append(_finding(
                 "graph-ghost-orphan",
-                f"{route} names unknown producing task {msg.src_dtask_id}",
+                f"{_route(msg)} names unknown producing task {msg.src_dtask_id}",
             ))
             continue
         waiting = [dt for dt in waiters.get(msg.msg_id, ()) if dt.rank == msg.dst_rank]
         if not waiting:
             findings.append(_finding(
                 "graph-ghost-orphan",
-                f"{route} from task {src.task.name!r} has no waiter on rank "
+                f"{_route(msg)} from task {src.task.name!r} has no waiter on rank "
                 f"{msg.dst_rank}",
             ))
             continue
+        inside: Dict[int, bool] = {}  # the labels of a run share a region object
         for label, region, _level_index in msg.parts:
             if label.kind is not VarKind.CELL_CENTERED:
                 continue  # a level broadcast carries the whole level domain
-            if not src.patch.box.contains_box(region):
+            if id(region) not in inside:
+                inside[id(region)] = src.patch.box.contains_box(region)
+            if not inside[id(region)]:
                 findings.append(_finding(
                     "graph-ghost-region",
-                    f"{route} carries {label.name} region {region} outside its "
+                    f"{_route(msg)} carries {label.name} region {region} outside its "
                     f"producing patch {src.patch.patch_id} {src.patch.box}",
                 ))
             # only a waiter that declares the label can read the part
             if not any(
-                region.intersects(dt.patch.box.grow(req.num_ghost))
+                _meets_ghosted(region, dt.patch.box, ghost)
                 for dt in waiting
-                for req in dt.task.requires
-                if req.dw == "new" and req.label.name == label.name
+                for ghost in ghosts[dt.task].get(label.name, ())
             ):
                 findings.append(_finding(
                     "graph-ghost-region",
-                    f"{route} carries {label.name} region {region} that no "
+                    f"{_route(msg)} carries {label.name} region {region} that no "
                     f"waiter on rank {msg.dst_rank} declaring {label.name} "
                     f"meets with its ghosted patch",
                 ))

@@ -136,14 +136,3 @@ class LockedVectorCommPool(PoolStatsMixin):
             self.processed += done
             self.stats.retired += done
         return done
-
-    def drain(self, budget: Optional[int] = None) -> int:
-        """Process until the pool is empty (or ``budget`` passes)."""
-        total = 0
-        passes = 0
-        while len(self) > 0:
-            total += self.process_ready()
-            passes += 1
-            if budget is not None and passes >= budget:
-                break
-        return total

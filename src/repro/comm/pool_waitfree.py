@@ -21,7 +21,7 @@ the pool a priori so growth is off the steady-state path, and so do we.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, List, Optional
 
 from repro.comm.request import BufferLedger, CommNode
 from repro.comm.stats import PoolStats, PoolStatsMixin
@@ -176,12 +176,6 @@ class WaitFreeCommPool(PoolStatsMixin):
                 self.stats.slot_scans += scans
                 self.stats.claim_failures += claim_failures
 
-    def unsafe_iter_values(self) -> Iterator[CommNode]:
-        """Snapshot iteration for tests/diagnostics (no exclusion)."""
-        for slot in self._slots:
-            if slot.occupied and slot.value is not None:
-                yield slot.value
-
     # ------------------------------------------------------------------
     # Algorithm 1, lines 1-9
     # ------------------------------------------------------------------
@@ -194,7 +188,7 @@ class WaitFreeCommPool(PoolStatsMixin):
         done = 0
         traced = 0
         while True:
-            it = self.find_any(lambda node: node.test())
+            it = self.find_any(CommNode.test)
             if it is None:
                 break
             node = it.value
@@ -214,13 +208,3 @@ class WaitFreeCommPool(PoolStatsMixin):
             self.stats.ctx_propagated += traced
             self.stats.passes += 1
         return done
-
-    def drain(self, budget: Optional[int] = None) -> int:
-        total = 0
-        passes = 0
-        while len(self) > 0:
-            total += self.process_ready()
-            passes += 1
-            if budget is not None and passes >= budget:
-                break
-        return total

@@ -94,10 +94,6 @@ class CommNode:
         return True
 
     @property
-    def finished(self) -> bool:
-        return self._finished
-
-    @property
     def ctx(self):
         """The sender's causal trace context, if the underlying request
         carried one (see :mod:`repro.perf.tracectx`); pools count these

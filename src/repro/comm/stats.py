@@ -12,7 +12,7 @@ a :class:`~repro.perf.metrics.MetricsRegistry` via
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass
@@ -33,7 +33,7 @@ class PoolStats:
     ctx_propagated: int = 0
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # flat integer fields: asdict's deep copy buys nothing
 
 
 class PoolStatsMixin:

@@ -221,6 +221,11 @@ class DistributedRMCRT:
             return []
         return wall_faces(self.grid.finest_level.domain_box, patch.box)
 
+    def _rays_of(self, patch) -> int:
+        """The rays a patch's trace draws: its cells' and its wall faces'."""
+        faces = sum(slab.volume for _, _, slab in self._wall_faces(patch))
+        return patch.num_cells * self.options.rays_per_cell + faces * self.flux_rays_per_face
+
     def _trace_cb(self, ctxs) -> None:
         """One launch for the patches of ``ctxs``: a window each, the
         fine level read and the coarse levels assembled once; with the
@@ -300,8 +305,7 @@ class DistributedRMCRT:
             ),
             fine_idx,
         )
-        halo, rays_per_cell = self.options.halo, self.options.rays_per_cell
-        rays_per_face = self.flux_rays_per_face
+        halo = self.options.halo
         trace_requires = [
             Requires(ABSKG, num_ghost=halo),
             Requires(SIGMA_T4, num_ghost=halo),
@@ -320,10 +324,7 @@ class DistributedRMCRT:
                     [Computes(WALL_FLUX)] if self.compute_boundary_flux else []
                 ),
                 device=self.device,
-                launch_share=lambda patch: (
-                    patch.num_cells * rays_per_cell
-                    + sum(slab.volume for _, _, slab in self._wall_faces(patch)) * rays_per_face
-                ) / LAUNCH_RAYS,
+                launch_share=lambda patch: self._rays_of(patch) / LAUNCH_RAYS,
             ),
             fine_idx,
         )
@@ -348,7 +349,7 @@ class DistributedRMCRT:
         """
         timers = TimerRegistry()
         fine = self.grid.finest_level
-        rays = sum(p.num_cells for p in fine.patches) * self.options.rays_per_cell
+        rays = sum(map(self._rays_of, fine.patches))
         self.last_runtime_stats = None
         with timers("rmcrt_solve"):
             if scheduler == "serial":

@@ -200,8 +200,8 @@ class DataWarehouse:
         elif any(box != region for box in regions):
             if not all(region.contains_box(box) for box in regions):
                 raise DataWarehouseError(f"regions {list(regions)} are not inside {region}")
-            read = {p.patch_id for box in regions for p in level.patches_intersecting(box)}
-            patches = [patch for patch in patches if patch.patch_id in read]
+            # of the bounding box's patches, those meeting one of the regions
+            patches = [p for p in patches if any(p.box.intersects(box) for box in regions)]
         n = len(labels)
         counted = [0] * n
         # per label, the destination slices it pasted — read on a shortfall

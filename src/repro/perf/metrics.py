@@ -211,6 +211,9 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def _get_or_create(self, cls, name: str, labels: Mapping[str, object], **kw):
         key = (name, _label_items(labels))
+        metric = self._series.get(key)  # a hit needs no lock: one atomic dict read
+        if metric is not None and type(metric) is cls:
+            return metric
         with self._lock:
             metric = self._series.get(key)
             if metric is None:

@@ -33,13 +33,13 @@ ANY_TAG = -1
 
 
 def _payload_nbytes(data: Any) -> int:
+    if isinstance(data, (list, tuple)):
+        return sum(map(_payload_nbytes, data))  # a packed message
     nbytes = getattr(data, "nbytes", None)
     if nbytes is not None:
         return int(nbytes)
     if isinstance(data, (bytes, bytearray)):
         return len(data)
-    if isinstance(data, (list, tuple)):
-        return sum(_payload_nbytes(part) for part in data)  # a packed message
     return 64  # generic Python object envelope
 
 
@@ -50,20 +50,19 @@ class Message:
     tag: int
     data: Any
     nbytes: int
-    seq: int  # global posting order, for deterministic FIFO matching
     #: causal trace context stamped by the sender (perf.tracectx);
     #: rides the fabric so the receive side can attribute the message
     ctx: Optional[object] = None
 
 
 class Request:
-    """Base non-blocking request handle."""
+    """Base non-blocking request: a flag to poll, a lock held until done to block on."""
 
     def __init__(self) -> None:
-        self._complete = threading.Event()
-        self._lock = threading.Lock()
+        self._done = False
+        self._latch = threading.Lock()
+        self._latch.acquire()
         self.data: Any = None
-        self.cancelled = False
 
     def test(self) -> bool:
         """True once the operation has completed.
@@ -72,16 +71,19 @@ class Request:
         threads on the *same* request is the caller's bug — the request
         pools of :mod:`repro.comm` exist to prevent exactly that.
         """
-        return self._complete.is_set()
+        return self._done
 
     def wait(self, timeout: Optional[float] = None) -> Any:
-        if not self._complete.wait(timeout):
-            raise CommError("request wait timed out")
+        if not self._done:
+            if not self._latch.acquire(timeout=-1 if timeout is None else timeout):
+                raise CommError("request wait timed out")
+            self._latch.release()  # so every later waiter passes
         return self.data
 
     def _finish(self, data: Any = None) -> None:
         self.data = data
-        self._complete.set()
+        self._done = True
+        self._latch.release()
 
 
 class SendRequest(Request):
@@ -130,12 +132,6 @@ class FabricStats:
             for r in sorted(ranks)
         }
 
-    def reduction(self):
-        """Uintah-style min/mean/max/total reduction across ranks."""
-        from repro.perf.rankstats import reduce_rank_stats
-
-        return reduce_rank_stats(self.per_rank())
-
     def publish_metrics(self, registry, **labels) -> None:
         registry.gauge("mpi.messages", **labels).set(self.messages)
         registry.gauge("mpi.bytes", **labels).set(self.bytes)
@@ -173,8 +169,8 @@ class SimMPI:
         self._unexpected: List[List[Message]] = [[] for _ in range(num_ranks)]
         self._posted: List[List[RecvRequest]] = [[] for _ in range(num_ranks)]
         self._locks = [threading.Lock() for _ in range(num_ranks)]
-        self._seq = 0
-        self._seq_lock = threading.Lock()
+        #: per rank, receives completed so far (counted once done)
+        self.arrivals = [0] * num_ranks
         self.stats = FabricStats()
 
         self.delivery_jitter = float(delivery_jitter)
@@ -232,11 +228,6 @@ class SimMPI:
     # ------------------------------------------------------------------
     # fabric internals
     # ------------------------------------------------------------------
-    def _next_seq(self) -> int:
-        with self._seq_lock:
-            self._seq += 1
-            return self._seq
-
     def _post_send(self, msg: Message) -> None:
         with self._locks[msg.dest]:
             self.stats.messages += 1
@@ -262,6 +253,7 @@ class SimMPI:
                 if req._matches(msg):
                     posted.pop(i)
                     req._deliver(msg)
+                    self.arrivals[msg.dest] += 1
                     return
             self._unexpected[msg.dest].append(msg)
 
@@ -272,6 +264,7 @@ class SimMPI:
                 if req._matches(msg):
                     queue.pop(i)
                     req._deliver(msg)
+                    self.arrivals[dest] += 1
                     return
             self._posted[dest].append(req)
 
@@ -316,7 +309,6 @@ class Communicator:
             tag=tag,
             data=data,
             nbytes=_payload_nbytes(data),
-            seq=self.fabric._next_seq(),
             ctx=tracectx.current(),
         )
         req = SendRequest()

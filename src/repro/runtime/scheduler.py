@@ -45,12 +45,7 @@ from repro.dw.variables import CCVariable
 from repro.perf import tracectx
 from repro.perf.flightrec import get_flight_recorder
 from repro.perf.metrics import Histogram, MetricsRegistry, get_metrics
-from repro.perf.rankstats import (
-    StatSummary,
-    format_rank_stats,
-    publish_rank_stats,
-    reduce_rank_stats,
-)
+from repro.perf.rankstats import StatSummary, publish_rank_stats
 from repro.perf.tracer import SpanTracer, get_tracer
 from repro.perf.tsdb import get_collector
 from repro.runtime.mpi import Communicator, SimMPI
@@ -333,11 +328,6 @@ class RankStats:
     task_time_p95: float = 0.0
     task_time_p99: float = 0.0
 
-    def as_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
 
 @dataclass
 class RankLink:
@@ -366,6 +356,7 @@ class RankLink:
         # sizing)
         self.pool = make_pool(self.pool_kind, capacity=max(1, len(receives)))
         self._arrived: List[int] = []
+        self._progressed = 0  # the fabric's arrivals count at the last pool pass
         self._task_hist = Histogram("scheduler.rank.task_seconds", ())
         self._recorder = get_flight_recorder()
         self._outgoing: Dict[int, List] = {}
@@ -397,7 +388,12 @@ class RankLink:
             self._arrived.append(msg.msg_id)
 
     def progress(self) -> List[int]:
-        """Process completed receives; the message ids that arrived."""
+        """Process completed receives; the message ids that arrived. No pool
+        pass until the fabric completes another receive of this rank's."""
+        arrivals = self.comm.fabric.arrivals[self.rank]
+        if arrivals == self._progressed:
+            return []
+        self._progressed = arrivals
         t0 = time.perf_counter()
         self.pool.process_ready()
         self.stats.local_comm_time += time.perf_counter() - t0
@@ -489,6 +485,7 @@ class DistributedScheduler:
         self.fabric: Optional[SimMPI] = None
         #: per-rank ExecTimes, populated by execute()
         self.rank_stats: Dict[int, RankStats] = {}
+        self._reduced: Dict[str, StatSummary] = {}
 
     def execute(
         self,
@@ -537,7 +534,7 @@ class DistributedScheduler:
         fabric.shutdown()
         if errors:
             raise errors[0]
-        publish_rank_stats(
+        self._reduced = publish_rank_stats(
             metrics, self.rank_stats, prefix="scheduler.rank",
             scheduler="distributed",
         )
@@ -547,13 +544,8 @@ class DistributedScheduler:
 
     def runtime_stats(self) -> Dict[str, StatSummary]:
         """Uintah-style reduction (min/mean/max/total across ranks) of
-        the last execution's per-rank stats."""
-        return reduce_rank_stats(self.rank_stats)
-
-    def runtime_stats_report(self) -> str:
-        return format_rank_stats(
-            self.runtime_stats(), title="Distributed runtime stats"
-        )
+        the last execution's per-rank stats, as published."""
+        return self._reduced
 
 
 def gather_cc(

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.grid.box import Box
 from repro.grid.grid import Grid
@@ -76,34 +77,51 @@ class GhostMessage:
     src_patch_id: int          #: its patch (negative: a level task's pseudo-patch)
     parts: Tuple[MessagePart, ...]  #: in task-then-requirement order
 
-    @property
+    @cached_property
     def nbytes(self) -> int:
         return 8 * sum(region.volume for _, region, _ in self.parts)
 
 
-def _maximal(parts: Iterable[MessagePart]) -> Tuple[MessagePart, ...]:
-    """``parts`` (distinct) without those another part of the same label
-    contains, order kept: nothing is grown to a bounding box, so the
-    bytes a message carries can only fall.
+#: labels read together at one level, posted to a message as one piece
+Run = Tuple[Tuple[VarLabel, ...], int]
 
-    A label's regions are taken largest first, each tested only against
-    those already kept: a box that contains another has at least its
-    volume, and containment is transitive, so that keeps the same set.
+
+def _maximal(pieces: Sequence[Tuple[Run, Box]]) -> Tuple[MessagePart, ...]:
+    """A message's parts from its ``(run, region)`` pieces, in posting
+    order, once each, without those another part of the same label
+    contains: nothing is grown to a bounding box, so the bytes a message
+    carries can only fall. A label's regions are taken largest first,
+    each tested only against those already kept (a box that contains
+    another has at least its volume, and containment is transitive); the
+    labels of a run share its regions, so they share one decision.
     """
-    parts = tuple(parts)
-    by_label: Dict[Tuple[str, int], List[Box]] = {}
-    for label, region, level_index in parts:
-        by_label.setdefault((label.name, level_index), []).append(region)
-    keep: Dict[Tuple[str, int], Set[int]] = {}
-    for key, regions in by_label.items():
+    runs: Dict[int, list] = {}  # id(run) -> [run, its regions in order]
+    for run, region in pieces:
+        runs.setdefault(id(run), [run]).append(region)
+    # a label's regions are those of the runs that read it
+    holders: Dict[Tuple[str, int], Tuple[int, ...]] = {}
+    for key, ((labels, level_index), *_) in runs.items():
+        for label in labels:
+            name = (label.name, level_index)
+            holders[name] = holders.get(name, ()) + (key,)
+    decided: Dict[Tuple[int, ...], Set[tuple]] = {}
+    for keys in set(holders.values()):
         kept: List[Box] = []
+        regions = [region for key in keys for region in runs[key][1:]]
         for region in sorted(regions, key=attrgetter("volume"), reverse=True):
-            if not any(other.contains_box(region) for other in kept):
+            for other in kept:
+                if other.contains_box(region):
+                    break
+            else:
                 kept.append(region)
-        keep[key] = set(map(id, kept))
-    return tuple(
-        part for part in parts if id(part[1]) in keep[(part[0].name, part[2])]
-    )
+        decided[keys] = {(box.lo, box.hi) for box in kept}
+    parts: Dict[tuple, MessagePart] = {}
+    for (labels, level_index), region in pieces:
+        corners = (region.lo, region.hi)
+        for label in labels:
+            if corners in decided[holders[(label.name, level_index)]]:
+                parts.setdefault((label.name, level_index) + corners, (label, region, level_index))
+    return tuple(parts.values())
 
 
 @dataclass
@@ -158,23 +176,23 @@ class CompiledGraph:
         }
 
     def topological_order(self) -> List[DetailedTask]:
-        """Kahn's algorithm over internal edges (messages count as arrived);
-        raises on cycles."""
-        tracker = ReadyTracker(self.detailed_tasks)
-        released = tracker.start()
-        for msg in self.messages:
-            released += tracker.message_arrived(msg.msg_id)
-        by_id = {t.dtask_id: t for t in self.detailed_tasks}
-        ready = deque(sorted(released))
+        """Kahn's algorithm over internal edges (messages count as arrived),
+        in :class:`ReadyTracker`'s ascending-id order; raises on cycles."""
+        tasks = self.detailed_tasks
+        blockers = [len(t.internal_deps) for t in tasks]
+        ready = deque(t.dtask_id for t in tasks if not blockers[t.dtask_id])
         order: List[DetailedTask] = []
         while ready:
-            tid = ready.popleft()
-            order.append(by_id[tid])
-            ready.extend(tracker.task_done(tid))
-        if tracker.remaining:
+            task = tasks[ready.popleft()]
+            order.append(task)
+            for tid in sorted(task.dependents):
+                blockers[tid] -= 1
+                if not blockers[tid]:
+                    ready.append(tid)
+        if len(order) < len(tasks):
             raise SchedulerError(
                 f"task graph has a cycle: only {len(order)} of "
-                f"{len(self.detailed_tasks)} tasks orderable"
+                f"{len(tasks)} tasks orderable"
             )
         return order
 
@@ -267,9 +285,12 @@ class TaskGraph:
             self._validate_declarations()
         assignment = dict(assignment or {})
 
+        by_id = attrgetter("dtask_id")
         detailed: List[DetailedTask] = []
-        # producers of CC labels: (name, level, patch id) -> dtasks
-        cc_producers: Dict[Tuple[str, int, int], List[DetailedTask]] = {}
+        #: each entry's instances, in id order
+        instances: List[Tuple[Task, int, List[DetailedTask]]] = []
+        # writers of CC labels: (name, level) -> dtasks, in id order
+        writers: Dict[Tuple[str, int], List[DetailedTask]] = {}
         # producers of level labels: (name, level) -> dtask
         level_producers: Dict[Tuple[str, int], DetailedTask] = {}
 
@@ -288,6 +309,8 @@ class TaskGraph:
                     raise SchedulerError(
                         f"level {level_index} has no patches for task {task.name}"
                     )
+            dts: List[DetailedTask] = []
+            instances.append((task, level_index, dts))
             for patch in patches:
                 rank = assignment.get(patch.patch_id, 0)
                 if not 0 <= rank < num_ranks:
@@ -303,96 +326,106 @@ class TaskGraph:
                     rank=rank,
                 )
                 detailed.append(dt)
-                for comp in task.computes:
-                    if comp.label.kind is VarKind.PER_LEVEL:
-                        key = (comp.label.name, comp.level_index
-                               if comp.level_index is not None else level_index)
-                        if key in level_producers:
-                            raise SchedulerError(
-                                f"level variable {key} computed twice"
-                            )
-                        level_producers[key] = dt
-                    elif comp.label.kind is VarKind.CELL_CENTERED:
-                        key = (comp.label.name, level_index, patch.patch_id)
-                        cc_producers.setdefault(key, []).append(dt)
+                dts.append(dt)
+            for comp in task.computes:
+                if comp.label.kind is VarKind.PER_LEVEL:
+                    key = (comp.label.name, comp.level_index
+                           if comp.level_index is not None else level_index)
+                    if key in level_producers or len(dts) > 1:
+                        raise SchedulerError(f"level variable {key} computed twice")
+                    level_producers[key] = dts[0]
+                elif comp.label.kind is VarKind.CELL_CENTERED:
+                    writers.setdefault((comp.label.name, level_index), []).extend(dts)
 
-        def add_edge(producer: DetailedTask, consumer: DetailedTask) -> None:
-            if producer.dtask_id == consumer.dtask_id:
-                return
-            consumer.internal_deps.add(producer.dtask_id)
-            producer.dependents.add(consumer.dtask_id)
+        # patch id -> producers, one table per distinct list of writers, so
+        # labels the same tasks write share it
+        tables: Dict[Tuple[int, ...], Dict[int, List[DetailedTask]]] = {}
+        cc_producers: Dict[Tuple[str, int], Dict[int, List[DetailedTask]]] = {}
+        for key, dts in writers.items():
+            table = cc_producers[key] = tables.setdefault(tuple(map(by_id, dts)), {})
+            if not table:
+                for dt in dts:
+                    table.setdefault(dt.patch.patch_id, []).append(dt)
 
-        # one message per (producing task, destination rank): its id and
-        # its parts, an ordered set until every consumer has been walked
-        outbox: Dict[Tuple[int, int], Tuple[int, Dict[MessagePart, None]]] = {}
-
-        def add_part(
-            producer: DetailedTask,
-            consumer: DetailedTask,
-            label: VarLabel,
-            region: Box,
-            level_index: int,
-        ) -> None:
-            key = (producer.dtask_id, consumer.rank)
-            entry = outbox.get(key)
-            if entry is None:
-                entry = outbox[key] = (len(outbox), {})
-            msg_id, parts = entry
-            parts[(label, region, level_index)] = None
-            consumer.pending_msgs.add(msg_id)
-
-        neighbourhoods = 0
-        for dt in detailed:
-            # per ghost width: the grown box, the patches meeting it and
-            # each one's overlap with it — shared by every label read
-            # with that width, and by every producer on one patch
-            hoods: Dict[int, Tuple[Box, List[Patch], Dict[int, Box]]] = {}
-            for req in dt.task.requires:
+        def reads_of(task: Task, level_index: int) -> List[tuple]:
+            """New-DW requirements in order as ``(ghost, producer table,
+            run)``, consecutive CC labels with one ghost width and table as
+            one run (walked once, they post what a walk per label would),
+            and ``(None, producer, run)`` for a level variable."""
+            reads: List[list] = []
+            for req in task.requires:
                 if req.dw != "new":
                     continue  # old-DW data is last timestep's, already local
                 if req.label.kind is VarKind.CELL_CENTERED:
-                    # ghosts come from the consumer's own level: only the
-                    # patches meeting its grown box can hold a producer
-                    hood = hoods.get(req.num_ghost)
-                    if hood is None:
-                        region = dt.patch.box.grow(req.num_ghost)
-                        level = self.grid.level(dt.level_index)
-                        hood = hoods[req.num_ghost] = (
-                            region, level.patches_intersecting(region), {}
-                        )
-                        neighbourhoods += 1
-                    region, patches, overlaps = hood
-                    producers = [
-                        producer
-                        for patch in patches
-                        for producer in cc_producers.get(
-                            (req.label.name, dt.level_index, patch.patch_id), ()
-                        )
-                    ]
-                    # message ids follow task order, whatever the patch order
-                    producers.sort(key=lambda p: p.dtask_id)
-                    for producer in producers:
-                        if producer.rank == dt.rank:
-                            add_edge(producer, dt)
-                        else:
-                            pid = producer.patch.patch_id
-                            overlap = overlaps.get(pid)
-                            if overlap is None:
-                                overlap = overlaps[pid] = producer.patch.box.intersect(region)
-                            add_part(producer, dt, req.label, overlap, dt.level_index)
+                    table = cc_producers.get((req.label.name, level_index), {})
+                    if reads and reads[-1][0] == req.num_ghost and reads[-1][1] is table:
+                        reads[-1][2].append(req.label)
+                    else:
+                        reads.append([req.num_ghost, table, [req.label], level_index])
                 elif req.label.kind is VarKind.PER_LEVEL:
                     key = (req.label.name, req.level_index)
                     producer = level_producers.get(key)
                     if producer is None:
                         raise SchedulerError(
-                            f"task {dt.task.name} requires level variable {key} "
+                            f"task {task.name} requires level variable {key} "
                             f"that no task computes"
                         )
-                    if producer.rank == dt.rank:
-                        add_edge(producer, dt)
+                    reads.append([None, producer, [req.label], req.level_index])
+            return [(ghost, source, (tuple(labels), lvl)) for ghost, source, labels, lvl in reads]
+
+        # one message per (producing task, destination rank): its id and
+        # its (run, region) pieces, an ordered set
+        outbox: Dict[Tuple[int, int], Tuple[int, Dict[tuple, Tuple[Run, Box]]]] = {}
+        neighbourhoods = 0
+        for task, level_index, dts in instances:
+            reads = reads_of(task, level_index)
+            level = self.grid.level(level_index)
+            for dt in dts:
+                rank, tid, deps, waits = dt.rank, dt.dtask_id, dt.internal_deps, dt.pending_msgs
+                # per ghost width: the grown box, the patches meeting it and
+                # each one's overlap with it — shared by every run read
+                # with that width, and by every producer on one patch
+                hoods: Dict[int, Tuple[Box, List[Patch], Dict[int, Box]]] = {}
+                for ghost, source, run in reads:
+                    if ghost is None:
+                        producers = [source]
                     else:
-                        domain = self.grid.level(req.level_index).domain_box
-                        add_part(producer, dt, req.label, domain, req.level_index)
+                        # ghosts come from the consumer's own level: only the
+                        # patches meeting its grown box can hold a producer
+                        hood = hoods.get(ghost)
+                        if hood is None:
+                            region = dt.patch.box.grow(ghost)
+                            hood = hoods[ghost] = (
+                                region, level.patches_intersecting(region), {}
+                            )
+                            neighbourhoods += 1
+                        region, patches, overlaps = hood
+                        producers = [
+                            producer
+                            for patch in patches
+                            for producer in source.get(patch.patch_id, ())
+                        ]
+                        # message ids follow task order, whatever the patch order
+                        producers.sort(key=by_id)
+                    for producer in producers:
+                        if producer.rank == rank:
+                            if producer is not dt:
+                                deps.add(producer.dtask_id)
+                                producer.dependents.add(tid)
+                            continue
+                        entry = outbox.get((producer.dtask_id, rank))
+                        if entry is None:
+                            entry = outbox[producer.dtask_id, rank] = (len(outbox), {})
+                        waits.add(entry[0])
+                        if ghost is None:
+                            # a level variable travels whole
+                            piece = self.grid.level(run[1]).domain_box
+                        else:
+                            pid = producer.patch.patch_id
+                            piece = overlaps.get(pid)
+                            if piece is None:
+                                piece = overlaps[pid] = producer.patch.box.intersect(region)
+                        entry[1].setdefault((id(run), piece.lo, piece.hi), (run, piece))
 
         messages = [
             GhostMessage(
@@ -401,9 +434,9 @@ class TaskGraph:
                 dst_rank=dst_rank,
                 src_dtask_id=src,
                 src_patch_id=detailed[src].patch.patch_id,
-                parts=_maximal(parts),
+                parts=_maximal(list(pieces.values())),
             )
-            for (src, dst_rank), (msg_id, parts) in outbox.items()
+            for (src, dst_rank), (msg_id, pieces) in outbox.items()
         ]
 
         graph = CompiledGraph(

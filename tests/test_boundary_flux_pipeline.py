@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core import distributed
 from repro.core.kernels import LAUNCH_RAYS
+from repro.perf.metrics import MetricsRegistry, set_metrics
 from repro.radiation import BurnsChristonBenchmark, RadiativeProperties, SpectralModel
 from repro.radiation.constants import SIGMA_SB
 from repro.util.errors import ReproError
@@ -84,6 +85,25 @@ class TestPipelineBoundaryFlux:
         corner = grid.finest_level.patches[0]   # three walls of 8 x 8 faces
         rays = 8 ** 3 * 4 + 3 * 8 * 8 * 32
         assert trace.launch_share(corner) == rays / LAUNCH_RAYS
+
+    @pytest.mark.parametrize("flux, rays", [(True, 69_120), (False, 13_824)])
+    def test_rays_traced_is_the_lanes_the_launches_draw(self, flux, rays):
+        """24^3 cells at one ray each and, with the flux on, 16 rays on
+        each of the 6 x 24^2 wall faces: ``rays_traced`` counts both, as
+        the fresh launches do."""
+        bench = BurnsChristonBenchmark(resolution=24)
+        drm = DistributedRMCRT(
+            bench.two_level_grid(refinement_ratio=4, fine_patch_size=8),
+            benchmark_property_init(bench), rays_per_cell=1, halo=2, seed=3,
+            compute_boundary_flux=flux, flux_rays_per_face=16,
+        )
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            result = drm.solve("serial")
+        finally:
+            set_metrics(previous)
+        assert result.rays_traced == rays == registry.value("dda.lanes_launched", handoff=0)
 
     def test_a_poisoned_flux_names_its_patch(self, monkeypatch):
         """The NaN guard reads the flux too: a face that read cells its

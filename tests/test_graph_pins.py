@@ -15,6 +15,7 @@ from repro.perf.metrics import MetricsRegistry, set_metrics
 from repro.radiation import BurnsChristonBenchmark
 from repro.runtime import Computes, Requires, Task, TaskGraph
 from repro.dw import cc
+from tests.test_three_level import three_level_grid
 
 
 def graph_sha256(graph) -> str:
@@ -38,10 +39,15 @@ def graph_sha256(graph) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def rmcrt_graph(resolution, patch, halo, ranks):
+def rmcrt_graph(resolution, patch, halo, ranks, levels=2, **options):
     bench = BurnsChristonBenchmark(resolution=resolution)
-    grid = bench.two_level_grid(refinement_ratio=4, fine_patch_size=patch)
-    drm = DistributedRMCRT(grid, benchmark_property_init(bench), rays_per_cell=1, halo=halo)
+    if levels == 2:
+        grid = bench.two_level_grid(refinement_ratio=4, fine_patch_size=patch)
+    else:
+        grid = three_level_grid(fine=resolution, patch=patch)
+    drm = DistributedRMCRT(
+        grid, benchmark_property_init(bench), rays_per_cell=1, halo=halo, **options
+    )
     assignment = LoadBalancer(ranks).assign(grid.finest_level.patches)
     return drm.build_graph(assignment=assignment, num_ranks=ranks)
 
@@ -78,6 +84,12 @@ SCENES = {
     # halo 4 over 4^3 patches: a ghost box reaches two patches out
     "halo4_16_4@3": (lambda: rmcrt_graph(16, 4, 4, 3),
                      "1830e01bd6945d472d3f03c27d1dda7da1b50497178b882bc83eea16770a3b7f"),
+    # the trace tasks compute WALL_FLUX beside DIVQ
+    "pipeline_flux@3": (lambda: rmcrt_graph(24, 8, 2, 3, compute_boundary_flux=True),
+                        "752e4e19b9584f9e3c9935ec93fceec8863d3169200483a7bb4647093fa17389"),
+    # test_three_level.py's scene: two per-level bundles broadcast
+    "three_level@2": (lambda: rmcrt_graph(16, 8, 2, 2, levels=3),
+                      "dec5e0b1eaccef2504cc45884b67c301b054f9d9aab7943b4ade4f1e66791fc5"),
     "stencil@3": (stencil_graph,
                   "431c4d2f46f680567c1f6aa8f9140ca4b09ba250fd503e994ab5b184d525cd78"),
 }

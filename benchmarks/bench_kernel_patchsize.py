@@ -24,6 +24,7 @@ import pytest
 
 from repro.core import (
     LevelFields,
+    StackedFields,
     TraceOptions,
     patch_roi,
     project_to_coarser_levels,
@@ -64,7 +65,7 @@ def make_fields(resolution):
 
 @pytest.mark.parametrize("patch", [4, 8, 16, 24])
 def test_vectorized_kernel_throughput(benchmark, artifact_rows, patch):
-    fields = make_fields(24)
+    fields = StackedFields.of([make_fields(24)])
     box = Box.cube(patch)
     rng = np.random.default_rng(0)
 
@@ -115,22 +116,23 @@ def test_fused_small_patch_launch(benchmark, artifact_rows):
     *coarse, fine = [
         LevelFields.from_properties(grid.level(i), props) for i, props in enumerate(bundles)
     ]
-    windows = []
+    coarse = [StackedFields.of([c]) for c in coarse]
+    windows, patches = [], []
     for patch in level.patches:
         roi = patch_roi(level.domain_box, patch.box, 2)
         window = roi.grow(1).intersect(fine.ring_box)
         sl = window.slices(origin=fine.box.lo)
-        arrays = [np.ascontiguousarray(a[sl]) for a in (fine.abskg, fine.sigma_t4, fine.cell_type)]
-        windows.append((
-            LevelFields(*arrays, interior=fine.interior, dx=fine.dx, anchor=fine.anchor,
-                        window=window),
-            patch.box, roi, patch.patch_id,
-        ))
+        arrays = [a[sl] for a in (fine.abskg, fine.sigma_t4, fine.cell_type)]
+        windows.append(LevelFields(*arrays, interior=fine.interior, dx=fine.dx,
+                                   anchor=fine.anchor, window=window))
+        patches.append((patch.box, roi, patch.patch_id))
     assert len(windows) == 27
 
     def run():
+        # a distributed launch lays its windows out a launch at a time
         return trace_patch_multi_level(
-            coarse, [(w, box, roi, np.random.default_rng(pid)) for w, box, roi, pid in windows],
+            coarse, StackedFields.of(windows),
+            [(box, roi, np.random.default_rng(pid)) for box, roi, pid in patches],
             TraceOptions(rays_per_cell=1),
         )
 
@@ -163,7 +165,8 @@ def test_batch_beats_scalar(benchmark, artifact_rows):
         t_scalar = time.perf_counter() - t0
         t0 = time.perf_counter()
         trace_patch_single_level(
-            fields, box, TraceOptions(rays_per_cell=RAYS), np.random.default_rng(1)
+            StackedFields.of([fields]), box, TraceOptions(rays_per_cell=RAYS),
+            np.random.default_rng(1),
         )
         t_batch = time.perf_counter() - t0
         return t_scalar / t_batch

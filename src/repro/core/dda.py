@@ -37,14 +37,17 @@ playing the role of the K20X's SIMT lanes:
   high-water mark is its state and scratch (held twice, briefly, at a
   compaction, which takes the live lanes into fresh blocks).
 * **flat cell index.** The cell is one offset into the raveled property
-  arrays, and one gather of a per-call int8 *cell class* (the status a
-  ray ends with on entering the cell: wall, or outside the ROI) replaces
-  the cell-type lookup and the six ROI compares.
-* **stacked windows.** One launch serves several patch tasks: their
-  fine windows' raveled arrays are laid end to end, a lane's flat index
-  starts at its window's base and steps by its window's strides (the
-  step is a per-lane row already), so lanes of different patches share
-  each step's fixed cost and never each other's data.
+  arrays, and one gather of an int8 *cell class* (the status a ray ends
+  with on entering the cell: wall, or outside the ROI) replaces the
+  cell-type lookup and the six ROI compares.
+* **stacked windows.** A level reaches ``march`` laid out once, as a
+  :class:`~repro.core.fields.StackedFields`: one launch serves several
+  patch tasks, their fine windows' raveled arrays end to end, a lane's
+  flat index starting at its window's base and stepping by its window's
+  strides (the step is a per-lane row already), so lanes of different
+  patches share each step's fixed cost and never each other's data. A
+  call builds only the ROI cell class (a view of the wall mask when there
+  is no ROI); the rest of the stack it reads as laid out.
 * **mask-multiply advance.** The crossed axis is read off the two
   minima the step takes anyway — ``t01 = min(t0, t1)``, ``t_next =
   min(t01, t2)``; ``is0 = t0 == t_next``, ``is2 = t2 < t01``, ``is1`` is
@@ -91,8 +94,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.grid.box import Box
-from repro.grid.celltype import CellType
-from repro.core.fields import LevelFields
+from repro.core.fields import StackedFields
 from repro.perf.metrics import get_metrics
 from repro.util.errors import ReproError
 
@@ -153,42 +155,31 @@ class RayBatch:
         return np.nonzero(self.status == RayStatus.LEFT_ROI)[0]
 
 
-def _stacked(parts, sink):
-    """The windows' raveled arrays laid end to end, then the sink cell's
-    value ``sink``."""
-    return np.concatenate([*parts, np.array([sink], dtype=parts[0].dtype)])
-
-
-def _check_windows(windows, rois, window_of) -> None:
+def _check_rois(fields: StackedFields, rois) -> None:
     """Every lane must stay inside its own window: a ray ends in the wall
     ring or, with an ROI, at most one cell outside it."""
-    first = windows[0]
-    if len(rois) != len(windows):
-        raise ReproError(f"{len(windows)} windows but {len(rois)} rois")
-    if len(windows) > 1 and window_of is None:
-        raise ReproError("a launch over several windows needs window_of")
-    for w, roi in zip(windows, rois):
-        ring = w.ring_box
-        if (w.dx, w.anchor) != (first.dx, first.anchor):
-            raise ReproError("the windows of one launch must be of one level")
+    ring = fields.ring_box
+    for box, windowed, roi in zip(fields.boxes, fields.windowed, rois):
         if roi is not None and not ring.contains_box(roi):
             raise ReproError(f"roi {roi} escapes level ring box {ring}")
-        if w.window is not None and (
-            roi is None or not w.window.contains_box(roi.grow(1).intersect(ring))
-        ):
+        if windowed and (roi is None or not box.contains_box(roi.grow(1).intersect(ring))):
             raise ReproError(
-                f"window {w.window} must hold its roi and the cells around it, got roi {roi}"
+                f"window {box} must hold its roi and the cells around it, got roi {roi}"
             )
 
 
-def _cell_class(wall: np.ndarray, box: Box, roi: Optional[Box]) -> np.ndarray:
-    """The status a ray ends with on entering each cell of one window
-    (ALIVE: marches on); outside the ROI wins over wall."""
-    if roi is None:
-        return wall.astype(np.int8)  # True is WALL_HIT
+def _cell_class(fields: StackedFields, rois) -> np.ndarray:
+    """The status a ray ends with on entering each cell of the stack
+    (ALIVE: marches on, as at the sink); outside its window's ROI wins
+    over wall."""
+    wall = fields.wall.view(np.int8)  # True is WALL_HIT
+    if all(roi is None for roi in rois):
+        return wall
     cell_class = np.full(wall.shape, _LEFT_ROI, dtype=np.int8)
-    inside = roi.slices(origin=box.lo)
-    cell_class[inside] = wall[inside]
+    cell_class[fields.sink] = _ALIVE
+    for (cells, extent), box, roi in zip(fields.slots, fields.boxes, rois):
+        inside = ... if roi is None else roi.slices(origin=box.lo)
+        cell_class[cells].reshape(extent)[inside] = wall[cells].reshape(extent)[inside]
     return cell_class
 
 
@@ -203,24 +194,27 @@ def _launch_rows(n):
     return fblock[:12], iblock[:5], fblock[12], iblock[5].view(np.int8).reshape(8, n)[:5]
 
 
-def _launch_state(windows, window_of, batch, launch, origins, from_handoff):
+def _launch_state(fields, window_of, batch, launch, origins, from_handoff):
     """Amanatides-Woo set-up of the rays ``launch`` (batch rows, or
     ``slice(None)`` for the whole batch), one axis a row.
 
     Returns the float rows ``-tau, sum_i, tcur, trans``, two spare rows
     the step writes the next ``tcur, trans`` into, ``tmax x/y/z, tdelta
     x/y/z``; the int rows ``lane`` (batch row), ``flat`` (cell offset
-    into the stacked raveled arrays: the lane's window base plus its
-    offset in that window), ``fstep x/y/z`` (offset step per axis
-    crossing, by the lane's window's strides); and the launch's scratch:
-    a float work row and five int8 flag rows, which every step (and this
-    set-up) writes its temporaries into. The starts and the
-    directions are read as ``(3, n)`` rows, so every product runs over
-    one contiguous row; a launch of the whole batch reads them, and the
-    batch's other rows, without an index or a copy when they are by-axis
-    already (as the launch draw makes them). The start cells are taken
-    into the ``tmax`` rows, so the set-up's high-water mark is the state
-    and its scratch.
+    into the stack: the lane's window base plus its offset in that
+    window), ``fstep x/y/z`` (offset step per axis crossing, by the
+    lane's window's strides); and the launch's scratch: a float work row
+    and five int8 flag rows, which every step (and this set-up) writes
+    its temporaries into. The starts and the directions are read as
+    ``(3, n)`` rows, so every product runs over one contiguous row; a
+    launch of the whole batch reads them, and the batch's other rows,
+    without an index or a copy when they are by-axis already (as the
+    launch draw makes them). The start cells are taken into the ``tmax``
+    rows and a fused launch's window geometry into the ``tdelta`` rows,
+    so the set-up's high-water mark is the state and its scratch. The
+    offsets are whole numbers, exact in floats: they are summed as
+    floats and converted once, and a step is the stride signed as the
+    direction.
     """
     whole = isinstance(launch, slice)
     n = batch.n if whole else launch.size
@@ -230,59 +224,57 @@ def _launch_state(windows, window_of, batch, launch, origins, from_handoff):
         return np.ascontiguousarray(a.T) if whole else a.T.take(launch, axis=1)
 
     start, dirs = by_axis(origins), by_axis(batch.directions)
-    level = windows[0]  # anchor and spacing are the level's, shared by every window
-    # per window: strides x/y/z, and the flat offset of cell (0, 0, 0)
-    # (the window's base in the stack less its array origin's offset)
-    geometry, base = [], 0
-    for w in windows:
-        extent = w.box.extent
-        strides = (extent[1] * extent[2], extent[2], 1)
-        geometry.append((*strides, base - int(np.dot(w.box.lo, strides))))
-        base += w.box.volume
-    geometry = np.array(geometry, dtype=np.int64).T
-    # scalars for a lone window, per-lane rows for a fused launch
-    geometry = geometry[:, 0] if len(windows) == 1 else geometry[:, window_of[launch]]
-    strides = geometry[:3]
-    ntau, sum_i, tcur, trans = fstate[:4]
+    ntau, sum_i, tcur, trans, acc = fstate[:5]  # acc: a spare row until the march
     tmax, tdelta = fstate[6:9], fstate[9:]
     lane, flat, fstep = istate[0], istate[1], istate[2:]
-    sign, offset = work, work.view(np.int64)  # never live at once
     flag = flags[0].view(np.bool_)
+    # x and y strides and cell (0, 0, 0)'s offset: scalars for a lone
+    # window, per-lane rows for a fused launch
+    geometry = fields.geometry
+    if geometry.shape[1] == 1:
+        s0, s1, origin = geometry[:, 0]
+    else:
+        s0, s1, origin = geometry.take(window_of[launch], axis=1, out=tdelta, mode="clip")
     lane[:] = np.arange(n) if whole else launch
     np.negative(batch.tau[launch], out=ntau)
     sum_i[:] = batch.sum_i[launch]
     tcur[:] = 0.0
     np.exp(ntau, out=trans)
-    flat[:] = geometry[3]
-    level.position_to_cell(start, nudge_dir=dirs if from_handoff else None, out=tmax)
+    fields.position_to_cell(start, nudge_dir=dirs if from_handoff else None, out=tmax)
+    np.multiply(tmax[0], s0, out=acc)
+    np.multiply(tmax[1], s1, out=work)
+    acc += work
+    acc += tmax[2]
+    acc += origin
+    flat[:] = acc
+    for a, stride in enumerate((s0, s1, 1.0)):
+        np.copysign(stride, dirs[a], out=work)
+        fstep[a] = work
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(3):
-            d, t, dx = dirs[a], tmax[a], level.dx[a]
-            # t holds the start cell: its offset first, then the next face
-            np.multiply(t, strides[a], out=offset, casting="unsafe")
-            flat += offset
+            d, t, dx = dirs[a], tmax[a], fields.dx[a]
+            # t holds the start cell: the next face is one up for d > 0
             np.greater(d, 0.0, out=flag)
             t += flag
             t *= dx
-            t += level.anchor[a]
+            t += fields.anchor[a]
             t -= start[a]
             t /= d
             np.abs(d, out=tdelta[a])
             np.divide(dx, tdelta[a], out=tdelta[a])
             # an axis the ray never crosses (d is 0.0 or -0.0): tmax inf,
-            # and tdelta 0, not inf: the advance multiplies by the axis
-            # mask, and False * inf is NaN
+            # no step, and tdelta 0, not inf: the advance multiplies by
+            # the axis mask, and False * inf is NaN
             np.equal(d, 0.0, out=flag)
             still = flag.nonzero()[0]
             tmax[a, still] = np.inf
             tdelta[a, still] = 0.0
-            np.sign(d, out=sign)
-            np.multiply(sign, strides[a], out=fstep[a], casting="unsafe")
+            fstep[a, still] = 0
     return fstate, istate, work, flags
 
 
 def march(
-    fields: Union[LevelFields, Sequence[LevelFields]],
+    fields: StackedFields,
     batch: RayBatch,
     roi: Union[None, Box, Sequence[Box]] = None,
     threshold: float = 1e-4,
@@ -293,20 +285,21 @@ def march(
 ) -> RayBatch:
     """March every ALIVE/LEFT_ROI ray of ``batch`` through ``fields``.
 
-    ``roi`` restricts marching to a cell-index box (which must lie
-    within the level's ring box); rays stepping outside it are parked
+    ``fields`` is a level laid out as a launch marches it
+    (:class:`~repro.core.fields.StackedFields`): K windows of the level,
+    or the whole level as the K = 1 case. ``roi`` restricts marching to a
+    cell-index box (which must lie within the level's ring box) — one a
+    window, a sequence when K > 1; rays stepping outside it are parked
     with status LEFT_ROI and a recorded exit position. Without ``roi``
     rays always terminate inside the wall ring, which encloses the
     domain by construction.
 
-    One launch can serve several patch tasks: ``fields`` is then a
-    sequence of K windows of one level, ``roi`` the matching sequence of
-    boxes and ``window_of[r]`` the window ray ``r`` marches in. Each lane
-    reads its own window's data under its own ROI — the windows' raveled
-    arrays are laid end to end and a lane's flat index starts at its
-    window's base and steps by its window's strides — so the result is
-    bit-identical to K separate marches. A lone ``LevelFields`` is the
-    K = 1 case of the same loop.
+    One launch can serve several patch tasks: ``window_of[r]`` is the
+    window ray ``r`` marches in. Each lane reads its own window's data
+    under its own ROI — a lane's flat index starts at its window's base
+    and steps by its window's strides — so the result is bit-identical
+    to K separate marches. Only the ROI cell class is built here, a call
+    at a time; the rest of the stack is read as it was laid out.
 
     ``from_handoff`` re-launches previously parked rays from their exit
     positions (nudged along the direction so positions exactly on a
@@ -317,9 +310,13 @@ def march(
     holding every ray's heading after its last reflection, so a parked
     ray continues the right way on the coarser level.
     """
-    windows = [fields] if isinstance(fields, LevelFields) else list(fields)
-    rois = [roi] * len(windows) if roi is None or isinstance(roi, Box) else list(roi)
-    _check_windows(windows, rois, window_of)
+    k = len(fields.boxes)
+    rois = [roi] * k if roi is None or isinstance(roi, Box) else list(roi)
+    if len(rois) != k:
+        raise ReproError(f"{k} windows but {len(rois)} rois")
+    if k > 1 and window_of is None:
+        raise ReproError("a launch over several windows needs window_of")
+    _check_rois(fields, rois)
     if not 0.0 <= threshold <= 1.0:
         # a parked row's optical depth is 0: it must never read as extinct
         raise ReproError(f"transmissivity threshold {threshold} must lie in [0, 1]")
@@ -347,24 +344,17 @@ def march(
     directions = batch.directions
 
     fstate, istate, work, flags = _launch_state(
-        windows, window_of, batch, launch, origins, from_handoff
+        fields, window_of, batch, launch, origins, from_handoff
     )
-
     # the sink cell, after the stacked windows: a parked row marches in
     # place there adding exactly zero, and never ends again
-    abskg = _stacked([w.abskg.reshape(-1) for w in windows], 0.0)
-    emis = _stacked([(w.sigma_t4 * _INV_PI).reshape(-1) for w in windows], 0.0)
-    walls = [w.cell_type != CellType.FLOW for w in windows]
-    cell_class = _stacked(
-        [_cell_class(wall, w.box, r).reshape(-1) for wall, w, r in zip(walls, windows, rois)],
-        _ALIVE,
-    )
-    sink = cell_class.size - 1
+    abskg, emis, sink = fields.abskg, fields.emis, fields.sink
+    cell_class = _cell_class(fields, rois)
 
     # extinct once exp(-tau) < threshold, i.e. -tau < log(threshold)
     log_threshold = np.log(threshold)
     if max_steps is None:
-        max_steps = 16 * (max(sum(w.box.extent) for w in windows) + 3)
+        max_steps = 16 * (max(sum(box.extent) for box in fields.boxes) + 3)
     t_exit = np.empty(batch.n) if parking else None
 
     def retire(done: np.ndarray, status) -> int:
@@ -409,12 +399,11 @@ def march(
     # a ray may launch already inside a wall cell (e.g. parked exactly on
     # the domain face and handed to a coarser level): it has reached the
     # wall — absorb it before the march
-    _stacked([wall.reshape(-1) for wall in walls], False).take(flat, out=ended, mode="clip")
+    fields.wall.take(flat, out=ended, mode="clip")
     at_wall = ended.nonzero()[0]
     if at_wall.size:
         f = flat[at_wall]
-        sigma_t4 = _stacked([w.sigma_t4.reshape(-1) for w in windows], 0.0)
-        sum_i[at_wall] += abskg[f] * sigma_t4[f] * _INV_PI * trans[at_wall]
+        sum_i[at_wall] += abskg[f] * fields.sigma_t4[f] * _INV_PI * trans[at_wall]
         live -= retire(at_wall, _WALL_HIT)
 
     # every temporary of a step goes into the scratch rows: a gather or a
@@ -536,7 +525,8 @@ def march(
             parked = launch[parked]
         exit_pos = origins.T.take(parked, axis=1)
         exit_pos += t_exit[parked] * directions.T.take(parked, axis=1)
-        batch.exit_pos.T[:, parked] = exit_pos
+        for row, pos in zip(batch.exit_pos.T, exit_pos):  # a row at a time, not one 2-D write
+            row[parked] = pos
 
     # kernel counters: active-lane fraction is ray_steps / rows_stepped
     metrics, handoff = get_metrics(), "1" if from_handoff else "0"

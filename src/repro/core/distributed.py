@@ -34,7 +34,7 @@ the error names the patch whose window was over-read.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.grid.loadbalance import LoadBalancer
 from repro.grid.refinement import coarsen_average, coarsen_max
 from repro.dw.label import cc, per_level
 from repro.radiation.constants import SIGMA_SB
-from repro.core.fields import LevelFields
+from repro.core.fields import StackedFields
 from repro.core.kernels import LAUNCH_RAYS, TraceOptions, patch_roi, trace_patch_multi_level
 from repro.core.rays import checked_rays_per_face, wall_faces
 from repro.core.single_level import RMCRTResult
@@ -150,53 +150,47 @@ class DistributedRMCRT:
             ctx.compute_level(labels["sigma_t4"], st4)
             ctx.compute_level(labels["cell_type"], ct)
 
-    def _wall_ring_fields(self, level: Level, window: Optional[Box] = None) -> LevelFields:
-        """Arrays over ``window`` of the level (default: its whole ring
-        box) pre-filled with the wall ring; interior NaN."""
-        interior = level.domain_box
-        box = window if window is not None else interior.grow(1)
-        abskg = np.full(box.extent, self.wall_emissivity)
-        st4 = np.full(box.extent, SIGMA_SB * self.wall_temperature ** 4)
-        ct = np.full(box.extent, CellType.WALL, dtype=np.int8)
-        inner = interior.intersect(box).slices(origin=box.lo)
-        abskg[inner] = np.nan
-        st4[inner] = np.nan
-        ct[inner] = CellType.FLOW
-        return LevelFields(
-            abskg=abskg,
-            sigma_t4=st4,
-            cell_type=ct,
-            interior=interior,
-            dx=level.dx,
-            anchor=level.anchor,
-            window=window,
-        )
+    def _wall_stack(self, level: Level, boxes: List[Box], windowed: bool = True) -> StackedFields:
+        """A stack of ``boxes`` of the level holding the wall ring's values
+        in every cell; the caller writes what lies inside the domain."""
+        stack = StackedFields(level.domain_box, level.dx, level.anchor, boxes, [windowed] * len(boxes))
+        cells = slice(0, stack.sink)
+        stack.abskg[cells] = self.wall_emissivity
+        stack.sigma_t4[cells] = SIGMA_SB * self.wall_temperature ** 4
+        stack.cell_type[cells] = CellType.WALL
+        return stack
 
-    def _coarse_fields(self, ctx) -> List[LevelFields]:
-        """The coarse levels from the DataWarehouse, coarsest-first —
-        shared by every task of a launch."""
+    def _coarse_fields(self, ctx) -> List[StackedFields]:
+        """The coarse levels from the DataWarehouse, coarsest-first, each
+        stacked whole — shared by every task of a launch."""
         coarse_fields = []
         for idx, labels in self._coarse_labels.items():
             level = self.grid.level(idx)
-            coarse = self._wall_ring_fields(level)
-            inner = level.domain_box.slices(origin=coarse.box.lo)
-            coarse.abskg[inner] = ctx.require_level(labels["abskg"])
-            coarse.sigma_t4[inner] = ctx.require_level(labels["sigma_t4"])
-            coarse.cell_type[inner] = ctx.require_level(labels["cell_type"]).astype(np.int8)
+            ring = level.domain_box.grow(1)
+            coarse = self._wall_stack(level, [ring], windowed=False)
+            inner = level.domain_box.slices(origin=ring.lo)
+            for view, label in zip(coarse.views(0), labels.values()):
+                view[inner] = ctx.require_level(label)
             coarse_fields.append(coarse)
         return coarse_fields
 
-    def _fine_windows(self, ctxs) -> List[tuple]:
-        """Each task's fine data as a window of the fine level: the ROI
-        and the cells around it (a ray parks one cell outside), holding
-        what the task was sent and NaN where it was sent nothing. The
-        launch reads the fine level once — every patch meeting one of
-        its tasks' ``patch + halo`` regions pasted once into a block —
-        and each window copies its own region from the block, which is
-        gone before the march. Returns one (window, roi) per task."""
+    def _fine_windows(self, ctxs) -> Tuple[StackedFields, List[Box]]:
+        """The launch's fine data: a stack of one window of the fine level
+        a task — its ROI and the cells around it (a ray parks one cell
+        outside) — holding what the task was sent and NaN where it was
+        sent nothing. The launch reads the fine level once — every patch
+        meeting one of its tasks' ``patch + halo`` regions pasted once
+        into a block — and each window is written straight into its slice
+        of the stack: the wall ring, NaN inside the domain, then its
+        region from the block, which is gone before the march. Returns
+        the stack and each task's ROI."""
         fine_level = self.grid.finest_level
         interior = fine_level.domain_box
+        ring = interior.grow(1)
         halo = self.options.halo
+        rois = [patch_roi(interior, ctx.patch.box, halo) for ctx in ctxs]
+        boxes = [roi.grow(1).intersect(ring) for roi in rois]
+        stack = self._wall_stack(fine_level, boxes)
         regions = [ctx.patch.box.grow(halo).intersect(interior) for ctx in ctxs]
         block_box, block = TaskContext.require_launch(
             ctxs,
@@ -204,16 +198,13 @@ class DistributedRMCRT:
             regions,
             defaults=[np.nan, np.nan, float(CellType.WALL)],
         )
-        windows = []
-        for ctx, region in zip(ctxs, regions):
-            roi = patch_roi(interior, ctx.patch.box, halo)
-            fine = self._wall_ring_fields(fine_level, roi.grow(1).intersect(interior.grow(1)))
-            src, dst = region.slices(block_box.lo), region.slices(fine.box.lo)
-            fine.abskg[dst] = block[0][src]
-            fine.sigma_t4[dst] = block[1][src]
-            fine.cell_type[dst] = block[2][src]
-            windows.append((fine, roi))
-        return windows
+        for k, (box, region) in enumerate(zip(boxes, regions)):
+            inner = interior.intersect(box).slices(origin=box.lo)
+            src, dst = region.slices(block_box.lo), region.slices(box.lo)
+            for view, unsent, data in zip(stack.views(k), (np.nan, np.nan, CellType.FLOW), block):
+                view[inner] = unsent
+                view[dst] = data[src]
+        return stack, rois
 
     def _wall_faces(self, patch) -> list:
         """(axis, side, slab) of each wall the patch touches, with the flux on."""
@@ -229,10 +220,12 @@ class DistributedRMCRT:
     def _trace_cb(self, ctxs) -> None:
         """One launch for the patches of ``ctxs``: a window each, the
         fine level read and the coarse levels assembled once; with the
-        flux on, each patch's wall faces are a ray source too."""
+        flux on, each patch's wall faces are a ray source too. One NaN
+        test over the launch's results names the first patch poisoned."""
+        fine, rois = self._fine_windows(ctxs)
         patches = [
-            (window, ctx.patch.box, roi, spawn_stream(self.seed, 0, ctx.patch.patch_id))
-            for ctx, (window, roi) in zip(ctxs, self._fine_windows(ctxs))
+            (ctx.patch.box, roi, spawn_stream(self.seed, 0, ctx.patch.patch_id))
+            for ctx, roi in zip(ctxs, rois)
         ]
         faces = [
             [
@@ -243,6 +236,7 @@ class DistributedRMCRT:
         ]
         divqs, fluxes = trace_patch_multi_level(
             self._coarse_fields(ctxs[0]),
+            fine,
             patches,
             self.options,
             band_rngs=None if self.options.spectral is None else [
@@ -251,22 +245,31 @@ class DistributedRMCRT:
             faces=faces,
             rays_per_face=self.flux_rays_per_face,
         )
-        for ctx, divq, patch_faces, qs in zip(ctxs, divqs, faces, fluxes):
-            results = [(DIVQ, divq)]
-            if self.compute_boundary_flux:
+        results = [divqs]
+        if self.compute_boundary_flux:
+            results.append([])
+            for ctx, patch_faces, qs in zip(ctxs, faces, fluxes):
                 box = ctx.patch.box
                 flux = np.zeros(box.extent)
                 for (_, _, slab, _), q in zip(patch_faces, qs):
                     # edge/corner cells accumulate contributions from each wall
                     flux[slab.slices(origin=box.lo)] += q
-                results.append((WALL_FLUX, flux))
-            if any(np.isnan(value).any() for _, value in results):
-                raise ReproError(
-                    f"trace on patch {ctx.patch.patch_id} read cells outside its "
-                    f"ROI (NaN poisoning fired) — halo/ROI declaration is wrong"
-                )
-            for label, value in results:
-                ctx.compute(label, value)
+                results[1].append(flux)
+        poisoned = np.isnan(np.concatenate([a for arrays in results for a in arrays], axis=None))
+        if poisoned.any():
+            # the results are laid out label after label, patch after patch
+            ends = np.cumsum([ctx.patch.box.volume for ctx in ctxs])
+            cell = poisoned.argmax() % ends[-1]
+            ctx = ctxs[int(np.searchsorted(ends, cell, side="right"))]
+            raise ReproError(
+                f"trace on patch {ctx.patch.patch_id} read cells outside its "
+                f"ROI (NaN poisoning fired) — halo/ROI declaration is wrong"
+            )
+        # each task's result its own array: a view would keep the launch's
+        # whole del.q alive in the warehouse for as long as any patch's
+        for ctx, values in zip(ctxs, zip(*results)):
+            for label, value in zip((DIVQ, WALL_FLUX), values):
+                ctx.compute(label, value.copy())
 
     # ------------------------------------------------------------------
     # graph assembly + solve

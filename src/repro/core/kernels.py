@@ -16,14 +16,13 @@ Section III.C, contributions ii and v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.grid.box import Box
-from repro.grid.celltype import CellType
 from repro.core.dda import RayBatch, march
-from repro.core.fields import LevelFields
+from repro.core.fields import StackedFields
 from repro.core.rays import generate_face_rays, generate_patch_rays
 from repro.perf.metrics import get_metrics
 from repro.util.errors import ReproError
@@ -78,9 +77,11 @@ class TraceOptions:
 
 
 def divq_from_sums(
-    fields: LevelFields, box: Box, sum_i_mean: np.ndarray, emission_scale: float = 1.0
+    fields: StackedFields, cells: np.ndarray, sum_i_mean: np.ndarray, emission_scale: float = 1.0
 ) -> np.ndarray:
-    """Reduce per-cell mean incoming intensity to del.q over ``box``.
+    """Reduce per-cell mean incoming intensity to del.q over the stack
+    offsets ``cells`` (:meth:`~repro.core.fields.StackedFields.cells`):
+    one launch's cells at once.
 
     ``emission_scale`` multiplies the cell's own emission: 1 for a gray
     solve, the Planck-mean kappa scale for a spectral one (whose
@@ -88,19 +89,15 @@ def divq_from_sums(
     cells (intrusions — boiler tubes and the like) are not part of the
     participating medium: their del.q is zeroed, as in Uintah.
     """
-    sl = box.slices(origin=fields.box.lo)
-    kappa = fields.abskg[sl]
-    st4 = fields.sigma_t4[sl]
-    mean = sum_i_mean.reshape(box.extent)
-    divq = 4.0 * np.pi * kappa * ((st4 * emission_scale) / np.pi - mean)
-    solid = fields.cell_type[sl] != CellType.FLOW
-    if solid.any():
-        divq = np.where(solid, 0.0, divq)
+    kappa = fields.abskg.take(cells)
+    st4 = fields.sigma_t4.take(cells)
+    divq = 4.0 * np.pi * kappa * ((st4 * emission_scale) / np.pi - sum_i_mean)
+    divq[fields.wall.take(cells)] = 0.0
     return divq
 
 
 def march_chunked(
-    level_fields: Sequence[Union[LevelFields, Sequence[LevelFields]]],
+    level_fields: Sequence[StackedFields],
     origins: np.ndarray,
     directions: np.ndarray,
     roi: Union[None, Box, Sequence[Box]] = None,
@@ -116,9 +113,9 @@ def march_chunked(
     successively coarser levels when they leave it. On levels below the
     finest, rays march over the *whole* level — every coarse level spans
     the domain by construction (Section III.C). One level and no ``roi``
-    is the single-level trace. An entry may be a sequence of windows of
-    its level — on the finest, with ``roi`` their boxes — and
-    ``window_of[i]`` then holds each ray's window on level ``i`` (see
+    is the single-level trace. A level's stack may hold several windows —
+    on the finest, with ``roi`` their boxes — and ``window_of[i]`` then
+    holds each ray's window on level ``i`` (see
     :func:`~repro.core.dda.march`; None for a level of one window). Rays
     are independent, so the chunk size changes memory use and nothing
     else.
@@ -172,25 +169,26 @@ def draw_bands(model, rngs: Sequence[np.random.Generator], counts: Sequence[int]
 
 
 def trace_patch_single_level(
-    fields: LevelFields,
+    fields: StackedFields,
     box: Box,
     options: TraceOptions,
     rng: np.random.Generator,
     band_rng: Optional[np.random.Generator] = None,
     chunk_rays: int = LAUNCH_RAYS,
 ) -> np.ndarray:
-    """del.q over ``box`` tracing every ray on one level: the launch of
-    one patch with no coarse levels and no ROI (see
-    :func:`trace_patch_multi_level`)."""
+    """del.q over ``box`` tracing every ray on one level (``fields``, the
+    whole level stacked): the launch of one patch with no coarse levels
+    and no ROI (see :func:`trace_patch_multi_level`)."""
     return trace_patch_multi_level(
-        [], [(fields, box, None, rng)], options, chunk_rays,
+        [], fields, [(box, None, rng)], options, chunk_rays,
         band_rngs=None if band_rng is None else [band_rng],
     )[0]
 
 
 def trace_patch_multi_level(
-    coarse_fields: Sequence[LevelFields],
-    patches: Sequence[Tuple[LevelFields, Optional[Box], Optional[Box], Optional[np.random.Generator]]],
+    coarse_fields: Sequence[StackedFields],
+    fine: StackedFields,
+    patches: Sequence[Tuple[Optional[Box], Optional[Box], Optional[np.random.Generator]]],
     options: TraceOptions,
     chunk_rays: int = LAUNCH_RAYS,
     band_rngs: Optional[Sequence[np.random.Generator]] = None,
@@ -201,15 +199,18 @@ def trace_patch_multi_level(
     of all of them marched together (one launch when the caller kept
     them within the width; cut to ``chunk_rays`` otherwise).
 
-    ``coarse_fields`` is ordered coarsest-first and shared; with none, the
-    fine level is the only one (the single-level trace). Each patch
-    is ``(fine, box, roi, rng)``: ``fine`` holds the fine data of the
-    task (the whole level or a window of it); ``roi`` is the fine data
-    the task owns: patch + halo, plus any adjacent wall ring (see
-    :func:`march_chunked` for the cascade), or None for the whole level;
-    its rays are drawn from its own ``rng``, so a patch's del.q does not
-    depend on what it is launched with. Returns one del.q per patch, in
-    order (None for a ``box`` of None: no cell rays).
+    ``coarse_fields`` is ordered coarsest-first and shared, each level
+    stacked whole; with none, the fine level is the only one (the
+    single-level trace). ``fine`` holds the fine data of the launch, one
+    window a patch (the whole level, for a launch of one patch, is the
+    K = 1 case), and patch ``k`` is ``(box, roi, rng)`` in window ``k``:
+    ``roi`` is the fine data the task owns: patch + halo, plus any
+    adjacent wall ring (see :func:`march_chunked` for the cascade), or
+    None for the whole level; its rays are drawn from its own ``rng``, so
+    a patch's del.q does not depend on what it is launched with. Returns
+    one del.q per patch, in order (None for a ``box`` of None: no cell
+    rays), each a view of the launch's del.q, reduced in one pass
+    (:func:`divq_from_sums`).
 
     ``faces[k]``, when given, are patch ``k``'s wall faces, the second ray
     source: ``(axis, side, slab, rng)`` marches ``rays_per_face`` rays of
@@ -223,7 +224,7 @@ def trace_patch_multi_level(
     table, kappa scales and surface emissivity table) every ray also
     draws a wavelength band from its patch's entry of ``band_rngs`` (face
     rays after cell rays) and marches through its band's fields on every
-    level (:meth:`~repro.core.fields.LevelFields.band`), the bands laid
+    level (:meth:`~repro.core.fields.StackedFields.bands`), the bands laid
     out as windows of the one launch. A
     ray lands in band ``b`` with the Planck probability ``w_b`` and
     marches against the unscaled emission (the ``w_b`` of emission and
@@ -239,11 +240,14 @@ def trace_patch_multi_level(
     full-spectrum band of scale 1 is the gray trace, bit for bit.
     """
     rays_per_cell, spectral = options.rays_per_cell, options.spectral
-    cells = [(fine, box, roi, rng) for fine, box, roi, rng in patches if box is not None]
-    for fine, box, roi, _ in cells:
+    if len(patches) != len(fine.boxes):
+        raise ReproError(f"{len(patches)} patches in a launch of {len(fine.boxes)} windows")
+    cells = [(k, box, roi, rng) for k, (box, roi, rng) in enumerate(patches) if box is not None]
+    ring = fine.ring_box
+    for _, box, roi, _ in cells:
         if not fine.interior.contains_box(box):
             raise ReproError(f"patch box {box} outside fine interior {fine.interior}")
-        if roi is not None and (not fine.ring_box.contains_box(roi) or not roi.contains_box(box)):
+        if roi is not None and (not ring.contains_box(roi) or not roi.contains_box(box)):
             raise ReproError(f"roi {roi} must satisfy box <= roi <= fine ring box")
     if spectral is not None and (band_rngs is None or len(band_rngs) != len(patches)):
         raise ReproError("a spectral trace needs one band stream a patch")
@@ -252,38 +256,35 @@ def trace_patch_multi_level(
     # draws from its own stream, so its rays and its del.q do not depend
     # on what it is launched with
     origins, directions = generate_patch_rays(
-        patches[0][0], [box for _, box, _, _ in cells], rays_per_cell,
+        fine, [box for _, box, _, _ in cells], rays_per_cell,
         [rng for _, _, _, rng in cells], centered_origins=options.centered_origins,
     )
-    volumes = [0 if box is None else box.volume for _, box, _, _ in patches]
+    volumes = [0 if box is None else box.volume for box, _, _ in patches]
     cell_rays = origins.shape[0]
     # each source's rays, patch by patch: the cells', then the wall faces'
     sources = [np.multiply(volumes, rays_per_cell)]
     all_faces = [face for patch_faces in faces or () for face in patch_faces]
     if all_faces:
-        face_origins, face_directions = generate_face_rays(patches[0][0], all_faces, rays_per_face)
+        face_origins, face_directions = generate_face_rays(fine, all_faces, rays_per_face)
         origins = np.concatenate((origins.T, face_origins.T), axis=1).T
         directions = np.concatenate((directions.T, face_directions.T), axis=1).T
         sources.append([sum(s.volume for _, _, s, _ in f) * rays_per_face for f in faces])
-    fines = [fine for fine, _, _, _ in patches]
-    rois = [roi for _, _, roi, _ in patches]
+    rois = [roi for _, roi, _ in patches]
     patch_of = None
     if len(patches) > 1:
         patch_of = np.concatenate([np.repeat(np.arange(len(patches)), n) for n in sources])
     if spectral is None:
-        levels = [*coarse_fields, fines]
+        levels = [*coarse_fields, fine]
         window_of = [None] * len(coarse_fields) + [patch_of]
     else:
         # the bands are windows of one launch: on a coarse level window b
-        # is band b of the level, on the fine level window k * nb + b is
+        # is band b of the level, on the fine level window b * K + k is
         # band b of patch k's window
-        nb = spectral.nbands
         bands = np.concatenate([draw_bands(spectral, band_rngs, n) for n in sources])
-        levels = [[c.band(spectral, b) for b in range(nb)] for c in coarse_fields]
-        levels.append([f.band(spectral, b) for f in fines for b in range(nb)])
+        levels = [c.bands(spectral) for c in coarse_fields] + [fine.bands(spectral)]
         window_of = [bands] * len(coarse_fields)
-        window_of.append(bands if patch_of is None else patch_of * nb + bands)
-        rois = [roi for roi in rois for _ in range(nb)]
+        window_of.append(bands if patch_of is None else bands * len(patches) + patch_of)
+        rois = rois * spectral.nbands
     sum_i = march_chunked(
         levels, origins, directions, roi=rois, threshold=options.threshold,
         reflections=options.reflections, chunk_rays=chunk_rays, window_of=window_of,
@@ -294,9 +295,12 @@ def trace_patch_multi_level(
         cell_sum_i *= spectral.kappa_scales[bands[:cell_rays]]
         emission_scale = spectral.planck_mean_scale
     means = cell_sum_i.reshape(-1, rays_per_cell).mean(axis=1)
+    # one reduction over the launch's cells, each patch's del.q a view of it
+    divq = divq_from_sums(fine, fine.cells([box for box, _, _ in patches]), means, emission_scale)
+    ends = np.cumsum(volumes)
     divqs = [
-        None if box is None else divq_from_sums(fine, box, mean, emission_scale)
-        for (fine, box, _, _), mean in zip(patches, np.split(means, np.cumsum(volumes)[:-1]))
+        None if box is None else divq[end - box.volume:end].reshape(box.extent)
+        for (box, _, _), end in zip(patches, ends)
     ]
     if faces is None:
         return divqs

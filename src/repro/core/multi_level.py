@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.grid.grid import Grid
-from repro.core.fields import LevelFields
+from repro.core.fields import LevelFields, StackedFields
 from repro.core.kernels import patch_roi, trace_patch_multi_level
 from repro.core.single_level import PatchSolver, RMCRTResult
 from repro.radiation.properties import RadiativeProperties
@@ -55,19 +55,21 @@ class MultiLevelRMCRT(PatchSolver):
                 "multi-level RMCRT needs >= 2 levels; use SingleLevelRMCRT"
             )
         bundles = project_to_coarser_levels(grid, fine_props)
+        # every level as a launch marches it, stacked once a solve
         *coarse_fields, fine_fields = [
-            LevelFields.from_properties(grid.level(i), bundles[i])
+            StackedFields.of([LevelFields.from_properties(grid.level(i), bundles[i])])
             for i in range(grid.num_levels)
         ]
         fine_level = grid.finest_level
 
         def trace(patch, rng, band_rng):
             # one patch per launch: the patches share one full-level
-            # fine array, and stacking copies of it is the wrong trade
+            # fine stack, and stacking copies of it is the wrong trade
             roi = patch_roi(fine_level.domain_box, patch.box, self.options.halo)
             (pdivq,) = trace_patch_multi_level(
                 coarse_fields,
-                [(fine_fields, patch.box, roi, rng)],
+                fine_fields,
+                [(patch.box, roi, rng)],
                 self.options,
                 band_rngs=None if band_rng is None else [band_rng],
             )

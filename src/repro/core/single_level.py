@@ -19,7 +19,7 @@ import numpy as np
 from repro.grid.grid import Grid
 from repro.grid.level import Level
 from repro.grid.patch import Patch
-from repro.core.fields import LevelFields
+from repro.core.fields import LevelFields, StackedFields
 from repro.core.cpu_kernel import march_single_ray
 from repro.core.kernels import (
     TraceOptions, divq_from_sums, draw_bands, trace_patch_single_level,
@@ -110,17 +110,21 @@ class SingleLevelRMCRT(PatchSolver):
         checkpoints resume bit-identically."""
         level = grid.finest_level
         fields = LevelFields.from_properties(level, props)
+        stack = StackedFields.of([fields])  # the level as a launch marches it, once a solve
 
         def trace(patch, rng, band_rng):
             if self.backend == "scalar":
-                return self._scalar_patch(fields, patch.box, rng, band_rng)
-            return trace_patch_single_level(fields, patch.box, self.options, rng, band_rng)
+                return self._scalar_patch(fields, stack, patch.box, rng, band_rng)
+            return trace_patch_single_level(stack, patch.box, self.options, rng, band_rng)
 
         return self._solve_patches(level, trace, streams)
 
-    def _scalar_patch(self, fields: LevelFields, box, rng, band_rng) -> np.ndarray:
+    def _scalar_patch(
+        self, fields: LevelFields, stack: StackedFields, box, rng, band_rng
+    ) -> np.ndarray:
         """The per-ray reference loop: one ray at a time through its
-        band's fields — the differential oracle for the batch path."""
+        band's fields — the differential oracle for the batch path, whose
+        del.q reduction (over ``stack``, the level stacked) it shares."""
         options = self.options
         origins, directions = generate_patch_rays(
             fields, [box], options.rays_per_cell, [rng],
@@ -143,8 +147,9 @@ class SingleLevelRMCRT(PatchSolver):
         ])
         weighted = sums * scales[bands]
         return divq_from_sums(
-            fields, box, weighted.reshape(-1, options.rays_per_cell).mean(axis=1), emission_scale
-        )
+            stack, stack.cells([box]),
+            weighted.reshape(-1, options.rays_per_cell).mean(axis=1), emission_scale,
+        ).reshape(box.extent)
 
 
 def _whole_domain_patch(level):

@@ -9,12 +9,13 @@ uniform-work tasks like RMCRT where work ~ cells * rays.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.grid.patch import Patch
-from repro.grid.sfc import curve_order
+from repro.grid.sfc import hilbert_encode, morton_key
 from repro.util.errors import GridError
 
 
@@ -34,15 +35,25 @@ class LoadBalancer:
         self.cost_fn = cost_fn or (lambda p: float(p.num_cells))
 
     def order_patches(self, patches: Sequence[Patch]) -> List[Patch]:
-        """Patches sorted along the curve by patch-centroid index."""
+        """Patches sorted along the curve by patch-centroid index (the
+        order :func:`~repro.grid.sfc.curve_order` gives), in plain ints:
+        a pass orders a few dozen patches, where NumPy's per-call cost
+        outweighs the work."""
         if not patches:
             return []
-        pts = np.array(
-            [[int(c) for c in p.centroid_index()] for p in patches], dtype=np.int64
-        )
-        pts -= pts.min(axis=0)  # curves need non-negative coordinates
-        order = curve_order(pts, curve=self.curve)
-        return [patches[i] for i in order]
+        pts = [tuple(int(c) for c in p.centroid_index()) for p in patches]
+        # curves need non-negative coordinates
+        lo = tuple(min(pt[a] for pt in pts) for a in range(3))
+        pts = [(x - lo[0], y - lo[1], z - lo[2]) for x, y, z in pts]
+        if self.curve == "morton":
+            keys = [morton_key(*pt) for pt in pts]
+        elif self.curve == "hilbert":
+            span = max(max(pt) for pt in pts) + 1
+            bits = max(1, (max(2, span) - 1).bit_length())
+            keys = [hilbert_encode(pt, bits) for pt in pts]
+        else:
+            raise ValueError(f"unknown curve {self.curve!r} (use 'morton' or 'hilbert')")
+        return [patches[i] for i in sorted(range(len(pts)), key=keys.__getitem__)]
 
     def assign(self, patches: Sequence[Patch]) -> Dict[int, int]:
         """Map ``patch_id -> rank``.
@@ -50,29 +61,29 @@ class LoadBalancer:
         Greedy prefix cut: walk the curve accumulating cost, advancing
         to the next rank when the running total passes the ideal
         per-rank share. Guarantees every rank gets at least one patch
-        whenever ``len(patches) >= num_ranks``.
+        whenever ``len(patches) >= num_ranks``. Plain floats throughout;
+        the total is the exactly rounded sum (:func:`math.fsum`).
         """
         ordered = self.order_patches(patches)
         n = len(ordered)
         if n == 0:
             return {}
-        costs = np.array([self.cost_fn(p) for p in ordered])
-        total = float(costs.sum())
+        costs = [float(self.cost_fn(p)) for p in ordered]
+        total = math.fsum(costs)
         if total <= 0:
             raise GridError("total patch cost must be positive")
         assignment: Dict[int, int] = {}
+        ranks = self.num_ranks
         rank = 0
         acc = 0.0
-        for i, patch in enumerate(ordered):
-            remaining_patches = n - i
-            remaining_ranks = self.num_ranks - rank
+        for i, (patch, cost) in enumerate(zip(ordered, costs)):
             # never strand a later rank without patches
-            must_advance = remaining_patches == remaining_ranks and acc > 0
-            target = total * (rank + 1) / self.num_ranks
-            if rank < self.num_ranks - 1 and (must_advance or acc + 0.5 * costs[i] >= target):
+            must_advance = n - i == ranks - rank and acc > 0
+            target = total * (rank + 1) / ranks
+            if rank < ranks - 1 and (must_advance or acc + 0.5 * cost >= target):
                 rank += 1
             assignment[patch.patch_id] = rank
-            acc += costs[i]
+            acc += cost
         return assignment
 
     def rank_costs(self, patches: Sequence[Patch], assignment: Dict[int, int]) -> np.ndarray:

@@ -42,6 +42,23 @@ def morton_encode(x, y, z) -> np.ndarray:
     return _part1by2(x) | (_part1by2(y) << np.uint64(1)) | (_part1by2(z) << np.uint64(2))
 
 
+def _spread(n: int) -> int:
+    """:func:`_part1by2` of one plain int."""
+    n &= 0x1FFFFF
+    n = (n | (n << 32)) & 0x1F00000000FFFF
+    n = (n | (n << 16)) & 0x1F0000FF0000FF
+    n = (n | (n << 8)) & 0x100F00F00F00F00F
+    n = (n | (n << 4)) & 0x10C30C30C30C30C3
+    return (n | (n << 2)) & 0x1249249249249249
+
+
+def morton_key(x: int, y: int, z: int) -> int:
+    """:func:`morton_encode` of one point, in plain ints: for the few
+    patch centroids of a load-balancing pass, where NumPy's per-call cost
+    outweighs the work."""
+    return _spread(x) | (_spread(y) << 1) | (_spread(z) << 2)
+
+
 def morton_decode(key) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = np.asarray(key, dtype=np.uint64)
     return (

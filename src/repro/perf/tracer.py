@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Dict, List, Optional
 
 from repro.perf import tracectx
@@ -71,6 +71,8 @@ class SpanTracer:
         self._tids: Dict[int, int] = {}
         self._next_tid = 0
         self._sinks: List[Callable[[dict], None]] = []
+        # what span() returns while disabled: stateless, so one serves all
+        self._no_span = nullcontext(self)
 
     # ------------------------------------------------------------------
     # time & thread bookkeeping
@@ -194,8 +196,16 @@ class SpanTracer:
             event["args"] = args
         self._emit(event)
 
-    @contextmanager
     def span(self, name: str, cat: str = "", **args):
+        """A span over a ``with`` block, which yields the tracer. A
+        disabled tracer returns one shared no-op context, entered without
+        a generator frame; exceptions pass through either way."""
+        if not self.enabled:
+            return self._no_span
+        return self._span(name, cat, args)
+
+    @contextmanager
+    def _span(self, name: str, cat: str, args: dict):
         self.begin(name, cat, **args)
         try:
             yield self

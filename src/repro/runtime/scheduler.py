@@ -311,8 +311,11 @@ class RankStats:
     """Per-rank execution accounting, Uintah's ExecTimes in miniature.
 
     ``local_comm_time`` is the executable counterpart of Figure 1's
-    measured quantity: wall time the rank spent inside its request
-    pool (posting/testing/processing messages)."""
+    measured quantity: the time the rank spent inside its request pool
+    (posting/testing/processing messages), counted as the rank thread's
+    CPU time (``time.thread_time``), not wall time — rank threads share
+    cores and the GIL, and a pass that waits for the other rank must not
+    be charged its work. ``task_exec_time`` stays wall time."""
 
     rank: int
     task_exec_time: float = 0.0
@@ -394,9 +397,9 @@ class RankLink:
         if arrivals == self._progressed:
             return []
         self._progressed = arrivals
-        t0 = time.perf_counter()
+        t0 = time.thread_time()
         self.pool.process_ready()
-        self.stats.local_comm_time += time.perf_counter() - t0
+        self.stats.local_comm_time += time.thread_time() - t0
         arrived, self._arrived = self._arrived, []
         return arrived
 
@@ -422,7 +425,7 @@ class RankLink:
                     patch=dt.patch.patch_id, dur_s=round(task_dur, 6),
                     trace_id=task_trace.trace_id,
                 )
-            t0 = time.perf_counter()
+            t0 = time.thread_time()
             for dt in dts:
                 for msg in self._outgoing.get(dt.dtask_id, ()):
                     # one payload per message: its parts' arrays, in part order
@@ -442,7 +445,7 @@ class RankLink:
                         self.comm.isend(data, dest=msg.dst_rank, tag=msg.msg_id)
                     stats.messages_sent += 1
                     stats.bytes_sent += msg.nbytes
-            stats.local_comm_time += time.perf_counter() - t0
+            stats.local_comm_time += time.thread_time() - t0
 
     def close(self, metrics: MetricsRegistry) -> None:
         """Task-duration quantiles into the stats; the pool's counters out."""

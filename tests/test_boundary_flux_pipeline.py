@@ -9,6 +9,7 @@ from repro.grid import Box, CellType
 from repro.core import (
     DistributedRMCRT,
     LevelFields,
+    StackedFields,
     TraceOptions,
     VirtualRadiometer,
     benchmark_property_init,
@@ -117,9 +118,9 @@ class TestPipelineBoundaryFlux:
         offender = drm.grid.finest_level.patches[5]
         real = distributed.trace_patch_multi_level
 
-        def poisoned(coarse, patches, *args, **kwargs):
-            divqs, fluxes = real(coarse, patches, *args, **kwargs)
-            for (_, box, _, _), faces in zip(patches, fluxes):
+        def poisoned(coarse, fine, patches, *args, **kwargs):
+            divqs, fluxes = real(coarse, fine, patches, *args, **kwargs)
+            for (box, _, _), faces in zip(patches, fluxes):
                 if box == offender.box:
                     faces[0][...] = np.nan
             return divqs, fluxes
@@ -185,7 +186,7 @@ class TestMultilevelRadiometerUnit:
         face = Box((0, 0, 0), (1, 8, 8))
         rng = np.random.default_rng(3)
         divqs, [[q]] = trace_patch_multi_level(
-            [], [(fields, None, None, None)], TraceOptions(),
+            [], StackedFields.of([fields]), [(None, None, None)], TraceOptions(),
             faces=[[(0, 0, face, rng)]], rays_per_face=64,
         )
         assert divqs == [None]

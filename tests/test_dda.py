@@ -15,6 +15,7 @@ from repro.core import (
     LevelFields,
     RayBatch,
     RayStatus,
+    StackedFields,
     isotropic_directions,
     march,
     march_single_ray,
@@ -24,6 +25,12 @@ from repro.core.dda import _launch_state
 from repro.perf import MetricsRegistry, set_metrics
 from repro.radiation import RadiativeProperties
 from repro.util.errors import ReproError
+
+
+def stacked(fields):
+    """A level (a LevelFields) or a list of windows of one level, laid
+    out as a launch marches them."""
+    return StackedFields.of([fields] if isinstance(fields, LevelFields) else fields)
 
 
 def make_fields(n=8, kappa=1.0, st4=1.0, wall_t4=0.0, wall_emis=1.0, dx=None, kappa_field=None):
@@ -58,7 +65,7 @@ def center_origin(fields, n):
 def assert_matches_scalar(fields, origins, dirs, atol=1e-15, **kw):
     """march == march_single_ray, ray for ray: status, sum_i, tau, exit_pos."""
     batch = RayBatch.fresh(origins.copy(), dirs.copy())
-    march(fields=fields, batch=batch, **kw)
+    march(fields=stacked(fields), batch=batch, **kw)
     for r in range(batch.n):
         s, tau, status, exit_pos = march_single_ray(fields, origins[r], dirs[r], **kw)
         assert batch.status[r] == status, r
@@ -90,7 +97,7 @@ class TestAnalyticSingleRay:
         origin = fields.cell_center(np.array([n // 2, n // 2, n // 2]))
         L = 1.0 - origin[0]
         batch = RayBatch.fresh(origin[None, :], np.array([[1.0, 0.0, 0.0]]))
-        march(fields=fields, batch=batch, threshold=1e-12)
+        march(fields=stacked(fields), batch=batch, threshold=1e-12)
         expected = (1.0 / np.pi) * (1.0 - np.exp(-kappa * L))
         assert np.isclose(batch.sum_i[0], expected, rtol=1e-12)
         assert batch.status[0] == RayStatus.WALL_HIT
@@ -102,7 +109,7 @@ class TestAnalyticSingleRay:
         origin = np.array([[0.3, 0.4, 0.2]])
         d = np.array([[1.0, 1.0, 1.0]]) / np.sqrt(3)
         batch = RayBatch.fresh(origin, d)
-        march(fields=fields, batch=batch, threshold=1e-14)
+        march(fields=stacked(fields), batch=batch, threshold=1e-14)
         # chord: exits when any coordinate reaches 1; x first? all equal rate,
         # limiting coordinate is max start -> y reaches 1 after 0.6*sqrt(3)
         t_exit = (1.0 - 0.4) * np.sqrt(3)
@@ -115,7 +122,7 @@ class TestAnalyticSingleRay:
         fields = make_fields(n, kappa=kappa, st4=0.0, wall_t4=2.0)
         origin = fields.cell_center(np.array([3, 3, 3]))
         batch = RayBatch.fresh(origin[None, :], np.array([[0.0, 0.0, -1.0]]))
-        march(fields=fields, batch=batch, threshold=1e-14)
+        march(fields=stacked(fields), batch=batch, threshold=1e-14)
         L = origin[2]  # distance to z=0 wall
         expected = (2.0 / np.pi) * np.exp(-kappa * L)
         assert np.isclose(batch.sum_i[0], expected, rtol=1e-12)
@@ -125,7 +132,7 @@ class TestAnalyticSingleRay:
         fields = make_fields(8, kappa=500.0)
         origin = fields.cell_center(np.array([4, 4, 4]))
         batch = RayBatch.fresh(origin[None, :], np.array([[1.0, 0.0, 0.0]]))
-        march(fields=fields, batch=batch, threshold=1e-3)
+        march(fields=stacked(fields), batch=batch, threshold=1e-3)
         assert batch.status[0] == RayStatus.EXTINCT
         # it absorbed essentially all the emission along the way
         assert np.isclose(batch.sum_i[0], 1.0 / np.pi, rtol=1e-2)
@@ -134,7 +141,7 @@ class TestAnalyticSingleRay:
         fields = make_fields(8)
         origin = fields.cell_center(np.array([4, 4, 4]))
         batch = RayBatch.fresh(origin[None, :], np.array([[0.0, 1.0, 0.0]]))
-        march(fields=fields, batch=batch)
+        march(fields=stacked(fields), batch=batch)
         assert batch.status[0] == RayStatus.WALL_HIT
 
 
@@ -150,7 +157,7 @@ class TestDifferential:
         dirs = isotropic_directions(rng, 64)
         scalar = trace_rays_scalar(fields, origins, dirs)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=fields, batch=batch)
+        march(fields=stacked(fields), batch=batch)
         np.testing.assert_allclose(batch.sum_i, scalar, rtol=0, atol=1e-15)
 
     def test_heterogeneous_medium(self):
@@ -161,7 +168,7 @@ class TestDifferential:
         dirs = isotropic_directions(rng, 128)
         scalar = trace_rays_scalar(fields, origins, dirs)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=fields, batch=batch)
+        march(fields=stacked(fields), batch=batch)
         np.testing.assert_allclose(batch.sum_i, scalar, rtol=0, atol=1e-15)
 
     def test_with_reflections(self):
@@ -171,7 +178,7 @@ class TestDifferential:
         dirs = isotropic_directions(rng, 64)
         scalar = trace_rays_scalar(fields, origins, dirs, reflections=True)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=fields, batch=batch, reflections=True)
+        march(fields=stacked(fields), batch=batch, reflections=True)
         np.testing.assert_allclose(batch.sum_i, scalar, rtol=0, atol=1e-14)
 
     def test_roi_parking_matches_scalar(self):
@@ -192,7 +199,7 @@ class TestROI:
         origins = np.asarray(fields.cell_center(np.full((16, 3), 4)))
         dirs = isotropic_directions(np.random.default_rng(0), 16)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=fields, batch=batch, roi=roi)
+        march(fields=stacked(fields), batch=batch, roi=roi)
         assert (batch.status == RayStatus.LEFT_ROI).all()
         # exit positions sit on the ROI boundary shell
         lo = np.array([3, 3, 3]) * fields.dx[0]
@@ -212,11 +219,11 @@ class TestROI:
         dirs = isotropic_directions(rng, 64)
 
         uninterrupted = RayBatch.fresh(origins.copy(), dirs.copy())
-        march(fields=fields, batch=uninterrupted)
+        march(fields=stacked(fields), batch=uninterrupted)
 
         two_phase = RayBatch.fresh(origins.copy(), dirs.copy())
-        march(fields=fields, batch=two_phase, roi=roi)
-        march(fields=fields, batch=two_phase, from_handoff=True)
+        march(fields=stacked(fields), batch=two_phase, roi=roi)
+        march(fields=stacked(fields), batch=two_phase, from_handoff=True)
 
         np.testing.assert_allclose(two_phase.sum_i, uninterrupted.sum_i, atol=1e-9)
         assert not (two_phase.status == RayStatus.LEFT_ROI).any()
@@ -225,7 +232,7 @@ class TestROI:
         fields = make_fields(4)
         with pytest.raises(ReproError):
             march(
-                fields=fields,
+                fields=stacked(fields),
                 batch=RayBatch.fresh(np.array([[0.5, 0.5, 0.5]]), np.array([[1.0, 0, 0]])),
                 roi=Box((-5, -5, -5), (10, 10, 10)),
             )
@@ -239,7 +246,7 @@ class TestReflections:
         origins = np.asarray(fields.cell_center(np.full((8, 3), 3)))
         dirs = isotropic_directions(np.random.default_rng(1), 8)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=fields, batch=batch, reflections=True, threshold=1e-3)
+        march(fields=stacked(fields), batch=batch, reflections=True, threshold=1e-3)
         assert (batch.status == RayStatus.EXTINCT).all()
         # infinite reflections in a hot medium: sumI -> Ib = 1/pi
         assert np.allclose(batch.sum_i, 1 / np.pi, rtol=5e-3)
@@ -250,9 +257,9 @@ class TestReflections:
         origins = np.asarray(fields_black.cell_center(np.full((32, 3), 3)))
         dirs = isotropic_directions(np.random.default_rng(2), 32)
         b1 = RayBatch.fresh(origins.copy(), dirs.copy())
-        march(fields=fields_black, batch=b1)
+        march(fields=stacked(fields_black), batch=b1)
         b2 = RayBatch.fresh(origins.copy(), dirs.copy())
-        march(fields=fields_refl, batch=b2, reflections=True)
+        march(fields=stacked(fields_refl), batch=b2, reflections=True)
         assert b2.sum_i.mean() > b1.sum_i.mean()
 
 
@@ -266,7 +273,7 @@ class TestBatchMechanics:
     def test_empty_batch(self):
         fields = make_fields(4)
         batch = RayBatch.fresh(np.zeros((0, 3)), np.zeros((0, 3)))
-        march(fields=fields, batch=batch)
+        march(fields=stacked(fields), batch=batch)
         assert batch.n == 0
 
     def test_max_steps_guard(self):
@@ -277,7 +284,7 @@ class TestBatchMechanics:
         dirs = np.array([[1.0, 0.0, 0.0]])
         batch = RayBatch.fresh(origins, dirs)
         with pytest.raises(ReproError):
-            march(fields=fields, batch=batch, max_steps=1)
+            march(fields=stacked(fields), batch=batch, max_steps=1)
 
     def test_statuses_partition(self):
         fields = make_fields(8, kappa=1.0)
@@ -285,7 +292,7 @@ class TestBatchMechanics:
         origins = np.asarray(fields.cell_center(rng.integers(0, 8, size=(256, 3))))
         dirs = isotropic_directions(rng, 256)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=fields, batch=batch)
+        march(fields=stacked(fields), batch=batch)
         assert not (batch.status == RayStatus.ALIVE).any()
         assert set(np.unique(batch.status)) <= {
             int(RayStatus.WALL_HIT),
@@ -301,7 +308,7 @@ class TestBatchMechanics:
         origins = np.asarray(fields.cell_center(rng.integers(0, 6, size=(16, 3))))
         dirs = isotropic_directions(rng, 16)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=fields, batch=batch)
+        march(fields=stacked(fields), batch=batch)
         assert (batch.sum_i >= 0).all()
         assert (batch.sum_i <= 1 / np.pi + 1e-12).all()
 
@@ -358,7 +365,7 @@ class TestLayoutEdges:
             batch.sum_i[:] = 0.1
 
         fstate, istate, _, _ = _launch_state(
-            [fields], None, batch, np.arange(n), batch.exit_pos if from_handoff else starts,
+            stacked(fields), None, batch, np.arange(n), batch.exit_pos if from_handoff else starts,
             from_handoff,
         )
         tmax, tdelta, fstep = fstate[6:9], fstate[9:12], istate[2:5]
@@ -367,7 +374,7 @@ class TestLayoutEdges:
         assert (fstep[still] == 0).all()
         assert np.isfinite(tmax[~still]).all() and (tdelta[~still] > 0.0).all()
 
-        march(fields=fields, batch=batch, reflections=reflections, from_handoff=from_handoff)
+        march(fields=stacked(fields), batch=batch, reflections=reflections, from_handoff=from_handoff)
         for r in range(n):
             s, tau, status, _ = march_single_ray(
                 fields, starts[r], dirs[r], reflections=reflections, from_handoff=from_handoff,
@@ -389,7 +396,7 @@ class TestLayoutEdges:
         batch.exit_pos[:] = exit_pos
         batch.tau[:] = tau0
         batch.sum_i[:] = 0.1
-        march(fields=fields, batch=batch, from_handoff=True)
+        march(fields=stacked(fields), batch=batch, from_handoff=True)
         for r in range(3):
             s, tau, status, _ = march_single_ray(
                 fields, exit_pos[r], dirs[r], tau0=tau0[r], sum_i0=0.1, from_handoff=True
@@ -520,7 +527,7 @@ class TestFusedLaunch:
         if not windows:
             return
         separate = [
-            march(fields=w, batch=RayBatch.fresh(o, d.copy()), roi=r, reflections=reflections)
+            march(fields=stacked(w), batch=RayBatch.fresh(o, d.copy()), roi=r, reflections=reflections)
             for w, r, o, d in zip(windows, rois, origins, dirs)
         ]
         expected = {
@@ -533,7 +540,7 @@ class TestFusedLaunch:
         cuts = [0, total // 2, total] if split and total > 1 else [0, total]
         chunks = [
             march(
-                fields=windows, batch=RayBatch.fresh(origins[a:b], dirs[a:b].copy()),
+                fields=stacked(windows), batch=RayBatch.fresh(origins[a:b], dirs[a:b].copy()),
                 roi=rois, reflections=reflections, window_of=window_of[a:b],
             )
             for a, b in zip(cuts, cuts[1:])
@@ -557,15 +564,15 @@ class TestFusedLaunch:
         # ray 0 marches the small window, ray 1 the whole level
         window_of = np.array([order.index(0), order.index(1)])
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=windows, batch=batch, roi=rois, reflections=True, window_of=window_of)
+        march(fields=stacked(windows), batch=batch, roi=rois, reflections=True, window_of=window_of)
         assert batch.status[0] == RayStatus.LEFT_ROI
         lone = RayBatch.fresh(origins[1:], dirs[1:].copy())
-        march(fields=fields, batch=lone, reflections=True)
+        march(fields=stacked(fields), batch=lone, reflections=True)
         assert batch.status[1] == lone.status[0] == RayStatus.EXTINCT
         assert batch.sum_i[1] == lone.sum_i[0] and batch.tau[1] == lone.tau[0]
         with pytest.raises(ReproError, match="still alive"):
             march(
-                fields=fields, batch=RayBatch.fresh(origins[1:], dirs[1:].copy()),
+                fields=stacked(fields), batch=RayBatch.fresh(origins[1:], dirs[1:].copy()),
                 reflections=True, max_steps=16 * (9 + 3),
             )
 
@@ -574,18 +581,18 @@ class TestFusedLaunch:
         roi = Box((2, 2, 2), (5, 5, 5))
         batch = RayBatch.fresh(center_origin(fields, 8), np.array([[1.0, 0.0, 0.0]]))
         with pytest.raises(ReproError, match="cells around"):
-            march(fields=crop(fields, roi), batch=batch, roi=roi)  # no room to park
+            march(fields=stacked(crop(fields, roi)), batch=batch, roi=roi)  # no room to park
         with pytest.raises(ReproError, match="cells around"):
-            march(fields=crop(fields, roi.grow(1)), batch=batch)  # a window needs its roi
+            march(fields=stacked(crop(fields, roi.grow(1))), batch=batch)  # a window needs its roi
         two = [crop(fields, roi.grow(1)), crop(fields, roi.grow(2))]
         with pytest.raises(ReproError, match="rois"):
-            march(fields=two, batch=batch, roi=[roi], window_of=np.zeros(1, dtype=int))
+            march(fields=stacked(two), batch=batch, roi=[roi], window_of=np.zeros(1, dtype=int))
         with pytest.raises(ReproError, match="window_of"):
-            march(fields=two, batch=batch, roi=[roi, roi])
+            march(fields=stacked(two), batch=batch, roi=[roi, roi])
         other_level = make_fields(8, dx=0.5)
         with pytest.raises(ReproError, match="one level"):
             march(
-                fields=[two[0], crop(other_level, roi.grow(1))], batch=batch,
+                fields=stacked([two[0], crop(other_level, roi.grow(1))]), batch=batch,
                 roi=[roi, roi], window_of=np.zeros(1, dtype=int),
             )
 
@@ -602,10 +609,10 @@ class TestReflectionsAcrossTheROI:
         dirs = isotropic_directions(rng, 64)
 
         uninterrupted = RayBatch.fresh(origins.copy(), dirs.copy())
-        march(fields=fields, batch=uninterrupted, reflections=True)
+        march(fields=stacked(fields), batch=uninterrupted, reflections=True)
 
         two_phase = RayBatch.fresh(origins, dirs.copy())
-        march(fields=fields, batch=two_phase, roi=roi, reflections=True)
+        march(fields=stacked(fields), batch=two_phase, roi=roi, reflections=True)
         parked = two_phase.parked()
         bounced = parked[(two_phase.directions[parked] != dirs[parked]).any(axis=1)]
         assert bounced.size > 0  # the case under test occurs
@@ -613,7 +620,7 @@ class TestReflectionsAcrossTheROI:
         np.testing.assert_allclose(two_phase.exit_pos[parked, 0], 5 / 8, atol=1e-12)
         assert (np.abs(two_phase.exit_pos[parked, 1:] - 0.5) <= 0.5 + 1e-12).all()
         np.testing.assert_array_equal(two_phase.origins, origins)  # caller's arrays untouched
-        march(fields=fields, batch=two_phase, from_handoff=True, reflections=True)
+        march(fields=stacked(fields), batch=two_phase, from_handoff=True, reflections=True)
 
         np.testing.assert_allclose(two_phase.sum_i, uninterrupted.sum_i, atol=1e-9)
         np.testing.assert_allclose(two_phase.tau, uninterrupted.tau, rtol=1e-9)
@@ -660,7 +667,7 @@ class TestKernelCounters:
             batch = RayBatch.fresh(
                 np.asarray(fields.cell_center(cells)), np.tile([-1.0, 0.0, 0.0], (len(x_cells), 1))
             )
-            return march(fields=fields, batch=batch, **kw)
+            return march(fields=stacked(fields), batch=batch, **kw)
 
         registry = MetricsRegistry()
         previous = set_metrics(registry)
@@ -680,7 +687,7 @@ class TestKernelCounters:
             # 2 + 1 rows), then both take 2 more steps on re-launch
             batch = launch([2, 3], roi=Box((2, 0, 0), (4, 4, 4)))
             assert (batch.status == RayStatus.LEFT_ROI).all()
-            march(fields=fields, batch=batch, from_handoff=True)
+            march(fields=stacked(fields), batch=batch, from_handoff=True)
             assert (batch.status == RayStatus.WALL_HIT).all()
         finally:
             set_metrics(previous)
@@ -758,7 +765,7 @@ class TestParking:
         kw = dict(roi=roi, reflections=True)
         batch = self.check(
             lambda rows: dict(
-                fields=fields, batch=RayBatch.fresh(origins[rows], dirs[rows].copy()), **kw
+                fields=stacked(fields), batch=RayBatch.fresh(origins[rows], dirs[rows].copy()), **kw
             ),
             48,
         )
@@ -774,7 +781,7 @@ class TestParking:
             batch.exit_pos[:] = exit_pos[rows]
             batch.tau[:] = tau0[rows]
             batch.sum_i[:] = 0.1
-            return dict(fields=fields, batch=batch, from_handoff=True, reflections=True)
+            return dict(fields=stacked(fields), batch=batch, from_handoff=True, reflections=True)
 
         return launch
 
@@ -822,7 +829,7 @@ class TestParking:
         fields = make_fields(4)
         batch = RayBatch.fresh(center_origin(fields, 4), np.array([[1.0, 0.0, 0.0]]))
         with pytest.raises(ReproError, match="threshold"):
-            march(fields=fields, batch=batch, threshold=1.5)
+            march(fields=stacked(fields), batch=batch, threshold=1.5)
 
     def test_fused_launch_equals_separate_marches(self):
         """K windows in one launch: a lane parked in one window marches
@@ -842,7 +849,7 @@ class TestParking:
         origins, dirs, window_of = np.vstack(origins), np.vstack(dirs), np.array(window_of)
         batch = self.check(
             lambda rows: dict(
-                fields=windows, batch=RayBatch.fresh(origins[rows], dirs[rows].copy()),
+                fields=stacked(windows), batch=RayBatch.fresh(origins[rows], dirs[rows].copy()),
                 roi=rois, reflections=True, window_of=window_of[rows],
             ),
             36,
@@ -850,7 +857,7 @@ class TestParking:
         for w, roi in enumerate(rois):
             lanes = window_of == w
             alone = RayBatch.fresh(origins[lanes], dirs[lanes].copy())
-            march(fields=windows[w], batch=alone, roi=roi, reflections=True)
+            march(fields=stacked(windows[w]), batch=alone, roi=roi, reflections=True)
             for row in RESULT_ROWS:
                 np.testing.assert_array_equal(getattr(batch, row)[lanes], getattr(alone, row))
 
@@ -862,9 +869,9 @@ class TestStepScratch:
     #: march's tracemalloc high-water mark a lane on the scene below: the
     #: state (12 float and 5 int rows, 136 B), the scratch (a float row
     #: and an int64 row holding the 5 int8 flag rows, 16 B), and the
-    #: scene's stacked per-cell arrays and NumPy's cast buffers spread
-    #: over the lanes (~11 B)
-    PEAK_BYTES_PER_LANE = 163
+    #: stack's emission and wall rows, derived on its first march, and
+    #: NumPy's cast buffers spread over the lanes (~8 B)
+    PEAK_BYTES_PER_LANE = 160
 
     def test_march_peak_per_lane_is_pinned(self):
         """16384 lanes from the middle of a clear 16^3 level, stopped by
@@ -890,10 +897,11 @@ class TestStepScratch:
         )
         batch = RayBatch.fresh(origins, dirs)
         assert batch.n == 16384
+        stack = stacked(fields)  # laid out before the launch, as a solver does
         tracemalloc.start()
         try:
             with pytest.raises(ReproError, match="still alive after 6 DDA steps"):
-                march(fields=fields, batch=batch, max_steps=6)
+                march(fields=stack, batch=batch, max_steps=6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro.grid import Box
 from repro.core import (
-    LevelFields, TraceOptions, generate_patch_rays, patch_roi, trace_patch_multi_level,
+    LevelFields, StackedFields, TraceOptions, generate_patch_rays, patch_roi,
+    trace_patch_multi_level,
 )
 from repro.radiation import RadiativeProperties
 
@@ -85,14 +86,18 @@ def test_a_patch_draws_and_traces_the_same_alone_or_in_a_launch(
     assert end == origins.shape[0]
 
     def patch(box, s):
-        return (FINE_FIELDS, box, patch_roi(FINE, box, 1), np.random.default_rng(s))
+        return (box, patch_roi(FINE, box, 1), np.random.default_rng(s))
 
     options = TraceOptions(rays_per_cell=rays_per_cell, centered_origins=centered)
+    coarse = [StackedFields.of([COARSE_FIELDS])]
     launched = trace_patch_multi_level(
-        [COARSE_FIELDS], [patch(b, s) for b, s in zip(patch_boxes, seeds)], options
+        coarse, StackedFields.of([FINE_FIELDS] * len(patch_boxes)),
+        [patch(b, s) for b, s in zip(patch_boxes, seeds)], options,
     )
     for box, s, divq in zip(patch_boxes, seeds, launched):
-        (alone,) = trace_patch_multi_level([COARSE_FIELDS], [patch(box, s)], options)
+        (alone,) = trace_patch_multi_level(
+            coarse, StackedFields.of([FINE_FIELDS]), [patch(box, s)], options
+        )
         assert divq.tobytes() == alone.tobytes()
 
 

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DistributedRMCRT, benchmark_property_init, patch_roi
+from repro.core import DistributedRMCRT, LevelFields, benchmark_property_init, patch_roi
 from repro.core.distributed import ABSKG, CELL_TYPE, DIVQ, SIGMA_T4
 from repro.grid import CellType
 from repro.radiation import BurnsChristonBenchmark
+from repro.radiation.constants import SIGMA_SB
 from repro.runtime import TaskContext
 from repro.util.errors import SchedulerError
 
@@ -48,11 +49,22 @@ def property_init(seed):
 
 
 def window_alone(drm, ctx):
-    """The window of one task, its region read by a walk of its own."""
+    """The window of one task, its region read by a walk of its own: the
+    wall ring's values, NaN (and FLOW) inside the domain, then the region."""
     fine_level = drm.grid.finest_level
     interior = fine_level.domain_box
     roi = patch_roi(interior, ctx.patch.box, drm.options.halo)
-    window = drm._wall_ring_fields(fine_level, roi.grow(1).intersect(interior.grow(1)))
+    box = roi.grow(1).intersect(interior.grow(1))
+    inner = interior.intersect(box).slices(origin=box.lo)
+    window = LevelFields(
+        abskg=np.full(box.extent, drm.wall_emissivity),
+        sigma_t4=np.full(box.extent, SIGMA_SB * drm.wall_temperature ** 4),
+        cell_type=np.full(box.extent, CellType.WALL, dtype=np.int8),
+        interior=interior, dx=fine_level.dx, anchor=fine_level.anchor, window=box,
+    )
+    for field, fill in zip((window.abskg, window.sigma_t4, window.cell_type),
+                           (np.nan, np.nan, CellType.FLOW)):
+        field[inner] = fill
     region = ctx.patch.box.grow(drm.options.halo).intersect(interior)
     arrays = ctx.new_dw.get_regions(LABELS, fine_level, region, DEFAULTS)
     dst = region.slices(window.box.lo)
@@ -84,7 +96,9 @@ def test_every_window_of_a_launch_read_is_the_window_read_alone(patch_size, halo
     def checking_trace(ctxs):
         # a random share of the launch's tasks, in a random order
         picked = [ctxs[k] for k in rng.permutation(len(ctxs))[: rng.integers(1, len(ctxs) + 1)]]
-        for ctx, (window, roi) in zip(picked, drm._fine_windows(picked)):
+        stack, rois = drm._fine_windows(picked)
+        for k, ctx in enumerate(picked):
+            window, roi = stack.window(k), rois[k]
             alone, alone_roi = window_alone(drm, ctx)
             assert roi == alone_roi and window.box == alone.box
             for got, expected in (

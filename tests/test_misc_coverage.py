@@ -6,7 +6,7 @@ import pytest
 
 from repro.grid import Box
 from repro.comm.driver import WorkloadResult
-from repro.core import LevelFields, RMCRTResult, SingleLevelRMCRT
+from repro.core import LevelFields, RMCRTResult, SingleLevelRMCRT, StackedFields
 from repro.dessim import (
     LARGE,
     MEDIUM,
@@ -88,7 +88,7 @@ class TestLevelFieldsValidation:
         bench = BurnsChristonBenchmark(resolution=8)
         grid = bench.single_level_grid()
         props = bench.properties_for_level(grid.finest_level)
-        fields = LevelFields.from_properties(grid.finest_level, props)
+        fields = StackedFields.of([LevelFields.from_properties(grid.finest_level, props)])
         # a point exactly on a face lands downstream with the nudge; one
         # axis a row, the DDA set-up's layout
         pos = np.array([[0.5], [0.3], [0.3]])

@@ -155,6 +155,24 @@ class TestTracer:
             pass
         assert tr.events() == []
 
+    def test_disabled_span_is_one_shared_context_that_yields_the_tracer(self):
+        tr = SpanTracer(enabled=False)
+        first, second = tr.span("a", cat="task", patch=1), tr.span("b")
+        assert first is second
+        with first as got:
+            with second as inner:
+                assert got is inner is tr
+        assert tr.events() == [] and tr.open_spans() == 0
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_a_span_lets_exceptions_through(self, enabled):
+        tr = SpanTracer(enabled=enabled)
+        with pytest.raises(KeyError, match="boom"):
+            with tr.span("s"):
+                raise KeyError("boom")
+        assert tr.open_spans() == 0
+        assert [e["name"] for e in tr.events() if e["ph"] == "X"] == (["s"] if enabled else [])
+
     def test_chrome_trace_schema(self, tmp_path):
         tr = SpanTracer()
         tr.register_thread(tid=3, name="rank 3")

@@ -67,3 +67,40 @@ class TestRankStats:
         sched.execute(graph)
         second = sum(s.tasks_executed for s in sched.rank_stats.values())
         assert first == second == len(graph.detailed_tasks)
+
+
+def test_local_comm_time_is_the_rank_threads_cpu(monkeypatch):
+    """The message path is charged the rank thread's CPU time, not the
+    wall time around it: under a clock whose wall time runs a million
+    times faster than any thread's CPU time, every rank's
+    ``local_comm_time`` reads CPU-sized while its task time reads
+    wall-sized."""
+    import itertools
+    import threading
+    import time
+    from types import SimpleNamespace
+
+    from repro.runtime import scheduler
+
+    wall = itertools.count()
+    cpu = threading.local()
+
+    def thread_time():
+        cpu.t = getattr(cpu, "t", 0.0) + 1e-6
+        return cpu.t
+
+    monkeypatch.setattr(scheduler, "time", SimpleNamespace(
+        perf_counter=lambda: float(next(wall)), thread_time=thread_time, sleep=time.sleep,
+    ))
+    bench = BurnsChristonBenchmark(resolution=8)
+    grid = bench.two_level_grid(refinement_ratio=2, fine_patch_size=4)
+    drm = DistributedRMCRT(grid, benchmark_property_init(bench), rays_per_cell=1, halo=1)
+    graph = drm.build_graph(assignment=LoadBalancer(2).assign(grid.finest_level.patches),
+                            num_ranks=2)
+    sched = DistributedScheduler(2)
+    sched.execute(graph)
+    for stats in sched.rank_stats.values():
+        assert stats.messages_sent > 0
+        # one tick of a rank's own clock per pool pass or send burst
+        assert 0.0 < stats.local_comm_time < 1e-3
+        assert stats.task_exec_time >= 1.0  # at least one tick of the wall clock

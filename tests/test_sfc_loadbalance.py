@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid import Box, Level, LoadBalancer, decompose_level, round_robin_assign
+from repro.grid.patch import Patch
 from repro.grid.sfc import (
     curve_order,
     hilbert_decode,
@@ -154,3 +155,53 @@ class TestLoadBalancer:
 
         with pytest.raises(GridError):
             LoadBalancer(0)
+
+
+def reference_assign(patches, num_ranks, curve):
+    """``LoadBalancer.assign`` as it was written over NumPy (centroids
+    through ``curve_order``, costs in an array), kept as the oracle for
+    the plain-int version."""
+    if not patches:
+        return {}
+    pts = np.array([[int(c) for c in p.centroid_index()] for p in patches], dtype=np.int64)
+    pts -= pts.min(axis=0)
+    ordered = [patches[i] for i in curve_order(pts, curve=curve)]
+    n = len(ordered)
+    costs = np.array([float(p.num_cells) for p in ordered])
+    total = float(costs.sum())
+    assignment, rank, acc = {}, 0, 0.0
+    for i, patch in enumerate(ordered):
+        must_advance = n - i == num_ranks - rank and acc > 0
+        target = total * (rank + 1) / num_ranks
+        if rank < num_ranks - 1 and (must_advance or acc + 0.5 * costs[i] >= target):
+            rank += 1
+        assignment[patch.patch_id] = rank
+        acc += costs[i]
+    return assignment
+
+
+random_patches = st.lists(
+    st.tuples(
+        st.tuples(*[st.integers(-40, 40)] * 3),   # lo
+        st.tuples(*[st.integers(1, 12)] * 3),     # extent
+    ),
+    min_size=0, max_size=40,
+).map(lambda boxes: [
+    Patch(patch_id=k, level_index=0, box=Box.from_extent(lo, extent))
+    for k, (lo, extent) in enumerate(boxes)
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(patches=random_patches, num_ranks=st.integers(1, 9),
+       curve=st.sampled_from(["morton", "hilbert"]))
+def test_assign_equals_the_numpy_reference(patches, num_ranks, curve):
+    """Random (overlapping, unevenly sized, negatively placed) patch sets:
+    the plain-int assignment is the one the NumPy code gave."""
+    lb = LoadBalancer(num_ranks, curve=curve)
+    assert lb.assign(patches) == reference_assign(patches, num_ranks, curve)
+    ordered = [p.patch_id for p in lb.order_patches(patches)]
+    if patches:
+        pts = np.array([[int(c) for c in p.centroid_index()] for p in patches])
+        expected = curve_order(pts - pts.min(axis=0), curve=curve)
+        assert ordered == [patches[i].patch_id for i in expected]

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from repro.grid import Box, CellType
-from repro.core import LevelFields, RMCRTSolver, SingleLevelRMCRT, RayBatch, march
+from repro.core import (
+    LevelFields, RMCRTSolver, SingleLevelRMCRT, RayBatch, StackedFields, march,
+)
 from repro.core.dda import RayStatus
 from repro.arches import BoilerScenario
 from repro.radiation import (
@@ -145,7 +147,7 @@ class TestIntrusions:
         _, fields = make_fields_with_block(block=block)
         origin = fields.cell_center(np.array([2, 5, 5]))
         batch = RayBatch.fresh(origin[None, :], np.array([[1.0, 0.0, 0.0]]))
-        march(fields=fields, batch=batch, threshold=1e-12)
+        march(fields=StackedFields.of([fields]), batch=batch, threshold=1e-12)
         assert batch.status[0] == RayStatus.WALL_HIT
         # terminated at the block face, not the far wall: optical depth
         # = kappa * distance to x=0.6

@@ -15,13 +15,14 @@ solve but three task types compiled into the per-timestep graph —
    shared coarse levels, computing del.q (and the wall flux, from its
    wall faces' rays in the same launch).
 
-A rank's ready trace tasks run as one launch: the task declares its
-share of a launch (its rays over :data:`~repro.core.kernels.LAUNCH_RAYS`),
-the rank loop hands the callback every ready instance that fits, and
-their rays march together
-(:func:`~repro.core.kernels.trace_patch_multi_level`, which cuts a patch
-wider than the launch to it) — the paper's many patch tasks sharing one
-device and one resident coarse level.
+A rank's ready per-patch tasks run as packs, one launch each: a task
+declares its share of a launch and the rank loop hands the callback
+every ready instance that fits. The init's share is nothing, so a rank's
+ready inits are one ``property_init`` call; the trace's is its rays over
+:data:`~repro.core.kernels.LAUNCH_RAYS`, and the rays of a pack march
+together (:func:`~repro.core.kernels.trace_patch_multi_level`, which
+cuts a patch wider than the launch to it) — the paper's many patch
+tasks sharing one device and one resident coarse level.
 
 Faithfulness guard: each trace task's fine data is a *window* of the
 fine level — its ROI and the cells around it — holding ONLY what the
@@ -34,6 +35,7 @@ the error names the patch whose window was over-read.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -69,6 +71,11 @@ CELL_TYPE = cc("cell_type")
 DIVQ = cc("divq")
 WALL_FLUX = cc("wall_flux")
 
+#: ``init(level, box)`` -> the ``abskg``, ``sigma_t4`` and ``cell_type``
+#: arrays over ``box``. It must be pointwise: a cell's value does not
+#: depend on the box asked for, so one call over a box covering several
+#: patches, sliced, is each patch's own call byte for byte — the init
+#: task packs its patches on that promise.
 PropertyInit = Callable[[Level, Box], Dict[str, np.ndarray]]
 
 
@@ -131,11 +138,18 @@ class DistributedRMCRT:
     # ------------------------------------------------------------------
     # task callbacks
     # ------------------------------------------------------------------
-    def _init_cb(self, ctx) -> None:
-        fields = self.property_init(ctx.level, ctx.patch.box)
-        ctx.compute(ABSKG, fields["abskg"])
-        ctx.compute(SIGMA_T4, fields["sigma_t4"])
-        ctx.compute(CELL_TYPE, fields["cell_type"].astype(np.float64))
+    def _init_cb(self, ctxs) -> None:
+        """One launch for the patches of ``ctxs``: one ``property_init``
+        call over their bounding box (the initializer is pointwise, so a
+        slice of it is the patch's own call), the cell type cast to float
+        once, and each patch's slice published as its own array."""
+        block = reduce(Box.bounding_union, (ctx.patch.box for ctx in ctxs))
+        fields = self.property_init(ctxs[0].level, block)
+        values = (fields["abskg"], fields["sigma_t4"], fields["cell_type"].astype(np.float64))
+        for ctx in ctxs:
+            inner = ctx.patch.box.slices(origin=block.lo)
+            for label, value in zip((ABSKG, SIGMA_T4, CELL_TYPE), values):
+                ctx.compute(label, value[inner].copy())
 
     def _coarsen_cb(self, ctx) -> None:
         abskg, st4, ct = ctx.require_many([ABSKG, SIGMA_T4, CELL_TYPE])
@@ -291,6 +305,7 @@ class DistributedRMCRT:
                 "rmcrt.initProperties",
                 self._init_cb,
                 computes=[Computes(ABSKG), Computes(SIGMA_T4), Computes(CELL_TYPE)],
+                launch_share=lambda patch: 0.0,
             ),
             fine_idx,
         )

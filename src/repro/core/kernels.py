@@ -27,17 +27,19 @@ from repro.core.rays import generate_face_rays, generate_patch_rays
 from repro.perf.metrics import get_metrics
 from repro.util.errors import ReproError
 
-#: rays per kernel launch, the one width. A DDA step costs a fixed ~30-40
-#: us of NumPy calls however few lanes it carries (and ~21-24 ns a row,
-#: with nothing allocated a step), so a rank's ready patch tasks march
-#: together until their rays reach this (tiny patches starve the kernel:
-#: the paper's contribution v); a lane in flight holds ~476 bytes, 152 of
-#: them the launch's state (12 float and 5 int rows) and scratch (a float
-#: row and 5 int8 rows), so a launch above it is cut to it and launch memory
-#: stays ~16 MB whatever the patch size. 32768 is the fastest width for a
-#: large launch, at two thirds of the memory of 65536 (EXPERIMENTS E23;
-#: re-measured on the parking kernel in E25, the lean step in E28 and the
-#: allocation-free step in E30).
+#: rays per kernel launch, the one width. A DDA step costs a fixed ~25 us
+#: of NumPy calls however few lanes it carries (EXPERIMENTS E25's fit) and
+#: ~21-24 ns a row with nothing allocated a step (E30), so a rank's ready
+#: patch tasks march together until their rays reach this (tiny patches
+#: starve the kernel: the paper's contribution v). A full launch peaks at
+#: ~327-329 bytes a lane (ROADMAP item 5's tracemalloc of one 32768-lane
+#: launch), 160 of them the march's state (12 float and 5 int64 rows) and
+#: scratch (a float row, and an int64 row holding the 5 int8 flag rows), as
+#: ``TestStepScratch`` pins; so a launch above it is cut to it and launch
+#: memory stays ~10 MiB whatever the patch size. 32768 is the fastest width
+#: for a large launch, at two thirds of the memory of 65536 (EXPERIMENTS
+#: E23; re-measured on the parking kernel in E25, the lean step in E28 and
+#: the allocation-free step in E30).
 LAUNCH_RAYS = 1 << 15
 
 

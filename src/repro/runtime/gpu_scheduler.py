@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +25,9 @@ from repro.dw.label import VarKind, VarLabel
 from repro.dw.variables import CCVariable
 from repro.perf.metrics import MetricsRegistry
 from repro.perf.tracer import SpanTracer
-from repro.runtime.scheduler import RankLoop, SerialScheduler, observers, pick_fifo, run_task
+from repro.runtime.scheduler import (
+    RankLoop, SerialScheduler, observers, pick_fifo, run_task, take_launch,
+)
 from repro.runtime.task import TaskContext
 from repro.runtime.taskgraph import CompiledGraph, DetailedTask
 from repro.util.errors import DataWarehouseError, SchedulerError
@@ -65,8 +66,8 @@ class GPUScheduler(SerialScheduler):
 
     ``max_in_flight`` bounds how many patch tasks may be resident on the
     device simultaneously (over-decomposition: more patches in flight
-    hides copy latency, at the price of memory). Host tasks in the same
-    graph run inline on the CPU path.
+    hides copy latency, at the price of memory), and so how many one
+    launch packs. Host tasks in the same graph run inline on the CPU path.
     """
 
     name = "gpu"
@@ -135,37 +136,45 @@ class GPUScheduler(SerialScheduler):
 
     def _execute_device(
         self,
-        dt: DetailedTask,
+        dts: Sequence[DetailedTask],
         stream: int,
         graph: CompiledGraph,
         old_dw: Optional[DataWarehouse],
         new_dw: DataWarehouse,
         tracer: SpanTracer,
     ) -> None:
-        context = partial(
-            GPUTaskContext, gpu=self.gpu, dtask_id=dt.dtask_id, stream_id=stream
-        )
-        run_task([dt], graph, old_dw, new_dw, tracer, context, cat="gpu.task", stream=stream)
-        self.stats.tasks_executed += 1
-        self.stats.per_stream_tasks[stream] = self.stats.per_stream_tasks.get(stream, 0) + 1
+        """Run one launch of staged tasks on ``stream``; the accounting —
+        D2H bytes, tasks per stream, residency release — stays per task."""
+        ids = {dt.patch.patch_id: dt.dtask_id for dt in dts}
 
-        # D2H: every computed CC variable comes back to the host
-        for comp in dt.task.computes:
-            if comp.label.kind is VarKind.CELL_CENTERED and new_dw.exists(
-                comp.label, dt.patch.patch_id
-            ):
-                self.stats.d2h_bytes += new_dw.get(comp.label, dt.patch.patch_id).nbytes
-                self.gpu.stats.d2h_bytes += new_dw.get(comp.label, dt.patch.patch_id).nbytes
-                self.gpu.stats.d2h_transfers += 1
+        def context(task, patch, *args, **kwargs):
+            return GPUTaskContext(
+                task, patch, *args, gpu=self.gpu, dtask_id=ids[patch.patch_id],
+                stream_id=stream, **kwargs,
+            )
 
-        # release this task's per-patch residency (keep the level DB)
-        for req in dt.task.requires:
-            if req.label.kind is VarKind.CELL_CENTERED:
-                try:
-                    self.gpu.release_patch_var(req.label, dt.patch.patch_id)
-                except DataWarehouseError:
-                    pass  # shared with another task instance; already gone
-        self.gpu.release_task(dt.dtask_id)
+        run_task(dts, graph, old_dw, new_dw, tracer, context, cat="gpu.task", stream=stream)
+        self.stats.tasks_executed += len(dts)
+        self.stats.per_stream_tasks[stream] = self.stats.per_stream_tasks.get(stream, 0) + len(dts)
+
+        for dt in dts:
+            # D2H: every computed CC variable comes back to the host
+            for comp in dt.task.computes:
+                if comp.label.kind is VarKind.CELL_CENTERED and new_dw.exists(
+                    comp.label, dt.patch.patch_id
+                ):
+                    self.stats.d2h_bytes += new_dw.get(comp.label, dt.patch.patch_id).nbytes
+                    self.gpu.stats.d2h_bytes += new_dw.get(comp.label, dt.patch.patch_id).nbytes
+                    self.gpu.stats.d2h_transfers += 1
+
+            # release this task's per-patch residency (keep the level DB)
+            for req in dt.task.requires:
+                if req.label.kind is VarKind.CELL_CENTERED:
+                    try:
+                        self.gpu.release_patch_var(req.label, dt.patch.patch_id)
+                    except DataWarehouseError:
+                        pass  # shared with another task instance; already gone
+            self.gpu.release_task(dt.dtask_id)
 
 
 def device_loop(
@@ -181,12 +190,18 @@ def device_loop(
     accounts for a task (``None``: a host task on no device's account).
     Only *ready* device tasks are staged, oldest first — a consumer's
     ghost region is never uploaded before its producers ran — and a
-    device holds at most its ``max_in_flight`` staged tasks.
+    device holds at most its ``max_in_flight`` staged tasks. A launch is
+    formed from the staged set by the rule every policy uses
+    (:func:`~repro.runtime.scheduler.take_launch`): the oldest staged
+    task and the staged instances of its task on its device that fit
+    one launch. A launch takes one stream, round-robin per device: a
+    stream is a launch's queue, so a pack's tasks share its stream and
+    each counts once on it.
     """
     in_flight: deque = deque()  # device tasks staged but not yet run, oldest first
     next_stream: Dict[GPUScheduler, int] = defaultdict(int)
 
-    def pick(ready):
+    def pick(ready, limit):
         while ready and ready[0].task.device:
             dt, engine = ready[0], engine_of(ready[0])
             resident = sum(engine_of(t) is engine for t in in_flight)
@@ -205,18 +220,21 @@ def device_loop(
             engine.stats.peak_resident_tasks = max(
                 engine.stats.peak_resident_tasks, resident + 1
             )
-        return in_flight.popleft() if in_flight else pick_fifo(ready)
+        if not in_flight:
+            return pick_fifo(ready, limit)
+        dt = in_flight.popleft()
+        engine = engine_of(dt)
+        return take_launch(dt, in_flight, limit(dt.task), lambda other: engine_of(other) is engine)
 
     def launch(dts):
-        (dt,) = dts  # staged and launched one task at a time: fuse=False
-        engine = engine_of(dt)
-        if dt.task.device:
+        engine = engine_of(dts[0])
+        if dts[0].task.device:
             stream = next_stream[engine]  # round-robin, in launch order
             next_stream[engine] = (stream + 1) % engine.num_streams
-            engine._execute_device(dt, stream, graph, old_dw, new_dw, tracer)
+            engine._execute_device(dts, stream, graph, old_dw, new_dw, tracer)
         else:
             run_task(dts, graph, old_dw, new_dw, tracer)
             if engine is not None:
-                engine.stats.tasks_executed += 1
+                engine.stats.tasks_executed += len(dts)
 
-    return RankLoop(graph.detailed_tasks, launch, pick, fuse=False)
+    return RankLoop(graph.detailed_tasks, launch, pick)

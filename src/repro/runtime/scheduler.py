@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -49,7 +49,7 @@ from repro.perf.rankstats import StatSummary, publish_rank_stats
 from repro.perf.tracer import SpanTracer, get_tracer
 from repro.perf.tsdb import get_collector
 from repro.runtime.mpi import Communicator, SimMPI
-from repro.runtime.task import TaskContext
+from repro.runtime.task import Task, TaskContext
 from repro.runtime.taskgraph import CompiledGraph, DetailedTask, ReadyTracker
 from repro.util.errors import SchedulerError
 from repro.util.timing import TimerRegistry
@@ -111,23 +111,54 @@ def publish_execution(
         collector.maybe_sample()
 
 
-def pick_fifo(ready: Deque[DetailedTask]) -> Optional[DetailedTask]:
-    """The default pick: the ready task that has waited longest."""
-    return ready.popleft() if ready else None
+def take_launch(
+    dt: DetailedTask,
+    pool: Deque[DetailedTask],
+    limit: int,
+    accept: Optional[Callable[[DetailedTask], bool]] = None,
+) -> List[DetailedTask]:
+    """The launch rule, for every policy: ``dt`` and the tasks of ``pool``
+    that share its launch, taken out of it oldest first — other instances
+    of its task (that ``accept`` passes), while they still fit one launch
+    and number ``limit`` at most. A task that declares no
+    ``launch_share`` runs alone."""
+    dts, share_of = [dt], dt.task.launch_share
+    if share_of is None:
+        return dts
+    share = share_of(dt.patch)
+    for other in list(pool):
+        if other.task is not dt.task or (accept is not None and not accept(other)):
+            continue
+        share += share_of(other.patch)
+        if len(dts) == limit or share > 1.0 + 1e-9:  # six sixths fit, seven do not
+            break
+        pool.remove(other)
+        dts.append(other)
+    return dts
+
+
+def pick_fifo(
+    ready: Deque[DetailedTask], limit: Callable[[Task], int]
+) -> List[DetailedTask]:
+    """The default pick: the ready task that has waited longest, with the
+    ready instances that share its launch (none: nothing is ready)."""
+    if not ready:
+        return []
+    dt = ready.popleft()
+    return take_launch(dt, ready, limit(dt.task))
 
 
 class RankLoop:
     """One rank's share of a compiled graph, run to completion.
 
     The policy is ``launch(dts)``, which runs one launch through
-    :func:`run_task`, and ``pick(ready)``, which takes the next task out
-    of the ready queue. With ``fuse``, a picked task that declares a
-    ``launch_share`` takes the other ready instances of its task along,
-    oldest first, while they still fit one launch — on one worker every
-    ready instance that fits, on N at most an N-th of the rank's
-    instances of the task, never the whole queue, so other workers still
-    find work. With a ``link`` the rank has a communicator: each pass
-    progresses its request pool, and an idle worker yields and polls
+    :func:`run_task`, and ``pick(ready, limit)``, which takes the next
+    launch out of the ready queue (or out of a set the policy staged from
+    it) by :func:`take_launch`. ``limit(task)`` is a worker's cap: on one
+    worker every ready instance that fits, on N at most an N-th of the
+    rank's instances of the task, never the whole queue, so other workers
+    still find work. With a ``link`` the rank has a communicator: each
+    pass progresses its request pool, and an idle worker yields and polls
     again rather than wait for a finishing task's signal.
     """
 
@@ -135,40 +166,28 @@ class RankLoop:
         self,
         tasks: Sequence[DetailedTask],
         launch: Callable[[List[DetailedTask]], None],
-        pick: Callable[[Deque[DetailedTask]], Optional[DetailedTask]] = pick_fifo,
+        pick: Callable[
+            [Deque[DetailedTask], Callable[[Task], int]], List[DetailedTask]
+        ] = pick_fifo,
         link: Optional["RankLink"] = None,
-        fuse: bool = True,
     ) -> None:
         self._by_id = {t.dtask_id: t for t in tasks}
+        self._instances = Counter(t.task for t in tasks)
         self._tracker = ReadyTracker(tasks)
         self._ready = deque(self._by_id[tid] for tid in self._tracker.start())
         self._launch = launch
         self._pick = pick
         self._link = link
-        self._fuse = fuse
         self._errors: List[BaseException] = []
         self._cv = threading.Condition(threading.Lock())
 
     def _release(self, tids: List[int]) -> None:
         self._ready.extend(self._by_id[tid] for tid in tids)
 
-    def _launch_of(self, dt: DetailedTask, workers: int) -> List[DetailedTask]:
-        """``dt`` and the ready tasks that share its launch."""
-        dts, share_of = [dt], dt.task.launch_share
-        if share_of is None or not self._fuse:
-            return dts
-        instances = sum(t.task is dt.task for t in self._by_id.values())
-        limit = -(-instances // workers)  # this worker's N-th of the rank's, rounded up
-        share = share_of(dt.patch)
-        for other in list(self._ready):
-            if other.task is not dt.task:
-                continue
-            share += share_of(other.patch)
-            if len(dts) == limit or share > 1.0 + 1e-9:  # six sixths fit, seven do not
-                break
-            self._ready.remove(other)
-            dts.append(other)
-        return dts
+    def _limit(self, workers: int) -> Callable[[Task], int]:
+        """A worker's cap on a launch of a task: its N-th of the rank's
+        instances, rounded up."""
+        return lambda task: -(-self._instances[task] // workers)
 
     def run(self, workers: int = 1) -> None:
         """Work the rank on ``workers`` threads, the caller's own among them."""
@@ -185,6 +204,7 @@ class RankLoop:
 
     def _work(self, workers: int) -> None:
         link = self._link
+        limit = self._limit(workers)
         idle_spins = 0
         try:
             while True:
@@ -194,10 +214,9 @@ class RankLoop:
                     if link is not None:
                         for msg_id in link.progress():
                             self._release(self._tracker.message_arrived(msg_id))
-                    dt = self._pick(self._ready)
-                    if dt is None and link is None:
+                    dts = self._pick(self._ready, limit)
+                    if not dts and link is None:
                         self._cv.wait(0.05)
-                    dts = self._launch_of(dt, workers) if dt is not None else ()
                 if dts:
                     idle_spins = 0
                     self._launch(dts)
@@ -291,13 +310,13 @@ class ThreadedScheduler(SerialScheduler):
     def _loop(self, graph, old_dw, new_dw, tracer) -> RankLoop:
         rng = random.Random(self.seed)
 
-        def pick_shuffled(ready):
+        def pick_shuffled(ready, limit):
             if not ready:
-                return None
+                return []
             idx = rng.randrange(len(ready))
             dt = ready[idx]
             del ready[idx]
-            return dt
+            return take_launch(dt, ready, limit(dt.task))
 
         return RankLoop(
             graph.detailed_tasks,

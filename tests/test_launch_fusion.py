@@ -16,9 +16,10 @@ from repro.core import distributed
 from repro.core.distributed import ABSKG, CELL_TYPE, DIVQ, SIGMA_T4, WALL_FLUX
 from repro.core.kernels import LAUNCH_RAYS
 from repro.grid import LoadBalancer
-from repro.perf import MetricsRegistry, SpanTracer, set_metrics
+from repro.perf import MetricsRegistry, SpanTracer, set_metrics, set_tracer
 from repro.perf.flightrec import FlightRecorder, set_flight_recorder
 from repro.radiation import BurnsChristonBenchmark, SpectralModel
+from repro.resilience.orchestrator import RadiationCampaign
 from repro.runtime import (
     Computes,
     DistributedScheduler,
@@ -30,8 +31,10 @@ from repro.runtime import (
     ThreadedScheduler,
     gather_cc,
 )
-from repro.runtime.scheduler import RankLoop
+from repro.runtime.scheduler import RankLoop, pick_fifo
 from repro.util.errors import ReproError
+from tests.test_boundary_flux_pipeline import isothermal_init
+from tests.test_launch_read import property_init as random_property_init
 from tests.test_schedulers import PHI, make_grid
 from tests.test_three_level import three_level_grid
 
@@ -183,10 +186,119 @@ class TestFusionHappens:
         _, spans = traced(lambda tracer: SerialScheduler(tracer=tracer).execute(graph))
         assert [s["args"]["fused"] for s in spans] == [1] * 8
 
-    def test_device_schedulers_launch_one_task_at_a_time(self):
+    @pytest.mark.parametrize("max_in_flight", [1, 3, 8])
+    def test_device_schedulers_launch_their_staged_set(self, max_in_flight):
+        """A device launch is the staged set: the staged instances of the
+        picked task that fit one launch, never more than are staged."""
         graph = thin_pipeline().build_graph()
-        registry, _ = traced(lambda tracer: GPUScheduler(tracer=tracer).execute(graph))
-        assert registry.value("dda.calls", handoff="0") == 27
+        registry, spans = traced(lambda tracer: GPUScheduler(
+            max_in_flight=max_in_flight, tracer=tracer).execute(graph))
+        assert registry.value("dda.calls", handoff="0") == len(spans) <= -(-27 // max_in_flight)
+        assert all(s["args"]["fused"] <= max_in_flight for s in spans)
+        assert sorted(p for s in spans for p in s["args"]["patches"]) == list(range(27))
+
+
+def pipeline_thin_scene(device=False):
+    """The end-to-end benchmark's ``pipeline_thin`` pipeline: 27 patches
+    of 8^3 under a coarse level, one ray a cell, halo 2."""
+    bench = BurnsChristonBenchmark(resolution=24)
+    grid = bench.two_level_grid(refinement_ratio=4, fine_patch_size=8)
+    return DistributedRMCRT(
+        grid, benchmark_property_init(bench), rays_per_cell=1, halo=2, seed=5, device=device
+    )
+
+
+def launches(execute):
+    """The init and trace spans of one execution, by task name, with the
+    process tracer set to the one the scheduler is handed."""
+    tracer = SpanTracer()
+    previous = set_tracer(tracer)
+    try:
+        execute(tracer)
+    finally:
+        set_tracer(previous)
+    spans = {"rmcrt.initProperties": [], "rmcrt.trace": []}
+    for event in tracer.events():
+        spans.get(event.get("name"), []).append(event["args"])
+    for args in (a for named in spans.values() for a in named):
+        assert args["fused"] == len(args["patches"]) and args["patch"] == args["patches"][0]
+    for named in spans.values():
+        assert sorted(p for args in named for p in args["patches"]) == list(range(27))
+    return spans
+
+
+class TestEveryPolicyPacks:
+    """Every per-patch task packs on every policy: a rank's ready inits
+    are one launch (their share is nothing), and so are its ready
+    traces as far as they fit one — a device's as far as they are staged."""
+
+    def test_two_ranks_init_in_one_launch_each(self):
+        drm = pipeline_thin_scene()
+        assignment = LoadBalancer(2).assign(drm.grid.finest_level.patches)
+        graph = drm.build_graph(assignment=assignment, num_ranks=2)
+        spans = launches(lambda tracer: DistributedScheduler(2, tracer=tracer).execute(graph))
+        inits = spans["rmcrt.initProperties"]
+        assert sorted(args["rank"] for args in inits) == [0, 1]
+        for args in inits:
+            assert {assignment[p] for p in args["patches"]} == {args["rank"]}
+
+    def test_serial_and_threaded(self):
+        graph = pipeline_thin_scene().build_graph()
+        spans = launches(lambda tracer: SerialScheduler(tracer=tracer).execute(graph))
+        assert [len(named) for named in spans.values()] == [1, 1]
+        spans = launches(
+            lambda tracer: ThreadedScheduler(num_threads=4, tracer=tracer).execute(graph)
+        )
+        for named in spans.values():    # a worker's launch: a quarter of 27, rounded up
+            assert all(args["fused"] <= 7 for args in named) and len(named) >= 4
+
+    @pytest.mark.parametrize("device", [False, True])
+    def test_device_policies(self, device):
+        graph = pipeline_thin_scene(device=device).build_graph()
+        spans = launches(lambda tracer: GPUScheduler(tracer=tracer).execute(graph))
+        # host tasks pack as on any policy; device traces as far as eight are staged
+        assert len(spans["rmcrt.initProperties"]) == 1
+        assert len(spans["rmcrt.trace"]) == (4 if device else 1)
+        sched = MultiGPUScheduler(num_gpus=3)
+        spans = launches(lambda tracer: sched.execute(graph))
+        assert len(spans["rmcrt.initProperties"]) == 1
+        if device:  # nine patches a device: a staged eight, then one
+            assert len(spans["rmcrt.trace"]) == 3 * 2
+            for args in spans["rmcrt.trace"]:
+                assert len({sched.device_assignment[p] for p in args["patches"]}) == 1
+        else:
+            assert len(spans["rmcrt.trace"]) == 1
+
+
+def pointwise_inits():
+    """Every property initializer in the tree and its tests, each with
+    the level it initializes."""
+    bench = BurnsChristonBenchmark(resolution=12)
+    level = bench.two_level_grid(refinement_ratio=2, fine_patch_size=4).finest_level
+    campaign = RadiationCampaign(resolution=12, fine_patch_size=4)
+    return {
+        "benchmark": (benchmark_property_init(bench), level),
+        "campaign": (campaign._property_init, campaign.fine),
+        "isothermal": (isothermal_init, level),
+        "random": (random_property_init(3), level),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(pointwise_inits()))
+def test_property_init_is_pointwise(name):
+    """One call over a box covering several patches, sliced, is each
+    patch's own call byte for byte — what lets the init pack."""
+    init, level = pointwise_inits()[name]
+    patches = level.patches
+    for cover in (level.domain_box, patches[1].box.bounding_union(patches[4].box)):
+        covering = init(level, cover)
+        for patch in (p for p in patches if cover.contains_box(p.box)):
+            alone = init(level, patch.box)
+            assert sorted(alone) == sorted(covering) == ["abskg", "cell_type", "sigma_t4"]
+            inner = patch.box.slices(origin=cover.lo)
+            for key, value in alone.items():
+                got = covering[key][inner]
+                assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), key
 
 
 class TestLaunchShareDeclaration:
@@ -231,8 +343,8 @@ class TestLaunchShareDeclaration:
         _, graph = self.fill_graph(1 / 64, [])
         loop = RankLoop(graph.detailed_tasks, launch=None)
         assert len(loop._ready) == 27
-        assert len(loop._launch_of(loop._ready.popleft(), workers=4)) == 7      # ceil(27 / 4)
-        assert len(loop._launch_of(loop._ready.popleft(), workers=1)) == 20     # the rest
+        assert len(pick_fifo(loop._ready, loop._limit(workers=4))) == 7      # ceil(27 / 4)
+        assert len(pick_fifo(loop._ready, loop._limit(workers=1))) == 20     # the rest
 
 
 class TestGuardFiresPerWindow:

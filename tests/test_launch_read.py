@@ -32,17 +32,22 @@ SCENES = {4: 12, 8: 16}
 
 def property_init(seed):
     """Random properties, NaN values and wall cells among them, drawn
-    per patch box so that any scheduler builds the same field."""
+    over the level's domain and sliced to the box: a cell's value is a
+    function of the cell (the initializer is pointwise), so any
+    scheduler, packing its patches as it likes, builds the same field."""
 
     def init(level, box):
-        rng = np.random.default_rng([seed, *box.lo])
-        abskg = rng.uniform(0.5, 3.0, box.extent)
-        abskg[rng.random(box.extent) < 0.05] = np.nan
-        cell_type = np.where(rng.random(box.extent) < 0.1, CellType.WALL, CellType.FLOW)
+        domain = level.domain_box
+        rng = np.random.default_rng([seed, level.index])
+        abskg = rng.uniform(0.5, 3.0, domain.extent)
+        abskg[rng.random(domain.extent) < 0.05] = np.nan
+        cell_type = np.where(rng.random(domain.extent) < 0.1, CellType.WALL, CellType.FLOW)
+        sigma_t4 = rng.uniform(0.5, 2.0, domain.extent)
+        inner = box.slices(origin=domain.lo)
         return {
-            "abskg": abskg,
-            "sigma_t4": rng.uniform(0.5, 2.0, box.extent),
-            "cell_type": cell_type.astype(np.int8),
+            "abskg": abskg[inner],
+            "sigma_t4": sigma_t4[inner],
+            "cell_type": cell_type.astype(np.int8)[inner],
         }
 
     return init

@@ -65,9 +65,10 @@ class TestMultiGPU:
             MultiGPUScheduler(gpus=[])
 
     def test_task_spans_and_scheduler_series(self):
-        """The shared instrumentation seam: one task span per detailed
-        task, each carrying patch and level, and the scheduler.* series
-        every engine publishes."""
+        """The shared instrumentation seam: one task span per launch,
+        each carrying patch and level, every detailed task in exactly one
+        span's ``patches`` (one of its own, for a task that does not
+        pack), and the scheduler.* series every engine publishes."""
         from repro.perf.metrics import MetricsRegistry, set_metrics
         from repro.perf.tracer import SpanTracer, set_tracer
 
@@ -81,9 +82,12 @@ class TestMultiGPU:
             set_tracer(old_tracer)
             set_metrics(old_registry)
         spans = [e for e in tracer.events() if e.get("cat") in ("task", "gpu.task")]
-        assert sorted(e["name"] for e in spans) == sorted(
-            t.task.name for t in graph.detailed_tasks
+        launched = sorted(
+            (e["name"], patch)
+            for e in spans
+            for patch in e["args"].get("patches", [e["args"]["patch"]])
         )
+        assert launched == sorted((t.task.name, t.patch.patch_id) for t in graph.detailed_tasks)
         assert all({"patch", "level"} <= set(e["args"]) for e in spans)
         assert registry.value(
             "scheduler.tasks_executed", scheduler="multigpu"

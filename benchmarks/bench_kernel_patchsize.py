@@ -24,7 +24,6 @@ import pytest
 
 from repro.core import (
     LevelFields,
-    StackedFields,
     TraceOptions,
     patch_roi,
     project_to_coarser_levels,
@@ -65,7 +64,7 @@ def make_fields(resolution):
 
 @pytest.mark.parametrize("patch", [4, 8, 16, 24])
 def test_vectorized_kernel_throughput(benchmark, artifact_rows, patch):
-    fields = StackedFields.of([make_fields(24)])
+    fields = make_fields(24)
     box = Box.cube(patch)
     rng = np.random.default_rng(0)
 
@@ -116,22 +115,27 @@ def test_fused_small_patch_launch(benchmark, artifact_rows):
     *coarse, fine = [
         LevelFields.from_properties(grid.level(i), props) for i, props in enumerate(bundles)
     ]
-    coarse = [StackedFields.of([c]) for c in coarse]
-    windows, patches = [], []
+    windows, sources, patches = [], [], []
     for patch in level.patches:
         roi = patch_roi(level.domain_box, patch.box, 2)
         window = roi.grow(1).intersect(fine.ring_box)
-        sl = window.slices(origin=fine.box.lo)
-        arrays = [a[sl] for a in (fine.abskg, fine.sigma_t4, fine.cell_type)]
-        windows.append(LevelFields(*arrays, interior=fine.interior, dx=fine.dx,
-                                   anchor=fine.anchor, window=window))
+        sl = window.slices(origin=fine.ring_box.lo)
+        windows.append(window)
+        sources.append([a[sl] for a in fine.views(0)])
         patches.append((patch.box, roi, patch.patch_id))
     assert len(windows) == 27
 
-    def run():
+    def launch_fields():
         # a distributed launch lays its windows out a launch at a time
+        stack = LevelFields(fine.interior, fine.dx, fine.anchor, windows)
+        for k, arrays in enumerate(sources):
+            for view, data in zip(stack.views(k), arrays):
+                view[...] = data
+        return stack
+
+    def run():
         return trace_patch_multi_level(
-            coarse, StackedFields.of(windows),
+            coarse, launch_fields(),
             [(box, roi, np.random.default_rng(pid)) for box, roi, pid in patches],
             TraceOptions(rays_per_cell=1),
         )
@@ -165,7 +169,7 @@ def test_batch_beats_scalar(benchmark, artifact_rows):
         t_scalar = time.perf_counter() - t0
         t0 = time.perf_counter()
         trace_patch_single_level(
-            StackedFields.of([fields]), box, TraceOptions(rays_per_cell=RAYS),
+            fields, box, TraceOptions(rays_per_cell=RAYS),
             np.random.default_rng(1),
         )
         t_batch = time.perf_counter() - t0

@@ -4,7 +4,7 @@ solvers and their batched ray-marching kernels."""
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".fields": ["LevelFields", "StackedFields"],
+    ".fields": ["LevelFields"],
     ".rays": ["isotropic_directions", "cell_ray_origins", "region_cells",
               "generate_patch_rays", "cosine_hemisphere_directions", "WALLS"],
     ".dda": ["RayBatch", "RayStatus", "march"],

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.grid.box import Box
-from repro.core.fields import LevelFields, StackedFields
+from repro.core.fields import LevelFields
 from repro.core.kernels import TraceOptions, trace_patch_multi_level
 from repro.core.rays import WALLS, checked_rays_per_face, wall_faces
 from repro.util.errors import ReproError
@@ -38,7 +38,8 @@ class VirtualRadiometer:
     def _fluxes(
         self, fields: LevelFields, walls: List[Tuple[int, int]], face_box: Box = None
     ) -> List[np.ndarray]:
-        """The flux per face of each of ``walls``, one launch for all."""
+        """The flux per face of each of ``walls``, one launch for all over
+        ``fields``, the whole level."""
         faces = []
         for axis, side in walls:
             if (axis, side) not in WALLS:
@@ -49,7 +50,7 @@ class VirtualRadiometer:
             seeds = np.random.SeedSequence(entropy=self.seed, spawn_key=(axis, side))
             faces.append((*slabs[0], np.random.default_rng(seeds)))
         _, [fluxes] = trace_patch_multi_level(
-            [], StackedFields.of([fields]), [(None, None, None)], self.options,
+            [], fields, [(None, None, None)], self.options,
             faces=[faces], rays_per_face=self.rays_per_face,
         )
         return [q.squeeze(axis) for (axis, _, _, _), q in zip(faces, fluxes)]

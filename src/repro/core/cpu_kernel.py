@@ -36,8 +36,11 @@ def march_single_ray(
     sum_i0: float = 0.0,
     from_handoff: bool = False,
     max_steps: int = 1_000_000,
+    window: int = 0,
 ) -> Tuple[float, float, int, Optional[Tuple[float, float, float]]]:
-    """March one ray; returns (sum_i, tau, status, exit_pos)."""
+    """March one ray through window ``window`` of ``fields`` (a band's,
+    for a spectral trace; the whole level, for a direct solve); returns
+    (sum_i, tau, status, exit_pos)."""
     dx = fields.dx
     anchor = fields.anchor
     o = [float(v) for v in origin]
@@ -67,8 +70,8 @@ def march_single_ray(
     sum_i = float(sum_i0)
     tcur = 0.0
     log_threshold = -math.log(threshold)
-    lo = fields.box.lo
-    abskg, st4, ctype = fields.abskg, fields.sigma_t4, fields.cell_type
+    lo = fields.boxes[window].lo
+    abskg, st4, ctype = fields.views(window)
     inv_pi = 1.0 / math.pi
 
     # launching inside a wall cell (parked exactly on the domain face):

@@ -41,7 +41,7 @@ playing the role of the K20X's SIMT lanes:
   with on entering the cell: wall, or outside the ROI) replaces the
   cell-type lookup and the six ROI compares.
 * **stacked windows.** A level reaches ``march`` laid out once, as a
-  :class:`~repro.core.fields.StackedFields`: one launch serves several
+  :class:`~repro.core.fields.LevelFields`: one launch serves several
   patch tasks, their fine windows' raveled arrays end to end, a lane's
   flat index starting at its window's base and stepping by its window's
   strides (the step is a per-lane row already), so lanes of different
@@ -94,7 +94,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.grid.box import Box
-from repro.core.fields import StackedFields
+from repro.core.fields import LevelFields
 from repro.perf.metrics import get_metrics
 from repro.util.errors import ReproError
 
@@ -155,20 +155,21 @@ class RayBatch:
         return np.nonzero(self.status == RayStatus.LEFT_ROI)[0]
 
 
-def _check_rois(fields: StackedFields, rois) -> None:
+def _check_rois(fields: LevelFields, rois) -> None:
     """Every lane must stay inside its own window: a ray ends in the wall
-    ring or, with an ROI, at most one cell outside it."""
+    ring or, with an ROI, at most one cell outside it. A window short of
+    the level's ring box needs an ROI."""
     ring = fields.ring_box
-    for box, windowed, roi in zip(fields.boxes, fields.windowed, rois):
+    for box, roi in zip(fields.boxes, rois):
         if roi is not None and not ring.contains_box(roi):
             raise ReproError(f"roi {roi} escapes level ring box {ring}")
-        if windowed and (roi is None or not box.contains_box(roi.grow(1).intersect(ring))):
+        if box != ring and (roi is None or not box.contains_box(roi.grow(1).intersect(ring))):
             raise ReproError(
                 f"window {box} must hold its roi and the cells around it, got roi {roi}"
             )
 
 
-def _cell_class(fields: StackedFields, rois) -> np.ndarray:
+def _cell_class(fields: LevelFields, rois) -> np.ndarray:
     """The status a ray ends with on entering each cell of the stack
     (ALIVE: marches on, as at the sink); outside its window's ROI wins
     over wall."""
@@ -274,7 +275,7 @@ def _launch_state(fields, window_of, batch, launch, origins, from_handoff):
 
 
 def march(
-    fields: StackedFields,
+    fields: LevelFields,
     batch: RayBatch,
     roi: Union[None, Box, Sequence[Box]] = None,
     threshold: float = 1e-4,
@@ -286,7 +287,7 @@ def march(
     """March every ALIVE/LEFT_ROI ray of ``batch`` through ``fields``.
 
     ``fields`` is a level laid out as a launch marches it
-    (:class:`~repro.core.fields.StackedFields`): K windows of the level,
+    (:class:`~repro.core.fields.LevelFields`): K windows of the level,
     or the whole level as the K = 1 case. ``roi`` restricts marching to a
     cell-index box (which must lie within the level's ring box) — one a
     window, a sequence when K > 1; rays stepping outside it are parked

@@ -48,7 +48,7 @@ from repro.grid.loadbalance import LoadBalancer
 from repro.grid.refinement import coarsen_average, coarsen_max
 from repro.dw.label import cc, per_level
 from repro.radiation.constants import SIGMA_SB
-from repro.core.fields import StackedFields
+from repro.core.fields import LevelFields
 from repro.core.kernels import LAUNCH_RAYS, TraceOptions, patch_roi, trace_patch_multi_level
 from repro.core.rays import checked_rays_per_face, wall_faces
 from repro.core.single_level import RMCRTResult
@@ -164,31 +164,31 @@ class DistributedRMCRT:
             ctx.compute_level(labels["sigma_t4"], st4)
             ctx.compute_level(labels["cell_type"], ct)
 
-    def _wall_stack(self, level: Level, boxes: List[Box], windowed: bool = True) -> StackedFields:
+    def _wall_stack(self, level: Level, boxes: List[Box]) -> LevelFields:
         """A stack of ``boxes`` of the level holding the wall ring's values
         in every cell; the caller writes what lies inside the domain."""
-        stack = StackedFields(level.domain_box, level.dx, level.anchor, boxes, [windowed] * len(boxes))
+        stack = LevelFields(level.domain_box, level.dx, level.anchor, boxes)
         cells = slice(0, stack.sink)
         stack.abskg[cells] = self.wall_emissivity
         stack.sigma_t4[cells] = SIGMA_SB * self.wall_temperature ** 4
         stack.cell_type[cells] = CellType.WALL
         return stack
 
-    def _coarse_fields(self, ctx) -> List[StackedFields]:
+    def _coarse_fields(self, ctx) -> List[LevelFields]:
         """The coarse levels from the DataWarehouse, coarsest-first, each
         stacked whole — shared by every task of a launch."""
         coarse_fields = []
         for idx, labels in self._coarse_labels.items():
             level = self.grid.level(idx)
             ring = level.domain_box.grow(1)
-            coarse = self._wall_stack(level, [ring], windowed=False)
+            coarse = self._wall_stack(level, [ring])
             inner = level.domain_box.slices(origin=ring.lo)
             for view, label in zip(coarse.views(0), labels.values()):
                 view[inner] = ctx.require_level(label)
             coarse_fields.append(coarse)
         return coarse_fields
 
-    def _fine_windows(self, ctxs) -> Tuple[StackedFields, List[Box]]:
+    def _fine_windows(self, ctxs) -> Tuple[LevelFields, List[Box]]:
         """The launch's fine data: a stack of one window of the fine level
         a task — its ROI and the cells around it (a ray parks one cell
         outside) — holding what the task was sent and NaN where it was

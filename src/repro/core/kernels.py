@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.grid.box import Box
 from repro.core.dda import RayBatch, march
-from repro.core.fields import StackedFields
+from repro.core.fields import LevelFields
 from repro.core.rays import generate_face_rays, generate_patch_rays
 from repro.perf.metrics import get_metrics
 from repro.util.errors import ReproError
@@ -79,10 +79,10 @@ class TraceOptions:
 
 
 def divq_from_sums(
-    fields: StackedFields, cells: np.ndarray, sum_i_mean: np.ndarray, emission_scale: float = 1.0
+    fields: LevelFields, cells: np.ndarray, sum_i_mean: np.ndarray, emission_scale: float = 1.0
 ) -> np.ndarray:
     """Reduce per-cell mean incoming intensity to del.q over the stack
-    offsets ``cells`` (:meth:`~repro.core.fields.StackedFields.cells`):
+    offsets ``cells`` (:meth:`~repro.core.fields.LevelFields.cells`):
     one launch's cells at once.
 
     ``emission_scale`` multiplies the cell's own emission: 1 for a gray
@@ -99,7 +99,7 @@ def divq_from_sums(
 
 
 def march_chunked(
-    level_fields: Sequence[StackedFields],
+    level_fields: Sequence[LevelFields],
     origins: np.ndarray,
     directions: np.ndarray,
     roi: Union[None, Box, Sequence[Box]] = None,
@@ -171,7 +171,7 @@ def draw_bands(model, rngs: Sequence[np.random.Generator], counts: Sequence[int]
 
 
 def trace_patch_single_level(
-    fields: StackedFields,
+    fields: LevelFields,
     box: Box,
     options: TraceOptions,
     rng: np.random.Generator,
@@ -188,8 +188,8 @@ def trace_patch_single_level(
 
 
 def trace_patch_multi_level(
-    coarse_fields: Sequence[StackedFields],
-    fine: StackedFields,
+    coarse_fields: Sequence[LevelFields],
+    fine: LevelFields,
     patches: Sequence[Tuple[Optional[Box], Optional[Box], Optional[np.random.Generator]]],
     options: TraceOptions,
     chunk_rays: int = LAUNCH_RAYS,
@@ -226,7 +226,7 @@ def trace_patch_multi_level(
     table, kappa scales and surface emissivity table) every ray also
     draws a wavelength band from its patch's entry of ``band_rngs`` (face
     rays after cell rays) and marches through its band's fields on every
-    level (:meth:`~repro.core.fields.StackedFields.bands`), the bands laid
+    level (:meth:`~repro.core.fields.LevelFields.bands`), the bands laid
     out as windows of the one launch. A
     ray lands in band ``b`` with the Planck probability ``w_b`` and
     marches against the unscaled emission (the ``w_b`` of emission and

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.grid.grid import Grid
-from repro.core.fields import LevelFields, StackedFields
+from repro.core.fields import LevelFields
 from repro.core.kernels import patch_roi, trace_patch_multi_level
 from repro.core.single_level import PatchSolver, RMCRTResult
 from repro.radiation.properties import RadiativeProperties
@@ -55,10 +55,9 @@ class MultiLevelRMCRT(PatchSolver):
                 "multi-level RMCRT needs >= 2 levels; use SingleLevelRMCRT"
             )
         bundles = project_to_coarser_levels(grid, fine_props)
-        # every level as a launch marches it, stacked once a solve
+        # every level as a launch marches it, laid out once a solve
         *coarse_fields, fine_fields = [
-            StackedFields.of([LevelFields.from_properties(grid.level(i), bundles[i])])
-            for i in range(grid.num_levels)
+            LevelFields.from_properties(grid.level(i), bundles[i]) for i in range(grid.num_levels)
         ]
         fine_level = grid.finest_level
 

@@ -19,7 +19,7 @@ import numpy as np
 from repro.grid.grid import Grid
 from repro.grid.level import Level
 from repro.grid.patch import Patch
-from repro.core.fields import LevelFields, StackedFields
+from repro.core.fields import LevelFields
 from repro.core.cpu_kernel import march_single_ray
 from repro.core.kernels import (
     TraceOptions, divq_from_sums, draw_bands, trace_patch_single_level,
@@ -109,22 +109,19 @@ class SingleLevelRMCRT(PatchSolver):
         a campaign own the stream positions, which is what makes its
         checkpoints resume bit-identically."""
         level = grid.finest_level
-        fields = LevelFields.from_properties(level, props)
-        stack = StackedFields.of([fields])  # the level as a launch marches it, once a solve
+        fields = LevelFields.from_properties(level, props)  # the level, laid out once a solve
 
         def trace(patch, rng, band_rng):
             if self.backend == "scalar":
-                return self._scalar_patch(fields, stack, patch.box, rng, band_rng)
-            return trace_patch_single_level(stack, patch.box, self.options, rng, band_rng)
+                return self._scalar_patch(fields, patch.box, rng, band_rng)
+            return trace_patch_single_level(fields, patch.box, self.options, rng, band_rng)
 
         return self._solve_patches(level, trace, streams)
 
-    def _scalar_patch(
-        self, fields: LevelFields, stack: StackedFields, box, rng, band_rng
-    ) -> np.ndarray:
+    def _scalar_patch(self, fields: LevelFields, box, rng, band_rng) -> np.ndarray:
         """The per-ray reference loop: one ray at a time through its
-        band's fields — the differential oracle for the batch path, whose
-        del.q reduction (over ``stack``, the level stacked) it shares."""
+        band's window — the differential oracle for the batch path, whose
+        del.q reduction it shares."""
         options = self.options
         origins, directions = generate_patch_rays(
             fields, [box], options.rays_per_cell, [rng],
@@ -133,21 +130,21 @@ class SingleLevelRMCRT(PatchSolver):
         model = options.spectral
         if model is None:
             bands = np.zeros(origins.shape[0], dtype=np.int64)
-            band_fields, scales, emission_scale = [fields], np.ones(1), 1.0
+            band_fields, scales, emission_scale = fields, np.ones(1), 1.0
         else:
             bands = draw_bands(model, [band_rng], [origins.shape[0]])
-            band_fields = [fields.band(model, b) for b in range(model.nbands)]
+            band_fields = fields.bands(model)
             scales, emission_scale = model.kappa_scales, model.planck_mean_scale
         sums = np.array([
             march_single_ray(
-                band_fields[b], origins[r], directions[r],
-                threshold=options.threshold, reflections=options.reflections,
+                band_fields, origins[r], directions[r],
+                threshold=options.threshold, reflections=options.reflections, window=b,
             )[0]
             for r, b in enumerate(bands)
         ])
         weighted = sums * scales[bands]
         return divq_from_sums(
-            stack, stack.cells([box]),
+            fields, fields.cells([box]),
             weighted.reshape(-1, options.rays_per_cell).mean(axis=1), emission_scale,
         ).reshape(box.extent)
 

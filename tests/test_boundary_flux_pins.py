@@ -11,10 +11,11 @@ import hashlib
 
 import numpy as np
 
-from repro.core import DistributedRMCRT, LevelFields, VirtualRadiometer, benchmark_property_init
+from repro.core import DistributedRMCRT, VirtualRadiometer, benchmark_property_init
 from repro.grid import Box
 from repro.radiation import RadiativeProperties, SpectralModel
 from tests.test_boundary_flux_pipeline import pipeline  # noqa: F401  (fixture)
+from tests.level_fields import whole_level
 from tests.test_launch_fusion import SCENES, thin_pipeline
 
 
@@ -58,10 +59,7 @@ def test_radiometer_all_walls():
     props = RadiativeProperties.from_fields(
         box, abskg=np.ones(box.extent), sigma_t4=np.ones(box.extent)
     )
-    fields = LevelFields(
-        abskg=props.abskg, sigma_t4=props.sigma_t4, cell_type=props.cell_type,
-        interior=box, dx=(1.0 / 8,) * 3, anchor=(0.0,) * 3,
-    )
+    fields = whole_level(props, (1.0 / 8,) * 3)
     walls = VirtualRadiometer(rays_per_face=64, seed=7).all_walls(fields)
     assert sha(np.concatenate([walls[wall].ravel() for wall in sorted(walls)])) == (
         "db81c51a5e8dbb67859d26cd1c9032ccf341af9ff551ed8232fa178ce76d0b1c"

@@ -9,7 +9,6 @@ from repro.grid import Box, CellType
 from repro.core import (
     DistributedRMCRT,
     LevelFields,
-    StackedFields,
     TraceOptions,
     VirtualRadiometer,
     benchmark_property_init,
@@ -21,6 +20,7 @@ from repro.perf.metrics import MetricsRegistry, set_metrics
 from repro.radiation import BurnsChristonBenchmark, RadiativeProperties, SpectralModel
 from repro.radiation.constants import SIGMA_SB
 from repro.util.errors import ReproError
+from tests.level_fields import whole_level
 
 
 @pytest.fixture(scope="module")
@@ -174,10 +174,7 @@ class TestMultilevelRadiometerUnit:
         props = RadiativeProperties.from_fields(
             box, abskg=np.full(box.extent, kappa), sigma_t4=np.ones(box.extent)
         )
-        return LevelFields(
-            abskg=props.abskg, sigma_t4=props.sigma_t4, cell_type=props.cell_type,
-            interior=box, dx=(1.0 / n,) * 3, anchor=(0.0,) * 3,
-        )
+        return whole_level(props, (1.0 / n,) * 3)
 
     def test_single_level_list_matches_radiometer(self):
         """With one level, no ROI and no cell rays the trace reduces to
@@ -186,7 +183,7 @@ class TestMultilevelRadiometerUnit:
         face = Box((0, 0, 0), (1, 8, 8))
         rng = np.random.default_rng(3)
         divqs, [[q]] = trace_patch_multi_level(
-            [], StackedFields.of([fields]), [(None, None, None)], TraceOptions(),
+            [], fields, [(None, None, None)], TraceOptions(),
             faces=[[(0, 0, face, rng)]], rays_per_face=64,
         )
         assert divqs == [None]

@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from repro.grid import Box, CellType
 from repro.core import (
-    LevelFields,
     RayBatch,
     RayStatus,
-    StackedFields,
     isotropic_directions,
     march,
     march_single_ray,
@@ -25,12 +23,13 @@ from repro.core.dda import _launch_state
 from repro.perf import MetricsRegistry, set_metrics
 from repro.radiation import RadiativeProperties
 from repro.util.errors import ReproError
+from tests.level_fields import level_fields, whole_level
 
 
-def stacked(fields):
-    """A level (a LevelFields) or a list of windows of one level, laid
-    out as a launch marches them."""
-    return StackedFields.of([fields] if isinstance(fields, LevelFields) else fields)
+def stacked(level, windows):
+    """Windows of ``level`` (see :func:`crop`), laid out as a launch
+    marches them."""
+    return level_fields(level.interior, level.dx, level.anchor, windows)
 
 
 def make_fields(n=8, kappa=1.0, st4=1.0, wall_t4=0.0, wall_emis=1.0, dx=None, kappa_field=None):
@@ -48,14 +47,7 @@ def make_fields(n=8, kappa=1.0, st4=1.0, wall_t4=0.0, wall_emis=1.0, dx=None, ka
         mask = props.cell_type != CellType.FLOW
         ring[mask] = wall_t4
     h = dx if dx is not None else 1.0 / n
-    return LevelFields(
-        abskg=props.abskg,
-        sigma_t4=props.sigma_t4,
-        cell_type=props.cell_type,
-        interior=box,
-        dx=(h,) * 3,
-        anchor=(0.0, 0.0, 0.0),
-    )
+    return whole_level(props, (h,) * 3)
 
 
 def center_origin(fields, n):
@@ -65,7 +57,7 @@ def center_origin(fields, n):
 def assert_matches_scalar(fields, origins, dirs, atol=1e-15, **kw):
     """march == march_single_ray, ray for ray: status, sum_i, tau, exit_pos."""
     batch = RayBatch.fresh(origins.copy(), dirs.copy())
-    march(fields=stacked(fields), batch=batch, **kw)
+    march(fields=fields, batch=batch, **kw)
     for r in range(batch.n):
         s, tau, status, exit_pos = march_single_ray(fields, origins[r], dirs[r], **kw)
         assert batch.status[r] == status, r
@@ -97,7 +89,7 @@ class TestAnalyticSingleRay:
         origin = fields.cell_center(np.array([n // 2, n // 2, n // 2]))
         L = 1.0 - origin[0]
         batch = RayBatch.fresh(origin[None, :], np.array([[1.0, 0.0, 0.0]]))
-        march(fields=stacked(fields), batch=batch, threshold=1e-12)
+        march(fields=fields, batch=batch, threshold=1e-12)
         expected = (1.0 / np.pi) * (1.0 - np.exp(-kappa * L))
         assert np.isclose(batch.sum_i[0], expected, rtol=1e-12)
         assert batch.status[0] == RayStatus.WALL_HIT
@@ -109,7 +101,7 @@ class TestAnalyticSingleRay:
         origin = np.array([[0.3, 0.4, 0.2]])
         d = np.array([[1.0, 1.0, 1.0]]) / np.sqrt(3)
         batch = RayBatch.fresh(origin, d)
-        march(fields=stacked(fields), batch=batch, threshold=1e-14)
+        march(fields=fields, batch=batch, threshold=1e-14)
         # chord: exits when any coordinate reaches 1; x first? all equal rate,
         # limiting coordinate is max start -> y reaches 1 after 0.6*sqrt(3)
         t_exit = (1.0 - 0.4) * np.sqrt(3)
@@ -122,7 +114,7 @@ class TestAnalyticSingleRay:
         fields = make_fields(n, kappa=kappa, st4=0.0, wall_t4=2.0)
         origin = fields.cell_center(np.array([3, 3, 3]))
         batch = RayBatch.fresh(origin[None, :], np.array([[0.0, 0.0, -1.0]]))
-        march(fields=stacked(fields), batch=batch, threshold=1e-14)
+        march(fields=fields, batch=batch, threshold=1e-14)
         L = origin[2]  # distance to z=0 wall
         expected = (2.0 / np.pi) * np.exp(-kappa * L)
         assert np.isclose(batch.sum_i[0], expected, rtol=1e-12)
@@ -132,7 +124,7 @@ class TestAnalyticSingleRay:
         fields = make_fields(8, kappa=500.0)
         origin = fields.cell_center(np.array([4, 4, 4]))
         batch = RayBatch.fresh(origin[None, :], np.array([[1.0, 0.0, 0.0]]))
-        march(fields=stacked(fields), batch=batch, threshold=1e-3)
+        march(fields=fields, batch=batch, threshold=1e-3)
         assert batch.status[0] == RayStatus.EXTINCT
         # it absorbed essentially all the emission along the way
         assert np.isclose(batch.sum_i[0], 1.0 / np.pi, rtol=1e-2)
@@ -141,7 +133,7 @@ class TestAnalyticSingleRay:
         fields = make_fields(8)
         origin = fields.cell_center(np.array([4, 4, 4]))
         batch = RayBatch.fresh(origin[None, :], np.array([[0.0, 1.0, 0.0]]))
-        march(fields=stacked(fields), batch=batch)
+        march(fields=fields, batch=batch)
         assert batch.status[0] == RayStatus.WALL_HIT
 
 
@@ -157,7 +149,7 @@ class TestDifferential:
         dirs = isotropic_directions(rng, 64)
         scalar = trace_rays_scalar(fields, origins, dirs)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=stacked(fields), batch=batch)
+        march(fields=fields, batch=batch)
         np.testing.assert_allclose(batch.sum_i, scalar, rtol=0, atol=1e-15)
 
     def test_heterogeneous_medium(self):
@@ -168,7 +160,7 @@ class TestDifferential:
         dirs = isotropic_directions(rng, 128)
         scalar = trace_rays_scalar(fields, origins, dirs)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=stacked(fields), batch=batch)
+        march(fields=fields, batch=batch)
         np.testing.assert_allclose(batch.sum_i, scalar, rtol=0, atol=1e-15)
 
     def test_with_reflections(self):
@@ -178,7 +170,7 @@ class TestDifferential:
         dirs = isotropic_directions(rng, 64)
         scalar = trace_rays_scalar(fields, origins, dirs, reflections=True)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=stacked(fields), batch=batch, reflections=True)
+        march(fields=fields, batch=batch, reflections=True)
         np.testing.assert_allclose(batch.sum_i, scalar, rtol=0, atol=1e-14)
 
     def test_roi_parking_matches_scalar(self):
@@ -199,7 +191,7 @@ class TestROI:
         origins = np.asarray(fields.cell_center(np.full((16, 3), 4)))
         dirs = isotropic_directions(np.random.default_rng(0), 16)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=stacked(fields), batch=batch, roi=roi)
+        march(fields=fields, batch=batch, roi=roi)
         assert (batch.status == RayStatus.LEFT_ROI).all()
         # exit positions sit on the ROI boundary shell
         lo = np.array([3, 3, 3]) * fields.dx[0]
@@ -219,11 +211,11 @@ class TestROI:
         dirs = isotropic_directions(rng, 64)
 
         uninterrupted = RayBatch.fresh(origins.copy(), dirs.copy())
-        march(fields=stacked(fields), batch=uninterrupted)
+        march(fields=fields, batch=uninterrupted)
 
         two_phase = RayBatch.fresh(origins.copy(), dirs.copy())
-        march(fields=stacked(fields), batch=two_phase, roi=roi)
-        march(fields=stacked(fields), batch=two_phase, from_handoff=True)
+        march(fields=fields, batch=two_phase, roi=roi)
+        march(fields=fields, batch=two_phase, from_handoff=True)
 
         np.testing.assert_allclose(two_phase.sum_i, uninterrupted.sum_i, atol=1e-9)
         assert not (two_phase.status == RayStatus.LEFT_ROI).any()
@@ -232,7 +224,7 @@ class TestROI:
         fields = make_fields(4)
         with pytest.raises(ReproError):
             march(
-                fields=stacked(fields),
+                fields=fields,
                 batch=RayBatch.fresh(np.array([[0.5, 0.5, 0.5]]), np.array([[1.0, 0, 0]])),
                 roi=Box((-5, -5, -5), (10, 10, 10)),
             )
@@ -246,7 +238,7 @@ class TestReflections:
         origins = np.asarray(fields.cell_center(np.full((8, 3), 3)))
         dirs = isotropic_directions(np.random.default_rng(1), 8)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=stacked(fields), batch=batch, reflections=True, threshold=1e-3)
+        march(fields=fields, batch=batch, reflections=True, threshold=1e-3)
         assert (batch.status == RayStatus.EXTINCT).all()
         # infinite reflections in a hot medium: sumI -> Ib = 1/pi
         assert np.allclose(batch.sum_i, 1 / np.pi, rtol=5e-3)
@@ -257,9 +249,9 @@ class TestReflections:
         origins = np.asarray(fields_black.cell_center(np.full((32, 3), 3)))
         dirs = isotropic_directions(np.random.default_rng(2), 32)
         b1 = RayBatch.fresh(origins.copy(), dirs.copy())
-        march(fields=stacked(fields_black), batch=b1)
+        march(fields=fields_black, batch=b1)
         b2 = RayBatch.fresh(origins.copy(), dirs.copy())
-        march(fields=stacked(fields_refl), batch=b2, reflections=True)
+        march(fields=fields_refl, batch=b2, reflections=True)
         assert b2.sum_i.mean() > b1.sum_i.mean()
 
 
@@ -273,7 +265,7 @@ class TestBatchMechanics:
     def test_empty_batch(self):
         fields = make_fields(4)
         batch = RayBatch.fresh(np.zeros((0, 3)), np.zeros((0, 3)))
-        march(fields=stacked(fields), batch=batch)
+        march(fields=fields, batch=batch)
         assert batch.n == 0
 
     def test_max_steps_guard(self):
@@ -284,7 +276,7 @@ class TestBatchMechanics:
         dirs = np.array([[1.0, 0.0, 0.0]])
         batch = RayBatch.fresh(origins, dirs)
         with pytest.raises(ReproError):
-            march(fields=stacked(fields), batch=batch, max_steps=1)
+            march(fields=fields, batch=batch, max_steps=1)
 
     def test_statuses_partition(self):
         fields = make_fields(8, kappa=1.0)
@@ -292,7 +284,7 @@ class TestBatchMechanics:
         origins = np.asarray(fields.cell_center(rng.integers(0, 8, size=(256, 3))))
         dirs = isotropic_directions(rng, 256)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=stacked(fields), batch=batch)
+        march(fields=fields, batch=batch)
         assert not (batch.status == RayStatus.ALIVE).any()
         assert set(np.unique(batch.status)) <= {
             int(RayStatus.WALL_HIT),
@@ -308,7 +300,7 @@ class TestBatchMechanics:
         origins = np.asarray(fields.cell_center(rng.integers(0, 6, size=(16, 3))))
         dirs = isotropic_directions(rng, 16)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=stacked(fields), batch=batch)
+        march(fields=fields, batch=batch)
         assert (batch.sum_i >= 0).all()
         assert (batch.sum_i <= 1 / np.pi + 1e-12).all()
 
@@ -365,7 +357,7 @@ class TestLayoutEdges:
             batch.sum_i[:] = 0.1
 
         fstate, istate, _, _ = _launch_state(
-            stacked(fields), None, batch, np.arange(n), batch.exit_pos if from_handoff else starts,
+            fields, None, batch, np.arange(n), batch.exit_pos if from_handoff else starts,
             from_handoff,
         )
         tmax, tdelta, fstep = fstate[6:9], fstate[9:12], istate[2:5]
@@ -374,7 +366,7 @@ class TestLayoutEdges:
         assert (fstep[still] == 0).all()
         assert np.isfinite(tmax[~still]).all() and (tdelta[~still] > 0.0).all()
 
-        march(fields=stacked(fields), batch=batch, reflections=reflections, from_handoff=from_handoff)
+        march(fields=fields, batch=batch, reflections=reflections, from_handoff=from_handoff)
         for r in range(n):
             s, tau, status, _ = march_single_ray(
                 fields, starts[r], dirs[r], reflections=reflections, from_handoff=from_handoff,
@@ -396,7 +388,7 @@ class TestLayoutEdges:
         batch.exit_pos[:] = exit_pos
         batch.tau[:] = tau0
         batch.sum_i[:] = 0.1
-        march(fields=stacked(fields), batch=batch, from_handoff=True)
+        march(fields=fields, batch=batch, from_handoff=True)
         for r in range(3):
             s, tau, status, _ = march_single_ray(
                 fields, exit_pos[r], dirs[r], tau0=tau0[r], sum_i0=0.1, from_handoff=True
@@ -445,10 +437,7 @@ class TestLayoutEdges:
             wall_temperature=60.0, wall_emissivity=0.3 + 0.7 * rng.random(),
             cell_type=cell_type,
         )
-        fields = LevelFields(
-            abskg=props.abskg, sigma_t4=props.sigma_t4, cell_type=props.cell_type,
-            interior=box, dx=(1.0 / n,) * 3, anchor=(0.0, 0.0, 0.0),
-        )
+        fields = whole_level(props, (1.0 / n,) * 3)
         roi = None
         if use_roi:
             lo = rng.integers(-1, n, size=3)
@@ -466,13 +455,14 @@ class TestLayoutEdges:
 
 
 def crop(fields, window, scale=1.0):
-    """``fields`` cropped to ``window``, its medium scaled: a window
-    holds its own task's data, which no other window's lanes may read."""
-    sl = window.slices(origin=fields.box.lo)
-    return LevelFields(
-        abskg=np.where(fields.cell_type[sl] == CellType.FLOW, scale, 1.0) * fields.abskg[sl],
-        sigma_t4=fields.sigma_t4[sl].copy(), cell_type=fields.cell_type[sl].copy(),
-        interior=fields.interior, dx=fields.dx, anchor=fields.anchor, window=window,
+    """``fields`` (a whole level) cropped to ``window``, its medium
+    scaled, as ``(window, abskg, sigma_t4, cell_type)``: a window holds its
+    own task's data, which no other window's lanes may read."""
+    sl = window.slices(origin=fields.ring_box.lo)
+    abskg, sigma_t4, cell_type = (a[sl] for a in fields.views(0))
+    return (
+        window, np.where(cell_type == CellType.FLOW, scale, 1.0) * abskg,
+        sigma_t4.copy(), cell_type.copy(),
     )
 
 
@@ -502,10 +492,7 @@ class TestFusedLaunch:
             wall_temperature=60.0, wall_emissivity=0.3 + 0.7 * rng.random(),
             cell_type=cell_type,
         )
-        level = LevelFields(
-            abskg=props.abskg, sigma_t4=props.sigma_t4, cell_type=props.cell_type,
-            interior=box, dx=(1.0 / n,) * 3, anchor=(0.0, 0.0, 0.0),
-        )
+        level = whole_level(props, (1.0 / n,) * 3)
         ring = level.ring_box
         windows, rois, origins, dirs = [], [], [], []
         for w in range(k):
@@ -527,7 +514,10 @@ class TestFusedLaunch:
         if not windows:
             return
         separate = [
-            march(fields=stacked(w), batch=RayBatch.fresh(o, d.copy()), roi=r, reflections=reflections)
+            march(
+                fields=stacked(level, [w]), batch=RayBatch.fresh(o, d.copy()), roi=r,
+                reflections=reflections,
+            )
             for w, r, o, d in zip(windows, rois, origins, dirs)
         ]
         expected = {
@@ -540,7 +530,8 @@ class TestFusedLaunch:
         cuts = [0, total // 2, total] if split and total > 1 else [0, total]
         chunks = [
             march(
-                fields=stacked(windows), batch=RayBatch.fresh(origins[a:b], dirs[a:b].copy()),
+                fields=stacked(level, windows),
+                batch=RayBatch.fresh(origins[a:b], dirs[a:b].copy()),
                 roi=rois, reflections=reflections, window_of=window_of[a:b],
             )
             for a, b in zip(cuts, cuts[1:])
@@ -557,22 +548,25 @@ class TestFusedLaunch:
         small_roi = Box((0, 0, 0), (1, 1, 1))
         small = crop(fields, small_roi.grow(1))
         order = [0, 1] if small_first else [1, 0]
-        windows = [[small, fields][i] for i in order]
+        windows = [[small, crop(fields, fields.ring_box)][i] for i in order]
         rois = [[small_roi, fields.ring_box][i] for i in order]
         origins = np.asarray(fields.cell_center(np.array([[0, 0, 0], [6, 6, 6]])))
         dirs = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         # ray 0 marches the small window, ray 1 the whole level
         window_of = np.array([order.index(0), order.index(1)])
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=stacked(windows), batch=batch, roi=rois, reflections=True, window_of=window_of)
+        march(
+            fields=stacked(fields, windows), batch=batch, roi=rois, reflections=True,
+            window_of=window_of,
+        )
         assert batch.status[0] == RayStatus.LEFT_ROI
         lone = RayBatch.fresh(origins[1:], dirs[1:].copy())
-        march(fields=stacked(fields), batch=lone, reflections=True)
+        march(fields=fields, batch=lone, reflections=True)
         assert batch.status[1] == lone.status[0] == RayStatus.EXTINCT
         assert batch.sum_i[1] == lone.sum_i[0] and batch.tau[1] == lone.tau[0]
         with pytest.raises(ReproError, match="still alive"):
             march(
-                fields=stacked(fields), batch=RayBatch.fresh(origins[1:], dirs[1:].copy()),
+                fields=fields, batch=RayBatch.fresh(origins[1:], dirs[1:].copy()),
                 reflections=True, max_steps=16 * (9 + 3),
             )
 
@@ -581,20 +575,16 @@ class TestFusedLaunch:
         roi = Box((2, 2, 2), (5, 5, 5))
         batch = RayBatch.fresh(center_origin(fields, 8), np.array([[1.0, 0.0, 0.0]]))
         with pytest.raises(ReproError, match="cells around"):
-            march(fields=stacked(crop(fields, roi)), batch=batch, roi=roi)  # no room to park
+            # no room to park
+            march(fields=stacked(fields, [crop(fields, roi)]), batch=batch, roi=roi)
         with pytest.raises(ReproError, match="cells around"):
-            march(fields=stacked(crop(fields, roi.grow(1))), batch=batch)  # a window needs its roi
-        two = [crop(fields, roi.grow(1)), crop(fields, roi.grow(2))]
+            # a window needs its roi
+            march(fields=stacked(fields, [crop(fields, roi.grow(1))]), batch=batch)
+        two = stacked(fields, [crop(fields, roi.grow(1)), crop(fields, roi.grow(2))])
         with pytest.raises(ReproError, match="rois"):
-            march(fields=stacked(two), batch=batch, roi=[roi], window_of=np.zeros(1, dtype=int))
+            march(fields=two, batch=batch, roi=[roi], window_of=np.zeros(1, dtype=int))
         with pytest.raises(ReproError, match="window_of"):
-            march(fields=stacked(two), batch=batch, roi=[roi, roi])
-        other_level = make_fields(8, dx=0.5)
-        with pytest.raises(ReproError, match="one level"):
-            march(
-                fields=stacked([two[0], crop(other_level, roi.grow(1))]), batch=batch,
-                roi=[roi, roi], window_of=np.zeros(1, dtype=int),
-            )
+            march(fields=two, batch=batch, roi=[roi, roi])
 
 
 class TestReflectionsAcrossTheROI:
@@ -609,10 +599,10 @@ class TestReflectionsAcrossTheROI:
         dirs = isotropic_directions(rng, 64)
 
         uninterrupted = RayBatch.fresh(origins.copy(), dirs.copy())
-        march(fields=stacked(fields), batch=uninterrupted, reflections=True)
+        march(fields=fields, batch=uninterrupted, reflections=True)
 
         two_phase = RayBatch.fresh(origins, dirs.copy())
-        march(fields=stacked(fields), batch=two_phase, roi=roi, reflections=True)
+        march(fields=fields, batch=two_phase, roi=roi, reflections=True)
         parked = two_phase.parked()
         bounced = parked[(two_phase.directions[parked] != dirs[parked]).any(axis=1)]
         assert bounced.size > 0  # the case under test occurs
@@ -620,7 +610,7 @@ class TestReflectionsAcrossTheROI:
         np.testing.assert_allclose(two_phase.exit_pos[parked, 0], 5 / 8, atol=1e-12)
         assert (np.abs(two_phase.exit_pos[parked, 1:] - 0.5) <= 0.5 + 1e-12).all()
         np.testing.assert_array_equal(two_phase.origins, origins)  # caller's arrays untouched
-        march(fields=stacked(fields), batch=two_phase, from_handoff=True, reflections=True)
+        march(fields=fields, batch=two_phase, from_handoff=True, reflections=True)
 
         np.testing.assert_allclose(two_phase.sum_i, uninterrupted.sum_i, atol=1e-9)
         np.testing.assert_allclose(two_phase.tau, uninterrupted.tau, rtol=1e-9)
@@ -667,7 +657,7 @@ class TestKernelCounters:
             batch = RayBatch.fresh(
                 np.asarray(fields.cell_center(cells)), np.tile([-1.0, 0.0, 0.0], (len(x_cells), 1))
             )
-            return march(fields=stacked(fields), batch=batch, **kw)
+            return march(fields=fields, batch=batch, **kw)
 
         registry = MetricsRegistry()
         previous = set_metrics(registry)
@@ -687,7 +677,7 @@ class TestKernelCounters:
             # 2 + 1 rows), then both take 2 more steps on re-launch
             batch = launch([2, 3], roi=Box((2, 0, 0), (4, 4, 4)))
             assert (batch.status == RayStatus.LEFT_ROI).all()
-            march(fields=stacked(fields), batch=batch, from_handoff=True)
+            march(fields=fields, batch=batch, from_handoff=True)
             assert (batch.status == RayStatus.WALL_HIT).all()
         finally:
             set_metrics(previous)
@@ -765,7 +755,7 @@ class TestParking:
         kw = dict(roi=roi, reflections=True)
         batch = self.check(
             lambda rows: dict(
-                fields=stacked(fields), batch=RayBatch.fresh(origins[rows], dirs[rows].copy()), **kw
+                fields=fields, batch=RayBatch.fresh(origins[rows], dirs[rows].copy()), **kw
             ),
             48,
         )
@@ -781,7 +771,7 @@ class TestParking:
             batch.exit_pos[:] = exit_pos[rows]
             batch.tau[:] = tau0[rows]
             batch.sum_i[:] = 0.1
-            return dict(fields=stacked(fields), batch=batch, from_handoff=True, reflections=True)
+            return dict(fields=fields, batch=batch, from_handoff=True, reflections=True)
 
         return launch
 
@@ -829,7 +819,7 @@ class TestParking:
         fields = make_fields(4)
         batch = RayBatch.fresh(center_origin(fields, 4), np.array([[1.0, 0.0, 0.0]]))
         with pytest.raises(ReproError, match="threshold"):
-            march(fields=stacked(fields), batch=batch, threshold=1.5)
+            march(fields=fields, batch=batch, threshold=1.5)
 
     def test_fused_launch_equals_separate_marches(self):
         """K windows in one launch: a lane parked in one window marches
@@ -849,7 +839,8 @@ class TestParking:
         origins, dirs, window_of = np.vstack(origins), np.vstack(dirs), np.array(window_of)
         batch = self.check(
             lambda rows: dict(
-                fields=stacked(windows), batch=RayBatch.fresh(origins[rows], dirs[rows].copy()),
+                fields=stacked(level, windows),
+                batch=RayBatch.fresh(origins[rows], dirs[rows].copy()),
                 roi=rois, reflections=True, window_of=window_of[rows],
             ),
             36,
@@ -857,7 +848,7 @@ class TestParking:
         for w, roi in enumerate(rois):
             lanes = window_of == w
             alone = RayBatch.fresh(origins[lanes], dirs[lanes].copy())
-            march(fields=stacked(windows[w]), batch=alone, roi=roi, reflections=True)
+            march(fields=stacked(level, [windows[w]]), batch=alone, roi=roi, reflections=True)
             for row in RESULT_ROWS:
                 np.testing.assert_array_equal(getattr(batch, row)[lanes], getattr(alone, row))
 
@@ -888,20 +879,16 @@ class TestStepScratch:
         props = RadiativeProperties.from_fields(
             interior, abskg=np.zeros(interior.extent), sigma_t4=np.ones(interior.extent)
         )
-        fields = LevelFields(
-            abskg=props.abskg, sigma_t4=props.sigma_t4, cell_type=props.cell_type,
-            interior=interior, dx=(1 / 16,) * 3, anchor=(0.0, 0.0, 0.0),
-        )
+        fields = whole_level(props, (1 / 16,) * 3)
         origins, dirs = generate_patch_rays(
             fields, [Box((6, 6, 6), (10, 10, 10))], 256, [np.random.default_rng(0)]
         )
         batch = RayBatch.fresh(origins, dirs)
         assert batch.n == 16384
-        stack = stacked(fields)  # laid out before the launch, as a solver does
-        tracemalloc.start()
+        tracemalloc.start()  # the level is laid out before the launch, as a solver does
         try:
             with pytest.raises(ReproError, match="still alive after 6 DDA steps"):
-                march(fields=stack, batch=batch, max_steps=6)
+                march(fields=fields, batch=batch, max_steps=6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

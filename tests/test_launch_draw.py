@@ -13,18 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid import Box
-from repro.core import (
-    LevelFields, StackedFields, TraceOptions, generate_patch_rays, patch_roi,
-    trace_patch_multi_level,
-)
+from repro.core import TraceOptions, generate_patch_rays, patch_roi, trace_patch_multi_level
 from repro.radiation import RadiativeProperties
+from tests.level_fields import level_fields, whole_level
 
 FINE = Box.cube(8)
 DX = (0.1, 0.125, 0.2)
 ANCHOR = (-0.3, 0.0, 0.25)
 
 
-def level_fields(interior, dx, seed):
+def random_level(interior, dx, seed):
     rng = np.random.default_rng(seed)
     props = RadiativeProperties.from_fields(
         interior,
@@ -32,14 +30,11 @@ def level_fields(interior, dx, seed):
         sigma_t4=rng.uniform(0.5, 2.0, interior.extent),
         wall_emissivity=0.7,
     )
-    return LevelFields(
-        abskg=props.abskg, sigma_t4=props.sigma_t4, cell_type=props.cell_type,
-        interior=interior, dx=dx, anchor=ANCHOR,
-    )
+    return whole_level(props, dx, ANCHOR)
 
 
-FINE_FIELDS = level_fields(FINE, DX, 1)
-COARSE_FIELDS = level_fields(Box.cube(4), tuple(2 * h for h in DX), 2)
+FINE_FIELDS = random_level(FINE, DX, 1)
+COARSE_FIELDS = random_level(Box.cube(4), tuple(2 * h for h in DX), 2)
 
 boxes = st.builds(
     lambda lo, extent: Box(lo, tuple(min(8, a + e) for a, e in zip(lo, extent))),
@@ -89,14 +84,16 @@ def test_a_patch_draws_and_traces_the_same_alone_or_in_a_launch(
         return (box, patch_roi(FINE, box, 1), np.random.default_rng(s))
 
     options = TraceOptions(rays_per_cell=rays_per_cell, centered_origins=centered)
-    coarse = [StackedFields.of([COARSE_FIELDS])]
+    coarse = [COARSE_FIELDS]
+    # the whole fine level, once a patch
+    whole = (FINE.grow(1), *FINE_FIELDS.views(0))
     launched = trace_patch_multi_level(
-        coarse, StackedFields.of([FINE_FIELDS] * len(patch_boxes)),
+        coarse, level_fields(FINE, DX, ANCHOR, [whole] * len(patch_boxes)),
         [patch(b, s) for b, s in zip(patch_boxes, seeds)], options,
     )
     for box, s, divq in zip(patch_boxes, seeds, launched):
         (alone,) = trace_patch_multi_level(
-            coarse, StackedFields.of([FINE_FIELDS]), [patch(box, s)], options
+            coarse, FINE_FIELDS, [patch(box, s)], options
         )
         assert divq.tobytes() == alone.tobytes()
 

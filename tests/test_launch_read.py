@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DistributedRMCRT, LevelFields, benchmark_property_init, patch_roi
+from repro.core import DistributedRMCRT, benchmark_property_init, patch_roi
 from repro.core.distributed import ABSKG, CELL_TYPE, DIVQ, SIGMA_T4
 from repro.grid import CellType
 from repro.radiation import BurnsChristonBenchmark
 from repro.radiation.constants import SIGMA_SB
 from repro.runtime import TaskContext
 from repro.util.errors import SchedulerError
+from tests.level_fields import level_fields
 
 LABELS = [ABSKG, SIGMA_T4, CELL_TYPE]
 DEFAULTS = [np.nan, np.nan, float(CellType.WALL)]
@@ -61,20 +62,19 @@ def window_alone(drm, ctx):
     roi = patch_roi(interior, ctx.patch.box, drm.options.halo)
     box = roi.grow(1).intersect(interior.grow(1))
     inner = interior.intersect(box).slices(origin=box.lo)
-    window = LevelFields(
-        abskg=np.full(box.extent, drm.wall_emissivity),
-        sigma_t4=np.full(box.extent, SIGMA_SB * drm.wall_temperature ** 4),
-        cell_type=np.full(box.extent, CellType.WALL, dtype=np.int8),
-        interior=interior, dx=fine_level.dx, anchor=fine_level.anchor, window=box,
+    fields = (
+        np.full(box.extent, drm.wall_emissivity),
+        np.full(box.extent, SIGMA_SB * drm.wall_temperature ** 4),
+        np.full(box.extent, CellType.WALL, dtype=np.int8),
     )
-    for field, fill in zip((window.abskg, window.sigma_t4, window.cell_type),
-                           (np.nan, np.nan, CellType.FLOW)):
+    for field, fill in zip(fields, (np.nan, np.nan, CellType.FLOW)):
         field[inner] = fill
     region = ctx.patch.box.grow(drm.options.halo).intersect(interior)
     arrays = ctx.new_dw.get_regions(LABELS, fine_level, region, DEFAULTS)
-    dst = region.slices(window.box.lo)
-    for field, data in zip((window.abskg, window.sigma_t4, window.cell_type), arrays):
+    dst = region.slices(box.lo)
+    for field, data in zip(fields, arrays):
         field[dst] = data
+    window = level_fields(interior, fine_level.dx, fine_level.anchor, [(box, *fields)])
     return window, roi
 
 
@@ -103,14 +103,10 @@ def test_every_window_of_a_launch_read_is_the_window_read_alone(patch_size, halo
         picked = [ctxs[k] for k in rng.permutation(len(ctxs))[: rng.integers(1, len(ctxs) + 1)]]
         stack, rois = drm._fine_windows(picked)
         for k, ctx in enumerate(picked):
-            window, roi = stack.window(k), rois[k]
+            roi = rois[k]
             alone, alone_roi = window_alone(drm, ctx)
-            assert roi == alone_roi and window.box == alone.box
-            for got, expected in (
-                (window.abskg, alone.abskg),
-                (window.sigma_t4, alone.sigma_t4),
-                (window.cell_type, alone.cell_type),
-            ):
+            assert roi == alone_roi and stack.boxes[k] == alone.boxes[0]
+            for got, expected in zip(stack.views(k), alone.views(0)):
                 assert same_bytes(got, expected), ctx.patch.patch_id
             checked.append(ctx.patch.patch_id)
         # one task reaching a cell past its declared ghosts fails the read

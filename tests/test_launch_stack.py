@@ -2,14 +2,18 @@
 
 ``DistributedRMCRT._fine_windows`` writes each trace task's window (the
 wall ring, NaN where the task was sent nothing, its block region) straight
-into its slice of the launch's :class:`~repro.core.fields.StackedFields`,
+into its slice of the launch's :class:`~repro.core.fields.LevelFields`,
 and the launch reduces del.q once over all its cells. Neither may show:
 whichever K of a rank's ready tasks share a launch, each patch's del.q and
 wall flux are byte-identical to the patch launched alone — with any halo,
-rays a cell, wall faces, reflections or a one-band spectral model — and a
-task that reads past the data it was sent still fires the NaN guard,
-naming that patch.
+rays a cell, wall faces, reflections, or a spectral model of one band or
+of three with a tabulated wall emissivity (window ``b * K + k`` of the
+launch's band stack is band ``b`` of patch ``k``'s window) — and a task
+that reads past the data it was sent still fires the NaN guard, naming
+that patch.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -26,15 +30,27 @@ BENCH = BurnsChristonBenchmark(resolution=8)
 #: eight 4^3 patches under a 4^3 coarse level: the serial scheduler runs
 #: every trace task in one launch
 GRID = BENCH.two_level_grid(refinement_ratio=2, fine_patch_size=4)
-GRAY = SpectralModel.gray_limit()
 
 
-def pipeline(halo=1, rays=1, faces=False, reflections=False, spectral=False, seed=0):
+@lru_cache(maxsize=None)
+def spectral_model(name):
+    """None, the one-band gray limit, or three bands with the tungsten
+    emissivity table on the walls: each built once for the module."""
+    if name == "gray":
+        return SpectralModel.gray_limit()
+    if name == "three-band":
+        return SpectralModel.build(
+            bands=3, temperature=1400.0, kappa_exponent=0.8, emissivity="tungsten"
+        )
+    return None
+
+
+def pipeline(halo=1, rays=1, faces=False, reflections=False, spectral=None, seed=0):
     return DistributedRMCRT(
         GRID, benchmark_property_init(BENCH), rays_per_cell=rays, halo=halo, seed=seed,
         reflections=reflections, wall_emissivity=0.6 if reflections else 1.0,
         wall_temperature=50.0, compute_boundary_flux=faces, flux_rays_per_face=2,
-        spectral=GRAY if spectral else None,
+        spectral=spectral_model(spectral),
     )
 
 
@@ -51,7 +67,7 @@ def picked(ctxs, order, k):
     rays=st.integers(1, 3),
     faces=st.booleans(),
     reflections=st.booleans(),
-    spectral=st.booleans(),
+    spectral=st.sampled_from([None, "gray", "three-band"]),
     seed=st.integers(0, 2**31),
 )
 def test_a_launch_built_in_place_is_k_one_patch_launches(

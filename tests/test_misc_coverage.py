@@ -6,7 +6,7 @@ import pytest
 
 from repro.grid import Box
 from repro.comm.driver import WorkloadResult
-from repro.core import LevelFields, RMCRTResult, SingleLevelRMCRT, StackedFields
+from repro.core import LevelFields, RMCRTResult, SingleLevelRMCRT
 from repro.dessim import (
     LARGE,
     MEDIUM,
@@ -62,19 +62,20 @@ class TestProblemConstants:
         assert p.patch_divq_bytes(16) == 16 ** 3 * 8
 
 
-class TestLevelFieldsValidation:
+class TestRadiativePropertiesValidation:
     def test_shape_check(self):
+        """The only way arrays from outside reach ``LevelFields.from_properties``."""
         box = Box.cube(4)
         with pytest.raises(GridError):
-            LevelFields(
+            RadiativeProperties(
+                box,
                 abskg=np.zeros((4, 4, 4)),  # missing ring
                 sigma_t4=np.zeros((6, 6, 6)),
                 cell_type=np.zeros((6, 6, 6), dtype=np.int8),
-                interior=box,
-                dx=(0.25,) * 3,
-                anchor=(0.0,) * 3,
             )
 
+
+class TestLevelFieldsValidation:
     def test_from_properties_level_mismatch(self):
         bench = BurnsChristonBenchmark(resolution=8)
         grid = bench.single_level_grid()
@@ -88,7 +89,7 @@ class TestLevelFieldsValidation:
         bench = BurnsChristonBenchmark(resolution=8)
         grid = bench.single_level_grid()
         props = bench.properties_for_level(grid.finest_level)
-        fields = StackedFields.of([LevelFields.from_properties(grid.finest_level, props)])
+        fields = LevelFields.from_properties(grid.finest_level, props)
         # a point exactly on a face lands downstream with the nudge; one
         # axis a row, the DDA set-up's layout
         pos = np.array([[0.5], [0.3], [0.3]])

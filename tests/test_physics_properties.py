@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.grid import Box
 from repro.core import (
     LevelFields,
-    StackedFields,
     RayBatch,
     isotropic_directions,
     march,
@@ -20,6 +19,7 @@ from repro.core.dda import RayStatus
 from repro.core.kernels import LAUNCH_RAYS
 from repro.perf import MetricsRegistry, set_metrics
 from repro.radiation import RadiativeProperties
+from tests.level_fields import whole_level
 
 
 def uniform_fields(n, kappa, st4=1.0, wall_emis=1.0):
@@ -30,14 +30,7 @@ def uniform_fields(n, kappa, st4=1.0, wall_emis=1.0):
         sigma_t4=np.full(box.extent, st4),
         wall_emissivity=wall_emis,
     )
-    return LevelFields(
-        abskg=props.abskg,
-        sigma_t4=props.sigma_t4,
-        cell_type=props.cell_type,
-        interior=box,
-        dx=(1.0 / n,) * 3,
-        anchor=(0.0, 0.0, 0.0),
-    )
+    return whole_level(props, (1.0 / n,) * 3)
 
 
 def chord_to_wall(origin, direction, eps=1e-12):
@@ -107,7 +100,7 @@ class TestMonotonicity:
         for kappa in (0.2, 1.0, 5.0):
             fields = uniform_fields(6, kappa)
             batch = RayBatch.fresh(origins.copy(), dirs.copy())
-            march(fields=StackedFields.of([fields]), batch=batch, threshold=1e-12)
+            march(fields=fields, batch=batch, threshold=1e-12)
             sums.append(batch.sum_i.copy())
         assert (sums[0] <= sums[1] + 1e-12).all()
         assert (sums[1] <= sums[2] + 1e-12).all()
@@ -122,7 +115,7 @@ class TestMonotonicity:
         origins = np.asarray(fields.cell_center(rng.integers(1, 5, size=(32, 3))))
         dirs = isotropic_directions(rng, 32)
         batch = RayBatch.fresh(origins, dirs)
-        march(fields=StackedFields.of([fields]), batch=batch, reflections=True, threshold=1e-6)
+        march(fields=fields, batch=batch, reflections=True, threshold=1e-6)
         assert (batch.sum_i <= 1.0 / np.pi + 1e-9).all()
         assert (batch.sum_i >= 0).all()
 
@@ -144,7 +137,7 @@ class TestChunkInvariance:
         bench = BurnsChristonBenchmark(resolution=8)
         grid = bench.single_level_grid()
         props = bench.properties_for_level(grid.finest_level)
-        fields = StackedFields.of([LevelFields.from_properties(grid.finest_level, props)])
+        fields = LevelFields.from_properties(grid.finest_level, props)
         box = Box.cube(4, lo=(2, 2, 2))
         options = TraceOptions(rays_per_cell=rays_per_cell)
         base = trace_patch_single_level(

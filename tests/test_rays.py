@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.grid import Box
 from repro.core import (
-    LevelFields,
     cell_ray_origins,
     cosine_hemisphere_directions,
     generate_patch_rays,
@@ -17,6 +16,7 @@ from repro.core import (
     region_cells,
 )
 from repro.radiation import RadiativeProperties
+from tests.level_fields import whole_level
 
 
 def make_fields(n=8, kappa=1.0):
@@ -24,14 +24,7 @@ def make_fields(n=8, kappa=1.0):
     props = RadiativeProperties.from_fields(
         box, abskg=np.full(box.extent, kappa), sigma_t4=np.ones(box.extent)
     )
-    return LevelFields(
-        abskg=props.abskg,
-        sigma_t4=props.sigma_t4,
-        cell_type=props.cell_type,
-        interior=box,
-        dx=(1.0 / n,) * 3,
-        anchor=(0.0, 0.0, 0.0),
-    )
+    return whole_level(props, (1.0 / n,) * 3)
 
 
 class TestIsotropicDirections:
@@ -126,10 +119,7 @@ def test_ray_draw_is_pinned(centered):
     props = RadiativeProperties.from_fields(
         box, abskg=np.ones(box.extent), sigma_t4=np.ones(box.extent)
     )
-    fields = LevelFields(
-        abskg=props.abskg, sigma_t4=props.sigma_t4, cell_type=props.cell_type,
-        interior=box, dx=(0.1, 0.125, 0.2), anchor=(-0.3, 0.0, 0.25),
-    )
+    fields = whole_level(props, (0.1, 0.125, 0.2), (-0.3, 0.0, 0.25))
     o, d = generate_patch_rays(
         fields, [Box((1, 0, 2), (5, 3, 6))], 3, [np.random.default_rng(2024)],
         centered_origins=centered,

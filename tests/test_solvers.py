@@ -10,7 +10,6 @@ import pytest
 
 from repro.grid import Box, build_single_level_grid, build_two_level_grid
 from repro.core import (
-    LevelFields,
     MultiLevelRMCRT,
     RMCRTSolver,
     SingleLevelRMCRT,
@@ -23,6 +22,7 @@ from repro.radiation import (
     dom_reference_divq,
 )
 from repro.util.errors import ReproError
+from tests.level_fields import whole_level
 
 
 @pytest.fixture(scope="module")
@@ -225,14 +225,7 @@ class TestVirtualRadiometer:
         props = RadiativeProperties.from_fields(
             box, abskg=np.full(box.extent, kappa), sigma_t4=np.ones(box.extent)
         )
-        return LevelFields(
-            abskg=props.abskg,
-            sigma_t4=props.sigma_t4,
-            cell_type=props.cell_type,
-            interior=box,
-            dx=(1.0 / n,) * 3,
-            anchor=(0.0, 0.0, 0.0),
-        )
+        return whole_level(props, (1.0 / n,) * 3)
 
     def test_flux_shape(self):
         fields = self.make_fields(8)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.grid import Box, CellType
 from repro.core import (
-    LevelFields, RMCRTSolver, SingleLevelRMCRT, RayBatch, StackedFields, march,
+    RMCRTSolver, SingleLevelRMCRT, RayBatch, march,
 )
 from repro.core.dda import RayStatus
 from repro.arches import BoilerScenario
@@ -20,6 +20,7 @@ from repro.radiation import (
     validate_bands,
 )
 from repro.util.errors import ReproError
+from tests.level_fields import whole_level
 
 
 @pytest.fixture(scope="module")
@@ -130,15 +131,7 @@ def make_fields_with_block(n=10, kappa=0.5, block=None, block_st4=0.0):
     props = RadiativeProperties.from_fields(
         box, abskg=ab, sigma_t4=st4, cell_type=ct
     )
-    fields = LevelFields(
-        abskg=props.abskg,
-        sigma_t4=props.sigma_t4,
-        cell_type=props.cell_type,
-        interior=box,
-        dx=(1.0 / n,) * 3,
-        anchor=(0.0, 0.0, 0.0),
-    )
-    return props, fields
+    return props, whole_level(props, (1.0 / n,) * 3)
 
 
 class TestIntrusions:
@@ -147,7 +140,7 @@ class TestIntrusions:
         _, fields = make_fields_with_block(block=block)
         origin = fields.cell_center(np.array([2, 5, 5]))
         batch = RayBatch.fresh(origin[None, :], np.array([[1.0, 0.0, 0.0]]))
-        march(fields=StackedFields.of([fields]), batch=batch, threshold=1e-12)
+        march(fields=fields, batch=batch, threshold=1e-12)
         assert batch.status[0] == RayStatus.WALL_HIT
         # terminated at the block face, not the far wall: optical depth
         # = kappa * distance to x=0.6

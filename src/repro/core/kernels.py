@@ -7,10 +7,12 @@ to the divergence of the heat flux,
     del.q[c] = 4 pi kappa[c] (sigma_t4[c] / pi - mean_r sumI_r(c)).
 
 Every launch has one width, :data:`LAUNCH_RAYS`: patch tasks smaller
-than it march together until they fill it, a patch larger than it is cut
+than it march together until they fill it, a trace larger than it is cut
 to it — the Python analogue of sizing a CUDA launch so that it keeps the
 device busy and its working set still fits the K20X's 6 GB (paper
-Section III.C, contributions ii and v).
+Section III.C, contributions ii and v). A trace holds one launch, not
+its patches' rays: each launch is drawn, marched and reduced to per-cell
+means before the next is drawn.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from repro.grid.box import Box
 from repro.core.dda import RayBatch, march
 from repro.core.fields import LevelFields
-from repro.core.rays import generate_face_rays, generate_patch_rays
+from repro.core.rays import draw_cursors, generate_face_rays, generate_patch_rays
 from repro.perf.metrics import get_metrics
 from repro.util.errors import ReproError
 
@@ -35,8 +37,9 @@ from repro.util.errors import ReproError
 #: ~327-329 bytes a lane (ROADMAP item 5's tracemalloc of one 32768-lane
 #: launch), 160 of them the march's state (12 float and 5 int64 rows) and
 #: scratch (a float row, and an int64 row holding the 5 int8 flag rows), as
-#: ``TestStepScratch`` pins; so a launch above it is cut to it and launch
-#: memory stays ~10 MiB whatever the patch size. 32768 is the fastest width
+#: ``TestStepScratch`` pins; so a trace above it is drawn, marched and
+#: reduced a launch at a time, and holds ~10 MiB whatever its patch size
+#: and rays a cell (EXPERIMENTS E39). 32768 is the fastest width
 #: for a large launch, at two thirds of the memory of 65536 (EXPERIMENTS
 #: E23; re-measured on the parking kernel in E25, the lean step in E28 and
 #: the allocation-free step in E30).
@@ -98,70 +101,92 @@ def divq_from_sums(
     return divq
 
 
-def march_chunked(
+def march_launch(
     level_fields: Sequence[LevelFields],
     origins: np.ndarray,
     directions: np.ndarray,
-    roi: Union[None, Box, Sequence[Box]] = None,
+    rois: Sequence[Optional[Box]],
+    window_of: Sequence[Optional[np.ndarray]],
     threshold: float = 1e-4,
     reflections: bool = False,
-    chunk_rays: int = LAUNCH_RAYS,
-    window_of: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> np.ndarray:
-    """sum_i of every ray, marched at most ``chunk_rays`` per launch.
+    """sum_i of every ray of one launch.
 
     ``level_fields`` is ordered coarsest-first (matching grid levels);
-    rays start on the finest level restricted to ``roi`` and cascade to
-    successively coarser levels when they leave it. On levels below the
-    finest, rays march over the *whole* level — every coarse level spans
-    the domain by construction (Section III.C). One level and no ``roi``
-    is the single-level trace. A level's stack may hold several windows —
-    on the finest, with ``roi`` their boxes — and ``window_of[i]`` then
-    holds each ray's window on level ``i`` (see
-    :func:`~repro.core.dda.march`; None for a level of one window). Rays
-    are independent, so the chunk size changes memory use and nothing
-    else.
+    rays start on the finest level restricted to ``rois`` (one a window)
+    and cascade to successively coarser levels when they leave them. On
+    levels below the finest, rays march over the *whole* level — every
+    coarse level spans the domain by construction (Section III.C). One
+    level and no ROI is the single-level trace. ``window_of[i]`` holds
+    each ray's window on level ``i`` (see :func:`~repro.core.dda.march`;
+    None for a level of one window).
     """
-    if window_of is None:
-        window_of = [None] * len(level_fields)
-    sum_i = np.empty(origins.shape[0])
-    stride = max(1, chunk_rays)
-    for start in range(0, sum_i.size, stride):
-        chunk = slice(start, start + stride)
-        batch = RayBatch.fresh(origins[chunk], directions[chunk])
+    batch = RayBatch.fresh(origins, directions)
+    march(
+        batch=batch, fields=level_fields[-1], roi=rois, threshold=threshold,
+        reflections=reflections, window_of=window_of[-1],
+    )
+    # cascade: any parked ray continues on the next coarser level
+    for coarse, windows in zip(level_fields[-2::-1], window_of[-2::-1]):
+        if batch.parked().size == 0:
+            break
         march(
-            batch=batch,
-            fields=level_fields[-1],
-            roi=roi,
-            threshold=threshold,
-            reflections=reflections,
-            window_of=None if window_of[-1] is None else window_of[-1][chunk],
+            batch=batch, fields=coarse, threshold=threshold, reflections=reflections,
+            from_handoff=True, window_of=windows,
         )
-        # cascade: any parked ray continues on the next coarser level
-        for coarse, windows in zip(level_fields[-2::-1], window_of[-2::-1]):
-            if batch.parked().size == 0:
-                break
-            march(
-                batch=batch,
-                fields=coarse,
-                threshold=threshold,
-                reflections=reflections,
-                from_handoff=True,
-                window_of=None if windows is None else windows[chunk],
-            )
-        if batch.parked().size:
-            raise ReproError(
-                "rays left the coarsest level's ROI — the coarsest level "
-                "must span the whole domain"
-            )
-        sum_i[chunk] = batch.sum_i
-    return sum_i
+    if batch.parked().size:
+        raise ReproError(
+            "rays left the coarsest level's ROI — the coarsest level "
+            "must span the whole domain"
+        )
+    return batch.sum_i
+
+
+def _launches(sizes: Sequence[int], chunk_rays: int):
+    """A trace's launches: ``sizes[s]`` is source ``s``'s rays, in trace
+    order; each launch is a list of ``(s, start, stop)`` ray ranges, the
+    trace's next ``chunk_rays`` rays (the last launch fewer)."""
+    launch, room = [], max(1, chunk_rays)
+    for s, rays in enumerate(sizes):
+        start = 0
+        while start < rays:
+            stop = min(rays, start + room)
+            launch.append((s, start, stop))
+            room -= stop - start
+            start = stop
+            if room == 0:
+                yield launch
+                launch, room = [], max(1, chunk_rays)
+    if launch:
+        yield launch
+
+
+class _UnitMeans:
+    """The per-unit (cell or face) means of a trace's ray sums, taken a
+    launch at a time: a unit whose rays a launch's end cuts carries its
+    sums into the next launch's."""
+
+    def __init__(self, units: int, rays_per_unit: int) -> None:
+        self.means = np.empty(units)
+        self.rays_per_unit = rays_per_unit
+        self.end = 0
+        self.carry = np.empty(0)
+
+    def add(self, sums: np.ndarray) -> None:
+        if self.carry.size:
+            sums = np.concatenate((self.carry, sums))
+        per_unit = self.rays_per_unit
+        units = sums.size // per_unit
+        whole = sums[:units * per_unit].reshape(-1, per_unit)
+        self.means[self.end:self.end + units] = whole.mean(axis=1)
+        self.end += units
+        self.carry = sums[units * per_unit:].copy()
 
 
 def draw_bands(model, rngs: Sequence[np.random.Generator], counts: Sequence[int]) -> np.ndarray:
-    """The wavelength band of every ray of a launch: patch ``k``'s
-    ``counts[k]`` rays drawn from ``rngs[k]``, its named spectral stream,
-    by the Planck weights of ``model``. Publishes the launch's band
+    """The wavelength band of every ray of a launch: ``counts[k]`` rays
+    drawn from ``rngs[k]``, their patch's named spectral stream, by the
+    Planck weights of ``model``. Publishes the launch's band
     census as ``spectral.rays`` (label ``band``)."""
     bands = np.concatenate([model.table.sample_bands(rng, n) for rng, n in zip(rngs, counts)])
     metrics = get_metrics()
@@ -198,8 +223,12 @@ def trace_patch_multi_level(
     rays_per_face: int = 1,
 ):
     """del.q over fine patches using the data-onion hierarchy, the rays
-    of all of them marched together (one launch when the caller kept
-    them within the width; cut to ``chunk_rays`` otherwise).
+    of all of them marched together: one launch when the caller kept
+    them within the width; otherwise launches of ``chunk_rays``, each
+    drawn, marched and reduced before the next is drawn. A patch's rays
+    cut by a launch's end are read through cursors into its streams
+    (:func:`~repro.core.rays.draw_cursors`), so its rays, its del.q and
+    where its streams end do not depend on the cut.
 
     ``coarse_fields`` is ordered coarsest-first and shared, each level
     stacked whole; with none, the fine level is the only one (the
@@ -207,7 +236,7 @@ def trace_patch_multi_level(
     window a patch (the whole level, for a launch of one patch, is the
     K = 1 case), and patch ``k`` is ``(box, roi, rng)`` in window ``k``:
     ``roi`` is the fine data the task owns: patch + halo, plus any
-    adjacent wall ring (see :func:`march_chunked` for the cascade), or
+    adjacent wall ring (see :func:`march_launch` for the cascade), or
     None for the whole level; its rays are drawn from its own ``rng``, so
     a patch's del.q does not depend on what it is launched with. Returns
     one del.q per patch, in order (None for a ``box`` of None: no cell
@@ -254,51 +283,90 @@ def trace_patch_multi_level(
     if spectral is not None and (band_rngs is None or len(band_rngs) != len(patches)):
         raise ReproError("a spectral trace needs one band stream a patch")
 
-    # one draw and one per-cell mean for the launch: each patch still
-    # draws from its own stream, so its rays and its del.q do not depend
-    # on what it is launched with
-    origins, directions = generate_patch_rays(
-        fine, [box for _, box, _, _ in cells], rays_per_cell,
-        [rng for _, _, _, rng in cells], centered_origins=options.centered_origins,
-    )
-    volumes = [0 if box is None else box.volume for box, _, _ in patches]
-    cell_rays = origins.shape[0]
-    # each source's rays, patch by patch: the cells', then the wall faces'
-    sources = [np.multiply(volumes, rays_per_cell)]
-    all_faces = [face for patch_faces in faces or () for face in patch_faces]
-    if all_faces:
-        face_origins, face_directions = generate_face_rays(fine, all_faces, rays_per_face)
-        origins = np.concatenate((origins.T, face_origins.T), axis=1).T
-        directions = np.concatenate((directions.T, face_directions.T), axis=1).T
-        sources.append([sum(s.volume for _, _, s, _ in f) * rays_per_face for f in faces])
+    # the trace's ray sources, in launch order: each patch's cells, then
+    # each patch's wall faces; a source is (patch, what it draws from,
+    # its rays, its stream)
+    all_faces = [(k, face) for k, patch_faces in enumerate(faces or ()) for face in patch_faces]
+    sources = [(k, box, box.volume * rays_per_cell, rng) for k, box, _, rng in cells]
+    sources += [(k, face[:3], face[2].volume * rays_per_face, face[3]) for k, face in all_faces]
     rois = [roi for _, roi, _ in patches]
-    patch_of = None
-    if len(patches) > 1:
-        patch_of = np.concatenate([np.repeat(np.arange(len(patches)), n) for n in sources])
     if spectral is None:
         levels = [*coarse_fields, fine]
-        window_of = [None] * len(coarse_fields) + [patch_of]
     else:
         # the bands are windows of one launch: on a coarse level window b
         # is band b of the level, on the fine level window b * K + k is
         # band b of patch k's window
-        bands = np.concatenate([draw_bands(spectral, band_rngs, n) for n in sources])
         levels = [c.bands(spectral) for c in coarse_fields] + [fine.bands(spectral)]
-        window_of = [bands] * len(coarse_fields)
-        window_of.append(bands if patch_of is None else bands * len(patches) + patch_of)
         rois = rois * spectral.nbands
-    sum_i = march_chunked(
-        levels, origins, directions, roi=rois, threshold=options.threshold,
-        reflections=options.reflections, chunk_rays=chunk_rays, window_of=window_of,
+    open_cursors = {}
+
+    def trace_launch(launch):
+        """Draw, march and weight one launch's rays (cell rays, then face
+        rays). A source the launch holds whole is read straight from its
+        stream; a cut one through its cursors, opened at its first range."""
+        cell_part, face_part, counts, owners = [], [], [], []
+        for s, start, stop in launch:
+            k, item, rays, stream = sources[s]
+            if stop - start < rays:
+                if start == 0:
+                    jittered = s >= len(cells) or not options.centered_origins
+                    open_cursors[s] = draw_cursors(stream, rays, jittered)
+                stream = open_cursors[s] if stop < rays else open_cursors.pop(s)
+            if s < len(cells):
+                cell_part.append((item, stream, (start, stop)))
+            else:
+                face_part.append(((*item, stream), (start, stop)))
+            counts.append(stop - start)
+            owners.append(k)
+        boxes, streams, spans = zip(*cell_part) if cell_part else ((), (), ())
+        origins, directions = generate_patch_rays(
+            fine, boxes, rays_per_cell, streams,
+            centered_origins=options.centered_origins, ranges=spans,
+        )
+        cell_rays = origins.shape[0]
+        if face_part:
+            # the face rays follow the cell rays' by-axis rows; neither
+            # part outlives the join
+            face_items, face_spans = zip(*face_part)
+            origins, directions = [
+                np.concatenate((cell.T, face.T), axis=1).T
+                for cell, face in zip(
+                    (origins, directions),
+                    generate_face_rays(fine, face_items, rays_per_face, ranges=face_spans),
+                )
+            ]
+        patch_of = np.repeat(owners, counts) if len(patches) > 1 else None
+        if spectral is None:
+            window_of = [None] * len(coarse_fields) + [patch_of]
+        else:
+            bands = draw_bands(spectral, [band_rngs[k] for k in owners], counts)
+            window_of = [bands] * len(coarse_fields)
+            window_of.append(bands if patch_of is None else bands * len(patches) + patch_of)
+        sum_i = march_launch(
+            levels, origins, directions, rois, window_of,
+            threshold=options.threshold, reflections=options.reflections,
+        )
+        if spectral is not None:
+            sum_i[:cell_rays] *= spectral.kappa_scales[bands[:cell_rays]]
+        return sum_i[:cell_rays], sum_i[cell_rays:]
+
+    # a launch at a time: its rays drawn, marched and reduced to per-cell
+    # and per-face means before the next is drawn (a cell or face cut by
+    # a launch's end carries its sums into the next); each patch still
+    # draws from its own stream, so its rays and its del.q do not depend
+    # on what it is launched with, nor on where its rays are cut
+    volumes = [0 if box is None else box.volume for box, _, _ in patches]
+    cell_means = _UnitMeans(sum(volumes), rays_per_cell)
+    face_means = _UnitMeans(sum(face[2].volume for _, face in all_faces), rays_per_face)
+    for launch in _launches([source[2] for source in sources], chunk_rays):
+        cell_sum_i, face_sum_i = trace_launch(launch)
+        cell_means.add(cell_sum_i)
+        face_means.add(face_sum_i)
+    emission_scale = 1.0 if spectral is None else spectral.planck_mean_scale
+    # one reduction over the trace's cells, each patch's del.q a view of it
+    divq = divq_from_sums(
+        fine, fine.cells([box for box, _, _ in patches]), cell_means.means, emission_scale
     )
-    cell_sum_i, face_sum_i = sum_i[:cell_rays], sum_i[cell_rays:]
-    emission_scale = 1.0
-    if spectral is not None:
-        cell_sum_i *= spectral.kappa_scales[bands[:cell_rays]]
-        emission_scale = spectral.planck_mean_scale
-    means = cell_sum_i.reshape(-1, rays_per_cell).mean(axis=1)
-    # one reduction over the launch's cells, each patch's del.q a view of it
-    divq = divq_from_sums(fine, fine.cells([box for box, _, _ in patches]), means, emission_scale)
     ends = np.cumsum(volumes)
     divqs = [
         None if box is None else divq[end - box.volume:end].reshape(box.extent)
@@ -306,8 +374,8 @@ def trace_patch_multi_level(
     ]
     if faces is None:
         return divqs
-    per_face = iter(np.split(face_sum_i.reshape(-1, rays_per_face).mean(axis=1) * np.pi,
-                             np.cumsum([slab.volume for _, _, slab, _ in all_faces])[:-1]))
+    fluxes = face_means.means * np.pi
+    per_face = iter(np.split(fluxes, np.cumsum([face[2].volume for _, face in all_faces])[:-1]))
     return divqs, [[next(per_face).reshape(slab.extent) for _, _, slab, _ in f] for f in faces]
 
 

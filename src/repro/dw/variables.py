@@ -27,7 +27,7 @@ class CCVariable:
             self.data = np.zeros(box.extent, dtype=dtype)
         else:
             data = np.asarray(data)
-            if tuple(data.shape) != box.extent:
+            if data.shape != box.extent:
                 raise DataWarehouseError(
                     f"data shape {data.shape} != box extent {box.extent}"
                 )

@@ -184,11 +184,11 @@ def summarize_bench(
     (every row got slower — that is not noise) or any single metric
     exceeds *hard_limit* (one kernel fell off a cliff).
     """
-    factors = [
-        c["slowdown"]
-        for c in comparisons
+    compared = [
+        c for c in comparisons
         if c["bench"] == name and c.get("slowdown") is not None
     ]
+    factors = [c["slowdown"] for c in compared]
     suspects = [
         c for c in comparisons
         if c["bench"] == name and c["status"] == "suspect"
@@ -196,17 +196,21 @@ def summarize_bench(
     geomean = None
     if factors:
         geomean = math.exp(sum(math.log(f) for f in factors) / len(factors))
-    worst = max(factors) if factors else None
+    # the comparison behind the worst slowdown, named so it can be traced
+    worst = max(compared, key=lambda c: c["slowdown"]) if compared else None
+    worst_slowdown = worst["slowdown"] if worst else None
     confirmed = bool(
         (geomean is not None and geomean > tolerance)
-        or (worst is not None and worst > hard_limit)
+        or (worst_slowdown is not None and worst_slowdown > hard_limit)
     )
     return {
         "bench": name,
         "metrics_compared": len(factors),
         "suspects": len(suspects),
         "geomean_slowdown": geomean,
-        "worst_slowdown": worst,
+        "worst_slowdown": worst_slowdown,
+        "worst_row": worst["row"] if worst else None,
+        "worst_metric": worst["metric"] if worst else None,
         "confirmed_regression": confirmed,
     }
 
@@ -299,19 +303,23 @@ def format_report(report: dict) -> str:
     ]
     for name in report.get("missing_artifacts", []):
         lines.append(f"  MISSING: {name} has a baseline but no fresh run")
+    def describe(row):
+        return " ".join(f"{k}={v}" for k, v in sorted(row.items()))
+
     for b in report.get("benches", []):
         state = "REGRESSION" if b["confirmed_regression"] else "ok"
         geo = b["geomean_slowdown"]
         worst = b["worst_slowdown"]
         lines.append(
             f"  {b['bench']:<24} {state:<10} "
-            f"geomean {geo:.2f}x, worst {worst:.2f}x, "
+            f"geomean {geo:.2f}x, worst {worst:.2f}x "
+            f"({b['worst_metric']} [{describe(b['worst_row'])}]), "
             f"{b['suspects']}/{b['metrics_compared']} suspect metric(s)"
             if geo is not None and worst is not None
             else f"  {b['bench']:<24} {state:<10} no comparable metrics"
         )
     for c in report.get("suspects", []):
-        row = " ".join(f"{k}={v}" for k, v in sorted(c["row"].items()))
+        row = describe(c["row"])
         lines.append(
             f"    suspect: {c['bench']} [{row}] {c['metric']} "
             f"{c['baseline']:.4g} -> {c['current']:.4g} "

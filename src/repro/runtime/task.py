@@ -21,7 +21,7 @@ from repro.grid.patch import Patch
 from repro.dw.datawarehouse import DataWarehouse
 from repro.dw.label import VarKind, VarLabel
 from repro.dw.variables import CCVariable, ReductionVariable
-from repro.util.errors import SchedulerError
+from repro.util.errors import DataWarehouseError, SchedulerError
 
 
 @dataclass(frozen=True)
@@ -224,12 +224,17 @@ class TaskContext:
     def compute(self, label: VarLabel, data: np.ndarray) -> None:
         """Publish a patch-interior array as this task's result."""
         self._declared_computes(label)
-        if tuple(np.shape(data)) != self.patch.box.extent:
+        try:
+            # the variable's own check is the one shape check of a put
+            var = CCVariable(self.patch.box, data)
+        except DataWarehouseError:
+            if tuple(np.shape(data)) == self.patch.box.extent:
+                raise
             raise SchedulerError(
                 f"task {self.task.name}: computed {label.name} shape "
                 f"{np.shape(data)} != patch extent {self.patch.box.extent}"
-            )
-        self.new_dw.put(label, self.patch.patch_id, CCVariable(self.patch.box, np.asarray(data)))
+            ) from None
+        self.new_dw.put(label, self.patch.patch_id, var)
 
     def compute_level(self, label: VarLabel, data: np.ndarray) -> None:
         decl = self._declared_computes(label)

@@ -82,6 +82,33 @@ def spawn_stream(seed: int, *key: KeyPart) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def advance(rng: np.random.Generator, doubles: int) -> np.random.Generator:
+    """Move ``rng`` on, in place, as ``doubles`` draws of ``random()``
+    would, and return it.
+
+    The bit generator's own ``advance`` does the jump where it has one:
+    PCG64 counts it in single 64-bit outputs, one a double; Philox in
+    blocks of four, so the rest of the block in hand is skipped with it
+    and the last few doubles past the jump are drawn. MT19937 and SFC64
+    have no ``advance``: the doubles are drawn and dropped, a bounded
+    block at a time. A stream only ever read as doubles ends exactly
+    where drawing them leaves it.
+    """
+    bg = rng.bit_generator
+    if isinstance(bg, np.random.Philox):
+        in_hand = 4 - bg.state["buffer_pos"]
+        if doubles > in_hand:
+            blocks, doubles = divmod(doubles - in_hand, 4)
+            bg.advance(blocks)
+    elif hasattr(bg, "advance"):
+        bg.advance(doubles)
+        return rng
+    while doubles > 0:
+        rng.random(min(doubles, 1 << 16))
+        doubles -= 1 << 16
+    return rng
+
+
 class RandomStreams:
     """A cache of per-key generators sharing one root seed.
 

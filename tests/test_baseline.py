@@ -107,6 +107,17 @@ class TestConfirmation:
         assert verdict["geomean_slowdown"] < 2.5
         assert verdict["confirmed_regression"]
 
+    def test_the_worst_slowdown_names_its_row_and_metric(self):
+        slower = json.loads(json.dumps(ROWS))
+        slower[1]["us_per_message"] *= 1.5
+        slower[0]["mean_s"] *= 1.2
+        cmp = compare_artifacts(artifact("b", ROWS), artifact("b", slower))
+        verdict = summarize_bench("b", cmp)
+        assert verdict["worst_slowdown"] == pytest.approx(1.5)
+        assert verdict["worst_row"] == {"leaked_buffers": 0, "pool": "locked", "threads": 4}
+        assert verdict["worst_metric"] == "us_per_message"
+        assert not verdict["confirmed_regression"]
+
 
 @pytest.fixture
 def gate_dirs(tmp_path):
@@ -152,6 +163,14 @@ class TestRunGate:
         text = format_report(run_gate(current_dir, baseline_dir, slowdown=3.0))
         assert "FAIL" in text and "REGRESSION" in text
         assert "geomean" in text
+
+    def test_format_report_names_the_worst_row_and_metric(self, gate_dirs):
+        baseline_dir, current_dir = gate_dirs
+        slower = json.loads(json.dumps(ROWS))
+        slower[0]["us_per_message"] *= 1.5
+        (current_dir / "BENCH_demo.json").write_text(json.dumps(artifact("demo", slower)))
+        text = format_report(run_gate(current_dir, baseline_dir))
+        assert "worst 1.50x (us_per_message [leaked_buffers=0 pool=waitfree threads=1])" in text, text
 
 
 class TestCli:

@@ -23,7 +23,7 @@ def main() -> None:
     solver = RMCRTSolver(rays_per_cell=rays, seed=42)
     result = solver.solve_benchmark(benchmark=bench)
     print(f"RMCRT: {result.rays_traced:,} rays traced in "
-          f"{result.timers('rmcrt_solve').elapsed:.2f} s")
+          f"{result.solve_time_s:.2f} s")
 
     grid = bench.single_level_grid()
     props = bench.properties_for_level(grid.finest_level)

@@ -95,7 +95,7 @@ def _run_ups(argv) -> int:
           f"halo {r.halo}, scheduler {s.type}"
           + (f" x{s.ranks} ranks ({s.pool})" if s.type == "distributed" else ""))
     print(f"rays traced: {result.rays_traced:,}")
-    print(f"solve time:  {result.timers('rmcrt_solve').elapsed:.3f} s")
+    print(f"solve time:  {result.solve_time_s:.3f} s")
     print(f"del.q: mean {result.divq.mean():.4f}, max {result.divq.max():.4f}")
 
     if args.centerline:

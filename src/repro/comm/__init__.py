@@ -9,6 +9,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".stats": ["PoolStats"],
     ".pool_locked": ["LockedVectorCommPool"],
     ".pool_waitfree": ["ProtectedIterator", "WaitFreeCommPool"],
-    ".driver": ["WorkloadResult", "drain_before_snapshot", "make_pool",
-                "run_comm_workload"],
+    ".driver": ["POOL_KINDS", "WorkloadResult", "drain_before_snapshot",
+                "make_pool", "run_comm_workload"],
 })

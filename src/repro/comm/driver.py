@@ -23,6 +23,9 @@ from repro.util.errors import CommError
 
 Pool = Union[LockedVectorCommPool, WaitFreeCommPool]
 
+#: every kind :func:`make_pool` builds
+POOL_KINDS = ("waitfree", "locked", "legacy-racy")
+
 
 @dataclass
 class WorkloadResult:
@@ -62,14 +65,14 @@ def make_pool(
     only) sizes the slot array a priori, as Uintah does; the locked
     vector grows as it goes and has no slots to size.
     """
+    if kind not in POOL_KINDS:
+        raise CommError(f"unknown pool kind {kind!r}")
     ledger = ledger if ledger is not None else BufferLedger()
     if kind == "waitfree":
         return WaitFreeCommPool(capacity=capacity, ledger=ledger)
     if kind == "locked":
         return LockedVectorCommPool(mode="safe", ledger=ledger)
-    if kind == "legacy-racy":
-        return LockedVectorCommPool(mode="racy", ledger=ledger, unpack_delay=unpack_delay)
-    raise CommError(f"unknown pool kind {kind!r}")
+    return LockedVectorCommPool(mode="racy", ledger=ledger, unpack_delay=unpack_delay)
 
 
 def drain_before_snapshot(

@@ -35,6 +35,7 @@ the error names the patch whose window was over-read.
 
 from __future__ import annotations
 
+import time
 from functools import reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -63,7 +64,6 @@ from repro.runtime.task import Computes, Requires, Task, TaskContext
 from repro.runtime.taskgraph import TaskGraph
 from repro.util.errors import ReproError
 from repro.util.rng import SPECTRAL_STREAM, spawn_stream
-from repro.util.timing import TimerRegistry
 
 ABSKG = cc("abskg")
 SIGMA_T4 = cc("sigma_t4")
@@ -365,46 +365,47 @@ class DistributedRMCRT:
         :attr:`last_runtime_stats` holds the across-rank reduction of
         the scheduler's per-rank stats.
         """
-        timers = TimerRegistry()
         fine = self.grid.finest_level
         rays = sum(map(self._rays_of, fine.patches))
         self.last_runtime_stats = None
-        with timers("rmcrt_solve"):
-            if scheduler == "serial":
-                graph = self.build_graph()
-                dw = SerialScheduler(tracer=tracer, metrics=metrics).execute(graph)
-                rank_dws = {0: dw}
-            elif scheduler == "threaded":
-                graph = self.build_graph()
-                dw = ThreadedScheduler(
-                    num_threads=num_threads, tracer=tracer, metrics=metrics
-                ).execute(graph)
-                rank_dws = {0: dw}
-            elif scheduler == "gpu":
-                graph = self.build_graph()
-                engine = GPUScheduler(gpu=gpu, tracer=tracer, metrics=metrics)
-                dw = engine.execute(graph)
-                rank_dws = {0: dw}
-            elif scheduler == "distributed":
-                lb = LoadBalancer(num_ranks)
-                assignment = lb.assign(fine.patches)
-                graph = self.build_graph(assignment=assignment, num_ranks=num_ranks)
-                engine = DistributedScheduler(
-                    num_ranks, pool_kind=pool_kind, tracer=tracer, metrics=metrics
-                )
-                rank_dws = engine.execute(graph)
-                self.last_runtime_stats = engine.runtime_stats()
-            else:
-                raise ReproError(f"unknown scheduler {scheduler!r}")
-            divq = gather_cc(graph, rank_dws, DIVQ, self.grid.num_levels - 1)
-            wall_flux = None
-            if self.compute_boundary_flux:
-                wall_flux = gather_cc(
-                    graph, rank_dws, WALL_FLUX, self.grid.num_levels - 1
-                )
+        t0 = time.perf_counter()
+        if scheduler == "serial":
+            graph = self.build_graph()
+            dw = SerialScheduler(tracer=tracer, metrics=metrics).execute(graph)
+            rank_dws = {0: dw}
+        elif scheduler == "threaded":
+            graph = self.build_graph()
+            dw = ThreadedScheduler(
+                num_threads=num_threads, tracer=tracer, metrics=metrics
+            ).execute(graph)
+            rank_dws = {0: dw}
+        elif scheduler == "gpu":
+            graph = self.build_graph()
+            engine = GPUScheduler(gpu=gpu, tracer=tracer, metrics=metrics)
+            dw = engine.execute(graph)
+            rank_dws = {0: dw}
+        elif scheduler == "distributed":
+            lb = LoadBalancer(num_ranks)
+            assignment = lb.assign(fine.patches)
+            graph = self.build_graph(assignment=assignment, num_ranks=num_ranks)
+            engine = DistributedScheduler(
+                num_ranks, pool_kind=pool_kind, tracer=tracer, metrics=metrics
+            )
+            rank_dws = engine.execute(graph)
+            self.last_runtime_stats = engine.runtime_stats()
+        else:
+            raise ReproError(f"unknown scheduler {scheduler!r}")
+        divq = gather_cc(graph, rank_dws, DIVQ, self.grid.num_levels - 1)
+        wall_flux = None
+        if self.compute_boundary_flux:
+            wall_flux = gather_cc(
+                graph, rank_dws, WALL_FLUX, self.grid.num_levels - 1
+            )
+        solve_time_s = time.perf_counter() - t0
         if metrics is not None:
             for rank, dw in rank_dws.items():
                 dw.publish_metrics(metrics, rank=rank)
         return RMCRTResult(
-            divq=divq, rays_traced=rays, timers=timers, wall_flux=wall_flux
+            divq=divq, rays_traced=rays, solve_time_s=solve_time_s,
+            wall_flux=wall_flux,
         )

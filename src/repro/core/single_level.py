@@ -11,8 +11,9 @@ multi-level solver is validated against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+import time
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from repro.core.rays import generate_patch_rays
 from repro.radiation.properties import RadiativeProperties
 from repro.util.errors import ReproError
 from repro.util.rng import SPECTRAL_STREAM, RandomStreams
-from repro.util.timing import TimerRegistry
 
 
 @dataclass
@@ -37,8 +37,7 @@ class RMCRTResult:
 
     divq: np.ndarray                 #: del.q on the (finest) level interior
     rays_traced: int
-    timers: TimerRegistry
-    per_patch: Dict[int, np.ndarray] = field(default_factory=dict)
+    solve_time_s: float              #: wall seconds of the solve
     #: incident radiative flux in wall-adjacent cells (pipelines with
     #: compute_boundary_flux=True), zeros elsewhere; None when not computed
     wall_flux: "np.ndarray | None" = None
@@ -71,21 +70,20 @@ class PatchSolver:
         patch's ray stream and, for a spectral solve, its band stream."""
         if streams is None:
             streams = RandomStreams(self.seed)
-        timers = TimerRegistry()
         divq = np.empty(level.domain_box.extent)
         patches = level.patches or [_whole_domain_patch(level)]
-        with timers("rmcrt_solve"):
-            for patch in patches:
-                rng = streams.for_patch(patch.patch_id)
-                band_rng = (
-                    None if self.options.spectral is None
-                    else streams.named(SPECTRAL_STREAM, patch.patch_id)
-                )
-                with timers("kernel"):
-                    pdivq = trace(patch, rng, band_rng)
-                divq[patch.box.slices(origin=level.domain_box.lo)] = pdivq
+        t0 = time.perf_counter()
+        for patch in patches:
+            rng = streams.for_patch(patch.patch_id)
+            band_rng = (
+                None if self.options.spectral is None
+                else streams.named(SPECTRAL_STREAM, patch.patch_id)
+            )
+            pdivq = trace(patch, rng, band_rng)
+            divq[patch.box.slices(origin=level.domain_box.lo)] = pdivq
+        solve_time_s = time.perf_counter() - t0
         rays = sum(patch.box.volume for patch in patches) * self.options.rays_per_cell
-        return RMCRTResult(divq=divq, rays_traced=rays, timers=timers)
+        return RMCRTResult(divq=divq, rays_traced=rays, solve_time_s=solve_time_s)
 
 
 class SingleLevelRMCRT(PatchSolver):

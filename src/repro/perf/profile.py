@@ -58,7 +58,6 @@ def run_profile(
     from repro.core import DistributedRMCRT, benchmark_property_init
     from repro.memory.workload import AllocatorStack, generate_trace
     from repro.radiation import BurnsChristonBenchmark
-    from repro.util.timing import TimerRegistry
 
     tracer = SpanTracer(enabled=True)
     metrics = MetricsRegistry()
@@ -67,7 +66,6 @@ def run_profile(
     prev_tracer = set_tracer(tracer)
     prev_metrics = set_metrics(metrics)
     tracer.register_thread(tid=DRIVER_TID, name="driver")
-    timers = TimerRegistry()
 
     try:
         bench = BurnsChristonBenchmark(resolution=resolution)
@@ -81,9 +79,9 @@ def run_profile(
         )
 
         last_stats = None
-        with timers("profile_run"), tracer.span("profile", cat="driver"):
+        with tracer.span("profile", cat="driver"):
             for step in range(1, steps + 1):
-                with timers("timestep"), tracer.span(
+                with tracer.span(
                     f"timestep {step}", cat="driver", step=step
                 ):
                     drm.solve(
@@ -109,8 +107,6 @@ def run_profile(
                 stack.arena.publish_metrics(metrics)
                 stack.pool.publish_metrics(metrics)
                 stack.heap.publish_metrics(metrics)
-
-        timers.publish_metrics(metrics)
     finally:
         set_tracer(prev_tracer)
         set_metrics(prev_metrics)
@@ -184,6 +180,8 @@ def format_summary(summary: dict) -> str:
 
 def cmd_profile(argv) -> int:
     """``python -m repro profile``: parse the flags, run, print the summary."""
+    from repro.comm.driver import POOL_KINDS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro profile",
         description="Run an instrumented RMCRT simulation and write "
@@ -201,7 +199,7 @@ def cmd_profile(argv) -> int:
     )
     parser.add_argument(
         "--pool",
-        choices=("waitfree", "locked", "locked-racy"),
+        choices=POOL_KINDS,
         default="waitfree",
         help="communication request pool variant",
     )

@@ -71,8 +71,11 @@ class SpectralModel:
                 f"kappa scales shape {self.kappa_scales.shape} != "
                 f"(nbands={self.table.nbands},)"
             )
-        if np.any(self.kappa_scales < 0.0):
-            raise ReproError("band kappa scales must be non-negative")
+        if not np.all((self.kappa_scales >= 0.0) & np.isfinite(self.kappa_scales)):
+            raise ReproError(
+                f"band kappa scales must be finite and non-negative, "
+                f"got {self.kappa_scales.tolist()}"
+            )
         if self.emissivity.nbands != self.table.nbands:
             raise ReproError(
                 f"emissivity table has {self.emissivity.nbands} bands, "

@@ -131,12 +131,16 @@ class PlanckTable:
         edges = tuple(float(e) for e in edges_um)
         if len(edges) < 2:
             raise ReproError(f"need >= 2 band edges, got {len(edges)}")
+        if any(math.isnan(e) for e in edges):
+            raise ReproError(f"band edges must be numbers, got {edges}")
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise ReproError(f"band edges must be strictly increasing: {edges}")
         if edges[0] < 0.0:
             raise ReproError(f"band edges must be non-negative: {edges}")
-        if temperature <= 0.0:
-            raise ReproError(f"temperature must be positive, got {temperature}")
+        if not 0.0 < temperature < math.inf:
+            raise ReproError(
+                f"temperature must be positive and finite, got {temperature}"
+            )
         fractions = planck_fraction(np.asarray(edges) * temperature)
         raw = np.diff(fractions)
         coverage = float(raw.sum())

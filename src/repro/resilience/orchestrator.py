@@ -22,6 +22,7 @@ uninterrupted gold run's, byte for byte.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -42,7 +43,6 @@ from repro.resilience.state import SimulationState, capture_state, verify_layout
 from repro.runtime.scheduler import DistributedScheduler, SerialScheduler, gather_cc
 from repro.util.errors import ResilienceError
 from repro.util.rng import RandomStreams
-from repro.util.timing import Timer
 
 #: RNG purpose for the per-patch stochastic forcing (trace rays use 0,
 #: boundary-flux rays use 1 — see core.distributed)
@@ -387,12 +387,12 @@ class RecoveryOrchestrator:
             )
             self.flightrec_dumps.append(str(path))
         rehoming = campaign.lose_ranks(dead)
-        t = Timer("restore")
-        with t:
-            state, restored_step = self.checkpointer.load_latest_valid(
-                before=campaign.step
-            )
-            campaign.restore(state)
+        t0 = time.perf_counter()
+        state, restored_step = self.checkpointer.load_latest_valid(
+            before=campaign.step
+        )
+        campaign.restore(state)
+        restore_seconds = time.perf_counter() - t0
         report.recoveries.append(
             RecoveryEvent(
                 at_step=at_step,
@@ -400,7 +400,7 @@ class RecoveryOrchestrator:
                 survivors=campaign.num_ranks,
                 restored_step=restored_step,
                 steps_replayed=(at_step - 1) - restored_step,
-                restore_seconds=t.elapsed,
+                restore_seconds=restore_seconds,
                 patches_rehomed=int(rehoming["patches_rehomed"]),
             )
         )

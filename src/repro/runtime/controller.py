@@ -25,7 +25,6 @@ from repro.resilience.state import capture_state, verify_layout
 from repro.runtime.scheduler import SerialScheduler
 from repro.runtime.taskgraph import CompiledGraph
 from repro.util.errors import SchedulerError
-from repro.util.timing import TimerRegistry
 
 
 @dataclass
@@ -71,7 +70,6 @@ class SimulationController:
         #: timestep (falls back to the process default; None = no sampling)
         self.collector = collector
         self.dw_manager = DataWarehouseManager()
-        self.timers = TimerRegistry()
         self.reports: List[TimestepReport] = []
         self.time = 0.0
         self.step = 0
@@ -114,9 +112,7 @@ class SimulationController:
             raise SchedulerError("controller already initialized")
         tracer = self.tracer if self.tracer is not None else get_tracer()
         if self.initial_graph is not None:
-            with self.timers("initialization"), tracer.span(
-                "initialize", cat="controller"
-            ):
+            with tracer.span("initialize", cat="controller"):
                 self.scheduler.execute(
                     self.initial_graph, old_dw=None, new_dw=self.dw_manager.new_dw
                 )
@@ -134,7 +130,7 @@ class SimulationController:
         recorder = get_flight_recorder()
         recorder.record("controller", "timestep.begin", step=self.step + 1)
         try:
-            with self.timers("timestep"), tracer.span(
+            with tracer.span(
                 f"timestep {self.step + 1}", cat="controller", step=self.step + 1
             ):
                 self.scheduler.execute(

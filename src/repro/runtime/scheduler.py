@@ -52,7 +52,6 @@ from repro.runtime.mpi import Communicator, SimMPI
 from repro.runtime.task import Task, TaskContext
 from repro.runtime.taskgraph import CompiledGraph, DetailedTask, ReadyTracker
 from repro.util.errors import SchedulerError
-from repro.util.timing import TimerRegistry
 
 
 def observers(
@@ -101,7 +100,8 @@ def publish_execution(
     scheduler: str, graph: CompiledGraph, metrics: MetricsRegistry, seconds: float
 ) -> None:
     """The instrumentation seam every scheduler ends ``execute`` with:
-    the ``scheduler.*`` series, then one sample of the default registry
+    the ``scheduler.*`` series (the ``taskexec_seconds`` gauge is this
+    execute's wall ``seconds``), then one sample of the default registry
     into the process tsdb collector (when one is installed)."""
     executed = metrics.counter("scheduler.tasks_executed", scheduler=scheduler)
     executed.inc(len(graph.detailed_tasks))
@@ -253,7 +253,6 @@ class SerialScheduler:
         tracer: Optional[SpanTracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.timers = TimerRegistry()
         self.tracer = tracer
         self.metrics = metrics
 
@@ -280,10 +279,11 @@ class SerialScheduler:
             )
         tracer, metrics = observers(self.tracer, self.metrics)
         dw = new_dw if new_dw is not None else DataWarehouse()
-        with self.timers("taskexec"):
-            self._loop(graph, old_dw, dw, tracer).run(self.workers)
+        t0 = time.perf_counter()
+        self._loop(graph, old_dw, dw, tracer).run(self.workers)
+        seconds = time.perf_counter() - t0
         self._publish(metrics)
-        publish_execution(self.name, graph, metrics, self.timers("taskexec").elapsed)
+        publish_execution(self.name, graph, metrics, seconds)
         return dw
 
 
@@ -501,7 +501,6 @@ class DistributedScheduler:
         self.pool_kind = pool_kind
         self.delivery_jitter = float(delivery_jitter)
         self.jitter_seed = int(jitter_seed)
-        self.timers = TimerRegistry()
         self.tracer = tracer
         self.metrics = metrics
         self.fabric: Optional[SimMPI] = None
@@ -544,15 +543,16 @@ class DistributedScheduler:
                 with err_lock:
                     errors.append(exc)
 
-        with self.timers("execute"):
-            threads = [
-                threading.Thread(target=run_rank, args=(r,), name=f"rank-{r}")
-                for r in range(self.num_ranks)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        t0 = time.perf_counter()
+        threads = [
+            threading.Thread(target=run_rank, args=(r,), name=f"rank-{r}")
+            for r in range(self.num_ranks)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        seconds = time.perf_counter() - t0
         fabric.shutdown()
         if errors:
             raise errors[0]
@@ -561,7 +561,7 @@ class DistributedScheduler:
             scheduler="distributed",
         )
         fabric.stats.publish_metrics(metrics)
-        publish_execution("distributed", graph, metrics, self.timers("execute").elapsed)
+        publish_execution("distributed", graph, metrics, seconds)
         return rank_dws
 
     def runtime_stats(self) -> Dict[str, StatSummary]:

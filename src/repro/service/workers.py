@@ -42,10 +42,9 @@ BACKENDS = ("thread", "process")
 
 def _solve_in_process(spec: ProblemSpec):
     """Process-backend entry point: run one solve, return a slim,
-    picklable payload (the full result's TimerRegistry travels fine,
-    but the child only needs to ship what the cache keeps)."""
+    picklable payload: only what the cache keeps."""
     result = run_ups(spec)
-    return result.divq, result.rays_traced, result.timers("rmcrt_solve").elapsed
+    return result.divq, result.rays_traced, result.solve_time_s
 
 
 class WorkerPool:
@@ -239,7 +238,7 @@ class WorkerPool:
             result = run_prepared(spec, scene)
             divq = result.divq
             rays = result.rays_traced
-            solve_time = result.timers("rmcrt_solve").elapsed
+            solve_time = result.solve_time_s
         return CachedSolve(
             fingerprint=fingerprint,
             divq=divq,

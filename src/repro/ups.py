@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -249,6 +250,16 @@ def _validate(spec: ProblemSpec) -> None:
     _trace_options(spec, spec.spectral)
     if s.type not in ("serial", "threaded", "distributed", "gpu"):
         raise ReproError(f"unknown scheduler type {s.type!r}")
+    for attr in ("ranks", "threads"):
+        if getattr(s, attr) < 1:
+            raise ReproError(
+                f"<Scheduler {attr}=...> must be >= 1, got {getattr(s, attr)}"
+            )
+    # legacy-racy demonstrates the Section IV.A race: no solve runs on it
+    if s.pool not in ("waitfree", "locked"):
+        raise ReproError(
+            f"<Scheduler pool=...> must be waitfree or locked, got {s.pool!r}"
+        )
     if spec.spectral is not None:
         _validate_spectral(spec.spectral)
     if s.type != "serial":
@@ -263,9 +274,17 @@ def _validate_spectral(sp: SpectralSpec) -> None:
 
     if sp.bands < 1:
         raise ReproError(f"<Spectral> bands must be >= 1, got {sp.bands}")
-    if sp.temperature <= 0:
+    if not 0.0 < sp.temperature < math.inf:
         raise ReproError(
-            f"<Spectral> temperature must be positive, got {sp.temperature}"
+            f"<Spectral> temperature must be positive and finite, got {sp.temperature}"
+        )
+    if not math.isfinite(sp.kappa_exponent):
+        raise ReproError(
+            f"<Spectral> kappaExponent must be finite, got {sp.kappa_exponent}"
+        )
+    if any(math.isnan(e) for e in sp.band_edges_um):
+        raise ReproError(
+            f"<Spectral> bandEdges must be numbers, got {sp.band_edges_um}"
         )
     if sp.band_edges_um and len(sp.band_edges_um) != sp.bands + 1:
         raise ReproError(

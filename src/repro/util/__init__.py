@@ -1,4 +1,4 @@
-"""Shared utilities: timers, seeded RNG streams, atomic writes, error types.
+"""Shared utilities: seeded RNG streams, atomic writes, error types.
 
 These are deliberately dependency-light; every other subpackage may
 import from here, but :mod:`repro.util` imports nothing from the rest
@@ -8,7 +8,6 @@ of the library.
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".timing": ["Timer", "TimerRegistry", "format_seconds"],
     ".rng": ["RandomStreams", "spawn_stream"],
     ".atomic": ["FS_EFFECTS", "atomic_save_array", "atomic_savez",
                 "atomic_write_bytes", "atomic_write_text", "register_fs_effect"],

@@ -272,6 +272,19 @@ class TestWorkloads:
         with pytest.raises(CommError):
             make_pool("mystery")
 
+    def test_make_pool_builds_every_kind_the_profile_cli_offers(self, capsys):
+        import re
+
+        from repro.comm import POOL_KINDS
+        from repro.perf.profile import cmd_profile
+
+        with pytest.raises(SystemExit):
+            cmd_profile(["--help"])
+        offered = re.search(r"--pool \{([^}]*)\}", capsys.readouterr().out)
+        assert tuple(offered.group(1).split(",")) == POOL_KINDS
+        for kind in POOL_KINDS:
+            assert isinstance(make_pool(kind), (LockedVectorCommPool, WaitFreeCommPool))
+
     def test_workload_validation(self):
         with pytest.raises(CommError):
             run_comm_workload(make_pool("waitfree"), num_threads=0)

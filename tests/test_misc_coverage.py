@@ -18,17 +18,12 @@ from repro.dessim import (
 from repro.dw import DataWarehouse, cc
 from repro.radiation import BurnsChristonBenchmark, RadiativeProperties
 from repro.runtime import SerialScheduler, gather_cc
-from repro.util import TimerRegistry
 from repro.util.errors import GridError, ReproError, SchedulerError
 
 
 class TestRMCRTResult:
     def test_total_emission(self):
-        from repro.util.timing import TimerRegistry
-
-        res = RMCRTResult(
-            divq=np.full((2, 2, 2), 3.0), rays_traced=8, timers=TimerRegistry()
-        )
+        res = RMCRTResult(divq=np.full((2, 2, 2), 3.0), rays_traced=8, solve_time_s=0.0)
         assert res.total_emission == 24.0
 
 
@@ -137,28 +132,6 @@ class TestGatherErrors:
             gather_cc(graph, {0: DataWarehouse()}, cc("phi"), 0)
 
 
-class TestTimersMore:
-    def test_running_flag_and_report_order(self):
-        reg = TimerRegistry()
-        t = reg("slow")
-        assert not t.running
-        t.start()
-        assert t.running
-        t.stop()
-        with reg("fast"):
-            pass
-        report = reg.report()
-        assert report.index("slow") < report.index("fast") or t.elapsed >= 0
-        reg.reset()
-        assert reg("slow").count == 0
-
-    def test_iteration(self):
-        reg = TimerRegistry()
-        reg("a")
-        reg("b")
-        assert {t.name for t in reg} == {"a", "b"}
-
-
 class TestSimulatorMemoryFlag:
     def test_single_level_would_not_fit(self):
         """The direct statement of 'intractable': a single-level LARGE
@@ -183,10 +156,3 @@ class TestScalarBackendGuards:
         props = bench.properties_for_level(grid.finest_level)
         res = SingleLevelRMCRT(rays_per_cell=2, seed=0).solve(grid, props)
         assert res.divq.shape == (6, 6, 6)
-
-    def test_per_patch_results_optional(self):
-        bench = BurnsChristonBenchmark(resolution=6)
-        grid = bench.single_level_grid()
-        props = bench.properties_for_level(grid.finest_level)
-        res = SingleLevelRMCRT(rays_per_cell=2, seed=0).solve(grid, props)
-        assert res.per_patch == {}

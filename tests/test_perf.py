@@ -22,7 +22,6 @@ from repro.perf import (
 )
 from repro.runtime import Computes, Requires, Task, TaskGraph
 from repro.util.errors import PerfError
-from repro.util.timing import TimerRegistry
 
 
 # ----------------------------------------------------------------------
@@ -333,36 +332,6 @@ class TestTracesimExport:
         assert max(e["ts"] + e["dur"] for e in xs) == pytest.approx(
             report.makespan * 1e6
         )
-
-
-# ----------------------------------------------------------------------
-# timers (satellite: running timers visible in reports)
-# ----------------------------------------------------------------------
-class TestTimerObservability:
-    def test_running_timer_has_nonzero_current(self):
-        timers = TimerRegistry()
-        t = timers("solve")
-        t.start()
-        assert t.current > 0.0
-        d = t.as_dict()
-        assert d["running"] and d["elapsed"] > 0.0
-        t.stop()
-        assert not t.as_dict()["running"]
-
-    def test_report_includes_running_timers(self):
-        timers = TimerRegistry()
-        timers("running_one").start()
-        report = timers.report()
-        assert "running_one" in report and "*" in report
-
-    def test_publish_metrics(self):
-        reg = MetricsRegistry()
-        timers = TimerRegistry()
-        with timers("step"):
-            pass
-        timers.publish_metrics(reg)
-        assert reg.value("timer.step.count") == 1
-        assert reg.value("timer.step.seconds") >= 0.0
 
 
 # ----------------------------------------------------------------------

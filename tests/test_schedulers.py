@@ -1,11 +1,14 @@
 """Scheduler integration tests: serial == threaded == distributed ==
-gpu, byte for byte; the readiness rule they share; and the GPU
-scheduler's staging/accounting behaviour."""
+gpu, byte for byte; the readiness rule they share; the GPU
+scheduler's staging/accounting behaviour; and the execute gauge."""
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.grid import Box, Grid, decompose_level
+from repro.perf.metrics import MetricsRegistry
 from repro.dw import DataWarehouse, GPUDataWarehouse, cc, per_level
 from repro.runtime import (
     Computes,
@@ -357,6 +360,40 @@ class TestDistributed:
         graph = build_stencil_graph(grid)
         with pytest.raises(SchedulerError):
             DistributedScheduler(4).execute(graph)
+
+
+class TestExecuteGauge:
+    """``scheduler.taskexec_seconds`` is the last execute's wall time on
+    a scheduler reused across executes, not the sum of all of them."""
+
+    @pytest.mark.parametrize("kind", ["serial", "distributed"])
+    def test_reused_scheduler_publishes_last_execute(self, kind):
+        grid = make_grid()
+        delay = [0.005]
+
+        def slow_init(ctx):
+            time.sleep(delay[0])
+            init_cb(ctx)
+
+        tg = TaskGraph(grid)
+        tg.add_task(Task("init", slow_init, computes=[Computes(PHI)]), 0)
+        metrics = MetricsRegistry()
+        if kind == "serial":
+            graph = tg.compile()
+            sched = SerialScheduler(metrics=metrics)
+        else:
+            assign = {p.patch_id: p.patch_id % 2 for p in grid.level(0).patches}
+            graph = tg.compile(assignment=assign, num_ranks=2)
+            sched = DistributedScheduler(2, metrics=metrics)
+        sched.execute(graph)
+        first = metrics.value("scheduler.taskexec_seconds", scheduler=kind)
+        assert first >= 4 * delay[0]
+        delay[0] = 0.0
+        t0 = time.perf_counter()
+        sched.execute(graph)
+        second_wall = time.perf_counter() - t0
+        gauge = metrics.value("scheduler.taskexec_seconds", scheduler=kind)
+        assert 0.0 < gauge <= second_wall
 
 
 class TestGPUScheduler:

@@ -108,6 +108,16 @@ class TestPlanckTable:
         with pytest.raises(ReproError):
             default_band_edges(0, 1000.0)
 
+    @pytest.mark.parametrize("edges", [(np.nan, 1.0, 2.0), (0.0, np.nan, 5.0, np.inf)])
+    def test_nan_edges_rejected(self, edges):
+        with pytest.raises(ReproError, match="band edges must be numbers"):
+            PlanckTable.from_edges(edges, 1000.0)
+
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf])
+    def test_non_finite_temperature_rejected(self, temperature):
+        with pytest.raises(ReproError, match="positive and finite"):
+            PlanckTable.from_edges((0.0, np.inf), temperature)
+
 
 class TestTabulatedEmissivity:
     def table(self):
@@ -199,3 +209,16 @@ class TestSpectralModel:
                 kappa_scales=np.ones(3),
                 emissivity=TabulatedEmissivity.gray(2),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kappa_scales_rejected(self, bad):
+        with pytest.raises(ReproError, match="finite and non-negative"):
+            SpectralModel(
+                table=PlanckTable.equal_fraction(3, 1000.0),
+                kappa_scales=[1.0, bad, 1.0],
+                emissivity=TabulatedEmissivity.gray(3),
+            )
+
+    def test_a_nan_kappa_exponent_fails_the_build(self):
+        with pytest.raises(ReproError, match="finite and non-negative"):
+            SpectralModel.build(bands=3, temperature=1400.0, kappa_exponent=np.nan)

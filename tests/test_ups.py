@@ -191,6 +191,53 @@ class TestParsing:
         with pytest.raises(ReproError, match=f"^{tag} must be >= 0"):
             check()
 
+    @pytest.mark.parametrize("attr,value", [
+        ("ranks", "0"), ("ranks", "-2"), ("threads", "0"),
+        ("pool", "bogus"), ("pool", "legacy-racy"),
+    ])
+    @pytest.mark.parametrize("entry", ["parse_ups", "run_ups"])
+    def test_a_bad_scheduler_attribute_fails_typed_before_any_solve(
+        self, entry, attr, value, monkeypatch
+    ):
+        """Not a GridError, SchedulerError or CommError from inside the
+        solve, after a spool has accepted the request; and the racy demo
+        pool never runs a solve cached beside a safe one."""
+        import re
+
+        import repro.ups as ups
+
+        def no_solve(spec):
+            raise AssertionError("a refused spec reached its solve")
+
+        monkeypatch.setattr(ups, "prepare_scene", no_solve)
+        spec = parse_ups(FULL)
+        setattr(spec.scheduler, attr, int(value) if attr != "pool" else value)
+        check = {
+            "parse_ups": lambda: parse_ups(re.sub(f'{attr}="[^"]*"', f'{attr}="{value}"', FULL)),
+            "run_ups": lambda: run_ups(spec),
+        }[entry]
+        with pytest.raises(ReproError, match=f"^<Scheduler {attr}=\\.\\.\\.> must be ") as err:
+            check()
+        assert str(err.value).endswith(f"got {value}" if attr != "pool" else f"got {value!r}")
+
+    @pytest.mark.parametrize("block,match", [
+        ("<kappaExponent>nan</kappaExponent>", "kappaExponent must be finite"),
+        ("<bands>2</bands><bandEdges>nan 1 2</bandEdges>", "bandEdges must be numbers"),
+        ("<bandEdges>0 nan 5 inf</bandEdges>", "bandEdges must be numbers"),
+        ("<temperature>nan</temperature>", "temperature must be positive and finite"),
+    ], ids=["kappaExponent", "first-edge", "inner-edge", "temperature"])
+    def test_a_non_finite_spectral_value_fails_at_parse(self, block, match, monkeypatch):
+        """Refused before the model build: an all-NaN divq would be
+        cached and published, and a NaN edge would read as 0."""
+        import repro.ups as ups
+
+        def no_build(sp):
+            raise AssertionError("validation built the spectral model")
+
+        monkeypatch.setattr(ups, "spectral_model", no_build)
+        with pytest.raises(ReproError, match=f"^<Spectral> {match}"):
+            parse_ups(FULL.replace("</RMCRT>", f"</RMCRT><Spectral>{block}</Spectral>"))
+
     def test_spectral_reflections_and_cc_rays_run_on_every_path(self):
         """One trace serves every scheduler and level count: only
         band-resolved reflections are still refused."""

@@ -1,57 +1,10 @@
-"""Tests for timers, RNG streams, and cell types."""
+"""Tests for RNG streams and cell types."""
 
 import numpy as np
 import pytest
 
 from repro.grid import Box, CellType, domain_cell_types, mark_intrusion
-from repro.util import RandomStreams, Timer, TimerRegistry, format_seconds, spawn_stream
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer("x")
-        with t:
-            pass
-        with t:
-            pass
-        assert t.count == 2
-        assert t.elapsed >= 0
-        assert t.mean == t.elapsed / 2
-
-    def test_double_start_rejected(self):
-        t = Timer("x").start()
-        with pytest.raises(RuntimeError):
-            t.start()
-        t.stop()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Timer("x").stop()
-
-    def test_reset(self):
-        t = Timer("x")
-        with t:
-            pass
-        t.reset()
-        assert t.count == 0 and t.elapsed == 0
-
-    def test_registry_creates_on_demand(self):
-        reg = TimerRegistry()
-        assert "a" not in reg
-        t = reg("a")
-        assert reg("a") is t
-        assert "a" in reg and len(reg) == 1
-
-    def test_registry_report(self):
-        reg = TimerRegistry()
-        with reg("kernel"):
-            pass
-        assert "kernel" in reg.report()
-
-    def test_format_seconds(self):
-        assert format_seconds(2.5) == "2.500 s"
-        assert "ms" in format_seconds(5e-3)
-        assert "us" in format_seconds(5e-6)
+from repro.util import RandomStreams, spawn_stream
 
 
 class TestRandomStreams:

@@ -141,19 +141,17 @@ class SpectralModel:
     ) -> "SpectralModel":
         """The spec-facing factory: counts, edges, and names in; a
         fully-resolved model out. This is what ``ups.py`` calls, so a
-        journaled spec rebuilds the identical model anywhere."""
+        journaled spec rebuilds the identical model anywhere.
+
+        ``bands`` equal-fraction bands, unless ``band_edges_um`` band the
+        spectrum themselves: a spec's parse holds the two to agree."""
         if band_edges_um is not None:
-            edges = tuple(float(e) for e in band_edges_um)
-            if len(edges) != bands + 1:
-                raise ReproError(
-                    f"{bands} bands need {bands + 1} edges, got {len(edges)}"
-                )
-            table = PlanckTable.from_edges(edges, temperature)
+            table = PlanckTable.from_edges(band_edges_um, temperature)
         else:
             table = PlanckTable.equal_fraction(bands, temperature)
         return cls(
             table=table,
             kappa_scales=kappa_scales_power_law(table, kappa_exponent),
             emissivity=named_emissivity(emissivity, table),
-            name=name or f"{bands}-band/{emissivity}",
+            name=name or f"{table.nbands}-band/{emissivity}",
         )

@@ -12,7 +12,10 @@ The machinery here is the banded Planck table:
   reference temperature, and inverse-CDF band sampling driven by a
   seeded generator (see :mod:`repro.util.rng`);
 * :func:`default_band_edges` — equal-Planck-fraction edges, the
-  sensible default when a spec names only a band count.
+  sensible default when a spec names only a band count;
+* :func:`check_banding` — the rules a reference temperature and
+  explicit edges must meet, written once for the table and for a
+  spec's parse.
 
 Everything is pure NumPy and deterministic: the same (table, stream)
 pair always yields the same band sequence, which is what lets spectral
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,6 +109,43 @@ def default_band_edges(nbands: int, temperature: float) -> Tuple[float, ...]:
     return tuple([0.0] + interior + [math.inf])
 
 
+def check_banding(
+    temperature: float, edges_um: Optional[Sequence[float]] = None, name: str = "band edges"
+) -> Optional[np.ndarray]:
+    """Check a banding's reference temperature and, when given, its
+    explicit wavelength edges (um); return each band's raw Planck
+    fraction, or None without edges.
+
+    The temperature must be positive and finite. Edges must be at least
+    two numbers, non-negative and strictly increasing (the last may be
+    inf), and must cover a non-negligible fraction of the spectrum at
+    that temperature. Only edges pay for the fraction series, so an
+    equal-fraction banding is checked at no cost. ``name`` is what an
+    error calls the edges.
+    """
+    if not 0.0 < temperature < math.inf:
+        raise ReproError(f"temperature must be positive and finite, got {temperature}")
+    if edges_um is None:
+        return None
+    edges = tuple(float(e) for e in edges_um)
+    if len(edges) < 2:
+        raise ReproError(f"need >= 2 {name}, got {len(edges)}")
+    if any(math.isnan(e) for e in edges):
+        raise ReproError(f"{name} must be numbers, got {edges}")
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ReproError(f"{name} must be strictly increasing: {edges}")
+    if edges[0] < 0.0:
+        raise ReproError(f"{name} must be non-negative: {edges}")
+    raw = np.diff(planck_fraction(np.asarray(edges) * temperature))
+    coverage = float(raw.sum())
+    if coverage < 1e-9:
+        raise ReproError(
+            f"{name} {edges} cover a negligible fraction "
+            f"({coverage:.2e}) of the Planck spectrum at {temperature} K"
+        )
+    return raw
+
+
 @dataclass(frozen=True)
 class PlanckTable:
     """Banded Planck distribution at a reference temperature.
@@ -129,26 +169,8 @@ class PlanckTable:
         cls, edges_um: Sequence[float], temperature: float
     ) -> "PlanckTable":
         edges = tuple(float(e) for e in edges_um)
-        if len(edges) < 2:
-            raise ReproError(f"need >= 2 band edges, got {len(edges)}")
-        if any(math.isnan(e) for e in edges):
-            raise ReproError(f"band edges must be numbers, got {edges}")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ReproError(f"band edges must be strictly increasing: {edges}")
-        if edges[0] < 0.0:
-            raise ReproError(f"band edges must be non-negative: {edges}")
-        if not 0.0 < temperature < math.inf:
-            raise ReproError(
-                f"temperature must be positive and finite, got {temperature}"
-            )
-        fractions = planck_fraction(np.asarray(edges) * temperature)
-        raw = np.diff(fractions)
+        raw = check_banding(temperature, edges)
         coverage = float(raw.sum())
-        if coverage < 1e-9:
-            raise ReproError(
-                f"band edges {edges} cover a negligible fraction "
-                f"({coverage:.2e}) of the Planck spectrum at {temperature} K"
-            )
         weights = raw / coverage
         cdf = np.cumsum(weights)
         cdf[-1] = 1.0  # guard against rounding so sampling never overflows

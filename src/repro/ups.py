@@ -38,17 +38,25 @@ Planck-sampled wavelength bands at the given reference ``temperature``
 values with ``inf`` allowed), a kappa power law in wavelength, and a
 named surface emissivity table.
 
+The schema is declared once, in the spec dataclasses: a class names
+its section and each field its tag, converter and rule (:func:`_tag`).
+Parsing, :func:`spec_to_ups`, the dict form and the fingerprints all
+read that declaration, and a section decides where its values go:
+``<Grid>`` into the scene digest, ``<RMCRT>`` into the fingerprint's
+parameters, ``<Spectral>`` into the model digest, ``<Scheduler>``
+nowhere.
+
 Parsing is strict: unknown tags raise, so typos fail loudly instead of
 silently running defaults (a lesson every Uintah user learns once). A
 value is converted by its tag's converter, which names the tag when it
 cannot read it. Every entry (:func:`parse_ups`, :func:`spec_from_dict`,
-:func:`run_ups`) checks the same rules before any solve, each where it
-is written once: the ``<RMCRT>`` block's trace options in
-:class:`~repro.core.kernels.TraceOptions`, which every solver builds
-from its keywords (rays >= 1, 0 < threshold < 1, halo >= 0, no
-reflections with a spectral model); the grid, the seed and the
-scheduler in :func:`_validate`; the ``<Spectral>`` block in
-:func:`_validate_spectral`, without building its model.
+:func:`run_ups`) checks the same rules before any solve, each written
+once: a single value's in its field's rule; the trace options' in
+:class:`~repro.core.kernels.TraceOptions` (rays >= 1, 0 < threshold <
+1, halo >= 0, no reflections with a spectral model); the temperature's
+and band edges' in :func:`~repro.radiation.spectral.planck.check_banding`,
+without building the model; and those tying two sections in
+:func:`_validate`.
 """
 
 from __future__ import annotations
@@ -57,9 +65,10 @@ import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from functools import lru_cache
-from typing import Optional
+from typing import Any, Callable, ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,116 +79,153 @@ from repro.core.solver import RMCRTSolver
 from repro.grid.grid import Grid
 from repro.radiation.benchmark import BurnsChristonBenchmark
 from repro.radiation.properties import RadiativeProperties
+from repro.radiation.spectral.emissivity import MATERIALS
+from repro.radiation.spectral.planck import check_banding
 from repro.util.errors import ReproError
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False}
+_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False}
+
+
+class _Converter(NamedTuple):
+    """How a tag's text reads into a spec value, and the value writes back."""
+
+    read: Callable[[str], Any]
+    write: Callable[[Any], str]
+    #: what ``read`` accepts, for the error naming a value it cannot
+    expects: str
+
+
+_INT = _Converter(int, str, "an integer")
+_FLOAT = _Converter(float, repr, "a number")
+_BOOL = _Converter(
+    lambda raw: _BOOL_WORDS[raw.lower()], lambda value: str(value).lower(), "true/false"
+)
+_WORD = _Converter(str, str, "a word")
+_WAVELENGTHS = _Converter(
+    lambda raw: tuple(float(tok) for tok in raw.split()),
+    lambda edges: " ".join(repr(e) for e in edges),
+    "whitespace-separated wavelengths (um, 'inf' allowed)",
+)
+
+
+class _Rule(NamedTuple):
+    """What a converted value must be: ``text`` in words, ``holds`` as a test."""
+
+    text: str
+    holds: Callable[[Any], bool]
+    #: the values allowed, when the rule is a list of them
+    choices: tuple = ()
+
+
+def _at_least(low) -> _Rule:
+    return _Rule(f">= {low}", lambda value: value >= low)
+
+
+def _one_of(*choices) -> _Rule:
+    text = ", ".join(map(str, choices[:-1])) + f" or {choices[-1]}"
+    return _Rule(text, lambda value: value in choices, choices)
+
+
+_FINITE = _Rule("finite", math.isfinite)
+
+
+def _tag(tag: str, conv: _Converter, default, rule: Optional[_Rule] = None):
+    """A spec field read from, and written to, the UPS tag (or, in an
+    attribute section, the attribute) ``tag``. A field whose default is
+    no value (None or empty) is written only when it holds one."""
+    return field(default=default, metadata={"tag": tag, "conv": conv, "rule": rule})
+
+
+class _Section:
+    """A UPS section, ``<SECTION>``: a spec dataclass whose fields are
+    :func:`_tag` s."""
+
+    #: the values are attributes of one empty element, not child tags
+    ATTRIBUTES: ClassVar[bool] = False
 
 
 @dataclass
-class GridSpec:
-    resolution: int = 32
-    levels: int = 2
-    refinement_ratio: int = 4
-    patch_size: Optional[int] = None
+class GridSpec(_Section):
+    SECTION: ClassVar[str] = "Grid"
+
+    resolution: int = _tag("resolution", _INT, 32, _at_least(2))
+    levels: int = _tag("levels", _INT, 2, _one_of(1, 2))
+    refinement_ratio: int = _tag("refinement_ratio", _INT, 4, _at_least(1))
+    patch_size: Optional[int] = _tag("patch_size", _INT, None)
 
 
 @dataclass
-class RMCRTSpec:
-    n_divq_rays: int = 25
-    threshold: float = 1e-4
-    halo: int = 4
-    allow_reflect: bool = False
-    cc_rays: bool = False
-    random_seed: int = 0
+class RMCRTSpec(_Section):
+    SECTION: ClassVar[str] = "RMCRT"
+
+    n_divq_rays: int = _tag("nDivQRays", _INT, 25)
+    threshold: float = _tag("Threshold", _FLOAT, 1e-4)
+    halo: int = _tag("halo", _INT, 4)
+    allow_reflect: bool = _tag("allowReflect", _BOOL, False)
+    cc_rays: bool = _tag("CCRays", _BOOL, False)
+    random_seed: int = _tag("randomSeed", _INT, 0, _at_least(0))
 
 
 @dataclass
-class SchedulerSpec:
-    type: str = "serial"
-    ranks: int = 1
-    pool: str = "waitfree"
-    threads: int = 4
-
-
-@dataclass
-class SpectralSpec:
+class SpectralSpec(_Section):
     """The ``<Spectral>`` block: wavelength-sampled transport.
 
     ``band_edges_um`` is empty for equal-Planck-fraction banding, or
     ``bands + 1`` increasing wavelength edges in micrometres.
     """
 
-    bands: int = 3
-    band_edges_um: tuple = ()
-    temperature: float = 1000.0
-    kappa_exponent: float = 0.0
-    emissivity: str = "gray"
+    SECTION: ClassVar[str] = "Spectral"
+
+    bands: int = _tag("bands", _INT, 3, _at_least(1))
+    band_edges_um: tuple = _tag("bandEdges", _WAVELENGTHS, ())
+    temperature: float = _tag("temperature", _FLOAT, 1000.0)
+    kappa_exponent: float = _tag("kappaExponent", _FLOAT, 0.0, _FINITE)
+    emissivity: str = _tag("emissivity", _WORD, "gray", _one_of("gray", *sorted(MATERIALS)))
+
+
+@dataclass
+class SchedulerSpec(_Section):
+    SECTION: ClassVar[str] = "Scheduler"
+    ATTRIBUTES: ClassVar[bool] = True
+
+    type: str = _tag("type", _WORD, "serial", _one_of("serial", "threaded", "distributed", "gpu"))
+    ranks: int = _tag("ranks", _INT, 1, _at_least(1))
+    # legacy-racy demonstrates the Section IV.A race: no solve runs on it
+    pool: str = _tag("pool", _WORD, "waitfree", _one_of("waitfree", "locked"))
+    threads: int = _tag("threads", _INT, 4, _at_least(1))
+
+
+def _part(cls, optional: bool = False):
+    """A :class:`ProblemSpec` field holding one section, None until the
+    section appears when it is ``optional``."""
+    if optional:
+        return field(default=None, metadata={"cls": cls})
+    return field(default_factory=cls, metadata={"cls": cls})
 
 
 @dataclass
 class ProblemSpec:
-    grid: GridSpec = field(default_factory=GridSpec)
-    rmcrt: RMCRTSpec = field(default_factory=RMCRTSpec)
-    scheduler: SchedulerSpec = field(default_factory=SchedulerSpec)
+    """A whole UPS document, its sections in the order they are written."""
+
+    grid: GridSpec = _part(GridSpec)
+    rmcrt: RMCRTSpec = _part(RMCRTSpec)
     #: None = gray transport (the classic solvers); set = spectral
-    spectral: Optional[SpectralSpec] = None
+    spectral: Optional[SpectralSpec] = _part(SpectralSpec, optional=True)
+    scheduler: SchedulerSpec = _part(SchedulerSpec)
 
 
-def _text(elem: ET.Element) -> str:
-    return (elem.text or "").strip()
-
-
-def _bool(raw: str) -> bool:
-    return _BOOL[raw.lower()]
-
-
-def _band_edges(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.split())
-
-
-#: what each converter reads, for the error naming a value it cannot
-_EXPECTS = {
-    int: "an integer",
-    float: "a number",
-    _bool: "true/false",
-    _band_edges: "whitespace-separated wavelengths (um, 'inf' allowed)",
+#: section element -> (its ProblemSpec field, {tag: its spec field}), for the parse
+_LAYOUT = {
+    part.metadata["cls"].SECTION: (
+        part, {f.metadata["tag"]: f for f in fields(part.metadata["cls"])}
+    )
+    for part in fields(ProblemSpec)
 }
 
 
-def _convert(conv, raw: str, where: str):
-    """``conv(raw)``, or a ReproError naming the tag or attribute."""
-    try:
-        return conv(raw)
-    except (KeyError, ValueError):
-        raise ReproError(f"{where} expects {_EXPECTS[conv]}, got {raw!r}") from None
-
-
-#: UPS section -> (ProblemSpec attribute, {tag: (attribute, converter)})
-_SECTIONS = {
-    "Grid": ("grid", {
-        "resolution": ("resolution", int),
-        "levels": ("levels", int),
-        "refinement_ratio": ("refinement_ratio", int),
-        "patch_size": ("patch_size", int),
-    }),
-    "RMCRT": ("rmcrt", {
-        "nDivQRays": ("n_divq_rays", int),
-        "Threshold": ("threshold", float),
-        "halo": ("halo", int),
-        "allowReflect": ("allow_reflect", _bool),
-        "CCRays": ("cc_rays", _bool),
-        "randomSeed": ("random_seed", int),
-    }),
-    "Spectral": ("spectral", {
-        "bands": ("bands", int),
-        "bandEdges": ("band_edges_um", _band_edges),
-        "temperature": ("temperature", float),
-        "kappaExponent": ("kappa_exponent", float),
-        "emissivity": ("emissivity", str),
-    }),
-}
-#: <Scheduler> attribute -> converter
-_SCHEDULER_ATTRS = {"type": str, "ranks": int, "pool": str, "threads": int}
+def _where(cls, tag: str) -> str:
+    """How an error names ``tag`` of section ``cls``."""
+    return f"<{cls.SECTION} {tag}=...>" if cls.ATTRIBUTES else f"<{tag}>"
 
 
 def parse_ups(source: str) -> ProblemSpec:
@@ -197,26 +243,27 @@ def parse_ups(source: str) -> ProblemSpec:
             f"UPS root must be <Uintah_specification>, got <{root.tag}>"
         )
     spec = ProblemSpec()
-    for section in root:
-        if section.tag in _SECTIONS:
-            name, tags = _SECTIONS[section.tag]
-            if section.tag == "Spectral":
-                spec.spectral = SpectralSpec()
-            target = getattr(spec, name)
-            for child in section:
-                if child.tag not in tags:
-                    raise ReproError(f"unknown <{section.tag}> tag <{child.tag}>")
-                attr, conv = tags[child.tag]
-                setattr(target, attr, _convert(conv, _text(child), f"<{child.tag}>"))
-        elif section.tag == "Scheduler":
-            unknown = set(section.attrib) - set(_SCHEDULER_ATTRS)
-            if unknown:
-                raise ReproError(f"unknown <Scheduler> attributes {sorted(unknown)}")
-            for attr, raw in section.attrib.items():
-                where = f"<Scheduler {attr}=...>"
-                setattr(spec.scheduler, attr, _convert(_SCHEDULER_ATTRS[attr], raw, where))
-        else:
-            raise ReproError(f"unknown UPS section <{section.tag}>")
+    for elem in root:
+        if elem.tag not in _LAYOUT:
+            raise ReproError(f"unknown UPS section <{elem.tag}>")
+        part, tags = _LAYOUT[elem.tag]
+        cls = part.metadata["cls"]
+        values = getattr(spec, part.name) or cls()  # an optional section is on once it appears
+        setattr(spec, part.name, values)
+        kind, entries = (
+            ("attribute", elem.attrib.items()) if cls.ATTRIBUTES
+            else ("tag", [(child.tag, (child.text or "").strip()) for child in elem])
+        )
+        for tag, raw in entries:
+            if tag not in tags:
+                raise ReproError(f"unknown <{elem.tag}> {kind} {tag!r}")
+            conv = tags[tag].metadata["conv"]
+            try:
+                setattr(values, tags[tag].name, conv.read(raw))
+            except (KeyError, ValueError):
+                raise ReproError(
+                    f"{_where(cls, tag)} expects {conv.expects}, got {raw!r}"
+                ) from None
 
     _validate(spec)
     return spec
@@ -236,67 +283,44 @@ def _trace_options(spec: ProblemSpec, spectral) -> TraceOptions:
 
 
 def _validate(spec: ProblemSpec) -> None:
-    g, r, s = spec.grid, spec.rmcrt, spec.scheduler
-    if g.levels not in (1, 2):
-        raise ReproError(f"levels must be 1 or 2, got {g.levels}")
-    if g.resolution < 2:
-        raise ReproError(f"resolution must be >= 2, got {g.resolution}")
-    if g.refinement_ratio < 1:
-        raise ReproError(f"refinement_ratio must be >= 1, got {g.refinement_ratio}")
-    if r.random_seed < 0:
-        raise ReproError(f"randomSeed must be >= 0, got {r.random_seed}")
+    g, s = spec.grid, spec.scheduler
+    for values in (g, spec.rmcrt, s):
+        _check_rules(values)
     # the <Spectral> block stands in for its model, which is slow to
     # build: the trace options' rules only ask whether there is one
     _trace_options(spec, spec.spectral)
-    if s.type not in ("serial", "threaded", "distributed", "gpu"):
-        raise ReproError(f"unknown scheduler type {s.type!r}")
-    for attr in ("ranks", "threads"):
-        if getattr(s, attr) < 1:
-            raise ReproError(
-                f"<Scheduler {attr}=...> must be >= 1, got {getattr(s, attr)}"
-            )
-    # legacy-racy demonstrates the Section IV.A race: no solve runs on it
-    if s.pool not in ("waitfree", "locked"):
-        raise ReproError(
-            f"<Scheduler pool=...> must be waitfree or locked, got {s.pool!r}"
-        )
     if spec.spectral is not None:
         _validate_spectral(spec.spectral)
     if s.type != "serial":
         if g.patch_size is None:
-            raise ReproError(f"{s.type} runs need <patch_size>")
+            raise ReproError(f"{s.type} runs need a <{g.SECTION}> patch size")
         if g.levels != 2:
             raise ReproError("the RMCRT task pipeline needs a 2-level grid")
 
 
-def _validate_spectral(sp: SpectralSpec) -> None:
-    from repro.radiation.spectral.emissivity import MATERIALS
+def _check_rules(values: _Section) -> None:
+    """Refuse the first value of a section that breaks its field's rule."""
+    for f in fields(values):
+        rule, value = f.metadata["rule"], getattr(values, f.name)
+        if rule is not None and not rule.holds(value):
+            tag = f.metadata["tag"]
+            name = _where(type(values), tag) if values.ATTRIBUTES else tag
+            raise ReproError(f"{name} must be {rule.text}, got {value!r}")
 
-    if sp.bands < 1:
-        raise ReproError(f"<Spectral> bands must be >= 1, got {sp.bands}")
-    if not 0.0 < sp.temperature < math.inf:
-        raise ReproError(
-            f"<Spectral> temperature must be positive and finite, got {sp.temperature}"
-        )
-    if not math.isfinite(sp.kappa_exponent):
-        raise ReproError(
-            f"<Spectral> kappaExponent must be finite, got {sp.kappa_exponent}"
-        )
-    if any(math.isnan(e) for e in sp.band_edges_um):
-        raise ReproError(
-            f"<Spectral> bandEdges must be numbers, got {sp.band_edges_um}"
-        )
-    if sp.band_edges_um and len(sp.band_edges_um) != sp.bands + 1:
-        raise ReproError(
-            f"{sp.bands} spectral bands need {sp.bands + 1} band edges, "
-            f"got {len(sp.band_edges_um)}"
-        )
-    known = {"gray"} | set(MATERIALS)
-    if sp.emissivity not in known:
-        raise ReproError(
-            f"unknown <Spectral> emissivity {sp.emissivity!r}; "
-            f"known: {', '.join(sorted(known))}"
-        )
+
+def _validate_spectral(sp: SpectralSpec) -> None:
+    """The ``<Spectral>`` block's rules, each error naming the block;
+    only explicit edges cost the Planck series, and no model is built."""
+    edges = SpectralSpec.__dataclass_fields__["band_edges_um"].metadata["tag"]
+    try:
+        _check_rules(sp)
+        if sp.band_edges_um and len(sp.band_edges_um) != sp.bands + 1:
+            raise ReproError(
+                f"{sp.bands} bands need {sp.bands + 1} {edges}, got {len(sp.band_edges_um)}"
+            )
+        check_banding(sp.temperature, sp.band_edges_um or None, edges)
+    except ReproError as exc:
+        raise ReproError(f"<{sp.SECTION}> {exc}") from None
 
 
 def spectral_model(sp: SpectralSpec):
@@ -307,13 +331,7 @@ def spectral_model(sp: SpectralSpec):
     """
     from repro.radiation.spectral.model import SpectralModel
 
-    return SpectralModel.build(
-        bands=sp.bands,
-        temperature=sp.temperature,
-        band_edges_um=sp.band_edges_um or None,
-        kappa_exponent=sp.kappa_exponent,
-        emissivity=sp.emissivity,
-    )
+    return SpectralModel.build(**{**vars(sp), "band_edges_um": sp.band_edges_um or None})
 
 
 @dataclass
@@ -391,38 +409,14 @@ def run_ups(spec: ProblemSpec) -> RMCRTResult:
 
 
 @lru_cache(maxsize=64)
-def _scene_digest(
-    resolution: int,
-    levels: int,
-    refinement_ratio: int,
-    patch_size: Optional[int],
-    spectral_digest: Optional[str] = None,
-) -> str:
-    spec = ProblemSpec(
-        grid=GridSpec(
-            resolution=resolution,
-            levels=levels,
-            refinement_ratio=refinement_ratio,
-            patch_size=patch_size,
-        )
-    )
-    scene = prepare_scene(spec)
+def _scene_digest(grid: tuple, spectral_digest: Optional[str]) -> str:
+    g = GridSpec(*grid)
+    scene = prepare_scene(ProblemSpec(grid=g))
     h = hashlib.sha256()
-    h.update(
-        json.dumps(
-            {
-                "resolution": resolution,
-                "levels": levels,
-                "refinement_ratio": refinement_ratio,
-                "patch_size": patch_size,
-                # the spectral model reshapes the per-band marching
-                # fields, so spectral scenes are distinct from the gray
-                # scene built from the same grid — and from each other
-                "spectral": spectral_digest,
-            },
-            sort_keys=True,
-        ).encode()
-    )
+    # the spectral model reshapes the per-band marching fields, so
+    # spectral scenes are distinct from the gray scene built from the
+    # same grid, and from each other
+    h.update(json.dumps({**asdict(g), "spectral": spectral_digest}, sort_keys=True).encode())
     for name in ("abskg", "sigma_t4", "cell_type"):
         arr = np.ascontiguousarray(getattr(scene.props, name))
         h.update(name.encode())
@@ -433,58 +427,29 @@ def _scene_digest(
 
 
 @lru_cache(maxsize=64)
-def _spectral_model_digest(
-    bands: int,
-    band_edges_um: tuple,
-    temperature: float,
-    kappa_exponent: float,
-    emissivity: str,
-) -> str:
-    return spectral_model(
-        SpectralSpec(
-            bands=bands,
-            band_edges_um=band_edges_um,
-            temperature=temperature,
-            kappa_exponent=kappa_exponent,
-            emissivity=emissivity,
-        )
-    ).digest()
+def _spectral_model_digest(spectral: tuple) -> str:
+    return spectral_model(SpectralSpec(*spectral)).digest()
 
 
 def _spectral_digest(spec: ProblemSpec) -> Optional[str]:
     sp = spec.spectral
     if sp is None:
         return None
-    return _spectral_model_digest(
-        sp.bands,
-        tuple(sp.band_edges_um),
-        sp.temperature,
-        sp.kappa_exponent,
-        sp.emissivity,
-    )
+    # a hashable key, however the edges were given
+    return _spectral_model_digest(astuple(replace(sp, band_edges_um=tuple(sp.band_edges_um))))
 
 
 def scene_fingerprint(spec: ProblemSpec) -> str:
     """Digest of the grid geometry and property fields (batching key)."""
-    g = spec.grid
-    return _scene_digest(
-        g.resolution, g.levels, g.refinement_ratio, g.patch_size,
-        _spectral_digest(spec),
-    )
+    return _scene_digest(astuple(spec.grid), _spectral_digest(spec))
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:
     """A JSON-able round-trippable form of a spec (request journaling)."""
-    doc = {
-        "grid": asdict(spec.grid),
-        "rmcrt": asdict(spec.rmcrt),
-        "scheduler": asdict(spec.scheduler),
-    }
+    doc = {name: values for name, values in asdict(spec).items() if values is not None}
     if spec.spectral is not None:
-        sp = asdict(spec.spectral)
         # JSON has no Infinity; band edges travel as repr strings
-        sp["band_edges_um"] = [repr(e) for e in spec.spectral.band_edges_um]
-        doc["spectral"] = sp
+        doc["spectral"]["band_edges_um"] = [repr(e) for e in spec.spectral.band_edges_um]
     return doc
 
 
@@ -492,25 +457,34 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
     """Inverse of :func:`spec_to_dict`, with the same validation as
     :func:`parse_ups` (a journaled spec is untrusted input: the file
     may have been truncated or edited)."""
+    spec = ProblemSpec()
     try:
-        spectral = None
-        if doc.get("spectral") is not None:
-            sp = dict(doc["spectral"])
-            sp["band_edges_um"] = tuple(
-                float(e) for e in sp.get("band_edges_um", ())
-            )
-            spectral = SpectralSpec(**sp)
-        spec = ProblemSpec(
-            grid=GridSpec(**doc.get("grid", {})),
-            rmcrt=RMCRTSpec(**doc.get("rmcrt", {})),
-            scheduler=SchedulerSpec(**doc.get("scheduler", {})),
-            spectral=spectral,
-        )
+        if not isinstance(doc, Mapping):
+            raise TypeError(f"a {type(doc).__name__}, not a mapping")
+        for part in fields(ProblemSpec):
+            optional = part.default is None
+            values = doc.get(part.name, None if optional else {})
+            if values is None and optional:
+                continue  # an optional section left out
+            if "band_edges_um" in values:
+                edges = tuple(float(e) for e in values["band_edges_um"])
+                values = {**values, "band_edges_um": edges}
+            setattr(spec, part.name, part.metadata["cls"](**values))
     except (TypeError, ValueError) as exc:
         raise ReproError(f"malformed spec document: {exc}") from None
     # through the UPS text, so every value meets the converter and the
     # rules its tag meets in a file
     return parse_ups(spec_to_ups(spec))
+
+
+def _written(values: _Section):
+    """(tag, text) for each value of a section, as :func:`spec_to_ups`
+    writes them: a field whose default is no value is left out while it
+    holds that default (a serial grid's patch size, equal-fraction bands)."""
+    for f in fields(values):
+        value = getattr(values, f.name)
+        if not (f.default in (None, ()) and value == f.default):
+            yield f.metadata["tag"], f.metadata["conv"].write(value)
 
 
 def spec_to_ups(spec: ProblemSpec) -> str:
@@ -522,39 +496,19 @@ def spec_to_ups(spec: ProblemSpec) -> str:
     that re-homes or regenerates requests needs the inverse of
     :func:`parse_ups`.
     """
-    g, r, s = spec.grid, spec.rmcrt, spec.scheduler
-    lines = ["<Uintah_specification>", "  <Grid>"]
-    lines.append(f"    <resolution> {g.resolution} </resolution>")
-    lines.append(f"    <levels> {g.levels} </levels>")
-    lines.append(f"    <refinement_ratio> {g.refinement_ratio} </refinement_ratio>")
-    if g.patch_size is not None:
-        lines.append(f"    <patch_size> {g.patch_size} </patch_size>")
-    lines.append("  </Grid>")
-    lines.append("  <RMCRT>")
-    lines.append(f"    <nDivQRays> {r.n_divq_rays} </nDivQRays>")
-    lines.append(f"    <Threshold> {r.threshold!r} </Threshold>")
-    lines.append(f"    <halo> {r.halo} </halo>")
-    lines.append(f"    <allowReflect> {str(r.allow_reflect).lower()} </allowReflect>")
-    lines.append(f"    <CCRays> {str(r.cc_rays).lower()} </CCRays>")
-    lines.append(f"    <randomSeed> {r.random_seed} </randomSeed>")
-    lines.append("  </RMCRT>")
-    if spec.spectral is not None:
-        sp = spec.spectral
-        lines.append("  <Spectral>")
-        lines.append(f"    <bands> {sp.bands} </bands>")
-        if sp.band_edges_um:
-            edges = " ".join(repr(e) for e in sp.band_edges_um)
-            lines.append(f"    <bandEdges> {edges} </bandEdges>")
-        lines.append(f"    <temperature> {sp.temperature!r} </temperature>")
-        lines.append(
-            f"    <kappaExponent> {sp.kappa_exponent!r} </kappaExponent>"
-        )
-        lines.append(f"    <emissivity> {sp.emissivity} </emissivity>")
-        lines.append("  </Spectral>")
-    lines.append(
-        f'  <Scheduler type="{s.type}" ranks="{s.ranks}" '
-        f'pool="{s.pool}" threads="{s.threads}"/>'
-    )
+    lines = ["<Uintah_specification>"]
+    for part in fields(ProblemSpec):
+        values = getattr(spec, part.name)
+        if values is None:
+            continue
+        name = values.SECTION
+        if values.ATTRIBUTES:
+            attrs = " ".join(f'{tag}="{text}"' for tag, text in _written(values))
+            lines.append(f"  <{name} {attrs}/>")
+        else:
+            lines.append(f"  <{name}>")
+            lines += [f"    <{tag}> {text} </{tag}>" for tag, text in _written(values)]
+            lines.append(f"  </{name}>")
     lines.append("</Uintah_specification>")
     return "\n".join(lines) + "\n"
 
@@ -569,14 +523,10 @@ def spec_fingerprint(spec: ProblemSpec) -> str:
     equivalence we assume.
     """
     r = spec.rmcrt
-    params = {
-        "nDivQRays": r.n_divq_rays,
-        "Threshold": repr(r.threshold),
-        "halo": r.halo,
-        "allowReflect": r.allow_reflect,
-        "CCRays": r.cc_rays,
-        "randomSeed": r.random_seed,
-    }
+    params = {}
+    for f in fields(r):  # each <RMCRT> value by its tag, a float by its repr
+        value = getattr(r, f.name)
+        params[f.metadata["tag"]] = repr(value) if f.metadata["conv"] is _FLOAT else value
     sd = _spectral_digest(spec)
     if sd is not None:
         params["spectral"] = sd

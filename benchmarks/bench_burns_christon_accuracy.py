@@ -7,11 +7,12 @@ against a high-order discrete-ordinates reference and additionally
 verifies the multi-level solver agrees with single-level within noise.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import MultiLevelRMCRT, SingleLevelRMCRT
+from repro.perf import write_bench_artifact
 from repro.radiation import BurnsChristonBenchmark, dom_reference_divq
+from repro.radiation.analysis import monte_carlo_convergence
 
 RESOLUTION = 16
 RAY_COUNTS = [4, 16, 64, 256]
@@ -30,21 +31,28 @@ def setup():
 def test_monte_carlo_convergence(benchmark, setup):
     bench, grid, props, reference = setup
 
-    def sweep():
-        errs = []
-        for n in RAY_COUNTS:
-            res = SingleLevelRMCRT(rays_per_cell=n, seed=11).solve(grid, props)
-            errs.append(float(np.sqrt(np.mean((res.divq - reference) ** 2))))
-        return errs
+    def solve(rays):
+        return SingleLevelRMCRT(rays_per_cell=rays, seed=11).solve(grid, props).divq
 
-    errors = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    slope = np.polyfit(np.log(RAY_COUNTS), np.log(errors), 1)[0]
+    study = benchmark.pedantic(monte_carlo_convergence,
+                               args=(solve, reference, RAY_COUNTS),
+                               rounds=1, iterations=1)
+    errors, slope = study.errors, study.order
 
     print("\n--- E4: Monte Carlo convergence (RMS error vs S_N reference) ---")
     print(f"{'rays/cell':>10} {'RMS error':>12}")
     for n, e in zip(RAY_COUNTS, errors):
         print(f"{n:>10} {e:>12.5f}")
     print(f"fitted order: {slope:.3f}  (expected ~ -0.5)")
+
+    write_bench_artifact(
+        "burns_christon_accuracy",
+        params={"resolution": RESOLUTION, "seed": 11,
+                "reference": "dom_reference_divq(n_polar=8, n_azimuthal=16)"},
+        rows=[{"rays_per_cell": n, "rms_error": e}
+              for n, e in zip(RAY_COUNTS, errors)],
+        extra={"fitted_order": slope},
+    )
 
     assert errors == sorted(errors, reverse=True)
     assert -0.75 < slope < -0.3

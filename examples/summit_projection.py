@@ -6,18 +6,46 @@ target 1000MWe boiler problem on current and emerging GPU-based
 architectures at large scale", naming Summit explicitly. This example
 re-runs the Figure 3 study on the Summit machine model (V100s, NVLink,
 EDR fat-tree) next to Titan and reports the projected per-GPU speedup
-and where the scaling limits move.
+and where the scaling limits move. It first runs one Summit-class node
+for real: a small two-level scene across the node's six GPUs, which
+must match the serial solve bit for bit (Section I's "arbitrary number
+of on-node GPUs").
 
 Run:  python examples/summit_projection.py
 """
 
-from repro import LARGE, StrongScalingStudy
-from repro.machine import summit_simulator
+import numpy as np
+
+from repro import (LARGE, BurnsChristonBenchmark, DistributedRMCRT,
+                   MultiGPUScheduler, StrongScalingStudy, benchmark_property_init)
+from repro.core.distributed import DIVQ
+from repro.machine import SUMMIT, summit_simulator
+from repro.runtime import gather_cc
 
 GPUS = [512, 1024, 2048, 4096, 8192, 16384]
 
 
+def node_solve() -> None:
+    """One node's task graph across all of its GPUs, checked against
+    the serial solve."""
+    bench = BurnsChristonBenchmark(resolution=16)
+    drm = DistributedRMCRT(
+        bench.two_level_grid(refinement_ratio=4, fine_patch_size=8),
+        benchmark_property_init(bench), rays_per_cell=4, halo=2, seed=1, device=True,
+    )
+    serial = drm.solve("serial").divq
+    node = MultiGPUScheduler(num_gpus=SUMMIT.gpus_per_node)
+    graph = drm.build_graph()
+    divq = gather_cc(graph, {0: node.execute(graph)}, DIVQ, 1)
+    assert np.array_equal(divq, serial), "multi-GPU node solve != serial solve"
+    tasks = [d["tasks"] for d in node.stats_summary()]
+    print(f"one Summit node: 16^3 two-level scene, trace tasks per GPU {tasks}, "
+          f"del.q bit-identical to the serial solve\n")
+
+
 def main() -> None:
+    node_solve()
+
     titan = StrongScalingStudy()
     summit = StrongScalingStudy(summit_simulator())
 

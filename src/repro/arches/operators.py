@@ -38,28 +38,6 @@ def laplacian(field: np.ndarray, dx: Sequence[float], bc: str = "neumann",
     return out
 
 
-def gradient(field: np.ndarray, dx: Sequence[float], bc: str = "neumann",
-             bc_value: float = 0.0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Second-order central gradient."""
-    g = pad_field(field, bc, bc_value)
-    gx = (g[2:, 1:-1, 1:-1] - g[:-2, 1:-1, 1:-1]) / (2 * dx[0])
-    gy = (g[1:-1, 2:, 1:-1] - g[1:-1, :-2, 1:-1]) / (2 * dx[1])
-    gz = (g[1:-1, 1:-1, 2:] - g[1:-1, 1:-1, :-2]) / (2 * dx[2])
-    return gx, gy, gz
-
-
-def divergence(u: np.ndarray, v: np.ndarray, w: np.ndarray,
-               dx: Sequence[float], bc: str = "periodic") -> np.ndarray:
-    """Central divergence of a collocated vector field."""
-    gu = pad_field(u, bc)
-    gv = pad_field(v, bc)
-    gw = pad_field(w, bc)
-    out = (gu[2:, 1:-1, 1:-1] - gu[:-2, 1:-1, 1:-1]) / (2 * dx[0])
-    out += (gv[1:-1, 2:, 1:-1] - gv[1:-1, :-2, 1:-1]) / (2 * dx[1])
-    out += (gw[1:-1, 1:-1, 2:] - gw[1:-1, 1:-1, :-2]) / (2 * dx[2])
-    return out
-
-
 def upwind_advection(
     scalar: np.ndarray,
     velocity: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -82,18 +60,3 @@ def upwind_advection(
         bwd = (c - minus) / dx[d]    # use when vel > 0
         out -= vel * np.where(vel > 0, bwd, fwd)
     return out
-
-
-def strain_rate_magnitude(
-    velocity: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    dx: Sequence[float],
-    bc: str = "periodic",
-) -> np.ndarray:
-    """|S| = sqrt(2 S_ij S_ij) for the Smagorinsky model."""
-    grads = [gradient(v, dx, bc=bc) for v in velocity]
-    mag2 = np.zeros_like(velocity[0])
-    for i in range(3):
-        for j in range(3):
-            sij = 0.5 * (grads[i][j] + grads[j][i])
-            mag2 += 2.0 * sij * sij
-    return np.sqrt(mag2)

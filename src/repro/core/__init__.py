@@ -5,7 +5,7 @@ from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".fields": ["LevelFields"],
-    ".rays": ["isotropic_directions", "cell_ray_origins", "region_cells",
+    ".rays": ["isotropic_directions", "region_cells",
               "generate_patch_rays", "cosine_hemisphere_directions", "WALLS"],
     ".dda": ["RayBatch", "RayStatus", "march"],
     ".cpu_kernel": ["march_single_ray", "trace_rays_scalar"],

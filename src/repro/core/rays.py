@@ -96,26 +96,6 @@ def isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
     return _orient(rows).T
 
 
-def cell_ray_origins(
-    fields: LevelFields,
-    cells: np.ndarray,
-    rays_per_cell: int,
-    rng: np.random.Generator,
-    centered: bool = False,
-) -> np.ndarray:
-    """Origins for ``rays_per_cell`` rays in each of ``cells`` (m, 3).
-
-    Returns ``(m * rays_per_cell, 3)`` positions, grouped by cell
-    (all rays of cell 0 first). The jitter is drawn in [0, 1), so a
-    jittered origin may sit on its cell's low face: uniform in the
-    half-open cell, not the open one. The jitter is one ``(n, 3)`` draw.
-    """
-    rows = np.array(cells, dtype=np.float64).T.copy()
-    n = rows.shape[1] * rays_per_cell
-    jitter = None if centered else rng.random((n, 3))
-    return _origins(fields, rows, rays_per_cell, jitter).T
-
-
 def region_cells(box: Box) -> np.ndarray:
     """All cell indices of a box as an (volume, 3) array, C order.
 

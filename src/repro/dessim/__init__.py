@@ -8,9 +8,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".costmodel": ["BYTES_PER_VAR", "NUM_PROPERTY_VARS", "CommStats", "LARGE",
                    "MEDIUM", "PoolTimingModel", "RMCRTProblem", "RayWorkModel",
                    "multi_level_comm_per_rank", "single_level_comm_per_rank"],
-    ".cluster": ["CampaignEvent", "CampaignReport", "ClusterSimulator",
-                 "ScalingSeries", "SimOptions", "StrongScalingStudy",
-                 "TimestepBreakdown", "simulate_campaign"],
+    ".cluster": ["ClusterSimulator", "ScalingSeries", "SimOptions", "StrongScalingStudy",
+                 "TimestepBreakdown"],
     ".tracesim": ["MsgFlow", "TaskGraphTraceSimulator", "TaskTrace", "TraceReport",
                   "rmcrt_task_cost"],
 })

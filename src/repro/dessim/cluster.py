@@ -264,157 +264,6 @@ class ScalingSeries:
         return (self.times[i] * from_gpus) / (to_gpus * self.times[j])
 
 
-@dataclass
-class CampaignEvent:
-    """One priced occurrence in a campaign timeline."""
-
-    step: int
-    kind: str       #: 'checkpoint' | 'rank-death'
-    gpus: int       #: GPU count after the event
-    cost_s: float   #: wall-clock the event added
-    detail: str = ""
-
-
-@dataclass
-class CampaignReport:
-    """Failure-aware campaign accounting (the dessim counterpart of a
-    ``repro resilience drill``: same fault-plan vocabulary, priced on
-    the machine model instead of executed)."""
-
-    num_steps: int
-    initial_gpus: int
-    final_gpus: int
-    checkpoints: int
-    deaths: int
-    compute_s: float      #: productive timestep time
-    checkpoint_s: float   #: PFS checkpoint writes
-    recovery_s: float     #: restart costs (job relaunch + restore read)
-    rework_s: float       #: steps recomputed because they post-dated
-                          #: the last checkpoint
-    events: List[CampaignEvent] = field(default_factory=list)
-
-    @property
-    def total_s(self) -> float:
-        return self.compute_s + self.checkpoint_s + self.recovery_s + self.rework_s
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Fraction of wall-clock not spent on first-attempt science."""
-        total = self.total_s
-        return 0.0 if total <= 0 else 1.0 - self.compute_s / total
-
-    def as_dict(self) -> dict:
-        return {
-            "num_steps": self.num_steps,
-            "initial_gpus": self.initial_gpus,
-            "final_gpus": self.final_gpus,
-            "checkpoints": self.checkpoints,
-            "deaths": self.deaths,
-            "compute_s": self.compute_s,
-            "checkpoint_s": self.checkpoint_s,
-            "recovery_s": self.recovery_s,
-            "rework_s": self.rework_s,
-            "total_s": self.total_s,
-            "overhead_fraction": self.overhead_fraction,
-            "events": [
-                {
-                    "step": e.step, "kind": e.kind, "gpus": e.gpus,
-                    "cost_s": e.cost_s, "detail": e.detail,
-                }
-                for e in self.events
-            ],
-        }
-
-
-def simulate_campaign(
-    problem: RMCRTProblem,
-    patch_size: int,
-    num_gpus: int,
-    num_steps: int,
-    fault_plan=None,
-    checkpoint_every: int = 2,
-    pfs_bandwidth: float = 50e9,
-    restart_cost_s: float = 30.0,
-    simulator: Optional[ClusterSimulator] = None,
-    options: Optional[SimOptions] = None,
-) -> CampaignReport:
-    """Price a many-timestep campaign under failures and checkpoints.
-
-    Each step costs one :meth:`ClusterSimulator.simulate_timestep` at
-    the *current* GPU count (deaths shrink the machine, so survivors
-    carry more patches — the dessim analogue of
-    ``grid.loadbalance.reassign_on_failure``). Checkpoints cost the
-    state volume over ``pfs_bandwidth``. A ``fault_plan`` rank death
-    costs ``restart_cost_s`` (relaunch + restore read) plus recomputing
-    every step since the last checkpoint at the reduced GPU count.
-    """
-    if num_steps < 1:
-        raise ReproError(f"num_steps must be >= 1, got {num_steps}")
-    if checkpoint_every < 1:
-        raise ReproError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    if pfs_bandwidth <= 0:
-        raise ReproError("pfs_bandwidth must be positive")
-    sim = simulator if simulator is not None else ClusterSimulator()
-
-    # checkpointed state: every fine patch's property ROI + del.q plus
-    # one coarse-level copy — the same fields repro.resilience snapshots
-    patches = problem.num_patches(patch_size)
-    state_bytes = (
-        patches * (problem.patch_roi_bytes(patch_size)
-                   + problem.patch_divq_bytes(patch_size))
-        + problem.coarse_level_bytes
-    )
-    checkpoint_cost = state_bytes / pfs_bandwidth
-
-    step_cost_cache: Dict[int, float] = {}
-
-    def step_cost(gpus: int) -> float:
-        if gpus not in step_cost_cache:
-            step_cost_cache[gpus] = sim.simulate_timestep(
-                problem, patch_size, gpus, options
-            ).total_time
-        return step_cost_cache[gpus]
-
-    report = CampaignReport(
-        num_steps=num_steps, initial_gpus=num_gpus, final_gpus=num_gpus,
-        checkpoints=0, deaths=0, compute_s=0.0, checkpoint_s=0.0,
-        recovery_s=0.0, rework_s=0.0,
-    )
-    gpus = num_gpus
-    last_checkpoint = 0
-    for step in range(1, num_steps + 1):
-        deaths = fault_plan.rank_deaths_at(step) if fault_plan is not None else []
-        deaths = [d for d in deaths if gpus > 1]
-        if deaths:
-            gpus = max(1, gpus - len(deaths))
-            rework_steps = (step - 1) - last_checkpoint
-            rework = rework_steps * step_cost(gpus)
-            report.deaths += len(deaths)
-            report.recovery_s += restart_cost_s
-            report.rework_s += rework
-            report.events.append(
-                CampaignEvent(
-                    step=step, kind="rank-death", gpus=gpus,
-                    cost_s=restart_cost_s + rework,
-                    detail=f"{len(deaths)} death(s); {rework_steps} step(s) replayed",
-                )
-            )
-        report.compute_s += step_cost(gpus)
-        if step % checkpoint_every == 0:
-            report.checkpoints += 1
-            report.checkpoint_s += checkpoint_cost
-            last_checkpoint = step
-            report.events.append(
-                CampaignEvent(
-                    step=step, kind="checkpoint", gpus=gpus,
-                    cost_s=checkpoint_cost,
-                    detail=f"{state_bytes / 1024 ** 3:.2f} GiB",
-                )
-            )
-    report.final_gpus = gpus
-    return report
-
-
 class StrongScalingStudy:
     """Sweep GPU counts for several patch sizes on one problem."""
 

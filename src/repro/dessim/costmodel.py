@@ -241,6 +241,3 @@ class RayWorkModel:
             self.chord_factor * problem.coarse_cells * self.coarse_survival
         )
         return fine_steps + coarse_steps
-
-    def steps_per_ray_single_level(self, problem: RMCRTProblem) -> float:
-        return self.chord_factor * problem.fine_cells * self.coarse_survival

@@ -36,9 +36,6 @@ class EventSimulator:
             raise ReproError(f"cannot schedule into the past (delay {delay})")
         heapq.heappush(self._heap, (self.now + delay, next(self._seq), callback))
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
-        self.schedule(time - self.now, callback)
-
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event heap (optionally stopping at ``until``);
         returns the final clock."""

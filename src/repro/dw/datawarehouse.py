@@ -115,10 +115,6 @@ class DataWarehouse:
                 f"generation {self.generation}"
             ) from None
 
-    def modify(self, label: VarLabel, patch_id: int) -> CCVariable:
-        """Like :meth:`get` but signals in-place mutation intent."""
-        return self.get(label, patch_id)
-
     # ------------------------------------------------------------------
     # foreign variables (ghost pieces received over MPI)
     # ------------------------------------------------------------------

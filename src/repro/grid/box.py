@@ -275,44 +275,3 @@ class Box:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Box({self.lo} -> {self.hi})"
-
-
-def union_volume(boxes: Sequence[Box]) -> int:
-    """Volume of the union of (possibly overlapping) boxes.
-
-    Sweep over x-slabs of distinct lo/hi coordinates; inside each slab
-    the problem reduces to 2-D, solved the same way. Adequate for the
-    modest box counts in ghost-region bookkeeping.
-    """
-    boxes = [b for b in boxes if not b.empty]
-    if not boxes:
-        return 0
-
-    def _axis_union(intervals: List[Tuple[int, int]]) -> int:
-        intervals.sort()
-        total = 0
-        cur_lo, cur_hi = intervals[0]
-        for lo, hi in intervals[1:]:
-            if lo > cur_hi:
-                total += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        return total + (cur_hi - cur_lo)
-
-    xs = sorted({b.lo[0] for b in boxes} | {b.hi[0] for b in boxes})
-    total = 0
-    for x0, x1 in zip(xs[:-1], xs[1:]):
-        slab = [b for b in boxes if b.lo[0] <= x0 and x1 <= b.hi[0]]
-        if not slab:
-            continue
-        ys = sorted({b.lo[1] for b in slab} | {b.hi[1] for b in slab})
-        area = 0
-        for y0, y1 in zip(ys[:-1], ys[1:]):
-            col = [b for b in slab if b.lo[1] <= y0 and y1 <= b.hi[1]]
-            if not col:
-                continue
-            zlen = _axis_union([(b.lo[2], b.hi[2]) for b in col])
-            area += (y1 - y0) * zlen
-        total += (x1 - x0) * area
-    return total

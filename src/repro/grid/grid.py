@@ -87,12 +87,6 @@ class Grid:
         return self.levels[-1]
 
     @property
-    def coarsest_level(self) -> Level:
-        if not self.levels:
-            raise GridError("grid has no levels")
-        return self.levels[0]
-
-    @property
     def total_cells(self) -> int:
         return sum(lvl.num_cells for lvl in self.levels)
 

@@ -64,18 +64,3 @@ def refine_inject(coarse: np.ndarray, ratio) -> np.ndarray:
     out = np.repeat(coarse, r[0], axis=0)
     out = np.repeat(out, r[1], axis=1)
     return np.repeat(out, r[2], axis=2)
-
-
-def project_properties(fine_fields: dict, ratio) -> dict:
-    """Project an RMCRT property bundle one level down.
-
-    ``abskg``/``sigma_t4`` coarsen by averaging; ``cell_type`` by max.
-    Unknown keys coarsen by averaging (scalar fields by default).
-    """
-    out = {}
-    for name, arr in fine_fields.items():
-        if name == "cell_type":
-            out[name] = coarsen_max(arr, ratio)
-        else:
-            out[name] = coarsen_average(arr, ratio)
-    return out

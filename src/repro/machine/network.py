@@ -1,5 +1,5 @@
-"""Gemini network cost model: alpha-beta point-to-point plus the
-collectives the RMCRT communication phase is built from."""
+"""Gemini network cost model: alpha-beta point-to-point messages, the
+unit the RMCRT communication phase is priced in."""
 
 from __future__ import annotations
 
@@ -32,34 +32,6 @@ class NetworkModel:
     def ptp_time(self, nbytes: int) -> float:
         """One point-to-point message."""
         return self.latency_s + nbytes / self.effective_bandwidth
-
-    def allgather_time(self, total_bytes: int, num_ranks: int) -> float:
-        """Bandwidth-optimal ring allgather of a ``total_bytes`` result
-        over ``num_ranks`` (each rank contributes 1/R)."""
-        if num_ranks < 1:
-            raise ReproError("num_ranks must be >= 1")
-        if num_ranks == 1:
-            return 0.0
-        r = num_ranks
-        per_step = total_bytes / r
-        return (r - 1) * (self.latency_s + per_step / self.effective_bandwidth)
-
-    def bcast_time(self, nbytes: int, num_ranks: int) -> float:
-        """Binomial-tree broadcast."""
-        if num_ranks <= 1:
-            return 0.0
-        import math
-
-        steps = math.ceil(math.log2(num_ranks))
-        return steps * (self.latency_s + nbytes / self.effective_bandwidth)
-
-    def halo_exchange_time(self, num_neighbors: int, bytes_per_neighbor: int) -> float:
-        """Nearest-neighbour exchange, neighbours overlapped: one latency
-        per posted message, payload serialized through the injection port."""
-        return (
-            num_neighbors * self.latency_s
-            + num_neighbors * bytes_per_neighbor / self.effective_bandwidth
-        )
 
 
 GEMINI = NetworkModel()

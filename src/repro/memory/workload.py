@@ -193,13 +193,6 @@ class ReplayResult:
         ]
 
     @property
-    def growth_factor(self) -> float:
-        """Peak footprint / earliest sampled footprint — how much the
-        allocator's address-space hold ratcheted up over the run."""
-        first = next((f for f in self.footprint_series if f > 0), 0)
-        return self.peak_footprint / first if first else float("inf")
-
-    @property
     def fragmentation_factor(self) -> float:
         """Peak footprint / peak live bytes (1.0 = no waste)."""
         return (

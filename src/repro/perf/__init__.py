@@ -30,10 +30,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                  "format_analysis"],
     ".harness": ["BENCH_SCHEMA_VERSION", "bench_artifact_path", "write_bench_artifact"],
     ".metrics": ["Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram",
-                 "MetricsRegistry", "get_metrics", "reset_metrics", "set_metrics",
-                 "timed"],
+                 "MetricsRegistry", "get_metrics", "set_metrics", "timed"],
     ".rankstats": ["StatSummary", "format_rank_stats", "publish_rank_stats",
-                   "rank_stats_as_dict", "reduce_rank_stats"],
+                   "reduce_rank_stats"],
     ".tracer": ["SpanTracer", "get_tracer", "set_tracer"],
     ".tsdb": ["SnapshotCollector", "TimeSeriesStore", "flatten_registry",
               "get_collector", "set_collector"],

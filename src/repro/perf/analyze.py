@@ -71,10 +71,6 @@ class SpanNode:
         return self.start + self.dur
 
     @property
-    def is_task(self) -> bool:
-        return self.cat in TASK_CATS
-
-    @property
     def is_comm(self) -> bool:
         return self.name.startswith(COMM_PREFIX)
 

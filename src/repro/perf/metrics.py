@@ -327,11 +327,6 @@ def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
     return previous
 
 
-def reset_metrics() -> None:
-    """Clear every series in the default registry (test isolation)."""
-    _global_metrics.reset()
-
-
 @contextlib.contextmanager
 def timed(registry: Optional[MetricsRegistry], name: str, **labels):
     """Time a block into ``<name>.seconds``.

@@ -110,10 +110,6 @@ def reduce_rank_stats(per_rank: Mapping[int, object]) -> Dict[str, StatSummary]:
     return out
 
 
-def rank_stats_as_dict(summaries: Mapping[str, StatSummary]) -> Dict[str, dict]:
-    return {name: s.as_dict() for name, s in summaries.items()}
-
-
 def format_rank_stats(
     summaries: Mapping[str, StatSummary], title: str = "Runtime Stats"
 ) -> str:

@@ -132,11 +132,6 @@ class SpanTracer:
             if sink not in self._sinks:
                 self._sinks.append(sink)
 
-    def remove_sink(self, sink: Callable[[dict], None]) -> None:
-        with self._lock:
-            if sink in self._sinks:
-                self._sinks.remove(sink)
-
     def _emit(self, event: dict) -> None:
         # append under the lock — concurrent emitters may interleave in
         # order but can never lose or tear an event — then offer the

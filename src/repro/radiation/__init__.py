@@ -10,8 +10,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                    "LARGE_PROBLEM"],
     ".quadrature": ["Quadrature", "sn_level_symmetric", "product_quadrature"],
     ".dom": ["DiscreteOrdinates", "dom_reference_divq"],
-    ".analysis": ["ConvergenceStudy", "max_error", "monte_carlo_convergence",
-                  "relative_l2_error", "rms_error", "symmetry_deviation"],
+    ".analysis": ["ConvergenceStudy", "monte_carlo_convergence", "rms_error"],
     ".spectral": ["COMBUSTION_3_BAND", "GREY", "EnclosureScenario", "PlanckTable",
                   "SpectralBand", "SpectralModel", "SpectralRMCRT", "TabulatedEmissivity",
                   "band_properties", "validate_bands"],

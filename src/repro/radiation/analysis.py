@@ -1,16 +1,14 @@
-"""Verification/analysis helpers for radiation solutions.
+"""The accuracy instrument for radiation solutions.
 
-The tools the accuracy studies (paper §III.C via ref [3], our E4) are
-built from: error norms against a reference, Monte Carlo convergence
-order fitting, and the symmetry checks the Burns & Christon geometry
-implies. Lifted into the library so downstream verification studies
-don't re-implement them.
+The accuracy study of paper §III.C (via ref [3], our E4) is built from
+it: the RMS error against a reference, swept over ray counts, and the
+fitted Monte Carlo convergence order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -23,24 +21,6 @@ def rms_error(field: np.ndarray, reference: np.ndarray) -> float:
     if f.shape != r.shape:
         raise ReproError(f"shape mismatch {f.shape} vs {r.shape}")
     return float(np.sqrt(np.mean((f - r) ** 2)))
-
-
-def relative_l2_error(field: np.ndarray, reference: np.ndarray) -> float:
-    """||f - r||_2 / ||r||_2."""
-    f, r = np.asarray(field), np.asarray(reference)
-    if f.shape != r.shape:
-        raise ReproError(f"shape mismatch {f.shape} vs {r.shape}")
-    denom = float(np.linalg.norm(r))
-    if denom == 0:
-        raise ReproError("reference field is identically zero")
-    return float(np.linalg.norm(f - r)) / denom
-
-
-def max_error(field: np.ndarray, reference: np.ndarray) -> float:
-    f, r = np.asarray(field), np.asarray(reference)
-    if f.shape != r.shape:
-        raise ReproError(f"shape mismatch {f.shape} vs {r.shape}")
-    return float(np.abs(f - r).max())
 
 
 @dataclass
@@ -68,44 +48,15 @@ class ConvergenceStudy:
             np.polyfit(np.log(self.parameters), np.log(self.errors), 1)[0]
         )
 
-    @property
-    def monotone_decreasing(self) -> bool:
-        return all(b < a for a, b in zip(self.errors, self.errors[1:]))
-
-    def matches_order(self, expected: float, tol: float = 0.25) -> bool:
-        return abs(self.order - expected) <= tol
-
 
 def monte_carlo_convergence(
     solve: Callable[[int], np.ndarray],
     reference: np.ndarray,
     ray_counts: Sequence[int],
-    norm: Callable[[np.ndarray, np.ndarray], float] = rms_error,
 ) -> ConvergenceStudy:
-    """Run ``solve(rays)`` over ``ray_counts`` and fit the error decay."""
+    """Run ``solve(rays)`` over ``ray_counts`` and fit the decay of its
+    RMS error against ``reference``."""
     if len(ray_counts) < 2:
         raise ReproError("need >= 2 ray counts")
-    errors = [norm(solve(int(n)), reference) for n in ray_counts]
+    errors = [rms_error(solve(int(n)), reference) for n in ray_counts]
     return ConvergenceStudy(parameters=[float(n) for n in ray_counts], errors=errors)
-
-
-def symmetry_deviation(field: np.ndarray) -> dict:
-    """How far a cubic field deviates from the Burns & Christon
-    symmetries: mirror in each axis and cyclic axis permutation.
-    Values are relative L2 deviations (0 = exactly symmetric)."""
-    f = np.asarray(field)
-    if f.ndim != 3 or len(set(f.shape)) != 1:
-        raise ReproError(f"expected a cubic field, got shape {f.shape}")
-    norm = float(np.linalg.norm(f))
-    if norm == 0:
-        raise ReproError("field is identically zero")
-
-    def dev(other):
-        return float(np.linalg.norm(f - other)) / norm
-
-    return {
-        "mirror_x": dev(f[::-1, :, :]),
-        "mirror_y": dev(f[:, ::-1, :]),
-        "mirror_z": dev(f[:, :, ::-1]),
-        "cyclic": dev(np.transpose(f, (1, 2, 0))),
-    }

@@ -65,7 +65,7 @@ class SpectralModel:
     planck_mean_scale: float = field(init=False)
 
     def __post_init__(self) -> None:
-        self.kappa_scales = np.asarray(self.kappa_scales, dtype=np.float64)
+        self.kappa_scales = np.array(self.kappa_scales, dtype=np.float64)
         if self.kappa_scales.shape != (self.table.nbands,):
             raise ReproError(
                 f"kappa scales shape {self.kappa_scales.shape} != "
@@ -84,6 +84,10 @@ class SpectralModel:
         self.planck_mean_scale = float(
             np.sum(np.asarray(self.table.weights) * self.kappa_scales)
         )
+        # one model may serve many solves (ups caches it per spec)
+        for array in (self.kappa_scales, self.emissivity.temperatures,
+                      self.emissivity.values):
+            array.setflags(write=False)
 
     @property
     def nbands(self) -> int:

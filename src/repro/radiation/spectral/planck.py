@@ -81,10 +81,9 @@ def fraction_inverse(fraction: float, temperature: float) -> float:
     """Wavelength (um) below which ``fraction`` of the black-body power
     at ``temperature`` is emitted — the inverse of
     :func:`planck_fraction`, by bisection."""
+    check_banding(temperature)
     if not 0.0 < fraction < 1.0:
         raise ReproError(f"fraction must be in (0, 1), got {fraction}")
-    if temperature <= 0.0:
-        raise ReproError(f"temperature must be positive, got {temperature}")
     lo, hi = 1e-3, 1e6 / temperature  # lambda*T from 1e-3*T to 1e6 um*K
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -145,36 +145,6 @@ class CompiledGraph:
     def total_message_bytes(self) -> int:
         return sum(m.nbytes for m in self.messages)
 
-    def message_batches(self) -> Dict[Tuple[int, int], List[GhostMessage]]:
-        """Messages grouped by (src rank, dst rank).
-
-        A message already holds everything one task owes one rank; a
-        batch is the rank pair's group of those task-to-rank messages,
-        what Uintah would pack into one MPI message per pair per phase
-        and what the dessim cost model prices. The runtime sends the
-        messages, not the batches: a batch would wait for the rank's
-        last producer.
-        """
-        out: Dict[Tuple[int, int], List[GhostMessage]] = {}
-        for m in self.messages:
-            out.setdefault((m.src_rank, m.dst_rank), []).append(m)
-        return out
-
-    def rank_comm_stats(self, rank: int) -> Dict[str, int]:
-        """Per-rank wire traffic: batched message counts and bytes, in
-        the same vocabulary as the dessim cost model."""
-        batches = self.message_batches()
-        recv_batches = sum(1 for (s, d) in batches if d == rank)
-        send_batches = sum(1 for (s, d) in batches if s == rank)
-        recv_bytes = sum(m.nbytes for m in self.messages if m.dst_rank == rank)
-        send_bytes = sum(m.nbytes for m in self.messages if m.src_rank == rank)
-        return {
-            "recv_batches": recv_batches,
-            "send_batches": send_batches,
-            "recv_bytes": recv_bytes,
-            "send_bytes": send_bytes,
-        }
-
     def topological_order(self) -> List[DetailedTask]:
         """Kahn's algorithm over internal edges (messages count as arrived),
         in :class:`ReadyTracker`'s ascending-id order; raises on cycles."""

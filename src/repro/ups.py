@@ -327,10 +327,18 @@ def spectral_model(sp: SpectralSpec):
     """Resolve a :class:`SpectralSpec` into the tracer's model.
 
     Pure function of the spec fields — journaled spectral specs
-    rebuild the identical model (and digest) anywhere.
+    rebuild the identical model (and digest) anywhere. Each distinct
+    spec is built once and the read-only model shared.
     """
+    # a hashable key, however the edges were given
+    return _spectral_model(astuple(replace(sp, band_edges_um=tuple(sp.band_edges_um))))
+
+
+@lru_cache(maxsize=64)
+def _spectral_model(spectral: tuple):
     from repro.radiation.spectral.model import SpectralModel
 
+    sp = SpectralSpec(*spectral)
     return SpectralModel.build(**{**vars(sp), "band_edges_um": sp.band_edges_um or None})
 
 
@@ -426,17 +434,8 @@ def _scene_digest(grid: tuple, spectral_digest: Optional[str]) -> str:
     return h.hexdigest()
 
 
-@lru_cache(maxsize=64)
-def _spectral_model_digest(spectral: tuple) -> str:
-    return spectral_model(SpectralSpec(*spectral)).digest()
-
-
 def _spectral_digest(spec: ProblemSpec) -> Optional[str]:
-    sp = spec.spectral
-    if sp is None:
-        return None
-    # a hashable key, however the edges were given
-    return _spectral_model_digest(astuple(replace(sp, band_edges_um=tuple(sp.band_edges_um))))
+    return None if spec.spectral is None else spectral_model(spec.spectral).digest()
 
 
 def scene_fingerprint(spec: ProblemSpec) -> str:

@@ -1,4 +1,4 @@
-"""Tests for the verification/analysis helpers."""
+"""Tests for the accuracy instrument: RMS error and convergence order."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,14 @@ from repro.core import SingleLevelRMCRT
 from repro.radiation import BurnsChristonBenchmark, dom_reference_divq
 from repro.radiation.analysis import (
     ConvergenceStudy,
-    max_error,
     monte_carlo_convergence,
-    relative_l2_error,
     rms_error,
-    symmetry_deviation,
 )
 from repro.util.errors import ReproError
+
+
+def strictly_decreasing(errors):
+    return all(b < a for a, b in zip(errors, errors[1:]))
 
 
 class TestNorms:
@@ -22,25 +23,9 @@ class TestNorms:
         b = np.full((2, 2, 2), 3.0)
         assert rms_error(a, b) == 3.0
 
-    def test_relative_l2(self):
-        r = np.full(4, 2.0)
-        f = np.full(4, 2.2)
-        assert relative_l2_error(f, r) == pytest.approx(0.1)
-
-    def test_max(self):
-        assert max_error(np.array([1.0, 5.0]), np.array([1.0, 2.0])) == 3.0
-
     def test_shape_mismatch(self):
         with pytest.raises(ReproError):
             rms_error(np.zeros(3), np.zeros(4))
-        with pytest.raises(ReproError):
-            relative_l2_error(np.zeros(3), np.zeros(4))
-        with pytest.raises(ReproError):
-            max_error(np.zeros(3), np.zeros(4))
-
-    def test_zero_reference(self):
-        with pytest.raises(ReproError):
-            relative_l2_error(np.ones(3), np.zeros(3))
 
 
 class TestConvergenceStudy:
@@ -48,9 +33,7 @@ class TestConvergenceStudy:
         ns = [4, 16, 64, 256]
         study = ConvergenceStudy(ns, [1.0 / np.sqrt(n) for n in ns])
         assert study.order == pytest.approx(-0.5)
-        assert study.monotone_decreasing
-        assert study.matches_order(-0.5)
-        assert not study.matches_order(-2.0)
+        assert strictly_decreasing(study.errors)
 
     def test_validation(self):
         with pytest.raises(ReproError):
@@ -76,8 +59,8 @@ class TestConvergenceStudy:
             ).divq
 
         study = monte_carlo_convergence(solve, reference, [4, 16, 64])
-        assert study.monotone_decreasing
-        assert study.matches_order(-0.5, tol=0.3)
+        assert strictly_decreasing(study.errors)
+        assert study.order == pytest.approx(-0.5, abs=0.3)
 
     def test_monte_carlo_driver_validation(self):
         with pytest.raises(ReproError):
@@ -85,30 +68,14 @@ class TestConvergenceStudy:
 
 
 class TestSymmetry:
-    def test_symmetric_field(self):
-        bench = BurnsChristonBenchmark(resolution=8)
-        grid = bench.single_level_grid()
-        f = bench.abskg_field(grid.finest_level)
-        dev = symmetry_deviation(f)
-        for v in dev.values():
-            assert v < 1e-12
-
-    def test_asymmetric_field_detected(self):
-        rng = np.random.default_rng(0)
-        dev = symmetry_deviation(rng.random((8, 8, 8)))
-        assert all(v > 0.1 for v in dev.values())
-
     def test_rmcrt_solution_statistically_symmetric(self):
+        """The Burns & Christon del.q keeps the geometry's symmetries
+        (mirror in each axis, cyclic axis permutation) up to MC noise."""
         bench = BurnsChristonBenchmark(resolution=8)
         grid = bench.single_level_grid()
         props = bench.properties_for_level(grid.finest_level)
         divq = SingleLevelRMCRT(rays_per_cell=64, seed=2).solve(grid, props).divq
-        dev = symmetry_deviation(divq)
-        for v in dev.values():
-            assert v < 0.05  # MC noise only
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            symmetry_deviation(np.zeros((4, 5, 4)))
-        with pytest.raises(ReproError):
-            symmetry_deviation(np.zeros((4, 4, 4)))
+        norm = np.linalg.norm(divq)
+        for image in (divq[::-1, :, :], divq[:, ::-1, :], divq[:, :, ::-1],
+                      np.transpose(divq, (1, 2, 0))):
+            assert np.linalg.norm(divq - image) / norm < 0.05  # MC noise only

@@ -1,9 +1,5 @@
 """Tests for the ARCHES-lite CFD substrate and the coupled driver."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -11,16 +7,11 @@ from repro.arches import (
     BoilerScenario,
     CoupledSimulation,
     EnergyEquation,
-    PressureProjection,
-    SmagorinskyModel,
     advance,
-    divergence,
-    gradient,
     laplacian,
     ssp_rk1,
     ssp_rk2,
     ssp_rk3,
-    strain_rate_magnitude,
     upwind_advection,
 )
 from repro.arches.operators import pad_field
@@ -79,21 +70,6 @@ class TestOperators:
         lap = laplacian(f, dx, bc="periodic")
         assert np.allclose(lap, -3.0 * f, atol=0.05)
 
-    def test_gradient_plane_wave(self):
-        n = 32
-        x = np.linspace(0, 2 * np.pi, n, endpoint=False)
-        f = np.sin(x)[:, None, None] * np.ones((n, n, n))
-        gx, gy, gz = gradient(f, (2 * np.pi / n,) * 3, bc="periodic")
-        assert np.allclose(gx, np.cos(x)[:, None, None] * np.ones_like(f), atol=0.01)
-        assert np.allclose(gy, 0) and np.allclose(gz, 0)
-
-    def test_divergence_of_gradient_field(self):
-        f, dx = wave_field(32)
-        gx, gy, gz = gradient(f, dx, bc="periodic")
-        div = divergence(gx, gy, gz, dx, bc="periodic")
-        # wide-stencil laplacian of the eigenfunction: still ~ -3f
-        assert np.corrcoef(div.ravel(), f.ravel())[0, 1] < -0.99
-
     def test_upwind_translates_correctly(self):
         """Constant +x velocity: d(phi)/dt = -u dphi/dx with donor cell."""
         n = 16
@@ -111,101 +87,6 @@ class TestOperators:
         vel = (np.ones_like(phi), np.zeros_like(phi), np.zeros_like(phi))
         rhs = upwind_advection(phi, vel, (1.0,) * 3, bc="periodic")
         assert abs(rhs.sum()) < 1e-10
-
-    def test_strain_rate_shear(self):
-        """u = (y, 0, 0): |S| = sqrt(2 * 2 * (1/2)^2) = 1... precisely
-        |S| = sqrt(2 S_ij S_ij) with S_xy = 1/2 => sqrt(2*2*(1/4)) = 1."""
-        n = 16
-        y = np.linspace(0, 1, n, endpoint=False)
-        u = np.broadcast_to(y[None, :, None], (n, n, n)).copy()
-        z = np.zeros_like(u)
-        mag = strain_rate_magnitude((u, z, z), (1.0 / n,) * 3)
-        assert np.allclose(mag[:, 2:-2, :], 1.0, atol=1e-10)
-
-
-class TestProjection:
-    def test_reduces_divergence(self):
-        n = 16
-        x = np.linspace(0, 2 * np.pi, n, endpoint=False)
-        X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
-        u = np.sin(X) * np.cos(Y)
-        v = np.cos(Y) * np.sin(Z)
-        w = np.sin(Z) * np.cos(X)
-        dx = (2 * np.pi / n,) * 3
-        proj = PressureProjection(dx)
-        u2, v2, w2, p = proj.project(u, v, w)
-        d0 = np.abs(divergence(u, v, w, dx, bc="periodic")).max()
-        d1 = np.abs(divergence(u2, v2, w2, dx, bc="periodic")).max()
-        assert d1 < 0.2 * d0
-
-    def test_divergence_free_is_fixed_point(self):
-        n = 16
-        x = np.linspace(0, 2 * np.pi, n, endpoint=False)
-        X = np.meshgrid(x, x, x, indexing="ij")[0]
-        # u = (0, sin x, 0) is divergence-free
-        u = np.zeros((n, n, n))
-        v = np.sin(X)
-        w = np.zeros_like(u)
-        proj = PressureProjection((2 * np.pi / n,) * 3)
-        u2, v2, w2, _ = proj.project(u, v, w)
-        assert np.allclose(u2, u, atol=1e-8)
-        assert np.allclose(v2, v, atol=1e-8)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ReproError):
-            PressureProjection((1, 1, 1)).project(
-                np.zeros((4, 4, 4)), np.zeros((4, 4, 4)), np.zeros((5, 4, 4))
-            )
-
-
-    def test_scipy_loads_on_the_first_projection_not_at_import(self):
-        """``import repro`` reaches this module in every solver, server
-        and worker process; scipy.sparse (28 MB resident) is for the one
-        caller that projects."""
-        prog = (
-            "import sys, numpy as np, repro\n"
-            "assert 'scipy' not in sys.modules, 'import repro loaded scipy'\n"
-            "from repro.arches import PressureProjection\n"
-            "PressureProjection((1.0, 1.0, 1.0)).project(*np.zeros((3, 4, 4, 4)))\n"
-            "assert 'scipy.sparse.linalg' in sys.modules\n"
-        )
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH", "")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", prog], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-
-
-class TestSmagorinsky:
-    def test_no_strain_no_viscosity(self):
-        m = SmagorinskyModel()
-        z = np.zeros((8, 8, 8))
-        assert np.allclose(m.eddy_viscosity((z, z, z), (0.1,) * 3), 0)
-
-    def test_scaling_with_strain(self):
-        m = SmagorinskyModel()
-        n = 16
-        y = np.linspace(0, 1, n, endpoint=False)
-        u1 = np.broadcast_to(y[None, :, None], (n, n, n)).copy()
-        z = np.zeros_like(u1)
-        nu1 = m.eddy_viscosity((u1, z, z), (1 / n,) * 3)[:, 4:-4, :].mean()
-        nu2 = m.eddy_viscosity((2 * u1, z, z), (1 / n,) * 3)[:, 4:-4, :].mean()
-        assert np.isclose(nu2, 2 * nu1, rtol=1e-6)
-
-    def test_effective_diffusivity_floor(self):
-        m = SmagorinskyModel()
-        z = np.zeros((4, 4, 4))
-        k = m.effective_diffusivity((z, z, z), (0.1,) * 3, molecular=0.5)
-        assert np.allclose(k, 0.5)
-
-    def test_bad_constant(self):
-        with pytest.raises(ReproError):
-            SmagorinskyModel(cs=1.5)
-
 
 class TestEnergyEquation:
     def test_diffusion_smooths(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.grid.box import Box, union_volume
+from repro.grid.box import Box
 from repro.util.errors import GridError
 
 
@@ -182,29 +182,6 @@ class TestProperties:
         e = b.extent
         grown = b.grow(g)
         assert grown.volume == (e[0] + 2 * g) * (e[1] + 2 * g) * (e[2] + 2 * g)
-
-    @given(st.lists(boxes(max_coord=6, max_extent=5), max_size=6))
-    @settings(max_examples=100)
-    def test_union_volume_against_rasterization(self, bs):
-        """Sweep-based union volume equals brute-force voxel count."""
-        expected = len({c for b in bs for c in b.cells()})
-        assert union_volume(bs) == expected
-
-
-class TestUnionVolume:
-    def test_empty(self):
-        assert union_volume([]) == 0
-
-    def test_disjoint(self):
-        assert union_volume([Box.cube(2), Box.cube(3, lo=(10, 0, 0))]) == 8 + 27
-
-    def test_nested(self):
-        assert union_volume([Box.cube(4), Box.cube(2, lo=(1, 1, 1))]) == 64
-
-    def test_overlapping(self):
-        a = Box((0, 0, 0), (2, 1, 1))
-        b = Box((1, 0, 0), (3, 1, 1))
-        assert union_volume([a, b]) == 3
 
 
 def raw_boxes(span=5):

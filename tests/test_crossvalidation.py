@@ -69,21 +69,6 @@ class TestGraphVsCostModel:
         measured = per_rank.mean()
         assert measured / 3 < predicted < measured * 3
 
-    def test_batching_reduces_wire_messages(self, compiled):
-        batches = compiled.message_batches()
-        assert len(batches) < len(compiled.messages)
-        assert sum(len(v) for v in batches.values()) == len(compiled.messages)
-
-    def test_rank_comm_stats_consistent(self, compiled):
-        total_recv = sum(
-            compiled.rank_comm_stats(r)["recv_bytes"] for r in range(8)
-        )
-        assert total_recv == compiled.total_message_bytes
-        total_send = sum(
-            compiled.rank_comm_stats(r)["send_bytes"] for r in range(8)
-        )
-        assert total_send == total_recv
-
 
 class TestCPUNodeModel:
     def test_validation(self):

@@ -12,7 +12,6 @@ from repro.grid import (
     Grid,
     Level,
     Patch,
-    TiledRegridder,
     build_single_level_grid,
     build_two_level_grid,
     decompose_level,
@@ -298,21 +297,29 @@ class TestPatchIndex:
         assert len(tests) == 1
 
     def test_regridded_levels(self):
-        """The tests/test_regrid.py grids: sparse tiles registered
-        through the trusted path, ids offset past the coarse level's."""
-        coarse = Grid()
-        decompose_level(coarse.add_level(Box.cube(16), (1 / 16,) * 3), (8, 8, 8))
-        two_flags = np.zeros((16, 16, 16), dtype=bool)
-        two_flags[2, 3, 4] = two_flags[12, 12, 12] = True
-        blob = np.zeros((16, 16, 16), dtype=bool)
-        blob[3:11, 5:9, 2:14] = True
+        """Sparse fine levels, as a tiled regridder leaves them: tiles
+        registered through the trusted path, ids offset past the coarse
+        level's."""
+        blob = [(i, j, k) for i in range(3, 11) for j in range(5, 9)
+                for k in range(2, 14)]
+        tilings = (
+            # two flagged cells far apart, one 2^3 coarse tile each
+            ([Box.cube(2, lo=(2, 2, 4)), Box.cube(2, lo=(12, 12, 12))], 4),
+            # the 4^3 coarse tiles a blob touches
+            ([Box.cube(4, lo=(i, j, k)) for i in (0, 4, 8) for j in (4, 8)
+              for k in (0, 4, 8, 12)], 2),
+            # one coarse cell a tile
+            ([Box.cube(1, lo=cell) for cell in blob], 4),
+        )
         rng = random.Random(3)
-        for flags, size, ratio in ((two_flags, 8, 4), (blob, 8, 2), (blob, 4, 4)):
-            new_grid, patches = TiledRegridder(size, ratio).regrid(
-                coarse, flags, patch_id_offset=8
-            )
-            fine = new_grid.finest_level
-            assert fine.patches == patches and not fine.is_fully_tiled()
-            for level in new_grid.levels:
+        for tiles, ratio in tilings:
+            grid = Grid()
+            decompose_level(grid.add_level(Box.cube(16), (1 / 16,) * 3), (8, 8, 8))
+            fine = grid.add_level(Box.cube(16 * ratio), (1 / (16 * ratio),) * 3,
+                                  refinement_ratio=(ratio,) * 3)
+            for n, tile in enumerate(tiles):
+                fine._register_patch(Patch(8 + n, 1, tile.refine(ratio)))
+            assert not fine.is_fully_tiled()
+            for level in grid.levels:
                 for region in query_regions(level, rng):
                     assert level.patches_intersecting(region) == linear_scan(level, region)

@@ -40,19 +40,6 @@ class TestNetworkModel:
         t = GEMINI.ptp_time(20_000_000_000)
         assert t == pytest.approx(1.0 + 1.4e-6)
 
-    def test_allgather_grows_with_ranks(self):
-        v = 50 * 1024 ** 2
-        times = [GEMINI.allgather_time(v, r) for r in (2, 64, 1024, 16384)]
-        assert times == sorted(times)
-
-    def test_allgather_single_rank_free(self):
-        assert GEMINI.allgather_time(1000, 1) == 0.0
-
-    def test_bcast_log_scaling(self):
-        t2 = GEMINI.bcast_time(0, 2)
-        t1024 = GEMINI.bcast_time(0, 1024)
-        assert t1024 == pytest.approx(10 * t2)
-
     def test_congestion(self):
         slow = NetworkModel(congestion=0.5)
         assert slow.ptp_time(1000) > GEMINI.ptp_time(1000)
@@ -60,8 +47,6 @@ class TestNetworkModel:
     def test_validation(self):
         with pytest.raises(ReproError):
             NetworkModel(bandwidth=0)
-        with pytest.raises(ReproError):
-            GEMINI.allgather_time(10, 0)
 
 
 class TestGPUModel:
@@ -330,76 +315,3 @@ class TestClusterSimulator:
         b = sim.simulate_timestep(MEDIUM, 64, 512)
         assert b.active_gpus == 64
         assert b.patches_per_gpu == 1
-
-
-class TestCampaignSimulation:
-    """Failure-aware campaign pricing: checkpoints, deaths, rework."""
-
-    @pytest.fixture
-    def problem(self):
-        return RMCRTProblem(fine_cells=128, rays_per_cell=10)
-
-    def test_fault_free_campaign(self, problem):
-        from repro.dessim import simulate_campaign
-
-        r = simulate_campaign(problem, 16, 64, num_steps=6, checkpoint_every=2)
-        assert r.deaths == 0 and r.final_gpus == 64
-        assert r.checkpoints == 3
-        assert r.recovery_s == 0.0 and r.rework_s == 0.0
-        assert r.compute_s > 0 and r.checkpoint_s > 0
-        assert r.total_s == pytest.approx(r.compute_s + r.checkpoint_s)
-
-    def test_death_costs_restart_and_rework(self, problem):
-        from repro.dessim import simulate_campaign
-        from repro.resilience import FaultEvent, FaultPlan
-
-        plan = FaultPlan([FaultEvent(kind="rank-death", step=5, target=3)])
-        r = simulate_campaign(
-            problem, 16, 64, num_steps=6, fault_plan=plan,
-            checkpoint_every=3, restart_cost_s=25.0,
-        )
-        assert r.deaths == 1 and r.final_gpus == 63
-        assert r.recovery_s == pytest.approx(25.0)
-        # death at step 5 with checkpoint at 3: one step replayed
-        assert r.rework_s > 0
-        baseline = simulate_campaign(problem, 16, 64, num_steps=6, checkpoint_every=3)
-        assert r.total_s > baseline.total_s
-        assert 0 < r.overhead_fraction < 1
-
-    def test_cadence_tradeoff(self, problem):
-        """More frequent checkpoints cost more write time but bound
-        the rework a death can cause — the E14 experiment's axis."""
-        from repro.dessim import simulate_campaign
-        from repro.resilience import FaultEvent, FaultPlan
-
-        plan = FaultPlan([FaultEvent(kind="rank-death", step=8, target=0)])
-        tight = simulate_campaign(
-            problem, 16, 64, num_steps=10, fault_plan=plan, checkpoint_every=1
-        )
-        loose = simulate_campaign(
-            problem, 16, 64, num_steps=10, fault_plan=plan, checkpoint_every=8
-        )
-        assert tight.checkpoint_s > loose.checkpoint_s
-        assert tight.rework_s < loose.rework_s
-
-    def test_event_log_and_dict(self, problem):
-        import json
-
-        from repro.dessim import simulate_campaign
-        from repro.resilience import FaultEvent, FaultPlan
-
-        plan = FaultPlan([FaultEvent(kind="rank-death", step=2, target=1)])
-        r = simulate_campaign(problem, 16, 8, num_steps=4, fault_plan=plan)
-        kinds = {e.kind for e in r.events}
-        assert kinds == {"rank-death", "checkpoint"}
-        json.dumps(r.as_dict())  # artifact-ready
-
-    def test_validation(self, problem):
-        from repro.dessim import simulate_campaign
-
-        with pytest.raises(ReproError):
-            simulate_campaign(problem, 16, 8, num_steps=0)
-        with pytest.raises(ReproError):
-            simulate_campaign(problem, 16, 8, num_steps=2, checkpoint_every=0)
-        with pytest.raises(ReproError):
-            simulate_campaign(problem, 16, 8, num_steps=2, pfs_bandwidth=0)

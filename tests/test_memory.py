@@ -1,4 +1,4 @@
-"""Tests for the heap models, arena, pool, tracker, and the
+"""Tests for the heap models, arena, pool, and the
 fragmentation workload (Section IV.B)."""
 
 import threading
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import (
-    AllocationTracker,
     AllocatorStack,
     ArenaAllocator,
     GlobalLockAllocator,
@@ -271,40 +270,6 @@ class TestSizeClassPool:
         contended_pool = drive(SizeClassPool(hold_time=hold, chunk_slots=64))
         assert contended_lock > 0
         assert contended_pool == 0
-
-
-class TestTracker:
-    def test_per_tag_summary(self):
-        t = AllocationTracker()
-        t.record_alloc("mpi_buffer", 100, 1024)
-        t.record_alloc("mpi_buffer", 200, 2048)
-        t.record_free(100)
-        s = t.summary()["mpi_buffer"]
-        assert s.count == 2
-        assert s.bytes_total == 3072
-        assert s.bytes_peak_live == 3072
-        assert t.live_allocations == 1
-
-    def test_leak_report(self):
-        t = AllocationTracker()
-        t.record_alloc("metadata", 1, 64)
-        assert t.leaked_by_tag() == {"metadata": 64}
-
-    def test_errors(self):
-        t = AllocationTracker()
-        t.record_alloc("x", 1, 10)
-        with pytest.raises(AllocationError):
-            t.record_alloc("x", 1, 10)
-        with pytest.raises(AllocationError):
-            t.record_free(99)
-
-    def test_compare_flags_superlinear_tags(self):
-        small, big = AllocationTracker(), AllocationTracker()
-        small.record_alloc("scales_fine", 1, 100)
-        small.record_alloc("blows_up", 2, 100)
-        big.record_alloc("scales_fine", 1, 200)   # 2x at 2x scale: fine
-        big.record_alloc("blows_up", 2, 1000)     # 10x at 2x scale: flagged
-        assert AllocationTracker.compare(small, big, scale_factor=2.0) == ["blows_up"]
 
 
 class TestWorkloadReplay:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.grid import Box
 from repro.core import (
-    cell_ray_origins,
     cosine_hemisphere_directions,
     generate_patch_rays,
     isotropic_directions,
@@ -56,10 +55,13 @@ class TestIsotropicDirections:
 
 
 class TestOrigins:
+    """Origins as a launch draws them (``generate_patch_rays``)."""
+
     def test_jittered_inside_cells(self):
         fields = make_fields(4)
-        cells = np.array([[0, 0, 0], [3, 3, 3]])
-        o = cell_ray_origins(fields, cells, 50, np.random.default_rng(0))
+        cells = [Box.cube(1), Box.cube(1, lo=(3, 3, 3))]
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        o, _ = generate_patch_rays(fields, cells, 50, rngs)
         assert o.shape == (100, 3)
         dx = 0.25
         first = o[:50]
@@ -69,14 +71,14 @@ class TestOrigins:
 
     def test_centered(self):
         fields = make_fields(4)
-        cells = np.array([[1, 2, 3]])
-        o = cell_ray_origins(fields, cells, 3, np.random.default_rng(0), centered=True)
+        o, _ = generate_patch_rays(fields, [Box.cube(1, lo=(1, 2, 3))], 3,
+                                   [np.random.default_rng(0)], centered_origins=True)
         assert np.allclose(o, fields.cell_center(np.array([1, 2, 3])))
 
     def test_grouped_by_cell(self):
         fields = make_fields(4)
-        cells = np.array([[0, 0, 0], [1, 0, 0]])
-        o = cell_ray_origins(fields, cells, 4, np.random.default_rng(0), centered=True)
+        o, _ = generate_patch_rays(fields, [Box((0, 0, 0), (2, 1, 1))], 4,
+                                   [np.random.default_rng(0)], centered_origins=True)
         assert np.allclose(o[:4], o[0])
         assert not np.allclose(o[4], o[0])
 

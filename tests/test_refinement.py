@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from repro.grid.refinement import (
     coarsen_average,
     coarsen_max,
-    project_properties,
     refine_inject,
 )
 from repro.util.errors import GridError
@@ -95,17 +94,3 @@ class TestRefineInject:
     def test_coarsen_is_left_inverse(self, coarse, r):
         """coarsen_average(refine_inject(x)) == x exactly."""
         assert np.allclose(coarsen_average(refine_inject(coarse, r), r), coarse)
-
-
-class TestProjectProperties:
-    def test_bundle(self):
-        fields = {
-            "abskg": np.random.default_rng(0).random((4, 4, 4)),
-            "sigma_t4": np.ones((4, 4, 4)),
-            "cell_type": np.zeros((4, 4, 4), dtype=np.int8),
-        }
-        fields["cell_type"][0, 0, 0] = 1
-        out = project_properties(fields, 2)
-        assert out["abskg"].shape == (2, 2, 2)
-        assert np.isclose(out["abskg"].mean(), fields["abskg"].mean())
-        assert out["cell_type"][0, 0, 0] == 1  # wall survives coarsening

@@ -65,6 +65,11 @@ class TestPlanckFraction:
         with pytest.raises(ReproError):
             fraction_inverse(0.5, -1.0)
 
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf])
+    def test_inverse_rejects_non_finite_temperature(self, temperature):
+        with pytest.raises(ReproError, match="positive and finite"):
+            fraction_inverse(0.5, temperature)
+
 
 class TestPlanckTable:
     def test_equal_fraction_edges_give_equal_weights(self):
@@ -117,6 +122,18 @@ class TestPlanckTable:
     def test_non_finite_temperature_rejected(self, temperature):
         with pytest.raises(ReproError, match="positive and finite"):
             PlanckTable.from_edges((0.0, np.inf), temperature)
+
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf])
+    def test_equal_fraction_refuses_before_bisecting(self, temperature, monkeypatch):
+        from repro.radiation.spectral import planck
+
+        calls = []
+        fraction = planck.planck_fraction
+        monkeypatch.setattr(planck, "planck_fraction",
+                            lambda lt: calls.append(lt) or fraction(lt))
+        with pytest.raises(ReproError, match="positive and finite"):
+            PlanckTable.equal_fraction(4, temperature)
+        assert calls == []
 
 
 class TestTabulatedEmissivity:

@@ -269,6 +269,28 @@ class TestRun:
         thr = run_ups(serial_spec)
         np.testing.assert_array_equal(dist.divq, thr.divq)
 
+    def test_spectral_model_built_once_per_spec(self, monkeypatch):
+        """A spec's spectral model is built once and shared read-only by
+        every later solve and fingerprint of an equal spec."""
+        from repro.radiation.spectral.model import SpectralModel
+        from repro.ups import SpectralSpec, spec_fingerprint, spectral_model
+
+        builds = []
+        build = SpectralModel.build.__func__
+        monkeypatch.setattr(SpectralModel, "build", classmethod(
+            lambda cls, **kw: builds.append(kw) or build(cls, **kw)))
+        # a temperature no other test uses, so the cache starts cold
+        spec = parse_ups(MINIMAL)
+        spec.spectral = SpectralSpec(bands=3, temperature=1234.5)
+        first = run_ups(spec)
+        spec.spectral = SpectralSpec(bands=3, temperature=1234.5)
+        second = run_ups(spec)
+        spec_fingerprint(spec)
+        assert len(builds) == 1
+        np.testing.assert_array_equal(first.divq, second.divq)
+        with pytest.raises(ValueError):  # read-only: no solve can change it
+            spectral_model(spec.spectral).kappa_scales[0] = 2.0
+
     def test_cli_end_to_end(self, tmp_path, capsys):
         from repro.__main__ import main
 

@@ -8,6 +8,12 @@ packaged volume scenarios on both backends (the scalar one smaller: it
 marches one ray at a time) and of one two-level solve, whose coarse
 level's bands are transformed too. A change to how a band's fields are
 laid out or derived moves one of them or nothing.
+
+The enclosure has no volume trace: its pins hold the raw Monte Carlo
+view-factor matrix (points and cosine-weighted directions drawn per
+face, exit faces tallied) and the net face flux of the packaged and
+the default enclosure; the packaged one folds in its band edges'
+Planck inverse.
 """
 
 import hashlib
@@ -20,6 +26,7 @@ import pytest
 from repro.core import MultiLevelRMCRT
 from repro.radiation import BurnsChristonBenchmark, RadiativeProperties
 from repro.radiation.spectral.scenario import get_scenario
+from repro.radiation.spectral.viewfactor import EnclosureScenario, view_factor_matrix
 
 #: scenario -> divq sha256 on the vectorized backend at the scenario's size
 VECTORIZED = {
@@ -34,6 +41,13 @@ SCALAR = {
     "hot-wall-tungsten": "1c9d826523904436ba4b156bb62b7749460fbee5041c8f8ce6074244924fe0e4",
 }
 TWO_LEVEL = "a0a1f435c61f6ba5d5ce502f4fd23940535333337aecbafe0b9dab56755cff22"
+#: (dims, samples per face, seed) -> raw view-factor matrix sha256
+VIEW_FACTORS = {
+    ((1.0, 1.0, 1.0), 20000, 0): "04d803feb149e6ac7db4bba5202dccfd69403107a1bdd8333f85d2f2de734f30",
+    ((2.0, 1.0, 0.5), 4000, 3): "338b2baef81266b0da3bb964c861c54c149014eb3b8eb71b4984800d14feae18",
+}
+ENCLOSURE_FLUX = "bd0363ea878bae13f63aefe8770068a46c180b585dd784b406f425345df259d8"
+DEFAULT_ENCLOSURE_FLUX = "5b9f4f3660b87803abdce89644ca6bcaf652e0b056f64b02342e0ec78a7067d9"
 
 
 def digest(divq):
@@ -73,3 +87,14 @@ def test_two_level_spectral_solve_is_pinned():
     )
     solver = MultiLevelRMCRT(rays_per_cell=2, halo=2, seed=3, spectral=case.model)
     assert digest(solver.solve(grid, props).divq) == TWO_LEVEL
+
+
+@pytest.mark.parametrize("case", sorted(VIEW_FACTORS))
+def test_view_factor_matrix_is_pinned(case):
+    dims, samples, seed = case
+    assert digest(view_factor_matrix(dims, samples, seed=seed)) == VIEW_FACTORS[case]
+
+
+def test_enclosure_flux_is_pinned():
+    assert digest(get_scenario("enclosure").solve().flux) == ENCLOSURE_FLUX
+    assert digest(EnclosureScenario().solve().flux) == DEFAULT_ENCLOSURE_FLUX

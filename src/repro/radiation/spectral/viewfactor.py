@@ -7,9 +7,11 @@ by geometry (the view-factor matrix ``F``) and surface properties
 
 * :func:`view_factor_matrix` — Monte Carlo view factors for the six
   faces of a rectangular box enclosure: uniform points on each face,
-  cosine-weighted directions, exit-face counting. Drawn from seeded
-  named streams (``streams.named("viewfactor", face)``) so the matrix
-  is reproducible per seed.
+  the trace's cosine-weighted directions
+  (:func:`repro.core.rays.cosine_hemisphere_directions`), exit-face
+  counting. Drawn from seeded named streams
+  (``streams.named("viewfactor", face)``) so the matrix is
+  reproducible per seed.
 * :func:`enforce_constraints` — projects the raw MC matrix onto the
   exact constraint set (reciprocity ``A_i F_ij = A_j F_ji`` and unit
   row sums) by alternating symmetrization and row normalisation; both
@@ -34,6 +36,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.rays import cosine_hemisphere_directions
 from repro.perf.metrics import get_metrics
 from repro.perf.tracer import get_tracer
 from repro.radiation.constants import SIGMA_SB
@@ -76,25 +79,16 @@ def _sample_face(
     rng: np.random.Generator, dims: Sequence[float], face: int, n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(points, directions) for ``n`` cosine-weighted rays leaving a
-    face: points uniform over the face, directions cosine-distributed
-    about the inward normal (the diffuse-surface emission law)."""
+    face: points uniform over the face, directions the trace's
+    cosine-weighted draw about the inward normal (the diffuse-surface
+    emission law)."""
     axis, side = face // 2, face % 2
-    t_axes = [k for k in range(3) if k != axis]
     pts = np.empty((n, 3))
     pts[:, axis] = float(dims[axis]) if side else 0.0
-    pts[:, t_axes[0]] = rng.random(n) * float(dims[t_axes[0]])
-    pts[:, t_axes[1]] = rng.random(n) * float(dims[t_axes[1]])
-
-    u1 = rng.random(n)
-    u2 = rng.random(n)
-    sin_t = np.sqrt(u1)                     # cosine-weighted: sin^2 = u1
-    cos_t = np.sqrt(1.0 - u1)
-    phi = 2.0 * np.pi * u2
-    dirs = np.empty((n, 3))
-    dirs[:, axis] = cos_t if side == 0 else -cos_t   # inward normal
-    dirs[:, t_axes[0]] = sin_t * np.cos(phi)
-    dirs[:, t_axes[1]] = sin_t * np.sin(phi)
-    return pts, dirs
+    for k in range(3):
+        if k != axis:
+            pts[:, k] = rng.random(n) * float(dims[k])
+    return pts, cosine_hemisphere_directions(rng, n, axis, side)
 
 
 def _exit_faces(

@@ -77,20 +77,34 @@ def planck_fraction(lambda_t) -> np.ndarray:
     return out if lt.ndim else float(out[0])
 
 
-def fraction_inverse(fraction: float, temperature: float) -> float:
+def fraction_inverse(fraction, temperature: float):
     """Wavelength (um) below which ``fraction`` of the black-body power
     at ``temperature`` is emitted — the inverse of
-    :func:`planck_fraction`, by bisection."""
+    :func:`planck_fraction`, by bisection.
+
+    ``fraction`` is a scalar or an array; an array is bisected in one
+    pass, each element stopping where its own bisection would (its
+    midpoint an end), so every element is the scalar inverse."""
     check_banding(temperature)
-    if not 0.0 < fraction < 1.0:
+    target = np.asarray(fraction, dtype=np.float64)
+    if not np.all((0.0 < target) & (target < 1.0)):
         raise ReproError(f"fraction must be in (0, 1), got {fraction}")
-    lo, hi = 1e-3, 1e6 / temperature  # lambda*T from 1e-3*T to 1e6 um*K
+    flat = np.atleast_1d(target)
+    lo = np.full(flat.shape, 1e-3)  # lambda*T from 1e-3*T to 1e6 um*K
+    hi = np.full(flat.shape, 1e6 / temperature)
+    live = np.arange(flat.size)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break  # adjacent doubles: every later step would repeat this one
-        lo, hi = (mid, hi) if planck_fraction(mid * temperature) < fraction else (lo, mid)
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[live] + hi[live])
+        # adjacent doubles: every later step would repeat this one
+        moving = (mid != lo[live]) & (mid != hi[live])
+        live, mid = live[moving], mid[moving]
+        if not live.size:
+            break
+        below = planck_fraction(mid * temperature) < flat[live]
+        lo[live[below]] = mid[below]
+        hi[live[~below]] = mid[~below]
+    out = 0.5 * (lo + hi)
+    return out.reshape(target.shape) if target.ndim else float(out[0])
 
 
 def default_band_edges(nbands: int, temperature: float) -> Tuple[float, ...]:
@@ -102,10 +116,8 @@ def default_band_edges(nbands: int, temperature: float) -> Tuple[float, ...]:
     """
     if nbands < 1:
         raise ReproError(f"need at least one band, got {nbands}")
-    interior = [
-        fraction_inverse(k / nbands, temperature) for k in range(1, nbands)
-    ]
-    return tuple([0.0] + interior + [math.inf])
+    interior = fraction_inverse(np.arange(1, nbands) / nbands, temperature)
+    return tuple([0.0] + [float(e) for e in interior] + [math.inf])
 
 
 def check_banding(
@@ -196,12 +208,12 @@ class PlanckTable:
         half-open bands (edges 0 or inf), unlike the midpoint."""
         if not 0 <= band < self.nbands:
             raise ReproError(f"band {band} outside [0, {self.nbands})")
-        lo_f = float(planck_fraction(self.edges_um[band] * self.temperature))
-        hi_f = float(planck_fraction(self.edges_um[band + 1] * self.temperature))
-        return fraction_inverse(0.5 * (lo_f + hi_f), self.temperature)
+        return float(self.band_medians_um()[band])
 
     def band_medians_um(self) -> np.ndarray:
-        return np.array([self.band_median_um(b) for b in range(self.nbands)])
+        """Every band's :meth:`band_median_um`, in one inverse."""
+        f = planck_fraction(np.asarray(self.edges_um) * self.temperature)
+        return fraction_inverse(0.5 * (f[:-1] + f[1:]), self.temperature)
 
     def sample_bands(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` band indices drawn from the Planck weights by inverse

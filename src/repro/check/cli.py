@@ -107,7 +107,7 @@ def run_lint(paths=None, seeded_defects: bool = False) -> CheckReport:
         findings, suppressed = run_lint_fixture()
         report = CheckReport(suppressed=suppressed)
         report.extend(findings, check="lint")
-        report.meta["lint"] = {"fixture": "layer-violation"}
+        report.meta["lint"] = {"fixture": "layer-violation, unused-import"}
         return report
     targets = list(paths) if paths else [str(REPO_ROOT / "src" / "repro")]
     findings, suppressed, scanned = lint_paths(targets, root=REPO_ROOT)

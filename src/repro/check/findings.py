@@ -15,7 +15,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 #: finding severities, in gate order
 SEVERITIES = ("error", "warning")

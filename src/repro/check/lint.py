@@ -27,6 +27,8 @@ unlabeled-metric    warning   ``counter()/gauge()/histogram()`` with no label
 layer-violation     error     an import that points up :data:`LAYERS`: at module
                               level always, in a function unless it carries
                               ``# repro: allow(layer-violation) <reason>``
+unused-import       warning   a module-level import whose name the module never
+                              reads (``__init__`` files re-export, so are exempt)
 ==================  ========  ====================================================
 
 Deliberate violations carry an inline ``# repro: allow(<rule>)``.
@@ -37,7 +39,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.check.findings import (
     CheckFinding,
@@ -81,6 +83,11 @@ RULES = {
         "error",
         "import pointing up the layer order (module level: always; in a "
         "function: unless allowed with a reason)",
+    ),
+    "unused-import": (
+        "warning",
+        "module-level import whose name the module never reads "
+        "(__init__ files exempt)",
     ),
     "syntax-error": (
         "error",
@@ -422,6 +429,28 @@ class _RuleVisitor(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
 
+def _unused_imports(tree: ast.Module, path: str) -> List[CheckFinding]:
+    """unused-import: each name an import in the module body binds that
+    no loaded name of the module reads."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound != "*" and bound not in read:
+                found.append(CheckFinding(
+                    rule="unused-import", severity="warning",
+                    message=f"module-level import of {bound!r} is never read; "
+                            f"delete it",
+                    file=path, line=alias.lineno, check="lint",
+                ))
+    return found
+
+
 def lint_source(
     source: str, path: str = "<string>"
 ) -> Tuple[List[CheckFinding], int]:
@@ -446,6 +475,8 @@ def lint_source(
     visitor = _RuleVisitor(norm, scope_parts, blocking_in_scope,
                            source.splitlines())
     visitor.visit(tree)
+    if not norm.endswith("__init__.py"):
+        visitor.findings.extend(_unused_imports(tree, norm))
     suppressions = parse_suppressions(source)
     kept: List[CheckFinding] = []
     suppressed = visitor.allowed
@@ -459,9 +490,11 @@ def lint_source(
 
 
 #: the seeded-defect fixture, linted as a ``core/`` file: the module-level
-#: upward import must be caught, the allowed function-local one not
-SEEDED_LAYER_FIXTURE = (
+#: upward import and the never-read ``json`` must be caught, the allowed
+#: function-local upward import not
+SEEDED_LINT_FIXTURE = (
     "from repro.service import RadiationService\n"
+    "import json\n"
     "\n"
     "\n"
     "def serve():\n"
@@ -471,8 +504,8 @@ SEEDED_LAYER_FIXTURE = (
 
 
 def run_lint_fixture() -> Tuple[List[CheckFinding], int]:
-    """Lint :data:`SEEDED_LAYER_FIXTURE`: one finding, one suppressed."""
-    return lint_source(SEEDED_LAYER_FIXTURE, "<seeded>/repro/core/layers.py")
+    """Lint :data:`SEEDED_LINT_FIXTURE`: two findings, one suppressed."""
+    return lint_source(SEEDED_LINT_FIXTURE, "<seeded>/repro/core/layers.py")
 
 
 def iter_python_files(paths: Iterable[str]) -> List[Path]:

@@ -26,16 +26,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.dessim.costmodel import (
-    BYTES_PER_VAR,
-    CommStats,
-    LARGE,
-    MEDIUM,
-    NUM_PROPERTY_VARS,
     PoolTimingModel,
     RayWorkModel,
     RMCRTProblem,
     multi_level_comm_per_rank,
-    single_level_comm_per_rank,
 )
 from repro.dessim.engine import SlotResource
 from repro.machine.cpu import OPTERON_6274

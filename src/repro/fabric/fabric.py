@@ -34,7 +34,6 @@ from repro.fabric.autoscaler import AutoscalePolicy, Autoscaler
 from repro.fabric.events import EventLog
 from repro.fabric.hashring import rendezvous_shard
 from repro.fabric.router import Router
-from repro.fabric.shard import ShardHandle
 from repro.fabric.supervisor import Fleet, FleetSupervisor
 from repro.perf import tracectx
 from repro.perf.detect import default_bank, worst_severity

@@ -24,7 +24,7 @@ of the router re-discovers all state from the directories.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.fabric.hashring import rendezvous_shard
 from repro.perf import tracectx

@@ -47,7 +47,6 @@ from repro.perf.detect import (
     CACHE_HIT_RATIO,
     Detection,
     default_bank,
-    severity_rank,
 )
 from repro.util.atomic import atomic_write_text
 from repro.util.errors import PerfError

@@ -46,8 +46,6 @@ import uuid
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from repro.perf import tracectx
 from repro.perf.detect import default_bank
 from repro.perf.metrics import MetricsRegistry, set_metrics

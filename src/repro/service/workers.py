@@ -33,7 +33,7 @@ from repro.perf import tracectx
 from repro.perf.metrics import MetricsRegistry, get_metrics
 from repro.perf.tracer import SpanTracer, get_tracer
 from repro.service.batcher import Batch
-from repro.service.schema import CachedSolve, PendingSolve
+from repro.service.schema import CachedSolve
 from repro.ups import PreparedScene, ProblemSpec, prepare_scene, run_prepared, run_ups
 from repro.util.errors import ServiceError
 

@@ -16,6 +16,13 @@ def rules(findings):
     return sorted(f.rule for f in findings)
 
 
+def lint_layers(src, path):
+    """``lint_source``, the snippet's never-read imports aside: a layer
+    snippet only imports (``TestUnusedImportRule`` covers that rule)."""
+    findings, suppressed = lint_source(src, path)
+    return [f for f in findings if f.rule != "unused-import"], suppressed
+
+
 class TestFindings:
     def test_format_and_dict(self):
         f = CheckFinding(
@@ -155,29 +162,29 @@ class TestLayerRule:
 
     def test_downward_import_clean(self):
         src = "from repro.grid.box import Box\nfrom repro.perf.metrics import get_metrics\n"
-        assert lint_source(src, "src/repro/core/a.py") == ([], 0)
+        assert lint_layers(src, "src/repro/core/a.py") == ([], 0)
 
     def test_sideways_import_clean(self):
         src = "from repro.core.fields import LevelFields\n"
-        assert lint_source(src, "src/repro/core/a.py") == ([], 0)
+        assert lint_layers(src, "src/repro/core/a.py") == ([], 0)
         # radiation.spectral sits over core; its tracer imports the kernels
         src = "from repro.core.kernels import march\n"
-        assert lint_source(src, "src/repro/radiation/spectral/a.py") == ([], 0)
+        assert lint_layers(src, "src/repro/radiation/spectral/a.py") == ([], 0)
 
     def test_module_level_upward_import(self):
         src = "from repro.service import RadiationService\n"
-        findings, _ = lint_source(src, "src/repro/core/a.py")
+        findings, _ = lint_layers(src, "src/repro/core/a.py")
         assert rules(findings) == ["layer-violation"]
         assert "module-level" in findings[0].message
         # a package named as a whole sits at its highest layer: perf's
         # __init__ re-exports the analysis tools
-        findings, _ = lint_source("from repro.perf import get_metrics\n", "core/a.py")
+        findings, _ = lint_layers("from repro.perf import get_metrics\n", "core/a.py")
         assert rules(findings) == ["layer-violation"]
-        findings, _ = lint_source("from ..service import schema\n", "src/repro/core/a.py")
+        findings, _ = lint_layers("from ..service import schema\n", "src/repro/core/a.py")
         assert rules(findings) == ["layer-violation"]
         # an allow does not admit a module-level upward import
         src = "from repro.service import X  # repro: allow(layer-violation) no\n"
-        findings, suppressed = lint_source(src, "core/a.py")
+        findings, suppressed = lint_layers(src, "core/a.py")
         assert rules(findings) == ["layer-violation"] and suppressed == 0
 
     def test_function_local_upward_import_without_allow(self):
@@ -199,6 +206,40 @@ class TestLayerRule:
         out = capsys.readouterr().out
         assert out.count("[layer-violation]") == 1
         assert "layers.py:1:" in out and "1 suppressed" in out
+        assert out.count("[unused-import]") == 1 and "layers.py:2:" in out
+
+
+class TestUnusedImportRule:
+    """``unused-import``: a module-level import the module never reads."""
+
+    def test_never_read_import_flagged_at_its_name(self):
+        src = ("import os\n"
+               "from typing import (\n"
+               "    Dict,\n"
+               "    List,\n"
+               ")\n"
+               "x: List[int] = []\n")
+        findings, _ = lint_source(src, "src/repro/core/a.py")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("unused-import", 1), ("unused-import", 3)]
+        assert "'os'" in findings[0].message
+
+    def test_every_read_counts(self):
+        src = ("from __future__ import annotations\n"
+               "import os.path\n"
+               "import numpy as np\n"
+               "from repro.grid.box import Box\n"
+               "def f(b: Box) -> np.ndarray:\n"
+               "    return os.path.join(b)\n")
+        assert lint_source(src, "src/repro/core/a.py") == ([], 0)
+
+    def test_function_local_and_init_imports_exempt(self):
+        assert lint_source("def f():\n    import os\n", "src/repro/core/a.py") == ([], 0)
+        assert lint_source("import os\n", "src/repro/core/__init__.py") == ([], 0)
+
+    def test_suppression_honored(self):
+        src = "import os  # repro: allow(unused-import)\n"
+        assert lint_source(src, "src/repro/core/a.py") == ([], 1)
 
 
 class TestLintTree:

@@ -64,8 +64,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".grid": ["Box", "CellType", "Grid", "Level", "LoadBalancer", "Patch",
               "build_single_level_grid", "build_two_level_grid", "decompose_level"],
     ".radiation": ["BurnsChristonBenchmark", "DiscreteOrdinates", "RadiativeProperties",
-                   "SpectralBand", "SpectralRMCRT", "product_quadrature",
-                   "sn_level_symmetric"],
+                   "product_quadrature", "sn_level_symmetric"],
     ".core": ["DistributedRMCRT", "LevelFields", "MultiLevelRMCRT", "RMCRTResult",
               "RMCRTSolver", "SingleLevelRMCRT", "TraceOptions", "VirtualRadiometer",
               "benchmark_property_init"],

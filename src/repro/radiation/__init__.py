@@ -11,7 +11,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".quadrature": ["Quadrature", "sn_level_symmetric", "product_quadrature"],
     ".dom": ["DiscreteOrdinates", "dom_reference_divq"],
     ".analysis": ["ConvergenceStudy", "monte_carlo_convergence", "rms_error"],
-    ".spectral": ["COMBUSTION_3_BAND", "GREY", "EnclosureScenario", "PlanckTable",
-                  "SpectralBand", "SpectralModel", "SpectralRMCRT", "TabulatedEmissivity",
-                  "band_properties", "validate_bands"],
+    ".spectral": ["EnclosureScenario", "PlanckTable", "SpectralModel",
+                  "TabulatedEmissivity"],
 })

@@ -1,5 +1,5 @@
-"""Tests for the spectral band loop (the paper's future-work feature)
-and intrusion-geometry handling."""
+"""Tests for WSGG band sets as spectral models of the one trace, and
+for intrusion-geometry handling."""
 
 import numpy as np
 import pytest
@@ -10,17 +10,47 @@ from repro.core import (
 )
 from repro.core.dda import RayStatus
 from repro.arches import BoilerScenario
-from repro.radiation import (
-    COMBUSTION_3_BAND,
-    BurnsChristonBenchmark,
-    RadiativeProperties,
-    SpectralBand,
-    SpectralRMCRT,
-    band_properties,
-    validate_bands,
+from repro.radiation import BurnsChristonBenchmark, RadiativeProperties
+from repro.radiation.spectral import (
+    PlanckTable, SpectralModel, TabulatedEmissivity, fraction_inverse,
 )
 from repro.util.errors import ReproError
 from tests.level_fields import whole_level
+
+#: a representative 3-band combustion-gas set, (weights, kappa scales):
+#: an optically thick CO2/H2O band, a moderate band, a nearly
+#: transparent window
+COMBUSTION = ((0.35, 0.40, 0.25), (4.0, 1.0, 0.05))
+
+
+def wsgg_model(weights, kappa_scales, temperature=1000.0):
+    """A weighted-sum-of-grey-gases band set as the model the trace
+    samples: band ``b``'s edges sit at the Planck inverses of the
+    cumulative weights, so at ``temperature`` it carries ``weights[b]``
+    of the black-body power and marches ``kappa_scales[b]`` times the
+    gray kappa."""
+    inner = fraction_inverse(np.cumsum(weights)[:-1], temperature)
+    table = PlanckTable.from_edges([0.0, *inner, np.inf], temperature)
+    return SpectralModel(table, kappa_scales, TabulatedEmissivity.gray(len(weights)))
+
+
+def band_loop(grid, props, model, rays_per_cell, seed):
+    """The stratified estimator the model's expectation equals: one gray
+    solve a band on interior kappa times the band's scale and emissive
+    power (walls too) times its weight, the bands' del.q summed; each
+    band on its own seed."""
+    divq = 0.0
+    interior = props.interior.slices(origin=props.origin)
+    for b, (weight, scale) in enumerate(zip(model.table.weights, model.kappa_scales)):
+        abskg = props.abskg.copy()
+        abskg[interior] *= scale
+        band = RadiativeProperties(
+            interior=props.interior, abskg=abskg,
+            sigma_t4=props.sigma_t4 * weight, cell_type=props.cell_type,
+        )
+        solver = SingleLevelRMCRT(rays_per_cell=rays_per_cell, seed=seed + 7919 * b)
+        divq = divq + solver.solve(grid, band).divq
+    return divq
 
 
 @pytest.fixture(scope="module")
@@ -33,55 +63,54 @@ def bench_setup():
 
 class TestSpectralBands:
     def test_band_validation(self):
-        with pytest.raises(ReproError):
-            SpectralBand(weight=1.5, kappa_scale=1.0)
-        with pytest.raises(ReproError):
-            SpectralBand(weight=0.5, kappa_scale=-1.0)
-        with pytest.raises(ReproError):
-            validate_bands([])
-        with pytest.raises(ReproError):
-            validate_bands([SpectralBand(0.5, 1.0), SpectralBand(0.4, 1.0)])
-        validate_bands(COMBUSTION_3_BAND)
+        """A band set's weights come back from its edges; a negative
+        kappa scale is refused."""
+        model = wsgg_model(*COMBUSTION)
+        np.testing.assert_allclose(model.table.weights, COMBUSTION[0], rtol=1e-14)
+        assert model.planck_mean_scale == pytest.approx(1.8125)
+        with pytest.raises(ReproError, match="finite and non-negative"):
+            wsgg_model((0.5, 0.5), (1.0, -1.0))
 
     def test_band_properties_scaling(self, bench_setup):
+        """Band ``b`` of a level's fields (``LevelFields.bands``):
+        interior kappa times the band's scale, wall emissivity and
+        emissive power untouched (the Planck draw weights emission), the
+        level itself unchanged."""
         _, props = bench_setup
-        band = SpectralBand(weight=0.25, kappa_scale=2.0)
-        bp = band_properties(props, band)
-        assert np.allclose(
-            bp.interior_view("abskg"), 2.0 * props.interior_view("abskg")
-        )
-        assert np.allclose(bp.interior_view("sigma_t4"), 0.25)
-        # wall emissivity stays grey
-        assert bp.abskg[0, 5, 5] == props.abskg[0, 5, 5]
-        # original untouched
-        assert np.allclose(props.interior_view("sigma_t4"), 1.0)
+        fields = whole_level(props, (0.1,) * 3)
+        before = fields.abskg.copy()
+        bands = fields.bands(wsgg_model((0.25, 0.75), (2.0, 1.0)))
+        inner = tuple(slice(1, -1) for _ in range(3))
+        for b, scale in enumerate((2.0, 1.0)):
+            abskg, sigma_t4, _ = bands.views(b)
+            np.testing.assert_array_equal(
+                abskg[inner], scale * props.interior_view("abskg"))
+            np.testing.assert_array_equal(sigma_t4, props.sigma_t4)
+            assert abskg[0, 5, 5] == props.abskg[0, 5, 5]
+        np.testing.assert_array_equal(fields.abskg, before)
 
     def test_single_grey_band_matches_grey_solver(self, bench_setup):
         grid, props = bench_setup
-        grey = SingleLevelRMCRT(rays_per_cell=8, seed=2)
-        reference = grey.solve(grid, props)
-        spectral = SpectralRMCRT(SingleLevelRMCRT(rays_per_cell=8, seed=2))
-        result = spectral.solve(grid, props)
+        reference = SingleLevelRMCRT(rays_per_cell=8, seed=2).solve(grid, props)
+        model = wsgg_model((1.0,), (1.0,))
+        result = SingleLevelRMCRT(rays_per_cell=8, seed=2, spectral=model).solve(grid, props)
         np.testing.assert_array_equal(result.divq, reference.divq)
 
     def test_three_band_physical(self, bench_setup):
         grid, props = bench_setup
-        spectral = SpectralRMCRT(
-            SingleLevelRMCRT(rays_per_cell=16, seed=3), COMBUSTION_3_BAND
-        )
-        result = spectral.solve(grid, props)
+        model = wsgg_model(*COMBUSTION)
+        result = SingleLevelRMCRT(rays_per_cell=16, seed=3, spectral=model).solve(grid, props)
         assert result.divq.shape == (10, 10, 10)
         assert (result.divq > 0).all()  # hot medium, cold walls, all bands
-        assert result.rays_traced == 3 * 10 ** 3 * 16
+        assert result.rays_traced == 10 ** 3 * 16  # one band a ray
 
     def test_band_decomposition_consistency(self, bench_setup):
         """Splitting the grey gas into n identical sub-bands is the
         identity: same kappa, weights sum to 1 => statistically the grey
         answer (different streams, so compare means)."""
         grid, props = bench_setup
-        bands = [SpectralBand(weight=0.25, kappa_scale=1.0)] * 4
-        spectral = SpectralRMCRT(SingleLevelRMCRT(rays_per_cell=32, seed=4), bands)
-        result = spectral.solve(grid, props)
+        model = wsgg_model((0.25,) * 4, (1.0,) * 4)
+        result = SingleLevelRMCRT(rays_per_cell=32, seed=4, spectral=model).solve(grid, props)
         grey = SingleLevelRMCRT(rays_per_cell=32, seed=4).solve(grid, props)
         rel = abs(result.divq.mean() - grey.divq.mean()) / grey.divq.mean()
         assert rel < 0.02
@@ -90,32 +119,34 @@ class TestSpectralBands:
         """An optically thin band emits ~4*kappa*w per cell; the thick
         band dominates del.q."""
         grid, props = bench_setup
-        thin = SpectralRMCRT(
-            SingleLevelRMCRT(rays_per_cell=16, seed=5),
-            [SpectralBand(1.0, 0.01)],
-        ).solve(grid, props)
-        thick = SpectralRMCRT(
-            SingleLevelRMCRT(rays_per_cell=16, seed=5),
-            [SpectralBand(1.0, 1.0)],
-        ).solve(grid, props)
+        thin, thick = (
+            SingleLevelRMCRT(rays_per_cell=16, seed=5, spectral=wsgg_model((1.0,), (scale,)))
+            .solve(grid, props)
+            for scale in (0.01, 1.0)
+        )
         assert thin.divq.mean() < 0.05 * thick.divq.mean()
 
-    def test_solver_seed_restored(self, bench_setup):
-        grid, props = bench_setup
-        grey = SingleLevelRMCRT(rays_per_cell=4, seed=42)
-        SpectralRMCRT(grey, COMBUSTION_3_BAND).solve(grid, props)
-        assert grey.seed == 42
-
-    def test_bad_grey_solver_rejected(self):
-        with pytest.raises(ReproError):
-            SpectralRMCRT(object())
-
     def test_facade_solver_works(self, bench_setup):
+        """12 rays a cell: the band loop's 4 a band, in total."""
         grid, props = bench_setup
-        spectral = SpectralRMCRT(RMCRTSolver(rays_per_cell=4, seed=1),
-                                 COMBUSTION_3_BAND)
-        result = spectral.solve(grid, props)
-        assert (result.divq > 0).all()
+        solver = RMCRTSolver(rays_per_cell=12, seed=1, spectral=wsgg_model(*COMBUSTION))
+        assert (solver.solve(grid, props).divq > 0).all()
+
+    def test_sampled_bands_match_the_band_loop(self, bench_setup):
+        """The expectation identity: a ray's band drawn with probability
+        w_b and its intensity weighted s_b against the Planck-mean scale
+        is the sum over bands of gray solves on kappa*s_b and w_b*sigma
+        T^4. Domain means over independent seeds agree within 3 sigma."""
+        grid, props = bench_setup
+        model = wsgg_model(*COMBUSTION)
+        seeds = (211, 223, 227, 229, 233, 239)
+        sampled = [
+            SingleLevelRMCRT(rays_per_cell=48, seed=s, spectral=model).solve(grid, props).divq.mean()
+            for s in seeds
+        ]
+        looped = [band_loop(grid, props, model, 16, 100_000 + s).mean() for s in seeds]
+        sigma = np.hypot(np.std(sampled, ddof=1), np.std(looped, ddof=1)) / np.sqrt(len(seeds))
+        assert abs(np.mean(sampled) - np.mean(looped)) < 3.0 * sigma
 
 
 def make_fields_with_block(n=10, kappa=0.5, block=None, block_st4=0.0):

@@ -59,6 +59,26 @@ class TestPlanckFraction:
             lam = fraction_inverse(frac, 1000.0)
             assert planck_fraction(lam * 1000.0) == pytest.approx(frac, abs=1e-9)
 
+    def test_array_inverse_is_the_scalar_bisection(self):
+        """One pass over an array gives each element the bytes of the
+        scalar loop it replaced, kept here as the reference."""
+        def scalar_inverse(fraction, temperature):
+            lo, hi = 1e-3, 1e6 / temperature
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                below = planck_fraction(mid * temperature) < fraction
+                lo, hi = (mid, hi) if below else (lo, mid)
+            return 0.5 * (lo + hi)
+
+        fractions = np.array([0.05, 1.0 / 3.0, 0.5, 0.75, 0.99])
+        for temperature in (700.0, 1400.0):
+            got = fraction_inverse(fractions, temperature)
+            assert got.shape == fractions.shape
+            expected = [scalar_inverse(float(f), temperature) for f in fractions]
+            np.testing.assert_array_equal(got, expected)
+
     def test_inverse_rejects_bad_input(self):
         with pytest.raises(ReproError):
             fraction_inverse(0.0, 1000.0)

@@ -18,6 +18,7 @@ from repro.radiation.spectral.model import SpectralModel
 from repro.radiation.spectral.scenario import SpectralCase, get_scenario
 from repro.util.errors import ReproError
 from repro.util.rng import RandomStreams
+from tests.test_spectral_intrusions import COMBUSTION, wsgg_model
 
 RAYS = 4
 RESOLUTION = 8
@@ -96,11 +97,12 @@ class TestGrayLimit:
 
 class TestBackendAgreement:
     def test_vectorized_matches_scalar_multiband(self):
-        case = spectral_case()
-        vec, vec_census = census_solve(case, backend="vectorized")
-        ref, ref_census = census_solve(case, backend="scalar")
-        np.testing.assert_allclose(vec.divq, ref.divq, rtol=1e-12, atol=1e-14)
-        np.testing.assert_array_equal(vec_census, ref_census)
+        # tungsten walls, and a WSGG band set (Planck-mean scale 1.8125)
+        for case in (spectral_case(), spectral_case(model=wsgg_model(*COMBUSTION))):
+            vec, vec_census = census_solve(case, backend="vectorized")
+            ref, ref_census = census_solve(case, backend="scalar")
+            np.testing.assert_allclose(vec.divq, ref.divq, rtol=1e-12, atol=1e-14)
+            np.testing.assert_array_equal(vec_census, ref_census)
 
     def test_backends_share_band_draws(self):
         # identical band census proves both backends consumed the same
